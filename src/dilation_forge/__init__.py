@@ -10,11 +10,12 @@ __version__ = "0.1.0"
 
 from .builder import (BuildConfig, CouplingData, DefectData, DilationModel, TransferData,
                       assemble_model, build_defects, build_Pi, build_transfer, build_U,
-                      build_U1, build_Un, build_V0, solve_aux, transfer_tau, truncation_tails)
+                      build_V0, dilated_isometries, solve_aux, transfer_tau, truncation_tails)
 from .errors import (DilationForgeError, DimensionMismatch, GenerationFailed, GramMismatch,
                      IdentityResidualExceeded, InfeasibleFinitePadding, MalformedSpec,
                      NonSquare, NotInClass, NotPSD, UnsupportedMultiplicity)
-from .fock import FockModel, creation_matrix, embed_shift, enumerate_indices, interior_projector
+from .fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
+                   interior_projector)
 from .linalg import (PsdReport, SubspaceBasis, direct_sum, isometry_from_frames, kron,
                      psd_check, psd_sqrt, range_basis, unitary_completion)
 from .tuples import (AlgebraStructure, ClassReport, TupleSpec, classify, is_pure, merge_1n,

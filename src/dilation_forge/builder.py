@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, creation_matrix, embed_shift
+from .fock import FockModel, FockOperator, creation_matrix, enumerate_indices
 from .linalg import (SubspaceBasis, adj, direct_sum, eye, frob, isometry_from_frames,
                      orthogonal_complement, psd_sqrt, range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, classify, compose_perm, invert_perm,
@@ -131,8 +131,6 @@ class TransferData:
     blocks: dict
     structural: dict
     residuals: dict
-    tau1: Optional[np.ndarray] = None
-    taun: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -149,11 +147,19 @@ class DilationModel:
     tails: np.ndarray
     equality_residual: float = 0.0
 
-    def rho_matrices(self) -> Optional[list]:
-        """Algebra action on the truncated model, one matrix per minimal projection."""
+    def coordinate_labels(self) -> Optional[np.ndarray]:
+        """Algebra label of each model coordinate, shape (cells, dim D); rho(e_p)
+        on the truncated model is the diagonal indicator of label p."""
         if self.spec.algebra is None:
             return None
-        return _rho_matrices(self.fock, self.merged.algebra, self.coupling.Dspace.labels)
+        alg, out = self.merged.algebra, []
+        for alpha in self.fock.index_list:
+            g = list(range(alg.k))
+            for s, count in enumerate(alpha):
+                for _ in range(count):
+                    g = compose_perm(alg.automorphisms[s], g)
+            out.append(np.asarray(g)[self.coupling.Dspace.labels])
+        return np.asarray(out, dtype=int)
 
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
@@ -503,18 +509,6 @@ def build_transfer(spec: TupleSpec, defects: dict, coupling: CouplingData,
                         residuals=residuals)
 
 
-def build_U1(spec: TupleSpec, defects: dict, coupling: CouplingData,
-             config: BuildConfig = BuildConfig()) -> TransferData:
-    """The U1 half of the transfer data (assembles both, gates the U1 identities)."""
-    return build_transfer(spec, defects, coupling, config)
-
-
-def build_Un(spec: TupleSpec, defects: dict, coupling: CouplingData,
-             config: BuildConfig = BuildConfig()) -> TransferData:
-    """The Un half of the transfer data (assembles both, gates the Un identities)."""
-    return build_transfer(spec, defects, coupling, config)
-
-
 def _original_phase_diagonal(spec: TupleSpec, fock: FockModel, i: int) -> np.ndarray:
     """kappa_i(alpha): phase moving a front E_i factor across the cell monomial.
 
@@ -535,28 +529,36 @@ def _original_phase_diagonal(spec: TupleSpec, fock: FockModel, i: int) -> np.nda
 
 
 def transfer_tau(spec: TupleSpec, transfer: TransferData, coupling: CouplingData,
-                 fock: FockModel, which: int) -> np.ndarray:
-    """Matrix of the transfer operator on the truncated model.
+                 fock: FockModel, which: int) -> FockOperator:
+    """The transfer operator on the truncated model, read off U1 or Un and U.
 
     Realizes I_F (x) (A* + [I (x) C*] B*) with the domain identified through
     front insertion of the acting factor, so that the dilation identities hold
     as plain matrix equations on interior cells.
     """
-    if fock.coeff_dim != coupling.Dspace.dim:
+    d = fock.coeff_dim
+    if d != coupling.Dspace.dim:
         raise DimensionMismatch("Fock coefficient dimension must equal dim D")
     if which == 1:
-        a = transfer.blocks["A1"]
-        shift_block = coupling.Dspace.embed("Dn", "aux1") @ adj(transfer.blocks["B1"])
-        kappa = _original_phase_diagonal(spec, fock, 1)
+        a = transfer.U1[:d, :d]
+        shift_block = coupling.Dspace.embed("Dn", "aux1") @ adj(transfer.U1[:d, d:])
     elif which == spec.n:
-        a = transfer.blocks["An"]
+        a = transfer.Un[:d, :d]
         mu = spec.u(spec.n, 1)
-        shift_block = mu * (coupling.U @ transfer.structural["i1"]) @ coupling.Dspace.select("E1xD1")
-        kappa = _original_phase_diagonal(spec, fock, spec.n)
+        shift_block = mu * (coupling.U @ coupling.Udom.embed("D1")) @ coupling.Dspace.select("E1xD1")
     else:
         raise DimensionMismatch("transfer operators exist for the first and last index only")
-    tau = (fock.cellwise(adj(a)) + embed_shift(fock, shift_block, 0)) @ fock.cell_diag(kappa)
-    return tau
+    back = [fock.phase_back(0, alpha) for alpha in fock.index_list]
+    return FockOperator(fock, adj(a), shift_block, 0, back,
+                        _original_phase_diagonal(spec, fock, which))
+
+
+def dilated_isometries(spec: TupleSpec, transfer: TransferData, coupling: CouplingData,
+                       fock: FockModel) -> list:
+    """The dilated tuple (tau1, L_2, ..., L_{n-1}, taun) on the truncated model."""
+    middles = [creation_matrix(fock, i - 1) for i in range(2, spec.n)]
+    return ([transfer_tau(spec, transfer, coupling, fock, 1)] + middles
+            + [transfer_tau(spec, transfer, coupling, fock, spec.n)])
 
 
 def build_Pi(merged: TupleSpec, defects: dict, coupling: CouplingData,
@@ -608,33 +610,12 @@ def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.nda
 
 def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
     """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over |alpha| <= N."""
-    from .fock import enumerate_indices
     cells = enumerate_indices(merged.n, N)
     memo = ordered_power_products(merged, cells)
     mass = np.zeros(merged.dimH)
     for alpha in cells:
         mass += np.sum(np.abs(dhat_root @ memo[alpha]) ** 2, axis=0)
     return mass
-
-
-def _rho_matrices(fock: FockModel, merged_alg: AlgebraStructure, coeff_labels: np.ndarray) -> list:
-    """rho(e_p) on the truncated model: diagonal indicators of cell-twisted labels."""
-    k = merged_alg.k
-    twists = []
-    for alpha in fock.index_list:
-        g = list(range(k))
-        for s, count in enumerate(alpha):
-            for _ in range(count):
-                g = compose_perm(merged_alg.automorphisms[s], g)
-        twists.append(g)
-    out = []
-    for p in range(k):
-        diag = np.zeros(fock.dim)
-        for c_idx, g in enumerate(twists):
-            cell_labels = np.asarray([g[int(b)] for b in coeff_labels])
-            diag[c_idx * fock.coeff_dim:(c_idx + 1) * fock.coeff_dim] = (cell_labels == p)
-        out.append(np.diag(diag.astype(complex)))
-    return out
 
 
 def assemble_model(spec: TupleSpec, N: int = 4,
@@ -654,12 +635,7 @@ def assemble_model(spec: TupleSpec, N: int = 4,
 
     fock = FockModel(m=merged.n, N=N, coeff_dim=coupling.Dspace.dim,
                      merged_phases=merged.phases)
-    tau1 = transfer_tau(spec, transfer, coupling, fock, 1)
-    taun = transfer_tau(spec, transfer, coupling, fock, spec.n)
-    transfer.tau1, transfer.taun = tau1, taun
-    middles = [creation_matrix(fock, i - 1) for i in range(2, spec.n)]
-    isometries = [tau1] + middles + [taun]
-
+    isometries = dilated_isometries(spec, transfer, coupling, fock)
     pi, tails = build_Pi(merged, defects, coupling, fock)
     return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
                          coupling=coupling, transfer=transfer, Pi=pi,

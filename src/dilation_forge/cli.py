@@ -4,18 +4,12 @@ Exit codes: 0 success / in class / all identities pass; 1 input or IO error;
 2 well-formed but not in the dilatable class (or unsupported multiplicity),
 also used for verification failure; 3 infeasible finite padding;
 4 construction identity residual exceeded.
-
-``DILATION_FORGE_THREADS`` is honored as a hint only: computations are
-deterministic and single-threaded apart from BLAS internals.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .builder import BuildConfig, assemble_model
@@ -214,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("DILATION_FORGE_THREADS", "")
     args = build_parser().parse_args(argv)
     if args.command == "verify" and not (args.input or args.model):
         print("error: verify needs --input or --model", file=sys.stderr)

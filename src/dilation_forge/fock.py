@@ -12,25 +12,28 @@ appear:
 * front insertion (creation): a new generator-s factor enters at the front
   and crosses the factors of generators before it; phase
   prod_{s' < s} u(s, s')^{alpha_{s'}}.
-* coefficient-end insertion (embed_shift): a new merged-slot factor enters
-  next to the coefficient space and crosses every factor after slot s; phase
-  prod_{s' > s} u(s', s)^{alpha_{s'}}.  This is the identification used to
-  view F(E) (x) E_merged (x) D inside F(E) (x) D when assembling transfer
+* coefficient-end insertion (transfer shift): a new merged-slot factor
+  enters next to the coefficient space and crosses every factor after slot s;
+  phase prod_{s' > s} u(s', s)^{alpha_{s'}}.  This is the identification used
+  to view F(E) (x) E_merged (x) D inside F(E) (x) D when assembling transfer
   operators.
 
 With an all-ones table both conventions are the plain shift.
+
+Every Fock operator of the construction is a ``FockOperator``: a block on
+each cell plus a block carried one cell up in a single slot, with per-cell
+phases.  It is applied cell by cell and never stored as a dim x dim matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import as_matrix
-
-from math import comb
 
 
 def enumerate_indices(m: int, N: int) -> list[tuple[int, ...]]:
@@ -99,29 +102,72 @@ class FockModel:
             out *= self.u(t, s) ** alpha[t]
         return out
 
-    def cell_shift(self, s: int, phase_fn) -> np.ndarray:
-        """Cell-level shift alpha -> alpha + e_s weighted by phase_fn(alpha)."""
-        mat = np.zeros((self.cell_count, self.cell_count), dtype=complex)
-        for src, alpha in enumerate(self.index_list):
-            if sum(alpha) == self.N:
-                continue
-            dst = self.index_of[tuple(v + (1 if k == s else 0) for k, v in enumerate(alpha))]
-            mat[dst, src] = phase_fn(alpha)
-        return mat
-
-    def cell_diag(self, values) -> np.ndarray:
-        """Block-diagonal matrix acting as values[cell] * I_coeff on each cell."""
-        vals = np.asarray(values, dtype=complex)
-        if vals.shape != (self.cell_count,):
-            raise DimensionMismatch("need one value per cell")
-        return np.kron(np.diag(vals), np.eye(self.coeff_dim, dtype=complex))
-
-    def cellwise(self, block) -> np.ndarray:
-        """The same coefficient-space map applied on every cell."""
-        return np.kron(np.eye(self.cell_count, dtype=complex), as_matrix(block))
+    def successor(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cells alpha with |alpha| < N and the cells alpha + e_s they shift to."""
+        src = [c for c, alpha in enumerate(self.index_list) if sum(alpha) < self.N]
+        dst = [self.index_of[a[:s] + (a[s] + 1,) + a[s + 1:]]
+               for a in (self.index_list[c] for c in src)]
+        return np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
 
 
-def creation_matrix(model: FockModel, s: int) -> np.ndarray:
+class FockOperator:
+    """kappa-weighted cellwise block plus a one-slot cell shift on F_N(E) (x) D.
+
+    Maps (alpha, v) to kappa(alpha) * [(alpha, diag v) + shift_phase(alpha) *
+    (alpha + e_slot, shift v)], dropping shifted output past |alpha| = N, so
+    the adjoint annihilates cells with alpha_slot = 0.  ``diag=None`` omits
+    the cellwise part, ``shift=None`` is the identity.  Stored as terms
+    (dst cells, src cells, blocks), one block per source cell.
+    """
+
+    def __init__(self, fock: FockModel, diag, shift, slot: int, shift_phase, kappa=None):
+        d, cells = fock.coeff_dim, fock.cell_count
+        shift = np.eye(d, dtype=complex) if shift is None else as_matrix(shift)
+        kappa = np.ones(cells, dtype=complex) if kappa is None else np.asarray(kappa, dtype=complex)
+        shift_phase = np.asarray(shift_phase, dtype=complex)
+        if shift.shape != (d, d) or (diag is not None and np.shape(diag) != (d, d)):
+            raise DimensionMismatch(f"blocks must be {d} x {d} (the coefficient dimension)")
+        if kappa.shape != (cells,) or shift_phase.shape != (cells,):
+            raise DimensionMismatch("need one phase per cell")
+        self.fock, self.shape = fock, (fock.dim, fock.dim)
+        src, dst = fock.successor(slot)
+        self.terms = [(dst, src, (shift_phase[src, None, None] * shift) * kappa[src, None, None])]
+        if diag is not None:
+            every = np.arange(cells)
+            self.terms.append((every, every, as_matrix(diag) * kappa[:, None, None]))
+
+    def _cells(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape[0] != self.fock.dim:
+            raise DimensionMismatch(f"operand has {x.shape[0]} rows, expected {self.fock.dim}")
+        return x.reshape(self.fock.cell_count, self.fock.coeff_dim, -1)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """This operator times the dim x cols matrix ``x``."""
+        y = self._cells(x)
+        out = np.zeros(y.shape, dtype=complex)
+        for dst, src, blocks in self.terms:
+            out[dst] += blocks @ y[src]
+        return out.reshape(x.shape)
+
+    def apply_adj(self, x: np.ndarray) -> np.ndarray:
+        """The adjoint of this operator times the dim x cols matrix ``x``."""
+        y = self._cells(x)
+        out = np.zeros(y.shape, dtype=complex)
+        for dst, src, blocks in self.terms:
+            out[src] += blocks.conj().transpose(0, 2, 1) @ y[dst]
+        return out.reshape(x.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        """The dense dim x dim matrix, for tests and comparisons."""
+        cells, d = self.fock.cell_count, self.fock.coeff_dim
+        out = np.zeros((cells, d, cells, d), dtype=complex)
+        for dst, src, blocks in self.terms:
+            out[dst, :, src, :] = blocks
+        return out.reshape(self.shape).astype(dtype or complex, copy=False)
+
+
+def creation_matrix(model: FockModel, s: int) -> FockOperator:
     """Left creation operator of generator s (0-based slot) on F_N(E) (x) D.
 
     Maps cell (alpha, v) to phase_front(s, alpha) * (alpha + e_s, v); cells at
@@ -129,30 +175,13 @@ def creation_matrix(model: FockModel, s: int) -> np.ndarray:
     """
     if not 0 <= s < model.m:
         raise DimensionMismatch(f"generator index {s} out of range")
-    cell = model.cell_shift(s, lambda alpha: model.phase_front(s, alpha))
-    return np.kron(cell, np.eye(model.coeff_dim, dtype=complex))
+    phases = [model.phase_front(s, alpha) for alpha in model.index_list]
+    return FockOperator(model, None, None, s, phases)
 
 
 def interior_projector(model: FockModel, margin: int) -> np.ndarray:
-    """Orthogonal projection onto cells with |alpha| <= N - margin."""
+    """Boolean mask of the coordinates in cells with |alpha| <= N - margin."""
     if margin < 0 or margin > model.N:
         raise DimensionMismatch(f"margin {margin} outside 0..N")
-    keep = np.asarray([1.0 if sum(a) <= model.N - margin else 0.0 for a in model.index_list])
-    return model.cell_diag(keep)
-
-
-def embed_shift(model: FockModel, block, s: int = 0) -> np.ndarray:
-    """Embed cellwise-applied ``block`` through the coefficient-end slot-s shift.
-
-    ``block`` maps some q-dimensional space into the coefficient space; the
-    result maps the cell-indexed sum of those q-spaces into the model, landing
-    in cells with alpha_s >= 1 and applying phase_back.  Cells at |alpha| = N
-    are dropped (truncation boundary); the adjoint therefore annihilates cells
-    with alpha_s = 0.
-    """
-    block = as_matrix(block)
-    if block.shape[0] != model.coeff_dim:
-        raise DimensionMismatch(
-            f"block has {block.shape[0]} rows, coefficient dimension is {model.coeff_dim}")
-    cell = model.cell_shift(s, lambda alpha: model.phase_back(s, alpha))
-    return np.kron(cell, block)
+    keep = [sum(a) <= model.N - margin for a in model.index_list]
+    return np.repeat(np.asarray(keep, dtype=bool), model.coeff_dim)

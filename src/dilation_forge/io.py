@@ -2,22 +2,27 @@
 
 Complex entries are stored as [re, im] pairs of JSON numbers; Python's float
 repr is shortest-exact, so round-trips are bit-faithful.  Every document
-carries a ``schema_version``.
+carries a ``schema_version``: 1 for tuples and reports, 2 for models.  A
+model file holds no dim x dim matrix: the dilated isometries are rebuilt on
+load from the file's own U1, Un and U.
 """
 
 from __future__ import annotations
 
 import json
+from math import comb
 from typing import Any
 
 import numpy as np
 
-from .builder import CouplingData, DilationModel, SumSpace, TransferData
+from .builder import (CouplingData, DilationModel, SumSpace, TransferData, build_defects,
+                      dilated_isometries)
 from .errors import MalformedSpec
 from .fock import FockModel
 from .tuples import AlgebraStructure, TupleSpec, merge_1n
 
 SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 
 def complex_to_json(arr: np.ndarray) -> list:
@@ -121,7 +126,7 @@ def dump_json(doc: dict, path: str | None):
 def model_to_dict(model: DilationModel) -> dict:
     c = model.coupling
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": MODEL_SCHEMA_VERSION,
         "kind": "dilation_model",
         "tuple": tuple_to_dict(model.spec),
         "N": model.N,
@@ -143,7 +148,6 @@ def model_to_dict(model: DilationModel) -> dict:
         "U1": complex_to_json(model.transfer.U1),
         "Un": complex_to_json(model.transfer.Un),
         "Pi": complex_to_json(model.Pi),
-        "isometries": [complex_to_json(w) for w in model.isometries],
         "tails": [float(t) for t in model.tails],
         "equality_residual": float(model.equality_residual),
         "defect_bases": {name: complex_to_json(d.space.basis)
@@ -152,49 +156,89 @@ def model_to_dict(model: DilationModel) -> dict:
     }
 
 
+def _matrix(doc: dict, key: str, shape: tuple, path: str) -> np.ndarray:
+    mat = json_to_complex(_require(doc, key, list, path), f"{path}.{key}")
+    if mat.shape != shape:
+        raise MalformedSpec(f"{path}.{key}: expected shape {shape}, got {mat.shape}")
+    return mat
+
+
+def _labels(doc: dict, key: str, size: int, k: int, path: str) -> np.ndarray:
+    values = _require(doc, key, list, path)
+    if len(values) != size or any(type(v) is not int or not 0 <= v < k for v in values):
+        raise MalformedSpec(f"{path}.{key}: expected {size} algebra labels in 0..{k - 1}")
+    return np.asarray(values, dtype=int)
+
+
 def model_from_dict(doc: dict) -> DilationModel:
     """Rebuild a verifiable model from its JSON document.
 
-    The matrices are taken from the file (so file-level corruption is caught
-    by the verifier), while cheap derived objects are recomputed.
+    The matrices are taken from the file and the dilated isometries are
+    rebuilt from its U1, Un and U (so file-level corruption is caught by the
+    verifier), while the defect data are recomputed from the tuple.  Every
+    field is checked against the tuple's defect ranks and the declared sizes.
     """
-    from .builder import build_defects  # local import to avoid cycles
-
-    if doc.get("kind") != "dilation_model":
+    if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")
+    version = _require(doc, "schema_version", int, "$")
+    if version != MODEL_SCHEMA_VERSION:
+        raise MalformedSpec(f"$.schema_version: expected {MODEL_SCHEMA_VERSION}, got {version}")
     spec = tuple_from_dict(_require(doc, "tuple", dict, "$"), "$.tuple")
     merged = merge_1n(spec)
-    n_cells = len(_require(doc, "index_list", list, "$"))
-    coeff = _require(doc, "dims", dict, "$")["coeff"]
-    fock = FockModel(m=merged.n, N=int(doc["N"]), coeff_dim=int(coeff),
-                     merged_phases=merged.phases)
-    if fock.cell_count != n_cells:
-        raise MalformedSpec("$.index_list: cell count does not match N")
-
+    N = _require(doc, "N", int, "$")
+    if N < 0:
+        raise MalformedSpec("$.N: truncation degree must be non-negative")
     defects, _, _, eq_resid = build_defects(spec)
-    labels = doc["labels"]
-    dims = doc["dims"]
+
+    dims = _require(doc, "dims", dict, "$")
+    rn, r1 = defects["hatn"].space.dim, defects["hat1"].space.dim
+    aux1 = _require(dims, "aux1", int, "$.dims")
+    aux2 = _require(dims, "aux2", int, "$.dims")
+    coeff = rn + r1 + aux1
+    parts = {"parts_D": [["Dn", rn], ["E1xD1", r1], ["aux1", aux1]],
+             "parts_Udom": [["D1", r1], ["EnxDn", rn], ["aux2", aux2]],
+             "parts_Dprime": [["Dn", rn], ["aux1", aux1]]}
+    for key, expected in parts.items():
+        if _require(dims, key, list, "$.dims") != expected:
+            raise MalformedSpec(f"$.dims.{key}: expected {expected} for this tuple")
+    if aux2 != aux1 or _require(dims, "coeff", int, "$.dims") != coeff:
+        raise MalformedSpec(f"$.dims: coefficient dimension must be {coeff} with aux2 = aux1")
+    # compare counts before enumerating cells: the file's own list bounds the work
+    index_list = _require(doc, "index_list", list, "$")
+    if not _require(dims, "cells", int, "$.dims") == len(index_list) == comb(merged.n + N, N):
+        raise MalformedSpec("$.index_list: cells do not match N and the tuple")
+    fock = FockModel(m=merged.n, N=N, coeff_dim=coeff, merged_phases=merged.phases)
+    if index_list != [list(a) for a in fock.index_list]:
+        raise MalformedSpec("$.index_list: cells do not match N and the tuple")
+
+    labels = _require(doc, "labels", dict, "$")
+    k = 1 if spec.algebra is None else spec.algebra.k
+    lab_d = _labels(labels, "D", coeff, k, "$.labels")
+    lab_udom = _labels(labels, "Udom", coeff, k, "$.labels")
+    lab_dp = _labels(labels, "Dprime", rn + aux1, k, "$.labels")
+    tails = _require(doc, "tails", list, "$")
+    if len(tails) != spec.dimH or any(type(t) not in (int, float) for t in tails):
+        raise MalformedSpec(f"$.tails: expected {spec.dimH} numbers")
+
     coupling = CouplingData(
         V0=np.zeros((0, 0)), D1=None, D2=None, M1=None, M2=None,  # type: ignore[arg-type]
-        amb1_labels=np.asarray(labels["D"][:dims["coeff"] - dims["aux1"]], dtype=int),
-        amb2_labels=np.asarray(labels["Udom"][:dims["coeff"] - dims["aux2"]], dtype=int),
+        amb1_labels=lab_d[:rn + r1], amb2_labels=lab_udom[:r1 + rn],
         M1_labels=np.zeros(0, dtype=int), M2_labels=np.zeros(0, dtype=int),
-        aux1_dim=int(dims["aux1"]), aux2_dim=int(dims["aux2"]),
-        U=json_to_complex(doc["U"], "$.U"), V=json_to_complex(doc["V"], "$.V"),
-        Dspace=SumSpace([tuple(p) for p in dims["parts_D"]], np.asarray(labels["D"], dtype=int)),
-        Udom=SumSpace([tuple(p) for p in dims["parts_Udom"]], np.asarray(labels["Udom"], dtype=int)),
-        Dprime=SumSpace([tuple(p) for p in dims["parts_Dprime"]],
-                        np.asarray(labels["Dprime"], dtype=int)))
-    transfer = TransferData(U1=json_to_complex(doc["U1"], "$.U1"),
-                            Un=json_to_complex(doc["Un"], "$.Un"),
+        aux1_dim=aux1, aux2_dim=aux2,
+        U=_matrix(doc, "U", (coeff, coeff), "$"),
+        V=_matrix(doc, "V", (coeff, defects["hat1n"].space.dim), "$"),
+        Dspace=SumSpace([tuple(p) for p in parts["parts_D"]], lab_d),
+        Udom=SumSpace([tuple(p) for p in parts["parts_Udom"]], lab_udom),
+        Dprime=SumSpace([tuple(p) for p in parts["parts_Dprime"]], lab_dp))
+    size1, sizen = coeff + rn + aux1, coeff + r1
+    transfer = TransferData(U1=_matrix(doc, "U1", (size1, size1), "$"),
+                            Un=_matrix(doc, "Un", (sizen, sizen), "$"),
                             blocks={}, structural={}, residuals={})
-    isometries = [json_to_complex(w, f"$.isometries[{i}]")
-                  for i, w in enumerate(doc["isometries"])]
-    return DilationModel(spec=spec, merged=merged, fock=fock, N=int(doc["N"]),
+    return DilationModel(spec=spec, merged=merged, fock=fock, N=N,
                          defects=defects, coupling=coupling, transfer=transfer,
-                         Pi=json_to_complex(doc["Pi"], "$.Pi"),
-                         isometries=isometries,
-                         tails=np.asarray(doc["tails"], dtype=float),
+                         Pi=_matrix(doc, "Pi", (fock.dim, spec.dimH), "$"),
+                         isometries=dilated_isometries(spec, transfer, coupling, fock),
+                         tails=np.asarray(tails, dtype=float),
                          equality_residual=eq_resid)
 
 

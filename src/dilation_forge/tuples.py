@@ -6,9 +6,10 @@ T_{i,1}..T_{i,d} on C^dimH.  For d = 1 the single matrices t_i may u-commute
 for a diagonal algebra C^k acting blockwise on C^dimH with commuting
 permutation automorphisms.
 
-Class membership (the dilatable class): the sub-tuples obtained by deleting
-index 1 and index n must both have a PSD Szego operator, and the sub-tuple
-without index n must be pure (every completely positive map
+Class membership (the dilatable class): the tuple must be a (u-)commuting,
+covariant row-contraction tuple, the sub-tuples obtained by deleting index 1
+and index n must both have a PSD Szego operator, and the sub-tuple without
+index n must be pure (every completely positive map
 X -> sum_j T_{i,j} X T_{i,j}* has spectral radius < 1).
 """
 
@@ -158,6 +159,7 @@ class ClassReport:
     row_norms: list[float] = field(default_factory=list)
     commutation_residual: float = 0.0
     covariance_residual: Optional[float] = None
+    structure_gate: float = CONTRACTION_TOL  # bound on both residuals above
     szego_full: Optional[PsdReport] = None
     szego_hat1: Optional[PsdReport] = None
     szego_hatn: Optional[PsdReport] = None
@@ -179,6 +181,12 @@ class ClassReport:
             fails.append(f"hatn not pure (indices {','.join(bad)})")
         if not self.is_contraction_tuple:
             fails.append("row operators exceed norm 1")
+        if self.commutation_residual > self.structure_gate:
+            fails.append(f"commutation residual {self.commutation_residual:.3g} exceeds "
+                         f"{self.structure_gate:.3g}")
+        if self.covariance_residual is not None and self.covariance_residual > self.structure_gate:
+            fails.append(f"covariance residual {self.covariance_residual:.3g} exceeds "
+                         f"{self.structure_gate:.3g}")
         return fails
 
     def to_dict(self) -> dict:
@@ -190,6 +198,7 @@ class ClassReport:
             "row_norms": self.row_norms,
             "commutation_residual": self.commutation_residual,
             "covariance_residual": self.covariance_residual,
+            "structure_gate": self.structure_gate,
             "szego_full": psd(self.szego_full),
             "szego_hat1": psd(self.szego_hat1),
             "szego_hatn": psd(self.szego_hatn),
@@ -204,10 +213,15 @@ class ClassReport:
 
 
 def validate(spec: TupleSpec, tol: float = CONTRACTION_TOL) -> ClassReport:
-    """Structural checks: row contractivity, (u-)commutation, covariance."""
+    """Structural checks: row contractivity, (u-)commutation, covariance.
+
+    The commutation and covariance residuals are gated at
+    tol * max(1, max_i ||T_i||^2), the scale of the products they compare.
+    """
     report = ClassReport()
     report.row_norms = [float(np.linalg.norm(spec.row(i), 2)) for i in range(1, spec.n + 1)]
     report.is_contraction_tuple = all(nrm <= 1.0 + tol for nrm in report.row_norms)
+    report.structure_gate = tol * max(1.0, max(report.row_norms) ** 2)
 
     resid = 0.0
     if spec.d == 1:
@@ -303,10 +317,7 @@ def classify(spec: TupleSpec, tol: float = 1e-10) -> ClassReport:
     report.gkvw = {(p, q): (psd_without[p], psd_without[q])
                    for p, q in itertools.combinations(all_idx, 2)}
 
-    report.in_T1n = (report.is_contraction_tuple
-                     and bool(report.szego_hat1.is_psd)
-                     and bool(report.szego_hatn.is_psd)
-                     and report.hatn_pure)
+    report.in_T1n = not report.failing_conditions()
     return report
 
 
@@ -352,15 +363,16 @@ def ordered_power_products(spec: TupleSpec, indices: list[tuple[int, ...]]) -> d
         raise UnsupportedMultiplicity("power products require d = 1")
     ops = [spec.op(i) for i in range(1, spec.n + 1)]
     memo: dict[tuple[int, ...], np.ndarray] = {tuple([0] * spec.n): np.eye(spec.dimH, dtype=complex)}
-
-    def fill(alpha: tuple[int, ...]) -> np.ndarray:
-        if alpha in memo:
-            return memo[alpha]
-        s = next(k for k, v in enumerate(alpha) if v > 0)
-        prev = tuple(v - (1 if k == s else 0) for k, v in enumerate(alpha))
-        memo[alpha] = fill(prev) @ adj(ops[s])
-        return memo[alpha]
-
     for alpha in indices:
-        fill(tuple(int(v) for v in alpha))
+        _fill_power(memo, ops, tuple(int(v) for v in alpha))
     return memo
+
+
+def _fill_power(memo: dict, ops: list, alpha: tuple[int, ...]) -> np.ndarray:
+    # a module function, not a closure over memo: a closure that calls itself
+    # is a reference cycle, which keeps the memo alive until a full collection
+    if alpha not in memo:
+        s = next(k for k, v in enumerate(alpha) if v > 0)
+        prev = alpha[:s] + (alpha[s] - 1,) + alpha[s + 1:]
+        memo[alpha] = _fill_power(memo, ops, prev) @ adj(ops[s])
+    return memo[alpha]

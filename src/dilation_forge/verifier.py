@@ -4,6 +4,9 @@ Every check recomputes both sides of a proved identity from the assembled
 model and reports a relative residual.  Interior restrictions make the
 truncation error exactly zero on the compared subspace: margin 1 for
 single-operator identities, margin 2 where two operators compose.
+
+Fock operators are only ever applied: to Pi, or to the identity columns of
+the interior coordinates.  No dim x dim product is formed.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import creation_matrix, interior_projector
+from .fock import FockOperator, creation_matrix, enumerate_indices, interior_projector
 from .linalg import adj, eye, frob
 from .tuples import invert_perm
 
@@ -66,15 +69,23 @@ def verify_pi(model: DilationModel) -> dict:
     return {"pi_isometry": pi_isometry, "pi_tail_match": pi_tail_match}
 
 
+def _unit_columns(mask: np.ndarray) -> np.ndarray:
+    """The identity columns of the coordinates selected by ``mask``."""
+    idx = np.flatnonzero(mask)
+    out = np.zeros((mask.size, idx.size), dtype=complex)
+    out[idx, np.arange(idx.size)] = 1.0
+    return out
+
+
 def verify_intertwining(model: DilationModel) -> dict:
     """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells."""
     spec, fock, pi = model.spec, model.fock, model.Pi
-    p_int = interior_projector(fock, 1)
+    inner = interior_projector(fock, 1)
     out = {}
 
     def entry(name, w, t):
-        lhs = p_int @ (adj(w) @ pi)
-        rhs = p_int @ (pi @ adj(t))
+        lhs = w.apply_adj(pi)[inner]
+        rhs = (pi @ adj(t))[inner]
         out[name] = _rel(lhs - rhs, rhs)
 
     entry("dilation1_tau1", model.isometries[0], spec.op(1))
@@ -92,13 +103,13 @@ def verify_factorization(model: DilationModel) -> dict:
     up to the flip phase u(n,1) that re-orders the two fused factors.
     """
     fock = model.fock
-    p2 = interior_projector(fock, min(2, fock.N))
-    l1 = creation_matrix(fock, 0)
+    e2 = _unit_columns(interior_projector(fock, min(2, fock.N)))
+    l1 = creation_matrix(fock, 0).apply(e2)
     v1, vn = model.isometries[0], model.isometries[-1]
     flip = model.spec.u(model.spec.n, 1)
     return {
-        "factor_tau12": _rel((v1 @ vn - l1) @ p2, l1 @ p2),
-        "factor_tau21": _rel((vn @ v1 - flip * l1) @ p2, l1 @ p2),
+        "factor_tau12": _rel(v1.apply(vn.apply(e2)) - l1, l1),
+        "factor_tau21": _rel(vn.apply(v1.apply(e2)) - flip * l1, l1),
     }
 
 
@@ -106,78 +117,77 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     """Each dilated operator is isometric on interior cells and the family
     u-commutes with the original phase table."""
     spec, fock = model.spec, model.fock
-    p1 = interior_projector(fock, 1)
-    p2 = interior_projector(fock, min(2, fock.N))
+    inner = interior_projector(fock, 1)
+    e1 = _unit_columns(inner)
+    e2 = _unit_columns(interior_projector(fock, min(2, fock.N)))
     out = {}
     for i, w in zip(range(1, spec.n + 1), model.isometries):
-        delta = p1 @ (adj(w) @ w - eye(fock.dim)) @ p1
-        out[f"isometry_v{i}"] = _rel(delta, p1)
+        delta = w.apply_adj(w.apply(e1))[inner] - e1[inner]
+        out[f"isometry_v{i}"] = _rel(delta, e1)
     for i in range(1, spec.n + 1):
         for j in range(i + 1, spec.n + 1):
             vi, vj = model.isometries[i - 1], model.isometries[j - 1]
-            delta = (vi @ vj - spec.u(i, j) * (vj @ vi)) @ p2
-            out[f"commute_{i}_{j}"] = _rel(delta, vj @ vi @ p2)
+            ji = vj.apply(vi.apply(e2))
+            out[f"commute_{i}_{j}"] = _rel(vi.apply(vj.apply(e2)) - spec.u(i, j) * ji, ji)
     return out
 
 
-def _power_products(mats: list, indices: list) -> dict:
-    dim = mats[0].shape[0]
-    memo = {tuple([0] * len(mats)): np.eye(dim, dtype=complex)}
+def _power_products(step, start, betas: list, last: bool = False) -> dict:
+    """memo[beta] = step(s, memo[beta - e_s]) from memo[0] = start.
 
-    def fill(beta):
-        if beta in memo:
-            return memo[beta]
-        s = next(k for k, v in enumerate(beta) if v > 0)
-        prev = tuple(v - (1 if k == s else 0) for k, v in enumerate(beta))
-        memo[beta] = mats[s] @ fill(prev)
-        return memo[beta]
-
-    for beta in indices:
-        fill(tuple(beta))
+    s is the first non-zero slot of beta, or the last one with ``last``;
+    ``betas`` must come in order of degree.
+    """
+    memo = {betas[0]: start}
+    for beta in betas[1:]:
+        slots = [k for k, v in enumerate(beta) if v > 0]
+        s = slots[-1] if last else slots[0]
+        memo[beta] = step(s, memo[beta[:s] + (beta[s] - 1,) + beta[s + 1:]])
     return memo
-
-
-def moment_indices(n: int, maxdeg: int) -> list:
-    out = [tuple([0] * n)]
-    frontier = list(out)
-    for _ in range(maxdeg):
-        nxt = []
-        for beta in frontier:
-            for s in range(n):
-                cand = tuple(v + (1 if k == s else 0) for k, v in enumerate(beta))
-                if cand not in nxt:
-                    nxt.append(cand)
-        frontier = sorted(set(nxt))
-        out.extend(frontier)
-    return sorted(set(out))
 
 
 def verify_moments(model: DilationModel, maxdeg: int = 3) -> dict:
     """Brute-force oracle <Pi h, V^beta Pi g> = <h, T^beta g> over all basis pairs.
 
-    At finite truncation the identity can only hold up to the dropped mass, so
-    the entry comes with a computed ``moment_allowance``: the spectral defect
-    of Pi*Pi plus the largest operator-norm gap between V^beta* Pi and
-    Pi T^beta*.  Both vanish when the tuple is nilpotent enough for the
-    truncation to be exact.
+    V^beta = V_1^{beta_1} ... V_n^{beta_n}.  The forward memo holds V^beta Pi,
+    the adjoint memo (V^beta)* Pi, each one operator application from a
+    lower degree.  At finite truncation the identity can only hold up to the
+    dropped mass, so the entry comes with a computed ``moment_allowance``: the
+    spectral defect of Pi*Pi plus the largest operator-norm gap between
+    V^beta* Pi and Pi T^beta*.  Both vanish when the tuple is nilpotent enough
+    for the truncation to be exact.
     """
-    spec = model.spec
+    spec, pi, ws = model.spec, model.Pi, model.isometries
     maxdeg = min(maxdeg, max(model.N - 1, 0))
-    betas = moment_indices(spec.n, maxdeg)
-    vmemo = _power_products(model.isometries, betas)
-    tmemo = _power_products([spec.op(i) for i in range(1, spec.n + 1)], betas)
+    betas = enumerate_indices(spec.n, maxdeg)
+    ops = [spec.op(i) for i in range(1, spec.n + 1)]
+    tmemo = _power_products(lambda s, x: ops[s] @ x, eye(spec.dimH), betas)
+    forward = _power_products(lambda s, x: ws[s].apply(x), pi, betas)
+    backward = _power_products(lambda s, x: ws[s].apply_adj(x), pi, betas, last=True)
     residual = 0.0
     gap = 0.0
     for beta in betas:
-        lhs = adj(model.Pi) @ vmemo[beta] @ model.Pi
-        rhs = tmemo[beta]
-        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
+        residual = max(residual, float(np.max(np.abs(adj(pi) @ forward[beta] - tmemo[beta]))))
         if sum(beta) > 0:
-            diff = adj(vmemo[beta]) @ model.Pi - model.Pi @ adj(tmemo[beta])
+            diff = backward[beta] - pi @ adj(tmemo[beta])
             gap = max(gap, float(np.linalg.norm(diff, 2)))
-    gram_defect = eye(spec.dimH) - adj(model.Pi) @ model.Pi
+    gram_defect = eye(spec.dimH) - adj(pi) @ pi
     lam = float(max(0.0, np.max(np.linalg.eigvalsh(0.5 * (gram_defect + adj(gram_defect))))))
     return {"moment_match": residual, "moment_allowance": gap + lam}
+
+
+def _fock_covariance(w: FockOperator, labels: np.ndarray, q: int, p: int) -> float:
+    """_rel(W rho(q) - rho(p) W, rho(p) W) for rho the indicators of coordinate labels.
+
+    The difference has entries W_ij ([label_j = q] - [label_i = p]): a sum over W's blocks.
+    """
+    delta = ref = 0.0
+    for dst, src, blocks in w.terms:
+        mass = np.abs(blocks) ** 2
+        rows, cols = labels[dst] == p, labels[src] == q
+        delta += float(np.sum(mass * (rows[:, :, None] != cols[:, None, :])))
+        ref += float(np.sum(mass * rows[:, :, None]))
+    return float(np.sqrt(delta) / max(1.0, np.sqrt(ref)))
 
 
 def verify_equivariance(model: DilationModel) -> dict:
@@ -185,49 +195,29 @@ def verify_equivariance(model: DilationModel) -> dict:
     spec = model.spec
     if spec.algebra is None:
         return {}
-    alg = spec.algebra
-    merged_alg = model.merged.algebra
-    coupling = model.coupling
-    rho = model.rho_matrices()
-    labels_d = coupling.Dspace.labels
-    labels_dp = coupling.Dprime.labels
-    labels_q1 = model.defects["hat1"].labels
-    a1 = alg.automorphisms[0]
-    an = alg.automorphisms[spec.n - 1]
-    g1n = merged_alg.automorphisms[0]
-
-    def ind(labels, perm, p):
-        twisted = np.asarray([perm[int(b)] for b in labels])
-        return np.diag((twisted == p).astype(complex))
-
-    ident = list(range(alg.k))
+    alg, ident = spec.algebra, range(spec.algebra.k)
+    g1n = model.merged.algebra.automorphisms[0]
+    a1, an = alg.automorphisms[0], alg.automorphisms[spec.n - 1]
+    lab_d, lab_dp = model.coupling.Dspace.labels, model.coupling.Dprime.labels
+    lab_q1 = model.defects["hat1"].labels
     out = {}
-    r_u1 = r_un = 0.0
-    for p in range(alg.k):
-        dom = np.block([[ind(labels_d, ident, p), np.zeros((labels_d.size, labels_dp.size))],
-                        [np.zeros((labels_dp.size, labels_d.size)), ind(labels_dp, g1n, p)]])
-        cod = np.block([[ind(labels_d, a1, p), np.zeros((labels_d.size, labels_dp.size))],
-                        [np.zeros((labels_dp.size, labels_d.size)), ind(labels_dp, ident, p)]])
-        r_u1 = max(r_u1, _rel(model.transfer.U1 @ dom - cod @ model.transfer.U1,
-                              model.transfer.U1))
-        dom_n = np.block([[ind(labels_d, ident, p), np.zeros((labels_d.size, labels_q1.size))],
-                          [np.zeros((labels_q1.size, labels_d.size)), ind(labels_q1, g1n, p)]])
-        cod_n = np.block([[ind(labels_d, an, p), np.zeros((labels_d.size, labels_q1.size))],
-                          [np.zeros((labels_q1.size, labels_d.size)), ind(labels_q1, ident, p)]])
-        r_un = max(r_un, _rel(model.transfer.Un @ dom_n - cod_n @ model.transfer.Un,
-                              model.transfer.Un))
-    out["equiv_U1"] = r_u1
-    out["equiv_Un"] = r_un
-
+    # M rho_dom - rho_cod M has entries M_ij ([dom_j = p] - [cod_i = p])
+    for name, mat, dom, cod in (
+            ("equiv_U1", model.transfer.U1, (lab_d, np.take(g1n, lab_dp)),
+             (np.take(a1, lab_d), lab_dp)),
+            ("equiv_Un", model.transfer.Un, (lab_d, np.take(g1n, lab_q1)),
+             (np.take(an, lab_d), lab_q1))):
+        dom, cod = np.concatenate(dom), np.concatenate(cod)
+        out[name] = max(_rel(mat * ((dom == p)[None, :] != (cod == p)[:, None]), mat)
+                        for p in ident)
+    labels = model.coordinate_labels()
     perms = [a1] + [alg.automorphisms[i - 1] for i in range(2, spec.n)] + [an]
     for i, (w, perm) in enumerate(zip(model.isometries, perms), start=1):
         inv = invert_perm(perm)
-        resid = max(_rel(w @ rho[inv[p]] - rho[p] @ w, rho[p] @ w) for p in range(alg.k))
-        out[f"equiv_v{i}"] = resid
+        out[f"equiv_v{i}"] = max(_fock_covariance(w, labels, inv[p], p) for p in ident)
     inv_g = invert_perm(g1n)
     l1 = creation_matrix(model.fock, 0)
-    out["equiv_L1"] = max(_rel(l1 @ rho[inv_g[p]] - rho[p] @ l1, rho[p] @ l1)
-                          for p in range(alg.k))
+    out["equiv_L1"] = max(_fock_covariance(l1, labels, inv_g[p], p) for p in ident)
     return out
 
 

@@ -12,8 +12,7 @@ import pytest
 
 from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_defects,
                                     build_Pi, build_transfer, build_V0, build_U, solve_aux,
-                                    transfer_tau, truncation_tails)
-from dilation_forge.fock import creation_matrix
+                                    dilated_isometries, truncation_tails)
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.tuples import TupleSpec, classify
 from dilation_forge.verifier import full_report, verify_equivariance, verify_moments
@@ -159,8 +158,9 @@ def test_criterion_7_equivariant():
 
     spec_id = random_tuple("covariant", 3, 4, 701, k=2, automorphisms=[[0, 1]] * 3)
     model_id = assemble_model(spec_id, N=3)
-    rho = model_id.rho_matrices()
-    worst_comm = max(float(np.linalg.norm(w @ r - r @ w))
+    labels = model_id.coordinate_labels().ravel()
+    rho = [np.diag((labels == p).astype(complex)) for p in range(2)]
+    worst_comm = max(float(np.linalg.norm(np.asarray(w) @ r - r @ np.asarray(w)))
                      for w in model_id.isometries for r in rho)
     assert worst_comm <= TOL_LINEAR
     report_line(7, f"swap covariance {worst_swap:.1e}; commutant case {worst_comm:.1e}")
@@ -174,13 +174,11 @@ def test_criterion_8_mutation_sensitivity():
     coupling.U[1, 1] *= -1.0
     cfg = BuildConfig(check_identities=False)
     transfer = build_transfer(spec, model.defects, coupling, cfg)
-    transfer.tau1 = transfer_tau(spec, transfer, coupling, model.fock, 1)
-    transfer.taun = transfer_tau(spec, transfer, coupling, model.fock, spec.n)
     pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
     mutated = DilationModel(
         spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
         coupling=coupling, transfer=transfer, Pi=pi,
-        isometries=[transfer.tau1, creation_matrix(model.fock, 1), transfer.taun],
+        isometries=dilated_isometries(spec, transfer, coupling, model.fock),
         tails=tails)
     report = full_report(mutated)
     assert not report.passed

@@ -73,10 +73,87 @@ def test_dilate_rejections(tmp_path):
 def test_verify_mutated_model_fails(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
+    clean = json.loads(model_path.read_text())
+    for key in ("U1", "Pi"):
+        doc = json.loads(json.dumps(clean))
+        doc[key][0][0] = [0.9, 0.1]
+        model_path.write_text(json.dumps(doc))
+        assert main(["verify", "--model", str(model_path)]) == 2, key
+
+
+def _drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def _set(value, *path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value(doc[path[-1]]) if callable(value) else value
+    return edit
+
+
+MODEL_FILE_DEFECTS = {
+    **{f"missing {key}": _drop(key) for key in (
+        "schema_version", "tuple", "N", "dims", "labels", "index_list",
+        "U", "V", "U1", "Un", "Pi", "tails")},
+    **{f"missing dims.{key}": _drop("dims", key) for key in (
+        "coeff", "cells", "aux1", "aux2", "parts_D", "parts_Udom", "parts_Dprime")},
+    **{f"missing labels.{key}": _drop("labels", key) for key in ("D", "Udom", "Dprime")},
+    "schema version 1": _set(1, "schema_version"),
+    "Pi missing a row": _set(lambda m: m[:-1], "Pi"),
+    "U1 missing a column": _set(lambda m: [row[:-1] for row in m], "U1"),
+    "Un not square": _set(lambda m: m[:-1], "Un"),
+    "U of a wrong size": _set(lambda m: [row[:-1] for row in m[:-1]], "U"),
+    "V ragged": _set(lambda m: [m[0][:-1]] + m[1:], "V"),
+    "tails too short": _set(lambda t: t[:-1], "tails"),
+    "tails not numbers": _set(lambda t: ["x"] * len(t), "tails"),
+    "labels.D too short": _set(lambda v: v[:-1], "labels", "D"),
+    "labels.Dprime out of range": _set(lambda v: [7] * len(v), "labels", "Dprime"),
+    "coefficient dimension": _set(lambda c: c + 1, "dims", "coeff"),
+    "renamed part": _set(lambda p: [["Dx", p[0][1]]] + p[1:], "dims", "parts_D"),
+    "cells disagree with N": _set(lambda n: n + 1, "N"),
+    "negative N": _set(-1, "N"),
+    "huge N": _set(10 ** 9, "N"),
+    "N not an integer": _set("4", "N"),
+    "index list reordered": _set(lambda a: a[::-1], "index_list"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_FILE_DEFECTS))
+def test_verify_malformed_model_file_is_input_error(tmp_path, triple_file, capsys, defect):
+    model_path = tmp_path / "model.json"
+    assert main(["dilate", "-i", triple_file, "--degree", "2", "-o", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
-    doc["isometries"][0][0][0] = [0.9, 0.1]
+    MODEL_FILE_DEFECTS[defect](doc)
     model_path.write_text(json.dumps(doc))
-    assert main(["verify", "--model", str(model_path)]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
+    model_path = tmp_path / "model.json"
+    assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["schema_version"] == 2 and "isometries" not in doc
+    assert doc["tuple"]["schema_version"] == 1
+
+
+def test_noncommuting_tuple_is_rejected(tmp_path, capsys):
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    spec = TupleSpec.from_operators([0.2 * e12, 0.2 * e12.T, 0.2 * np.eye(2)])
+    path = tmp_path / "noncommuting.json"
+    dump_json(tuple_to_dict(spec), str(path))
+    assert main(["classify", "-i", str(path)]) == 2
+    assert "commutation" in capsys.readouterr().out
+    assert main(["dilate", "-i", str(path), "-o", str(tmp_path / "model.json")]) == 2
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_random_styles_classify_and_are_deterministic(tmp_path):

@@ -3,13 +3,47 @@ from math import comb
 import numpy as np
 import pytest
 
-from dilation_forge.fock import (FockModel, creation_matrix, embed_shift, enumerate_indices,
+from dilation_forge.errors import DimensionMismatch
+from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
                                  interior_projector)
 from dilation_forge.linalg import adj
 
 
 def trivial_model(m, N, coeff=1):
     return FockModel(m=m, N=N, coeff_dim=coeff, merged_phases=np.ones((m, m)))
+
+
+def random_model(m, N, coeff, seed, quarter_turns):
+    """A model whose phase table has u(s, t) != 1 off the diagonal.
+
+    With ``quarter_turns`` the phases are powers of i, whose products are
+    exact in floating point, so dense forms can be compared bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    if quarter_turns:
+        phases = np.array([1j, -1, -1j])[rng.integers(0, 3, (m, m))]
+    else:
+        phases = np.exp(2j * np.pi * rng.uniform(0.05, 0.95, (m, m)))
+    upper = np.triu(phases, 1)
+    return FockModel(m=m, N=N, coeff_dim=coeff, merged_phases=upper + adj(upper) + np.eye(m)), rng
+
+
+def kron_reference(model, diag, shift, slot, phase_fn, kappa):
+    """Dense kappa-weighted (I (x) diag + cell shift alpha -> alpha + e_slot (x) shift)."""
+    cells, d = model.cell_count, model.coeff_dim
+    cell = np.zeros((cells, cells), dtype=complex)
+    for src, alpha in enumerate(model.index_list):
+        if sum(alpha) < model.N:
+            dst = model.index_of[tuple(v + (k == slot) for k, v in enumerate(alpha))]
+            cell[dst, src] = phase_fn(alpha)
+    out = np.kron(cell, np.eye(d) if shift is None else shift)
+    if diag is not None:
+        out = out + np.kron(np.eye(cells), diag)
+    return out * np.repeat(kappa, d)[None, :]
+
+
+def unit_columns(mask):
+    return np.eye(mask.size, dtype=complex)[:, mask]
 
 
 def test_enumerate_basics():
@@ -24,24 +58,50 @@ def test_enumerate_count_formula():
             assert len(enumerate_indices(m, N)) == comb(m + N, m)
 
 
+@pytest.mark.parametrize("quarter_turns", [True, False])
+@pytest.mark.parametrize("m,N,coeff", [(1, 0, 2), (2, 0, 1), (1, 1, 3), (3, 1, 2),
+                                       (2, 3, 2), (3, 2, 3), (1, 4, 1)])
+def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
+    model, rng = random_model(m, N, coeff, 10 * m + N, quarter_turns)
+    same = np.array_equal if quarter_turns else lambda a, b: np.allclose(a, b, rtol=0, atol=1e-15)
+
+    def cmat(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for s in range(m):
+        diag, shift = cmat(coeff, coeff), cmat(coeff, coeff)
+        kappa = model.merged_phases[s, rng.integers(0, m, model.cell_count)]
+        back = [model.phase_back(s, a) for a in model.index_list]
+        op = FockOperator(model, diag, shift, s, back, kappa)
+        ref = kron_reference(model, diag, shift, s, lambda a: model.phase_back(s, a), kappa)
+        assert same(np.asarray(op), ref)
+        x = cmat(model.dim, 3)
+        assert np.allclose(op.apply(x), ref @ x, atol=1e-13)
+        assert np.allclose(op.apply_adj(x), adj(ref) @ x, atol=1e-13)
+        creation = kron_reference(model, None, None, s, lambda a: model.phase_front(s, a),
+                                  np.ones(model.cell_count))
+        assert same(np.asarray(creation_matrix(model, s)), creation)
+
+
 def test_creation_is_jordan_shift():
     model = trivial_model(1, 1)
     L = creation_matrix(model, 0)
-    assert np.allclose(L, np.array([[0, 0], [1, 0]]))
-    assert np.allclose(L @ L, 0)
+    assert np.allclose(np.asarray(L), np.array([[0, 0], [1, 0]]))
+    assert np.allclose(L.apply(L.apply(np.eye(2))), 0)
 
 
 def test_creation_isometry_on_interior():
     model = trivial_model(2, 3, coeff=2)
-    p1 = interior_projector(model, 1)
+    inner = interior_projector(model, 1)
+    e1 = unit_columns(inner)
     for s in range(2):
         L = creation_matrix(model, s)
-        assert np.linalg.norm(p1 @ (adj(L) @ L - np.eye(model.dim)) @ p1) < 1e-14
+        assert np.linalg.norm(L.apply_adj(L.apply(e1))[inner] - e1[inner]) < 1e-14
     # ranges of distinct generators are orthogonal cellwise: the same source
     # cell lands in different target cells, so the cell-diagonal of L0* L1
     # vanishes (the full product is a shift, not zero: the generators commute)
     l0, l1 = creation_matrix(model, 0), creation_matrix(model, 1)
-    cross = adj(l0) @ l1
+    cross = l0.apply_adj(l1.apply(np.eye(model.dim)))
     d = model.coeff_dim
     for c in range(model.cell_count):
         assert np.linalg.norm(cross[c * d:(c + 1) * d, c * d:(c + 1) * d]) == 0.0
@@ -50,7 +110,7 @@ def test_creation_isometry_on_interior():
 def test_creation_phase_single_crossing():
     phases = np.array([[1, 1j], [-1j, 1]])  # u(1,0) = -i
     model = FockModel(m=2, N=2, coeff_dim=1, merged_phases=phases)
-    L = creation_matrix(model, 1)
+    L = np.asarray(creation_matrix(model, 1))
     src = model.index_of[(1, 0)]
     dst = model.index_of[(1, 1)]
     assert L[dst, src] == pytest.approx(-1j)
@@ -61,47 +121,53 @@ def test_creation_phase_single_crossing():
 def test_creation_u_commutation():
     phases = np.array([[1, 1j], [-1j, 1]])
     model = FockModel(m=2, N=4, coeff_dim=1, merged_phases=phases)
-    p2 = interior_projector(model, 2)
+    e2 = unit_columns(interior_projector(model, 2))
     l0, l1 = creation_matrix(model, 0), creation_matrix(model, 1)
     u01 = phases[0, 1]
-    assert np.linalg.norm((l0 @ l1 - u01 * l1 @ l0) @ p2) < 1e-14
+    assert np.linalg.norm(l0.apply(l1.apply(e2)) - u01 * l1.apply(l0.apply(e2))) < 1e-14
 
 
 def test_interior_projector_margins():
     model = trivial_model(2, 2)
-    assert np.allclose(interior_projector(model, 0), np.eye(model.dim))
-    p = interior_projector(trivial_model(1, 2), 1)
-    assert np.allclose(np.diag(p), [1, 1, 0])
-    p2 = interior_projector(model, 2)
-    assert np.allclose(np.diag(p2), [1, 0, 0, 0, 0, 0])
+    assert interior_projector(model, 0).all() and interior_projector(model, 0).size == model.dim
+    assert interior_projector(trivial_model(1, 2), 1).tolist() == [True, True, False]
+    assert interior_projector(model, 2).tolist() == [True, False, False, False, False, False]
+    assert interior_projector(trivial_model(1, 2, coeff=2), 2).tolist() == [True, True] + [False] * 4
 
 
-def test_embed_shift_trivial_phases_is_plain_shift():
+def test_transfer_shift_trivial_phases_is_plain_shift():
     model = trivial_model(2, 2, coeff=2)
-    emb = embed_shift(model, np.eye(2))
-    assert np.allclose(emb, creation_matrix(model, 0))
+    back = [model.phase_back(0, a) for a in model.index_list]
+    shift = FockOperator(model, None, np.eye(2), 0, back)
+    assert np.array_equal(np.asarray(shift), np.asarray(creation_matrix(model, 0)))
     # the adjoint annihilates cells with alpha_0 = 0
     for alpha in model.index_list:
         if alpha[0] == 0:
             idx = model.index_of[alpha] * 2
-            assert np.linalg.norm(adj(emb)[:, idx:idx + 2] @ np.eye(model.dim)[idx:idx + 2]) == 0
+            assert np.linalg.norm(shift.apply_adj(np.eye(model.dim)[:, idx:idx + 2])) == 0
 
 
-def test_embed_shift_phases_are_back_insertion():
+def test_transfer_shift_phases_are_back_insertion():
     phases = np.array([[1, 1j], [-1j, 1]])
     model = FockModel(m=2, N=3, coeff_dim=1, merged_phases=phases)
-    emb = embed_shift(model, np.eye(1))
-    L0 = creation_matrix(model, 0)
+    back = [model.phase_back(0, a) for a in model.index_list]
+    shift = np.asarray(FockOperator(model, None, np.eye(1), 0, back))
+    L0 = np.asarray(creation_matrix(model, 0))
     # same sparsity and magnitudes as front creation of the merged slot
-    assert np.allclose(np.abs(emb), np.abs(L0))
+    assert np.allclose(np.abs(shift), np.abs(L0))
     # entries differ exactly by the crossing phase u(1,0)^{alpha_1}
     src = model.index_of[(0, 2)]
     dst = model.index_of[(1, 2)]
-    assert emb[dst, src] == pytest.approx(phases[1, 0] ** 2)
+    assert shift[dst, src] == pytest.approx(phases[1, 0] ** 2)
     assert L0[dst, src] == pytest.approx(1.0)
 
 
-def test_embed_shift_dimension_check():
+def test_fock_operator_dimension_check():
     model = trivial_model(2, 1, coeff=3)
-    with pytest.raises(Exception):
-        embed_shift(model, np.eye(2))
+    ones = np.ones(model.cell_count)
+    with pytest.raises(DimensionMismatch):
+        FockOperator(model, None, np.eye(2), 0, ones)
+    with pytest.raises(DimensionMismatch):
+        FockOperator(model, np.eye(3), None, 0, ones[:-1])
+    with pytest.raises(DimensionMismatch):
+        creation_matrix(model, 0).apply(np.eye(model.dim - 1))

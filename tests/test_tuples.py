@@ -197,3 +197,18 @@ def test_defect_equality_identity():
         t1, tn = spec.op(1), spec.op(3)
         assert np.linalg.norm(d_merged - d_hatn - t1 @ d_hat1 @ adj(t1)) < 1e-10
         assert np.linalg.norm(d_merged - d_hat1 - tn @ d_hatn @ adj(tn)) < 1e-10
+
+
+def test_classify_gates_commutation_and_covariance():
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rep = classify(TupleSpec.from_operators([0.2 * e12, 0.2 * e12.T, 0.2 * np.eye(2)]))
+    assert rep.commutation_residual == pytest.approx(0.04 * np.sqrt(2))
+    assert not rep.in_T1n
+    assert [f for f in rep.failing_conditions() if "commutation" in f]
+    # E12 commutes with itself but maps block 1 into block 0
+    ops = [0.2 * e12, 0.3 * e12]
+    assert classify(TupleSpec.from_operators(ops)).in_T1n
+    alg = AlgebraStructure(k=2, block_of=[0, 1], automorphisms=[[0, 1], [0, 1]])
+    rep = classify(TupleSpec.from_operators(ops, algebra=alg))
+    assert rep.covariance_residual > 0.1 and not rep.in_T1n
+    assert [f for f in rep.failing_conditions() if "covariance" in f]

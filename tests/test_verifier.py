@@ -1,8 +1,7 @@
 import numpy as np
 
 from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_Pi,
-                                    build_transfer, transfer_tau)
-from dilation_forge.fock import creation_matrix
+                                    build_transfer, dilated_isometries)
 from dilation_forge.generators import random_tuple, scalar_triple, zero_tuple
 from dilation_forge.tuples import TupleSpec
 from dilation_forge.verifier import (full_report, verify_equivariance, verify_factorization,
@@ -88,10 +87,11 @@ def test_equivariance_identity_automorphisms():
     eq = verify_equivariance(model)
     assert eq and max(eq.values()) < 1e-10
     # with identity automorphisms the dilated isometries commute with rho(M)
-    rho = model.rho_matrices()
+    labels = model.coordinate_labels().ravel()
+    rho = [np.diag((labels == p).astype(complex)) for p in range(2)]
     for w in model.isometries:
         for r in rho:
-            assert np.linalg.norm(w @ r - r @ w) < 1e-10
+            assert np.linalg.norm(np.asarray(w) @ r - r @ np.asarray(w)) < 1e-10
 
 
 def test_equivariance_swap_automorphisms():
@@ -112,13 +112,11 @@ def test_mutation_sensitivity():
     coupling.U[0, 0] *= -1.0
     cfg = BuildConfig(check_identities=False)
     transfer = build_transfer(spec, model.defects, coupling, cfg)
-    transfer.tau1 = transfer_tau(spec, transfer, coupling, model.fock, 1)
-    transfer.taun = transfer_tau(spec, transfer, coupling, model.fock, spec.n)
     pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
     mutated = DilationModel(
         spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
         coupling=coupling, transfer=transfer, Pi=pi,
-        isometries=[transfer.tau1, creation_matrix(model.fock, 1), transfer.taun],
+        isometries=dilated_isometries(spec, transfer, coupling, model.fock),
         tails=tails)
     report = full_report(mutated)
     assert not report.passed
