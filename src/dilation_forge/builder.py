@@ -4,7 +4,8 @@ Pipeline: defect operators for the two deleted-index sub-tuples and the merged
 tuple, the norm-preserving coupling V0 between the two defect frames, finite
 auxiliary padding, the extended unitary U, the block unitaries U1/Un, their
 transfer-operator realizations on the truncated Fock model, and the dilation
-map Pi with exact truncation-tail accounting.
+map Pi with exact truncation-tail accounting.  Szego operators and tails are
+recursions in the CP maps phi_s(X) = t_s X t_s*, not subset or box sums.
 
 Coordinates: defect spaces are represented by orthonormal column bases inside
 H, and the coupling spaces are coordinate direct sums
@@ -31,8 +32,8 @@ from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFini
 from .fock import FockModel, FockOperator, creation_matrix, enumerate_indices
 from .linalg import (SubspaceBasis, adj, direct_sum, eye, frob, isometry_from_frames,
                      orthogonal_complement, psd_sqrt, range_basis, rel_residual)
-from .tuples import (AlgebraStructure, TupleSpec, classify, compose_perm, invert_perm,
-                     is_pure, merge_1n, ordered_power_products, szego_operator)
+from .tuples import (AlgebraStructure, TupleSpec, classify, compose_perm, cp_apply,
+                     invert_perm, is_pure, merge_1n, ordered_power_products, szego_operator)
 
 
 @dataclass
@@ -129,7 +130,6 @@ class TransferData:
     U1: np.ndarray
     Un: np.ndarray
     blocks: dict
-    structural: dict
     residuals: dict
 
 
@@ -431,7 +431,7 @@ def _gate(residuals: dict, name: str, value: float, gate: float, enabled: bool):
 
 def build_transfer(spec: TupleSpec, defects: dict, coupling: CouplingData,
                    config: BuildConfig = BuildConfig()) -> TransferData:
-    """Block unitaries U1 and Un with their structural maps, plus self-checks.
+    """Block unitaries U1 and Un with their blocks, plus self-checks.
 
     U1 = [[(I1 x U) P1, (I1 x U) j2'], [i2*, 0]] on D (+) (E_merged x D') and
     Un = [[(I (+) u2) P2 U*, i1'], [i1* U*, 0]] on D (+) (E_merged x D1).
@@ -504,8 +504,6 @@ def build_transfer(spec: TupleSpec, defects: dict, coupling: CouplingData,
 
     return TransferData(U1=u1, Un=un,
                         blocks={"A1": a1, "B1": b1, "C1": c1, "An": an, "Bn": bn, "Cn": cn},
-                        structural={"P1": p1, "P2": p2, "i1": i1, "i2": i2,
-                                    "i1p": i1p, "i2p": i2p, "j2p": j2p},
                         residuals=residuals)
 
 
@@ -571,41 +569,29 @@ def build_Pi(merged: TupleSpec, defects: dict, coupling: CouplingData,
     return np.vstack(rows), tails
 
 
-def box_indices(m: int, kmax: int) -> list[tuple[int, ...]]:
-    """All alpha with max alpha_s <= kmax."""
-    out = [()]
-    for _ in range(m):
-        out = [a + (v,) for a in out for v in range(kmax + 1)]
-    return out
-
-
 def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
     """Per-basis-vector tail ||h||^2 - sum_{|alpha|<=N} ||Dhat T*^(alpha) h||^2.
 
-    Computed without the assembled model: the box partial sum telescopes to an
-    alternating sum of k-th power products (k = N + 1), and the box-minus-
-    simplex cells are added back explicitly.
+    Computed without the assembled model as tele + diag(box - simplex) from
+    the CP maps phi_s(X) = t_s X t_s*, O(mN) applications in all:
+    tele = 1 - diag((id - phi_1^{N+1}) o ... o (id - phi_m^{N+1})(I)) equals
+    the box partial sum box = S_1 o ... o S_m(Dhat* Dhat), S_s = sum_{j<=N}
+    phi_s^j, when the maps commute; simplex = sum_k A_k(1) by the recursion
+    A_k(s) = A_k(s+1) + phi_s(A_{k-1}(s)) with A_0 = Dhat* Dhat.
     """
-    m, dim = merged.n, merged.dimH
-    k = N + 1
-    cells = box_indices(m, N)
-    memo = ordered_power_products(merged, cells)
-
-    tele = np.zeros(dim)
-    for mask in range(1, 2 ** m):
-        members = [s for s in range(m) if mask >> s & 1]
-        tg = np.eye(dim, dtype=complex)
-        for s in members:
-            tg = tg @ merged.op(s + 1)
-        power = np.linalg.matrix_power(tg, k)
-        tele -= (-1.0) ** len(members) * np.sum(np.abs(power) ** 2, axis=1)
-
-    excess = np.zeros(dim)
-    for alpha in cells:
-        if sum(alpha) <= N:
-            continue
-        excess += np.sum(np.abs(dhat_root @ memo[alpha]) ** 2, axis=0)
-    return tele + excess
+    x = np.eye(merged.dimH, dtype=complex)
+    square = adj(dhat_root) @ dhat_root
+    box, layer = square, [square] + [np.zeros_like(square)] * N  # layer[k] = A_k(s)
+    for s in range(merged.n, 0, -1):
+        power = np.linalg.matrix_power(merged.op(s), N + 1)
+        x = x - power @ x @ adj(power)
+        acc = box
+        for _ in range(N):  # Horner: S_s(box)
+            acc = box + cp_apply(merged, s, acc)
+        box = acc
+        for k in range(1, N + 1):
+            layer[k] = layer[k] + cp_apply(merged, s, layer[k - 1])
+    return 1.0 - np.real(np.diag(x)) + np.real(np.diag(box - sum(layer)))
 
 
 def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import (DilationForgeError, GenerationFailed, IdentityResidualExcee
 from .generators import STYLES, random_tuple, scalar_triple
 from .io import (class_report_doc, dump_json, load_model, load_tuple, model_to_dict,
                  tuple_to_dict, verification_report_doc)
-from .tuples import classify
+from .tuples import PURITY_TOL, classify
 from .verifier import full_report
 
 EXIT_OK = 0
@@ -56,6 +56,8 @@ def cmd_classify(args) -> int:
         print(f"  szego_hat1 min eig: {report.szego_hat1.min_eig:.6g}")
         print(f"  szego_hatn min eig: {report.szego_hatn.min_eig:.6g}")
         print(f"  purity radii: {[round(r, 6) for r in report.purity_radii]}")
+        near = [i + 1 for i, flag in enumerate(report.purity_indeterminate) if flag]
+        print(f"  purity indeterminate (|radius - 1| <= {PURITY_TOL:g}): {near or 'none'}")
     return EXIT_OK if report.in_T1n else EXIT_NOT_IN_CLASS
 
 

@@ -34,12 +34,15 @@ def complex_to_json(arr: np.ndarray) -> list:
 
 
 def json_to_complex(data, path: str = "$") -> np.ndarray:
+    """A finite complex matrix from rows of [re, im] pairs."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise MalformedSpec(f"{path}: expected nested [re, im] number pairs ({exc})")
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise MalformedSpec(f"{path}: innermost entries must be [re, im] pairs")
+    if arr.ndim != 3 or arr.shape[-1] != 2:
+        raise MalformedSpec(f"{path}: expected a matrix of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise MalformedSpec(f"{path}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -78,7 +81,7 @@ def tuple_from_dict(doc: dict, path: str = "$") -> TupleSpec:
         raise MalformedSpec(f"{path}: tuple document must be a JSON object")
     n = _require(doc, "n", int, path)
     dim = _require(doc, "dimH", int, path)
-    d = doc.get("d", 1)
+    d = _require(doc, "d", int, path) if "d" in doc else 1
     mats = _require(doc, "matrices", list, path)
     if len(mats) != n:
         raise MalformedSpec(f"{path}.matrices: expected {n} rows, got {len(mats)}")
@@ -97,12 +100,7 @@ def tuple_from_dict(doc: dict, path: str = "$") -> TupleSpec:
             k=_require(alg, "k", int, f"{path}.algebra"),
             block_of=_require(alg, "block_of", list, f"{path}.algebra"),
             automorphisms=_require(alg, "automorphisms", list, f"{path}.algebra"))
-    try:
-        return TupleSpec(n=n, dimH=dim, d=d, blocks=blocks, phases=phases, algebra=algebra)
-    except MalformedSpec:
-        raise
-    except Exception as exc:  # shape errors from numpy land here with context
-        raise MalformedSpec(f"{path}: {exc}")
+    return TupleSpec(n=n, dimH=dim, d=d, blocks=blocks, phases=phases, algebra=algebra)
 
 
 def load_tuple(path: str) -> TupleSpec:
@@ -233,7 +231,7 @@ def model_from_dict(doc: dict) -> DilationModel:
     size1, sizen = coeff + rn + aux1, coeff + r1
     transfer = TransferData(U1=_matrix(doc, "U1", (size1, size1), "$"),
                             Un=_matrix(doc, "Un", (sizen, sizen), "$"),
-                            blocks={}, structural={}, residuals={})
+                            blocks={}, residuals={})
     return DilationModel(spec=spec, merged=merged, fock=fock, N=N,
                          defects=defects, coupling=coupling, transfer=transfer,
                          Pi=_matrix(doc, "Pi", (fock.dim, spec.dimH), "$"),

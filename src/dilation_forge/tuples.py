@@ -28,6 +28,10 @@ PURITY_TOL = 1e-8
 CONTRACTION_TOL = 1e-10
 
 
+def _integral(*values) -> bool:
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
 def compose_perm(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Array of the permutation q -> a[b[q]]."""
     return [a[b[q]] for q in range(len(a))]
@@ -56,12 +60,15 @@ class AlgebraStructure:
     automorphisms: list[list[int]]
 
     def __post_init__(self):
+        rows = [self.block_of, *self.automorphisms]
+        if not _integral(self.k) or not all(isinstance(r, list) and _integral(*r) for r in rows):
+            raise MalformedSpec("algebra k, block_of and automorphism entries must be integers")
         self.block_of = [int(b) for b in self.block_of]
         self.automorphisms = [[int(v) for v in a] for a in self.automorphisms]
         if any(not 0 <= b < self.k for b in self.block_of):
             raise MalformedSpec("block_of entries must lie in 0..k-1")
         for i, a in enumerate(self.automorphisms):
-            if sorted(a) != list(range(self.k)):
+            if len(a) != self.k or sorted(a) != list(range(self.k)):
                 raise MalformedSpec(f"automorphism {i} is not a permutation of 0..k-1")
         for a, b in itertools.combinations(self.automorphisms, 2):
             if compose_perm(a, b) != compose_perm(b, a):
@@ -71,9 +78,6 @@ class AlgebraStructure:
         """Matrix of sigma(e_p): diagonal indicator of block p."""
         d = np.asarray([1.0 if b == p else 0.0 for b in self.block_of], dtype=complex)
         return np.diag(d)
-
-    def labels(self) -> np.ndarray:
-        return np.asarray(self.block_of, dtype=int)
 
 
 @dataclass
@@ -266,16 +270,19 @@ def subset_product(spec: TupleSpec, G: Sequence[int]) -> np.ndarray:
     return result
 
 
+def cp_apply(spec: TupleSpec, i: int, x: np.ndarray) -> np.ndarray:
+    """phi_i(X) = sum_j T_{i,j} X T_{i,j}*, the completely positive map of index i."""
+    return sum(t @ x @ adj(t) for t in spec.blocks[i - 1])
+
+
 def szego_operator(spec: TupleSpec, S: Sequence[int]) -> np.ndarray:
-    """Inclusion-exclusion operator sum_{G subset S} (-1)^|G| T_G T_G*."""
-    S = sorted(set(S))
-    out = np.zeros((spec.dimH, spec.dimH), dtype=complex)
-    for r in range(len(S) + 1):
-        sign = (-1.0) ** r
-        for G in itertools.combinations(S, r):
-            tg = subset_product(spec, G)
-            out += sign * (tg @ adj(tg))
-    return out
+    """Szego operator sum_{G subset S} (-1)^|G| T_G T_G* (G ascending), as the
+    nested (id - phi_{s_1}) o ... o (id - phi_{s_r})(I) over s_1 < ... < s_r;
+    it expands to exactly that ordered sum for any tuple, commuting or not."""
+    x = np.eye(spec.dimH, dtype=complex)
+    for i in sorted(set(S), reverse=True):
+        x = x - cp_apply(spec, i, x)
+    return x
 
 
 def cp_map_matrix(spec: TupleSpec, i: int) -> np.ndarray:

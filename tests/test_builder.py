@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dilation_forge.builder import (BuildConfig, assemble_model, build_defects,
                                     build_transfer, build_U, build_V0, defect_frames,
@@ -7,7 +9,7 @@ from dilation_forge.builder import (BuildConfig, assemble_model, build_defects,
 from dilation_forge.errors import InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj
-from dilation_forge.tuples import AlgebraStructure, TupleSpec
+from dilation_forge.tuples import AlgebraStructure, TupleSpec, ordered_power_products
 
 
 def coupling_for(spec, config=BuildConfig()):
@@ -237,3 +239,46 @@ def test_model_determinism_and_free_completion():
 def test_assemble_rejects_out_of_class():
     with pytest.raises(NotInClass):
         assemble_model(parrott_tuple(), N=2)
+
+
+def box_indices(m, kmax):
+    """All alpha with max alpha_s <= kmax."""
+    out = [()]
+    for _ in range(m):
+        out = [a + (v,) for a in out for v in range(kmax + 1)]
+    return out
+
+
+def box_enumeration_tails(merged, dhat_root, N):
+    """Reference tails: the 2^m telescoping of the (N+1)^m box partial sum,
+    minus the box cells above degree N, each cell from the power-product memo."""
+    m, dim = merged.n, merged.dimH
+    cells = box_indices(m, N)
+    memo = ordered_power_products(merged, cells)
+    tele = np.zeros(dim)
+    for mask in range(1, 2 ** m):
+        members = [s for s in range(m) if mask >> s & 1]
+        tg = np.eye(dim, dtype=complex)
+        for s in members:
+            tg = tg @ merged.op(s + 1)
+        power = np.linalg.matrix_power(tg, N + 1)
+        tele -= (-1.0) ** len(members) * np.sum(np.abs(power) ** 2, axis=1)
+    excess = np.zeros(dim)
+    for alpha in cells:
+        if sum(alpha) > N:
+            excess += np.sum(np.abs(dhat_root @ memo[alpha]) ** 2, axis=0)
+    return tele + excess
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
+@pytest.mark.parametrize("style", ["jointly-nilpotent", "scaled-commuting", "u-commuting",
+                                   "covariant"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@example(n=2, dim=2, seed=0)  # merged m = 1
+@given(n=st.integers(2, 4), dim=st.integers(2, 4), seed=st.integers(0, 10 ** 6))
+def test_tails_recursion_matches_box_enumeration(style, N, n, dim, seed):
+    n = min(n, 3) if style == "u-commuting" else n
+    defects, merged, _, _ = build_defects(random_tuple(style, n, dim, seed=seed))
+    root = defects["hat1n"].root
+    ref = box_enumeration_tails(merged, root, N)
+    assert np.max(np.abs(truncation_tails(merged, root, N) - ref)) < 1e-13

@@ -184,3 +184,46 @@ def test_json_format_output(triple_file, capsys):
     assert main(["classify", "-i", triple_file, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "class_report" and doc["in_T1n"] is True
+
+
+def _covariant_doc():
+    spec = random_tuple("covariant", 3, 4, seed=2, k=2, automorphisms=[[1, 0], [0, 1], [1, 0]])
+    return json.loads(json.dumps(tuple_to_dict(spec)))
+
+
+TUPLE_FILE_DEFECTS = {
+    "block_of label a string": _set(lambda b: ["a"] + b[1:], "algebra", "block_of"),
+    "block_of label a float": _set(lambda b: [0.5] + b[1:], "algebra", "block_of"),
+    "block_of label a bool": _set(lambda b: [False] + b[1:], "algebra", "block_of"),
+    "block_of not a list": _set(3, "algebra", "block_of"),
+    "automorphism not a list": _set(lambda a: [0] + a[1:], "algebra", "automorphisms"),
+    "automorphism entry a float": _set(lambda a: [[1.0, 0]] + a[1:], "algebra", "automorphisms"),
+    "automorphism too long": _set(lambda a: [[1, 0, 2]] + a[1:], "algebra", "automorphisms"),
+    "k a bool": _set(True, "algebra", "k"),
+    "d a bool": _set(True, "d"),
+    "d a float": _set(1.0, "d"),
+    "phases a vector": _set([[1.0, 0.0]] * 3, "phases"),
+    "matrix a vector": _set(lambda m: [[[[0.0, 0.0]] * 4]] + m[1:], "matrices"),
+    "matrix entry not finite": _set(lambda m: [[[[[float("nan"), 0.0]] * 4] * 4]] + m[1:],
+                                    "matrices"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(TUPLE_FILE_DEFECTS))
+def test_classify_malformed_tuple_file_is_input_error(tmp_path, capsys, defect):
+    doc = _covariant_doc()
+    TUPLE_FILE_DEFECTS[defect](doc)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_classify_text_names_indeterminate_purity(tmp_path, triple_file, capsys):
+    assert main(["classify", "-i", triple_file]) == 0
+    assert "purity indeterminate (|radius - 1| <= 1e-08): none" in capsys.readouterr().out
+    edge = tmp_path / "edge.json"
+    dump_json(tuple_to_dict(TupleSpec.from_operators([[[1.0]], [[0.5]]])), str(edge))
+    assert main(["classify", "-i", str(edge)]) == 2
+    assert "purity indeterminate (|radius - 1| <= 1e-08): [1]" in capsys.readouterr().out

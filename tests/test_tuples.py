@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilation_forge.errors import MalformedSpec, UnsupportedMultiplicity
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
@@ -212,3 +214,38 @@ def test_classify_gates_commutation_and_covariance():
     rep = classify(TupleSpec.from_operators(ops, algebra=alg))
     assert rep.covariance_residual > 0.1 and not rep.in_T1n
     assert [f for f in rep.failing_conditions() if "covariance" in f]
+
+
+def subset_sum_szego(spec, S):
+    """Reference sum_{G subset S} (-1)^|G| T_G T_G* over ascending subsets G."""
+    out = np.zeros((spec.dimH, spec.dimH), dtype=complex)
+    for r in range(len(S) + 1):
+        for G in itertools.combinations(sorted(S), r):
+            tg = subset_product(spec, G)
+            out += (-1.0) ** r * (tg @ adj(tg))
+    return out
+
+
+@st.composite
+def noncommuting_tuples(draw):
+    """A random tuple (no commutation imposed), d in {1, 2}, and a subset S."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.sampled_from([1, 2]))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = []
+    for _ in range(n):
+        row = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+               for _ in range(d)]
+        scale = draw(st.floats(0.1, 1.0)) / np.linalg.norm(np.hstack(row), 2)
+        blocks.append([scale * t for t in row])
+    S = draw(st.lists(st.integers(1, n), max_size=n))
+    return TupleSpec(n=n, dimH=dim, d=d, blocks=blocks), S
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(noncommuting_tuples())
+def test_nested_szego_matches_subset_sum(case):
+    spec, S = case
+    ref = subset_sum_szego(spec, set(S))
+    assert np.linalg.norm(szego_operator(spec, S) - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
