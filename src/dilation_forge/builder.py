@@ -8,11 +8,9 @@ map Pi with exact truncation-tail accounting.  Szego operators and tails are
 recursions in the CP maps phi_s(X) = t_s X t_s*, not subset or box sums.
 
 Coordinates: defect spaces are represented by orthonormal column bases inside
-H, and the coupling spaces are coordinate direct sums
-
-    D     = Dn (+) (E1 x D1) (+) aux1        (dimension dD)
-    Udom  = D1 (+) (En x Dn) (+) aux2        (U maps Udom -> D)
-    D'    = Dn (+) aux1
+H, and the coupling spaces are coordinate direct sums laid out by
+``coefficient_layout`` (see ``CoefficientLayout``).  Once U1 and Un are fixed,
+the dilated isometries depend only on them, the layout and the Fock model.
 
 For d = 1 every tensor factor E_i (x) W is canonically W; only the algebra
 action (twisted by the automorphism) and the u-phases remember the factor.
@@ -22,7 +20,7 @@ requirement that the dilation identities hold exactly on interior cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,21 +28,20 @@ import numpy as np
 from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
 from .fock import FockModel, FockOperator, creation_matrix, enumerate_indices
-from .linalg import (SubspaceBasis, adj, direct_sum, eye, frob, isometry_from_frames,
+from .linalg import (SubspaceBasis, adj, eye, frob, isometry_from_frames,
                      orthogonal_complement, psd_sqrt, range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, classify, compose_perm, cp_apply,
                      invert_perm, is_pure, merge_1n, ordered_power_products, szego_operator)
 
 
+UNITARY_GATE = 1e-12  # per-dimension gate on U, U1 and Un unitarity residuals
+MAX_PAD = 64          # largest auxiliary multiplicity of one algebra component
+
+
 @dataclass
 class BuildConfig:
-    psd_tol: float = 1e-10
-    rank_tol: float = 1e-10
-    gram_tol: float = 1e-8
-    unitary_gate: float = 1e-12
     identity_gate: float = 1e-10
     aux_pad: int = 0
-    max_pad: int = 64
     completion_seed: Optional[int] = None
     check_identities: bool = True
 
@@ -57,79 +54,60 @@ class DefectData:
     labels: np.ndarray  # algebra component of each basis column
 
 
-@dataclass
-class SumSpace:
-    """Coordinate direct sum with named parts and per-coordinate algebra labels."""
+@dataclass(frozen=True)
+class CoefficientLayout:
+    """Coordinates of the coupling spaces, with one algebra label each:
 
-    parts: list[tuple[str, int]]
-    labels: np.ndarray
+        D    = Dn (+) (E1 x D1) (+) aux1        (U maps Udom -> D)
+        Udom = D1 (+) (En x Dn) (+) aux2
+        D'   = Dn (+) aux1
 
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.labels.shape != (self.dim,):
-            raise DimensionMismatch("labels must cover every coordinate")
+    ``rn``/``r1`` are the ranks of D_hatn/D_hat1; aux1 holds ``mult1[p]``
+    coordinates of component p and aux2 ``mult2[p] = mult1[an^{-1}(p)]``.
+    ``parts_D`` and ``parts_Udom`` slice the three parts of D and Udom, and
+    ``Dprime_rows`` are the coordinates of D' inside D.  ``U1_labels`` and
+    ``Un_labels`` are the (domain, codomain) labels of U1 on D (+) (E x D')
+    and of Un on D (+) (E x D1).  Built only by ``coefficient_layout``.
+    """
+
+    rn: int
+    r1: int
+    mult1: np.ndarray
+    mult2: np.ndarray
+    D: np.ndarray
+    Udom: np.ndarray
+    Dprime: np.ndarray
+    parts_D: tuple
+    parts_Udom: tuple
+    Dprime_rows: np.ndarray
+    U1_labels: tuple
+    Un_labels: tuple
 
     @property
     def dim(self) -> int:
-        return sum(d for _, d in self.parts)
-
-    def offset(self, name: str) -> int:
-        off = 0
-        for nm, d in self.parts:
-            if nm == name:
-                return off
-            off += d
-        raise KeyError(name)
-
-    def part_dim(self, name: str) -> int:
-        return dict(self.parts)[name]
-
-    def embed(self, *names: str) -> np.ndarray:
-        """Isometric inclusion of the named parts (in the given order)."""
-        cols = sum(self.part_dim(nm) for nm in names)
-        out = np.zeros((self.dim, cols), dtype=complex)
-        c = 0
-        for nm in names:
-            off, d = self.offset(nm), self.part_dim(nm)
-            out[off:off + d, c:c + d] = np.eye(d)
-            c += d
-        return out
-
-    def select(self, *names: str) -> np.ndarray:
-        return adj(self.embed(*names))
+        return self.D.size
 
 
 @dataclass
 class CouplingData:
+    """V0 with the complements M1 (of span X in D) and M2 (of span Y in Udom)
+    before padding; solve_aux adds ``mult1``, build_U the padded layout, U and V."""
+
     V0: np.ndarray
-    D1: SubspaceBasis
-    D2: SubspaceBasis
     M1: SubspaceBasis
     M2: SubspaceBasis
-    amb1_labels: np.ndarray
-    amb2_labels: np.ndarray
     M1_labels: np.ndarray
     M2_labels: np.ndarray
-    aux1_dim: int = 0
-    aux2_dim: int = 0
-    aux1_labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    aux2_labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     mult1: Optional[np.ndarray] = None
-    mult2: Optional[np.ndarray] = None
-    u1: Optional[np.ndarray] = None
-    u2: Optional[np.ndarray] = None
+    layout: Optional[CoefficientLayout] = None
     U: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
-    Dspace: Optional[SumSpace] = None
-    Udom: Optional[SumSpace] = None
-    Dprime: Optional[SumSpace] = None
 
 
 @dataclass
 class TransferData:
     U1: np.ndarray
     Un: np.ndarray
-    blocks: dict
     residuals: dict
 
 
@@ -140,7 +118,8 @@ class DilationModel:
     fock: FockModel
     N: int
     defects: dict
-    coupling: CouplingData
+    layout: CoefficientLayout
+    coupling: Optional[CouplingData]  # None for a model read from a file
     transfer: TransferData
     Pi: np.ndarray
     isometries: list
@@ -158,7 +137,7 @@ class DilationModel:
             for s, count in enumerate(alpha):
                 for _ in range(count):
                     g = compose_perm(alg.automorphisms[s], g)
-            out.append(np.asarray(g)[self.coupling.Dspace.labels])
+            out.append(np.asarray(g)[self.layout.D])
         return np.asarray(out, dtype=int)
 
 
@@ -169,8 +148,7 @@ def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
     return AlgebraStructure(1, [0] * spec.dimH, [[0]] * spec.n)
 
 
-def labeled_range_basis(mat: np.ndarray, block_of, k: int,
-                        rank_tol: float) -> tuple[SubspaceBasis, np.ndarray]:
+def labeled_range_basis(mat: np.ndarray, block_of, k: int) -> tuple[SubspaceBasis, np.ndarray]:
     """Range basis of a block-diagonal operator, columns grouped by component."""
     dim = mat.shape[0]
     blocks = np.asarray(block_of, dtype=int)
@@ -179,7 +157,7 @@ def labeled_range_basis(mat: np.ndarray, block_of, k: int,
         rows = np.flatnonzero(blocks == p)
         if rows.size == 0:
             continue
-        sub = range_basis(mat[np.ix_(rows, rows)], rank_tol)
+        sub = range_basis(mat[np.ix_(rows, rows)])
         emb = np.zeros((dim, sub.dim), dtype=complex)
         emb[rows, :] = sub.basis
         cols.append(emb)
@@ -188,31 +166,28 @@ def labeled_range_basis(mat: np.ndarray, block_of, k: int,
     return SubspaceBasis(dim, basis), np.asarray(labels, dtype=int)
 
 
-def _labeled_span_and_complement(frame: np.ndarray, row_labels: np.ndarray,
-                                 col_blocks: np.ndarray, k: int, rank_tol: float):
-    """Per-component span of frame columns and its in-component complement."""
+def _labeled_complement(frame: np.ndarray, row_labels: np.ndarray, col_blocks: np.ndarray,
+                        k: int) -> tuple[SubspaceBasis, np.ndarray]:
+    """Per-component orthogonal complement of the span of the frame columns."""
     dim = frame.shape[0]
-    sp_cols, sp_labels, cmp_cols, cmp_labels = [], [], [], []
+    cols, labels = [], []
     for p in range(k):
         rows = np.flatnonzero(row_labels == p)
         hcols = np.flatnonzero(col_blocks == p)
         if rows.size == 0:
             continue
-        sub = range_basis(frame[np.ix_(rows, hcols)], rank_tol) if hcols.size else \
+        sub = range_basis(frame[np.ix_(rows, hcols)]) if hcols.size else \
             SubspaceBasis(rows.size, np.zeros((rows.size, 0)))
         comp = orthogonal_complement(sub)
-        for source, sink, lab in ((sub, sp_cols, sp_labels), (comp, cmp_cols, cmp_labels)):
-            emb = np.zeros((dim, source.dim), dtype=complex)
-            emb[rows, :] = source.basis
-            sink.append(emb)
-            lab.extend([p] * source.dim)
-    span = np.hstack(sp_cols) if sp_cols else np.zeros((dim, 0), dtype=complex)
-    comp = np.hstack(cmp_cols) if cmp_cols else np.zeros((dim, 0), dtype=complex)
-    return (SubspaceBasis(dim, span), np.asarray(sp_labels, dtype=int),
-            SubspaceBasis(dim, comp), np.asarray(cmp_labels, dtype=int))
+        emb = np.zeros((dim, comp.dim), dtype=complex)
+        emb[rows, :] = comp.basis
+        cols.append(emb)
+        labels.extend([p] * comp.dim)
+    basis = np.hstack(cols) if cols else np.zeros((dim, 0), dtype=complex)
+    return SubspaceBasis(dim, basis), np.asarray(labels, dtype=int)
 
 
-def build_defects(spec: TupleSpec, config: BuildConfig = BuildConfig()):
+def build_defects(spec: TupleSpec):
     """Defect data for hat1 (drop index 1), hatn (drop index n) and the merged tuple.
 
     Returns ``(defects, merged, report, equality_residual)`` where the residual
@@ -220,7 +195,7 @@ def build_defects(spec: TupleSpec, config: BuildConfig = BuildConfig()):
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("the dilation construction requires d = 1")
-    report = classify(spec, config.psd_tol)
+    report = classify(spec)
     if not report.in_T1n:
         raise NotInClass("; ".join(report.failing_conditions()) or "not in the dilatable class")
     merged = merge_1n(spec)
@@ -232,8 +207,8 @@ def build_defects(spec: TupleSpec, config: BuildConfig = BuildConfig()):
 
     defects = {}
     for name, sq in (("hat1", sq_hat1), ("hatn", sq_hatn), ("hat1n", sq_hat1n)):
-        root = psd_sqrt(sq, config.psd_tol)
-        space, labels = labeled_range_basis(root, alg.block_of, alg.k, config.rank_tol)
+        root = psd_sqrt(sq)
+        space, labels = labeled_range_basis(root, alg.block_of, alg.k)
         defects[name] = DefectData(sq, root, space, labels)
 
     t1, tn = spec.op(1), spec.op(spec.n)
@@ -258,35 +233,61 @@ def defect_frames(spec: TupleSpec, defects: dict) -> tuple[np.ndarray, np.ndarra
     return x, y
 
 
-def build_V0(spec: TupleSpec, defects: dict, config: BuildConfig = BuildConfig()) -> CouplingData:
-    """Partial isometry V0: D1-span -> D2-span and the complement geometry."""
-    alg = effective_algebra(spec)
-    a1 = alg.automorphisms[0]
-    an = alg.automorphisms[spec.n - 1]
-    lab_qn, lab_q1 = defects["hatn"].labels, defects["hat1"].labels
-    # a twisted summand E_i (x) W carries component a_i(label) on W's columns
-    amb1 = np.concatenate([lab_qn, np.asarray([a1[b] for b in lab_q1], dtype=int)])
-    amb2 = np.concatenate([lab_q1, np.asarray([an[b] for b in lab_qn], dtype=int)])
+def coefficient_layout(spec: TupleSpec, defects: dict, mult1) -> CoefficientLayout:
+    """The layout of D, Udom and D' for these defects and aux1 multiplicities.
 
+    A twisted summand E_i (x) W carries component a_i(label) on W's columns.
+    """
+    alg = effective_algebra(spec)
+    a1, an = alg.automorphisms[0], alg.automorphisms[spec.n - 1]
+    g1n = compose_perm(a1, an)  # the merged generator's automorphism
+    lab_qn, lab_q1 = defects["hatn"].labels, defects["hat1"].labels
+    rn, r1 = lab_qn.size, lab_q1.size
+    mult1 = np.array(mult1, dtype=int)
+    mult2 = mult1[invert_perm(an)]
+    aux1 = np.repeat(np.arange(alg.k), mult1)
+    aux2 = np.repeat(np.arange(alg.k), mult2)
+    lab_d = np.concatenate([lab_qn, np.take(a1, lab_q1), aux1])
+    lab_udom = np.concatenate([lab_q1, np.take(an, lab_qn), aux2])
+    lab_dp = np.concatenate([lab_qn, aux1])
+    dim = lab_d.size
+    dprime_rows = np.r_[0:rn, rn + r1:dim]
+    u1_labels = (np.concatenate([lab_d, np.take(g1n, lab_dp)]),
+                 np.concatenate([np.take(a1, lab_d), lab_dp]))
+    un_labels = (np.concatenate([lab_d, np.take(g1n, lab_q1)]),
+                 np.concatenate([np.take(an, lab_d), lab_q1]))
+    for arr in (mult1, mult2, lab_d, lab_udom, lab_dp, dprime_rows, *u1_labels, *un_labels):
+        arr.setflags(write=False)
+    return CoefficientLayout(
+        rn=rn, r1=r1, mult1=mult1, mult2=mult2, D=lab_d, Udom=lab_udom, Dprime=lab_dp,
+        parts_D=(slice(0, rn), slice(rn, rn + r1), slice(rn + r1, dim)),
+        parts_Udom=(slice(0, r1), slice(r1, r1 + rn), slice(r1 + rn, dim)),
+        Dprime_rows=dprime_rows, U1_labels=u1_labels, Un_labels=un_labels)
+
+
+def build_V0(spec: TupleSpec, defects: dict) -> CouplingData:
+    """Partial isometry V0: span X -> span Y and the complements M1, M2 of its
+    initial and final spaces in D and Udom before padding."""
+    alg = effective_algebra(spec)
+    bare = coefficient_layout(spec, defects, np.zeros(alg.k, dtype=int))
     x, y = defect_frames(spec, defects)
-    v0 = isometry_from_frames(x, y, config.gram_tol, config.rank_tol)
+    v0 = isometry_from_frames(x, y)
     blocks = np.asarray(alg.block_of, dtype=int)
-    d1, _, m1, m1lab = _labeled_span_and_complement(x, amb1, blocks, alg.k, config.rank_tol)
-    d2, _, m2, m2lab = _labeled_span_and_complement(y, amb2, blocks, alg.k, config.rank_tol)
-    return CouplingData(V0=v0, D1=d1, D2=d2, M1=m1, M2=m2,
-                        amb1_labels=amb1, amb2_labels=amb2,
-                        M1_labels=m1lab, M2_labels=m2lab)
+    m1, m1lab = _labeled_complement(x, bare.D, blocks, alg.k)
+    m2, m2lab = _labeled_complement(y, bare.Udom, blocks, alg.k)
+    return CouplingData(V0=v0, M1=m1, M2=m2, M1_labels=m1lab, M2_labels=m2lab)
 
 
 def solve_aux(spec: TupleSpec, coupling: CouplingData,
               config: BuildConfig = BuildConfig()) -> tuple[int, int]:
-    """Finite auxiliary padding dimensions (and multiplicities when equivariant).
+    """Finite auxiliary padding: the multiplicity vector mult1 of aux1.
 
     Solves for component multiplicity vectors mult1 (aux1) and mult2 (aux2)
     subject to: mult2 = mult1 o an^{-1} (existence of u2), mult1 = mult2 o
     a1^{-1} (existence of u1), and componentwise dim(M2) + mult2 = dim(M1) +
     mult1 (blockwise unitary completion).  The scalar case reduces to
-    dim(M1) = dim(M2) and padding (pad, pad).
+    dim(M1) = dim(M2) and padding (pad, pad).  Stores mult1 on the coupling
+    and returns the sizes of aux1 and aux2, which are equal.
     """
     alg = effective_algebra(spec)
     k = alg.k
@@ -332,35 +333,11 @@ def solve_aux(spec: TupleSpec, coupling: CouplingData,
         base = min(pot[p] for p in members)
         for p in members:
             mult1[p] = pot[p] - base + config.aux_pad
-    if int(mult1.max(initial=0)) > config.max_pad:
+    if int(mult1.max(initial=0)) > MAX_PAD:
         raise InfeasibleFinitePadding(
-            f"minimal padding {int(mult1.max())} exceeds max_pad {config.max_pad}")
-    mult2 = np.asarray([mult1[inv_an[p]] for p in range(k)], dtype=int)
-    if not np.array_equal(mm2 + mult2, mm1 + mult1):
-        raise InfeasibleFinitePadding("componentwise matching failed after solve")
-    if not all(mult1[p] == mult2[inv_a1[p]] for p in range(k)):
-        raise InfeasibleFinitePadding("u1 twist compatibility failed after solve")
-
-    coupling.mult1, coupling.mult2 = mult1, mult2
-    coupling.aux1_dim, coupling.aux2_dim = int(mult1.sum()), int(mult2.sum())
-    coupling.aux1_labels = np.asarray([p for p in range(k) for _ in range(mult1[p])], dtype=int)
-    coupling.aux2_labels = np.asarray([p for p in range(k) for _ in range(mult2[p])], dtype=int)
-    coupling.u2 = _pairing_unitary(coupling.aux1_labels, coupling.aux2_labels, inv_an)
-    coupling.u1 = _pairing_unitary(coupling.aux1_labels, coupling.aux2_labels, inv_a1)
-    return coupling.aux1_dim, coupling.aux2_dim
-
-
-def _pairing_unitary(labels1: np.ndarray, labels2: np.ndarray, twist_inv) -> np.ndarray:
-    """Unitary aux2 -> aux1 pairing the label-p block of aux2 with block twist_inv[p] of aux1."""
-    u = np.zeros((labels1.size, labels2.size), dtype=complex)
-    for p in sorted(set(labels2.tolist())):
-        src = np.flatnonzero(labels2 == p)
-        dst = np.flatnonzero(labels1 == twist_inv[p])
-        if src.size != dst.size:
-            raise InfeasibleFinitePadding("auxiliary block sizes do not match the twist")
-        for a, b in zip(dst, src):
-            u[a, b] = 1.0
-    return u
+            f"minimal padding {int(mult1.max())} exceeds the limit {MAX_PAD}")
+    coupling.mult1 = mult1
+    return int(mult1.sum()), int(mult1.sum())
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -371,24 +348,23 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
             config: BuildConfig = BuildConfig()) -> CouplingData:
-    """Extend V0^{-1} to the unitary U and assemble the isometry V."""
+    """Lay out the padded D and Udom, extend V0^{-1} to the unitary U: Udom -> D
+    and assemble the isometry V."""
     alg = effective_algebra(spec)
-    rn = defects["hatn"].space.dim
-    r1 = defects["hat1"].space.dim
-    e1, e2 = coupling.aux1_dim, coupling.aux2_dim
-    dD, dUdom = rn + r1 + e1, r1 + rn + e2
-    if dD != dUdom:
-        raise DimensionMismatch("total padded dimensions disagree (internal error)")
+    layout = coefficient_layout(spec, defects, coupling.mult1)
+    rn, r1, dD = layout.rn, layout.r1, layout.dim
+    aux1, aux2 = layout.parts_D[2], layout.parts_Udom[2]
+    e1, e2 = int(layout.mult1.sum()), int(layout.mult2.sum())
 
-    w = np.zeros((dD, dUdom), dtype=complex)
+    w = np.zeros((dD, dD), dtype=complex)
     w[:rn + r1, :r1 + rn] = adj(coupling.V0)
 
     dom_basis = np.vstack([coupling.M2.basis, np.zeros((e2, coupling.M2.dim))])
     dom_basis = np.hstack([dom_basis, np.vstack([np.zeros((r1 + rn, e2)), np.eye(e2)])])
-    dom_labels = np.concatenate([coupling.M2_labels, coupling.aux2_labels])
+    dom_labels = np.concatenate([coupling.M2_labels, layout.Udom[aux2]])
     cod_basis = np.vstack([coupling.M1.basis, np.zeros((e1, coupling.M1.dim))])
     cod_basis = np.hstack([cod_basis, np.vstack([np.zeros((rn + r1, e1)), np.eye(e1)])])
-    cod_labels = np.concatenate([coupling.M1_labels, coupling.aux1_labels])
+    cod_labels = np.concatenate([coupling.M1_labels, layout.D[aux1]])
 
     u = np.array(w)
     rng = None if config.completion_seed is None else np.random.default_rng(config.completion_seed)
@@ -403,23 +379,17 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
         u += cod_p @ adj(dom_p)
 
     resid = frob(adj(u) @ u - eye(dD))
-    if config.check_identities and resid > config.unitary_gate * max(1.0, dD):
-        raise IdentityResidualExceeded("U_unitarity", resid, config.unitary_gate)
+    if config.check_identities and resid > UNITARY_GATE * max(1.0, dD):
+        raise IdentityResidualExceeded("U_unitarity", resid, UNITARY_GATE)
 
     q1n = defects["hat1n"].space.basis
     src = adj(q1n) @ defects["hat1n"].root
     x, _ = defect_frames(spec, defects)
     dst = np.vstack([x, np.zeros((e1, spec.dimH))])
-    v = isometry_from_frames(src, dst, config.gram_tol, config.rank_tol)
 
+    coupling.layout = layout
     coupling.U = u
-    coupling.V = v
-    coupling.Dspace = SumSpace([("Dn", rn), ("E1xD1", r1), ("aux1", e1)],
-                               np.concatenate([coupling.amb1_labels, coupling.aux1_labels]))
-    coupling.Udom = SumSpace([("D1", r1), ("EnxDn", rn), ("aux2", e2)],
-                             np.concatenate([coupling.amb2_labels, coupling.aux2_labels]))
-    coupling.Dprime = SumSpace([("Dn", rn), ("aux1", e1)],
-                               np.concatenate([defects["hatn"].labels, coupling.aux1_labels]))
+    coupling.V = isometry_from_frames(src, dst)
     return coupling
 
 
@@ -431,51 +401,52 @@ def _gate(residuals: dict, name: str, value: float, gate: float, enabled: bool):
 
 def build_transfer(spec: TupleSpec, defects: dict, coupling: CouplingData,
                    config: BuildConfig = BuildConfig()) -> TransferData:
-    """Block unitaries U1 and Un with their blocks, plus self-checks.
+    """Block unitaries U1 and Un, plus self-checks.
 
     U1 = [[(I1 x U) P1, (I1 x U) j2'], [i2*, 0]] on D (+) (E_merged x D') and
     Un = [[(I (+) u2) P2 U*, i1'], [i1* U*, 0]] on D (+) (E_merged x D1).
     The inclusion i1' carries the flip phase u(1,n) that re-expresses merged
     coordinates (E1 tensor En order) inside En x E1 x D1; it cancels against
-    the conjugate flip used when feeding merged-order inputs.
+    the conjugate flip used when feeding merged-order inputs.  The unitary u2
+    pairs the label-p block of aux2 with the label an^{-1}(p) block of aux1:
+    aux1 coordinate j is the image of aux2 coordinate ``pair[j]``.
     """
-    ds, ud, dp = coupling.Dspace, coupling.Udom, coupling.Dprime
-    u_mat = coupling.U
-    rn, r1 = ds.part_dim("Dn"), ds.part_dim("E1xD1")
-    e1, e2 = ds.part_dim("aux1"), ud.part_dim("aux2")
-    dD = ds.dim
+    layout, u_mat = coupling.layout, coupling.U
+    an_inv = invert_perm(effective_algebra(spec).automorphisms[spec.n - 1])
+    _, e1d1, aux1 = layout.parts_D
+    d1, endn, aux2 = layout.parts_Udom
+    rn, r1, dD = layout.rn, layout.r1, layout.dim
+    e1, e2 = int(layout.mult1.sum()), int(layout.mult2.sum())
+    pair = np.empty(e1, dtype=int)
+    for p in range(len(an_inv)):
+        pair[layout.D[aux1] == an_inv[p]] = np.flatnonzero(layout.Udom[aux2] == p)
+    u_adj = adj(u_mat)
 
-    p1 = ds.select("E1xD1")
-    i2 = ds.embed("Dn", "aux1")
-    i1 = ud.embed("D1")
-    p2 = ud.select("EnxDn", "aux2")
-    i2p = ud.embed("EnxDn", "aux2")
-    j2p = i2p @ direct_sum(np.eye(rn), adj(coupling.u2))
-    lam = spec.u(1, spec.n)
-    i1p = lam * ds.embed("E1xD1")
-
-    a1 = u_mat @ i1 @ p1
-    b1 = u_mat @ j2p
-    c1 = adj(i2)
+    a1 = np.zeros((dD, dD), dtype=complex)
+    a1[:, e1d1] = u_mat[:, d1]
+    b1 = np.hstack([u_mat[:, endn], u_mat[:, aux2][:, pair]])
+    c1 = eye(dD)[layout.Dprime_rows]
     u1 = np.block([[a1, b1], [c1, np.zeros((rn + e1, rn + e1), dtype=complex)]])
 
-    an = i2 @ direct_sum(np.eye(rn), coupling.u2) @ p2 @ adj(u_mat)
-    bn = i1p
-    cn = adj(i1) @ adj(u_mat)
+    an = np.zeros((dD, dD), dtype=complex)
+    an[layout.Dprime_rows] = np.vstack([u_adj[endn], u_adj[aux2][pair]])
+    bn = np.zeros((dD, r1), dtype=complex)
+    bn[e1d1] = spec.u(1, spec.n) * eye(r1)
+    cn = u_adj[d1]
     un = np.block([[an, bn], [cn, np.zeros((r1, r1), dtype=complex)]])
 
     residuals: dict = {}
     chk = config.check_identities
     _gate(residuals, "U1_unitarity", frob(adj(u1) @ u1 - eye(u1.shape[0])),
-          config.unitary_gate * max(1.0, u1.shape[0]), chk)
+          UNITARY_GATE * max(1.0, u1.shape[0]), chk)
     _gate(residuals, "Un_unitarity", frob(adj(un) @ un - eye(un.shape[0])),
-          config.unitary_gate * max(1.0, un.shape[0]), chk)
+          UNITARY_GATE * max(1.0, un.shape[0]), chk)
     for tag, (a, b, c) in (("U1", (a1, b1, c1)), ("Un", (an, bn, cn))):
-        _gate(residuals, f"{tag}_ACstar", frob(a @ adj(c)), config.unitary_gate * dD, chk)
+        _gate(residuals, f"{tag}_ACstar", frob(a @ adj(c)), UNITARY_GATE * dD, chk)
         _gate(residuals, f"{tag}_CCstar", frob(c @ adj(c) - eye(c.shape[0])),
-              config.unitary_gate * dD, chk)
+              UNITARY_GATE * dD, chk)
         _gate(residuals, f"{tag}_rows", frob(a @ adj(a) + b @ adj(b) - eye(dD)),
-              config.unitary_gate * dD, chk)
+              UNITARY_GATE * dD, chk)
 
     qn, q1 = defects["hatn"].space.basis, defects["hat1"].space.basis
     dn_root, d1_root = defects["hatn"].root, defects["hat1"].root
@@ -502,9 +473,7 @@ def build_transfer(spec: TupleSpec, defects: dict, coupling: CouplingData,
     _gate(residuals, "eq_Cn", rel_residual(cn @ vs - adj(q1) @ d1_root, adj(q1) @ d1_root),
           config.identity_gate, chk)
 
-    return TransferData(U1=u1, Un=un,
-                        blocks={"A1": a1, "B1": b1, "C1": c1, "An": an, "Bn": bn, "Cn": cn},
-                        residuals=residuals)
+    return TransferData(U1=u1, Un=un, residuals=residuals)
 
 
 def _original_phase_diagonal(spec: TupleSpec, fock: FockModel, i: int) -> np.ndarray:
@@ -526,24 +495,26 @@ def _original_phase_diagonal(spec: TupleSpec, fock: FockModel, i: int) -> np.nda
     return vals
 
 
-def transfer_tau(spec: TupleSpec, transfer: TransferData, coupling: CouplingData,
+def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
                  fock: FockModel, which: int) -> FockOperator:
-    """The transfer operator on the truncated model, read off U1 or Un and U.
+    """The transfer operator on the truncated model, read off U1 or Un alone.
 
     Realizes I_F (x) (A* + [I (x) C*] B*) with the domain identified through
     front insertion of the acting factor, so that the dilation identities hold
-    as plain matrix equations on interior cells.
+    as plain matrix equations on interior cells.  The shift block of tau1
+    places U1's B block* on the D' rows of D; that of taun is Un's C block*
+    (which is U i1) on the E1 x D1 columns, with the flip phase u(n,1).
     """
     d = fock.coeff_dim
-    if d != coupling.Dspace.dim:
+    if d != layout.dim:
         raise DimensionMismatch("Fock coefficient dimension must equal dim D")
+    shift_block = np.zeros((d, d), dtype=complex)
     if which == 1:
         a = transfer.U1[:d, :d]
-        shift_block = coupling.Dspace.embed("Dn", "aux1") @ adj(transfer.U1[:d, d:])
+        shift_block[layout.Dprime_rows] = adj(transfer.U1[:d, d:])
     elif which == spec.n:
         a = transfer.Un[:d, :d]
-        mu = spec.u(spec.n, 1)
-        shift_block = mu * (coupling.U @ coupling.Udom.embed("D1")) @ coupling.Dspace.select("E1xD1")
+        shift_block[:, layout.parts_D[1]] = spec.u(spec.n, 1) * adj(transfer.Un[d:, :d])
     else:
         raise DimensionMismatch("transfer operators exist for the first and last index only")
     back = [fock.phase_back(0, alpha) for alpha in fock.index_list]
@@ -551,12 +522,12 @@ def transfer_tau(spec: TupleSpec, transfer: TransferData, coupling: CouplingData
                         _original_phase_diagonal(spec, fock, which))
 
 
-def dilated_isometries(spec: TupleSpec, transfer: TransferData, coupling: CouplingData,
+def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
                        fock: FockModel) -> list:
     """The dilated tuple (tau1, L_2, ..., L_{n-1}, taun) on the truncated model."""
     middles = [creation_matrix(fock, i - 1) for i in range(2, spec.n)]
-    return ([transfer_tau(spec, transfer, coupling, fock, 1)] + middles
-            + [transfer_tau(spec, transfer, coupling, fock, spec.n)])
+    return ([transfer_tau(spec, transfer, layout, fock, 1)] + middles
+            + [transfer_tau(spec, transfer, layout, fock, spec.n)])
 
 
 def build_Pi(merged: TupleSpec, defects: dict, coupling: CouplingData,
@@ -607,8 +578,8 @@ def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray
 def assemble_model(spec: TupleSpec, N: int = 4,
                    config: BuildConfig = BuildConfig()) -> DilationModel:
     """Run the whole construction and package the dilation model."""
-    defects, merged, _report, eq_resid = build_defects(spec, config)
-    coupling = build_V0(spec, defects, config)
+    defects, merged, _report, eq_resid = build_defects(spec)
+    coupling = build_V0(spec, defects)
     solve_aux(spec, coupling, config)
     build_U(spec, defects, coupling, config)
     transfer = build_transfer(spec, defects, coupling, config)
@@ -619,10 +590,10 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     if config.check_identities and not pure and radius >= 1.0:
         raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
 
-    fock = FockModel(m=merged.n, N=N, coeff_dim=coupling.Dspace.dim,
-                     merged_phases=merged.phases)
-    isometries = dilated_isometries(spec, transfer, coupling, fock)
+    layout = coupling.layout
+    fock = FockModel(m=merged.n, N=N, coeff_dim=layout.dim, merged_phases=merged.phases)
+    isometries = dilated_isometries(spec, transfer, layout, fock)
     pi, tails = build_Pi(merged, defects, coupling, fock)
     return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
-                         coupling=coupling, transfer=transfer, Pi=pi,
+                         layout=layout, coupling=coupling, transfer=transfer, Pi=pi,
                          isometries=isometries, tails=tails, equality_residual=eq_resid)

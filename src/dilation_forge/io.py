@@ -2,27 +2,28 @@
 
 Complex entries are stored as [re, im] pairs of JSON numbers; Python's float
 repr is shortest-exact, so round-trips are bit-faithful.  Every document
-carries a ``schema_version``: 1 for tuples and reports, 2 for models.  A
-model file holds no dim x dim matrix: the dilated isometries are rebuilt on
-load from the file's own U1, Un and U.
+carries a ``schema_version``: 1 for tuples and reports, 3 for models.  A
+model file holds the tuple, N, the sizes record ``dims`` and the matrices U1,
+Un and Pi with the tails: the coefficient layout is rebuilt on load from the
+tuple and ``dims.aux``, and the dilated isometries from the file's U1 and Un.
 """
 
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, isfinite
 from typing import Any
 
 import numpy as np
 
-from .builder import (CouplingData, DilationModel, SumSpace, TransferData, build_defects,
-                      dilated_isometries)
+from .builder import (MAX_PAD, CoefficientLayout, DilationModel, TransferData, build_defects,
+                      coefficient_layout, dilated_isometries, effective_algebra)
 from .errors import MalformedSpec
 from .fock import FockModel
 from .tuples import AlgebraStructure, TupleSpec, merge_1n
 
 SCHEMA_VERSION = 1
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 
 
 def complex_to_json(arr: np.ndarray) -> list:
@@ -121,36 +122,24 @@ def dump_json(doc: dict, path: str | None):
     return text
 
 
+def _dims(layout: CoefficientLayout, defects: dict, cells: int) -> dict:
+    """The sizes record of a model file."""
+    return {"coeff": layout.dim, "cells": cells, "aux": layout.mult1.tolist(),
+            "ranks": {name: d.space.dim for name, d in defects.items()}}
+
+
 def model_to_dict(model: DilationModel) -> dict:
-    c = model.coupling
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": "dilation_model",
         "tuple": tuple_to_dict(model.spec),
         "N": model.N,
-        "dims": {"coeff": model.fock.coeff_dim,
-                 "cells": model.fock.cell_count,
-                 "aux1": c.aux1_dim, "aux2": c.aux2_dim,
-                 "parts_D": [list(p) for p in c.Dspace.parts],
-                 "parts_Udom": [list(p) for p in c.Udom.parts],
-                 "parts_Dprime": [list(p) for p in c.Dprime.parts]},
-        "labels": {"D": c.Dspace.labels.tolist(),
-                   "Udom": c.Udom.labels.tolist(),
-                   "Dprime": c.Dprime.labels.tolist(),
-                   "Q1": model.defects["hat1"].labels.tolist(),
-                   "Qn": model.defects["hatn"].labels.tolist(),
-                   "Q1n": model.defects["hat1n"].labels.tolist()},
-        "index_list": [list(a) for a in model.fock.index_list],
-        "U": complex_to_json(c.U),
-        "V": complex_to_json(c.V),
+        "dims": _dims(model.layout, model.defects, model.fock.cell_count),
         "U1": complex_to_json(model.transfer.U1),
         "Un": complex_to_json(model.transfer.Un),
         "Pi": complex_to_json(model.Pi),
         "tails": [float(t) for t in model.tails],
         "equality_residual": float(model.equality_residual),
-        "defect_bases": {name: complex_to_json(d.space.basis)
-                         for name, d in model.defects.items()},
-        "defect_roots": {name: complex_to_json(d.root) for name, d in model.defects.items()},
     }
 
 
@@ -161,20 +150,14 @@ def _matrix(doc: dict, key: str, shape: tuple, path: str) -> np.ndarray:
     return mat
 
 
-def _labels(doc: dict, key: str, size: int, k: int, path: str) -> np.ndarray:
-    values = _require(doc, key, list, path)
-    if len(values) != size or any(type(v) is not int or not 0 <= v < k for v in values):
-        raise MalformedSpec(f"{path}.{key}: expected {size} algebra labels in 0..{k - 1}")
-    return np.asarray(values, dtype=int)
-
-
 def model_from_dict(doc: dict) -> DilationModel:
     """Rebuild a verifiable model from its JSON document.
 
-    The matrices are taken from the file and the dilated isometries are
-    rebuilt from its U1, Un and U (so file-level corruption is caught by the
-    verifier), while the defect data are recomputed from the tuple.  Every
-    field is checked against the tuple's defect ranks and the declared sizes.
+    The defect data are recomputed from the tuple and the coefficient layout
+    from them and ``dims.aux``; ``dims`` must then equal the rebuilt sizes.
+    U1, Un, Pi and the tails are taken from the file and the dilated
+    isometries rebuilt from its U1 and Un, so file-level corruption is caught
+    by the verifier.  A loaded model has no coupling data.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")
@@ -186,56 +169,30 @@ def model_from_dict(doc: dict) -> DilationModel:
     N = _require(doc, "N", int, "$")
     if N < 0:
         raise MalformedSpec("$.N: truncation degree must be non-negative")
-    defects, _, _, eq_resid = build_defects(spec)
-
     dims = _require(doc, "dims", dict, "$")
-    rn, r1 = defects["hatn"].space.dim, defects["hat1"].space.dim
-    aux1 = _require(dims, "aux1", int, "$.dims")
-    aux2 = _require(dims, "aux2", int, "$.dims")
-    coeff = rn + r1 + aux1
-    parts = {"parts_D": [["Dn", rn], ["E1xD1", r1], ["aux1", aux1]],
-             "parts_Udom": [["D1", r1], ["EnxDn", rn], ["aux2", aux2]],
-             "parts_Dprime": [["Dn", rn], ["aux1", aux1]]}
-    for key, expected in parts.items():
-        if _require(dims, key, list, "$.dims") != expected:
-            raise MalformedSpec(f"$.dims.{key}: expected {expected} for this tuple")
-    if aux2 != aux1 or _require(dims, "coeff", int, "$.dims") != coeff:
-        raise MalformedSpec(f"$.dims: coefficient dimension must be {coeff} with aux2 = aux1")
-    # compare counts before enumerating cells: the file's own list bounds the work
-    index_list = _require(doc, "index_list", list, "$")
-    if not _require(dims, "cells", int, "$.dims") == len(index_list) == comb(merged.n + N, N):
-        raise MalformedSpec("$.index_list: cells do not match N and the tuple")
-    fock = FockModel(m=merged.n, N=N, coeff_dim=coeff, merged_phases=merged.phases)
-    if index_list != [list(a) for a in fock.index_list]:
-        raise MalformedSpec("$.index_list: cells do not match N and the tuple")
-
-    labels = _require(doc, "labels", dict, "$")
-    k = 1 if spec.algebra is None else spec.algebra.k
-    lab_d = _labels(labels, "D", coeff, k, "$.labels")
-    lab_udom = _labels(labels, "Udom", coeff, k, "$.labels")
-    lab_dp = _labels(labels, "Dprime", rn + aux1, k, "$.labels")
+    aux = _require(dims, "aux", list, "$.dims")
+    k = effective_algebra(spec).k
+    if len(aux) != k or any(type(v) is not int or not 0 <= v <= MAX_PAD for v in aux):
+        raise MalformedSpec(f"$.dims.aux: expected {k} integers in 0..{MAX_PAD}")
+    defects, _, _, eq_resid = build_defects(spec)
+    layout = coefficient_layout(spec, defects, aux)
+    cells = comb(merged.n + N, merged.n)
+    expected = _dims(layout, defects, cells)
+    if dims != expected:
+        raise MalformedSpec(f"$.dims: expected {expected} for this tuple and N")
     tails = _require(doc, "tails", list, "$")
-    if len(tails) != spec.dimH or any(type(t) not in (int, float) for t in tails):
-        raise MalformedSpec(f"$.tails: expected {spec.dimH} numbers")
-
-    coupling = CouplingData(
-        V0=np.zeros((0, 0)), D1=None, D2=None, M1=None, M2=None,  # type: ignore[arg-type]
-        amb1_labels=lab_d[:rn + r1], amb2_labels=lab_udom[:r1 + rn],
-        M1_labels=np.zeros(0, dtype=int), M2_labels=np.zeros(0, dtype=int),
-        aux1_dim=aux1, aux2_dim=aux2,
-        U=_matrix(doc, "U", (coeff, coeff), "$"),
-        V=_matrix(doc, "V", (coeff, defects["hat1n"].space.dim), "$"),
-        Dspace=SumSpace([tuple(p) for p in parts["parts_D"]], lab_d),
-        Udom=SumSpace([tuple(p) for p in parts["parts_Udom"]], lab_udom),
-        Dprime=SumSpace([tuple(p) for p in parts["parts_Dprime"]], lab_dp))
-    size1, sizen = coeff + rn + aux1, coeff + r1
+    if len(tails) != spec.dimH or any(type(t) not in (int, float) or not isfinite(t)
+                                      for t in tails):
+        raise MalformedSpec(f"$.tails: expected {spec.dimH} finite numbers")
+    # the file's own Pi bounds the work: its shape is checked before any cell is enumerated
+    pi = _matrix(doc, "Pi", (cells * layout.dim, spec.dimH), "$")
+    size1, sizen = layout.U1_labels[0].size, layout.Un_labels[0].size
     transfer = TransferData(U1=_matrix(doc, "U1", (size1, size1), "$"),
-                            Un=_matrix(doc, "Un", (sizen, sizen), "$"),
-                            blocks={}, residuals={})
-    return DilationModel(spec=spec, merged=merged, fock=fock, N=N,
-                         defects=defects, coupling=coupling, transfer=transfer,
-                         Pi=_matrix(doc, "Pi", (fock.dim, spec.dimH), "$"),
-                         isometries=dilated_isometries(spec, transfer, coupling, fock),
+                            Un=_matrix(doc, "Un", (sizen, sizen), "$"), residuals={})
+    fock = FockModel(m=merged.n, N=N, coeff_dim=layout.dim, merged_phases=merged.phases)
+    return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
+                         layout=layout, coupling=None, transfer=transfer, Pi=pi,
+                         isometries=dilated_isometries(spec, transfer, layout, fock),
                          tails=np.asarray(tails, dtype=float),
                          equality_residual=eq_resid)
 

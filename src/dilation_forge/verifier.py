@@ -17,8 +17,8 @@ import numpy as np
 
 from .builder import DilationModel, simplex_mass
 from .fock import FockOperator, creation_matrix, enumerate_indices, interior_projector
-from .linalg import adj, eye, frob
-from .tuples import invert_perm
+from .linalg import adj, eye, rel_residual
+from .tuples import invert_perm, ordered_power_products
 
 DEFAULT_TOLERANCES = {
     "linear": 1e-10,   # single-operator intertwinings, isometries, equivariance
@@ -49,10 +49,6 @@ class VerificationReport:
                 "config": self.config,
                 "passed": bool(self.passed),
                 "failures": self.failures()}
-
-
-def _rel(delta: np.ndarray, reference: np.ndarray) -> float:
-    return frob(delta) / max(1.0, frob(reference))
 
 
 def verify_pi(model: DilationModel) -> dict:
@@ -86,7 +82,7 @@ def verify_intertwining(model: DilationModel) -> dict:
     def entry(name, w, t):
         lhs = w.apply_adj(pi)[inner]
         rhs = (pi @ adj(t))[inner]
-        out[name] = _rel(lhs - rhs, rhs)
+        out[name] = rel_residual(lhs - rhs, rhs)
 
     entry("dilation1_tau1", model.isometries[0], spec.op(1))
     for i in range(2, spec.n):
@@ -108,8 +104,8 @@ def verify_factorization(model: DilationModel) -> dict:
     v1, vn = model.isometries[0], model.isometries[-1]
     flip = model.spec.u(model.spec.n, 1)
     return {
-        "factor_tau12": _rel(v1.apply(vn.apply(e2)) - l1, l1),
-        "factor_tau21": _rel(vn.apply(v1.apply(e2)) - flip * l1, l1),
+        "factor_tau12": rel_residual(v1.apply(vn.apply(e2)) - l1, l1),
+        "factor_tau21": rel_residual(vn.apply(v1.apply(e2)) - flip * l1, l1),
     }
 
 
@@ -123,12 +119,12 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     out = {}
     for i, w in zip(range(1, spec.n + 1), model.isometries):
         delta = w.apply_adj(w.apply(e1))[inner] - e1[inner]
-        out[f"isometry_v{i}"] = _rel(delta, e1)
+        out[f"isometry_v{i}"] = rel_residual(delta, e1)
     for i in range(1, spec.n + 1):
         for j in range(i + 1, spec.n + 1):
             vi, vj = model.isometries[i - 1], model.isometries[j - 1]
             ji = vj.apply(vi.apply(e2))
-            out[f"commute_{i}_{j}"] = _rel(vi.apply(vj.apply(e2)) - spec.u(i, j) * ji, ji)
+            out[f"commute_{i}_{j}"] = rel_residual(vi.apply(vj.apply(e2)) - spec.u(i, j) * ji, ji)
     return out
 
 
@@ -151,25 +147,26 @@ def verify_moments(model: DilationModel, maxdeg: int = 3) -> dict:
 
     V^beta = V_1^{beta_1} ... V_n^{beta_n}.  The forward memo holds V^beta Pi,
     the adjoint memo (V^beta)* Pi, each one operator application from a
-    lower degree.  At finite truncation the identity can only hold up to the
-    dropped mass, so the entry comes with a computed ``moment_allowance``: the
-    spectral defect of Pi*Pi plus the largest operator-norm gap between
-    V^beta* Pi and Pi T^beta*.  Both vanish when the tuple is nilpotent enough
+    lower degree; ``tuples.ordered_power_products`` gives (T^beta)*.  At
+    finite truncation the identity can only hold up to the dropped mass, so
+    the entry comes with a computed ``moment_allowance``: the spectral defect
+    of Pi*Pi plus the largest operator-norm gap between V^beta* Pi and
+    Pi T^beta*.  Both vanish when the tuple is nilpotent enough
     for the truncation to be exact.
     """
     spec, pi, ws = model.spec, model.Pi, model.isometries
     maxdeg = min(maxdeg, max(model.N - 1, 0))
     betas = enumerate_indices(spec.n, maxdeg)
-    ops = [spec.op(i) for i in range(1, spec.n + 1)]
-    tmemo = _power_products(lambda s, x: ops[s] @ x, eye(spec.dimH), betas)
+    tadj = ordered_power_products(spec, betas)
     forward = _power_products(lambda s, x: ws[s].apply(x), pi, betas)
     backward = _power_products(lambda s, x: ws[s].apply_adj(x), pi, betas, last=True)
     residual = 0.0
     gap = 0.0
     for beta in betas:
-        residual = max(residual, float(np.max(np.abs(adj(pi) @ forward[beta] - tmemo[beta]))))
+        delta = adj(pi) @ forward[beta] - adj(tadj[beta])
+        residual = max(residual, float(np.max(np.abs(delta))))
         if sum(beta) > 0:
-            diff = backward[beta] - pi @ adj(tmemo[beta])
+            diff = backward[beta] - pi @ tadj[beta]
             gap = max(gap, float(np.linalg.norm(diff, 2)))
     gram_defect = eye(spec.dimH) - adj(pi) @ pi
     lam = float(max(0.0, np.max(np.linalg.eigvalsh(0.5 * (gram_defect + adj(gram_defect))))))
@@ -177,7 +174,7 @@ def verify_moments(model: DilationModel, maxdeg: int = 3) -> dict:
 
 
 def _fock_covariance(w: FockOperator, labels: np.ndarray, q: int, p: int) -> float:
-    """_rel(W rho(q) - rho(p) W, rho(p) W) for rho the indicators of coordinate labels.
+    """rel_residual(W rho(q) - rho(p) W, rho(p) W) for rho the indicators of coordinate labels.
 
     The difference has entries W_ij ([label_j = q] - [label_i = p]): a sum over W's blocks.
     """
@@ -198,17 +195,11 @@ def verify_equivariance(model: DilationModel) -> dict:
     alg, ident = spec.algebra, range(spec.algebra.k)
     g1n = model.merged.algebra.automorphisms[0]
     a1, an = alg.automorphisms[0], alg.automorphisms[spec.n - 1]
-    lab_d, lab_dp = model.coupling.Dspace.labels, model.coupling.Dprime.labels
-    lab_q1 = model.defects["hat1"].labels
     out = {}
     # M rho_dom - rho_cod M has entries M_ij ([dom_j = p] - [cod_i = p])
-    for name, mat, dom, cod in (
-            ("equiv_U1", model.transfer.U1, (lab_d, np.take(g1n, lab_dp)),
-             (np.take(a1, lab_d), lab_dp)),
-            ("equiv_Un", model.transfer.Un, (lab_d, np.take(g1n, lab_q1)),
-             (np.take(an, lab_d), lab_q1))):
-        dom, cod = np.concatenate(dom), np.concatenate(cod)
-        out[name] = max(_rel(mat * ((dom == p)[None, :] != (cod == p)[:, None]), mat)
+    for name, mat, (dom, cod) in (("equiv_U1", model.transfer.U1, model.layout.U1_labels),
+                                  ("equiv_Un", model.transfer.Un, model.layout.Un_labels)):
+        out[name] = max(rel_residual(mat * ((dom == p)[None, :] != (cod == p)[:, None]), mat)
                         for p in ident)
     labels = model.coordinate_labels()
     perms = [a1] + [alg.automorphisms[i - 1] for i in range(2, spec.n)] + [an]

@@ -177,8 +177,8 @@ def test_criterion_8_mutation_sensitivity():
     pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
     mutated = DilationModel(
         spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
-        coupling=coupling, transfer=transfer, Pi=pi,
-        isometries=dilated_isometries(spec, transfer, coupling, model.fock),
+        layout=model.layout, coupling=coupling, transfer=transfer, Pi=pi,
+        isometries=dilated_isometries(spec, transfer, model.layout, model.fock),
         tails=tails)
     report = full_report(mutated)
     assert not report.passed

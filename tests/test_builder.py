@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilation_forge.builder import (BuildConfig, assemble_model, build_defects,
-                                    build_transfer, build_U, build_V0, defect_frames,
-                                    simplex_mass, solve_aux, truncation_tails)
+                                    build_transfer, build_U, build_V0, coefficient_layout,
+                                    defect_frames, simplex_mass, solve_aux, truncation_tails)
 from dilation_forge.errors import InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj
@@ -13,8 +13,8 @@ from dilation_forge.tuples import AlgebraStructure, TupleSpec, ordered_power_pro
 
 
 def coupling_for(spec, config=BuildConfig()):
-    defects, merged, _, eq = build_defects(spec, config)
-    coupling = build_V0(spec, defects, config)
+    defects, merged, _, eq = build_defects(spec)
+    coupling = build_V0(spec, defects)
     solve_aux(spec, coupling, config)
     build_U(spec, defects, coupling, config)
     return defects, merged, coupling, eq
@@ -119,7 +119,7 @@ def test_solve_aux_equivariant_minimal_padding():
     e1, e2 = solve_aux(spec, coupling)
     assert (e1, e2) == (1, 1)
     assert coupling.mult1.tolist() == [1, 0]
-    assert coupling.mult2.tolist() == [0, 1]
+    assert coefficient_layout(spec, defects, coupling.mult1).mult2.tolist() == [0, 1]
 
 
 def test_solve_aux_infeasible():
@@ -146,8 +146,8 @@ def test_build_U_unitary_and_block_pattern():
     assert np.linalg.norm(adj(u) @ u - np.eye(u.shape[0])) < 1e-12
     # equivariance: U maps each component to itself
     off = 0.0
-    for i, li in enumerate(coupling.Dspace.labels):
-        for j, lj in enumerate(coupling.Udom.labels):
+    for i, li in enumerate(coupling.layout.D):
+        for j, lj in enumerate(coupling.layout.Udom):
             if li != lj:
                 off = max(off, abs(u[i, j]))
     assert off < 1e-12
@@ -171,9 +171,9 @@ def test_transfer_blocks_satisfy_colligation_relations():
     spec = random_tuple("u-commuting", 3, 4, seed=4)
     defects, _, coupling, _ = coupling_for(spec)
     tr = build_transfer(spec, defects, coupling)
-    a1, b1, c1 = tr.blocks["A1"], tr.blocks["B1"], tr.blocks["C1"]
-    an, bn, cn = tr.blocks["An"], tr.blocks["Bn"], tr.blocks["Cn"]
-    for a, b, c in ((a1, b1, c1), (an, bn, cn)):
+    d = coupling.layout.dim
+    for u in (tr.U1, tr.Un):
+        a, b, c = u[:d, :d], u[:d, d:], u[d:, :d]
         assert np.linalg.norm(a @ adj(c)) < 1e-12
         assert np.linalg.norm(c @ adj(c) - np.eye(c.shape[0])) < 1e-12
         assert np.linalg.norm(a @ adj(a) + b @ adj(b) - np.eye(a.shape[0])) < 1e-12
@@ -184,8 +184,8 @@ def test_tau_degree_zero_is_diagonal_part_alone():
     model = assemble_model(spec, N=0)
     tau1 = model.isometries[0]
     # single cell: no shifted output survives truncation
-    a1 = model.transfer.blocks["A1"]
-    assert np.allclose(tau1, adj(a1))
+    d = model.layout.dim
+    assert np.allclose(tau1, adj(model.transfer.U1[:d, :d]))
 
 
 def test_pi_geometric_series_pair():

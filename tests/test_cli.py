@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from dilation_forge.builder import BuildConfig, assemble_model
 from dilation_forge.cli import main
-from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple
-from dilation_forge.io import dump_json, load_tuple, tuple_from_dict, tuple_to_dict
+from dilation_forge.generators import STYLES, parrott_tuple, random_tuple, scalar_triple
+from dilation_forge.io import (dump_json, load_tuple, model_from_dict, model_to_dict,
+                               tuple_from_dict, tuple_to_dict)
 from dilation_forge.tuples import TupleSpec
+from dilation_forge.verifier import full_report
 
 
 @pytest.fixture
@@ -99,28 +102,26 @@ def _set(value, *path):
 
 MODEL_FILE_DEFECTS = {
     **{f"missing {key}": _drop(key) for key in (
-        "schema_version", "tuple", "N", "dims", "labels", "index_list",
-        "U", "V", "U1", "Un", "Pi", "tails")},
-    **{f"missing dims.{key}": _drop("dims", key) for key in (
-        "coeff", "cells", "aux1", "aux2", "parts_D", "parts_Udom", "parts_Dprime")},
-    **{f"missing labels.{key}": _drop("labels", key) for key in ("D", "Udom", "Dprime")},
+        "schema_version", "tuple", "N", "dims", "U1", "Un", "Pi", "tails")},
+    **{f"missing dims.{key}": _drop("dims", key) for key in ("coeff", "cells", "aux", "ranks")},
     "schema version 1": _set(1, "schema_version"),
+    "schema version 2": _set(2, "schema_version"),
     "Pi missing a row": _set(lambda m: m[:-1], "Pi"),
     "U1 missing a column": _set(lambda m: [row[:-1] for row in m], "U1"),
     "Un not square": _set(lambda m: m[:-1], "Un"),
-    "U of a wrong size": _set(lambda m: [row[:-1] for row in m[:-1]], "U"),
-    "V ragged": _set(lambda m: [m[0][:-1]] + m[1:], "V"),
     "tails too short": _set(lambda t: t[:-1], "tails"),
     "tails not numbers": _set(lambda t: ["x"] * len(t), "tails"),
-    "labels.D too short": _set(lambda v: v[:-1], "labels", "D"),
-    "labels.Dprime out of range": _set(lambda v: [7] * len(v), "labels", "Dprime"),
+    "tails not finite": _set(lambda t: [float("nan")] + t[1:], "tails"),
     "coefficient dimension": _set(lambda c: c + 1, "dims", "coeff"),
-    "renamed part": _set(lambda p: [["Dx", p[0][1]]] + p[1:], "dims", "parts_D"),
+    "dims disagree with the tuple": _set(lambda r: {**r, "hat1": r["hat1"] + 1}, "dims", "ranks"),
+    "dims.aux of the wrong length": _set(lambda a: a + [0], "dims", "aux"),
+    "dims.aux negative": _set(lambda a: [-1] + a[1:], "dims", "aux"),
+    "dims.aux not an integer": _set(lambda a: [0.0] + a[1:], "dims", "aux"),
+    "dims.aux huge": _set(lambda a: [10 ** 12] + a[1:], "dims", "aux"),
     "cells disagree with N": _set(lambda n: n + 1, "N"),
     "negative N": _set(-1, "N"),
     "huge N": _set(10 ** 9, "N"),
     "N not an integer": _set("4", "N"),
-    "index list reordered": _set(lambda a: a[::-1], "index_list"),
 }
 
 
@@ -141,8 +142,26 @@ def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["schema_version"] == 2 and "isometries" not in doc
+    assert doc["schema_version"] == 3
+    assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U1", "Un", "Pi",
+                        "tails", "equality_residual"}
     assert doc["tuple"]["schema_version"] == 1
+
+
+@pytest.mark.parametrize("config", [BuildConfig(), BuildConfig(aux_pad=1, completion_seed=7)],
+                         ids=["default", "padded"])
+@pytest.mark.parametrize("style", STYLES)
+def test_model_file_round_trip_is_exact(style, config):
+    model = assemble_model(random_tuple(style, 3, 4, seed=3), N=3, config=config)
+    back = model_from_dict(json.loads(dump_json(model_to_dict(model), None)))
+    for name in ("Pi", "tails"):
+        assert np.array_equal(getattr(back, name), getattr(model, name)), name
+    assert np.array_equal(back.transfer.U1, model.transfer.U1)
+    assert np.array_equal(back.transfer.Un, model.transfer.Un)
+    assert len(back.isometries) == len(model.isometries)
+    for w_back, w in zip(back.isometries, model.isometries):
+        assert np.array_equal(np.asarray(w_back), np.asarray(w))
+    assert full_report(back).residuals == full_report(model).residuals
 
 
 def test_noncommuting_tuple_is_rejected(tmp_path, capsys):

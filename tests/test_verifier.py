@@ -95,13 +95,15 @@ def test_equivariance_identity_automorphisms():
 
 
 def test_equivariance_swap_automorphisms():
-    spec = random_tuple("covariant", 3, 4, seed=6, k=2,
-                        automorphisms=[[1, 0], [0, 1], [1, 0]])
-    model = assemble_model(spec, N=3)
-    eq = verify_equivariance(model)
-    assert max(eq.values()) < 1e-10
-    report = full_report(model)
-    assert report.passed
+    # swaps on indices 1 and n, then on index n alone, so that the merged
+    # automorphism is a swap too; aux_pad = 1 pairs aux2 with aux1 through alpha_n
+    for automorphisms in ([[1, 0], [0, 1], [1, 0]], [[0, 1], [0, 1], [1, 0]]):
+        spec = random_tuple("covariant", 3, 4, seed=6, k=2, automorphisms=automorphisms)
+        for pad in (0, 1):
+            model = assemble_model(spec, N=3, config=BuildConfig(aux_pad=pad))
+            eq = verify_equivariance(model)
+            assert max(eq.values()) < 1e-10
+            assert full_report(model).passed
 
 
 def test_mutation_sensitivity():
@@ -115,8 +117,8 @@ def test_mutation_sensitivity():
     pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
     mutated = DilationModel(
         spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
-        coupling=coupling, transfer=transfer, Pi=pi,
-        isometries=dilated_isometries(spec, transfer, coupling, model.fock),
+        layout=model.layout, coupling=coupling, transfer=transfer, Pi=pi,
+        isometries=dilated_isometries(spec, transfer, model.layout, model.fock),
         tails=tails)
     report = full_report(mutated)
     assert not report.passed
