@@ -214,6 +214,10 @@ def main(argv=None) -> int:
     if args.command == "verify" and not (args.input or args.model):
         print("error: verify needs --input or --model", file=sys.stderr)
         return EXIT_INPUT
+    builds = args.command in ("dilate", "demo") or (args.command == "verify" and not args.model)
+    if builds and args.degree < 1:
+        print(f"error: --degree must be at least 1, got {args.degree}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -22,12 +22,14 @@ With an all-ones table both conventions are the plain shift.
 
 Every Fock operator of the construction is a ``FockOperator``: a block on
 each cell plus a block carried one cell up in a single slot, with per-cell
-phases.  It is applied cell by cell and never stored as a dim x dim matrix.
+phases.  It is applied, and composed with another operator, cell by cell and
+never stored as a dim x dim matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -117,7 +119,10 @@ class FockOperator:
     (alpha + e_slot, shift v)], dropping shifted output past |alpha| = N, so
     the adjoint annihilates cells with alpha_slot = 0.  ``diag=None`` omits
     the cellwise part, ``shift=None`` is the identity.  Stored as terms
-    (dst cells, src cells, blocks), one block per source cell.
+    (dst cells, src cells, blocks), one block per source cell, each term
+    mapping distinct source cells to distinct destination cells.  ``product``
+    returns a list of terms of the same form, except that a source cell may
+    recur in a term (never a (dst, src) pair).
     """
 
     def __init__(self, fock: FockModel, diag, shift, slot: int, shift_phase, kappa=None):
@@ -158,6 +163,38 @@ class FockOperator:
             out[src] += blocks.conj().transpose(0, 2, 1) @ y[dst]
         return out.reshape(x.shape)
 
+    @cached_property
+    def _where(self) -> list[np.ndarray]:
+        """Per term, each cell's position among its source cells (row 0) and
+        among its destination cells (row 1); -1 where it is not one."""
+        where = [np.full((2, self.fock.cell_count), -1) for _ in self.terms]
+        for w, (dst, src, _) in zip(where, self.terms):
+            w[0, src] = w[1, dst] = np.arange(len(src))
+        return where
+
+    @cached_property
+    def _flat(self) -> tuple[np.ndarray, ...]:
+        """All terms as one (dst cells, src cells, blocks) triple."""
+        return tuple(np.concatenate(part) for part in zip(*self.terms))
+
+    def product(self, other: FockOperator, adjoint: bool = False) -> list:
+        """Terms of this operator (its adjoint with ``adjoint``) times ``other``.
+
+        As in ``apply``, output shifted past |alpha| = N is dropped at each
+        factor.  Each term of this operator takes one gather and one batched
+        block product against all of ``other``'s terms at once.
+        """
+        mid, start, inner = other._flat
+        out = []
+        for (dst, src, blocks), where in zip(self.terms, self._where):
+            at = where[int(adjoint), mid]
+            keep = at >= 0
+            if keep.any():
+                at = at[keep]
+                outer = blocks[at].conj().transpose(0, 2, 1) if adjoint else blocks[at]
+                out.append(((src if adjoint else dst)[at], start[keep], outer @ inner[keep]))
+        return out
+
     def __array__(self, dtype=None, copy=None):
         """The dense dim x dim matrix, for tests and comparisons."""
         cells, d = self.fock.cell_count, self.fock.coeff_dim
@@ -165,6 +202,34 @@ class FockOperator:
         for dst, src, blocks in self.terms:
             out[dst, :, src, :] = blocks
         return out.reshape(self.shape).astype(dtype or complex, copy=False)
+
+
+def terms_norm(model: FockModel, parts: list, src: np.ndarray, dst: np.ndarray | None = None,
+               minus_identity: bool = False) -> float:
+    """Frobenius norm of sum_k c_k T_k (minus the identity) on src x dst cells.
+
+    ``parts`` pairs coefficients c_k with term lists T_k; ``src`` and ``dst``
+    are boolean cell masks, ``dst=None`` keeps every destination cell.  Blocks
+    at the same (dst, src) cell pair are added before the norm is taken.
+    """
+    cells, d = model.cell_count, model.coeff_dim
+    flat = [(coef, term) for coef, terms in parts for term in terms]
+    if minus_identity:
+        every = np.arange(cells)
+        flat.append((-1.0, (every, every, np.broadcast_to(np.eye(d), (cells, d, d)))))
+    if not flat:
+        return 0.0
+    to = np.concatenate([term[0] for _, term in flat])
+    start = np.concatenate([term[1] for _, term in flat])
+    keep = src[start] if dst is None else src[start] & dst[to]
+    keys = to[keep] * cells + start[keep]
+    if not keys.size:
+        return 0.0
+    blocks = np.concatenate([coef * term[2] for coef, term in flat])[keep]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return float(np.linalg.norm(np.add.reduceat(blocks[order], starts)))
 
 
 def creation_matrix(model: FockModel, s: int) -> FockOperator:
@@ -179,9 +244,13 @@ def creation_matrix(model: FockModel, s: int) -> FockOperator:
     return FockOperator(model, None, None, s, phases)
 
 
-def interior_projector(model: FockModel, margin: int) -> np.ndarray:
-    """Boolean mask of the coordinates in cells with |alpha| <= N - margin."""
+def interior_cells(model: FockModel, margin: int) -> np.ndarray:
+    """Boolean mask of the cells with |alpha| <= N - margin."""
     if margin < 0 or margin > model.N:
         raise DimensionMismatch(f"margin {margin} outside 0..N")
-    keep = [sum(a) <= model.N - margin for a in model.index_list]
-    return np.repeat(np.asarray(keep, dtype=bool), model.coeff_dim)
+    return np.array([sum(a) <= model.N - margin for a in model.index_list], dtype=bool)
+
+
+def interior_projector(model: FockModel, margin: int) -> np.ndarray:
+    """Boolean mask of the coordinates in cells with |alpha| <= N - margin."""
+    return np.repeat(interior_cells(model, margin), model.coeff_dim)

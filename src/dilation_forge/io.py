@@ -167,8 +167,8 @@ def model_from_dict(doc: dict) -> DilationModel:
     spec = tuple_from_dict(_require(doc, "tuple", dict, "$"), "$.tuple")
     merged = merge_1n(spec)
     N = _require(doc, "N", int, "$")
-    if N < 0:
-        raise MalformedSpec("$.N: truncation degree must be non-negative")
+    if N < 1:
+        raise MalformedSpec(f"$.N: truncation degree must be at least 1, got {N}")
     dims = _require(doc, "dims", dict, "$")
     aux = _require(dims, "aux", list, "$.dims")
     k = effective_algebra(spec).k

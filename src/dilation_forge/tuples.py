@@ -298,9 +298,14 @@ def is_pure(spec: TupleSpec, i: int, tol: float = PURITY_TOL) -> tuple[bool, flo
 
     In finite dimension the powers of the CP map applied to the identity tend
     to zero exactly when the spectral radius is below one, which is the
-    weak-operator purity condition.
+    weak-operator purity condition.  For d = 1 the map is X -> t X t*, whose
+    spectrum is {lambda conj(mu)} over the eigenvalues of t, so the radius is
+    r(t)^2 from a dimH x dimH eig instead of a dimH^2 x dimH^2 one.
     """
-    radius = float(np.max(np.abs(np.linalg.eigvals(cp_map_matrix(spec, i)))))
+    if spec.d == 1:
+        radius = float(np.max(np.abs(np.linalg.eigvals(spec.op(i))))) ** 2
+    else:
+        radius = float(np.max(np.abs(np.linalg.eigvals(cp_map_matrix(spec, i)))))
     return radius < 1.0 - tol, radius
 
 

@@ -5,18 +5,21 @@ model and reports a relative residual.  Interior restrictions make the
 truncation error exactly zero on the compared subspace: margin 1 for
 single-operator identities, margin 2 where two operators compose.
 
-Fock operators are only ever applied: to Pi, or to the identity columns of
-the interior coordinates.  No dim x dim product is formed.
+Fock operators are only ever applied to Pi, or composed with each other
+cell by cell (``FockOperator.product``) and the composite's
+blocks measured on the interior cells.  No dim x dim product is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import FockOperator, creation_matrix, enumerate_indices, interior_projector
+from .fock import (FockOperator, creation_matrix, enumerate_indices, interior_cells,
+                   interior_projector, terms_norm)
 from .linalg import adj, eye, rel_residual
 from .tuples import invert_perm, ordered_power_products
 
@@ -65,14 +68,6 @@ def verify_pi(model: DilationModel) -> dict:
     return {"pi_isometry": pi_isometry, "pi_tail_match": pi_tail_match}
 
 
-def _unit_columns(mask: np.ndarray) -> np.ndarray:
-    """The identity columns of the coordinates selected by ``mask``."""
-    idx = np.flatnonzero(mask)
-    out = np.zeros((mask.size, idx.size), dtype=complex)
-    out[idx, np.arange(idx.size)] = 1.0
-    return out
-
-
 def verify_intertwining(model: DilationModel) -> dict:
     """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells."""
     spec, fock, pi = model.spec, model.fock, model.Pi
@@ -96,35 +91,45 @@ def verify_factorization(model: DilationModel) -> dict:
     """Transfer products against the merged creation operator.
 
     tau1 (I x taun) equals the merged creation; the reversed product equals it
-    up to the flip phase u(n,1) that re-orders the two fused factors.
+    up to the flip phase u(n,1) that re-orders the two fused factors.  Both
+    products are composed cell by cell and compared on the source cells with
+    |alpha| <= N - min(2, N), relative to the creation operator there.
     """
     fock = model.fock
-    e2 = _unit_columns(interior_projector(fock, min(2, fock.N)))
-    l1 = creation_matrix(fock, 0).apply(e2)
+    src = interior_cells(fock, min(2, fock.N))
+    l1 = creation_matrix(fock, 0).terms
+    ref = max(1.0, terms_norm(fock, [(1.0, l1)], src))
     v1, vn = model.isometries[0], model.isometries[-1]
     flip = model.spec.u(model.spec.n, 1)
     return {
-        "factor_tau12": rel_residual(v1.apply(vn.apply(e2)) - l1, l1),
-        "factor_tau21": rel_residual(vn.apply(v1.apply(e2)) - flip * l1, l1),
+        "factor_tau12": terms_norm(fock, [(1.0, v1.product(vn)), (-1.0, l1)], src) / ref,
+        "factor_tau21": terms_norm(fock, [(1.0, vn.product(v1)), (-flip, l1)], src) / ref,
     }
 
 
 def verify_isometric_representation(model: DilationModel) -> dict:
     """Each dilated operator is isometric on interior cells and the family
-    u-commutes with the original phase table."""
+    u-commutes with the original phase table.
+
+    Composed cell by cell: W*W - I on the cells with |alpha| <= N - 1, as
+    sources and as destinations, relative to sqrt(#interior coordinates);
+    V_i V_j - u(i,j) V_j V_i on the source cells with |alpha| <= N - min(2, N),
+    relative to V_j V_i there.
+    """
     spec, fock = model.spec, model.fock
-    inner = interior_projector(fock, 1)
-    e1 = _unit_columns(inner)
-    e2 = _unit_columns(interior_projector(fock, min(2, fock.N)))
+    inner = interior_cells(fock, 1)
+    src = interior_cells(fock, min(2, fock.N))
+    unit = max(1.0, np.sqrt(np.count_nonzero(inner) * fock.coeff_dim))
     out = {}
-    for i, w in zip(range(1, spec.n + 1), model.isometries):
-        delta = w.apply_adj(w.apply(e1))[inner] - e1[inner]
-        out[f"isometry_v{i}"] = rel_residual(delta, e1)
-    for i in range(1, spec.n + 1):
-        for j in range(i + 1, spec.n + 1):
-            vi, vj = model.isometries[i - 1], model.isometries[j - 1]
-            ji = vj.apply(vi.apply(e2))
-            out[f"commute_{i}_{j}"] = rel_residual(vi.apply(vj.apply(e2)) - spec.u(i, j) * ji, ji)
+    for i, w in enumerate(model.isometries, start=1):
+        wtw = w.product(w, adjoint=True)
+        out[f"isometry_v{i}"] = terms_norm(fock, [(1.0, wtw)], inner, inner,
+                                           minus_identity=True) / unit
+    for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
+        ji = vj.product(vi)
+        ref = max(1.0, terms_norm(fock, [(1.0, ji)], src))
+        out[f"commute_{i}_{j}"] = terms_norm(fock, [(1.0, vi.product(vj)),
+                                                    (-spec.u(i, j), ji)], src) / ref
     return out
 
 

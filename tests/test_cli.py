@@ -120,6 +120,7 @@ MODEL_FILE_DEFECTS = {
     "dims.aux huge": _set(lambda a: [10 ** 12] + a[1:], "dims", "aux"),
     "cells disagree with N": _set(lambda n: n + 1, "N"),
     "negative N": _set(-1, "N"),
+    "zero N": _set(0, "N"),
     "huge N": _set(10 ** 9, "N"),
     "N not an integer": _set("4", "N"),
 }
@@ -136,6 +137,29 @@ def test_verify_malformed_model_file_is_input_error(tmp_path, triple_file, capsy
     assert main(["verify", "--model", str(model_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["dilate", "-i", "{tuple}", "-o", "{model}"],
+                                     ["verify", "-i", "{tuple}"], ["demo"]],
+                         ids=["dilate", "verify", "demo"])
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_degree_below_one_is_input_error(tmp_path, triple_file, capsys, command, degree):
+    model_path = tmp_path / "model.json"
+    argv = [a.format(tuple=triple_file, model=model_path) for a in command]
+    assert main(argv + ["--degree", degree]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --degree must be at least 1, got {degree}"]
+    assert captured.out == ""  # rejected before anything is built or printed
+    assert not model_path.exists()
+
+
+def test_model_file_of_degree_zero_is_input_error(tmp_path, capsys):
+    # the library still builds N = 0 (the diagonal part alone); its file is rejected on load
+    model_path = tmp_path / "model.json"
+    dump_json(model_to_dict(assemble_model(scalar_triple(), N=0)), str(model_path))
+    assert main(["verify", "-m", str(model_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: $.N: truncation degree must be at least 1, got 0"]
 
 
 def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):

@@ -5,7 +5,7 @@ import pytest
 
 from dilation_forge.errors import DimensionMismatch
 from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
-                                 interior_projector)
+                                 interior_cells, interior_projector, terms_norm)
 from dilation_forge.linalg import adj
 
 
@@ -42,6 +42,15 @@ def kron_reference(model, diag, shift, slot, phase_fn, kappa):
     return out * np.repeat(kappa, d)[None, :]
 
 
+def dense(model, terms):
+    """The dim x dim matrix of a list of (dst cells, src cells, blocks) terms."""
+    cells, d = model.cell_count, model.coeff_dim
+    out = np.zeros((cells, d, cells, d), dtype=complex)
+    for dst, src, blocks in terms:
+        out[dst, :, src, :] += blocks
+    return out.reshape(model.dim, model.dim)
+
+
 def unit_columns(mask):
     return np.eye(mask.size, dtype=complex)[:, mask]
 
@@ -58,9 +67,11 @@ def test_enumerate_count_formula():
             assert len(enumerate_indices(m, N)) == comb(m + N, m)
 
 
+SHAPES = [(1, 0, 2), (2, 0, 1), (1, 1, 3), (3, 1, 2), (2, 3, 2), (3, 2, 3), (1, 4, 1)]
+
+
 @pytest.mark.parametrize("quarter_turns", [True, False])
-@pytest.mark.parametrize("m,N,coeff", [(1, 0, 2), (2, 0, 1), (1, 1, 3), (3, 1, 2),
-                                       (2, 3, 2), (3, 2, 3), (1, 4, 1)])
+@pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
     model, rng = random_model(m, N, coeff, 10 * m + N, quarter_turns)
     same = np.array_equal if quarter_turns else lambda a, b: np.allclose(a, b, rtol=0, atol=1e-15)
@@ -81,6 +92,70 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
         creation = kron_reference(model, None, None, s, lambda a: model.phase_front(s, a),
                                   np.ones(model.cell_count))
         assert same(np.asarray(creation_matrix(model, s)), creation)
+
+
+def operator_zoo(model, rng, quarter_turns):
+    """A weighted diagonal-plus-shift operator and a creation operator per slot.
+
+    With ``quarter_turns`` the blocks have Gaussian-integer entries, so every
+    product and sum of blocks is exact in floating point whatever the order.
+    """
+    d, m = model.coeff_dim, model.m
+
+    def block():
+        if quarter_turns:
+            return rng.integers(-3, 4, (d, d)) + 1j * rng.integers(-3, 4, (d, d))
+        return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / (2 * d)
+
+    ops = []
+    for s in range(m):
+        kappa = model.merged_phases[s, rng.integers(0, m, model.cell_count)]
+        back = [model.phase_back(s, a) for a in model.index_list]
+        ops += [FockOperator(model, block(), block(), s, back, kappa), creation_matrix(model, s)]
+    return ops
+
+
+@pytest.mark.parametrize("quarter_turns", [True, False])
+@pytest.mark.parametrize("m,N,coeff", SHAPES)
+def test_products_match_dense_products(m, N, coeff, quarter_turns):
+    model, rng = random_model(m, N, coeff, 10 * m + N, quarter_turns)
+    same = np.array_equal if quarter_turns else lambda a, b: np.allclose(a, b, rtol=0, atol=1e-15)
+    ops = operator_zoo(model, rng, quarter_turns)
+    for a in ops:
+        for b in ops:
+            assert same(dense(model, a.product(b)), np.asarray(a) @ np.asarray(b))
+            assert same(dense(model, a.product(b, adjoint=True)),
+                        adj(np.asarray(a)) @ np.asarray(b))
+    if N <= 1:  # a second creation shifts past the truncation degree
+        assert all(creation_matrix(model, s).product(creation_matrix(model, t)) == []
+                   for s in range(m) for t in range(m))
+
+
+@pytest.mark.parametrize("m,N,coeff", SHAPES)
+def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
+    model, rng = random_model(m, N, coeff, 10 * m + N + 1, quarter_turns=False)
+    ops = operator_zoo(model, rng, quarter_turns=False)
+    a, b = ops[0], ops[-2]
+    parts = [(1.0, a.product(b)), (-0.7 + 0.2j, b.product(a)),
+             (0.5, a.product(a, adjoint=True))]
+    whole = sum(c * dense(model, terms) for c, terms in parts)
+    for _ in range(4):
+        src, dst = rng.random(model.cell_count) < 0.6, rng.random(model.cell_count) < 0.6
+        cols, rows = np.repeat(src, coeff), np.repeat(dst, coeff)
+        for minus_identity in (False, True):
+            ref = whole - np.eye(model.dim) * minus_identity
+            assert np.isclose(terms_norm(model, parts, src, minus_identity=minus_identity),
+                              np.linalg.norm(ref[:, cols]), rtol=1e-13, atol=1e-15)
+            assert np.isclose(terms_norm(model, parts, src, dst, minus_identity),
+                              np.linalg.norm(ref[np.ix_(rows, cols)]), rtol=1e-13, atol=1e-15)
+    assert terms_norm(model, [], src, dst) == 0.0
+
+
+def test_interior_cells_repeat_to_projector():
+    model = trivial_model(3, 3, coeff=2)
+    for margin in range(4):
+        assert np.array_equal(np.repeat(interior_cells(model, margin), 2),
+                              interior_projector(model, margin))
 
 
 def test_creation_is_jordan_shift():

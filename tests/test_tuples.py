@@ -96,6 +96,17 @@ def test_is_pure_nilpotent_parrott_block():
         assert pure and radius < 1e-12
 
 
+def test_purity_radius_is_squared_spectral_radius():
+    # d = 1 reads r(t)^2 off eigvals(t); it must equal the CP map's spectral radius
+    rng = np.random.default_rng(7)
+    for scale in (0.3, 0.9, 1.0):
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        t *= scale / np.linalg.norm(t, 2)
+        spec = TupleSpec.from_operators([t])
+        superop = float(np.max(np.abs(np.linalg.eigvals(cp_map_matrix(spec, 1)))))
+        assert is_pure(spec, 1)[1] == pytest.approx(superop, rel=1e-12)
+
+
 def test_purity_matches_iteration():
     rng = np.random.default_rng(6)
     for _ in range(5):

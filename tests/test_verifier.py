@@ -1,8 +1,13 @@
+from itertools import combinations
+
 import numpy as np
+import pytest
 
 from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_Pi,
                                     build_transfer, dilated_isometries)
-from dilation_forge.generators import random_tuple, scalar_triple, zero_tuple
+from dilation_forge.fock import creation_matrix, interior_projector
+from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
+from dilation_forge.linalg import rel_residual
 from dilation_forge.tuples import TupleSpec
 from dilation_forge.verifier import (full_report, verify_equivariance, verify_factorization,
                                      verify_intertwining, verify_isometric_representation,
@@ -12,6 +17,73 @@ from dilation_forge.verifier import (full_report, verify_equivariance, verify_fa
 def gated_worst(report):
     return max((v for k, v in report.residuals.items()
                 if k in report.verdicts and k != "moment_match"), default=0.0)
+
+
+def unit_columns(mask):
+    """The identity columns of the coordinates selected by ``mask``."""
+    return np.eye(mask.size, dtype=complex)[:, mask]
+
+
+def reference_products(model):
+    """Brute-force isometry, commutation and factorization residuals.
+
+    Applies the operators to the identity columns of the interior
+    coordinates (margin 1 for W*W, margin min(2, N) for the products) and
+    takes the norms of the resulting dim-row columns.
+    """
+    spec, fock = model.spec, model.fock
+    inner = interior_projector(fock, 1)
+    e1, e2 = unit_columns(inner), unit_columns(interior_projector(fock, min(2, fock.N)))
+    out = {}
+    for i, w in enumerate(model.isometries, start=1):
+        out[f"isometry_v{i}"] = rel_residual(w.apply_adj(w.apply(e1))[inner] - e1[inner], e1)
+    for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
+        ji = vj.apply(vi.apply(e2))
+        out[f"commute_{i}_{j}"] = rel_residual(vi.apply(vj.apply(e2)) - spec.u(i, j) * ji, ji)
+    l1 = creation_matrix(fock, 0).apply(e2)
+    v1, vn = model.isometries[0], model.isometries[-1]
+    out["factor_tau12"] = rel_residual(v1.apply(vn.apply(e2)) - l1, l1)
+    out["factor_tau21"] = rel_residual(vn.apply(v1.apply(e2)) - spec.u(spec.n, 1) * l1, l1)
+    return out
+
+
+def rebuilt_model(model, U):
+    """The model rebuilt, without the construction's self-checks, from coupling matrix U."""
+    spec, coupling = model.spec, model.coupling
+    coupling.U = U
+    transfer = build_transfer(spec, model.defects, coupling, BuildConfig(check_identities=False))
+    pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
+    return DilationModel(
+        spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
+        layout=model.layout, coupling=coupling, transfer=transfer, Pi=pi,
+        isometries=dilated_isometries(spec, transfer, model.layout, model.fock),
+        tails=tails)
+
+
+def assert_matches_reference(model):
+    got = {**verify_isometric_representation(model), **verify_factorization(model)}
+    ref = reference_products(model)
+    assert list(got) == list(ref)
+    for name, value in ref.items():
+        assert abs(got[name] - value) <= 1e-14 * max(1.0, value), (name, got[name], value)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("style", STYLES)
+def test_composed_residuals_match_identity_columns(style, N):
+    model = assemble_model(random_tuple(style, 3, 3, seed=21), N=N)
+    assert_matches_reference(model)
+    # a non-unitary coupling makes the residuals O(1), so the masks show in the values
+    broken = rebuilt_model(model, model.coupling.U + 0.1)
+    assert_matches_reference(broken)
+    assert max(verify_isometric_representation(broken).values()) > 1e-3
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_composed_residuals_match_identity_columns_swap_covariant(N):
+    spec = random_tuple("covariant", 3, 4, seed=6, k=2,
+                        automorphisms=[[1, 0], [0, 1], [1, 0]])
+    assert_matches_reference(assemble_model(spec, N=N, config=BuildConfig(aux_pad=1)))
 
 
 def test_zero_tuple_all_pass_exactly():
@@ -109,18 +181,9 @@ def test_equivariance_swap_automorphisms():
 def test_mutation_sensitivity():
     spec = random_tuple("scaled-commuting", 3, 4, seed=8)
     model = assemble_model(spec, N=3)
-    coupling = model.coupling
-    coupling.U = coupling.U.copy()
-    coupling.U[0, 0] *= -1.0
-    cfg = BuildConfig(check_identities=False)
-    transfer = build_transfer(spec, model.defects, coupling, cfg)
-    pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
-    mutated = DilationModel(
-        spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
-        layout=model.layout, coupling=coupling, transfer=transfer, Pi=pi,
-        isometries=dilated_isometries(spec, transfer, model.layout, model.fock),
-        tails=tails)
-    report = full_report(mutated)
+    U = model.coupling.U.copy()
+    U[0, 0] *= -1.0
+    report = full_report(rebuilt_model(model, U))
     assert not report.passed
     failing = [report.residuals[k] for k in report.failures()]
     assert max(failing) > 1e-3
