@@ -17,10 +17,10 @@ from .errors import (DilationForgeError, DimensionMismatch, GenerationFailed, Gr
                      NonSquare, NotInClass, NotPSD, UnsupportedMultiplicity)
 from .fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
                    interior_projector)
-from .linalg import (PsdReport, SubspaceBasis, direct_sum, isometry_from_frames, kron,
-                     psd_check, psd_sqrt, range_basis, unitary_completion)
+from .linalg import (PsdReport, SubspaceBasis, isometry_from_frames, kron, psd_check, psd_sqrt,
+                     range_basis)
 from .tuples import (AlgebraStructure, ClassReport, TupleSpec, classify, is_pure, merge_1n,
-                     subset_product, szego_operator, validate)
+                     szego_operator, validate)
 from .verifier import (VerificationReport, full_report, verify_equivariance,
                        verify_factorization, verify_intertwining, verify_isometric_representation,
                        verify_moments, verify_pi)

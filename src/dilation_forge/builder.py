@@ -21,6 +21,7 @@ requirement that the dilation identities hold exactly on interior cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -131,14 +132,19 @@ class DilationModel:
         on the truncated model is the diagonal indicator of label p."""
         if self.spec.algebra is None:
             return None
-        alg, out = self.merged.algebra, []
-        for alpha in self.fock.index_list:
-            g = list(range(alg.k))
-            for s, count in enumerate(alpha):
-                for _ in range(count):
-                    g = compose_perm(alg.automorphisms[s], g)
-            out.append(np.asarray(g)[self.layout.D])
-        return np.asarray(out, dtype=int)
+        alg, cells = self.merged.algebra, self.fock.cells
+        labels = np.broadcast_to(self.layout.D, (cells.shape[0], self.layout.dim))
+        for s, auto in enumerate(alg.automorphisms):  # apply a_s^{alpha_s}, slot 0 first
+            powers = [np.arange(alg.k)]
+            for _ in range(self.N):
+                powers.append(np.asarray(auto)[powers[-1]])
+            labels = np.asarray(powers)[cells[:, s, None], labels]
+        return labels
+
+    @cached_property
+    def L1(self) -> FockOperator:
+        """The merged creation operator, built once per model."""
+        return creation_matrix(self.fock, 0)
 
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
@@ -489,10 +495,7 @@ def _original_phase_diagonal(spec: TupleSpec, fock: FockModel, i: int) -> np.nda
         merged_cost = spec.u(n, 1)
     else:
         merged_cost = spec.u(i, 1) * spec.u(i, n)
-    costs = [merged_cost] + [spec.u(i, j) for j in range(2, n)]
-    vals = np.asarray([np.prod([costs[s] ** a[s] for s in range(fock.m)])
-                       for a in fock.index_list], dtype=complex)
-    return vals
+    return fock.cell_phases([merged_cost] + [spec.u(i, j) for j in range(2, n)])
 
 
 def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
@@ -517,7 +520,8 @@ def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLay
         shift_block[:, layout.parts_D[1]] = spec.u(spec.n, 1) * adj(transfer.Un[d:, :d])
     else:
         raise DimensionMismatch("transfer operators exist for the first and last index only")
-    back = [fock.phase_back(0, alpha) for alpha in fock.index_list]
+    # coefficient-end insertion of the merged factor: prod_{t > 0} u(t, 0)^alpha_t
+    back = fock.cell_phases(np.where(np.arange(fock.m) > 0, fock.merged_phases[:, 0], 1))
     return FockOperator(fock, adj(a), shift_block, 0, back,
                         _original_phase_diagonal(spec, fock, which))
 
@@ -533,9 +537,9 @@ def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: Coeffici
 def build_Pi(merged: TupleSpec, defects: dict, coupling: CouplingData,
              fock: FockModel) -> tuple[np.ndarray, np.ndarray]:
     """Dilation map Pi: H -> F_N(E) (x) D and its exact per-basis-vector tail."""
-    memo = ordered_power_products(merged, fock.index_list)
+    memo = ordered_power_products(merged, fock.cells.tolist())
     vdhat = coupling.V @ (adj(defects["hat1n"].space.basis) @ defects["hat1n"].root)
-    rows = [vdhat @ memo[alpha] for alpha in fock.index_list]
+    rows = [vdhat @ memo[tuple(alpha)] for alpha in fock.cells.tolist()]
     tails = truncation_tails(merged, defects["hat1n"].root, fock.N)
     return np.vstack(rows), tails
 
@@ -566,12 +570,12 @@ def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.nda
 
 
 def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
-    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over |alpha| <= N."""
-    cells = enumerate_indices(merged.n, N)
-    memo = ordered_power_products(merged, cells)
+    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over |alpha| <= N, the
+    cells that the power-product memo holds, in the order of ``enumerate_indices``."""
+    memo = ordered_power_products(merged, enumerate_indices(merged.n, N).tolist())
     mass = np.zeros(merged.dimH)
-    for alpha in cells:
-        mass += np.sum(np.abs(dhat_root @ memo[alpha]) ** 2, axis=0)
+    for power in memo.values():
+        mass += np.sum(np.abs(dhat_root @ power) ** 2, axis=0)
     return mass
 
 

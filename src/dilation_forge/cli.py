@@ -220,7 +220,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DilationForgeError as exc:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -38,78 +37,70 @@ from .errors import DimensionMismatch
 from .linalg import as_matrix
 
 
-def enumerate_indices(m: int, N: int) -> list[tuple[int, ...]]:
-    """All alpha in Z_+^m with |alpha| <= N, ordered by degree then colex.
+def enumerate_indices(m: int, N: int) -> np.ndarray:
+    """All alpha in Z_+^m with |alpha| <= N as a read-only (cells, m) array,
+    ordered by degree then colex.
 
     Within a degree the order is (k,0,..) before (k-1,1,0,..) etc., i.e.
     ascending in the reversed tuple, so m=2, N=1 yields [(0,0),(1,0),(0,1)].
+    Degree k comes from degree k-1 by adding e_s for every slot s up to the
+    first non-zero one, which reaches each alpha once, from alpha minus its
+    first unit, and already in this order: parents in order, then s ascending.
     """
     if m < 1 or N < 0:
         raise DimensionMismatch("need m >= 1 and N >= 0")
-    out: list[tuple[int, ...]] = []
+    unit = np.eye(m, dtype=int)
+    levels, first = [np.zeros((1, m), dtype=int)], np.array([m - 1])
+    for _ in range(N):  # the slot added is the child's first non-zero slot
+        rows, first = np.nonzero(np.arange(m) <= first[:, None])
+        levels.append(levels[-1][rows] + unit[first])
+    cells = np.concatenate(levels)
+    cells.setflags(write=False)
+    return cells
 
-    def compositions(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for last in range(total + 1):
-            for head in compositions(total - last, slots - 1):
-                yield head + (last,)
 
-    for deg in range(N + 1):
-        level = sorted(compositions(deg, m), key=lambda a: tuple(reversed(a)))
-        out.extend(level)
-    return out
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an integer array as one opaque byte-string key, for exact lookup."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 @dataclass
 class FockModel:
-    """Index bookkeeping for the truncated Fock space F_N(E) (x) D."""
+    """Index bookkeeping for the truncated Fock space F_N(E) (x) D: the cells
+    are the rows of ``cells``, as ordered by ``enumerate_indices``."""
 
     m: int
     N: int
     coeff_dim: int
     merged_phases: np.ndarray
-    index_list: list[tuple[int, ...]] = field(init=False)
-    index_of: dict = field(init=False)
+    cells: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.merged_phases = as_matrix(self.merged_phases)
         if self.merged_phases.shape != (self.m, self.m):
             raise DimensionMismatch("merged phase table must be m x m")
-        self.index_list = enumerate_indices(self.m, self.N)
-        self.index_of = {alpha: i for i, alpha in enumerate(self.index_list)}
-        assert len(self.index_list) == comb(self.m + self.N, self.m)
+        self.cells = enumerate_indices(self.m, self.N)
 
     @property
     def cell_count(self) -> int:
-        return len(self.index_list)
+        return self.cells.shape[0]
 
     @property
     def dim(self) -> int:
         return self.cell_count * self.coeff_dim
 
-    def u(self, s: int, t: int) -> complex:
-        return complex(self.merged_phases[s, t])
-
-    def phase_front(self, s: int, alpha: tuple[int, ...]) -> complex:
-        out = 1.0 + 0.0j
-        for t in range(s):
-            out *= self.u(s, t) ** alpha[t]
-        return out
-
-    def phase_back(self, s: int, alpha: tuple[int, ...]) -> complex:
-        out = 1.0 + 0.0j
-        for t in range(s + 1, self.m):
-            out *= self.u(t, s) ** alpha[t]
-        return out
+    def cell_phases(self, costs) -> np.ndarray:
+        """prod_s costs[s]^alpha_s for every cell alpha."""
+        return np.prod(np.asarray(costs, dtype=complex) ** self.cells, axis=1)
 
     def successor(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Cells alpha with |alpha| < N and the cells alpha + e_s they shift to."""
-        src = [c for c, alpha in enumerate(self.index_list) if sum(alpha) < self.N]
-        dst = [self.index_of[a[:s] + (a[s] + 1,) + a[s + 1:]]
-               for a in (self.index_list[c] for c in src)]
-        return np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+        src = np.flatnonzero(self.cells.sum(axis=1) < self.N)
+        keys = _row_keys(self.cells)
+        order = np.argsort(keys)
+        shifted = _row_keys(self.cells[src] + np.eye(self.m, dtype=int)[s])
+        return src, order[np.searchsorted(keys, shifted, sorter=order)]
 
 
 class FockOperator:
@@ -235,20 +226,20 @@ def terms_norm(model: FockModel, parts: list, src: np.ndarray, dst: np.ndarray |
 def creation_matrix(model: FockModel, s: int) -> FockOperator:
     """Left creation operator of generator s (0-based slot) on F_N(E) (x) D.
 
-    Maps cell (alpha, v) to phase_front(s, alpha) * (alpha + e_s, v); cells at
-    the truncation boundary |alpha| = N map to zero.
+    Maps cell (alpha, v) to prod_{t < s} u(s, t)^alpha_t * (alpha + e_s, v)
+    (front insertion); cells at the truncation boundary |alpha| = N map to zero.
     """
     if not 0 <= s < model.m:
         raise DimensionMismatch(f"generator index {s} out of range")
-    phases = [model.phase_front(s, alpha) for alpha in model.index_list]
-    return FockOperator(model, None, None, s, phases)
+    costs = np.where(np.arange(model.m) < s, model.merged_phases[s], 1)
+    return FockOperator(model, None, None, s, model.cell_phases(costs))
 
 
 def interior_cells(model: FockModel, margin: int) -> np.ndarray:
     """Boolean mask of the cells with |alpha| <= N - margin."""
     if margin < 0 or margin > model.N:
         raise DimensionMismatch(f"margin {margin} outside 0..N")
-    return np.array([sum(a) <= model.N - margin for a in model.index_list], dtype=bool)
+    return model.cells.sum(axis=1) <= model.N - margin
 
 
 def interior_projector(model: FockModel, margin: int) -> np.ndarray:

@@ -104,13 +104,16 @@ def tuple_from_dict(doc: dict, path: str = "$") -> TupleSpec:
     return TupleSpec(n=n, dimH=dim, d=d, blocks=blocks, phases=phases, algebra=algebra)
 
 
-def load_tuple(path: str) -> TupleSpec:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedSpec(f"{path}: invalid JSON: {exc}")
-    return tuple_from_dict(doc, path="$")
+
+
+def load_tuple(path: str) -> TupleSpec:
+    return tuple_from_dict(_read_json(path), path="$")
 
 
 def dump_json(doc: dict, path: str | None):
@@ -198,12 +201,7 @@ def model_from_dict(doc: dict) -> DilationModel:
 
 
 def load_model(path: str) -> DilationModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedSpec(f"{path}: invalid JSON: {exc}")
-    return model_from_dict(doc)
+    return model_from_dict(_read_json(path))
 
 
 def class_report_doc(report) -> dict:

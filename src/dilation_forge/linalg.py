@@ -1,9 +1,8 @@
 """Dense complex-matrix calculus used by the dilation pipeline.
 
 Everything here is deterministic: basis orderings follow singular values in
-descending order, sign/phase ambiguities are resolved by rotating each basis
-vector so its first significantly-nonzero entry is positive real, and unitary
-completions pair complement bases column by column.
+descending order, and sign/phase ambiguities are resolved by rotating each
+basis vector so its first significantly-nonzero entry is positive real.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GramMismatch, IdentityResidualExceeded, NonSquare, NotPSD
+from .errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
 
 DEFAULT_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
@@ -110,12 +109,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ adj(self.basis)
-
-    def orthonormality_defect(self) -> float:
-        return frob(adj(self.basis) @ self.basis - eye(self.dim))
-
 
 def _normalize_column_phases(b: np.ndarray) -> np.ndarray:
     """Rotate each column so its first entry of near-maximal modulus is positive real."""
@@ -182,38 +175,6 @@ def isometry_from_frames(x, y, tol: float = 1e-8,
     return (y @ adj(vh)) @ np.diag(1.0 / s).astype(complex) @ adj(u)
 
 
-def unitary_completion(w, domain_complement: SubspaceBasis,
-                       codomain_complement: SubspaceBasis,
-                       tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Extend a partial isometry to a unitary by pairing complement bases.
-
-    The j-th column of ``domain_complement`` is mapped to the j-th column of
-    ``codomain_complement``.  The complements must be orthogonal to the
-    initial/final spaces of ``w`` and have equal dimension.
-    """
-    w = as_matrix(w)
-    if domain_complement.dim != codomain_complement.dim:
-        raise DimensionMismatch(
-            f"complement dimensions differ: {domain_complement.dim} vs {codomain_complement.dim}"
-            " (auxiliary padding needed)")
-    u = w + codomain_complement.basis @ adj(domain_complement.basis)
-    if u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"completion is not square: {u.shape}")
-    resid = frob(adj(u) @ u - eye(u.shape[0]))
-    if resid > max(tol, 1e-10) * max(1.0, u.shape[0]):
-        raise IdentityResidualExceeded("unitary_completion", resid, tol)
-    return u
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, left factor owning the coarse index: (A(x)B)(u(x)v) = Au (x) Bv."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def direct_sum(a, b) -> np.ndarray:
-    """Block-diagonal sum diag(A, B)."""
-    a, b = as_matrix(a), as_matrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out

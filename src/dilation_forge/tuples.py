@@ -257,19 +257,6 @@ def validate(spec: TupleSpec, tol: float = CONTRACTION_TOL) -> ClassReport:
     return report
 
 
-def subset_product(spec: TupleSpec, G: Sequence[int]) -> np.ndarray:
-    """The product operator for an ordered subset G of {1..n}.
-
-    Returns the dimH x d^{|G|}*dimH matrix built right-to-left as
-    T_{g1} (I (x) T_{g2}) ... ; for d = 1 this is the plain matrix product.
-    """
-    result = np.eye(spec.dimH, dtype=complex)
-    for g in reversed(list(G)):
-        row = spec.row(g)
-        result = row @ kron(np.eye(spec.d), result) if spec.d > 1 else row @ result
-    return result
-
-
 def cp_apply(spec: TupleSpec, i: int, x: np.ndarray) -> np.ndarray:
     """phi_i(X) = sum_j T_{i,j} X T_{i,j}*, the completely positive map of index i."""
     return sum(t @ x @ adj(t) for t in spec.blocks[i - 1])

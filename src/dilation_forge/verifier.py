@@ -18,8 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import (FockOperator, creation_matrix, enumerate_indices, interior_cells,
-                   interior_projector, terms_norm)
+from .fock import FockOperator, enumerate_indices, interior_cells, interior_projector, terms_norm
 from .linalg import adj, eye, rel_residual
 from .tuples import invert_perm, ordered_power_products
 
@@ -83,7 +82,7 @@ def verify_intertwining(model: DilationModel) -> dict:
     for i in range(2, spec.n):
         entry(f"dilation_L{i}", model.isometries[i - 1], spec.op(i))
     entry("dilation2_taun", model.isometries[-1], spec.op(spec.n))
-    entry("dilationV_L1", creation_matrix(fock, 0), model.merged.op(1))
+    entry("dilationV_L1", model.L1, model.merged.op(1))
     return out
 
 
@@ -97,7 +96,7 @@ def verify_factorization(model: DilationModel) -> dict:
     """
     fock = model.fock
     src = interior_cells(fock, min(2, fock.N))
-    l1 = creation_matrix(fock, 0).terms
+    l1 = model.L1.terms
     ref = max(1.0, terms_norm(fock, [(1.0, l1)], src))
     v1, vn = model.isometries[0], model.isometries[-1]
     flip = model.spec.u(model.spec.n, 1)
@@ -133,26 +132,13 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     return out
 
 
-def _power_products(step, start, betas: list, last: bool = False) -> dict:
-    """memo[beta] = step(s, memo[beta - e_s]) from memo[0] = start.
-
-    s is the first non-zero slot of beta, or the last one with ``last``;
-    ``betas`` must come in order of degree.
-    """
-    memo = {betas[0]: start}
-    for beta in betas[1:]:
-        slots = [k for k, v in enumerate(beta) if v > 0]
-        s = slots[-1] if last else slots[0]
-        memo[beta] = step(s, memo[beta[:s] + (beta[s] - 1,) + beta[s + 1:]])
-    return memo
-
-
 def verify_moments(model: DilationModel, maxdeg: int = 3) -> dict:
     """Brute-force oracle <Pi h, V^beta Pi g> = <h, T^beta g> over all basis pairs.
 
-    V^beta = V_1^{beta_1} ... V_n^{beta_n}.  The forward memo holds V^beta Pi,
-    the adjoint memo (V^beta)* Pi, each one operator application from a
-    lower degree; ``tuples.ordered_power_products`` gives (T^beta)*.  At
+    V^beta = V_1^{beta_1} ... V_n^{beta_n}.  One memo holds (V^beta)* Pi =
+    V_s* (V^{beta - e_s})* Pi, s the last non-zero slot of beta, which gives
+    both sides: Pi* V^beta Pi = ((V^beta)* Pi)* Pi.
+    ``tuples.ordered_power_products`` gives (T^beta)*.  At
     finite truncation the identity can only hold up to the dropped mass, so
     the entry comes with a computed ``moment_allowance``: the spectral defect
     of Pi*Pi plus the largest operator-norm gap between V^beta* Pi and
@@ -161,17 +147,19 @@ def verify_moments(model: DilationModel, maxdeg: int = 3) -> dict:
     """
     spec, pi, ws = model.spec, model.Pi, model.isometries
     maxdeg = min(maxdeg, max(model.N - 1, 0))
-    betas = enumerate_indices(spec.n, maxdeg)
+    betas = [tuple(beta) for beta in enumerate_indices(spec.n, maxdeg).tolist()]
     tadj = ordered_power_products(spec, betas)
-    forward = _power_products(lambda s, x: ws[s].apply(x), pi, betas)
-    backward = _power_products(lambda s, x: ws[s].apply_adj(x), pi, betas, last=True)
+    backward = {betas[0]: pi}
+    for beta in betas[1:]:
+        s = max(k for k, v in enumerate(beta) if v > 0)
+        backward[beta] = ws[s].apply_adj(backward[beta[:s] + (beta[s] - 1,) + beta[s + 1:]])
     residual = 0.0
     gap = 0.0
-    for beta in betas:
-        delta = adj(pi) @ forward[beta] - adj(tadj[beta])
+    for beta, back in backward.items():
+        delta = adj(back) @ pi - adj(tadj[beta])
         residual = max(residual, float(np.max(np.abs(delta))))
         if sum(beta) > 0:
-            diff = backward[beta] - pi @ tadj[beta]
+            diff = back - pi @ tadj[beta]
             gap = max(gap, float(np.linalg.norm(diff, 2)))
     gram_defect = eye(spec.dimH) - adj(pi) @ pi
     lam = float(max(0.0, np.max(np.linalg.eigvalsh(0.5 * (gram_defect + adj(gram_defect))))))
@@ -212,8 +200,7 @@ def verify_equivariance(model: DilationModel) -> dict:
         inv = invert_perm(perm)
         out[f"equiv_v{i}"] = max(_fock_covariance(w, labels, inv[p], p) for p in ident)
     inv_g = invert_perm(g1n)
-    l1 = creation_matrix(model.fock, 0)
-    out["equiv_L1"] = max(_fock_covariance(l1, labels, inv_g[p], p) for p in ident)
+    out["equiv_L1"] = max(_fock_covariance(model.L1, labels, inv_g[p], p) for p in ident)
     return out
 
 

@@ -162,6 +162,32 @@ def test_model_file_of_degree_zero_is_input_error(tmp_path, capsys):
         "error: $.N: truncation degree must be at least 1, got 0"]
 
 
+def test_model_file_with_out_of_class_tuple_fails_verification(tmp_path, triple_file, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["dilate", "-i", triple_file, "--degree", "2", "-o", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["tuple"] = tuple_to_dict(parrott_tuple())
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "-m", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["classify", "-i", "{dir}"], ["verify", "-m", "{dir}"],
+                                     ["dilate", "-i", "{tuple}", "-o", "{dir}"],
+                                     ["classify", "-i", "{binary}"], ["verify", "-m", "{binary}"]],
+                         ids=["classify directory", "verify directory", "dilate into directory",
+                              "classify non-UTF-8", "verify non-UTF-8"])
+def test_unreadable_file_is_input_error(tmp_path, triple_file, capsys, command):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff\xfe{"n": 3}')
+    argv = [a.format(dir=tmp_path, tuple=triple_file, binary=binary) for a in command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0

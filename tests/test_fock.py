@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -28,13 +29,42 @@ def random_model(m, N, coeff, seed, quarter_turns):
     return FockModel(m=m, N=N, coeff_dim=coeff, merged_phases=upper + adj(upper) + np.eye(m)), rng
 
 
+def index_list(model):
+    return [tuple(alpha) for alpha in model.cells.tolist()]
+
+
+def index_of(model):
+    return {alpha: c for c, alpha in enumerate(index_list(model))}
+
+
+def phase_front(model, s, alpha):
+    """Front insertion of slot s: prod_{t < s} u(s, t)^alpha_t, factor by factor."""
+    out = 1.0 + 0.0j
+    for t in range(s):
+        out *= complex(model.merged_phases[s, t]) ** alpha[t]
+    return out
+
+
+def phase_back(model, s, alpha):
+    """Coefficient-end insertion of slot s: prod_{t > s} u(t, s)^alpha_t."""
+    out = 1.0 + 0.0j
+    for t in range(s + 1, model.m):
+        out *= complex(model.merged_phases[t, s]) ** alpha[t]
+    return out
+
+
+def back_phases(model, s):
+    return [phase_back(model, s, alpha) for alpha in index_list(model)]
+
+
 def kron_reference(model, diag, shift, slot, phase_fn, kappa):
     """Dense kappa-weighted (I (x) diag + cell shift alpha -> alpha + e_slot (x) shift)."""
     cells, d = model.cell_count, model.coeff_dim
     cell = np.zeros((cells, cells), dtype=complex)
-    for src, alpha in enumerate(model.index_list):
+    position = index_of(model)
+    for src, alpha in enumerate(index_list(model)):
         if sum(alpha) < model.N:
-            dst = model.index_of[tuple(v + (k == slot) for k, v in enumerate(alpha))]
+            dst = position[tuple(v + (k == slot) for k, v in enumerate(alpha))]
             cell[dst, src] = phase_fn(alpha)
     out = np.kron(cell, np.eye(d) if shift is None else shift)
     if diag is not None:
@@ -56,9 +86,31 @@ def unit_columns(mask):
 
 
 def test_enumerate_basics():
-    assert enumerate_indices(1, 2) == [(0,), (1,), (2,)]
-    assert enumerate_indices(2, 1) == [(0, 0), (1, 0), (0, 1)]
+    assert enumerate_indices(1, 2).tolist() == [[0], [1], [2]]
+    assert enumerate_indices(2, 1).tolist() == [[0, 0], [1, 0], [0, 1]]
     assert len(enumerate_indices(2, 2)) == 6
+    cells = trivial_model(2, 2).cells
+    assert cells.shape == (6, 2) and not cells.flags.writeable
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_enumerate_matches_sorted_box(m):
+    """The (N+1)^m box filtered to |alpha| <= N, sorted by (degree, reversed tuple)."""
+    for N in range(7):
+        box = [a for a in product(range(N + 1), repeat=m) if sum(a) <= N]
+        ref = sorted(box, key=lambda a: (sum(a), a[::-1]))
+        assert enumerate_indices(m, N).tolist() == [list(a) for a in ref]
+
+
+@pytest.mark.parametrize("m,N", [(1, 3), (2, 4), (3, 3), (5, 2)])
+def test_successor_matches_position_lookup(m, N):
+    model = trivial_model(m, N)
+    position = index_of(model)
+    for s in range(m):
+        src, dst = model.successor(s)
+        ref = [(c, position[a[:s] + (a[s] + 1,) + a[s + 1:]])
+               for c, a in enumerate(index_list(model)) if sum(a) < N]
+        assert list(zip(src.tolist(), dst.tolist())) == ref
 
 
 def test_enumerate_count_formula():
@@ -82,16 +134,28 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
     for s in range(m):
         diag, shift = cmat(coeff, coeff), cmat(coeff, coeff)
         kappa = model.merged_phases[s, rng.integers(0, m, model.cell_count)]
-        back = [model.phase_back(s, a) for a in model.index_list]
-        op = FockOperator(model, diag, shift, s, back, kappa)
-        ref = kron_reference(model, diag, shift, s, lambda a: model.phase_back(s, a), kappa)
+        op = FockOperator(model, diag, shift, s, back_phases(model, s), kappa)
+        ref = kron_reference(model, diag, shift, s, lambda a: phase_back(model, s, a), kappa)
         assert same(np.asarray(op), ref)
         x = cmat(model.dim, 3)
         assert np.allclose(op.apply(x), ref @ x, atol=1e-13)
         assert np.allclose(op.apply_adj(x), adj(ref) @ x, atol=1e-13)
-        creation = kron_reference(model, None, None, s, lambda a: model.phase_front(s, a),
+        creation = kron_reference(model, None, None, s, lambda a: phase_front(model, s, a),
                                   np.ones(model.cell_count))
         assert same(np.asarray(creation_matrix(model, s)), creation)
+
+
+@pytest.mark.parametrize("quarter_turns", [True, False])
+@pytest.mark.parametrize("m,N,coeff", SHAPES)
+def test_cell_phases_match_per_cell_loops(m, N, coeff, quarter_turns):
+    model, _ = random_model(m, N, coeff, 10 * m + N, quarter_turns)
+    same = np.array_equal if quarter_turns else lambda a, b: np.allclose(a, b, rtol=0, atol=1e-15)
+    slots, u = np.arange(m), model.merged_phases
+    for s in range(m):
+        front = [phase_front(model, s, a) for a in index_list(model)]
+        assert same(model.cell_phases(np.where(slots < s, u[s], 1)), np.array(front))
+        assert same(model.cell_phases(np.where(slots > s, u[:, s], 1)),
+                    np.array(back_phases(model, s)))
 
 
 def operator_zoo(model, rng, quarter_turns):
@@ -110,8 +174,8 @@ def operator_zoo(model, rng, quarter_turns):
     ops = []
     for s in range(m):
         kappa = model.merged_phases[s, rng.integers(0, m, model.cell_count)]
-        back = [model.phase_back(s, a) for a in model.index_list]
-        ops += [FockOperator(model, block(), block(), s, back, kappa), creation_matrix(model, s)]
+        ops += [FockOperator(model, block(), block(), s, back_phases(model, s), kappa),
+                creation_matrix(model, s)]
     return ops
 
 
@@ -186,11 +250,10 @@ def test_creation_phase_single_crossing():
     phases = np.array([[1, 1j], [-1j, 1]])  # u(1,0) = -i
     model = FockModel(m=2, N=2, coeff_dim=1, merged_phases=phases)
     L = np.asarray(creation_matrix(model, 1))
-    src = model.index_of[(1, 0)]
-    dst = model.index_of[(1, 1)]
-    assert L[dst, src] == pytest.approx(-1j)
+    position = index_of(model)
+    assert L[position[(1, 1)], position[(1, 0)]] == pytest.approx(-1j)
     # creating on (0,0) crosses nothing
-    assert L[model.index_of[(0, 1)], model.index_of[(0, 0)]] == pytest.approx(1.0)
+    assert L[position[(0, 1)], position[(0, 0)]] == pytest.approx(1.0)
 
 
 def test_creation_u_commutation():
@@ -212,27 +275,24 @@ def test_interior_projector_margins():
 
 def test_transfer_shift_trivial_phases_is_plain_shift():
     model = trivial_model(2, 2, coeff=2)
-    back = [model.phase_back(0, a) for a in model.index_list]
-    shift = FockOperator(model, None, np.eye(2), 0, back)
+    shift = FockOperator(model, None, np.eye(2), 0, back_phases(model, 0))
     assert np.array_equal(np.asarray(shift), np.asarray(creation_matrix(model, 0)))
     # the adjoint annihilates cells with alpha_0 = 0
-    for alpha in model.index_list:
+    for c, alpha in enumerate(index_list(model)):
         if alpha[0] == 0:
-            idx = model.index_of[alpha] * 2
+            idx = c * 2
             assert np.linalg.norm(shift.apply_adj(np.eye(model.dim)[:, idx:idx + 2])) == 0
 
 
 def test_transfer_shift_phases_are_back_insertion():
     phases = np.array([[1, 1j], [-1j, 1]])
     model = FockModel(m=2, N=3, coeff_dim=1, merged_phases=phases)
-    back = [model.phase_back(0, a) for a in model.index_list]
-    shift = np.asarray(FockOperator(model, None, np.eye(1), 0, back))
+    shift = np.asarray(FockOperator(model, None, np.eye(1), 0, back_phases(model, 0)))
     L0 = np.asarray(creation_matrix(model, 0))
     # same sparsity and magnitudes as front creation of the merged slot
     assert np.allclose(np.abs(shift), np.abs(L0))
     # entries differ exactly by the crossing phase u(1,0)^{alpha_1}
-    src = model.index_of[(0, 2)]
-    dst = model.index_of[(1, 2)]
+    src, dst = index_of(model)[(0, 2)], index_of(model)[(1, 2)]
     assert shift[dst, src] == pytest.approx(phases[1, 0] ** 2)
     assert L0[dst, src] == pytest.approx(1.0)
 

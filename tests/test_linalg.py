@@ -2,13 +2,38 @@ import numpy as np
 import pytest
 
 from dilation_forge.errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
-from dilation_forge.linalg import (SubspaceBasis, adj, direct_sum, isometry_from_frames, kron,
-                                   orthogonal_complement, psd_check, psd_sqrt, range_basis,
-                                   unitary_completion)
+from dilation_forge.linalg import (SubspaceBasis, adj, isometry_from_frames, kron,
+                                   orthogonal_complement, psd_check, psd_sqrt, range_basis)
 
 
 def crandn(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def projector(space):
+    return space.basis @ adj(space.basis)
+
+
+def orthonormality_defect(space):
+    return np.linalg.norm(adj(space.basis) @ space.basis - np.eye(space.dim))
+
+
+def unitary_completion(w, domain_complement, codomain_complement):
+    """Extend a partial isometry to a unitary by pairing complement bases column by column.
+
+    The pairing that ``builder.build_U`` makes per algebra component, on one component.
+    """
+    if domain_complement.dim != codomain_complement.dim:
+        raise DimensionMismatch("complement dimensions differ (auxiliary padding needed)")
+    return np.asarray(w, dtype=complex) + codomain_complement.basis @ adj(domain_complement.basis)
+
+
+def direct_sum(a, b):
+    """Block-diagonal sum diag(A, B)."""
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
 
 
 def test_psd_check_identity():
@@ -96,8 +121,8 @@ def test_range_basis_properties():
     for _ in range(5):
         a = crandn(rng, (5, 3)) @ crandn(rng, (3, 5))
         rb = range_basis(a)
-        assert rb.orthonormality_defect() < 1e-12
-        resid = (np.eye(5) - rb.projector()) @ a
+        assert orthonormality_defect(rb) < 1e-12
+        resid = (np.eye(5) - projector(rb)) @ a
         assert np.linalg.norm(resid, 2) <= 1e-10 * np.linalg.norm(a, 2)
 
 
@@ -138,7 +163,7 @@ def test_isometry_from_frames_partial_isometry_property():
     q = np.linalg.qr(crandn(rng, (5, 5)))[0]
     y = q[:, :5] @ x  # unitary image keeps the Gram matrix
     w = isometry_from_frames(x, y)
-    p = range_basis(x).projector()
+    p = projector(range_basis(x))
     assert np.linalg.norm(adj(w) @ w - p) < 1e-10
     assert np.linalg.norm(w @ x - y) < 1e-10
 

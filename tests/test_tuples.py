@@ -7,9 +7,22 @@ from hypothesis import strategies as st
 
 from dilation_forge.errors import MalformedSpec, UnsupportedMultiplicity
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
-from dilation_forge.linalg import adj
+from dilation_forge.linalg import adj, kron
 from dilation_forge.tuples import (AlgebraStructure, TupleSpec, classify, cp_map_matrix,
-                                   is_pure, merge_1n, subset_product, szego_operator, validate)
+                                   is_pure, merge_1n, szego_operator, validate)
+
+
+def subset_product(spec, G):
+    """The product operator T_{g1} (I (x) T_{g2}) ... of an ordered subset G of {1..n}.
+
+    A dimH x d^{|G|}*dimH matrix, built right to left; the plain product for d = 1.
+    The reference for the nested Szego recursion.
+    """
+    result = np.eye(spec.dimH, dtype=complex)
+    for g in reversed(list(G)):
+        row = spec.row(g)
+        result = row @ kron(np.eye(spec.d), result) if spec.d > 1 else row @ result
+    return result
 
 
 def test_validate_zero_tuple():

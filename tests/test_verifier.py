@@ -5,10 +5,10 @@ import pytest
 
 from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_Pi,
                                     build_transfer, dilated_isometries)
-from dilation_forge.fock import creation_matrix, interior_projector
+from dilation_forge.fock import creation_matrix, enumerate_indices, interior_projector
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
-from dilation_forge.linalg import rel_residual
-from dilation_forge.tuples import TupleSpec
+from dilation_forge.linalg import adj, eye, rel_residual
+from dilation_forge.tuples import TupleSpec, compose_perm, ordered_power_products
 from dilation_forge.verifier import (full_report, verify_equivariance, verify_factorization,
                                      verify_intertwining, verify_isometric_representation,
                                      verify_moments, verify_pi)
@@ -131,6 +131,38 @@ def test_moments_nilpotent_exact():
     assert mom["moment_allowance"] < 1e-10
 
 
+def two_memo_moments(model, maxdeg=3):
+    """The moment oracle from a forward memo V^beta Pi and an adjoint memo (V^beta)* Pi."""
+    spec, pi, ws = model.spec, model.Pi, model.isometries
+    betas = [tuple(b) for b in enumerate_indices(spec.n, min(maxdeg, model.N - 1)).tolist()]
+    forward, backward = {betas[0]: pi}, {betas[0]: pi}
+    for beta in betas[1:]:
+        slots = [k for k, v in enumerate(beta) if v > 0]
+        for memo, s, apply in ((forward, slots[0], "apply"), (backward, slots[-1], "apply_adj")):
+            lower = beta[:s] + (beta[s] - 1,) + beta[s + 1:]
+            memo[beta] = getattr(ws[s], apply)(memo[lower])
+    tadj = ordered_power_products(spec, betas)
+    residual = gap = 0.0
+    for beta in betas:
+        residual = max(residual, np.max(np.abs(adj(pi) @ forward[beta] - adj(tadj[beta]))))
+        if sum(beta) > 0:
+            gap = max(gap, np.linalg.norm(backward[beta] - pi @ tadj[beta], 2))
+    gram_defect = eye(spec.dimH) - adj(pi) @ pi
+    lam = max(0.0, np.max(np.linalg.eigvalsh(0.5 * (gram_defect + adj(gram_defect)))))
+    return {"moment_match": residual, "moment_allowance": gap + lam}
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+@pytest.mark.parametrize("style", STYLES)
+def test_one_memo_moments_match_two_memos(style, N):
+    for n in (2, 3):
+        model = assemble_model(random_tuple(style, n, 3, seed=30 + n), N=N)
+        got, ref = verify_moments(model), two_memo_moments(model)
+        assert list(got) == list(ref)
+        for name, value in ref.items():
+            assert abs(got[name] - value) <= 1e-14, (name, got[name], value)
+
+
 def test_moments_allowance_covers_truncation():
     spec = TupleSpec.from_operators([[[0.8]], [[0.7]], [[0.6]]])
     model = assemble_model(spec, N=4)
@@ -176,6 +208,23 @@ def test_equivariance_swap_automorphisms():
             eq = verify_equivariance(model)
             assert max(eq.values()) < 1e-10
             assert full_report(model).passed
+
+
+@pytest.mark.parametrize("automorphisms", [[[1, 0], [0, 1], [1, 0]], [[0, 1], [0, 1], [1, 0]],
+                                           [[1, 0], [1, 0], [0, 1], [1, 0]]])
+def test_coordinate_labels_match_per_cell_composition(automorphisms):
+    spec = random_tuple("covariant", len(automorphisms), 4, seed=6, k=2,
+                        automorphisms=automorphisms)
+    model = assemble_model(spec, N=3, config=BuildConfig(aux_pad=1))
+    alg = model.merged.algebra
+    ref = []
+    for alpha in model.fock.cells.tolist():
+        g = list(range(alg.k))
+        for s, count in enumerate(alpha):
+            for _ in range(count):
+                g = compose_perm(alg.automorphisms[s], g)
+        ref.append(np.asarray(g)[model.layout.D])
+    assert np.array_equal(model.coordinate_labels(), np.asarray(ref))
 
 
 def test_mutation_sensitivity():
