@@ -19,8 +19,8 @@ from .fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
                    interior_projector)
 from .linalg import (PsdReport, SubspaceBasis, isometry_from_frames, kron, psd_check, psd_sqrt,
                      range_basis)
-from .tuples import (AlgebraStructure, ClassReport, TupleSpec, classify, is_pure, merge_1n,
-                     szego_operator, validate)
+from .tuples import (AlgebraStructure, ClassReport, TupleSpec, class_gate, classify, is_pure,
+                     merge_1n, szego_operator, validate)
 from .verifier import (VerificationReport, full_report, verify_equivariance,
                        verify_factorization, verify_intertwining, verify_isometric_representation,
                        verify_moments, verify_pi)

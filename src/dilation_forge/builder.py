@@ -31,7 +31,7 @@ from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFini
 from .fock import FockModel, FockOperator, creation_matrix, enumerate_indices
 from .linalg import (SubspaceBasis, adj, eye, frob, isometry_from_frames,
                      orthogonal_complement, psd_sqrt, range_basis, rel_residual)
-from .tuples import (AlgebraStructure, TupleSpec, classify, compose_perm, cp_apply,
+from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
                      invert_perm, is_pure, merge_1n, ordered_power_products, szego_operator)
 
 
@@ -107,6 +107,9 @@ class CouplingData:
 
 @dataclass
 class TransferData:
+    """U1 and Un with the construction self-check residuals by name: those of
+    ``build_transfer`` and ``defect_equality``, which ``assemble_model`` adds."""
+
     U1: np.ndarray
     Un: np.ndarray
     residuals: dict
@@ -125,7 +128,6 @@ class DilationModel:
     Pi: np.ndarray
     isometries: list
     tails: np.ndarray
-    equality_residual: float = 0.0
 
     def coordinate_labels(self) -> Optional[np.ndarray]:
         """Algebra label of each model coordinate, shape (cells, dim D); rho(e_p)
@@ -196,19 +198,18 @@ def _labeled_complement(frame: np.ndarray, row_labels: np.ndarray, col_blocks: n
 def build_defects(spec: TupleSpec):
     """Defect data for hat1 (drop index 1), hatn (drop index n) and the merged tuple.
 
-    Returns ``(defects, merged, report, equality_residual)`` where the residual
+    Returns ``(defects, merged, report, equality_residual)`` where ``report``
+    is the class gate's (no ``szego_full``, no GKVW table) and the residual
     measures the two displayed factorizations of the merged defect square.
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("the dilation construction requires d = 1")
-    report = classify(spec)
+    report, sq_hat1, sq_hatn = class_gate(spec)
     if not report.in_T1n:
         raise NotInClass("; ".join(report.failing_conditions()) or "not in the dilatable class")
     merged = merge_1n(spec)
     alg = effective_algebra(spec)
 
-    sq_hat1 = szego_operator(spec, range(2, spec.n + 1))
-    sq_hatn = szego_operator(spec, range(1, spec.n))
     sq_hat1n = szego_operator(merged, range(1, merged.n + 1))
 
     defects = {}
@@ -587,9 +588,8 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     solve_aux(spec, coupling, config)
     build_U(spec, defects, coupling, config)
     transfer = build_transfer(spec, defects, coupling, config)
-
-    if config.check_identities and eq_resid > config.identity_gate:
-        raise IdentityResidualExceeded("defect_equality", eq_resid, config.identity_gate)
+    _gate(transfer.residuals, "defect_equality", eq_resid, config.identity_gate,
+          config.check_identities)
     pure, radius = is_pure(merged, 1)
     if config.check_identities and not pure and radius >= 1.0:
         raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
@@ -600,4 +600,4 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     pi, tails = build_Pi(merged, defects, coupling, fock)
     return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
                          layout=layout, coupling=coupling, transfer=transfer, Pi=pi,
-                         isometries=isometries, tails=tails, equality_residual=eq_resid)
+                         isometries=isometries, tails=tails)

@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success / in class / all identities pass; 1 input or IO error;
-2 well-formed but not in the dilatable class (or unsupported multiplicity),
-also used for verification failure; 3 infeasible finite padding;
-4 construction identity residual exceeded.
+Exit codes: 0 success / in class / all identities pass; 1 input or IO error,
+including a command-line usage error (an unknown option, a value of the wrong
+type, a missing required option); 2 well-formed but not in the dilatable
+class (or unsupported multiplicity), also used for verification failure;
+3 infeasible finite padding; 4 construction identity residual exceeded.
+
+``verify --format text`` and ``demo`` print the construction self-check
+residuals before the verification residuals; for ``verify -m`` they are the
+ones stored in the model file.
 """
 
 from __future__ import annotations
@@ -27,6 +32,21 @@ EXIT_INPUT = 1
 EXIT_NOT_IN_CLASS = 2
 EXIT_INFEASIBLE = 3
 EXIT_IDENTITY = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which this CLI reserves for "not in
+    class"; usage errors are input errors here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _print_construction_text(residuals: dict):
+    print("construction self-check residuals:")
+    for name, value in sorted(residuals.items()):
+        print(f"  {name:24s} {value:12.3e}")
 
 
 def _print_report_text(doc: dict):
@@ -122,6 +142,8 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(dump_json(doc, None))
     else:
+        _print_construction_text(model.transfer.residuals)
+        print("verification residuals:")
         _print_report_text(doc)
         print(f"overall: {'pass' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_NOT_IN_CLASS
@@ -147,9 +169,7 @@ def cmd_demo(args) -> int:
     print("scalar triple (0.5, 0.4, 0.3), truncation degree "
           f"N={args.degree}")
     model = assemble_model(spec, N=args.degree)
-    print("construction self-check residuals:")
-    for name, value in sorted(model.transfer.residuals.items()):
-        print(f"  {name:24s} {value:12.3e}")
+    _print_construction_text(model.transfer.residuals)
     report = full_report(model)
     print("verification residuals:")
     _print_report_text(verification_report_doc(report))
@@ -159,7 +179,7 @@ def cmd_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dilation-forge",
         description="Classify tuples of (u-)commuting contractions and construct/verify "
                     "their isometric dilations on a truncated Fock space.")

@@ -1,17 +1,25 @@
 """JSON serialization of tuples, reports and dilation models.
 
-Complex entries are stored as [re, im] pairs of JSON numbers; Python's float
-repr is shortest-exact, so round-trips are bit-faithful.  Every document
-carries a ``schema_version``: 1 for tuples and reports, 3 for models.  A
-model file holds the tuple, N, the sizes record ``dims`` and the matrices U1,
-Un and Pi with the tails: the coefficient layout is rebuilt on load from the
-tuple and ``dims.aux``, and the dilated isometries from the file's U1 and Un.
+Every document is written compact (no whitespace, sorted keys) and carries a
+``schema_version``: 1 for tuples and reports, 4 for models.  Python's float
+repr is shortest-exact, so every round trip is bit-faithful.  Matrix entries
+must be finite JSON numbers; booleans, strings, NaN and infinities are input
+errors.
+
+Tuple documents, which are also written by hand, store each matrix as nested
+rows of [re, im] pairs.  A model file stores U1, Un and Pi as flat row-major
+matrices ``{"shape": [rows, cols], "re": [...], "im": [...]}``, beside the
+tuple, N, the sizes record ``dims``, the tails and the construction
+self-check residuals.  On load the coefficient layout is rebuilt from the
+tuple and ``dims.aux``, each declared shape is checked against it before any
+list is converted, and the dilated isometries are rebuilt from the file's U1
+and Un.
 """
 
 from __future__ import annotations
 
 import json
-from math import comb, isfinite
+from math import comb
 from typing import Any
 
 import numpy as np
@@ -23,7 +31,23 @@ from .fock import FockModel
 from .tuples import AlgebraStructure, TupleSpec, merge_1n
 
 SCHEMA_VERSION = 1
-MODEL_SCHEMA_VERSION = 3
+MODEL_SCHEMA_VERSION = 4
+_NUMBER_TYPES = {int, float}  # what json reads a JSON number as; bool is not among them
+
+
+def _floats(values: list, path: str) -> np.ndarray:
+    """A float array of finite JSON numbers."""
+    kinds = set(map(type, values)) - _NUMBER_TYPES
+    if kinds:
+        raise MalformedSpec(f"{path}: entries must be numbers, got "
+                            f"{', '.join(sorted(k.__name__ for k in kinds))}")
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise MalformedSpec(f"{path}: entries must be finite")
+    return arr
 
 
 def complex_to_json(arr: np.ndarray) -> list:
@@ -35,16 +59,39 @@ def complex_to_json(arr: np.ndarray) -> list:
 
 
 def json_to_complex(data, path: str = "$") -> np.ndarray:
-    """A finite complex matrix from rows of [re, im] pairs."""
+    """A finite complex matrix from rows of [re, im] number pairs."""
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+        shape = np.shape(data)
+    except ValueError as exc:
         raise MalformedSpec(f"{path}: expected nested [re, im] number pairs ({exc})")
-    if arr.ndim != 3 or arr.shape[-1] != 2:
+    if len(shape) != 3 or shape[-1] != 2:
         raise MalformedSpec(f"{path}: expected a matrix of [re, im] pairs")
-    if not np.isfinite(arr).all():
-        raise MalformedSpec(f"{path}: entries must be finite")
-    return arr[..., 0] + 1j * arr[..., 1]
+    values = _floats([v for row in data for pair in row for v in pair], path)
+    return values.view(complex).reshape(shape[:2])
+
+
+def matrix_to_json(arr: np.ndarray) -> dict:
+    """A flat model-file matrix: its shape and the row-major real and imaginary parts."""
+    return {"shape": list(arr.shape), "re": arr.real.ravel().tolist(),
+            "im": arr.imag.ravel().tolist()}
+
+
+def json_to_matrix(doc: dict, key: str, shape: tuple, path: str = "$") -> np.ndarray:
+    """The complex matrix of the flat matrix field ``key``, whose declared shape
+    must be ``shape``; the shape is checked before any list is converted."""
+    enc = _require(doc, key, dict, path)
+    path = f"{path}.{key}"
+    declared = _require(enc, "shape", list, path)
+    if declared != list(shape) or any(type(v) is not int for v in declared):
+        raise MalformedSpec(f"{path}.shape: expected {list(shape)}, got {declared}")
+    size = shape[0] * shape[1]
+    parts = []
+    for part in ("re", "im"):
+        values = _require(enc, part, list, path)
+        if len(values) != size:
+            raise MalformedSpec(f"{path}.{part}: expected {size} numbers, got {len(values)}")
+        parts.append(_floats(values, f"{path}.{part}"))
+    return np.column_stack(parts).view(complex).reshape(shape)
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -117,7 +164,7 @@ def load_tuple(path: str) -> TupleSpec:
 
 
 def dump_json(doc: dict, path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     if path is None:
         return text
     with open(path, "w", encoding="utf-8") as fh:
@@ -138,29 +185,23 @@ def model_to_dict(model: DilationModel) -> dict:
         "tuple": tuple_to_dict(model.spec),
         "N": model.N,
         "dims": _dims(model.layout, model.defects, model.fock.cell_count),
-        "U1": complex_to_json(model.transfer.U1),
-        "Un": complex_to_json(model.transfer.Un),
-        "Pi": complex_to_json(model.Pi),
+        "U1": matrix_to_json(model.transfer.U1),
+        "Un": matrix_to_json(model.transfer.Un),
+        "Pi": matrix_to_json(model.Pi),
         "tails": [float(t) for t in model.tails],
-        "equality_residual": float(model.equality_residual),
+        "construction_residuals": {k: float(v) for k, v in model.transfer.residuals.items()},
     }
-
-
-def _matrix(doc: dict, key: str, shape: tuple, path: str) -> np.ndarray:
-    mat = json_to_complex(_require(doc, key, list, path), f"{path}.{key}")
-    if mat.shape != shape:
-        raise MalformedSpec(f"{path}.{key}: expected shape {shape}, got {mat.shape}")
-    return mat
 
 
 def model_from_dict(doc: dict) -> DilationModel:
     """Rebuild a verifiable model from its JSON document.
 
-    The defect data are recomputed from the tuple and the coefficient layout
-    from them and ``dims.aux``; ``dims`` must then equal the rebuilt sizes.
-    U1, Un, Pi and the tails are taken from the file and the dilated
-    isometries rebuilt from its U1 and Un, so file-level corruption is caught
-    by the verifier.  A loaded model has no coupling data.
+    The tuple passes the class gate again and its defect data are recomputed
+    (``build_defects``), the coefficient layout from them and ``dims.aux``;
+    ``dims`` must then equal the rebuilt sizes.  U1, Un, Pi, the tails and the
+    construction residuals are taken from the file and the dilated isometries
+    rebuilt from its U1 and Un, so file-level corruption is caught by the
+    verifier.  A loaded model has no coupling data.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")
@@ -177,27 +218,28 @@ def model_from_dict(doc: dict) -> DilationModel:
     k = effective_algebra(spec).k
     if len(aux) != k or any(type(v) is not int or not 0 <= v <= MAX_PAD for v in aux):
         raise MalformedSpec(f"$.dims.aux: expected {k} integers in 0..{MAX_PAD}")
-    defects, _, _, eq_resid = build_defects(spec)
+    defects, _, _, _ = build_defects(spec)
     layout = coefficient_layout(spec, defects, aux)
     cells = comb(merged.n + N, merged.n)
     expected = _dims(layout, defects, cells)
     if dims != expected:
         raise MalformedSpec(f"$.dims: expected {expected} for this tuple and N")
     tails = _require(doc, "tails", list, "$")
-    if len(tails) != spec.dimH or any(type(t) not in (int, float) or not isfinite(t)
-                                      for t in tails):
+    if len(tails) != spec.dimH:
         raise MalformedSpec(f"$.tails: expected {spec.dimH} finite numbers")
-    # the file's own Pi bounds the work: its shape is checked before any cell is enumerated
-    pi = _matrix(doc, "Pi", (cells * layout.dim, spec.dimH), "$")
+    tails = _floats(tails, "$.tails")
+    residuals = _require(doc, "construction_residuals", dict, "$")
+    values = _floats(list(residuals.values()), "$.construction_residuals")
     size1, sizen = layout.U1_labels[0].size, layout.Un_labels[0].size
-    transfer = TransferData(U1=_matrix(doc, "U1", (size1, size1), "$"),
-                            Un=_matrix(doc, "Un", (sizen, sizen), "$"), residuals={})
+    transfer = TransferData(U1=json_to_matrix(doc, "U1", (size1, size1)),
+                            Un=json_to_matrix(doc, "Un", (sizen, sizen)),
+                            residuals=dict(zip(residuals, values.tolist())))
+    pi = json_to_matrix(doc, "Pi", (cells * layout.dim, spec.dimH))
     fock = FockModel(m=merged.n, N=N, coeff_dim=layout.dim, merged_phases=merged.phases)
     return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
                          layout=layout, coupling=None, transfer=transfer, Pi=pi,
                          isometries=dilated_isometries(spec, transfer, layout, fock),
-                         tails=np.asarray(tails, dtype=float),
-                         equality_residual=eq_resid)
+                         tails=tails)
 
 
 def load_model(path: str) -> DilationModel:

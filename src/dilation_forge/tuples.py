@@ -296,13 +296,19 @@ def is_pure(spec: TupleSpec, i: int, tol: float = PURITY_TOL) -> tuple[bool, flo
     return radius < 1.0 - tol, radius
 
 
-def classify(spec: TupleSpec, tol: float = 1e-10) -> ClassReport:
-    """Full class membership report for the dilatable class."""
+def class_gate(spec: TupleSpec, tol: float = 1e-10) -> tuple[ClassReport, np.ndarray, np.ndarray]:
+    """The class test: ``validate``, the hat1/hatn Szego PSD checks and the
+    purity radii, which are exactly the fields ``failing_conditions`` reads.
+
+    Returns ``(report, szego_hat1, szego_hatn)``; the two Szego operators are
+    formed once here, and the builder takes its defect squares from them.
+    """
     report = validate(spec)
     all_idx = list(range(1, spec.n + 1))
-    report.szego_full = psd_check(szego_operator(spec, all_idx), tol)
-    report.szego_hat1 = psd_check(szego_operator(spec, all_idx[1:]), tol)
-    report.szego_hatn = psd_check(szego_operator(spec, all_idx[:-1]), tol)
+    sq_hat1 = szego_operator(spec, all_idx[1:])
+    sq_hatn = szego_operator(spec, all_idx[:-1])
+    report.szego_hat1 = psd_check(sq_hat1, tol)
+    report.szego_hatn = psd_check(sq_hatn, tol)
 
     for i in all_idx:
         pure, radius = is_pure(spec, i)
@@ -310,13 +316,22 @@ def classify(spec: TupleSpec, tol: float = 1e-10) -> ClassReport:
         report.purity_radii.append(radius)
         report.purity_indeterminate.append(abs(radius - 1.0) <= PURITY_TOL)
     report.hatn_pure = all(report.pure_flags[:-1]) if spec.n > 1 else True
+    report.in_T1n = not report.failing_conditions()
+    return report, sq_hat1, sq_hatn
 
-    psd_without = {p: psd_check(szego_operator(spec, [i for i in all_idx if i != p]), tol).is_psd
-                   for p in all_idx}
+
+def classify(spec: TupleSpec, tol: float = 1e-10) -> ClassReport:
+    """Full class membership report: the class gate plus the full Szego
+    operator and the GKVW table, neither of which feeds the verdict."""
+    report, _, _ = class_gate(spec, tol)
+    all_idx = list(range(1, spec.n + 1))
+    report.szego_full = psd_check(szego_operator(spec, all_idx), tol)
+    # dropping index 1 or n leaves the hat1 or hatn tuple the gate has checked
+    psd_without = {1: report.szego_hat1.is_psd, spec.n: report.szego_hatn.is_psd}
+    for p in all_idx[1:-1]:
+        psd_without[p] = psd_check(szego_operator(spec, [i for i in all_idx if i != p]), tol).is_psd
     report.gkvw = {(p, q): (psd_without[p], psd_without[q])
                    for p, q in itertools.combinations(all_idx, 2)}
-
-    report.in_T1n = not report.failing_conditions()
     return report
 
 

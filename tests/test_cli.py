@@ -6,8 +6,8 @@ import pytest
 from dilation_forge.builder import BuildConfig, assemble_model
 from dilation_forge.cli import main
 from dilation_forge.generators import STYLES, parrott_tuple, random_tuple, scalar_triple
-from dilation_forge.io import (dump_json, load_tuple, model_from_dict, model_to_dict,
-                               tuple_from_dict, tuple_to_dict)
+from dilation_forge.io import (dump_json, load_model, load_tuple, model_from_dict,
+                               model_to_dict, tuple_from_dict, tuple_to_dict)
 from dilation_forge.tuples import TupleSpec
 from dilation_forge.verifier import full_report
 
@@ -79,7 +79,7 @@ def test_verify_mutated_model_fails(tmp_path, triple_file):
     clean = json.loads(model_path.read_text())
     for key in ("U1", "Pi"):
         doc = json.loads(json.dumps(clean))
-        doc[key][0][0] = [0.9, 0.1]
+        doc[key]["re"][0], doc[key]["im"][0] = 0.9, 0.1
         model_path.write_text(json.dumps(doc))
         assert main(["verify", "--model", str(model_path)]) == 2, key
 
@@ -100,15 +100,50 @@ def _set(value, *path):
     return edit
 
 
+def _rows(m):
+    """The rows of a flat model-file matrix as (re, im) pairs of lists."""
+    rows, cols = m["shape"]
+    return [(m["re"][r * cols:(r + 1) * cols], m["im"][r * cols:(r + 1) * cols])
+            for r in range(rows)]
+
+
+def _flat(rows):
+    """A consistent flat matrix (shape and lists agree) from (re, im) row pairs."""
+    return {"shape": [len(rows), len(rows[0][0])], "re": [v for re, _ in rows for v in re],
+            "im": [v for _, im in rows for v in im]}
+
+
 MODEL_FILE_DEFECTS = {
     **{f"missing {key}": _drop(key) for key in (
-        "schema_version", "tuple", "N", "dims", "U1", "Un", "Pi", "tails")},
+        "schema_version", "tuple", "N", "dims", "U1", "Un", "Pi", "tails",
+        "construction_residuals")},
     **{f"missing dims.{key}": _drop("dims", key) for key in ("coeff", "cells", "aux", "ranks")},
+    **{f"missing Pi.{key}": _drop("Pi", key) for key in ("shape", "re", "im")},
     "schema version 1": _set(1, "schema_version"),
     "schema version 2": _set(2, "schema_version"),
-    "Pi missing a row": _set(lambda m: m[:-1], "Pi"),
-    "U1 missing a column": _set(lambda m: [row[:-1] for row in m], "U1"),
-    "Un not square": _set(lambda m: m[:-1], "Un"),
+    "schema version 3": _set(3, "schema_version"),
+    "Pi missing a row": _set(lambda m: _flat(_rows(m)[:-1]), "Pi"),
+    "U1 missing a column": _set(lambda m: _flat([(re[:-1], im[:-1]) for re, im in _rows(m)]),
+                                "U1"),
+    "Un not square": _set(lambda m: _flat(_rows(m)[:-1]), "Un"),
+    "U1 nested [re, im] rows": _set(lambda m: [[[a, b] for a, b in zip(re, im)]
+                                               for re, im in _rows(m)], "U1"),
+    "Pi shape disagrees with the sizes": _set(lambda s: [s[0] + 1, s[1]], "Pi", "shape"),
+    "Pi shape a bool": _set(lambda s: [s[0], True], "Pi", "shape"),  # the triple's dimH is 1
+    "Pi shape huge": _set([10 ** 12, 10 ** 12], "Pi", "shape"),
+    "Pi re too short": _set(lambda v: v[:-1], "Pi", "re"),
+    "Un im too long": _set(lambda v: v + [0.0], "Un", "im"),
+    "Pi re entry a string": _set(lambda v: ["0.5"] + v[1:], "Pi", "re"),
+    "U1 im entry a bool": _set(lambda v: [False] + v[1:], "U1", "im"),
+    "Pi re entry a list": _set(lambda v: [[0.5, 0.0]] + v[1:], "Pi", "re"),
+    "Pi re entry not finite": _set(lambda v: [float("nan")] + v[1:], "Pi", "re"),
+    "Un im entry infinite": _set(lambda v: [float("inf")] + v[1:], "Un", "im"),
+    "Pi im entry beyond the float range": _set(lambda v: [10 ** 400] + v[1:], "Pi", "im"),
+    "construction residuals not an object": _set([0.0], "construction_residuals"),
+    "construction residual not finite": _set(lambda r: {**r, "eq_Cn": float("nan")},
+                                             "construction_residuals"),
+    "construction residual a string": _set(lambda r: {**r, "eq_Cn": "0"},
+                                           "construction_residuals"),
     "tails too short": _set(lambda t: t[:-1], "tails"),
     "tails not numbers": _set(lambda t: ["x"] * len(t), "tails"),
     "tails not finite": _set(lambda t: [float("nan")] + t[1:], "tails"),
@@ -192,10 +227,16 @@ def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U1", "Un", "Pi",
-                        "tails", "equality_residual"}
+                        "tails", "construction_residuals"}
     assert doc["tuple"]["schema_version"] == 1
+    cells, coeff = doc["dims"]["cells"], doc["dims"]["coeff"]
+    assert doc["Pi"]["shape"] == [cells * coeff, 1]
+    assert len(doc["Pi"]["re"]) == len(doc["Pi"]["im"]) == cells * coeff
+    assert doc["tuple"]["matrices"][0][0] == [[[0.5, 0.0]]]  # tuples keep [re, im] pairs
+    text = model_path.read_text()
+    assert "\n" not in text.rstrip("\n") and ", " not in text and ": " not in text
 
 
 @pytest.mark.parametrize("config", [BuildConfig(), BuildConfig(aux_pad=1, completion_seed=7)],
@@ -249,6 +290,44 @@ def test_verify_requires_source(capsys):
     assert main(["verify"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["dilate", "-i", "{tuple}", "--bogus"],
+                                  ["dilate", "-i", "{tuple}", "--degree", "abc"],
+                                  ["classify"], ["dilate"], ["frobnicate"]],
+                         ids=["unknown option", "bad int", "classify without -i",
+                              "dilate without -i", "unknown command"])
+def test_usage_error_is_input_error(triple_file, capsys, argv):
+    # exit 2 means "not in class" here, so argparse's usage exit 2 becomes 1
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tuple=triple_file) for a in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: dilation-forge") and "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_version_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("dilation-forge ")
+
+
+def test_model_file_keeps_construction_residuals(tmp_path, triple_file, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
+    residuals = assemble_model(scalar_triple(), N=3).transfer.residuals
+    assert "defect_equality" in residuals and "eq_Cn" in residuals
+    assert json.loads(model_path.read_text())["construction_residuals"] == residuals
+    assert load_model(str(model_path)).transfer.residuals == residuals
+    capsys.readouterr()
+    assert main(["verify", "-m", str(model_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    start = out.index("construction self-check residuals:")
+    assert [line.split()[0] for line in out[start + 1:start + 1 + len(residuals)]] == \
+        sorted(residuals)
+    assert out[start + 1 + len(residuals)] == "verification residuals:"
+
+
 def test_json_format_output(triple_file, capsys):
     assert main(["classify", "-i", triple_file, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -275,6 +354,13 @@ TUPLE_FILE_DEFECTS = {
     "matrix a vector": _set(lambda m: [[[[0.0, 0.0]] * 4]] + m[1:], "matrices"),
     "matrix entry not finite": _set(lambda m: [[[[[float("nan"), 0.0]] * 4] * 4]] + m[1:],
                                     "matrices"),
+    "matrix entry a bool": _set(lambda m: [[[[[False, 0.0]] * 4] * 4]] + m[1:], "matrices"),
+    "matrix entry a numeric string": _set(lambda m: [[[[["0", 0.0]] * 4] * 4]] + m[1:],
+                                          "matrices"),
+    "matrix entry beyond the float range": _set(lambda m: [[[[[0.0, 10 ** 400]] * 4] * 4]]
+                                                + m[1:], "matrices"),
+    "phase entry a bool": _set([[[True, 0.0] if i == j else [1.0, 0.0] for j in range(3)]
+                                for i in range(3)], "phases"),
 }
 
 

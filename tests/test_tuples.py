@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilation_forge.errors import MalformedSpec, UnsupportedMultiplicity
-from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
+from dilation_forge.generators import (STYLES, parrott_tuple, random_tuple, scalar_triple,
+                                       zero_tuple)
 from dilation_forge.linalg import adj, kron
-from dilation_forge.tuples import (AlgebraStructure, TupleSpec, classify, cp_map_matrix,
-                                   is_pure, merge_1n, szego_operator, validate)
+from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify,
+                                   cp_map_matrix, is_pure, merge_1n, szego_operator, validate)
 
 
 def subset_product(spec, G):
@@ -273,3 +274,43 @@ def test_nested_szego_matches_subset_sum(case):
     spec, S = case
     ref = subset_sum_szego(spec, set(S))
     assert np.linalg.norm(szego_operator(spec, S) - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+def _scaled(spec, factor):
+    return TupleSpec(n=spec.n, dimH=spec.dimH, d=spec.d,
+                     blocks=[[factor * t for t in row] for row in spec.blocks],
+                     phases=spec.phases, algebra=spec.algebra)
+
+
+def _gate_cases():
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    cases = {"parrott": parrott_tuple(),
+             "non-commuting": TupleSpec.from_operators([0.2 * e12, 0.2 * e12.T, 0.2 * np.eye(2)]),
+             "non-contraction": TupleSpec.from_operators([[[1.5]], [[0.5]], [[0.3]]]),
+             "not pure": TupleSpec.from_operators([[[1.0]], [[0.5]]]),
+             "non-covariant": TupleSpec.from_operators(
+                 [0.2 * e12, 0.3 * e12],
+                 algebra=AlgebraStructure(k=2, block_of=[0, 1], automorphisms=[[0, 1], [0, 1]])),
+             "d = 2": TupleSpec(n=2, dimH=2, d=2, blocks=[[0.3 * np.eye(2)] * 2] * 2)}
+    for style in STYLES:
+        for seed in range(3):
+            spec = random_tuple(style, 3, 3, seed=seed)
+            cases[f"{style}-{seed}"] = spec
+            cases[f"{style}-{seed} x2.5"] = _scaled(spec, 2.5)
+    return cases
+
+
+GATE_CASES = _gate_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CASES))
+def test_class_gate_agrees_with_classify(name):
+    spec = GATE_CASES[name]
+    gate, sq_hat1, sq_hatn = class_gate(spec)
+    full = classify(spec)
+    assert gate.in_T1n == full.in_T1n
+    assert gate.failing_conditions() == full.failing_conditions()
+    assert gate.szego_full is None and gate.gkvw == {}
+    assert gate.to_dict() == {**full.to_dict(), "szego_full": None, "gkvw": {}}
+    assert np.array_equal(sq_hat1, szego_operator(spec, range(2, spec.n + 1)))
+    assert np.array_equal(sq_hatn, szego_operator(spec, range(1, spec.n)))
