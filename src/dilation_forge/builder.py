@@ -538,11 +538,9 @@ def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: Coeffici
 def build_Pi(merged: TupleSpec, defects: dict, coupling: CouplingData,
              fock: FockModel) -> tuple[np.ndarray, np.ndarray]:
     """Dilation map Pi: H -> F_N(E) (x) D and its exact per-basis-vector tail."""
-    memo = ordered_power_products(merged, fock.cells.tolist())
     vdhat = coupling.V @ (adj(defects["hat1n"].space.basis) @ defects["hat1n"].root)
-    rows = [vdhat @ memo[tuple(alpha)] for alpha in fock.cells.tolist()]
-    tails = truncation_tails(merged, defects["hat1n"].root, fock.N)
-    return np.vstack(rows), tails
+    pi = (vdhat @ ordered_power_products(merged, fock.cells)).reshape(-1, merged.dimH)
+    return pi, truncation_tails(merged, defects["hat1n"].root, fock.N)
 
 
 def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
@@ -571,13 +569,10 @@ def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.nda
 
 
 def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
-    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over |alpha| <= N, the
-    cells that the power-product memo holds, in the order of ``enumerate_indices``."""
-    memo = ordered_power_products(merged, enumerate_indices(merged.n, N).tolist())
-    mass = np.zeros(merged.dimH)
-    for power in memo.values():
-        mass += np.sum(np.abs(dhat_root @ power) ** 2, axis=0)
-    return mass
+    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over |alpha| <= N, one
+    power-table row per cell of ``enumerate_indices``."""
+    table = ordered_power_products(merged, enumerate_indices(merged.n, N))
+    return np.sum(np.abs(dhat_root @ table) ** 2, axis=1).sum(axis=0)
 
 
 def assemble_model(spec: TupleSpec, N: int = 4,

@@ -65,6 +65,27 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
+def _row_index(cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Position in ``cells`` of each of ``rows``; a row it does not hold gets some position."""
+    keys = _row_keys(cells)
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys, _row_keys(rows), sorter=order).clip(max=len(keys) - 1)]
+
+
+def parent_rows(cells: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per row alpha of ``cells``: the slot s of its first (``last``: last)
+    non-zero entry and the row of alpha - e_s, which ``cells`` must hold.
+    A zero row is its own parent."""
+    nonzero = cells > 0
+    slot = cells.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1) if last else \
+        np.argmax(nonzero, axis=1)
+    lower = cells - np.eye(cells.shape[1], dtype=int)[slot] * nonzero
+    parent = _row_index(cells, lower)
+    if not (cells[parent] == lower).all():
+        raise DimensionMismatch("a multi-index minus its unit is not among the cells")
+    return slot, parent
+
+
 @dataclass
 class FockModel:
     """Index bookkeeping for the truncated Fock space F_N(E) (x) D: the cells
@@ -97,10 +118,7 @@ class FockModel:
     def successor(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Cells alpha with |alpha| < N and the cells alpha + e_s they shift to."""
         src = np.flatnonzero(self.cells.sum(axis=1) < self.N)
-        keys = _row_keys(self.cells)
-        order = np.argsort(keys)
-        shifted = _row_keys(self.cells[src] + np.eye(self.m, dtype=int)[s])
-        return src, order[np.searchsorted(keys, shifted, sorter=order)]
+        return src, _row_index(self.cells, self.cells[src] + np.eye(self.m, dtype=int)[s])
 
 
 class FockOperator:

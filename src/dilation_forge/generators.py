@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenerationFailed
-from .tuples import AlgebraStructure, TupleSpec, classify
+from .tuples import AlgebraStructure, TupleSpec, class_gate
 
 STYLES = ("jointly-nilpotent", "scaled-commuting", "u-commuting", "covariant")
 MARGIN = 1e-6  # minimum Szego eigenvalue and purity gap required of generated tuples
@@ -22,11 +22,11 @@ def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _scale_into_class(ops, phases=None, algebra=None, max_tries: int = 60) -> TupleSpec:
-    """Shrink all operators geometrically until classification passes with margin."""
+    """Shrink all operators geometrically until the class gate passes with margin."""
     scale = 1.0
     for _ in range(max_tries):
         spec = TupleSpec.from_operators([scale * t for t in ops], phases=phases, algebra=algebra)
-        report = classify(spec)
+        report, _, _ = class_gate(spec)
         radii_ok = all(r <= 1.0 - MARGIN for r in report.purity_radii[:-1])
         szego_ok = (report.szego_hat1.min_eig >= MARGIN and report.szego_hatn.min_eig >= MARGIN)
         if report.in_T1n and report.is_contraction_tuple and radii_ok and szego_ok:

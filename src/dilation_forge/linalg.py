@@ -29,7 +29,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def adj(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frob(a: np.ndarray) -> float:

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MalformedSpec, UnsupportedMultiplicity
+from .fock import parent_rows
 from .linalg import PsdReport, adj, as_matrix, frob, kron, psd_check
 
 PURITY_TOL = 1e-8
@@ -74,7 +75,7 @@ class AlgebraStructure:
             if compose_perm(a, b) != compose_perm(b, a):
                 raise MalformedSpec("automorphisms must pairwise commute")
 
-    def projection(self, p: int, dimH: int) -> np.ndarray:
+    def projection(self, p: int) -> np.ndarray:
         """Matrix of sigma(e_p): diagonal indicator of block p."""
         d = np.asarray([1.0 if b == p else 0.0 for b in self.block_of], dtype=complex)
         return np.diag(d)
@@ -250,8 +251,8 @@ def validate(spec: TupleSpec, tol: float = CONTRACTION_TOL) -> ClassReport:
             inv = invert_perm(alg.automorphisms[i - 1])
             for p in range(alg.k):
                 # sigma(alpha_i(e_p)) = sigma(e_{a^{-1}(p)})
-                lhs = t @ alg.projection(inv[p], spec.dimH)
-                rhs = alg.projection(p, spec.dimH) @ t
+                lhs = t @ alg.projection(inv[p])
+                rhs = alg.projection(p) @ t
                 resid = max(resid, frob(lhs - rhs))
         report.covariance_residual = resid
     return report
@@ -367,26 +368,23 @@ def merge_1n(spec: TupleSpec) -> TupleSpec:
                      phases=phases, algebra=algebra)
 
 
-def ordered_power_products(spec: TupleSpec, indices: list[tuple[int, ...]]) -> dict:
-    """Memoized adjoint products T^{*(alpha)} for d = 1 multi-indices.
+def ordered_power_products(spec: TupleSpec, cells) -> np.ndarray:
+    """Adjoint power products (T^{(alpha)})* for d = 1, one per row of ``cells``.
 
-    T^{(alpha)} = t_1^{a_1} t_2^{a_2} ... with slot-1 powers leftmost; the
-    returned map holds the adjoints (T^{(alpha)})*.
+    T^{(alpha)} = t_1^{a_1} t_2^{a_2} ... with slot-1 powers leftmost.  Row r
+    of the (rows, dimH, dimH) table is (T^{(alpha_r)})* = (T^{(alpha_r - e_s)})*
+    t_s*, s the first non-zero slot, one batched product per degree; the rows
+    may come in any order but must hold each alpha - e_s (``fock.parent_rows``).
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("power products require d = 1")
-    ops = [spec.op(i) for i in range(1, spec.n + 1)]
-    memo: dict[tuple[int, ...], np.ndarray] = {tuple([0] * spec.n): np.eye(spec.dimH, dtype=complex)}
-    for alpha in indices:
-        _fill_power(memo, ops, tuple(int(v) for v in alpha))
-    return memo
-
-
-def _fill_power(memo: dict, ops: list, alpha: tuple[int, ...]) -> np.ndarray:
-    # a module function, not a closure over memo: a closure that calls itself
-    # is a reference cycle, which keeps the memo alive until a full collection
-    if alpha not in memo:
-        s = next(k for k, v in enumerate(alpha) if v > 0)
-        prev = alpha[:s] + (alpha[s] - 1,) + alpha[s + 1:]
-        memo[alpha] = _fill_power(memo, ops, prev) @ adj(ops[s])
-    return memo[alpha]
+    cells = np.asarray(cells, dtype=int)
+    slot, parent = parent_rows(cells)
+    tadj = adj(np.array([row[0] for row in spec.blocks]))
+    degree = cells.sum(axis=1)
+    table = np.empty((len(cells), spec.dimH, spec.dimH), dtype=complex)
+    table[degree == 0] = np.eye(spec.dimH)
+    for k in range(1, degree.max(initial=0) + 1):
+        rows = np.flatnonzero(degree == k)
+        table[rows] = table[parent[rows]] @ tadj[slot[rows]]
+    return table

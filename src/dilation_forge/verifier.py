@@ -18,7 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import FockOperator, enumerate_indices, interior_cells, interior_projector, terms_norm
+from .fock import (FockOperator, enumerate_indices, interior_cells, interior_projector,
+                   parent_rows, terms_norm)
 from .linalg import adj, eye, rel_residual
 from .tuples import invert_perm, ordered_power_products
 
@@ -135,32 +136,32 @@ def verify_isometric_representation(model: DilationModel) -> dict:
 def verify_moments(model: DilationModel, maxdeg: int = 3) -> dict:
     """Brute-force oracle <Pi h, V^beta Pi g> = <h, T^beta g> over all basis pairs.
 
-    V^beta = V_1^{beta_1} ... V_n^{beta_n}.  One memo holds (V^beta)* Pi =
-    V_s* (V^{beta - e_s})* Pi, s the last non-zero slot of beta, which gives
-    both sides: Pi* V^beta Pi = ((V^beta)* Pi)* Pi.
-    ``tuples.ordered_power_products`` gives (T^beta)*.  At
-    finite truncation the identity can only hold up to the dropped mass, so
-    the entry comes with a computed ``moment_allowance``: the spectral defect
-    of Pi*Pi plus the largest operator-norm gap between V^beta* Pi and
-    Pi T^beta*.  Both vanish when the tuple is nilpotent enough
-    for the truncation to be exact.
+    V^beta = V_1^{beta_1} ... V_n^{beta_n}.  One (betas, dim, dimH) memo over
+    the rows of ``enumerate_indices(n, maxdeg)`` holds (V^beta)* Pi =
+    V_s* (V^{beta - e_s})* Pi, s the last non-zero slot of beta, from one
+    ``apply_adj`` per (degree, s) group on its predecessors side by side.  It
+    gives both sides, Pi* V^beta Pi = ((V^beta)* Pi)* Pi, and
+    ``tuples.ordered_power_products`` gives (T^beta)* on the same rows.  At
+    finite truncation the identity holds only up to the dropped mass, so the
+    entry comes with a computed ``moment_allowance``: the spectral defect of
+    Pi*Pi plus the largest operator-norm gap between V^beta* Pi and Pi T^beta*,
+    from the gaps' dimH x dimH Gram eigenvalues.  Both vanish when the tuple
+    is nilpotent enough for the truncation to be exact.
     """
     spec, pi, ws = model.spec, model.Pi, model.isometries
-    maxdeg = min(maxdeg, max(model.N - 1, 0))
-    betas = [tuple(beta) for beta in enumerate_indices(spec.n, maxdeg).tolist()]
+    betas = enumerate_indices(spec.n, min(maxdeg, max(model.N - 1, 0)))
     tadj = ordered_power_products(spec, betas)
-    backward = {betas[0]: pi}
-    for beta in betas[1:]:
-        s = max(k for k, v in enumerate(beta) if v > 0)
-        backward[beta] = ws[s].apply_adj(backward[beta[:s] + (beta[s] - 1,) + beta[s + 1:]])
-    residual = 0.0
-    gap = 0.0
-    for beta, back in backward.items():
-        delta = adj(back) @ pi - adj(tadj[beta])
-        residual = max(residual, float(np.max(np.abs(delta))))
-        if sum(beta) > 0:
-            diff = back - pi @ tadj[beta]
-            gap = max(gap, float(np.linalg.norm(diff, 2)))
+    slot, parent = parent_rows(betas, last=True)
+    group = betas.sum(axis=1) * spec.n + slot  # (degree, slot) pairs, in degree order
+    back = np.empty((len(betas),) + pi.shape, dtype=complex)
+    back[0] = pi
+    for g in np.unique(group[1:]):
+        rows, s = np.flatnonzero(group == g), g % spec.n
+        cols = back[parent[rows]].transpose(1, 0, 2).reshape(len(pi), -1)
+        back[rows] = ws[s].apply_adj(cols).reshape(len(pi), len(rows), -1).transpose(1, 0, 2)
+    residual = float(np.max(np.abs(adj(back) @ pi - adj(tadj))))
+    diff = back[1:] - pi @ tadj[1:]
+    gap = float(np.sqrt(np.max(np.linalg.eigvalsh(adj(diff) @ diff), initial=0.0)))
     gram_defect = eye(spec.dimH) - adj(pi) @ pi
     lam = float(max(0.0, np.max(np.linalg.eigvalsh(0.5 * (gram_defect + adj(gram_defect))))))
     return {"moment_match": residual, "moment_allowance": gap + lam}

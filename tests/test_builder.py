@@ -7,6 +7,7 @@ from dilation_forge.builder import (BuildConfig, assemble_model, build_defects,
                                     build_transfer, build_U, build_V0, coefficient_layout,
                                     defect_frames, simplex_mass, solve_aux, truncation_tails)
 from dilation_forge.errors import InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity
+from dilation_forge.fock import enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj
 from dilation_forge.tuples import AlgebraStructure, TupleSpec, ordered_power_products
@@ -249,12 +250,44 @@ def box_indices(m, kmax):
     return out
 
 
+def dict_power_products(spec, indices):
+    """Reference memo: (T^alpha)* keyed by tuple, each from alpha minus its
+    first unit by recursion, in the order the indices are first reached."""
+    ops = [spec.op(i) for i in range(1, spec.n + 1)]
+    memo = {tuple([0] * spec.n): np.eye(spec.dimH, dtype=complex)}
+    for alpha in indices:
+        _fill_power(memo, ops, tuple(int(v) for v in alpha))
+    return memo
+
+
+def _fill_power(memo, ops, alpha):
+    if alpha not in memo:
+        s = next(k for k, v in enumerate(alpha) if v > 0)
+        prev = alpha[:s] + (alpha[s] - 1,) + alpha[s + 1:]
+        memo[alpha] = _fill_power(memo, ops, prev) @ adj(ops[s])
+    return memo[alpha]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_power_table_matches_dict_memo(m):
+    rng = np.random.default_rng(m)
+    ops = [(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 3 for _ in range(m)]
+    spec = TupleSpec.from_operators(ops)
+    for N in range(7):
+        for cells in (enumerate_indices(m, N), box_indices(m, N)):
+            table = ordered_power_products(spec, cells)
+            memo = dict_power_products(spec, cells)
+            ref = np.array([memo[tuple(alpha)] for alpha in np.asarray(cells).tolist()])
+            assert table.shape == ref.shape
+            assert np.linalg.norm(table - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
 def box_enumeration_tails(merged, dhat_root, N):
     """Reference tails: the 2^m telescoping of the (N+1)^m box partial sum,
-    minus the box cells above degree N, each cell from the power-product memo."""
+    minus the box cells above degree N, each cell a row of the power table."""
     m, dim = merged.n, merged.dimH
     cells = box_indices(m, N)
-    memo = ordered_power_products(merged, cells)
+    table = ordered_power_products(merged, cells)
     tele = np.zeros(dim)
     for mask in range(1, 2 ** m):
         members = [s for s in range(m) if mask >> s & 1]
@@ -264,9 +297,9 @@ def box_enumeration_tails(merged, dhat_root, N):
         power = np.linalg.matrix_power(tg, N + 1)
         tele -= (-1.0) ** len(members) * np.sum(np.abs(power) ** 2, axis=1)
     excess = np.zeros(dim)
-    for alpha in cells:
+    for row, alpha in enumerate(cells):
         if sum(alpha) > N:
-            excess += np.sum(np.abs(dhat_root @ memo[alpha]) ** 2, axis=0)
+            excess += np.sum(np.abs(dhat_root @ table[row]) ** 2, axis=0)
     return tele + excess
 
 

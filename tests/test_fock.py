@@ -6,7 +6,7 @@ import pytest
 
 from dilation_forge.errors import DimensionMismatch
 from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
-                                 interior_cells, interior_projector, terms_norm)
+                                 interior_cells, interior_projector, parent_rows, terms_norm)
 from dilation_forge.linalg import adj
 
 
@@ -111,6 +111,26 @@ def test_successor_matches_position_lookup(m, N):
         ref = [(c, position[a[:s] + (a[s] + 1,) + a[s + 1:]])
                for c, a in enumerate(index_list(model)) if sum(a) < N]
         assert list(zip(src.tolist(), dst.tolist())) == ref
+
+
+@pytest.mark.parametrize("m,N", [(1, 0), (1, 3), (2, 4), (3, 3), (5, 2)])
+def test_parent_rows_drop_first_or_last_unit(m, N):
+    cells = enumerate_indices(m, N)
+    rows = [tuple(a) for a in cells.tolist()]
+    for last in (False, True):
+        slot, parent = parent_rows(cells, last=last)
+        for r, a in enumerate(rows):
+            if not any(a):
+                assert parent[r] == r
+                continue
+            s = [k for k, v in enumerate(a) if v][-1 if last else 0]
+            assert slot[r] == s
+            assert rows[parent[r]] == a[:s] + (a[s] - 1,) + a[s + 1:]
+
+
+def test_parent_rows_need_every_parent():
+    with pytest.raises(DimensionMismatch):
+        parent_rows(np.array([[0, 0], [2, 1]]))
 
 
 def test_enumerate_count_formula():
