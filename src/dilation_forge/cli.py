@@ -14,6 +14,7 @@ ones stored in the model file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -178,7 +179,9 @@ def cmd_demo(args) -> int:
     return EXIT_OK if report.passed else EXIT_NOT_IN_CLASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``main`` runs ``cmd_<command>`` as found at call time."""
     parser = _Parser(
         prog="dilation-forge",
         description="Classify tuples of (u-)commuting contractions and construct/verify "
@@ -195,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="test membership in the dilatable class")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dilate", help="construct the dilation model "
                        "(cost grows like C(n-1+N, n-1) * dim D)")
@@ -204,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux-pad", type=int, default=0, help="extra auxiliary padding")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for an alternative (still valid) unitary completion")
-    p.set_defaults(func=cmd_dilate)
 
     p = sub.add_parser("verify", help="run the full identity verifier")
     common(p, needs_input=False)
@@ -213,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--aux-pad", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="generate a seeded example tuple")
     p.add_argument("--style", choices=STYLES, default="jointly-nilpotent")
@@ -221,11 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimH", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", help="write tuple JSON here")
-    p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("demo", help="run the worked scalar-triple example")
     p.add_argument("--degree", type=int, default=4)
-    p.set_defaults(func=cmd_demo)
     return parser
 
 
@@ -239,7 +237,7 @@ def main(argv=None) -> int:
         print(f"error: --degree must be at least 1, got {args.degree}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

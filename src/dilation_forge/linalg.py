@@ -37,6 +37,14 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a)) if a.size else 0.0
 
 
+def frob_stack(a: np.ndarray) -> np.ndarray:
+    """``frob`` of each matrix in a stack, bit for bit: a row-times-column matmul
+    sums the squares with the same BLAS dot that ``np.linalg.norm`` uses."""
+    row = a.reshape(*a.shape[:-2], 1, -1)
+    col = row.swapaxes(-1, -2)
+    return np.sqrt((row.real @ col.real + row.imag @ col.imag)[..., 0, 0])
+
+
 def rel_residual(delta: np.ndarray, reference: np.ndarray) -> float:
     """Frobenius norm of ``delta`` relative to max(1, ||reference||_F)."""
     return frob(delta) / max(1.0, frob(reference))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MalformedSpec, UnsupportedMultiplicity
 from .fock import parent_rows
-from .linalg import PsdReport, adj, as_matrix, frob, kron, psd_check
+from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, kron, psd_check
 
 PURITY_TOL = 1e-8
 CONTRACTION_TOL = 1e-10
@@ -66,19 +66,15 @@ class AlgebraStructure:
             raise MalformedSpec("algebra k, block_of and automorphism entries must be integers")
         self.block_of = [int(b) for b in self.block_of]
         self.automorphisms = [[int(v) for v in a] for a in self.automorphisms]
-        if any(not 0 <= b < self.k for b in self.block_of):
-            raise MalformedSpec("block_of entries must lie in 0..k-1")
+        if self.k < 1 or any(not 0 <= b < self.k for b in self.block_of):
+            raise MalformedSpec("k must be positive and block_of entries must lie in 0..k-1")
         for i, a in enumerate(self.automorphisms):
             if len(a) != self.k or sorted(a) != list(range(self.k)):
                 raise MalformedSpec(f"automorphism {i} is not a permutation of 0..k-1")
-        for a, b in itertools.combinations(self.automorphisms, 2):
-            if compose_perm(a, b) != compose_perm(b, a):
-                raise MalformedSpec("automorphisms must pairwise commute")
-
-    def projection(self, p: int) -> np.ndarray:
-        """Matrix of sigma(e_p): diagonal indicator of block p."""
-        d = np.asarray([1.0 if b == p else 0.0 for b in self.block_of], dtype=complex)
-        return np.diag(d)
+        auto = np.array(self.automorphisms, dtype=int).reshape(len(self.automorphisms), self.k)
+        # auto[:, auto][i, j] is a_i o a_j
+        if not np.array_equal(auto[:, auto], auto[:, auto].transpose(1, 0, 2)):
+            raise MalformedSpec("automorphisms must pairwise commute")
 
 
 @dataclass
@@ -146,10 +142,6 @@ class TupleSpec:
         if self.d != 1:
             raise UnsupportedMultiplicity("op() requires d = 1")
         return self.blocks[i - 1][0]
-
-    def row(self, i: int) -> np.ndarray:
-        """The row operator (T_{i,1} ... T_{i,d}) of shape dimH x d*dimH, 1-based."""
-        return np.hstack(self.blocks[i - 1])
 
     def u(self, i: int, j: int) -> complex:
         """Phase with t_i t_j = u(i,j) t_j t_i (1-based, all pairs)."""
@@ -224,53 +216,55 @@ def validate(spec: TupleSpec, tol: float = CONTRACTION_TOL) -> ClassReport:
     tol * max(1, max_i ||T_i||^2), the scale of the products they compare.
     """
     report = ClassReport()
-    report.row_norms = [float(np.linalg.norm(spec.row(i), 2)) for i in range(1, spec.n + 1)]
+    t = np.array(spec.blocks)  # (n, d, dimH, dimH)
+    rows = t.transpose(0, 2, 1, 3).reshape(spec.n, spec.dimH, -1)  # row i is (T_{i,1} ... T_{i,d})
+    report.row_norms = np.linalg.norm(rows, 2, axis=(1, 2)).tolist()
     report.is_contraction_tuple = all(nrm <= 1.0 + tol for nrm in report.row_norms)
     report.structure_gate = tol * max(1.0, max(report.row_norms) ** 2)
 
-    resid = 0.0
+    # prod[i, a, j, b] = T_{i,a} T_{j,b}; compared with T_{j,b} T_{i,a} (times u_ij for d = 1)
+    prod = t[:, :, None, None] @ t[None, None]
+    swapped = prod.transpose(2, 3, 0, 1, 4, 5)
     if spec.d == 1:
-        for i in range(1, spec.n + 1):
-            for j in range(1, spec.n + 1):
-                if i == j:
-                    continue
-                ti, tj = spec.op(i), spec.op(j)
-                resid = max(resid, frob(ti @ tj - spec.u(i, j) * (tj @ ti)))
-    else:
-        for i, j in itertools.combinations(range(1, spec.n + 1), 2):
-            for a in spec.blocks[i - 1]:
-                for b in spec.blocks[j - 1]:
-                    resid = max(resid, frob(a @ b - b @ a))
-    report.commutation_residual = resid
+        swapped = spec.phases[:, None, :, None, None, None] * swapped
+    resid = frob_stack(prod - swapped)
+    # the diagonal phases are only within 1e-12 of 1, so i == j is masked, not cancelled
+    resid[range(spec.n), :, range(spec.n)] = 0.0
+    report.commutation_residual = float(resid.max())
 
     if spec.algebra is not None:
         alg = spec.algebra
-        resid = 0.0
-        for i in range(1, spec.n + 1):
-            t = spec.op(i)
-            inv = invert_perm(alg.automorphisms[i - 1])
-            for p in range(alg.k):
-                # sigma(alpha_i(e_p)) = sigma(e_{a^{-1}(p)})
-                lhs = t @ alg.projection(inv[p])
-                rhs = alg.projection(p) @ t
-                resid = max(resid, frob(lhs - rhs))
-        report.covariance_residual = resid
+        # t_i sigma(e_{a_i^-1(p)}) - sigma(e_p) t_i has entries t_ab ([blk_b = a_i^-1(p)] - [blk_a = p])
+        inv = np.argsort(alg.automorphisms, axis=1)[:, :, None, None]  # (n, k, 1, 1)
+        blk = np.asarray(alg.block_of)
+        mask = (blk == inv) != (blk[:, None] == np.arange(alg.k)[:, None, None])  # (n, k, a, b)
+        report.covariance_residual = float(frob_stack(np.where(mask, t[:, :1], 0.0)).max())
     return report
 
 
 def cp_apply(spec: TupleSpec, i: int, x: np.ndarray) -> np.ndarray:
-    """phi_i(X) = sum_j T_{i,j} X T_{i,j}*, the completely positive map of index i."""
+    """phi_i(X) = sum_j T_{i,j} X T_{i,j}*, the CP map of index i, of X or of each X in a stack."""
     return sum(t @ x @ adj(t) for t in spec.blocks[i - 1])
+
+
+def szego_operators(spec: TupleSpec, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """The Szego operators of ``subsets``, one ``szego_operator`` per row of a
+    (len(subsets), dimH, dimH) stack, from one recursion over i = n..1 that
+    keeps (id - phi_i)(X) on the rows whose subset holds i."""
+    member = np.zeros((len(subsets), spec.n + 1, 1, 1), dtype=bool)
+    for r, S in enumerate(subsets):
+        member[r, list(S)] = True
+    x = np.tile(np.eye(spec.dimH, dtype=complex), (len(subsets), 1, 1))
+    for i in range(spec.n, 0, -1):
+        x = np.where(member[:, i], x - cp_apply(spec, i, x), x)
+    return x
 
 
 def szego_operator(spec: TupleSpec, S: Sequence[int]) -> np.ndarray:
     """Szego operator sum_{G subset S} (-1)^|G| T_G T_G* (G ascending), as the
     nested (id - phi_{s_1}) o ... o (id - phi_{s_r})(I) over s_1 < ... < s_r;
     it expands to exactly that ordered sum for any tuple, commuting or not."""
-    x = np.eye(spec.dimH, dtype=complex)
-    for i in sorted(set(S), reverse=True):
-        x = x - cp_apply(spec, i, x)
-    return x
+    return szego_operators(spec, [S])[0]
 
 
 def cp_map_matrix(spec: TupleSpec, i: int) -> np.ndarray:
@@ -281,19 +275,24 @@ def cp_map_matrix(spec: TupleSpec, i: int) -> np.ndarray:
     return phi
 
 
-def is_pure(spec: TupleSpec, i: int, tol: float = PURITY_TOL) -> tuple[bool, float]:
-    """Purity of index i via the spectral radius of its completely positive map.
+def purity_radii(spec: TupleSpec, indices: Sequence[int]) -> list[float]:
+    """Spectral radii of the completely positive maps of ``indices`` (1-based).
 
     In finite dimension the powers of the CP map applied to the identity tend
     to zero exactly when the spectral radius is below one, which is the
     weak-operator purity condition.  For d = 1 the map is X -> t X t*, whose
     spectrum is {lambda conj(mu)} over the eigenvalues of t, so the radius is
-    r(t)^2 from a dimH x dimH eig instead of a dimH^2 x dimH^2 one.
+    r(t)^2, from one batched dimH x dimH eig instead of dimH^2 x dimH^2 ones.
     """
     if spec.d == 1:
-        radius = float(np.max(np.abs(np.linalg.eigvals(spec.op(i))))) ** 2
-    else:
-        radius = float(np.max(np.abs(np.linalg.eigvals(cp_map_matrix(spec, i)))))
+        ops = np.array([spec.op(i) for i in indices])
+        return (np.abs(np.linalg.eigvals(ops)).max(axis=-1) ** 2).tolist()
+    return [float(np.max(np.abs(np.linalg.eigvals(cp_map_matrix(spec, i))))) for i in indices]
+
+
+def is_pure(spec: TupleSpec, i: int, tol: float = PURITY_TOL) -> tuple[bool, float]:
+    """Purity of index i: the spectral radius of its CP map (``purity_radii``) is below one."""
+    radius = purity_radii(spec, [i])[0]
     return radius < 1.0 - tol, radius
 
 
@@ -306,16 +305,13 @@ def class_gate(spec: TupleSpec, tol: float = 1e-10) -> tuple[ClassReport, np.nda
     """
     report = validate(spec)
     all_idx = list(range(1, spec.n + 1))
-    sq_hat1 = szego_operator(spec, all_idx[1:])
-    sq_hatn = szego_operator(spec, all_idx[:-1])
+    sq_hat1, sq_hatn = szego_operators(spec, [all_idx[1:], all_idx[:-1]])
     report.szego_hat1 = psd_check(sq_hat1, tol)
     report.szego_hatn = psd_check(sq_hatn, tol)
 
-    for i in all_idx:
-        pure, radius = is_pure(spec, i)
-        report.pure_flags.append(pure)
-        report.purity_radii.append(radius)
-        report.purity_indeterminate.append(abs(radius - 1.0) <= PURITY_TOL)
+    report.purity_radii = purity_radii(spec, all_idx)
+    report.pure_flags = [radius < 1.0 - PURITY_TOL for radius in report.purity_radii]
+    report.purity_indeterminate = [abs(radius - 1.0) <= PURITY_TOL for radius in report.purity_radii]
     report.hatn_pure = all(report.pure_flags[:-1]) if spec.n > 1 else True
     report.in_T1n = not report.failing_conditions()
     return report, sq_hat1, sq_hatn
@@ -326,11 +322,12 @@ def classify(spec: TupleSpec, tol: float = 1e-10) -> ClassReport:
     operator and the GKVW table, neither of which feeds the verdict."""
     report, _, _ = class_gate(spec, tol)
     all_idx = list(range(1, spec.n + 1))
-    report.szego_full = psd_check(szego_operator(spec, all_idx), tol)
+    middle = all_idx[1:-1]
+    sq = szego_operators(spec, [all_idx] + [[i for i in all_idx if i != p] for p in middle])
+    report.szego_full = psd_check(sq[0], tol)
     # dropping index 1 or n leaves the hat1 or hatn tuple the gate has checked
     psd_without = {1: report.szego_hat1.is_psd, spec.n: report.szego_hatn.is_psd}
-    for p in all_idx[1:-1]:
-        psd_without[p] = psd_check(szego_operator(spec, [i for i in all_idx if i != p]), tol).is_psd
+    psd_without.update((p, psd_check(s, tol).is_psd) for p, s in zip(middle, sq[1:]))
     report.gkvw = {(p, q): (psd_without[p], psd_without[q])
                    for p, q in itertools.combinations(all_idx, 2)}
     return report

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dilation_forge import cli
 from dilation_forge.builder import BuildConfig, assemble_model
 from dilation_forge.cli import main
 from dilation_forge.generators import STYLES, parrott_tuple, random_tuple, scalar_triple
@@ -305,6 +306,27 @@ def test_usage_error_is_input_error(triple_file, capsys, argv):
     assert captured.out == ""
 
 
+def test_consecutive_calls_share_one_parser(tmp_path, triple_file, capsys, monkeypatch):
+    parrott = tmp_path / "parrott.json"
+    dump_json(tuple_to_dict(parrott_tuple()), str(parrott))
+    model_path = tmp_path / "model.json"
+    assert main(["classify", "-i", triple_file]) == 0
+    assert main(["classify", "-i", str(parrott)]) == 2
+    assert main(["dilate", "-i", triple_file, "--degree", "2", "-o", str(model_path)]) == 0
+    assert main(["verify", "-m", str(model_path)]) == 0
+    assert main(["random", "--n", "2", "--dimH", "2", "-o", str(tmp_path / "r.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["dilate", "-i", triple_file, "--degree", "abc"])
+    assert exc.value.code == 1
+    assert main(["verify", "-m", str(model_path)]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    # the command runs through the module's cmd_<command> as it is at call time
+    seen = []
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: seen.append(args.input) or 7)
+    assert main(["classify", "-i", triple_file]) == 7
+    assert seen == [triple_file]
+
+
 def test_version_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -348,6 +370,7 @@ TUPLE_FILE_DEFECTS = {
     "automorphism entry a float": _set(lambda a: [[1.0, 0]] + a[1:], "algebra", "automorphisms"),
     "automorphism too long": _set(lambda a: [[1, 0, 2]] + a[1:], "algebra", "automorphisms"),
     "k a bool": _set(True, "algebra", "k"),
+    "k negative, no labels": _set({"k": -1, "block_of": [], "automorphisms": []}, "algebra"),
     "d a bool": _set(True, "d"),
     "d a float": _set(1.0, "d"),
     "phases a vector": _set([[1.0, 0.0]] * 3, "phases"),

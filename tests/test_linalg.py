@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dilation_forge.errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
-from dilation_forge.linalg import (SubspaceBasis, adj, isometry_from_frames, kron,
-                                   orthogonal_complement, psd_check, psd_sqrt, range_basis)
+from dilation_forge.linalg import (SubspaceBasis, adj, frob, frob_stack, isometry_from_frames,
+                                   kron, orthogonal_complement, psd_check, psd_sqrt, range_basis)
 
 
 def crandn(rng, shape):
@@ -34,6 +34,15 @@ def direct_sum(a, b):
     out[:a.shape[0], :a.shape[1]] = a
     out[a.shape[0]:, a.shape[1]:] = b
     return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_frob_stack_equals_frob_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    stack = crandn(rng, (4, 3, dim, dim)) * 10.0 ** rng.uniform(-16, 0, (4, 3, 1, 1))
+    norms = frob_stack(stack)
+    assert norms.shape == (4, 3)
+    assert norms.tolist() == [[frob(m) for m in row] for row in stack]
 
 
 def test_psd_check_identity():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from dilation_forge.errors import MalformedSpec, UnsupportedMultiplicity
 from dilation_forge.generators import (STYLES, parrott_tuple, random_tuple, scalar_triple,
                                        zero_tuple)
-from dilation_forge.linalg import adj, kron
+from dilation_forge.linalg import adj, frob, kron
 from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify,
-                                   cp_map_matrix, is_pure, merge_1n, szego_operator, validate)
+                                   cp_map_matrix, invert_perm, is_pure, merge_1n, szego_operator,
+                                   szego_operators, validate)
 
 
 def subset_product(spec, G):
@@ -21,7 +22,7 @@ def subset_product(spec, G):
     """
     result = np.eye(spec.dimH, dtype=complex)
     for g in reversed(list(G)):
-        row = spec.row(g)
+        row = np.hstack(spec.blocks[g - 1])
         result = row @ kron(np.eye(spec.d), result) if spec.d > 1 else row @ result
     return result
 
@@ -57,6 +58,17 @@ def test_malformed_specs():
                   phases=np.array([[-1.0]]))
     with pytest.raises(MalformedSpec):
         AlgebraStructure(k=2, block_of=[0, 1], automorphisms=[[0, 0]])
+    with pytest.raises(MalformedSpec):
+        AlgebraStructure(k=-1, block_of=[], automorphisms=[])
+
+
+def test_automorphisms_must_pairwise_commute():
+    # a transposition of {0, 1} and one of {1, 2} do not commute
+    with pytest.raises(MalformedSpec, match="pairwise commute"):
+        AlgebraStructure(k=3, block_of=[0, 1, 2], automorphisms=[[1, 0, 2], [0, 2, 1]])
+    # a 3-cycle, its inverse and the identity do
+    alg = AlgebraStructure(k=3, block_of=[0, 1, 2], automorphisms=[[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert alg.automorphisms == [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
 
 
 def test_subset_product_empty_and_scalars():
@@ -291,7 +303,8 @@ def _gate_cases():
              "non-covariant": TupleSpec.from_operators(
                  [0.2 * e12, 0.3 * e12],
                  algebra=AlgebraStructure(k=2, block_of=[0, 1], automorphisms=[[0, 1], [0, 1]])),
-             "d = 2": TupleSpec(n=2, dimH=2, d=2, blocks=[[0.3 * np.eye(2)] * 2] * 2)}
+             "d = 2": TupleSpec(n=2, dimH=2, d=2, blocks=[[0.3 * np.eye(2)] * 2] * 2),
+             "n = 1": TupleSpec.from_operators([0.5 * e12 + 0.3 * np.eye(2)])}
     for style in STYLES:
         for seed in range(3):
             spec = random_tuple(style, 3, 3, seed=seed)
@@ -314,3 +327,88 @@ def test_class_gate_agrees_with_classify(name):
     assert gate.to_dict() == {**full.to_dict(), "szego_full": None, "gkvw": {}}
     assert np.array_equal(sq_hat1, szego_operator(spec, range(2, spec.n + 1)))
     assert np.array_equal(sq_hatn, szego_operator(spec, range(1, spec.n)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("d", [1, 2])
+def test_szego_stack_matches_each_subset(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    blocks = [[0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(d)
+               for _ in range(d)] for _ in range(n)]
+    spec = TupleSpec(n=n, dimH=3, d=d, blocks=blocks)
+    subsets = [S for r in range(n + 1) for S in itertools.combinations(range(1, n + 1), r)]
+    stack = szego_operators(spec, subsets)
+    assert stack.shape == (len(subsets), 3, 3)
+    for S, row in zip(subsets, stack):
+        assert np.array_equal(row, szego_operator(spec, S)), S
+
+
+def reference_validate(spec, tol=1e-10):
+    """The per-pair loop ``validate`` replaced: (row_norms, commutation_residual,
+    covariance_residual, structure_gate), with the projections sigma(e_p) built here."""
+    idx = range(1, spec.n + 1)
+    norms = [float(np.linalg.norm(np.hstack(spec.blocks[i - 1]), 2)) for i in idx]
+    comm = 0.0
+    if spec.d == 1:
+        for i, j in itertools.permutations(idx, 2):
+            ti, tj = spec.op(i), spec.op(j)
+            comm = max(comm, frob(ti @ tj - spec.u(i, j) * (tj @ ti)))
+    else:
+        for i, j in itertools.combinations(idx, 2):
+            for a in spec.blocks[i - 1]:
+                for b in spec.blocks[j - 1]:
+                    comm = max(comm, frob(a @ b - b @ a))
+    cov = None
+    if spec.algebra is not None:
+        alg = spec.algebra
+        proj = [np.diag([1.0 if b == p else 0.0 for b in alg.block_of]).astype(complex)
+                for p in range(alg.k)]
+        cov = 0.0
+        for i in idx:
+            t, inv = spec.op(i), invert_perm(alg.automorphisms[i - 1])
+            for p in range(alg.k):
+                cov = max(cov, frob(t @ proj[inv[p]] - proj[p] @ t))
+    return norms, comm, cov, tol * max(1.0, max(norms) ** 2)
+
+
+def _validate_cases():
+    rng = np.random.default_rng(5)
+
+    def dense(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = dict(GATE_CASES)
+    cases["non-commuting d = 2"] = TupleSpec(n=3, dimH=3, d=2,
+                                             blocks=[[0.3 * dense(3, 3) for _ in range(2)]
+                                                     for _ in range(3)])
+    # t_i = P_i (x) c_i E12 with P_i[a_i[r], r] = 1 maps block a_i^-1(p) into block p
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for name, autos in (("k = 2", [[1, 0], [0, 1], [1, 0]]),
+                        ("k = 3", [[1, 2, 0], [0, 1, 2], [2, 0, 1]])):
+        k = len(autos[0])
+        alg = AlgebraStructure(k=k, block_of=[p for p in range(k) for _ in range(2)],
+                               automorphisms=autos)
+        spec = TupleSpec.from_operators([np.kron(np.eye(k)[:, a], (0.2 + 0.1 * s) * e12)
+                                         for s, a in enumerate(autos)], algebra=alg)
+        cases[f"covariant {name}"] = spec
+        ops = [spec.op(i) + 0.01 * dense(spec.dimH, spec.dimH) for i in range(1, 4)]
+        cases[f"perturbed covariant {name}"] = TupleSpec.from_operators(ops, algebra=spec.algebra)
+    # a commuting tuple whose diagonal phases sit just inside the 1e-12 gate
+    phases = np.ones((3, 3)) + 5e-13 * np.eye(3)
+    cases["diagonal phases 1 + 5e-13"] = TupleSpec.from_operators(
+        [np.diag(0.3 * dense(2)) for _ in range(3)], phases=phases)
+    return cases
+
+
+VALIDATE_CASES = _validate_cases()
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_validate_matches_per_pair_reference(name):
+    spec = VALIDATE_CASES[name]
+    rep = validate(spec)
+    norms, comm, cov, gate = reference_validate(spec)
+    assert rep.row_norms == norms
+    assert rep.commutation_residual == comm
+    assert rep.covariance_residual == cov
+    assert rep.structure_gate == gate
