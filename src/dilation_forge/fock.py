@@ -23,7 +23,10 @@ With an all-ones table both conventions are the plain shift.
 Every Fock operator of the construction is a ``FockOperator``: a block on
 each cell plus a block carried one cell up in a single slot, with per-cell
 phases.  It is applied, and composed with another operator, cell by cell and
-never stored as a dim x dim matrix.
+never stored as a dim x dim matrix.  A ``TermTable`` holds the blocks of
+several operators at once, so that any list of pairwise products is one
+gather and one batched block product, and ``group_norms`` measures any number
+of such composites in one reduction.
 """
 
 from __future__ import annotations
@@ -115,10 +118,20 @@ class FockModel:
         """prod_s costs[s]^alpha_s for every cell alpha."""
         return np.prod(np.asarray(costs, dtype=complex) ** self.cells, axis=1)
 
+    @cached_property
+    def successors(self) -> np.ndarray:
+        """Read-only (m, cells) table: entry (s, alpha) is the cell alpha + e_s,
+        or -1 where |alpha| = N; from one sort of the cell keys."""
+        shifted = self.cells + np.eye(self.m, dtype=int)[:, None, :]
+        table = _row_index(self.cells, shifted.reshape(-1, self.m)).reshape(self.m, -1)
+        table[:, self.cells.sum(axis=1) == self.N] = -1
+        table.setflags(write=False)
+        return table
+
     def successor(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Cells alpha with |alpha| < N and the cells alpha + e_s they shift to."""
-        src = np.flatnonzero(self.cells.sum(axis=1) < self.N)
-        return src, _row_index(self.cells, self.cells[src] + np.eye(self.m, dtype=int)[s])
+        src = np.flatnonzero(self.successors[s] >= 0)
+        return src, self.successors[s, src]
 
 
 class FockOperator:
@@ -130,8 +143,9 @@ class FockOperator:
     the cellwise part, ``shift=None`` is the identity.  Stored as terms
     (dst cells, src cells, blocks), one block per source cell, each term
     mapping distinct source cells to distinct destination cells.  ``product``
-    returns a list of terms of the same form, except that a source cell may
-    recur in a term (never a (dst, src) pair).
+    returns a list of terms of the same form, one per term of the left
+    factor, except that a source cell may recur in a term (never a (dst, src)
+    pair).
     """
 
     def __init__(self, fock: FockModel, diag, shift, slot: int, shift_phase, kappa=None):
@@ -173,36 +187,19 @@ class FockOperator:
         return out.reshape(x.shape)
 
     @cached_property
-    def _where(self) -> list[np.ndarray]:
-        """Per term, each cell's position among its source cells (row 0) and
-        among its destination cells (row 1); -1 where it is not one."""
-        where = [np.full((2, self.fock.cell_count), -1) for _ in self.terms]
-        for w, (dst, src, _) in zip(where, self.terms):
-            w[0, src] = w[1, dst] = np.arange(len(src))
-        return where
-
-    @cached_property
-    def _flat(self) -> tuple[np.ndarray, ...]:
-        """All terms as one (dst cells, src cells, blocks) triple."""
-        return tuple(np.concatenate(part) for part in zip(*self.terms))
+    def _in_table(self) -> tuple[TermTable, int]:
+        """A ``TermTable`` holding this operator and its index there: those of
+        the last table built over it, else a table of its own."""
+        return TermTable([self]), 0
 
     def product(self, other: FockOperator, adjoint: bool = False) -> list:
-        """Terms of this operator (its adjoint with ``adjoint``) times ``other``.
-
-        As in ``apply``, output shifted past |alpha| = N is dropped at each
-        factor.  Each term of this operator takes one gather and one batched
-        block product against all of ``other``'s terms at once.
-        """
-        mid, start, inner = other._flat
-        out = []
-        for (dst, src, blocks), where in zip(self.terms, self._where):
-            at = where[int(adjoint), mid]
-            keep = at >= 0
-            if keep.any():
-                at = at[keep]
-                outer = blocks[at].conj().transpose(0, 2, 1) if adjoint else blocks[at]
-                out.append(((src if adjoint else dst)[at], start[keep], outer @ inner[keep]))
-        return out
+        """Terms of this operator (its adjoint with ``adjoint``) times ``other``,
+        one per term of this operator that meets ``other``: the one-pair case of
+        ``TermTable.products``."""
+        (table, k), (other_table, j) = self._in_table, other._in_table
+        t, _, to, start, blocks = table.products(other_table, [k], [j], adjoint)
+        cuts = np.searchsorted(t, np.arange(len(self.terms) + 1))
+        return [(to[a:b], start[a:b], blocks[a:b]) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
     def __array__(self, dtype=None, copy=None):
         """The dense dim x dim matrix, for tests and comparisons."""
@@ -213,13 +210,104 @@ class FockOperator:
         return out.reshape(self.shape).astype(dtype or complex, copy=False)
 
 
+class TermTable:
+    """The terms of several Fock operators on one model, as one table of blocks.
+
+    Row r maps source cell ``src[r]`` to destination cell ``dst[r]`` by
+    ``blocks[r]`` and comes from term ``term[r]`` of operator ``op[r]``; each
+    operator's rows are contiguous.  ``where[0][k, t, c]`` is the row of term t
+    of operator k with source cell c and ``where[1][k, t, c]`` the one with
+    destination cell c, -1 where there is none.  A new table becomes its
+    operators' table for their later ``FockOperator.product`` calls.
+    """
+
+    def __init__(self, ops: list):
+        terms = [(k, t, term) for k, w in enumerate(ops) for t, term in enumerate(w.terms)]
+        sizes = [len(dst) for _, _, (dst, _, _) in terms]
+        self.op = np.repeat([k for k, _, _ in terms], sizes)
+        self.term = np.repeat([t for _, t, _ in terms], sizes)
+        self.dst, self.src, self.blocks = (np.concatenate(part)
+                                           for part in zip(*(term for _, _, term in terms)))
+        self.count = np.bincount(self.op, minlength=len(ops))
+        self.first = np.cumsum(self.count) - self.count
+        rows = np.arange(len(self.op))
+        self.where = np.full((2, len(ops), self.term.max(initial=0) + 1, ops[0].fock.cell_count),
+                             -1)
+        self.where[0, self.op, self.term, self.src] = rows
+        self.where[1, self.op, self.term, self.dst] = rows
+        for k, w in enumerate(ops):  # later products of these operators read this table
+            w.__dict__["_in_table"] = (self, k)
+
+    def products(self, other: TermTable, left, right, adjoint: bool = False,
+                 src=None, dst=None) -> tuple:
+        """The blocks of every product ops[left[p]] of this table (its adjoint
+        with ``adjoint``) times ops[right[p]] of ``other`` at once, as arrays
+        (left term, p, dst cells, src cells, blocks), ordered by left term, then
+        p, then right row.
+
+        Each right row meets the rows of its left factor's terms at its
+        destination cell through one gather in ``where``, and all block products
+        are one batched matmul.  As in ``FockOperator.apply``, output shifted
+        past |alpha| = N is dropped at each factor.  The boolean cell masks
+        ``src`` and ``dst`` keep only the blocks from and to their cells.
+        """
+        left, right = np.asarray(left, dtype=int), np.asarray(right, dtype=int)
+        count = other.count[right]
+        pair = np.repeat(np.arange(len(right)), count)
+        offset = np.cumsum(count) - count  # where each pair's rows start among all pairs'
+        inner = np.arange(len(pair)) + np.repeat(other.first[right] - offset, count)
+        if src is not None:
+            keep = src[other.src[inner]]
+            pair, inner = pair[keep], inner[keep]
+        outer = self.where[int(adjoint)][left[pair], :, other.dst[inner]].T
+        term, k = np.nonzero(outer >= 0)
+        outer, pair, inner = outer[term, k], pair[k], inner[k]
+        to = (self.src if adjoint else self.dst)[outer]
+        if dst is not None:
+            keep = dst[to]
+            term, pair, inner, outer, to = (a[keep] for a in (term, pair, inner, outer, to))
+        blocks = self.blocks[outer]
+        if adjoint:
+            blocks = blocks.conj().transpose(0, 2, 1)
+        return term, pair, to, other.src[inner], blocks @ other.blocks[inner]
+
+
+def group_norms(model: FockModel, group, dst: np.ndarray, src: np.ndarray,
+                blocks: np.ndarray, groups: int) -> np.ndarray:
+    """Per group g < ``groups``, the Frobenius norm of its blocks summed per
+    (dst, src) cell pair.
+
+    One stable sort of the (group, dst, src) keys; the blocks of each key are
+    added in that order, one vectorized pass per rank within a key, and the
+    squared norms of the sums added per group.  (``np.add.reduceat`` over the
+    sorted blocks gives these sums up to rounding, but loops over every
+    (key, entry) pair and was about twice as slow on deep models.)
+    """
+    cells = model.cell_count
+    keys = (group * cells + dst) * cells + src
+    if not keys.size:
+        return np.zeros(groups)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    bounds = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+    starts, length = bounds[:-1], bounds[1:] - bounds[:-1]
+    sums = blocks[order[starts]]
+    for rank in range(1, length.max()):
+        more = np.flatnonzero(length > rank)
+        sums[more] += blocks[order[starts[more] + rank]]
+    sums = sums.reshape(len(starts), -1).view(float)
+    return np.sqrt(np.bincount(keys[starts] // cells ** 2, np.einsum("kx,kx->k", sums, sums),
+                               minlength=groups))
+
+
 def terms_norm(model: FockModel, parts: list, src: np.ndarray, dst: np.ndarray | None = None,
                minus_identity: bool = False) -> float:
     """Frobenius norm of sum_k c_k T_k (minus the identity) on src x dst cells.
 
     ``parts`` pairs coefficients c_k with term lists T_k; ``src`` and ``dst``
     are boolean cell masks, ``dst=None`` keeps every destination cell.  Blocks
-    at the same (dst, src) cell pair are added before the norm is taken.
+    at the same (dst, src) cell pair are added before the norm is taken: the
+    one-group case of ``group_norms``.
     """
     cells, d = model.cell_count, model.coeff_dim
     flat = [(coef, term) for coef, terms in parts for term in terms]
@@ -231,14 +319,8 @@ def terms_norm(model: FockModel, parts: list, src: np.ndarray, dst: np.ndarray |
     to = np.concatenate([term[0] for _, term in flat])
     start = np.concatenate([term[1] for _, term in flat])
     keep = src[start] if dst is None else src[start] & dst[to]
-    keys = to[keep] * cells + start[keep]
-    if not keys.size:
-        return 0.0
     blocks = np.concatenate([coef * term[2] for coef, term in flat])[keep]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return float(np.linalg.norm(np.add.reduceat(blocks[order], starts)))
+    return float(group_norms(model, 0, to[keep], start[keep], blocks, 1)[0])
 
 
 def creation_matrix(model: FockModel, s: int) -> FockOperator:

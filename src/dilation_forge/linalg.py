@@ -74,11 +74,22 @@ def psd_check(a, tol: float = DEFAULT_TOL) -> PsdReport:
     if a.shape[0] == 0:
         return PsdReport(True, 0.0, 0.0)
     defect = rel_residual(a - adj(a), a)
-    h = 0.5 * (a + adj(a))
-    eigs = np.linalg.eigvalsh(h)
-    min_eig = float(eigs[0])
-    scale = max(1.0, float(eigs[-1]), abs(min_eig))
-    return PsdReport(min_eig >= -tol * scale, min_eig, defect)
+    eigs = np.linalg.eigvalsh(0.5 * (a + adj(a)))
+    return PsdReport(bool(_psd_cutoff(eigs, tol)), float(eigs[0]), defect)
+
+
+def psd_flags(stack: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``psd_check(a, tol).is_psd`` for every matrix a of a (k, dim, dim)
+    stack, dim >= 1, from one batched ``eigvalsh``."""
+    stack = np.asarray(stack)
+    return _psd_cutoff(np.linalg.eigvalsh(0.5 * (stack + adj(stack))), tol)
+
+
+def _psd_cutoff(eigs: np.ndarray, tol: float) -> np.ndarray:
+    """The verdict min_eig >= -tol * max(1, ||A||_2) from ascending eigenvalues
+    along the last axis."""
+    low, high = eigs[..., 0], eigs[..., -1]
+    return low >= -tol * np.maximum(np.maximum(1.0, high), np.abs(low))
 
 
 def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:

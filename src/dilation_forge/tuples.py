@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MalformedSpec, UnsupportedMultiplicity
 from .fock import parent_rows
-from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, kron, psd_check
+from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, kron, psd_check, psd_flags
 
 PURITY_TOL = 1e-8
 CONTRACTION_TOL = 1e-10
@@ -131,6 +131,8 @@ class TupleSpec:
     @classmethod
     def from_operators(cls, ops: Sequence, phases=None, algebra: AlgebraStructure | None = None) -> "TupleSpec":
         """Build a d = 1 spec from plain matrices (scalars allowed for dimH = 1)."""
+        if not len(ops):
+            raise MalformedSpec("a tuple needs at least one operator")
         mats = [as_matrix(np.atleast_2d(np.asarray(t, dtype=complex))) for t in ops]
         dim = mats[0].shape[0]
         return cls(n=len(mats), dimH=dim, d=1, blocks=[[m] for m in mats],
@@ -327,7 +329,7 @@ def classify(spec: TupleSpec, tol: float = 1e-10) -> ClassReport:
     report.szego_full = psd_check(sq[0], tol)
     # dropping index 1 or n leaves the hat1 or hatn tuple the gate has checked
     psd_without = {1: report.szego_hat1.is_psd, spec.n: report.szego_hatn.is_psd}
-    psd_without.update((p, psd_check(s, tol).is_psd) for p, s in zip(middle, sq[1:]))
+    psd_without.update(zip(middle, psd_flags(sq[1:], tol).tolist()))
     report.gkvw = {(p, q): (psd_without[p], psd_without[q])
                    for p, q in itertools.combinations(all_idx, 2)}
     return report

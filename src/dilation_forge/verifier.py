@@ -6,8 +6,14 @@ truncation error exactly zero on the compared subspace: margin 1 for
 single-operator identities, margin 2 where two operators compose.
 
 Fock operators are only ever applied to Pi, or composed with each other
-cell by cell (``FockOperator.product``) and the composite's
-blocks measured on the interior cells.  No dim x dim product is formed.
+cell by cell and the composite's blocks measured on the interior cells.  No
+dim x dim product is formed.  The isometry and commutation check is one pass
+over the whole tuple: every W_i* W_i and every ordered product V_a V_b come
+from one ``fock.TermTable`` of all the isometries' blocks, and all their
+residuals and reference norms from one ``fock.group_norms`` reduction.  The
+transfer factorizations compose one pair at a time (``FockOperator.product``
+and ``fock.terms_norm``, the one-pair and one-group cases of the same
+routines).
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import (FockOperator, enumerate_indices, interior_cells, interior_projector,
-                   parent_rows, terms_norm)
+from .fock import (FockOperator, TermTable, enumerate_indices, group_norms, interior_cells,
+                   interior_projector, parent_rows, terms_norm)
 from .linalg import adj, eye, rel_residual
 from .tuples import invert_perm, ordered_power_products
 
@@ -111,25 +117,44 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     """Each dilated operator is isometric on interior cells and the family
     u-commutes with the original phase table.
 
-    Composed cell by cell: W*W - I on the cells with |alpha| <= N - 1, as
-    sources and as destinations, relative to sqrt(#interior coordinates);
-    V_i V_j - u(i,j) V_j V_i on the source cells with |alpha| <= N - min(2, N),
-    relative to V_j V_i there.
+    W*W - I is measured on the cells with |alpha| <= N - 1, as sources and as
+    destinations, relative to sqrt(#interior coordinates); V_i V_j - u(i,j)
+    V_j V_i on the source cells with |alpha| <= N - min(2, N), relative to
+    V_j V_i there.  One pass: all W_i* W_i, and all ordered V_a V_b, come
+    from one ``TermTable.products`` call each, and every norm from one
+    ``group_norms`` reduction, whose group i - 1 is W_i* W_i - I, group n + p
+    the p-th of the P pairs i < j (``combinations`` order) and group
+    n + P + p that pair's reference V_j V_i.
     """
-    spec, fock = model.spec, model.fock
+    spec, fock, ws = model.spec, model.fock, model.isometries
+    n, d = len(ws), fock.coeff_dim
     inner = interior_cells(fock, 1)
     src = interior_cells(fock, min(2, fock.N))
-    unit = max(1.0, np.sqrt(np.count_nonzero(inner) * fock.coeff_dim))
-    out = {}
-    for i, w in enumerate(model.isometries, start=1):
-        wtw = w.product(w, adjoint=True)
-        out[f"isometry_v{i}"] = terms_norm(fock, [(1.0, wtw)], inner, inner,
-                                           minus_identity=True) / unit
-    for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
-        ji = vj.product(vi)
-        ref = max(1.0, terms_norm(fock, [(1.0, ji)], src))
-        out[f"commute_{i}_{j}"] = terms_norm(fock, [(1.0, vi.product(vj)),
-                                                    (-spec.u(i, j), ji)], src) / ref
+    unit = max(1.0, np.sqrt(np.count_nonzero(inner) * d))
+    table, every, cells = TermTable(ws), np.arange(n), np.flatnonzero(inner)
+    _, w_group, w_to, w_start, wtw = table.products(table, every, every, adjoint=True,
+                                                    src=inner, dst=inner)
+    pairs = list(combinations(range(n), 2))
+    lo, hi = np.array(pairs, dtype=int).reshape(-1, 2).T
+    # V_i V_j for every pair p, then V_j V_i for every pair as p + len(pairs)
+    _, p, to, start, vv = table.products(table, np.concatenate([lo, hi]),
+                                         np.concatenate([hi, lo]), src=src)
+    swapped = p >= len(pairs)
+    p %= len(pairs)
+    ref = vv[swapped]
+    vv[swapped] *= -spec.phases[lo, hi][p[swapped], None, None]
+    blocks = np.concatenate([wtw, np.broadcast_to(-np.eye(d), (n * len(cells), d, d)), vv, ref])
+    del wtw, vv, ref  # keep one copy of the blocks through the reduction
+    norms = group_norms(
+        fock,
+        np.concatenate([w_group, every.repeat(len(cells)), n + p, n + len(pairs) + p[swapped]]),
+        np.concatenate([w_to, np.tile(cells, n), to, to[swapped]]),
+        np.concatenate([w_start, np.tile(cells, n), start, start[swapped]]),
+        blocks, n + 2 * len(pairs))
+    out = {f"isometry_v{i + 1}": float(norms[i] / unit) for i in range(n)}
+    diff, ref = norms[n:n + len(pairs)], np.maximum(1.0, norms[n + len(pairs):])
+    out.update((f"commute_{i + 1}_{j + 1}", float(diff[q] / ref[q]))
+               for q, (i, j) in enumerate(pairs))
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from dilation_forge import cli
 from dilation_forge.builder import BuildConfig, assemble_model
 from dilation_forge.cli import main
+from dilation_forge.errors import GenerationFailed, MalformedSpec
 from dilation_forge.generators import STYLES, parrott_tuple, random_tuple, scalar_triple
 from dilation_forge.io import (dump_json, load_model, load_tuple, model_from_dict,
                                model_to_dict, tuple_from_dict, tuple_to_dict)
@@ -405,3 +406,24 @@ def test_classify_text_names_indeterminate_purity(tmp_path, triple_file, capsys)
     dump_json(tuple_to_dict(TupleSpec.from_operators([[[1.0]], [[0.5]]])), str(edge))
     assert main(["classify", "-i", str(edge)]) == 2
     assert "purity indeterminate (|radius - 1| <= 1e-08): [1]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-2"], ["--dimH", "-1"], ["--dimH", "0"],
+                                  ["--style", "covariant", "--n", "0"]],
+                         ids=["n zero", "n negative", "dimH negative", "dimH zero",
+                              "covariant n zero"])
+def test_random_rejects_empty_sizes_with_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main(["random", *argv, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_empty_operator_list_is_malformed():
+    with pytest.raises(MalformedSpec):
+        TupleSpec.from_operators([])
+    for n, dimH in ((0, 2), (-2, 2), (3, -1), (3, 0)):
+        with pytest.raises(GenerationFailed):
+            random_tuple("jointly-nilpotent", n, dimH, seed=0)

@@ -4,9 +4,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
 from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
                                  interior_cells, interior_projector, parent_rows, terms_norm)
+from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
 
 
@@ -111,6 +113,34 @@ def test_successor_matches_position_lookup(m, N):
         ref = [(c, position[a[:s] + (a[s] + 1,) + a[s + 1:]])
                for c, a in enumerate(index_list(model)) if sum(a) < N]
         assert list(zip(src.tolist(), dst.tolist())) == ref
+
+
+@pytest.mark.parametrize("m,N", [(1, 0), (1, 3), (2, 4), (3, 3), (5, 2)])
+def test_successor_table_is_built_once(m, N):
+    model = trivial_model(m, N)
+    table = model.successors
+    assert table.shape == (m, model.cell_count) and not table.flags.writeable
+    assert model.successors is table
+    top = model.cells.sum(axis=1) == N
+    assert (table[:, top] == -1).all()
+    assert (model.cells[table[:, ~top]] == model.cells[~top] + np.eye(m, dtype=int)[:, None]).all()
+
+
+def test_operators_from_successor_table_are_bit_identical(monkeypatch):
+    model = assemble_model(random_tuple("u-commuting", 3, 4, seed=5), N=4)
+    built = [np.asarray(w) for w in model.isometries] + [np.asarray(model.L1)]
+
+    def successor_by_search(fock, s):
+        position = index_of(fock)
+        src = [c for c, a in enumerate(index_list(fock)) if sum(a) < fock.N]
+        dst = [position[a[:s] + (a[s] + 1,) + a[s + 1:]]
+               for a in (index_list(fock)[c] for c in src)]
+        return np.array(src, dtype=int), np.array(dst, dtype=int)
+
+    monkeypatch.setattr(FockModel, "successor", successor_by_search)
+    again = dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
+    again.append(creation_matrix(model.fock, 0))
+    assert all(np.array_equal(a, np.asarray(b)) for a, b in zip(built, again))
 
 
 @pytest.mark.parametrize("m,N", [(1, 0), (1, 3), (2, 4), (3, 3), (5, 2)])

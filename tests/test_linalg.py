@@ -3,7 +3,8 @@ import pytest
 
 from dilation_forge.errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
 from dilation_forge.linalg import (SubspaceBasis, adj, frob, frob_stack, isometry_from_frames,
-                                   kron, orthogonal_complement, psd_check, psd_sqrt, range_basis)
+                                   kron, orthogonal_complement, psd_check, psd_flags, psd_sqrt,
+                                   range_basis)
 
 
 def crandn(rng, shape):
@@ -68,6 +69,24 @@ def test_psd_check_parrott_full_szego():
     assert np.allclose(s, np.diag([1, 1, -2, -2]))
     ok, min_eig, defect = psd_check(s, 1e-10)
     assert not ok and min_eig == pytest.approx(-2.0) and defect < 1e-15
+
+
+def test_psd_flags_match_psd_check_per_matrix():
+    rng = np.random.default_rng(7)
+    tol = 1e-10
+    stack = []
+    for dim_scale in (1e-3, 1.0, 50.0):
+        a = crandn(rng, (4, 4))
+        h = dim_scale * (a @ adj(a))
+        low = np.linalg.eigvalsh(h)[0]
+        # shifted to straddle the cutoff -tol * max(1, ||h||_2) from both sides
+        cut = tol * max(1.0, np.linalg.eigvalsh(h)[-1])
+        for shift in (0.0, low + 0.5 * cut, low + 2.0 * cut, low + 1.0):
+            stack.append(h - shift * np.eye(4) + 1e-13 * crandn(rng, (4, 4)))
+    stack = np.array(stack)
+    assert psd_flags(stack, tol).tolist() == [psd_check(a, tol).is_psd for a in stack]
+    assert set(psd_flags(stack, tol).tolist()) == {True, False}
+    assert psd_flags(np.zeros((0, 3, 3)), tol).shape == (0,)
 
 
 def test_psd_check_rejects_nonsquare():

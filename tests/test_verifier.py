@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 
 from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_Pi,
                                     build_transfer, dilated_isometries)
-from dilation_forge.fock import creation_matrix, enumerate_indices, interior_projector
+from dilation_forge.fock import (creation_matrix, enumerate_indices, interior_cells,
+                                 interior_projector, terms_norm)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
 from dilation_forge.tuples import TupleSpec, compose_perm, ordered_power_products
-from dilation_forge.verifier import (full_report, verify_equivariance, verify_factorization,
-                                     verify_intertwining, verify_isometric_representation,
-                                     verify_moments, verify_pi)
+from dilation_forge.verifier import (DEFAULT_TOLERANCES, full_report, verify_equivariance,
+                                     verify_factorization, verify_intertwining,
+                                     verify_isometric_representation, verify_moments, verify_pi)
 
 
 def gated_worst(report):
@@ -84,6 +86,72 @@ def test_composed_residuals_match_identity_columns_swap_covariant(N):
     spec = random_tuple("covariant", 3, 4, seed=6, k=2,
                         automorphisms=[[1, 0], [0, 1], [1, 0]])
     assert_matches_reference(assemble_model(spec, N=N, config=BuildConfig(aux_pad=1)))
+
+
+def per_pair_isometric_representation(model):
+    """The isometry and commutation residuals one pair at a time, from
+    ``FockOperator.product`` and ``terms_norm`` (the verifier's former loop)."""
+    spec, fock = model.spec, model.fock
+    inner = interior_cells(fock, 1)
+    src = interior_cells(fock, min(2, fock.N))
+    unit = max(1.0, np.sqrt(np.count_nonzero(inner) * fock.coeff_dim))
+    out = {}
+    for i, w in enumerate(model.isometries, start=1):
+        wtw = w.product(w, adjoint=True)
+        out[f"isometry_v{i}"] = terms_norm(fock, [(1.0, wtw)], inner, inner,
+                                           minus_identity=True) / unit
+    for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
+        ji = vj.product(vi)
+        ref = max(1.0, terms_norm(fock, [(1.0, ji)], src))
+        out[f"commute_{i}_{j}"] = terms_norm(fock, [(1.0, vi.product(vj)),
+                                                    (-spec.u(i, j), ji)], src) / ref
+    return out
+
+
+def assert_matches_per_pair(model):
+    got, ref = verify_isometric_representation(model), per_pair_isometric_representation(model)
+    assert list(got) == list(ref)
+    for name, value in ref.items():
+        assert abs(got[name] - value) <= 1e-14, (name, got[name], value)
+
+
+WIDTHS = {"u-commuting": (2, 3)}  # the u-commuting style builds n = 2 and 3 only
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("style", STYLES)
+def test_one_pass_matches_per_pair_loop(style, N):
+    for n in WIDTHS.get(style, range(2, 11)):
+        model = assemble_model(random_tuple(style, n, 2, seed=30 + n), N=N)
+        assert_matches_per_pair(model)
+        broken = rebuilt_model(model, model.coupling.U + 0.1)
+        assert_matches_per_pair(broken)
+
+
+def test_one_pass_keeps_each_pair_in_its_residual():
+    """A middle operator whose shift is scaled on one cell fails exactly the
+    commutations that involve its index, and moves only its own isometry entry."""
+    model = assemble_model(random_tuple("jointly-nilpotent", 5, 2, seed=4), N=3)
+    before = verify_isometric_representation(model)
+    k = 3  # V_3 is the creation operator of merged slot k - 1 (0-based)
+    bent = creation_matrix(model.fock, k - 1)
+    dst, src, blocks = bent.terms[0]
+    blocks[src == 0] *= 1.25 * np.exp(0.7j)
+    bent_model = replace(model, isometries=model.isometries[:k - 1] + [bent] + model.isometries[k:])
+    after = verify_isometric_representation(bent_model)
+    assert list(after) == list(before)
+    tol = DEFAULT_TOLERANCES["linear"]
+    n = model.spec.n
+    for i, j in combinations(range(1, n + 1), 2):
+        name = f"commute_{i}_{j}"
+        if k in (i, j):
+            assert after[name] > 1e-3, name
+        else:
+            assert after[name] == before[name] and after[name] <= tol, name
+    for i in range(1, n + 1):
+        name = f"isometry_v{i}"
+        assert (after[name] > 1e-3) if i == k else (after[name] == before[name]), name
+    assert_matches_per_pair(bent_model)
 
 
 def test_zero_tuple_all_pass_exactly():
