@@ -142,10 +142,8 @@ class FockOperator:
     the adjoint annihilates cells with alpha_slot = 0.  ``diag=None`` omits
     the cellwise part, ``shift=None`` is the identity.  Stored as terms
     (dst cells, src cells, blocks), one block per source cell, each term
-    mapping distinct source cells to distinct destination cells.  ``product``
-    returns a list of terms of the same form, one per term of the left
-    factor, except that a source cell may recur in a term (never a (dst, src)
-    pair).
+    mapping distinct source cells to distinct destination cells.  Products
+    of operators are formed by ``TermTable.products``.
     """
 
     def __init__(self, fock: FockModel, diag, shift, slot: int, shift_phase, kappa=None):
@@ -186,21 +184,6 @@ class FockOperator:
             out[src] += blocks.conj().transpose(0, 2, 1) @ y[dst]
         return out.reshape(x.shape)
 
-    @cached_property
-    def _in_table(self) -> tuple[TermTable, int]:
-        """A ``TermTable`` holding this operator and its index there: those of
-        the last table built over it, else a table of its own."""
-        return TermTable([self]), 0
-
-    def product(self, other: FockOperator, adjoint: bool = False) -> list:
-        """Terms of this operator (its adjoint with ``adjoint``) times ``other``,
-        one per term of this operator that meets ``other``: the one-pair case of
-        ``TermTable.products``."""
-        (table, k), (other_table, j) = self._in_table, other._in_table
-        t, _, to, start, blocks = table.products(other_table, [k], [j], adjoint)
-        cuts = np.searchsorted(t, np.arange(len(self.terms) + 1))
-        return [(to[a:b], start[a:b], blocks[a:b]) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
-
     def __array__(self, dtype=None, copy=None):
         """The dense dim x dim matrix, for tests and comparisons."""
         cells, d = self.fock.cell_count, self.fock.coeff_dim
@@ -217,8 +200,7 @@ class TermTable:
     ``blocks[r]`` and comes from term ``term[r]`` of operator ``op[r]``; each
     operator's rows are contiguous.  ``where[0][k, t, c]`` is the row of term t
     of operator k with source cell c and ``where[1][k, t, c]`` the one with
-    destination cell c, -1 where there is none.  A new table becomes its
-    operators' table for their later ``FockOperator.product`` calls.
+    destination cell c, -1 where there is none.
     """
 
     def __init__(self, ops: list):
@@ -235,8 +217,6 @@ class TermTable:
                              -1)
         self.where[0, self.op, self.term, self.src] = rows
         self.where[1, self.op, self.term, self.dst] = rows
-        for k, w in enumerate(ops):  # later products of these operators read this table
-            w.__dict__["_in_table"] = (self, k)
 
     def products(self, other: TermTable, left, right, adjoint: bool = False,
                  src=None, dst=None) -> tuple:
@@ -298,29 +278,6 @@ def group_norms(model: FockModel, group, dst: np.ndarray, src: np.ndarray,
     sums = sums.reshape(len(starts), -1).view(float)
     return np.sqrt(np.bincount(keys[starts] // cells ** 2, np.einsum("kx,kx->k", sums, sums),
                                minlength=groups))
-
-
-def terms_norm(model: FockModel, parts: list, src: np.ndarray, dst: np.ndarray | None = None,
-               minus_identity: bool = False) -> float:
-    """Frobenius norm of sum_k c_k T_k (minus the identity) on src x dst cells.
-
-    ``parts`` pairs coefficients c_k with term lists T_k; ``src`` and ``dst``
-    are boolean cell masks, ``dst=None`` keeps every destination cell.  Blocks
-    at the same (dst, src) cell pair are added before the norm is taken: the
-    one-group case of ``group_norms``.
-    """
-    cells, d = model.cell_count, model.coeff_dim
-    flat = [(coef, term) for coef, terms in parts for term in terms]
-    if minus_identity:
-        every = np.arange(cells)
-        flat.append((-1.0, (every, every, np.broadcast_to(np.eye(d), (cells, d, d)))))
-    if not flat:
-        return 0.0
-    to = np.concatenate([term[0] for _, term in flat])
-    start = np.concatenate([term[1] for _, term in flat])
-    keep = src[start] if dst is None else src[start] & dst[to]
-    blocks = np.concatenate([coef * term[2] for coef, term in flat])[keep]
-    return float(group_norms(model, 0, to[keep], start[keep], blocks, 1)[0])
 
 
 def creation_matrix(model: FockModel, s: int) -> FockOperator:

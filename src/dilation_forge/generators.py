@@ -106,13 +106,18 @@ def u_commuting(rng: np.random.Generator, n: int, dim: int,
     raise GenerationFailed("u-commuting style supports n in {2, 3}")
 
 
-def covariant(rng: np.random.Generator, n: int, k: int = 2, width: int = 2,
+def covariant(rng: np.random.Generator, n: int, dimH: int, k: int = 2,
               automorphisms=None) -> TupleSpec:
     """Block-patterned tuple covariant for C^k with commuting permutations.
 
-    H = C^k (x) C^width, t_i = P_i (x) B_i with P_i the permutation matrix of
-    alpha_i and B_i drawn from a commuting nilpotent family.
+    H = C^k (x) C^width with width = dimH / k, t_i = P_i (x) B_i with P_i the
+    permutation matrix of alpha_i and B_i drawn from a commuting nilpotent
+    family.  ``dimH`` must be a positive multiple of ``k``.
     """
+    if dimH < k or dimH % k:
+        raise GenerationFailed(f"covariant style needs dimH a positive multiple of k = {k}, "
+                               f"got dimH={dimH}")
+    width = dimH // k
     if automorphisms is None:
         cycle = [(j + 1) % k for j in range(k)]
         pool = [list(range(k)), cycle]
@@ -142,7 +147,7 @@ def random_tuple(style: str, n: int, dimH: int, seed: int, **kwargs) -> TupleSpe
     if style == "u-commuting":
         return u_commuting(rng, n, dimH)
     if style == "covariant":
-        return covariant(rng, n, **kwargs)
+        return covariant(rng, n, dimH, **kwargs)
     raise GenerationFailed(f"unknown style {style!r}; choose from {STYLES}")
 
 

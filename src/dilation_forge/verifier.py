@@ -11,9 +11,9 @@ dim x dim product is formed.  The isometry and commutation check is one pass
 over the whole tuple: every W_i* W_i and every ordered product V_a V_b come
 from one ``fock.TermTable`` of all the isometries' blocks, and all their
 residuals and reference norms from one ``fock.group_norms`` reduction.  The
-transfer factorizations compose one pair at a time (``FockOperator.product``
-and ``fock.terms_norm``, the one-pair and one-group cases of the same
-routines).
+transfer factorizations are one more such pass: both products of V_1 and V_n
+from one ``TermTable.products`` call, their residuals and the reference L1
+from one ``group_norms`` reduction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .builder import DilationModel, simplex_mass
 from .fock import (FockOperator, TermTable, enumerate_indices, group_norms, interior_cells,
-                   interior_projector, parent_rows, terms_norm)
+                   interior_projector, parent_rows)
 from .linalg import adj, eye, rel_residual
 from .tuples import invert_perm, ordered_power_products
 
@@ -96,21 +96,27 @@ def verify_intertwining(model: DilationModel) -> dict:
 def verify_factorization(model: DilationModel) -> dict:
     """Transfer products against the merged creation operator.
 
-    tau1 (I x taun) equals the merged creation; the reversed product equals it
-    up to the flip phase u(n,1) that re-orders the two fused factors.  Both
-    products are composed cell by cell and compared on the source cells with
-    |alpha| <= N - min(2, N), relative to the creation operator there.
+    tau1 (I x taun) equals the merged creation L1; the reversed product equals
+    it up to the flip phase u(n,1) that re-orders the two fused factors.  Both
+    products are compared on the source cells with |alpha| <= N - min(2, N),
+    relative to L1 there.  V_1 V_n and V_n V_1 come from one
+    ``TermTable.products`` call and every norm from one ``group_norms``
+    reduction, whose groups are V_1 V_n - L1, V_n V_1 - u(n,1) L1 and L1.
     """
     fock = model.fock
     src = interior_cells(fock, min(2, fock.N))
-    l1 = model.L1.terms
-    ref = max(1.0, terms_norm(fock, [(1.0, l1)], src))
-    v1, vn = model.isometries[0], model.isometries[-1]
+    table = TermTable([model.isometries[0], model.isometries[-1]])
+    _, p, to, start, vv = table.products(table, [0, 1], [1, 0], src=src)
+    l1_to, l1_start, l1 = model.L1.terms[0]  # a creation operator has one term
+    keep = src[l1_start]
+    l1_to, l1_start, l1 = l1_to[keep], l1_start[keep], l1[keep]
     flip = model.spec.u(model.spec.n, 1)
-    return {
-        "factor_tau12": terms_norm(fock, [(1.0, v1.product(vn)), (-1.0, l1)], src) / ref,
-        "factor_tau21": terms_norm(fock, [(1.0, vn.product(v1)), (-flip, l1)], src) / ref,
-    }
+    norms = group_norms(fock, np.concatenate([p, np.arange(3).repeat(len(l1))]),
+                        np.concatenate([to, np.tile(l1_to, 3)]),
+                        np.concatenate([start, np.tile(l1_start, 3)]),
+                        np.concatenate([vv, -l1, -flip * l1, l1]), 3)
+    ref = max(1.0, float(norms[2]))
+    return {"factor_tau12": float(norms[0]) / ref, "factor_tau21": float(norms[1]) / ref}
 
 
 def verify_isometric_representation(model: DilationModel) -> dict:

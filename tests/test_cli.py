@@ -409,9 +409,10 @@ def test_classify_text_names_indeterminate_purity(tmp_path, triple_file, capsys)
 
 
 @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-2"], ["--dimH", "-1"], ["--dimH", "0"],
-                                  ["--style", "covariant", "--n", "0"]],
+                                  ["--style", "covariant", "--n", "0"],
+                                  ["--style", "covariant", "--dimH", "3"]],
                          ids=["n zero", "n negative", "dimH negative", "dimH zero",
-                              "covariant n zero"])
+                              "covariant n zero", "covariant dimH 3"])
 def test_random_rejects_empty_sizes_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
     assert main(["random", *argv, "-o", str(out)]) == 1
@@ -419,6 +420,20 @@ def test_random_rejects_empty_sizes_with_one_error_line(tmp_path, capsys, argv):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_random_covariant_writes_the_requested_dimH(tmp_path):
+    out = tmp_path / "c6.json"
+    assert main(["random", "--style", "covariant", "--dimH", "6", "-o", str(out)]) == 0
+    assert '"dimH":6' in out.read_text()
+    spec = load_tuple(str(out))
+    assert spec.dimH == 6 and spec.algebra.k == 2
+    assert main(["classify", "-i", str(out)]) == 0
+    for dimH in (1, 3, 5):  # not a multiple of k = 2
+        with pytest.raises(GenerationFailed):
+            random_tuple("covariant", 3, dimH, seed=0)
+    with pytest.raises(GenerationFailed):
+        random_tuple("covariant", 3, 4, seed=0, k=3)
 
 
 def test_empty_operator_list_is_malformed():

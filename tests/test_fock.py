@@ -6,10 +6,12 @@ import pytest
 
 from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
-from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
-                                 interior_cells, interior_projector, parent_rows, terms_norm)
+from dilation_forge.fock import (FockModel, FockOperator, TermTable, creation_matrix,
+                                 enumerate_indices, group_norms, interior_cells,
+                                 interior_projector, parent_rows)
 from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
+from fock_reference import product as pair_product, terms_norm
 
 
 def trivial_model(m, N, coeff=1):
@@ -229,30 +231,102 @@ def operator_zoo(model, rng, quarter_turns):
     return ops
 
 
+def dense_products(model, pairs, pair, to, start, blocks):
+    """The dim x dim matrix of each of ``pairs`` products from the rows of
+    ``TermTable.products``, blocks at the same cell pair added."""
+    cells, d = model.cell_count, model.coeff_dim
+    out = np.zeros((pairs, cells, d, cells, d), dtype=complex)
+    np.add.at(out, (pair, to, slice(None), start, slice(None)), blocks)
+    return out.reshape(pairs, model.dim, model.dim)
+
+
+def masked(matrix, src, dst, coeff):
+    """``matrix`` with the columns outside the ``src`` cells and the rows outside
+    the ``dst`` cells set to zero."""
+    return matrix * np.repeat(dst, coeff)[:, None] * np.repeat(src, coeff)[None, :]
+
+
 @pytest.mark.parametrize("quarter_turns", [True, False])
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_products_match_dense_products(m, N, coeff, quarter_turns):
+    """All ordered products of a table's operators (and with ``adjoint``) from
+    one ``TermTable.products`` call each; then mixed pair lists against a
+    second table, with source and destination cell masks."""
     model, rng = random_model(m, N, coeff, 10 * m + N, quarter_turns)
     same = np.array_equal if quarter_turns else lambda a, b: np.allclose(a, b, rtol=0, atol=1e-15)
     ops = operator_zoo(model, rng, quarter_turns)
-    for a in ops:
-        for b in ops:
-            assert same(dense(model, a.product(b)), np.asarray(a) @ np.asarray(b))
-            assert same(dense(model, a.product(b, adjoint=True)),
-                        adj(np.asarray(a)) @ np.asarray(b))
+    mats = [np.asarray(w) for w in ops]
+    table = TermTable(ops)
+    left, right = np.divmod(np.arange(len(ops) ** 2), len(ops))
+    for adjoint in (False, True):
+        term, pair, to, start, blocks = table.products(table, left, right, adjoint)
+        assert (np.diff(term * len(left) + pair) >= 0).all()  # by left term, then pair
+        got = dense_products(model, len(left), pair, to, start, blocks)
+        for p, (a, b) in enumerate(zip(left, right)):
+            assert same(got[p], (adj(mats[a]) if adjoint else mats[a]) @ mats[b]), (p, adjoint)
+    others = ops[::-2] + [ops[0]]
+    other = TermTable(others)
+    left = rng.integers(0, len(ops), 7)
+    right = rng.integers(0, len(others), 7)
+    for adjoint in (False, True):
+        src, dst = rng.random(model.cell_count) < 0.6, rng.random(model.cell_count) < 0.6
+        for src_mask, dst_mask in ((None, None), (src, None), (None, dst), (src, dst)):
+            _, pair, to, start, blocks = table.products(other, left, right, adjoint,
+                                                        src=src_mask, dst=dst_mask)
+            got = dense_products(model, len(left), pair, to, start, blocks)
+            keep_src = np.ones(model.cell_count, bool) if src_mask is None else src_mask
+            keep_dst = np.ones(model.cell_count, bool) if dst_mask is None else dst_mask
+            for p, (a, b) in enumerate(zip(left, right)):
+                full = (adj(mats[a]) if adjoint else mats[a]) @ np.asarray(others[b])
+                assert same(got[p], masked(full, keep_src, keep_dst, coeff)), (p, adjoint)
     if N <= 1:  # a second creation shifts past the truncation degree
-        assert all(creation_matrix(model, s).product(creation_matrix(model, t)) == []
-                   for s in range(m) for t in range(m))
+        creations = TermTable([creation_matrix(model, s) for s in range(m)])
+        every = np.arange(m)
+        assert creations.products(creations, every.repeat(m), np.tile(every, m))[0].size == 0
+
+
+@pytest.mark.parametrize("m,N,coeff", SHAPES)
+def test_group_norms_match_dense_masked_norms(m, N, coeff):
+    """Weighted products spread over several groups, one of them empty, against
+    the norms of the dense weighted sums on the masked cells."""
+    model, rng = random_model(m, N, coeff, 10 * m + N + 2, quarter_turns=False)
+    ops = operator_zoo(model, rng, quarter_turns=False)
+    mats = [np.asarray(w) for w in ops]
+    table = TermTable(ops)
+    left, right = rng.integers(0, len(ops), 9), rng.integers(0, len(ops), 9)
+    group = rng.integers(0, 3, 9)  # group 3 gets no blocks
+    coef = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    for _ in range(4):
+        src, dst = rng.random(model.cell_count) < 0.6, rng.random(model.cell_count) < 0.6
+        for adjoint in (False, True):
+            _, pair, to, start, blocks = table.products(table, left, right, adjoint, src, dst)
+            norms = group_norms(model, group[pair], to, start,
+                                coef[pair, None, None] * blocks, 4)
+            for g in range(4):
+                whole = sum((coef[p] * (adj(mats[left[p]]) if adjoint else mats[left[p]])
+                             @ mats[right[p]] for p in np.flatnonzero(group == g)),
+                            np.zeros((model.dim, model.dim)))
+                assert np.isclose(norms[g], np.linalg.norm(masked(whole, src, dst, coeff)),
+                                  rtol=1e-13, atol=1e-15), (g, adjoint)
+    empty = np.zeros(0, dtype=int)
+    assert np.array_equal(group_norms(model, empty, empty, empty,
+                                      np.zeros((0, coeff, coeff), dtype=complex), 3),
+                          np.zeros(3))
 
 
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
+    """The one-pair ``product`` and one-group ``terms_norm`` references that the
+    verifier's tests compare the stacked passes with."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 1, quarter_turns=False)
     ops = operator_zoo(model, rng, quarter_turns=False)
     a, b = ops[0], ops[-2]
-    parts = [(1.0, a.product(b)), (-0.7 + 0.2j, b.product(a)),
-             (0.5, a.product(a, adjoint=True))]
+    parts = [(1.0, pair_product(a, b)), (-0.7 + 0.2j, pair_product(b, a)),
+             (0.5, pair_product(a, a, adjoint=True))]
     whole = sum(c * dense(model, terms) for c, terms in parts)
+    assert np.allclose(whole, np.asarray(a) @ np.asarray(b) + (-0.7 + 0.2j) * np.asarray(b)
+                       @ np.asarray(a) + 0.5 * adj(np.asarray(a)) @ np.asarray(a),
+                       rtol=0, atol=1e-14)
     for _ in range(4):
         src, dst = rng.random(model.cell_count) < 0.6, rng.random(model.cell_count) < 0.6
         cols, rows = np.repeat(src, coeff), np.repeat(dst, coeff)

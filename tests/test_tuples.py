@@ -307,7 +307,8 @@ def _gate_cases():
              "n = 1": TupleSpec.from_operators([0.5 * e12 + 0.3 * np.eye(2)])}
     for style in STYLES:
         for seed in range(3):
-            spec = random_tuple(style, 3, 3, seed=seed)
+            dimH = 4 if style == "covariant" else 3  # covariant: C^2 (x) C^2
+            spec = random_tuple(style, 3, dimH, seed=seed)
             cases[f"{style}-{seed}"] = spec
             cases[f"{style}-{seed} x2.5"] = _scaled(spec, 2.5)
     return cases

@@ -1,3 +1,4 @@
+from copy import copy
 from dataclasses import replace
 from itertools import combinations
 
@@ -7,18 +8,25 @@ import pytest
 from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_Pi,
                                     build_transfer, dilated_isometries)
 from dilation_forge.fock import (creation_matrix, enumerate_indices, interior_cells,
-                                 interior_projector, terms_norm)
+                                 interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
 from dilation_forge.tuples import TupleSpec, compose_perm, ordered_power_products
 from dilation_forge.verifier import (DEFAULT_TOLERANCES, full_report, verify_equivariance,
                                      verify_factorization, verify_intertwining,
                                      verify_isometric_representation, verify_moments, verify_pi)
+from fock_reference import product, terms_norm
 
 
 def gated_worst(report):
     return max((v for k, v in report.residuals.items()
                 if k in report.verdicts and k != "moment_match"), default=0.0)
+
+
+def style_tuple(style, n, dimH, seed):
+    """``random_tuple``, except that the covariant style is drawn at dimH 4
+    (C^2 (x) C^2, a multiple of its k = 2)."""
+    return random_tuple(style, n, 4 if style == "covariant" else dimH, seed=seed)
 
 
 def unit_columns(mask):
@@ -73,7 +81,7 @@ def assert_matches_reference(model):
 @pytest.mark.parametrize("N", [1, 2, 5])
 @pytest.mark.parametrize("style", STYLES)
 def test_composed_residuals_match_identity_columns(style, N):
-    model = assemble_model(random_tuple(style, 3, 3, seed=21), N=N)
+    model = assemble_model(style_tuple(style, 3, 3, seed=21), N=N)
     assert_matches_reference(model)
     # a non-unitary coupling makes the residuals O(1), so the masks show in the values
     broken = rebuilt_model(model, model.coupling.U + 0.1)
@@ -89,23 +97,36 @@ def test_composed_residuals_match_identity_columns_swap_covariant(N):
 
 
 def per_pair_isometric_representation(model):
-    """The isometry and commutation residuals one pair at a time, from
-    ``FockOperator.product`` and ``terms_norm`` (the verifier's former loop)."""
+    """The isometry and commutation residuals one pair at a time, from the
+    one-pair ``product`` and one-group ``terms_norm`` (the verifier's former loop)."""
     spec, fock = model.spec, model.fock
     inner = interior_cells(fock, 1)
     src = interior_cells(fock, min(2, fock.N))
     unit = max(1.0, np.sqrt(np.count_nonzero(inner) * fock.coeff_dim))
     out = {}
     for i, w in enumerate(model.isometries, start=1):
-        wtw = w.product(w, adjoint=True)
+        wtw = product(w, w, adjoint=True)
         out[f"isometry_v{i}"] = terms_norm(fock, [(1.0, wtw)], inner, inner,
                                            minus_identity=True) / unit
     for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
-        ji = vj.product(vi)
+        ji = product(vj, vi)
         ref = max(1.0, terms_norm(fock, [(1.0, ji)], src))
-        out[f"commute_{i}_{j}"] = terms_norm(fock, [(1.0, vi.product(vj)),
+        out[f"commute_{i}_{j}"] = terms_norm(fock, [(1.0, product(vi, vj)),
                                                     (-spec.u(i, j), ji)], src) / ref
     return out
+
+
+def per_pair_factorization(model):
+    """The transfer factorization residuals from one ``product`` per order and
+    one ``terms_norm`` per residual (the verifier's former code)."""
+    fock = model.fock
+    src = interior_cells(fock, min(2, fock.N))
+    l1 = model.L1.terms
+    ref = max(1.0, terms_norm(fock, [(1.0, l1)], src))
+    v1, vn = model.isometries[0], model.isometries[-1]
+    flip = model.spec.u(model.spec.n, 1)
+    return {"factor_tau12": terms_norm(fock, [(1.0, product(v1, vn)), (-1.0, l1)], src) / ref,
+            "factor_tau21": terms_norm(fock, [(1.0, product(vn, v1)), (-flip, l1)], src) / ref}
 
 
 def assert_matches_per_pair(model):
@@ -113,6 +134,8 @@ def assert_matches_per_pair(model):
     assert list(got) == list(ref)
     for name, value in ref.items():
         assert abs(got[name] - value) <= 1e-14, (name, got[name], value)
+    # the factorization pass sums every block in the per-pair order: equal bit for bit
+    assert verify_factorization(model) == per_pair_factorization(model)
 
 
 WIDTHS = {"u-commuting": (2, 3)}  # the u-commuting style builds n = 2 and 3 only
@@ -122,7 +145,7 @@ WIDTHS = {"u-commuting": (2, 3)}  # the u-commuting style builds n = 2 and 3 onl
 @pytest.mark.parametrize("style", STYLES)
 def test_one_pass_matches_per_pair_loop(style, N):
     for n in WIDTHS.get(style, range(2, 11)):
-        model = assemble_model(random_tuple(style, n, 2, seed=30 + n), N=N)
+        model = assemble_model(style_tuple(style, n, 2, seed=30 + n), N=N)
         assert_matches_per_pair(model)
         broken = rebuilt_model(model, model.coupling.U + 0.1)
         assert_matches_per_pair(broken)
@@ -151,6 +174,25 @@ def test_one_pass_keeps_each_pair_in_its_residual():
     for i in range(1, n + 1):
         name = f"isometry_v{i}"
         assert (after[name] > 1e-3) if i == k else (after[name] == before[name]), name
+    assert_matches_per_pair(bent_model)
+
+
+def test_factorization_sees_a_bent_transfer_shift():
+    """tau_n's shift block scaled on one cell breaks both transfer
+    factorizations and leaves V_1's isometry entry as it was."""
+    model = assemble_model(random_tuple("jointly-nilpotent", 5, 2, seed=4), N=3)
+    before = {**verify_isometric_representation(model), **verify_factorization(model)}
+    bent = copy(model.isometries[-1])
+    dst, src, blocks = bent.terms[0]  # the shift term, src -> src + e_1
+    blocks = blocks.copy()
+    blocks[src == 0] *= 1.25 * np.exp(0.7j)
+    bent.terms = [(dst, src, blocks)] + bent.terms[1:]
+    bent_model = replace(model, isometries=model.isometries[:-1] + [bent])
+    after = {**verify_isometric_representation(bent_model), **verify_factorization(bent_model)}
+    assert list(after) == list(before)
+    assert max(before["factor_tau12"], before["factor_tau21"]) <= DEFAULT_TOLERANCES["product"]
+    assert after["factor_tau12"] > 1e-3 and after["factor_tau21"] > 1e-3
+    assert after["isometry_v1"] == before["isometry_v1"]
     assert_matches_per_pair(bent_model)
 
 
@@ -224,7 +266,7 @@ def two_memo_moments(model, maxdeg=3):
 @pytest.mark.parametrize("style", STYLES)
 def test_one_memo_moments_match_two_memos(style, N):
     for n in (2, 3) if style == "u-commuting" else (2, 3, 5):
-        model = assemble_model(random_tuple(style, n, 3, seed=30 + n), N=N)
+        model = assemble_model(style_tuple(style, n, 3, seed=30 + n), N=N)
         got, ref = verify_moments(model), two_memo_moments(model)
         assert list(got) == list(ref)
         for name, value in ref.items():
