@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, creation_matrix, enumerate_indices
+from .fock import FockModel, FockOperator, TermTable, creation_matrix, enumerate_indices
 from .linalg import (SubspaceBasis, adj, eye, frob, isometry_from_frames,
                      orthogonal_complement, psd_sqrt, range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
@@ -92,17 +92,23 @@ class CoefficientLayout:
 @dataclass
 class CouplingData:
     """V0 with the complements M1 (of span X in D) and M2 (of span Y in Udom)
-    before padding; solve_aux adds ``mult1``, build_U the padded layout, U and V."""
+    before padding, the algebra and the frames X, Y of ``defect_frames``;
+    solve_aux adds ``mult1``, build_U the padded layout, U, V and
+    ``vs`` = V Q1n* Dhat, which build_transfer and build_Pi read."""
 
     V0: np.ndarray
     M1: SubspaceBasis
     M2: SubspaceBasis
     M1_labels: np.ndarray
     M2_labels: np.ndarray
+    algebra: AlgebraStructure
+    X: np.ndarray
+    Y: np.ndarray
     mult1: Optional[np.ndarray] = None
     layout: Optional[CoefficientLayout] = None
     U: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
+    vs: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -147,6 +153,12 @@ class DilationModel:
     def L1(self) -> FockOperator:
         """The merged creation operator, built once per model."""
         return creation_matrix(self.fock, 0)
+
+    @cached_property
+    def table(self) -> TermTable:
+        """One ``TermTable`` of the isometries followed by L1, built once per
+        model; the verifier's product and intertwining checks all read it."""
+        return TermTable(self.isometries + [self.L1])
 
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
@@ -195,12 +207,13 @@ def _labeled_complement(frame: np.ndarray, row_labels: np.ndarray, col_blocks: n
     return SubspaceBasis(dim, basis), np.asarray(labels, dtype=int)
 
 
-def build_defects(spec: TupleSpec):
+def build_defects(spec: TupleSpec, alg: AlgebraStructure):
     """Defect data for hat1 (drop index 1), hatn (drop index n) and the merged tuple.
 
     Returns ``(defects, merged, report, equality_residual)`` where ``report``
     is the class gate's (no ``szego_full``, no GKVW table) and the residual
     measures the two displayed factorizations of the merged defect square.
+    ``alg`` is ``effective_algebra(spec)``, resolved once by the caller.
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("the dilation construction requires d = 1")
@@ -208,7 +221,6 @@ def build_defects(spec: TupleSpec):
     if not report.in_T1n:
         raise NotInClass("; ".join(report.failing_conditions()) or "not in the dilatable class")
     merged = merge_1n(spec)
-    alg = effective_algebra(spec)
 
     sq_hat1n = szego_operator(merged, range(1, merged.n + 1))
 
@@ -240,12 +252,13 @@ def defect_frames(spec: TupleSpec, defects: dict) -> tuple[np.ndarray, np.ndarra
     return x, y
 
 
-def coefficient_layout(spec: TupleSpec, defects: dict, mult1) -> CoefficientLayout:
-    """The layout of D, Udom and D' for these defects and aux1 multiplicities.
+def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
+                       alg: AlgebraStructure) -> CoefficientLayout:
+    """The layout of D, Udom and D' for these defects and aux1 multiplicities
+    (``alg`` as in ``build_defects``).
 
     A twisted summand E_i (x) W carries component a_i(label) on W's columns.
     """
-    alg = effective_algebra(spec)
     a1, an = alg.automorphisms[0], alg.automorphisms[spec.n - 1]
     g1n = compose_perm(a1, an)  # the merged generator's automorphism
     lab_qn, lab_q1 = defects["hatn"].labels, defects["hat1"].labels
@@ -272,17 +285,18 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1) -> CoefficientLayo
         Dprime_rows=dprime_rows, U1_labels=u1_labels, Un_labels=un_labels)
 
 
-def build_V0(spec: TupleSpec, defects: dict) -> CouplingData:
+def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingData:
     """Partial isometry V0: span X -> span Y and the complements M1, M2 of its
-    initial and final spaces in D and Udom before padding."""
-    alg = effective_algebra(spec)
-    bare = coefficient_layout(spec, defects, np.zeros(alg.k, dtype=int))
+    initial and final spaces in D and Udom before padding (``alg`` as in
+    ``build_defects``)."""
+    bare = coefficient_layout(spec, defects, np.zeros(alg.k, dtype=int), alg)
     x, y = defect_frames(spec, defects)
     v0 = isometry_from_frames(x, y)
     blocks = np.asarray(alg.block_of, dtype=int)
     m1, m1lab = _labeled_complement(x, bare.D, blocks, alg.k)
     m2, m2lab = _labeled_complement(y, bare.Udom, blocks, alg.k)
-    return CouplingData(V0=v0, M1=m1, M2=m2, M1_labels=m1lab, M2_labels=m2lab)
+    return CouplingData(V0=v0, M1=m1, M2=m2, M1_labels=m1lab, M2_labels=m2lab, algebra=alg,
+                        X=x, Y=y)
 
 
 def solve_aux(spec: TupleSpec, coupling: CouplingData,
@@ -296,7 +310,7 @@ def solve_aux(spec: TupleSpec, coupling: CouplingData,
     dim(M1) = dim(M2) and padding (pad, pad).  Stores mult1 on the coupling
     and returns the sizes of aux1 and aux2, which are equal.
     """
-    alg = effective_algebra(spec)
+    alg = coupling.algebra
     k = alg.k
     a1, an = alg.automorphisms[0], alg.automorphisms[spec.n - 1]
     inv_a1, inv_an = invert_perm(a1), invert_perm(an)
@@ -357,8 +371,8 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
             config: BuildConfig = BuildConfig()) -> CouplingData:
     """Lay out the padded D and Udom, extend V0^{-1} to the unitary U: Udom -> D
     and assemble the isometry V."""
-    alg = effective_algebra(spec)
-    layout = coefficient_layout(spec, defects, coupling.mult1)
+    alg = coupling.algebra
+    layout = coefficient_layout(spec, defects, coupling.mult1, alg)
     rn, r1, dD = layout.rn, layout.r1, layout.dim
     aux1, aux2 = layout.parts_D[2], layout.parts_Udom[2]
     e1, e2 = int(layout.mult1.sum()), int(layout.mult2.sum())
@@ -391,12 +405,12 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
 
     q1n = defects["hat1n"].space.basis
     src = adj(q1n) @ defects["hat1n"].root
-    x, _ = defect_frames(spec, defects)
-    dst = np.vstack([x, np.zeros((e1, spec.dimH))])
+    dst = np.vstack([coupling.X, np.zeros((e1, spec.dimH))])
 
     coupling.layout = layout
     coupling.U = u
     coupling.V = isometry_from_frames(src, dst)
+    coupling.vs = coupling.V @ src
     return coupling
 
 
@@ -406,7 +420,7 @@ def _gate(residuals: dict, name: str, value: float, gate: float, enabled: bool):
         raise IdentityResidualExceeded(name, value, gate)
 
 
-def build_transfer(spec: TupleSpec, defects: dict, coupling: CouplingData,
+def build_transfer(spec: TupleSpec, coupling: CouplingData,
                    config: BuildConfig = BuildConfig()) -> TransferData:
     """Block unitaries U1 and Un, plus self-checks.
 
@@ -419,7 +433,7 @@ def build_transfer(spec: TupleSpec, defects: dict, coupling: CouplingData,
     aux1 coordinate j is the image of aux2 coordinate ``pair[j]``.
     """
     layout, u_mat = coupling.layout, coupling.U
-    an_inv = invert_perm(effective_algebra(spec).automorphisms[spec.n - 1])
+    an_inv = invert_perm(coupling.algebra.automorphisms[spec.n - 1])
     _, e1d1, aux1 = layout.parts_D
     d1, endn, aux2 = layout.parts_Udom
     rn, r1, dD = layout.rn, layout.r1, layout.dim
@@ -455,29 +469,27 @@ def build_transfer(spec: TupleSpec, defects: dict, coupling: CouplingData,
         _gate(residuals, f"{tag}_rows", frob(a @ adj(a) + b @ adj(b) - eye(dD)),
               UNITARY_GATE * dD, chk)
 
-    qn, q1 = defects["hatn"].space.basis, defects["hat1"].space.basis
-    dn_root, d1_root = defects["hatn"].root, defects["hat1"].root
+    # the frames X = (Dn h, D1 t1* h) and Y = (D1 h, Dn tn* h) of build_V0, in coordinates
+    x, y, vs = coupling.X, coupling.Y, coupling.vs
     t1, tn = spec.op(1), spec.op(spec.n)
-    vs = coupling.V @ (adj(defects["hat1n"].space.basis) @ defects["hat1n"].root)
 
     # defining frame equation of U, Eq-level check on a basis of E1 (x) H
-    f_in = np.vstack([adj(q1) @ d1_root, adj(qn) @ dn_root @ adj(tn), np.zeros((e2, spec.dimH))])
-    f_out = np.vstack([adj(qn) @ dn_root, adj(q1) @ d1_root @ adj(t1), np.zeros((e1, spec.dimH))])
+    f_in = np.vstack([y, np.zeros((e2, spec.dimH))])
+    f_out = np.vstack([x, np.zeros((e1, spec.dimH))])
     _gate(residuals, "frame_eq_f", rel_residual(u_mat @ f_in - f_out, f_out),
           config.identity_gate, chk)
 
-    lemma_in = np.vstack([vs, adj(qn) @ dn_root @ adj(tn) @ adj(t1),
-                          np.zeros((e1, spec.dimH))])
-    lemma_out = np.vstack([vs @ adj(t1), adj(qn) @ dn_root, np.zeros((e1, spec.dimH))])
+    lemma_in = np.vstack([vs, y[r1:] @ adj(t1), np.zeros((e1, spec.dimH))])
+    lemma_out = np.vstack([vs @ adj(t1), x[:rn], np.zeros((e1, spec.dimH))])
     _gate(residuals, "lemma_U1", rel_residual(u1 @ lemma_in - lemma_out, lemma_out),
           config.identity_gate, chk)
 
     mu = spec.u(spec.n, 1)  # flip into merged (E1 before En) coordinate order
-    abn_in = np.vstack([vs, mu * (adj(q1) @ d1_root @ adj(t1) @ adj(tn))])
-    abn_out = np.vstack([vs @ adj(tn), adj(q1) @ d1_root])
+    abn_in = np.vstack([vs, mu * (x[rn:] @ adj(tn))])
+    abn_out = np.vstack([vs @ adj(tn), y[:r1]])
     _gate(residuals, "eq_ABn", rel_residual(un @ abn_in - abn_out, abn_out),
           config.identity_gate, chk)
-    _gate(residuals, "eq_Cn", rel_residual(cn @ vs - adj(q1) @ d1_root, adj(q1) @ d1_root),
+    _gate(residuals, "eq_Cn", rel_residual(cn @ vs - y[:r1], y[:r1]),
           config.identity_gate, chk)
 
     return TransferData(U1=u1, Un=un, residuals=residuals)
@@ -538,8 +550,7 @@ def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: Coeffici
 def build_Pi(merged: TupleSpec, defects: dict, coupling: CouplingData,
              fock: FockModel) -> tuple[np.ndarray, np.ndarray]:
     """Dilation map Pi: H -> F_N(E) (x) D and its exact per-basis-vector tail."""
-    vdhat = coupling.V @ (adj(defects["hat1n"].space.basis) @ defects["hat1n"].root)
-    pi = (vdhat @ ordered_power_products(merged, fock.cells)).reshape(-1, merged.dimH)
+    pi = (coupling.vs @ ordered_power_products(merged, fock.cells)).reshape(-1, merged.dimH)
     return pi, truncation_tails(merged, defects["hat1n"].root, fock.N)
 
 
@@ -578,11 +589,12 @@ def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray
 def assemble_model(spec: TupleSpec, N: int = 4,
                    config: BuildConfig = BuildConfig()) -> DilationModel:
     """Run the whole construction and package the dilation model."""
-    defects, merged, _report, eq_resid = build_defects(spec)
-    coupling = build_V0(spec, defects)
+    alg = effective_algebra(spec)
+    defects, merged, _report, eq_resid = build_defects(spec, alg)
+    coupling = build_V0(spec, defects, alg)
     solve_aux(spec, coupling, config)
     build_U(spec, defects, coupling, config)
-    transfer = build_transfer(spec, defects, coupling, config)
+    transfer = build_transfer(spec, coupling, config)
     _gate(transfer.residuals, "defect_equality", eq_resid, config.identity_gate,
           config.check_identities)
     pure, radius = is_pure(merged, 1)

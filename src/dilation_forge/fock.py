@@ -119,6 +119,15 @@ class FockModel:
         return np.prod(np.asarray(costs, dtype=complex) ** self.cells, axis=1)
 
     @cached_property
+    def creation_phases(self) -> np.ndarray:
+        """Read-only (m, cells) table: row s is ``cell_phases`` of the front-insertion
+        costs u(s, t) for t < s (1 for t >= s), the phases of creation operator s."""
+        costs = np.where(np.tri(self.m, k=-1, dtype=bool), self.merged_phases, 1)
+        table = np.prod(costs[:, None, :] ** self.cells, axis=2)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def successors(self) -> np.ndarray:
         """Read-only (m, cells) table: entry (s, alpha) is the cell alpha + e_s,
         or -1 where |alpha| = N; from one sort of the cell keys."""
@@ -288,8 +297,7 @@ def creation_matrix(model: FockModel, s: int) -> FockOperator:
     """
     if not 0 <= s < model.m:
         raise DimensionMismatch(f"generator index {s} out of range")
-    costs = np.where(np.arange(model.m) < s, model.merged_phases[s], 1)
-    return FockOperator(model, None, None, s, model.cell_phases(costs))
+    return FockOperator(model, None, None, s, model.creation_phases[s])
 
 
 def interior_cells(model: FockModel, margin: int) -> np.ndarray:

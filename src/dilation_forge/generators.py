@@ -137,8 +137,10 @@ def covariant(rng: np.random.Generator, n: int, dimH: int, k: int = 2,
 
 def random_tuple(style: str, n: int, dimH: int, seed: int, **kwargs) -> TupleSpec:
     """Dispatch by style name; deterministic in (style, n, dimH, seed)."""
-    if n < 1 or dimH < 1:
-        raise GenerationFailed(f"need n >= 1 and dimH >= 1, got n={n}, dimH={dimH}")
+    if n < 2 or dimH < 1:
+        raise GenerationFailed(f"need n >= 2 and dimH >= 1, got n={n}, dimH={dimH} (the "
+                               "dilatable class has n >= 2; a single contraction T dilates "
+                               "as the pair (T, 0))")
     rng = np.random.default_rng(seed)
     if style == "jointly-nilpotent":
         return jointly_nilpotent(rng, n, dimH)

@@ -28,7 +28,7 @@ from .builder import (MAX_PAD, CoefficientLayout, DilationModel, TransferData, b
                       coefficient_layout, dilated_isometries, effective_algebra)
 from .errors import MalformedSpec
 from .fock import FockModel
-from .tuples import AlgebraStructure, TupleSpec, merge_1n
+from .tuples import AlgebraStructure, TupleSpec
 
 SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 4
@@ -209,17 +209,16 @@ def model_from_dict(doc: dict) -> DilationModel:
     if version != MODEL_SCHEMA_VERSION:
         raise MalformedSpec(f"$.schema_version: expected {MODEL_SCHEMA_VERSION}, got {version}")
     spec = tuple_from_dict(_require(doc, "tuple", dict, "$"), "$.tuple")
-    merged = merge_1n(spec)
     N = _require(doc, "N", int, "$")
     if N < 1:
         raise MalformedSpec(f"$.N: truncation degree must be at least 1, got {N}")
     dims = _require(doc, "dims", dict, "$")
     aux = _require(dims, "aux", list, "$.dims")
-    k = effective_algebra(spec).k
-    if len(aux) != k or any(type(v) is not int or not 0 <= v <= MAX_PAD for v in aux):
-        raise MalformedSpec(f"$.dims.aux: expected {k} integers in 0..{MAX_PAD}")
-    defects, _, _, _ = build_defects(spec)
-    layout = coefficient_layout(spec, defects, aux)
+    alg = effective_algebra(spec)
+    if len(aux) != alg.k or any(type(v) is not int or not 0 <= v <= MAX_PAD for v in aux):
+        raise MalformedSpec(f"$.dims.aux: expected {alg.k} integers in 0..{MAX_PAD}")
+    defects, merged, _, _ = build_defects(spec, alg)
+    layout = coefficient_layout(spec, defects, aux, alg)
     cells = comb(merged.n + N, merged.n)
     expected = _dims(layout, defects, cells)
     if dims != expected:

@@ -6,10 +6,10 @@ T_{i,1}..T_{i,d} on C^dimH.  For d = 1 the single matrices t_i may u-commute
 for a diagonal algebra C^k acting blockwise on C^dimH with commuting
 permutation automorphisms.
 
-Class membership (the dilatable class): the tuple must be a (u-)commuting,
-covariant row-contraction tuple, the sub-tuples obtained by deleting index 1
-and index n must both have a PSD Szego operator, and the sub-tuple without
-index n must be pure (every completely positive map
+Class membership (the dilatable class): the tuple must have n >= 2 indices
+and be a (u-)commuting, covariant row-contraction tuple, the sub-tuples
+obtained by deleting index 1 and index n must both have a PSD Szego operator,
+and the sub-tuple without index n must be pure (every completely positive map
 X -> sum_j T_{i,j} X T_{i,j}* has spectral radius < 1).
 """
 
@@ -154,6 +154,7 @@ class TupleSpec:
 class ClassReport:
     """Outcome of structural validation and class membership tests."""
 
+    n: int = 0  # number of indices; the construction fuses indices 1 and n, so needs n >= 2
     is_contraction_tuple: bool = False
     row_norms: list[float] = field(default_factory=list)
     commutation_residual: float = 0.0
@@ -171,6 +172,9 @@ class ClassReport:
 
     def failing_conditions(self) -> list[str]:
         fails = []
+        if self.n < 2:
+            fails.append(f"n = {self.n} < 2: the construction fuses indices 1 and n; "
+                         "dilate a single contraction T as the pair (T, 0)")
         if self.szego_hat1 is not None and not self.szego_hat1.is_psd:
             fails.append(f"szego_hat1 not PSD (min_eig {self.szego_hat1.min_eig:.6g})")
         if self.szego_hatn is not None and not self.szego_hatn.is_psd:
@@ -217,7 +221,7 @@ def validate(spec: TupleSpec, tol: float = CONTRACTION_TOL) -> ClassReport:
     The commutation and covariance residuals are gated at
     tol * max(1, max_i ||T_i||^2), the scale of the products they compare.
     """
-    report = ClassReport()
+    report = ClassReport(n=spec.n)
     t = np.array(spec.blocks)  # (n, d, dimH, dimH)
     rows = t.transpose(0, 2, 1, 3).reshape(spec.n, spec.dimH, -1)  # row i is (T_{i,1} ... T_{i,d})
     report.row_norms = np.linalg.norm(rows, 2, axis=(1, 2)).tolist()
@@ -349,14 +353,10 @@ def merge_1n(spec: TupleSpec) -> TupleSpec:
         raise MalformedSpec("merge_1n needs n >= 2")
     m = spec.n - 1
     ops = [spec.op(1) @ spec.op(spec.n)] + [spec.op(i) for i in range(2, spec.n)]
-    phases = np.ones((m, m), dtype=complex)
-    for s in range(1, m):
-        i = s + 1  # original index in slot s
-        phases[s, 0] = spec.u(i, 1) * spec.u(i, spec.n)
-        phases[0, s] = np.conj(phases[s, 0])
-    for s in range(1, m):
-        for t in range(1, m):
-            phases[s, t] = spec.u(s + 1, t + 1)
+    phases = np.ones((m, m), dtype=complex)  # slot s > 0 holds original index s + 1
+    phases[1:, 0] = [spec.u(i, 1) * spec.u(i, spec.n) for i in range(2, spec.n)]
+    phases[0, 1:] = np.conj(phases[1:, 0])
+    phases[1:, 1:] = spec.phases[1:m, 1:m]
     algebra = None
     if spec.algebra is not None:
         alg = spec.algebra

@@ -7,13 +7,14 @@ single-operator identities, margin 2 where two operators compose.
 
 Fock operators are only ever applied to Pi, or composed with each other
 cell by cell and the composite's blocks measured on the interior cells.  No
-dim x dim product is formed.  The isometry and commutation check is one pass
-over the whole tuple: every W_i* W_i and every ordered product V_a V_b come
-from one ``fock.TermTable`` of all the isometries' blocks, and all their
-residuals and reference norms from one ``fock.group_norms`` reduction.  The
-transfer factorizations are one more such pass: both products of V_1 and V_n
-from one ``TermTable.products`` call, their residuals and the reference L1
-from one ``group_norms`` reduction.
+dim x dim product is formed.  One ``fock.TermTable`` per model
+(``DilationModel.table``: the isometries, then L1) serves three checks, each
+one stacked pass over the whole tuple.  The intertwinings apply every block
+of the table to Pi in one batched product.  Every W_i* W_i and every ordered
+product V_a V_b come from one ``TermTable.products`` call each, and all their
+residuals and reference norms from one ``fock.group_norms`` reduction.  Both
+transfer factorizations of V_1 and V_n are one more ``products`` call, their
+residuals and the reference L1 one more ``group_norms`` reduction.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from itertools import combinations
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import (FockOperator, TermTable, enumerate_indices, group_norms, interior_cells,
+from .fock import (FockOperator, enumerate_indices, group_norms, interior_cells,
                    interior_projector, parent_rows)
-from .linalg import adj, eye, rel_residual
+from .linalg import adj, eye, frob_stack, rel_residual
 from .tuples import invert_perm, ordered_power_products
 
 DEFAULT_TOLERANCES = {
@@ -75,22 +76,30 @@ def verify_pi(model: DilationModel) -> dict:
 
 
 def verify_intertwining(model: DilationModel) -> dict:
-    """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells."""
-    spec, fock, pi = model.spec, model.fock, model.Pi
+    """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells,
+    for the isometries V_1..V_n against T_1..T_n and for L1 against the
+    merged generator.
+
+    One stacked pass over ``model.table``: every block's adjoint times the Pi
+    block of its destination cell is one batched product, added into its
+    operator's source cells term by term, as ``FockOperator.apply_adj`` adds
+    them; every residual is ``rel_residual``'s, from ``frob_stack``.
+    """
+    spec, fock, pi, table = model.spec, model.fock, model.Pi, model.table
     inner = interior_projector(fock, 1)
-    out = {}
-
-    def entry(name, w, t):
-        lhs = w.apply_adj(pi)[inner]
-        rhs = (pi @ adj(t))[inner]
-        out[name] = rel_residual(lhs - rhs, rhs)
-
-    entry("dilation1_tau1", model.isometries[0], spec.op(1))
-    for i in range(2, spec.n):
-        entry(f"dilation_L{i}", model.isometries[i - 1], spec.op(i))
-    entry("dilation2_taun", model.isometries[-1], spec.op(spec.n))
-    entry("dilationV_L1", model.L1, model.merged.op(1))
-    return out
+    y = pi.reshape(fock.cell_count, fock.coeff_dim, -1)
+    blocks = adj(table.blocks) @ y[table.dst]
+    out = np.zeros((len(table.count),) + y.shape, dtype=complex)
+    for t in range(table.term.max() + 1):
+        rows = table.term == t
+        out[table.op[rows], table.src[rows]] += blocks[rows]
+    ts = np.array([spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)])
+    lhs = out.reshape(len(ts), *pi.shape)[:, inner]
+    rhs = (pi @ adj(ts))[:, inner]
+    resid = frob_stack(lhs - rhs) / np.maximum(1.0, frob_stack(rhs))
+    names = (["dilation1_tau1"] + [f"dilation_L{i}" for i in range(2, spec.n)]
+             + ["dilation2_taun", "dilationV_L1"])
+    return dict(zip(names, resid.tolist()))
 
 
 def verify_factorization(model: DilationModel) -> dict:
@@ -103,10 +112,9 @@ def verify_factorization(model: DilationModel) -> dict:
     ``TermTable.products`` call and every norm from one ``group_norms``
     reduction, whose groups are V_1 V_n - L1, V_n V_1 - u(n,1) L1 and L1.
     """
-    fock = model.fock
+    fock, table, n = model.fock, model.table, model.spec.n
     src = interior_cells(fock, min(2, fock.N))
-    table = TermTable([model.isometries[0], model.isometries[-1]])
-    _, p, to, start, vv = table.products(table, [0, 1], [1, 0], src=src)
+    _, p, to, start, vv = table.products(table, [0, n - 1], [n - 1, 0], src=src)
     l1_to, l1_start, l1 = model.L1.terms[0]  # a creation operator has one term
     keep = src[l1_start]
     l1_to, l1_start, l1 = l1_to[keep], l1_start[keep], l1[keep]
@@ -137,7 +145,7 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     inner = interior_cells(fock, 1)
     src = interior_cells(fock, min(2, fock.N))
     unit = max(1.0, np.sqrt(np.count_nonzero(inner) * d))
-    table, every, cells = TermTable(ws), np.arange(n), np.flatnonzero(inner)
+    table, every, cells = model.table, np.arange(n), np.flatnonzero(inner)
     _, w_group, w_to, w_start, wtw = table.products(table, every, every, adjoint=True,
                                                     src=inner, dst=inner)
     pairs = list(combinations(range(n), 2))

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_defects,
-                                    build_Pi, build_transfer, build_V0, build_U, solve_aux,
-                                    dilated_isometries, truncation_tails)
+                                    build_Pi, build_transfer, build_V0, build_U,
+                                    dilated_isometries, effective_algebra, solve_aux,
+                                    truncation_tails)
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.tuples import TupleSpec, classify
 from dilation_forge.verifier import full_report, verify_equivariance, verify_moments
@@ -55,11 +56,12 @@ def test_criterion_2_construction_identities():
     t0 = time.time()
     worst = {"equality": 0.0, "unitary": 0.0, "lemma_U1": 0.0, "eq_ABn": 0.0, "eq_Cn": 0.0}
     for spec in corpus(50):
-        defects, merged, _, eq = build_defects(spec)
-        coupling = build_V0(spec, defects)
+        alg = effective_algebra(spec)
+        defects, merged, _, eq = build_defects(spec, alg)
+        coupling = build_V0(spec, defects, alg)
         solve_aux(spec, coupling)
         build_U(spec, defects, coupling)
-        transfer = build_transfer(spec, defects, coupling)
+        transfer = build_transfer(spec, coupling)
         u = coupling.U
         worst["equality"] = max(worst["equality"], eq)
         worst["unitary"] = max(worst["unitary"],
@@ -173,7 +175,7 @@ def test_criterion_8_mutation_sensitivity():
     coupling.U = coupling.U.copy()
     coupling.U[1, 1] *= -1.0
     cfg = BuildConfig(check_identities=False)
-    transfer = build_transfer(spec, model.defects, coupling, cfg)
+    transfer = build_transfer(spec, coupling, cfg)
     pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
     mutated = DilationModel(
         spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
@@ -190,7 +192,7 @@ def test_criterion_8_mutation_sensitivity():
 def test_criterion_9_tail_monotonicity():
     checked = 0
     for spec in corpus(50):
-        defects, merged, _, _ = build_defects(spec)
+        defects, merged, _, _ = build_defects(spec, effective_algebra(spec))
         root = defects["hat1n"].root
         t3, t4, t5 = (truncation_tails(merged, root, N) for N in (3, 4, 5))
         assert np.all(t4 <= t3 + 1e-13)

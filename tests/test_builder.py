@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from dilation_forge.builder import (BuildConfig, assemble_model, build_defects,
                                     build_transfer, build_U, build_V0, coefficient_layout,
-                                    defect_frames, simplex_mass, solve_aux, truncation_tails)
+                                    defect_frames, effective_algebra, simplex_mass, solve_aux,
+                                    truncation_tails)
 from dilation_forge.errors import InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity
 from dilation_forge.fock import enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
@@ -13,16 +14,20 @@ from dilation_forge.linalg import adj
 from dilation_forge.tuples import AlgebraStructure, TupleSpec, ordered_power_products
 
 
+def defects_for(spec):
+    return build_defects(spec, effective_algebra(spec))
+
+
 def coupling_for(spec, config=BuildConfig()):
-    defects, merged, _, eq = build_defects(spec)
-    coupling = build_V0(spec, defects)
+    defects, merged, _, eq = defects_for(spec)
+    coupling = build_V0(spec, defects, effective_algebra(spec))
     solve_aux(spec, coupling, config)
     build_U(spec, defects, coupling, config)
     return defects, merged, coupling, eq
 
 
 def test_defects_scalar_triple_frozen_values():
-    defects, merged, _, resid = build_defects(scalar_triple(0.5, 0.4, 0.3))
+    defects, merged, _, resid = defects_for(scalar_triple(0.5, 0.4, 0.3))
     assert defects["hat1"].square[0, 0] == pytest.approx((1 - 0.16) * (1 - 0.09))   # 0.7644
     assert defects["hatn"].square[0, 0] == pytest.approx((1 - 0.25) * (1 - 0.16))   # 0.63
     assert defects["hat1n"].square[0, 0] == pytest.approx((1 - 0.0225) * (1 - 0.16))  # 0.8211
@@ -31,16 +36,16 @@ def test_defects_scalar_triple_frozen_values():
 
 
 def test_defects_pair():
-    defects, _, _, _ = build_defects(TupleSpec.from_operators([[[0.5]], [[0.8]]]))
+    defects, _, _, _ = defects_for(TupleSpec.from_operators([[[0.5]], [[0.8]]]))
     assert defects["hat1"].square[0, 0] == pytest.approx(1 - 0.64)
     assert defects["hatn"].square[0, 0] == pytest.approx(1 - 0.25)
 
 
 def test_defects_reject_out_of_class():
     with pytest.raises(NotInClass):
-        build_defects(parrott_tuple())
+        defects_for(parrott_tuple())
     with pytest.raises(UnsupportedMultiplicity):
-        build_defects(TupleSpec(n=2, dimH=2, d=2,
+        defects_for(TupleSpec(n=2, dimH=2, d=2,
                                 blocks=[[np.zeros((2, 2))] * 2, [np.zeros((2, 2))] * 2]))
 
 
@@ -56,7 +61,7 @@ def test_zero_tuple_coupling_is_identity_like():
 def test_frames_scalar_pair():
     # X_h = (sqrt(1-|t1|^2), sqrt(1-|t2|^2) conj(t1)), Y_h the symmetric swap
     t1, t2 = 0.5, 0.8
-    defects, _, _, _ = build_defects(TupleSpec.from_operators([[[t1]], [[t2]]]))
+    defects, _, _, _ = defects_for(TupleSpec.from_operators([[[t1]], [[t2]]]))
     x, y = defect_frames(TupleSpec.from_operators([[[t1]], [[t2]]]), defects)
     assert x[:, 0] == pytest.approx([np.sqrt(1 - t1 ** 2), np.sqrt(1 - t2 ** 2) * t1])
     assert y[:, 0] == pytest.approx([np.sqrt(1 - t2 ** 2), np.sqrt(1 - t1 ** 2) * t2])
@@ -66,16 +71,32 @@ def test_frames_scalar_pair():
 def test_v0_maps_frames_for_class_members():
     for seed in range(4):
         spec = random_tuple("scaled-commuting", 3, 4, seed=seed)
-        defects, _, _, _ = build_defects(spec)
-        coupling = build_V0(spec, defects)
+        defects, _, _, _ = defects_for(spec)
+        coupling = build_V0(spec, defects, effective_algebra(spec))
         x, y = defect_frames(spec, defects)
         assert np.linalg.norm(coupling.V0 @ x - y) < 1e-10
 
 
+@pytest.mark.parametrize("aux_pad", [0, 1])
+def test_coupling_carries_each_intermediate_once(aux_pad):
+    """The frames and V Q1n* Dhat are formed once, by the stage that owns them,
+    and equal what their own functions form; so does the padded layout."""
+    spec = random_tuple("covariant", 3, 4, seed=6, k=2, automorphisms=[[1, 0], [0, 1], [1, 0]])
+    defects, _, coupling, _ = coupling_for(spec, BuildConfig(aux_pad=aux_pad))
+    x, y = defect_frames(spec, defects)
+    assert coupling.X.tobytes() == x.tobytes() and coupling.Y.tobytes() == y.tobytes()
+    hat1n = defects["hat1n"]
+    assert coupling.vs.tobytes() == (coupling.V @ (adj(hat1n.space.basis) @ hat1n.root)).tobytes()
+    fresh = coefficient_layout(spec, defects, coupling.mult1, coupling.algebra)
+    for name in ("mult1", "mult2", "D", "Udom", "Dprime", "Dprime_rows"):
+        assert np.array_equal(getattr(coupling.layout, name), getattr(fresh, name)), name
+    assert coupling.layout.parts_D == fresh.parts_D
+
+
 def test_solve_aux_scalar_mode():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=0)
-    defects, _, _, _ = build_defects(spec)
-    coupling = build_V0(spec, defects)
+    defects, _, _, _ = defects_for(spec)
+    coupling = build_V0(spec, defects, effective_algebra(spec))
     e1, e2 = solve_aux(spec, coupling)
     assert (e1, e2) == (0, 0)
     # the complements always match in dimension for d = 1
@@ -84,8 +105,8 @@ def test_solve_aux_scalar_mode():
 
 def test_solve_aux_user_padding():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=1)
-    defects, _, _, _ = build_defects(spec)
-    coupling = build_V0(spec, defects)
+    defects, _, _, _ = defects_for(spec)
+    coupling = build_V0(spec, defects, effective_algebra(spec))
     e1, e2 = solve_aux(spec, coupling, BuildConfig(aux_pad=2))
     assert (e1, e2) == (2, 2)
     build_U(spec, defects, coupling, BuildConfig(aux_pad=2))
@@ -108,19 +129,20 @@ def padded_covariant_spec():
 
 def test_solve_aux_equivariant_identity_automorphisms():
     spec = random_tuple("covariant", 3, 4, seed=2, k=2, automorphisms=[[0, 1]] * 3)
-    defects, _, _, _ = build_defects(spec)
-    coupling = build_V0(spec, defects)
+    defects, _, _, _ = defects_for(spec)
+    coupling = build_V0(spec, defects, effective_algebra(spec))
     assert solve_aux(spec, coupling) == (0, 0)
 
 
 def test_solve_aux_equivariant_minimal_padding():
     spec = padded_covariant_spec()
-    defects, _, _, _ = build_defects(spec)
-    coupling = build_V0(spec, defects)
+    defects, _, _, _ = defects_for(spec)
+    coupling = build_V0(spec, defects, effective_algebra(spec))
     e1, e2 = solve_aux(spec, coupling)
     assert (e1, e2) == (1, 1)
     assert coupling.mult1.tolist() == [1, 0]
-    assert coefficient_layout(spec, defects, coupling.mult1).mult2.tolist() == [0, 1]
+    assert coefficient_layout(spec, defects, coupling.mult1,
+                              effective_algebra(spec)).mult2.tolist() == [0, 1]
 
 
 def test_solve_aux_infeasible():
@@ -134,8 +156,8 @@ def test_solve_aux_infeasible():
     t3 = 0.5 * np.block([[np.zeros((2, 2)), e], [e, np.zeros((2, 2))]])
     alg = AlgebraStructure(k=2, block_of=[0, 0, 1, 1], automorphisms=[[0, 1], [0, 1], [1, 0]])
     spec = TupleSpec.from_operators([t1, t2, t3], algebra=alg)
-    defects, _, _, _ = build_defects(spec)
-    coupling = build_V0(spec, defects)
+    defects, _, _, _ = defects_for(spec)
+    coupling = build_V0(spec, defects, effective_algebra(spec))
     with pytest.raises(InfeasibleFinitePadding):
         solve_aux(spec, coupling)
 
@@ -159,7 +181,7 @@ def test_transfer_identities_on_random_members():
         style = "jointly-nilpotent" if seed % 2 else "scaled-commuting"
         spec = random_tuple(style, 3, 3 + seed % 3, seed=seed)
         defects, _, coupling, eq = coupling_for(spec)
-        transfer = build_transfer(spec, defects, coupling)
+        transfer = build_transfer(spec, coupling)
         assert eq < 1e-10
         assert transfer.residuals["lemma_U1"] < 1e-10
         assert transfer.residuals["eq_ABn"] < 1e-10
@@ -171,7 +193,7 @@ def test_transfer_identities_on_random_members():
 def test_transfer_blocks_satisfy_colligation_relations():
     spec = random_tuple("u-commuting", 3, 4, seed=4)
     defects, _, coupling, _ = coupling_for(spec)
-    tr = build_transfer(spec, defects, coupling)
+    tr = build_transfer(spec, coupling)
     d = coupling.layout.dim
     for u in (tr.U1, tr.Un):
         a, b, c = u[:d, :d], u[:d, d:], u[d:, :d]
@@ -217,7 +239,7 @@ def test_tails_match_pi_mass_both_routes():
 
 def test_tail_monotone_in_degree():
     spec = random_tuple("scaled-commuting", 3, 4, seed=7)
-    defects, merged, _, _ = build_defects(spec)
+    defects, merged, _, _ = defects_for(spec)
     root = defects["hat1n"].root
     t3, t4, t5 = (truncation_tails(merged, root, N) for N in (3, 4, 5))
     assert np.all(t4 <= t3 + 1e-13) and np.all(t5 <= t4 + 1e-13)
@@ -312,7 +334,7 @@ def box_enumeration_tails(merged, dhat_root, N):
 def test_tails_recursion_matches_box_enumeration(style, N, n, dim, seed):
     n = min(n, 3) if style == "u-commuting" else n
     dim = 2 * dim if style == "covariant" else dim  # a multiple of its k = 2
-    defects, merged, _, _ = build_defects(random_tuple(style, n, dim, seed=seed))
+    defects, merged, _, _ = defects_for(random_tuple(style, n, dim, seed=seed))
     root = defects["hat1n"].root
     ref = box_enumeration_tails(merged, root, N)
     assert np.max(np.abs(truncation_tails(merged, root, N) - ref)) < 1e-13

@@ -6,7 +6,7 @@ import pytest
 from dilation_forge import cli
 from dilation_forge.builder import BuildConfig, assemble_model
 from dilation_forge.cli import main
-from dilation_forge.errors import GenerationFailed, MalformedSpec
+from dilation_forge.errors import GenerationFailed, MalformedSpec, NotInClass
 from dilation_forge.generators import STYLES, parrott_tuple, random_tuple, scalar_triple
 from dilation_forge.io import (dump_json, load_model, load_tuple, model_from_dict,
                                model_to_dict, tuple_from_dict, tuple_to_dict)
@@ -73,6 +73,42 @@ def test_dilate_rejections(tmp_path):
     d2_path = tmp_path / "d2.json"
     dump_json(tuple_to_dict(d2), str(d2_path))
     assert main(["dilate", "-i", str(d2_path)]) == 2
+
+
+ONE_OPERATOR = ('{"d":1,"dimH":2,"matrices":[[[[[0.0,0.0],[0.5,0.0]],[[0.0,0.0],[0.0,0.0]]]]],'
+                '"n":1,"schema_version":1}')
+
+
+def test_single_operator_tuple_is_out_of_class_everywhere(tmp_path, capsys):
+    """n = 1 fails the class gate by name, so classify, dilate and verify -i all
+    exit 2 instead of reporting it in class and then failing to fuse indices."""
+    path = tmp_path / "one.json"
+    path.write_text(ONE_OPERATOR)
+    assert main(["classify", "-i", str(path), "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["in_T1n"] is False
+    assert [c for c in doc["failing_conditions"] if c.startswith("n = 1 < 2")]
+    for argv in (["dilate", "-i", str(path)], ["verify", "-i", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "(T, 0)" in err and "merge_1n" not in err and err.count("\n") == 1
+    with pytest.raises(NotInClass):
+        assemble_model(load_tuple(str(path)))
+    # the (T, 0) embedding that the message names dilates
+    t = load_tuple(str(path)).op(1)
+    pair = tmp_path / "pair.json"
+    dump_json(tuple_to_dict(TupleSpec.from_operators([t, np.zeros((2, 2))])), str(pair))
+    assert main(["verify", "-i", str(pair), "--degree", "2"]) == 0
+    # a model document that carries the one-operator tuple fails the same gate on load
+    model = tmp_path / "model.json"
+    assert main(["dilate", "-i", str(pair), "--degree", "2", "-o", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["tuple"] = json.loads(ONE_OPERATOR)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "(T, 0)" in err and "merge_1n" not in err and err.count("\n") == 1
 
 
 def test_verify_mutated_model_fails(tmp_path, triple_file):
@@ -410,9 +446,11 @@ def test_classify_text_names_indeterminate_purity(tmp_path, triple_file, capsys)
 
 @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-2"], ["--dimH", "-1"], ["--dimH", "0"],
                                   ["--style", "covariant", "--n", "0"],
-                                  ["--style", "covariant", "--dimH", "3"]],
+                                  ["--style", "covariant", "--dimH", "3"],
+                                  ["--style", "scaled-commuting", "--n", "1", "--dimH", "2",
+                                   "--seed", "3"]],
                          ids=["n zero", "n negative", "dimH negative", "dimH zero",
-                              "covariant n zero", "covariant dimH 3"])
+                              "covariant n zero", "covariant dimH 3", "n one"])
 def test_random_rejects_empty_sizes_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
     assert main(["random", *argv, "-o", str(out)]) == 1
@@ -442,3 +480,6 @@ def test_empty_operator_list_is_malformed():
     for n, dimH in ((0, 2), (-2, 2), (3, -1), (3, 0)):
         with pytest.raises(GenerationFailed):
             random_tuple("jointly-nilpotent", n, dimH, seed=0)
+    for style in STYLES:  # the dilatable class needs n >= 2
+        with pytest.raises(GenerationFailed, match="n >= 2"):
+            random_tuple(style, 1, 4, seed=0)

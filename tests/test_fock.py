@@ -210,6 +210,18 @@ def test_cell_phases_match_per_cell_loops(m, N, coeff, quarter_turns):
                     np.array(back_phases(model, s)))
 
 
+@pytest.mark.parametrize("quarter_turns", [True, False])
+@pytest.mark.parametrize("m,N,coeff", SHAPES)
+def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_turns):
+    model, _ = random_model(m, N, coeff, 10 * m + N, quarter_turns)
+    table = model.creation_phases
+    assert table.shape == (m, model.cell_count) and not table.flags.writeable
+    assert model.creation_phases is table  # built once per model
+    for s in range(m):
+        costs = np.where(np.arange(m) < s, model.merged_phases[s], 1)
+        assert table[s].tobytes() == model.cell_phases(costs).tobytes()
+
+
 def operator_zoo(model, rng, quarter_turns):
     """A weighted diagonal-plus-shift operator and a creation operator per slot.
 

@@ -122,6 +122,37 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
+def test_psd_sqrt_verdict_is_the_gate_verdict_at_the_cutoff():
+    """The class gate decides with ``psd_check``; ``psd_sqrt`` on the same
+    matrix raises exactly when that verdict fails, so a tuple in the class can
+    always be dilated, also for a smallest eigenvalue within rounding of the
+    cutoff -tol * max(1, ||A||_2)."""
+    rng = np.random.default_rng(5)
+    tol, verdicts = 1e-10, set()
+    for dim in (2, 3, 5):
+        q, _ = np.linalg.qr(crandn(rng, (dim, dim)))
+        for step in range(-40, 41):
+            eigs = np.linspace(1.0, 0.5, dim)
+            eigs[-1] = -tol + step * 2e-18  # across the cutoff, in steps of a few ulps
+            a = (q * eigs) @ adj(q)
+            ok = psd_check(a, tol).is_psd
+            verdicts.add(ok)
+            try:
+                psd_sqrt(a, tol)
+                assert ok, (dim, step)
+            except NotPSD:
+                assert not ok, (dim, step)
+    assert verdicts == {True, False}
+
+
+def test_psd_sqrt_rejects_non_hermitian_and_negative_inputs():
+    with pytest.raises(NotPSD, match="not Hermitian"):
+        psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(NotPSD, match="below tolerance"):
+        psd_sqrt(np.diag([1.0, -1e-9]))  # below -tol * max(1, ||A||) = -1e-10
+    assert psd_sqrt(np.diag([1.0, -1e-11]))[1, 1] == 0.0  # within the tolerance: clamped
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(0)
     for _ in range(5):

@@ -165,6 +165,18 @@ def test_classify_zero_and_triple():
             assert s[0, 0] == pytest.approx(expected)
 
 
+def test_single_operator_fails_the_gate_by_name():
+    """Every Szego and purity condition holds vacuously at n = 1, but the
+    construction fuses indices 1 and n: the gate names the missing index."""
+    spec = TupleSpec.from_operators([0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])])
+    for rep in (class_gate(spec)[0], classify(spec)):
+        assert not rep.in_T1n
+        assert rep.failing_conditions() == [
+            "n = 1 < 2: the construction fuses indices 1 and n; "
+            "dilate a single contraction T as the pair (T, 0)"]
+    assert classify(TupleSpec.from_operators([spec.op(1), np.zeros((2, 2))])).in_T1n
+
+
 def test_classify_parrott_rejected():
     rep = classify(parrott_tuple())
     assert not rep.in_T1n
@@ -201,6 +213,22 @@ def test_merge_phases():
     merged = merge_1n(spec)
     assert merged.phases[1, 0] == pytest.approx(-1j)
     assert merged.phases[0, 1] == pytest.approx(1j)
+
+
+def test_merged_phase_table_matches_the_pair_loop():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 8):
+        upper = np.triu(np.exp(2j * np.pi * rng.uniform(size=(n, n))), 1)
+        spec = TupleSpec.from_operators([np.zeros((2, 2))] * n,
+                                        phases=upper + adj(upper) + np.eye(n))
+        m = n - 1
+        ref = np.ones((m, m), dtype=complex)
+        for s in range(1, m):
+            ref[s, 0] = spec.u(s + 1, 1) * spec.u(s + 1, n)
+            ref[0, s] = np.conj(ref[s, 0])
+            for t in range(1, m):
+                ref[s, t] = spec.u(s + 1, t + 1)
+        assert merge_1n(spec).phases.tobytes() == ref.tobytes()
 
 
 def test_merge_requires_d1():

@@ -7,8 +7,8 @@ import pytest
 
 from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_Pi,
                                     build_transfer, dilated_isometries)
-from dilation_forge.fock import (creation_matrix, enumerate_indices, interior_cells,
-                                 interior_projector)
+from dilation_forge.fock import (TermTable, creation_matrix, enumerate_indices,
+                                 interior_cells, interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
 from dilation_forge.tuples import TupleSpec, compose_perm, ordered_power_products
@@ -61,7 +61,7 @@ def rebuilt_model(model, U):
     """The model rebuilt, without the construction's self-checks, from coupling matrix U."""
     spec, coupling = model.spec, model.coupling
     coupling.U = U
-    transfer = build_transfer(spec, model.defects, coupling, BuildConfig(check_identities=False))
+    transfer = build_transfer(spec, coupling, BuildConfig(check_identities=False))
     pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
     return DilationModel(
         spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
@@ -149,6 +149,51 @@ def test_one_pass_matches_per_pair_loop(style, N):
         assert_matches_per_pair(model)
         broken = rebuilt_model(model, model.coupling.U + 0.1)
         assert_matches_per_pair(broken)
+
+
+def per_operator_intertwining(model):
+    """The intertwining residuals one operator at a time, by ``apply_adj`` and
+    ``rel_residual`` (the verifier's former loop)."""
+    spec, pi = model.spec, model.Pi
+    inner = interior_projector(model.fock, 1)
+    ts = [spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)]
+    out = []
+    for w, t in zip(model.isometries + [model.L1], ts):
+        rhs = (pi @ adj(t))[inner]
+        out.append(rel_residual(w.apply_adj(pi)[inner] - rhs, rhs))
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("style", STYLES)
+def test_stacked_intertwining_matches_per_operator_loop(style, N):
+    """The stacked pass forms the sums ``apply_adj`` forms: equal bit for bit."""
+    for n in WIDTHS.get(style, range(2, 11)):
+        model = assemble_model(style_tuple(style, n, 2, seed=30 + n), N=N)
+        got = verify_intertwining(model)
+        assert list(got) == (["dilation1_tau1"] + [f"dilation_L{i}" for i in range(2, n)]
+                             + ["dilation2_taun", "dilationV_L1"])
+        assert list(got.values()) == per_operator_intertwining(model)
+        broken = rebuilt_model(model, model.coupling.U + 0.1)
+        got = verify_intertwining(broken)
+        assert list(got.values()) == per_operator_intertwining(broken)
+        assert max(got["dilation1_tau1"], got["dilation2_taun"]) > 1e-3
+
+
+def test_replaced_isometries_get_a_fresh_table():
+    """``DilationModel.table`` is built once per model object, and a model made
+    by ``dataclasses.replace`` builds its own from its own isometries."""
+    model = assemble_model(random_tuple("jointly-nilpotent", 4, 2, seed=4), N=2)
+    table = model.table
+    assert model.table is table
+    assert table.count.tolist() == [sum(len(dst) for dst, _, _ in w.terms)
+                                    for w in model.isometries + [model.L1]]
+    swapped = replace(model, isometries=model.isometries[::-1])
+    assert swapped.table is not table
+    fresh = TermTable(swapped.isometries + [swapped.L1])
+    for name in ("op", "term", "dst", "src", "blocks", "where"):
+        assert np.array_equal(getattr(swapped.table, name), getattr(fresh, name)), name
+    assert not np.array_equal(swapped.table.blocks, table.blocks)
 
 
 def test_one_pass_keeps_each_pair_in_its_residual():
