@@ -3,10 +3,15 @@
 Exit codes: 0 success / in class / all identities pass; 1 input or IO error,
 including a command-line usage error (an unknown option, a value of the wrong
 type, a missing required option); 2 well-formed but not in the dilatable
-class (or unsupported multiplicity), also used for verification failure;
-3 infeasible finite padding; 4 construction identity residual exceeded.
+class (a failed class condition, d != 1 among them, or unsupported
+multiplicity), also used for verification failure; 3 infeasible finite
+padding; 4 construction identity residual exceeded.  Which error gets which
+code, and the prefix of its one ``error:`` line on stderr, is ``ERROR_EXITS``;
+only ``main`` reads it, so no command catches an error itself.
 
-``verify --format text`` and ``demo`` print the construction self-check
+``dilate`` and ``verify -i`` build through ``_build``; only ``dilate`` gates
+the construction identities at ``--tol``.  ``verify --format text`` and
+``demo`` print through ``_print_report``: the construction self-check
 residuals before the verification residuals; for ``verify -m`` they are the
 ones stored in the model file.
 """
@@ -18,10 +23,9 @@ import functools
 import sys
 
 from . import __version__
-from .builder import BuildConfig, assemble_model
-from .errors import (DilationForgeError, GenerationFailed, IdentityResidualExceeded,
-                     InfeasibleFinitePadding, MalformedSpec, NotInClass,
-                     UnsupportedMultiplicity)
+from .builder import BuildConfig, DilationModel, assemble_model
+from .errors import (DilationForgeError, IdentityResidualExceeded, InfeasibleFinitePadding,
+                     NotInClass, UnsupportedMultiplicity)
 from .generators import STYLES, random_tuple, scalar_triple
 from .io import (class_report_doc, dump_json, load_model, load_tuple, model_to_dict,
                  tuple_to_dict, verification_report_doc)
@@ -34,6 +38,17 @@ EXIT_NOT_IN_CLASS = 2
 EXIT_INFEASIBLE = 3
 EXIT_IDENTITY = 4
 
+# error class -> (exit code, prefix of its stderr line); ``main`` takes the
+# row of the nearest class in the raised error's MRO
+ERROR_EXITS = {
+    UnsupportedMultiplicity: (EXIT_NOT_IN_CLASS, "UnsupportedMultiplicity: "),
+    NotInClass: (EXIT_NOT_IN_CLASS, "not in the dilatable class: "),
+    InfeasibleFinitePadding: (EXIT_INFEASIBLE, ""),
+    IdentityResidualExceeded: (EXIT_IDENTITY, ""),
+    DilationForgeError: (EXIT_INPUT, ""),
+    OSError: (EXIT_INPUT, ""),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, which this CLI reserves for "not in
@@ -44,26 +59,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _print_construction_text(residuals: dict):
+def _print_report(construction: dict, doc: dict) -> int:
+    """The text report of ``verify`` and ``demo``; returns its exit code."""
     print("construction self-check residuals:")
-    for name, value in sorted(residuals.items()):
+    for name, value in sorted(construction.items()):
         print(f"  {name:24s} {value:12.3e}")
-
-
-def _print_report_text(doc: dict):
-    for key in sorted(doc.get("residuals", {})):
-        verdict = doc["verdicts"].get(key)
+    print("verification residuals:")
+    for name, value in sorted(doc["residuals"].items()):
+        verdict = doc["verdicts"].get(name)
         mark = "pass" if verdict else ("FAIL" if verdict is not None else "    ")
-        print(f"  {key:24s} {doc['residuals'][key]:12.3e}  {mark}")
+        print(f"  {name:24s} {value:12.3e}  {mark}")
+    print(f"max truncation tail: {max(doc['tail_bounds']):.3e}")
+    print(f"overall: {'pass' if doc['passed'] else 'FAIL'}")
+    return EXIT_OK if doc["passed"] else EXIT_NOT_IN_CLASS
+
+
+def _build(args, **config) -> DilationModel:
+    """The model of ``--input`` at ``--degree`` with ``--aux-pad`` and ``--seed``."""
+    config = BuildConfig(aux_pad=args.aux_pad, completion_seed=args.seed, **config)
+    return assemble_model(load_tuple(args.input), N=args.degree, config=config)
 
 
 def cmd_classify(args) -> int:
-    try:
-        spec = load_tuple(args.input)
-        report = classify(spec, tol=args.tol)
-    except MalformedSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = classify(load_tuple(args.input), tol=args.tol)
     doc = class_report_doc(report)
     if args.output:
         dump_json(doc, args.output)
@@ -83,27 +101,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    try:
-        spec = load_tuple(args.input)
-    except MalformedSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    config = BuildConfig(aux_pad=args.aux_pad, completion_seed=args.seed,
-                         identity_gate=args.tol)
-    try:
-        model = assemble_model(spec, N=args.degree, config=config)
-    except UnsupportedMultiplicity as exc:
-        print(f"error: UnsupportedMultiplicity: {exc}", file=sys.stderr)
-        return EXIT_NOT_IN_CLASS
-    except NotInClass as exc:
-        print(f"error: not in the dilatable class: {exc}", file=sys.stderr)
-        return EXIT_NOT_IN_CLASS
-    except InfeasibleFinitePadding as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except IdentityResidualExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
+    model = _build(args, identity_gate=args.tol)
     doc = model_to_dict(model)
     if args.output:
         dump_json(doc, args.output)
@@ -115,48 +113,19 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.model:
-            model = load_model(args.model)
-        else:
-            spec = load_tuple(args.input)
-            model = assemble_model(spec, N=args.degree,
-                                   config=BuildConfig(aux_pad=args.aux_pad,
-                                                      completion_seed=args.seed))
-    except MalformedSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotInClass, UnsupportedMultiplicity) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_IN_CLASS
-    except InfeasibleFinitePadding as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except IdentityResidualExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
+    model = load_model(args.model) if args.model else _build(args)
     tolerances = {"linear": args.tol} if args.tol != 1e-10 else None
-    report = full_report(model, tolerances)
-    doc = verification_report_doc(report)
+    doc = verification_report_doc(full_report(model, tolerances))
     if args.output:
         dump_json(doc, args.output)
-    if args.format == "json":
-        print(dump_json(doc, None))
-    else:
-        _print_construction_text(model.transfer.residuals)
-        print("verification residuals:")
-        _print_report_text(doc)
-        print(f"overall: {'pass' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_NOT_IN_CLASS
+    if args.format == "text":
+        return _print_report(model.transfer.residuals, doc)
+    print(dump_json(doc, None))
+    return EXIT_OK if doc["passed"] else EXIT_NOT_IN_CLASS
 
 
 def cmd_random(args) -> int:
-    try:
-        spec = random_tuple(args.style, args.n, args.dimH, args.seed)
-    except GenerationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    doc = tuple_to_dict(spec)
+    doc = tuple_to_dict(random_tuple(args.style, args.n, args.dimH, args.seed))
     if args.output:
         dump_json(doc, args.output)
         print(f"tuple written to {args.output}")
@@ -166,17 +135,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    spec = scalar_triple()
-    print("scalar triple (0.5, 0.4, 0.3), truncation degree "
-          f"N={args.degree}")
-    model = assemble_model(spec, N=args.degree)
-    _print_construction_text(model.transfer.residuals)
-    report = full_report(model)
-    print("verification residuals:")
-    _print_report_text(verification_report_doc(report))
-    print(f"max truncation tail: {max(report.tail_bounds):.3e}")
-    print(f"overall: {'pass' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_NOT_IN_CLASS
+    print(f"scalar triple (0.5, 0.4, 0.3), truncation degree N={args.degree}")
+    model = assemble_model(scalar_triple(), N=args.degree)
+    return _print_report(model.transfer.residuals, verification_report_doc(full_report(model)))
 
 
 @functools.cache
@@ -238,12 +199,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DilationForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except tuple(ERROR_EXITS) as exc:
+        code, prefix = next(ERROR_EXITS[k] for k in type(exc).__mro__ if k in ERROR_EXITS)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -155,6 +155,7 @@ class ClassReport:
     """Outcome of structural validation and class membership tests."""
 
     n: int = 0  # number of indices; the construction fuses indices 1 and n, so needs n >= 2
+    d: int = 1  # multiplicity; the construction is built for d = 1 only
     is_contraction_tuple: bool = False
     row_norms: list[float] = field(default_factory=list)
     commutation_residual: float = 0.0
@@ -175,6 +176,8 @@ class ClassReport:
         if self.n < 2:
             fails.append(f"n = {self.n} < 2: the construction fuses indices 1 and n; "
                          "dilate a single contraction T as the pair (T, 0)")
+        if self.d != 1:
+            fails.append(f"d = {self.d} > 1: the construction is built for multiplicity d = 1 only")
         if self.szego_hat1 is not None and not self.szego_hat1.is_psd:
             fails.append(f"szego_hat1 not PSD (min_eig {self.szego_hat1.min_eig:.6g})")
         if self.szego_hatn is not None and not self.szego_hatn.is_psd:
@@ -221,7 +224,7 @@ def validate(spec: TupleSpec, tol: float = CONTRACTION_TOL) -> ClassReport:
     The commutation and covariance residuals are gated at
     tol * max(1, max_i ||T_i||^2), the scale of the products they compare.
     """
-    report = ClassReport(n=spec.n)
+    report = ClassReport(n=spec.n, d=spec.d)
     t = np.array(spec.blocks)  # (n, d, dimH, dimH)
     rows = t.transpose(0, 2, 1, 3).reshape(spec.n, spec.dimH, -1)  # row i is (T_{i,1} ... T_{i,d})
     report.row_norms = np.linalg.norm(rows, 2, axis=(1, 2)).tolist()

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilation_forge.builder import (BuildConfig, assemble_model, build_defects,
+from dilation_forge.builder import (UNITARY_GATE, BuildConfig, assemble_model, build_defects,
                                     build_transfer, build_U, build_V0, coefficient_layout,
                                     defect_frames, effective_algebra, simplex_mass, solve_aux,
                                     truncation_tails)
-from dilation_forge.errors import InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity
+from dilation_forge.errors import (IdentityResidualExceeded, InfeasibleFinitePadding, NotInClass,
+                                   UnsupportedMultiplicity)
 from dilation_forge.fock import enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj
-from dilation_forge.tuples import AlgebraStructure, TupleSpec, ordered_power_products
+from dilation_forge.tuples import AlgebraStructure, TupleSpec, classify, ordered_power_products
+from dilation_forge.verifier import full_report
 
 
 def defects_for(spec):
@@ -244,6 +246,37 @@ def test_tail_monotone_in_degree():
     t3, t4, t5 = (truncation_tails(merged, root, N) for N in (3, 4, 5))
     assert np.all(t4 <= t3 + 1e-13) and np.all(t5 <= t4 + 1e-13)
     assert np.all(t5 >= -1e-13)
+
+
+def test_tails_stay_exact_when_the_tuple_commutes_only_to_the_class_gate():
+    """t_1 + 3e-11 J / 3 (J all ones) keeps the tuple in class, with a
+    commutation residual of 7.8e-12 under the 1e-10 gate.  Tails summed from
+    the degree layers alone keep ||Pi h||^2 + tail(h) = ||h||^2 at rounding
+    level; a telescoped form that holds only for exactly commuting CP maps
+    is off by 1.1e-12 here and fails the pi gate."""
+    spec = random_tuple("scaled-commuting", 3, 3, seed=3)
+    ops = [spec.op(i) for i in range(1, 4)]
+    ops[0] = ops[0] + 3e-11 * np.ones((3, 3)) / 3
+    spec = TupleSpec.from_operators(ops, phases=spec.phases)
+    report = classify(spec)
+    assert report.in_T1n and report.commutation_residual > 1e-12
+    verdict = full_report(assemble_model(spec, N=6))
+    assert verdict.passed, verdict.failures()
+    assert verdict.residuals["pi_isometry"] < 1e-13
+
+
+def test_U_unitarity_error_reports_the_bound_it_applies():
+    spec = random_tuple("jointly-nilpotent", 3, 4, seed=1)
+    defects, _, _, _ = defects_for(spec)
+    coupling = build_V0(spec, defects, effective_algebra(spec))
+    solve_aux(spec, coupling)
+    dim = coefficient_layout(spec, defects, coupling.mult1, coupling.algebra).dim
+    coupling.V0 = (1.0 + 1e-9) * coupling.V0  # the extension U is no longer unitary
+    with pytest.raises(IdentityResidualExceeded) as exc:
+        build_U(spec, defects, coupling)
+    assert dim > 1 and exc.value.identity == "U_unitarity"
+    assert exc.value.gate == UNITARY_GATE * dim < exc.value.residual
+    assert f"{exc.value.gate:.1e}" in str(exc.value)
 
 
 def test_model_determinism_and_free_completion():

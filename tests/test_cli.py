@@ -6,7 +6,10 @@ import pytest
 from dilation_forge import cli
 from dilation_forge.builder import BuildConfig, assemble_model
 from dilation_forge.cli import main
-from dilation_forge.errors import GenerationFailed, MalformedSpec, NotInClass
+from dilation_forge.errors import (DilationForgeError, DimensionMismatch, GenerationFailed,
+                                   GramMismatch, IdentityResidualExceeded,
+                                   InfeasibleFinitePadding, MalformedSpec, NonSquare, NotInClass,
+                                   NotPSD, UnsupportedMultiplicity)
 from dilation_forge.generators import STYLES, parrott_tuple, random_tuple, scalar_triple
 from dilation_forge.io import (dump_json, load_model, load_tuple, model_from_dict,
                                model_to_dict, tuple_from_dict, tuple_to_dict)
@@ -109,6 +112,56 @@ def test_single_operator_tuple_is_out_of_class_everywhere(tmp_path, capsys):
     assert main(["verify", "--model", str(model)]) == 2
     err = capsys.readouterr().err
     assert "(T, 0)" in err and "merge_1n" not in err and err.count("\n") == 1
+
+
+MULTIPLICITY_TWO = ('{"d":2,"dimH":1,"matrices":[[[[[0.0,0.0]]],[[[0.0,0.0]]]],'
+                    '[[[[0.0,0.0]]],[[[0.0,0.0]]]]],"n":2,"schema_version":1}')
+
+
+def test_multiplicity_two_tuple_is_out_of_class_everywhere(tmp_path, capsys):
+    """d != 1 fails the class gate by name, so classify exits 2 like dilate and
+    verify -i, which both print the same one error line."""
+    path = tmp_path / "d2.json"
+    path.write_text(MULTIPLICITY_TWO)
+    assert main(["classify", "-i", str(path), "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["in_T1n"] is False
+    assert [c for c in doc["failing_conditions"] if c.startswith("d = 2 > 1")]
+    errs = []
+    for argv in (["dilate", "-i", str(path)], ["verify", "-i", str(path)]):
+        assert main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].startswith("error: UnsupportedMultiplicity: ")
+    assert errs[0].count("\n") == 1
+
+
+# the exit code and stderr prefix every error class must get; a new class
+# fails here until it is given a row in cli.ERROR_EXITS and one here
+ERROR_EXIT_CASES = {
+    DilationForgeError: (1, ""), NonSquare: (1, ""), NotPSD: (1, ""), GramMismatch: (1, ""),
+    DimensionMismatch: (1, ""), MalformedSpec: (1, ""), GenerationFailed: (1, ""),
+    UnsupportedMultiplicity: (2, "UnsupportedMultiplicity: "),
+    NotInClass: (2, "not in the dilatable class: "),
+    InfeasibleFinitePadding: (3, ""), IdentityResidualExceeded: (4, ""), OSError: (1, ""),
+}
+
+
+def _error_classes(cls=DilationForgeError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+@pytest.mark.parametrize("error", _error_classes() + [OSError], ids=lambda c: c.__name__)
+def test_error_class_gets_its_exit_code_and_one_error_line(triple_file, capsys, monkeypatch,
+                                                           error):
+    exc = error("U_unitarity", 2e-11, 1e-11) if error is IdentityResidualExceeded else error("boom")
+
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_classify", fail)
+    code, prefix = ERROR_EXIT_CASES[error]
+    assert main(["classify", "-i", triple_file]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {prefix}{exc}"] and captured.out == ""
 
 
 def test_verify_mutated_model_fails(tmp_path, triple_file):
