@@ -29,8 +29,8 @@ import numpy as np
 from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
 from .fock import FockModel, FockOperator, TermTable, creation_matrix, enumerate_indices
-from .linalg import (SubspaceBasis, adj, eye, frob, isometry_from_frames,
-                     orthogonal_complement, psd_sqrt, range_basis, rel_residual)
+from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_sqrt,
+                     range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
                      invert_perm, is_pure, merge_1n, ordered_power_products, szego_operator)
 
@@ -51,7 +51,7 @@ class BuildConfig:
 class DefectData:
     square: np.ndarray
     root: np.ndarray
-    space: SubspaceBasis
+    basis: np.ndarray   # orthonormal columns spanning the range of ``root``
     labels: np.ndarray  # algebra component of each basis column
 
 
@@ -97,8 +97,8 @@ class CouplingData:
     ``vs`` = V Q1n* Dhat, which build_transfer and build_Pi read."""
 
     V0: np.ndarray
-    M1: SubspaceBasis
-    M2: SubspaceBasis
+    M1: np.ndarray
+    M2: np.ndarray
     M1_labels: np.ndarray
     M2_labels: np.ndarray
     algebra: AlgebraStructure
@@ -168,51 +168,30 @@ def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
     return AlgebraStructure(1, [0] * spec.dimH, [[0]] * spec.n)
 
 
-def labeled_range_basis(mat: np.ndarray, block_of, k: int) -> tuple[SubspaceBasis, np.ndarray]:
-    """Range basis of a block-diagonal operator, columns grouped by component."""
-    dim = mat.shape[0]
-    blocks = np.asarray(block_of, dtype=int)
-    cols, labels = [], []
-    for p in range(k):
-        rows = np.flatnonzero(blocks == p)
-        if rows.size == 0:
-            continue
-        sub = range_basis(mat[np.ix_(rows, rows)])
-        emb = np.zeros((dim, sub.dim), dtype=complex)
-        emb[rows, :] = sub.basis
-        cols.append(emb)
-        labels.extend([p] * sub.dim)
-    basis = np.hstack(cols) if cols else np.zeros((dim, 0), dtype=complex)
-    return SubspaceBasis(dim, basis), np.asarray(labels, dtype=int)
+def _per_component(mat: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray, k: int,
+                   basis_of) -> tuple[np.ndarray, np.ndarray]:
+    """A basis that splits by algebra component, and the component of each column.
 
-
-def _labeled_complement(frame: np.ndarray, row_labels: np.ndarray, col_blocks: np.ndarray,
-                        k: int) -> tuple[SubspaceBasis, np.ndarray]:
-    """Per-component orthogonal complement of the span of the frame columns."""
-    dim = frame.shape[0]
+    For each component p, ``basis_of`` maps the block of ``mat`` on the rows
+    and columns labelled p to orthonormal columns, which are embedded in the
+    rows labelled p; the columns come grouped by component, p ascending.
+    """
     cols, labels = [], []
     for p in range(k):
         rows = np.flatnonzero(row_labels == p)
-        hcols = np.flatnonzero(col_blocks == p)
-        if rows.size == 0:
-            continue
-        sub = range_basis(frame[np.ix_(rows, hcols)]) if hcols.size else \
-            SubspaceBasis(rows.size, np.zeros((rows.size, 0)))
-        comp = orthogonal_complement(sub)
-        emb = np.zeros((dim, comp.dim), dtype=complex)
-        emb[rows, :] = comp.basis
-        cols.append(emb)
-        labels.extend([p] * comp.dim)
-    basis = np.hstack(cols) if cols else np.zeros((dim, 0), dtype=complex)
-    return SubspaceBasis(dim, basis), np.asarray(labels, dtype=int)
+        sub = basis_of(mat[np.ix_(rows, np.flatnonzero(col_labels == p))])
+        cols.append(np.zeros((mat.shape[0], sub.shape[1]), dtype=complex))
+        cols[-1][rows] = sub
+        labels += [p] * sub.shape[1]
+    return np.hstack(cols), np.asarray(labels, dtype=int)
 
 
 def build_defects(spec: TupleSpec, alg: AlgebraStructure):
     """Defect data for hat1 (drop index 1), hatn (drop index n) and the merged tuple.
 
-    Returns ``(defects, merged, report, equality_residual)`` where ``report``
-    is the class gate's (no ``szego_full``, no GKVW table) and the residual
-    measures the two displayed factorizations of the merged defect square.
+    Returns ``(defects, merged, equality_residual)``, the residual measuring
+    the two displayed factorizations of the merged defect square.  Each
+    defect's range basis splits by algebra component (``_per_component``).
     ``alg`` is ``effective_algebra(spec)``, resolved once by the caller.
     """
     if spec.d != 1:
@@ -224,18 +203,19 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
 
     sq_hat1n = szego_operator(merged, range(1, merged.n + 1))
 
+    blocks = np.asarray(alg.block_of)
     defects = {}
     for name, sq in (("hat1", sq_hat1), ("hatn", sq_hatn), ("hat1n", sq_hat1n)):
         root = psd_sqrt(sq)
-        space, labels = labeled_range_basis(root, alg.block_of, alg.k)
-        defects[name] = DefectData(sq, root, space, labels)
+        defects[name] = DefectData(sq, root, *_per_component(root, blocks, blocks, alg.k,
+                                                             range_basis))
 
     t1, tn = spec.op(1), spec.op(spec.n)
     resid = max(
         rel_residual(sq_hat1n - (sq_hatn + t1 @ sq_hat1 @ adj(t1)), sq_hat1n),
         rel_residual(sq_hat1n - (sq_hat1 + tn @ sq_hatn @ adj(tn)), sq_hat1n),
     )
-    return defects, merged, report, resid
+    return defects, merged, resid
 
 
 def defect_frames(spec: TupleSpec, defects: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +224,7 @@ def defect_frames(spec: TupleSpec, defects: dict) -> tuple[np.ndarray, np.ndarra
     X_h = D_hatn h (+) D_hat1 t1* h  lives in Dn (+) (E1 x D1);
     Y_h = D_hat1 h (+) D_hatn tn* h  lives in D1 (+) (En x Dn).
     """
-    qn, q1 = defects["hatn"].space.basis, defects["hat1"].space.basis
+    qn, q1 = defects["hatn"].basis, defects["hat1"].basis
     dn, d1 = defects["hatn"].root, defects["hat1"].root
     t1, tn = spec.op(1), spec.op(spec.n)
     x = np.vstack([adj(qn) @ dn, adj(q1) @ d1 @ adj(t1)])
@@ -292,9 +272,12 @@ def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingD
     bare = coefficient_layout(spec, defects, np.zeros(alg.k, dtype=int), alg)
     x, y = defect_frames(spec, defects)
     v0 = isometry_from_frames(x, y)
-    blocks = np.asarray(alg.block_of, dtype=int)
-    m1, m1lab = _labeled_complement(x, bare.D, blocks, alg.k)
-    m2, m2lab = _labeled_complement(y, bare.Udom, blocks, alg.k)
+    blocks = np.asarray(alg.block_of)
+
+    def complement(block):
+        return orthogonal_complement(range_basis(block))
+    m1, m1lab = _per_component(x, bare.D, blocks, alg.k, complement)
+    m2, m2lab = _per_component(y, bare.Udom, blocks, alg.k, complement)
     return CouplingData(V0=v0, M1=m1, M2=m2, M1_labels=m1lab, M2_labels=m2lab, algebra=alg,
                         X=x, Y=y)
 
@@ -303,57 +286,41 @@ def solve_aux(spec: TupleSpec, coupling: CouplingData,
               config: BuildConfig = BuildConfig()) -> tuple[int, int]:
     """Finite auxiliary padding: the multiplicity vector mult1 of aux1.
 
-    Solves for component multiplicity vectors mult1 (aux1) and mult2 (aux2)
-    subject to: mult2 = mult1 o an^{-1} (existence of u2), mult1 = mult2 o
-    a1^{-1} (existence of u1), and componentwise dim(M2) + mult2 = dim(M1) +
-    mult1 (blockwise unitary completion).  The scalar case reduces to
-    dim(M1) = dim(M2) and padding (pad, pad).  Stores mult1 on the coupling
-    and returns the sizes of aux1 and aux2, which are equal.
+    aux2 has multiplicities mult2 = mult1 o an^{-1} (existence of u2), and
+    mult1 = mult2 o a1^{-1} (existence of u1); the unitary completion needs
+    #M2_p + mult2[p] = #M1_p + mult1[p] in every component p.  So
+    mult1[an^{-1}(p)] - mult1[p] = #M1_p - #M2_p, and mult1 is constant along
+    the twist a1 o an.  These differences fix mult1 on each orbit of <a1, an>
+    up to a shift: the potentials are propagated along an^{-1}, an, the twist
+    and its inverse, and shifted so that the orbit's least entry is
+    ``config.aux_pad``.  The scalar case reduces to #M1 = #M2 and padding
+    (pad, pad).  Stores mult1 on the coupling and returns the sizes of aux1
+    and aux2, which are equal.
     """
     alg = coupling.algebra
-    k = alg.k
-    a1, an = alg.automorphisms[0], alg.automorphisms[spec.n - 1]
-    inv_a1, inv_an = invert_perm(a1), invert_perm(an)
-    mm1 = np.asarray([np.sum(coupling.M1_labels == p) for p in range(k)], dtype=int)
-    mm2 = np.asarray([np.sum(coupling.M2_labels == p) for p in range(k)], dtype=int)
-    delta = mm1 - mm2
-
-    # difference constraints: m1[inv_an[p]] - m1[p] = delta[p]; m1 constant on
-    # orbits of the composed twist (u1 compatibility)
-    edges: list[tuple[int, int, int]] = []
-    for p in range(k):
-        edges.append((p, inv_an[p], int(delta[p])))
-        edges.append((p, inv_an[inv_a1[p]], 0))
-    adjacency = {}
-    for (p, q, w) in edges:
-        adjacency.setdefault(p, []).append((q, w))
-        adjacency.setdefault(q, []).append((p, -w))
-    pot = [None] * k
-    comp_of = [None] * k
-    for start in range(k):
-        if pot[start] is not None:
+    a1, an = np.asarray(alg.automorphisms[0]), np.asarray(alg.automorphisms[spec.n - 1])
+    an_inv, twist = np.argsort(an), a1[an]
+    twist_inv = np.argsort(twist)
+    delta = (np.bincount(coupling.M1_labels, minlength=alg.k)
+             - np.bincount(coupling.M2_labels, minlength=alg.k))
+    mult1, seen = np.zeros(alg.k, dtype=int), np.zeros(alg.k, dtype=bool)
+    for start in range(alg.k):
+        if seen[start]:
             continue
-        pot[start] = 0
-        comp_of[start] = start
-        stack = [start]
+        pot, stack = {start: 0}, [start]
         while stack:
             p = stack.pop()
-            for q, w in adjacency.get(p, []):
-                val = pot[p] + w
-                if pot[q] is None:
+            for q, val in ((an_inv[p], pot[p] + delta[p]), (an[p], pot[p] - delta[an[p]]),
+                           (twist[p], pot[p]), (twist_inv[p], pot[p])):
+                if q not in pot:
                     pot[q] = val
-                    comp_of[q] = start
                     stack.append(q)
                 elif pot[q] != val:
                     raise InfeasibleFinitePadding(
                         f"multiplicity constraints are inconsistent at component {q}"
                         f" ({pot[q]} vs {val}); no finite padding exists")
-    mult1 = np.zeros(k, dtype=int)
-    for root in set(comp_of):
-        members = [p for p in range(k) if comp_of[p] == root]
-        base = min(pot[p] for p in members)
-        for p in members:
-            mult1[p] = pot[p] - base + config.aux_pad
+        orbit, values = list(pot), np.array(list(pot.values()))
+        mult1[orbit], seen[orbit] = values - values.min() + config.aux_pad, True
     if int(mult1.max(initial=0)) > MAX_PAD:
         raise InfeasibleFinitePadding(
             f"minimal padding {int(mult1.max())} exceeds the limit {MAX_PAD}")
@@ -380,10 +347,10 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
     w = np.zeros((dD, dD), dtype=complex)
     w[:rn + r1, :r1 + rn] = adj(coupling.V0)
 
-    dom_basis = np.vstack([coupling.M2.basis, np.zeros((e2, coupling.M2.dim))])
+    dom_basis = np.vstack([coupling.M2, np.zeros((e2, coupling.M2.shape[1]))])
     dom_basis = np.hstack([dom_basis, np.vstack([np.zeros((r1 + rn, e2)), np.eye(e2)])])
     dom_labels = np.concatenate([coupling.M2_labels, layout.Udom[aux2]])
-    cod_basis = np.vstack([coupling.M1.basis, np.zeros((e1, coupling.M1.dim))])
+    cod_basis = np.vstack([coupling.M1, np.zeros((e1, coupling.M1.shape[1]))])
     cod_basis = np.hstack([cod_basis, np.vstack([np.zeros((rn + r1, e1)), np.eye(e1)])])
     cod_labels = np.concatenate([coupling.M1_labels, layout.D[aux1]])
 
@@ -403,7 +370,7 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
     if config.check_identities and resid > gate:
         raise IdentityResidualExceeded("U_unitarity", resid, gate)
 
-    q1n = defects["hat1n"].space.basis
+    q1n = defects["hat1n"].basis
     src = adj(q1n) @ defects["hat1n"].root
     dst = np.vstack([coupling.X, np.zeros((e1, spec.dimH))])
 
@@ -495,22 +462,6 @@ def build_transfer(spec: TupleSpec, coupling: CouplingData,
     return TransferData(U1=u1, Un=un, residuals=residuals)
 
 
-def _original_phase_diagonal(spec: TupleSpec, fock: FockModel, i: int) -> np.ndarray:
-    """kappa_i(alpha): phase moving a front E_i factor across the cell monomial.
-
-    Crossing one merged factor costs u(i,1)*u(i,n) for middle generators; for
-    i = 1 it costs u(1,n) (the E1 crossing is trivial), symmetrically for n.
-    """
-    n = spec.n
-    if i == 1:
-        merged_cost = spec.u(1, n)
-    elif i == n:
-        merged_cost = spec.u(n, 1)
-    else:
-        merged_cost = spec.u(i, 1) * spec.u(i, n)
-    return fock.cell_phases([merged_cost] + [spec.u(i, j) for j in range(2, n)])
-
-
 def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
                  fock: FockModel, which: int) -> FockOperator:
     """The transfer operator on the truncated model, read off U1 or Un alone.
@@ -520,23 +471,26 @@ def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLay
     as plain matrix equations on interior cells.  The shift block of tau1
     places U1's B block* on the D' rows of D; that of taun is Un's C block*
     (which is U i1) on the E1 x D1 columns, with the flip phase u(n,1).
+    Moving the front E_which factor across the cell monomial costs the phase
+    kappa(alpha): u(1,n) (for which = n, u(n,1)) per merged factor, the E1 or
+    En crossing inside it being trivial, and u(which, j) per factor of slot j.
     """
     d = fock.coeff_dim
     if d != layout.dim:
         raise DimensionMismatch("Fock coefficient dimension must equal dim D")
     shift_block = np.zeros((d, d), dtype=complex)
     if which == 1:
-        a = transfer.U1[:d, :d]
+        a, merged_cost = transfer.U1[:d, :d], spec.u(1, spec.n)
         shift_block[layout.Dprime_rows] = adj(transfer.U1[:d, d:])
     elif which == spec.n:
-        a = transfer.Un[:d, :d]
-        shift_block[:, layout.parts_D[1]] = spec.u(spec.n, 1) * adj(transfer.Un[d:, :d])
+        a, merged_cost = transfer.Un[:d, :d], spec.u(spec.n, 1)
+        shift_block[:, layout.parts_D[1]] = merged_cost * adj(transfer.Un[d:, :d])
     else:
         raise DimensionMismatch("transfer operators exist for the first and last index only")
     # coefficient-end insertion of the merged factor: prod_{t > 0} u(t, 0)^alpha_t
     back = fock.cell_phases(np.where(np.arange(fock.m) > 0, fock.merged_phases[:, 0], 1))
-    return FockOperator(fock, adj(a), shift_block, 0, back,
-                        _original_phase_diagonal(spec, fock, which))
+    kappa = fock.cell_phases([merged_cost] + [spec.u(which, j) for j in range(2, spec.n)])
+    return FockOperator(fock, adj(a), shift_block, 0, back, kappa)
 
 
 def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
@@ -582,7 +536,7 @@ def assemble_model(spec: TupleSpec, N: int = 4,
                    config: BuildConfig = BuildConfig()) -> DilationModel:
     """Run the whole construction and package the dilation model."""
     alg = effective_algebra(spec)
-    defects, merged, _report, eq_resid = build_defects(spec, alg)
+    defects, merged, eq_resid = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)
     solve_aux(spec, coupling, config)
     build_U(spec, defects, coupling, config)

@@ -114,8 +114,7 @@ def cmd_dilate(args) -> int:
 
 def cmd_verify(args) -> int:
     model = load_model(args.model) if args.model else _build(args)
-    tolerances = {"linear": args.tol} if args.tol != 1e-10 else None
-    doc = verification_report_doc(full_report(model, tolerances))
+    doc = verification_report_doc(full_report(model, {"linear": args.tol}))
     if args.output:
         dump_json(doc, args.output)
     if args.format == "text":

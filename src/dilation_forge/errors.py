@@ -13,6 +13,10 @@ class NotPSD(DilationForgeError):
     """Matrix is not positive semidefinite within tolerance."""
 
 
+class NonFinite(DilationForgeError):
+    """A matrix has NaN or Inf entries, given or reached by overflow."""
+
+
 class GramMismatch(DilationForgeError):
     """Frame Gram matrices disagree; no partial isometry maps one frame to the other."""
 

@@ -21,10 +21,11 @@ def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _scale_into_class(ops, phases=None, algebra=None, max_tries: int = 60) -> TupleSpec:
-    """Shrink all operators geometrically until the class gate passes with margin."""
+def _scale_into_class(ops, phases=None, algebra=None) -> TupleSpec:
+    """Shrink all operators geometrically, at most 60 times, until the class
+    gate passes with margin."""
     scale = 1.0
-    for _ in range(max_tries):
+    for _ in range(60):
         spec = TupleSpec.from_operators([scale * t for t in ops], phases=phases, algebra=algebra)
         report, _, _ = class_gate(spec)
         radii_ok = all(r <= 1.0 - MARGIN for r in report.purity_radii[:-1])

@@ -175,7 +175,7 @@ def dump_json(doc: dict, path: str | None):
 def _dims(layout: CoefficientLayout, defects: dict, cells: int) -> dict:
     """The sizes record of a model file."""
     return {"coeff": layout.dim, "cells": cells, "aux": layout.mult1.tolist(),
-            "ranks": {name: d.space.dim for name, d in defects.items()}}
+            "ranks": {name: d.basis.shape[1] for name, d in defects.items()}}
 
 
 def model_to_dict(model: DilationModel) -> dict:
@@ -217,7 +217,7 @@ def model_from_dict(doc: dict) -> DilationModel:
     alg = effective_algebra(spec)
     if len(aux) != alg.k or any(type(v) is not int or not 0 <= v <= MAX_PAD for v in aux):
         raise MalformedSpec(f"$.dims.aux: expected {alg.k} integers in 0..{MAX_PAD}")
-    defects, merged, _, _ = build_defects(spec, alg)
+    defects, merged, _ = build_defects(spec, alg)
     layout = coefficient_layout(spec, defects, aux, alg)
     cells = comb(merged.n + N, merged.n)
     expected = _dims(layout, defects, cells)

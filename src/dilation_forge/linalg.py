@@ -1,5 +1,6 @@
 """Dense complex-matrix calculus used by the dilation pipeline.
 
+A subspace of C^n is a plain ``(n, r)`` complex array of orthonormal columns.
 Everything here is deterministic: basis orderings follow singular values in
 descending order, and sign/phase ambiguities are resolved by rotating each
 basis vector so its first significantly-nonzero entry is positive real.
@@ -7,15 +8,15 @@ basis vector so its first significantly-nonzero entry is positive real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
+from .errors import DimensionMismatch, GramMismatch, NonFinite, NonSquare, NotPSD
 
 DEFAULT_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10  # singular values below RANK_TOL * the largest one count as zero
+GRAM_TOL = 1e-8   # largest relative Gram mismatch isometry_from_frames accepts
 
 
 def as_matrix(a) -> np.ndarray:
@@ -24,7 +25,7 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of ndim {m.ndim}")
     if m.size and not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise NonFinite("matrix contains NaN or Inf entries (non-finite input, or overflow)")
     return m
 
 
@@ -115,21 +116,6 @@ def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(w)) @ adj(v)
 
 
-@dataclass
-class SubspaceBasis:
-    """Orthonormal column basis of a subspace of C^ambient_dim."""
-
-    ambient_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=complex).reshape(self.ambient_dim, -1)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 def _normalize_column_phases(b: np.ndarray) -> np.ndarray:
     """Rotate each column so its first entry of near-maximal modulus is positive real."""
     b = b.copy()
@@ -145,33 +131,34 @@ def _normalize_column_phases(b: np.ndarray) -> np.ndarray:
     return b
 
 
-def range_basis(a, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of range(A), rank decided by singular values.
+def range_basis(a) -> np.ndarray:
+    """Orthonormal basis of range(A) as an (rows, rank) array, rank decided by
+    singular values.
 
     Columns are ordered by descending singular value and phase-normalized so
     repeated runs give identical output.
     """
     a = as_matrix(a)
     if a.size == 0 or frob(a) == 0.0:
-        return SubspaceBasis(a.shape[0], np.zeros((a.shape[0], 0)))
+        return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return SubspaceBasis(a.shape[0], _normalize_column_phases(u[:, :rank]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
+    return _normalize_column_phases(u[:, :rank])
 
 
-def orthogonal_complement(space: SubspaceBasis) -> SubspaceBasis:
-    """Deterministic orthonormal basis of the orthogonal complement."""
-    n, r = space.ambient_dim, space.dim
+def orthogonal_complement(basis: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis of the orthogonal complement of the
+    span of the orthonormal columns of ``basis``."""
+    n, r = basis.shape
     if r == 0:
-        return SubspaceBasis(n, eye(n))
+        return eye(n)
     if r >= n:
-        return SubspaceBasis(n, np.zeros((n, 0)))
-    u, _, _ = np.linalg.svd(space.basis, full_matrices=True)
-    return SubspaceBasis(n, _normalize_column_phases(u[:, r:]))
+        return np.zeros((n, 0), dtype=complex)
+    u, _, _ = np.linalg.svd(basis, full_matrices=True)
+    return _normalize_column_phases(u[:, r:])
 
 
-def isometry_from_frames(x, y, tol: float = 1e-8,
-                         rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def isometry_from_frames(x, y) -> np.ndarray:
     """Partial isometry W with W x_j = y_j for the frame columns of x and y.
 
     Requires the Gram matrices to agree (x* x == y* y); otherwise no such
@@ -184,17 +171,12 @@ def isometry_from_frames(x, y, tol: float = 1e-8,
         raise DimensionMismatch("frames must have the same number of vectors")
     gx = adj(x) @ x
     gram_resid = rel_residual(gx - adj(y) @ y, gx)
-    if gram_resid > tol:
-        raise GramMismatch(f"frame Gram matrices differ by {gram_resid:.3e} (tol {tol:.1e})")
+    if gram_resid > GRAM_TOL:
+        raise GramMismatch(f"frame Gram matrices differ by {gram_resid:.3e} (tol {GRAM_TOL:.1e})")
     if x.shape[1] == 0 or frob(x) == 0.0:
         return np.zeros((y.shape[0], x.shape[0]), dtype=complex)
     u, s, vh = np.linalg.svd(x, full_matrices=False)
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     u, s, vh = u[:, :rank], s[:rank], vh[:rank]
     # W = y @ pinv(x) restricted to the numerical range; Gram equality makes it isometric there.
     return (y @ adj(vh)) @ np.diag(1.0 / s).astype(complex) @ adj(u)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, left factor owning the coarse index: (A(x)B)(u(x)v) = Au (x) Bv."""
-    return np.kron(as_matrix(a), as_matrix(b))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MalformedSpec, UnsupportedMultiplicity
 from .fock import parent_rows
-from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, kron, psd_check, psd_flags
+from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, psd_check, psd_flags
 
 PURITY_TOL = 1e-8
 CONTRACTION_TOL = 1e-10
@@ -218,18 +218,20 @@ class ClassReport:
         }
 
 
-def validate(spec: TupleSpec, tol: float = CONTRACTION_TOL) -> ClassReport:
+def validate(spec: TupleSpec) -> ClassReport:
     """Structural checks: row contractivity, (u-)commutation, covariance.
 
-    The commutation and covariance residuals are gated at
-    tol * max(1, max_i ||T_i||^2), the scale of the products they compare.
+    The commutation and covariance residuals are gated at CONTRACTION_TOL *
+    max(1, max_i ||T_i||^2), the scale of the products they compare; the
+    square is a float product, which overflows to inf rather than raising.
     """
     report = ClassReport(n=spec.n, d=spec.d)
     t = np.array(spec.blocks)  # (n, d, dimH, dimH)
     rows = t.transpose(0, 2, 1, 3).reshape(spec.n, spec.dimH, -1)  # row i is (T_{i,1} ... T_{i,d})
     report.row_norms = np.linalg.norm(rows, 2, axis=(1, 2)).tolist()
-    report.is_contraction_tuple = all(nrm <= 1.0 + tol for nrm in report.row_norms)
-    report.structure_gate = tol * max(1.0, max(report.row_norms) ** 2)
+    report.is_contraction_tuple = all(nrm <= 1.0 + CONTRACTION_TOL for nrm in report.row_norms)
+    top = max(report.row_norms)
+    report.structure_gate = CONTRACTION_TOL * max(1.0, top * top)
 
     # prod[i, a, j, b] = T_{i,a} T_{j,b}; compared with T_{j,b} T_{i,a} (times u_ij for d = 1)
     prod = t[:, :, None, None] @ t[None, None]
@@ -280,7 +282,7 @@ def cp_map_matrix(spec: TupleSpec, i: int) -> np.ndarray:
     """Matrix of X -> sum_j T_{i,j} X T_{i,j}* on column-stacked X."""
     phi = np.zeros((spec.dimH ** 2, spec.dimH ** 2), dtype=complex)
     for t in spec.blocks[i - 1]:
-        phi += kron(t.conj(), t)
+        phi += np.kron(t.conj(), t)
     return phi
 
 
@@ -305,12 +307,15 @@ def is_pure(spec: TupleSpec, i: int, tol: float = PURITY_TOL) -> tuple[bool, flo
     return radius < 1.0 - tol, radius
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def class_gate(spec: TupleSpec, tol: float = 1e-10) -> tuple[ClassReport, np.ndarray, np.ndarray]:
     """The class test: ``validate``, the hat1/hatn Szego PSD checks and the
     purity radii, which are exactly the fields ``failing_conditions`` reads.
 
     Returns ``(report, szego_hat1, szego_hatn)``; the two Szego operators are
     formed once here, and the builder takes its defect squares from them.
+    Entries so large that the products overflow raise ``NonFinite`` from the
+    first PSD check, without floating-point warnings.
     """
     report = validate(spec)
     all_idx = list(range(1, spec.n + 1))

@@ -36,6 +36,7 @@ DEFAULT_TOLERANCES = {
     "pi": 1e-12,       # exact telescoping of the dilation map
     "moment": 1e-10,   # brute-force moment oracle (plus computed allowance)
 }
+MOMENT_MAXDEG = 3  # highest degree |beta| of the moment oracle
 
 
 @dataclass
@@ -172,11 +173,11 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     return out
 
 
-def verify_moments(model: DilationModel, maxdeg: int = 3) -> dict:
+def verify_moments(model: DilationModel) -> dict:
     """Brute-force oracle <Pi h, V^beta Pi g> = <h, T^beta g> over all basis pairs.
 
     V^beta = V_1^{beta_1} ... V_n^{beta_n}.  One (betas, dim, dimH) memo over
-    the rows of ``enumerate_indices(n, maxdeg)`` holds (V^beta)* Pi =
+    the rows of ``enumerate_indices(n, MOMENT_MAXDEG)`` holds (V^beta)* Pi =
     V_s* (V^{beta - e_s})* Pi, s the last non-zero slot of beta, from one
     ``apply_adj`` per (degree, s) group on its predecessors side by side.  It
     gives both sides, Pi* V^beta Pi = ((V^beta)* Pi)* Pi, and
@@ -188,7 +189,7 @@ def verify_moments(model: DilationModel, maxdeg: int = 3) -> dict:
     is nilpotent enough for the truncation to be exact.
     """
     spec, pi, ws = model.spec, model.Pi, model.isometries
-    betas = enumerate_indices(spec.n, min(maxdeg, max(model.N - 1, 0)))
+    betas = enumerate_indices(spec.n, min(MOMENT_MAXDEG, max(model.N - 1, 0)))
     tadj = ordered_power_products(spec, betas)
     slot, parent = parent_rows(betas, last=True)
     group = betas.sum(axis=1) * spec.n + slot  # (degree, slot) pairs, in degree order
@@ -244,14 +245,13 @@ def verify_equivariance(model: DilationModel) -> dict:
     return out
 
 
-def full_report(model: DilationModel, tolerances: dict | None = None,
-                moment_maxdeg: int = 3) -> VerificationReport:
+def full_report(model: DilationModel, tolerances: dict | None = None) -> VerificationReport:
     """Run every verifier and aggregate residuals with per-identity verdicts."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
     report = VerificationReport(config={"tolerances": tol, "N": model.N,
-                                        "moment_maxdeg": moment_maxdeg})
+                                        "moment_maxdeg": MOMENT_MAXDEG})
     report.tail_bounds = [float(t) for t in model.tails]
 
     groups = [
@@ -266,7 +266,7 @@ def full_report(model: DilationModel, tolerances: dict | None = None,
             report.residuals[name] = value
             report.verdicts[name] = value <= tol[kind]
 
-    moments = verify_moments(model, moment_maxdeg)
+    moments = verify_moments(model)
     report.residuals.update(moments)
     report.verdicts["moment_match"] = (
         moments["moment_match"] <= tol["moment"] + moments["moment_allowance"])

@@ -57,7 +57,7 @@ def test_criterion_2_construction_identities():
     worst = {"equality": 0.0, "unitary": 0.0, "lemma_U1": 0.0, "eq_ABn": 0.0, "eq_Cn": 0.0}
     for spec in corpus(50):
         alg = effective_algebra(spec)
-        defects, merged, _, eq = build_defects(spec, alg)
+        defects, merged, eq = build_defects(spec, alg)
         coupling = build_V0(spec, defects, alg)
         solve_aux(spec, coupling)
         build_U(spec, defects, coupling)
@@ -109,7 +109,7 @@ def test_criterion_4_moment_oracle():
     worst = 0.0
     for spec in members:
         model = assemble_model(spec, N=4)
-        mom = verify_moments(model, maxdeg=3)
+        mom = verify_moments(model)
         assert mom["moment_allowance"] <= 1e-12
         worst = max(worst, mom["moment_match"])
     assert worst <= TOL_LINEAR
@@ -192,7 +192,7 @@ def test_criterion_8_mutation_sensitivity():
 def test_criterion_9_tail_monotonicity():
     checked = 0
     for spec in corpus(50):
-        defects, merged, _, _ = build_defects(spec, effective_algebra(spec))
+        defects, merged, _ = build_defects(spec, effective_algebra(spec))
         root = defects["hat1n"].root
         t3, t4, t5 = (truncation_tails(merged, root, N) for N in (3, 4, 5))
         assert np.all(t4 <= t3 + 1e-13)

@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilation_forge.builder import (UNITARY_GATE, BuildConfig, assemble_model, build_defects,
-                                    build_transfer, build_U, build_V0, coefficient_layout,
-                                    defect_frames, effective_algebra, simplex_mass, solve_aux,
-                                    truncation_tails)
+from dilation_forge.builder import (UNITARY_GATE, BuildConfig, CouplingData, assemble_model,
+                                    build_defects, build_transfer, build_U, build_V0,
+                                    coefficient_layout, defect_frames, effective_algebra,
+                                    simplex_mass, solve_aux, truncation_tails)
 from dilation_forge.errors import (IdentityResidualExceeded, InfeasibleFinitePadding, NotInClass,
                                    UnsupportedMultiplicity)
 from dilation_forge.fock import enumerate_indices
@@ -21,7 +23,7 @@ def defects_for(spec):
 
 
 def coupling_for(spec, config=BuildConfig()):
-    defects, merged, _, eq = defects_for(spec)
+    defects, merged, eq = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
     solve_aux(spec, coupling, config)
     build_U(spec, defects, coupling, config)
@@ -29,7 +31,7 @@ def coupling_for(spec, config=BuildConfig()):
 
 
 def test_defects_scalar_triple_frozen_values():
-    defects, merged, _, resid = defects_for(scalar_triple(0.5, 0.4, 0.3))
+    defects, merged, resid = defects_for(scalar_triple(0.5, 0.4, 0.3))
     assert defects["hat1"].square[0, 0] == pytest.approx((1 - 0.16) * (1 - 0.09))   # 0.7644
     assert defects["hatn"].square[0, 0] == pytest.approx((1 - 0.25) * (1 - 0.16))   # 0.63
     assert defects["hat1n"].square[0, 0] == pytest.approx((1 - 0.0225) * (1 - 0.16))  # 0.8211
@@ -38,7 +40,7 @@ def test_defects_scalar_triple_frozen_values():
 
 
 def test_defects_pair():
-    defects, _, _, _ = defects_for(TupleSpec.from_operators([[[0.5]], [[0.8]]]))
+    defects, _, _ = defects_for(TupleSpec.from_operators([[[0.5]], [[0.8]]]))
     assert defects["hat1"].square[0, 0] == pytest.approx(1 - 0.64)
     assert defects["hatn"].square[0, 0] == pytest.approx(1 - 0.25)
 
@@ -63,7 +65,7 @@ def test_zero_tuple_coupling_is_identity_like():
 def test_frames_scalar_pair():
     # X_h = (sqrt(1-|t1|^2), sqrt(1-|t2|^2) conj(t1)), Y_h the symmetric swap
     t1, t2 = 0.5, 0.8
-    defects, _, _, _ = defects_for(TupleSpec.from_operators([[[t1]], [[t2]]]))
+    defects, _, _ = defects_for(TupleSpec.from_operators([[[t1]], [[t2]]]))
     x, y = defect_frames(TupleSpec.from_operators([[[t1]], [[t2]]]), defects)
     assert x[:, 0] == pytest.approx([np.sqrt(1 - t1 ** 2), np.sqrt(1 - t2 ** 2) * t1])
     assert y[:, 0] == pytest.approx([np.sqrt(1 - t2 ** 2), np.sqrt(1 - t1 ** 2) * t2])
@@ -73,7 +75,7 @@ def test_frames_scalar_pair():
 def test_v0_maps_frames_for_class_members():
     for seed in range(4):
         spec = random_tuple("scaled-commuting", 3, 4, seed=seed)
-        defects, _, _, _ = defects_for(spec)
+        defects, _, _ = defects_for(spec)
         coupling = build_V0(spec, defects, effective_algebra(spec))
         x, y = defect_frames(spec, defects)
         assert np.linalg.norm(coupling.V0 @ x - y) < 1e-10
@@ -88,7 +90,7 @@ def test_coupling_carries_each_intermediate_once(aux_pad):
     x, y = defect_frames(spec, defects)
     assert coupling.X.tobytes() == x.tobytes() and coupling.Y.tobytes() == y.tobytes()
     hat1n = defects["hat1n"]
-    assert coupling.vs.tobytes() == (coupling.V @ (adj(hat1n.space.basis) @ hat1n.root)).tobytes()
+    assert coupling.vs.tobytes() == (coupling.V @ (adj(hat1n.basis) @ hat1n.root)).tobytes()
     fresh = coefficient_layout(spec, defects, coupling.mult1, coupling.algebra)
     for name in ("mult1", "mult2", "D", "Udom", "Dprime", "Dprime_rows"):
         assert np.array_equal(getattr(coupling.layout, name), getattr(fresh, name)), name
@@ -97,17 +99,17 @@ def test_coupling_carries_each_intermediate_once(aux_pad):
 
 def test_solve_aux_scalar_mode():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=0)
-    defects, _, _, _ = defects_for(spec)
+    defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
     e1, e2 = solve_aux(spec, coupling)
     assert (e1, e2) == (0, 0)
     # the complements always match in dimension for d = 1
-    assert coupling.M1.dim == coupling.M2.dim
+    assert coupling.M1.shape[1] == coupling.M2.shape[1]
 
 
 def test_solve_aux_user_padding():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=1)
-    defects, _, _, _ = defects_for(spec)
+    defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
     e1, e2 = solve_aux(spec, coupling, BuildConfig(aux_pad=2))
     assert (e1, e2) == (2, 2)
@@ -131,14 +133,14 @@ def padded_covariant_spec():
 
 def test_solve_aux_equivariant_identity_automorphisms():
     spec = random_tuple("covariant", 3, 4, seed=2, k=2, automorphisms=[[0, 1]] * 3)
-    defects, _, _, _ = defects_for(spec)
+    defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
     assert solve_aux(spec, coupling) == (0, 0)
 
 
 def test_solve_aux_equivariant_minimal_padding():
     spec = padded_covariant_spec()
-    defects, _, _, _ = defects_for(spec)
+    defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
     e1, e2 = solve_aux(spec, coupling)
     assert (e1, e2) == (1, 1)
@@ -158,10 +160,60 @@ def test_solve_aux_infeasible():
     t3 = 0.5 * np.block([[np.zeros((2, 2)), e], [e, np.zeros((2, 2))]])
     alg = AlgebraStructure(k=2, block_of=[0, 0, 1, 1], automorphisms=[[0, 1], [0, 1], [1, 0]])
     spec = TupleSpec.from_operators([t1, t2, t3], algebra=alg)
-    defects, _, _, _ = defects_for(spec)
+    defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
     with pytest.raises(InfeasibleFinitePadding):
         solve_aux(spec, coupling)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_solve_aux_matches_brute_force_search(k):
+    """Every commuting pair (a1, an) of permutations of k components, with
+    M1/M2 component counts drawn at random, drawn feasible and drawn with an
+    odd total (never feasible), at aux_pad 0 and 2: solve_aux returns the
+    componentwise-minimal mult1 in {0..10}^k that a brute-force search finds,
+    plus the pad, and raises InfeasibleFinitePadding exactly when the search
+    finds none.  The counts stay small enough for every minimal solution to
+    lie in the searched box."""
+    rng = np.random.default_rng(k)
+    box = np.array(list(itertools.product(range(11), repeat=k)))
+    perms = [list(p) for p in itertools.permutations(range(k))]
+    outcomes = set()
+    for a1, an in itertools.product(perms, perms):
+        twist = np.array(a1)[an]
+        if twist.tolist() != np.array(an)[a1].tolist():
+            continue
+        an_inv, twist_inv = np.argsort(an), np.argsort(twist)
+        steps = box[:, an_inv] - box  # mult1[an^-1(p)] - mult1[p] = #M1_p - #M2_p
+        twist_fixed = np.all(box[:, twist_inv] == box, axis=1)  # mult1 constant on twist orbits
+        m = rng.integers(0, 4, k)
+        for _ in range(k):  # least value on each twist orbit: a twist-invariant mult1
+            m = np.minimum(m, m[twist_inv])
+        delta = m[an_inv] - m
+        m2 = rng.integers(0, 3, k) + np.maximum(0, -delta)
+        draws = [rng.integers(0, 3, (2, k)) for _ in range(3)] + [
+            (m2 + delta, m2), (m2 + delta + np.eye(k, dtype=int)[0], m2)]
+        spec = TupleSpec.from_operators(
+            [np.zeros((k, k))] * 2, algebra=AlgebraStructure(k, list(range(k)), [a1, an]))
+        for count1, count2 in draws:
+            solutions = box[np.all(steps == count1 - count2, axis=1) & twist_fixed]
+            outcomes.add(len(solutions) > 0)
+            minimal = solutions.min(axis=0, initial=10)
+            assert not len(solutions) or np.all(solutions == minimal, axis=1).any()
+            for pad in (0, 2):
+                coupling = CouplingData(V0=None, M1=None, M2=None, X=None, Y=None,
+                                        M1_labels=np.repeat(np.arange(k), count1),
+                                        M2_labels=np.repeat(np.arange(k), count2),
+                                        algebra=spec.algebra)
+                config = BuildConfig(aux_pad=pad)
+                if not len(solutions):
+                    with pytest.raises(InfeasibleFinitePadding):
+                        solve_aux(spec, coupling, config)
+                    continue
+                size = int(minimal.sum()) + pad * k
+                assert solve_aux(spec, coupling, config) == (size, size)
+                assert coupling.mult1.tolist() == (minimal + pad).tolist()
+    assert outcomes == {True, False}
 
 
 def test_build_U_unitary_and_block_pattern():
@@ -241,7 +293,7 @@ def test_tails_match_pi_mass_both_routes():
 
 def test_tail_monotone_in_degree():
     spec = random_tuple("scaled-commuting", 3, 4, seed=7)
-    defects, merged, _, _ = defects_for(spec)
+    defects, merged, _ = defects_for(spec)
     root = defects["hat1n"].root
     t3, t4, t5 = (truncation_tails(merged, root, N) for N in (3, 4, 5))
     assert np.all(t4 <= t3 + 1e-13) and np.all(t5 <= t4 + 1e-13)
@@ -267,7 +319,7 @@ def test_tails_stay_exact_when_the_tuple_commutes_only_to_the_class_gate():
 
 def test_U_unitarity_error_reports_the_bound_it_applies():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=1)
-    defects, _, _, _ = defects_for(spec)
+    defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
     solve_aux(spec, coupling)
     dim = coefficient_layout(spec, defects, coupling.mult1, coupling.algebra).dim
@@ -367,7 +419,7 @@ def box_enumeration_tails(merged, dhat_root, N):
 def test_tails_recursion_matches_box_enumeration(style, N, n, dim, seed):
     n = min(n, 3) if style == "u-commuting" else n
     dim = 2 * dim if style == "covariant" else dim  # a multiple of its k = 2
-    defects, merged, _, _ = defects_for(random_tuple(style, n, dim, seed=seed))
+    defects, merged, _ = defects_for(random_tuple(style, n, dim, seed=seed))
     root = defects["hat1n"].root
     ref = box_enumeration_tails(merged, root, N)
     assert np.max(np.abs(truncation_tails(merged, root, N) - ref)) < 1e-13

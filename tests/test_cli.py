@@ -8,12 +8,12 @@ from dilation_forge.builder import BuildConfig, assemble_model
 from dilation_forge.cli import main
 from dilation_forge.errors import (DilationForgeError, DimensionMismatch, GenerationFailed,
                                    GramMismatch, IdentityResidualExceeded,
-                                   InfeasibleFinitePadding, MalformedSpec, NonSquare, NotInClass,
-                                   NotPSD, UnsupportedMultiplicity)
+                                   InfeasibleFinitePadding, MalformedSpec, NonFinite, NonSquare,
+                                   NotInClass, NotPSD, UnsupportedMultiplicity)
 from dilation_forge.generators import STYLES, parrott_tuple, random_tuple, scalar_triple
 from dilation_forge.io import (dump_json, load_model, load_tuple, model_from_dict,
                                model_to_dict, tuple_from_dict, tuple_to_dict)
-from dilation_forge.tuples import TupleSpec
+from dilation_forge.tuples import TupleSpec, classify
 from dilation_forge.verifier import full_report
 
 
@@ -135,11 +135,38 @@ def test_multiplicity_two_tuple_is_out_of_class_everywhere(tmp_path, capsys):
     assert errs[0].count("\n") == 1
 
 
+# finite entries whose products overflow to inf: 1e160 squared in the
+# structure gate of a pair, and the Szego recursion of a 3-tuple at 1e80
+OVERFLOWING = {
+    "pair-1e160": ('{"d":1,"dimH":1,"matrices":[[[[[1e160,0.0]]]],[[[[1e160,0.0]]]]],'
+                   '"n":2,"schema_version":1}'),
+    "triple-1e80": ('{"d":1,"dimH":1,"matrices":[[[[[1e80,0.0]]]],[[[[1e80,0.0]]]],'
+                    '[[[[1e80,0.0]]]]],"n":3,"schema_version":1}'),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_tuple_is_an_input_error_everywhere(tmp_path, capsys, name):
+    path = tmp_path / "big.json"
+    path.write_text(OVERFLOWING[name])
+    spec = load_tuple(str(path))
+    for build in (classify, assemble_model):
+        with pytest.raises(NonFinite):
+            build(spec)
+    for command in ("classify", "dilate", "verify"):
+        assert main([command, "-i", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: matrix contains NaN or Inf entries (non-finite input, or overflow)"]
+
+
 # the exit code and stderr prefix every error class must get; a new class
 # fails here until it is given a row in cli.ERROR_EXITS and one here
 ERROR_EXIT_CASES = {
     DilationForgeError: (1, ""), NonSquare: (1, ""), NotPSD: (1, ""), GramMismatch: (1, ""),
     DimensionMismatch: (1, ""), MalformedSpec: (1, ""), GenerationFailed: (1, ""),
+    NonFinite: (1, ""),
     UnsupportedMultiplicity: (2, "UnsupportedMultiplicity: "),
     NotInClass: (2, "not in the dilatable class: "),
     InfeasibleFinitePadding: (3, ""), IdentityResidualExceeded: (4, ""), OSError: (1, ""),

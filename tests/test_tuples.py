@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dilation_forge.errors import MalformedSpec, UnsupportedMultiplicity
 from dilation_forge.generators import (STYLES, parrott_tuple, random_tuple, scalar_triple,
                                        zero_tuple)
-from dilation_forge.linalg import adj, frob, kron
+from dilation_forge.linalg import adj, frob
 from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify,
                                    cp_map_matrix, invert_perm, is_pure, merge_1n, szego_operator,
                                    szego_operators, validate)
@@ -23,7 +23,7 @@ def subset_product(spec, G):
     result = np.eye(spec.dimH, dtype=complex)
     for g in reversed(list(G)):
         row = np.hstack(spec.blocks[g - 1])
-        result = row @ kron(np.eye(spec.d), result) if spec.d > 1 else row @ result
+        result = row @ np.kron(np.eye(spec.d), result) if spec.d > 1 else row @ result
     return result
 
 

@@ -281,7 +281,7 @@ def test_intertwinings_across_degrees():
 def test_moments_nilpotent_exact():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=14)
     model = assemble_model(spec, N=4)
-    mom = verify_moments(model, 3)
+    mom = verify_moments(model)
     assert mom["moment_match"] < 1e-10
     assert mom["moment_allowance"] < 1e-10
 
@@ -321,7 +321,7 @@ def test_one_memo_moments_match_two_memos(style, N):
 def test_moments_allowance_covers_truncation():
     spec = TupleSpec.from_operators([[[0.8]], [[0.7]], [[0.6]]])
     model = assemble_model(spec, N=4)
-    mom = verify_moments(model, 3)
+    mom = verify_moments(model)
     assert mom["moment_match"] <= 1e-10 + mom["moment_allowance"]
 
 
