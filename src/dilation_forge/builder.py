@@ -46,6 +46,10 @@ class BuildConfig:
     completion_seed: Optional[int] = None
     check_identities: bool = True
 
+    def __post_init__(self):
+        if self.aux_pad < 0:
+            raise DimensionMismatch(f"aux_pad counts padding coordinates, got {self.aux_pad}")
+
 
 @dataclass
 class DefectData:

@@ -153,6 +153,14 @@ class FockOperator:
     (dst cells, src cells, blocks), one block per source cell, each term
     mapping distinct source cells to distinct destination cells.  Products
     of operators are formed by ``TermTable.products``.
+
+    ``kappa`` and ``shift_phase`` must be unimodular characters of the cell,
+    chi(alpha) = prod_s c_s^alpha_s with |c_s| = 1, as ``FockModel.cell_phases``
+    makes them: the verifier reads the isometry, commutation and factorization
+    identities on the cells of degree <= ``verifier.FIXED_DEGREE`` only, which
+    gives the model's residuals only because every cell then carries the same
+    blocks up to a phase.  A phase that is not such a character breaks that
+    argument.
     """
 
     def __init__(self, fock: FockModel, diag, shift, slot: int, shift_phase, kappa=None):

@@ -15,6 +15,45 @@ product V_a V_b come from one ``TermTable.products`` call each, and all their
 residuals and reference norms from one ``fock.group_norms`` reduction.  Both
 transfer factorizations of V_1 and V_n are one more ``products`` call, their
 residuals and the reference L1 one more ``group_norms`` reduction.
+
+The isometry, commutation and factorization checks read only the fixed
+cells, those of degree |alpha| <= N0 - margin with N0 = min(N, FIXED_DEGREE),
+and give the model's residuals at any N.  Proof.  Every operator of the table
+is a ``FockOperator`` whose per-cell phases (kappa, the shift phase) are
+unimodular characters chi(alpha) = prod_s c_s^{alpha_s}, from
+``FockModel.cell_phases``, so chi(alpha + delta) = chi(delta) chi(alpha).  A
+block of a product of two terms from source cell alpha is then the product of
+the two terms' characters at alpha (the left one conjugated in W* W) times a
+matrix that depends on neither alpha nor N.  The displacement dst - src fixes
+which shift terms a block used (tau1 and taun, the two operators that shift
+in one slot, share their shift phase), so all blocks added at one cell pair
+carry one common character, of modulus 1.  Each composite's squared
+Frobenius norm is therefore a sum, over the kinds of block, of (the number of
+cells of that kind) x (one block's squared norm).  Every kind already occurs
+at alpha = 0 and alpha = e_s, which are fixed cells of margin 2 whenever
+N >= FIXED_DEGREE = 3.  The kinds:
+
+* V_a V_b - u(a,b) V_b V_a, V_1 V_n - L1 and V_n V_1 - u(n,1) L1, with
+  their references V_b V_a and L1: one kind, the source cells with
+  |alpha| <= N - 2.  Residual and reference scale with the same count, so
+  the ratio on the cells with |alpha| <= N0 - 2 is the model's.
+* W_i* W_i - I on the cells with |alpha| <= N - 1, as sources and as
+  destinations: the diagonal blocks alpha -> alpha (the -I among them), on
+  count(interior_cells(fock, 1)) cells; the blocks alpha -> alpha + e_s, on
+  the count(interior_cells(fock, 2)) cells with |alpha| <= N - 2; and their
+  adjoints alpha -> alpha - e_s, on the same number of cells.  Read on the
+  fixed cells of margin 1, the diagonal blocks are scaled by the square root
+  of count(interior_cells(fock, 1)) over the number of fixed cells of margin
+  1, and the others by that of count(interior_cells(fock, 2)) over the number
+  of fixed cells of margin 2 (``_cell_weight``).  The norm is then the
+  model's, and the residual is divided by the model's unit
+  sqrt(count(interior_cells(fock, 1)) * dim D).
+
+For N <= FIXED_DEGREE the fixed cells are the model's and every weight is 1.
+Equivariance stays at the model's N: its coordinate labels are powers of the
+automorphisms along alpha, not characters, so its residual on the cells of
+low degree is a different mixture.  The checks that read Pi (``pi``, the
+intertwinings, the moments) stay at the model's N as well.
 """
 
 from __future__ import annotations
@@ -25,7 +64,7 @@ from itertools import combinations
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import (FockOperator, enumerate_indices, group_norms, interior_cells,
+from .fock import (FockModel, FockOperator, enumerate_indices, group_norms, interior_cells,
                    interior_projector, parent_rows)
 from .linalg import adj, eye, frob_stack, rel_residual
 from .tuples import invert_perm, ordered_power_products
@@ -37,6 +76,7 @@ DEFAULT_TOLERANCES = {
     "moment": 1e-10,   # brute-force moment oracle (plus computed allowance)
 }
 MOMENT_MAXDEG = 3  # highest degree |beta| of the moment oracle
+FIXED_DEGREE = 3   # highest cell degree the isometry, commutation and factorization checks read
 
 
 @dataclass
@@ -103,18 +143,33 @@ def verify_intertwining(model: DilationModel) -> dict:
     return dict(zip(names, resid.tolist()))
 
 
+def _fixed_cells(fock: FockModel, margin: int) -> np.ndarray:
+    """Boolean mask of the cells with |alpha| <= min(N, FIXED_DEGREE) - margin."""
+    return interior_cells(fock, fock.N - min(fock.N, FIXED_DEGREE) + margin)
+
+
+def _cell_weight(fock: FockModel, margin: int) -> float:
+    """sqrt(model cells / fixed cells) at ``margin``: the factor that makes the
+    blocks of the fixed cells of one kind carry the norm of all the model's."""
+    return float(np.sqrt(np.count_nonzero(interior_cells(fock, margin))
+                         / np.count_nonzero(_fixed_cells(fock, margin))))
+
+
 def verify_factorization(model: DilationModel) -> dict:
     """Transfer products against the merged creation operator.
 
     tau1 (I x taun) equals the merged creation L1; the reversed product equals
     it up to the flip phase u(n,1) that re-orders the two fused factors.  Both
-    products are compared on the source cells with |alpha| <= N - min(2, N),
-    relative to L1 there.  V_1 V_n and V_n V_1 come from one
-    ``TermTable.products`` call and every norm from one ``group_norms``
-    reduction, whose groups are V_1 V_n - L1, V_n V_1 - u(n,1) L1 and L1.
+    products are compared on the source cells with |alpha| <= N0 - min(2, N),
+    N0 = min(N, FIXED_DEGREE), relative to L1 there: every source cell carries
+    the same blocks up to one character, so the ratios are those on the
+    model's cells with |alpha| <= N - min(2, N) (see the module docstring).
+    V_1 V_n and V_n V_1 come from one ``TermTable.products`` call and every
+    norm from one ``group_norms`` reduction, whose groups are V_1 V_n - L1,
+    V_n V_1 - u(n,1) L1 and L1.
     """
     fock, table, n = model.fock, model.table, model.spec.n
-    src = interior_cells(fock, min(2, fock.N))
+    src = _fixed_cells(fock, min(2, fock.N))
     _, p, to, start, vv = table.products(table, [0, n - 1], [n - 1, 0], src=src)
     l1_to, l1_start, l1 = model.L1.terms[0]  # a creation operator has one term
     keep = src[l1_start]
@@ -132,23 +187,30 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     """Each dilated operator is isometric on interior cells and the family
     u-commutes with the original phase table.
 
-    W*W - I is measured on the cells with |alpha| <= N - 1, as sources and as
-    destinations, relative to sqrt(#interior coordinates); V_i V_j - u(i,j)
-    V_j V_i on the source cells with |alpha| <= N - min(2, N), relative to
-    V_j V_i there.  One pass: all W_i* W_i, and all ordered V_a V_b, come
-    from one ``TermTable.products`` call each, and every norm from one
-    ``group_norms`` reduction, whose group i - 1 is W_i* W_i - I, group n + p
-    the p-th of the P pairs i < j (``combinations`` order) and group
-    n + P + p that pair's reference V_j V_i.
+    With N0 = min(N, FIXED_DEGREE), W*W - I is measured on the cells with
+    |alpha| <= N0 - 1, as sources and as destinations, its diagonal blocks
+    (the -I among them) weighted by ``_cell_weight`` at margin 1 and its
+    blocks alpha -> alpha +- e_s by that at margin 2, relative to
+    sqrt(#interior coordinates of the model); V_i V_j - u(i,j) V_j V_i on the
+    source cells with |alpha| <= N0 - min(2, N), relative to V_j V_i there.
+    Every cell of one kind carries the same blocks up to one character, so
+    these are the residuals on the model's cells with |alpha| <= N - 1 and
+    N - min(2, N) (see the module docstring).  One pass: all W_i* W_i, and all
+    ordered V_a V_b, come from one ``TermTable.products`` call each, and every
+    norm from one ``group_norms`` reduction, whose group i - 1 is
+    W_i* W_i - I, group n + p the p-th of the P pairs i < j (``combinations``
+    order) and group n + P + p that pair's reference V_j V_i.
     """
     spec, fock, ws = model.spec, model.fock, model.isometries
     n, d = len(ws), fock.coeff_dim
-    inner = interior_cells(fock, 1)
-    src = interior_cells(fock, min(2, fock.N))
-    unit = max(1.0, np.sqrt(np.count_nonzero(inner) * d))
+    inner = _fixed_cells(fock, 1)
+    src = _fixed_cells(fock, min(2, fock.N))
+    unit = max(1.0, np.sqrt(np.count_nonzero(interior_cells(fock, 1)) * d))
+    on, off = _cell_weight(fock, 1), _cell_weight(fock, min(2, fock.N))
     table, every, cells = model.table, np.arange(n), np.flatnonzero(inner)
     _, w_group, w_to, w_start, wtw = table.products(table, every, every, adjoint=True,
                                                     src=inner, dst=inner)
+    wtw *= np.where(w_to == w_start, on, off)[:, None, None]
     pairs = list(combinations(range(n), 2))
     lo, hi = np.array(pairs, dtype=int).reshape(-1, 2).T
     # V_i V_j for every pair p, then V_j V_i for every pair as p + len(pairs)
@@ -158,7 +220,8 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     p %= len(pairs)
     ref = vv[swapped]
     vv[swapped] *= -spec.phases[lo, hi][p[swapped], None, None]
-    blocks = np.concatenate([wtw, np.broadcast_to(-np.eye(d), (n * len(cells), d, d)), vv, ref])
+    blocks = np.concatenate([wtw, np.broadcast_to(-on * np.eye(d), (n * len(cells), d, d)), vv,
+                             ref])
     del wtw, vv, ref  # keep one copy of the blocks through the reduction
     norms = group_norms(
         fock,
@@ -222,7 +285,12 @@ def _fock_covariance(w: FockOperator, labels: np.ndarray, q: int, p: int) -> flo
 
 
 def verify_equivariance(model: DilationModel) -> dict:
-    """Algebra covariance of U1, Un and of the dilated isometries."""
+    """Algebra covariance of U1, Un and of the dilated isometries.
+
+    Read on every cell of the model, not on the fixed cells: the coordinate
+    labels are automorphism powers along alpha, not characters, so the cells
+    of low degree do not stand for the others (see the module docstring).
+    """
     spec = model.spec
     if spec.algebra is None:
         return {}
@@ -251,6 +319,7 @@ def full_report(model: DilationModel, tolerances: dict | None = None) -> Verific
     if tolerances:
         tol.update(tolerances)
     report = VerificationReport(config={"tolerances": tol, "N": model.N,
+                                        "fixed_degree": min(model.N, FIXED_DEGREE),
                                         "moment_maxdeg": MOMENT_MAXDEG})
     report.tail_bounds = [float(t) for t in model.tails]
 

@@ -306,6 +306,23 @@ def test_degree_below_one_is_input_error(tmp_path, triple_file, capsys, command,
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("style", ["scaled-commuting", "covariant"])
+@pytest.mark.parametrize("command", [["dilate", "-o", "{model}"], ["verify"]],
+                         ids=["dilate", "verify"])
+def test_negative_aux_pad_is_input_error(tmp_path, capsys, style, command):
+    """A negative padding count is rejected by ``BuildConfig``: one error line,
+    no traceback from the layout or the unitary completion."""
+    tuple_path, model_path = tmp_path / "t.json", tmp_path / "model.json"
+    assert main(["random", "--style", style, "--n", "4", "-o", str(tuple_path)]) == 0
+    capsys.readouterr()
+    argv = [a.format(model=model_path) for a in command]
+    assert main(argv + ["-i", str(tuple_path), "--degree", "2", "--aux-pad", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: aux_pad counts padding coordinates, got -1"]
+    assert captured.out == ""
+    assert not model_path.exists()
+
+
 def test_model_file_of_degree_zero_is_input_error(tmp_path, capsys):
     # the library still builds N = 0 (the diagonal part alone); its file is rejected on load
     model_path = tmp_path / "model.json"

@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
@@ -220,6 +222,26 @@ def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_t
     for s in range(m):
         costs = np.where(np.arange(m) < s, model.merged_phases[s], 1)
         assert table[s].tobytes() == model.cell_phases(costs).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 4), N=st.integers(0, 5), seed=st.integers(0, 2 ** 16),
+       quarter_turns=st.booleans())
+def test_cell_and_creation_phases_are_unimodular_characters(m, N, seed, quarter_turns):
+    """phase(alpha + beta) = phase(alpha) phase(beta) and |phase| = 1 for
+    ``cell_phases`` of unimodular costs and every row of ``creation_phases``:
+    the verifier's fixed-degree checks rest on this."""
+    model, rng = random_model(m, N, 1, seed, quarter_turns)
+    costs = np.exp(2j * np.pi * rng.uniform(0, 1, m))
+    where = index_of(model)
+    cells = index_list(model)
+    pairs = [(where[a], where[b], where[tuple(x + y for x, y in zip(a, b))])
+             for a in cells for b in cells if sum(a) + sum(b) <= N]
+    first, second, total = np.array(pairs).T
+    for phase in [model.cell_phases(costs), *model.creation_phases]:
+        assert phase[0] == 1
+        assert np.allclose(np.abs(phase), 1, rtol=0, atol=1e-14)
+        assert np.allclose(phase[total], phase[first] * phase[second], rtol=0, atol=1e-14)
 
 
 def operator_zoo(model, rng, quarter_turns):

@@ -1,3 +1,4 @@
+import tracemalloc
 from copy import copy
 from dataclasses import replace
 from itertools import combinations
@@ -12,9 +13,10 @@ from dilation_forge.fock import (TermTable, creation_matrix, enumerate_indices,
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
 from dilation_forge.tuples import TupleSpec, compose_perm, ordered_power_products
-from dilation_forge.verifier import (DEFAULT_TOLERANCES, full_report, verify_equivariance,
-                                     verify_factorization, verify_intertwining,
-                                     verify_isometric_representation, verify_moments, verify_pi)
+from dilation_forge.verifier import (DEFAULT_TOLERANCES, FIXED_DEGREE, full_report,
+                                     verify_equivariance, verify_factorization,
+                                     verify_intertwining, verify_isometric_representation,
+                                     verify_moments, verify_pi)
 from fock_reference import product, terms_norm
 
 
@@ -96,18 +98,37 @@ def test_composed_residuals_match_identity_columns_swap_covariant(N):
     assert_matches_reference(assemble_model(spec, N=N, config=BuildConfig(aux_pad=1)))
 
 
-def per_pair_isometric_representation(model):
+def reference_cells(fock, margin, degree):
+    """Mask of the cells with |alpha| <= degree - margin, and sqrt(the model's
+    cells with |alpha| <= N - margin / those): the weight that makes the
+    blocks of these cells carry the norm of the model's."""
+    cells = interior_cells(fock, fock.N - degree + margin)
+    return cells, np.sqrt(np.count_nonzero(interior_cells(fock, margin)) / np.count_nonzero(cells))
+
+
+def per_pair_isometric_representation(model, degree=None):
     """The isometry and commutation residuals one pair at a time, from the
-    one-pair ``product`` and one-group ``terms_norm`` (the verifier's former loop)."""
+    one-pair ``product`` and one-group ``terms_norm`` (the verifier's former loop).
+
+    ``degree=None`` reads the model's interior cells.  A degree N0 reads the
+    cells with |alpha| <= N0 - margin instead, and weights the isometry's
+    diagonal blocks (with the identity) and its other blocks by
+    ``reference_cells`` at margins 1 and min(2, N).
+    """
     spec, fock = model.spec, model.fock
-    inner = interior_cells(fock, 1)
-    src = interior_cells(fock, min(2, fock.N))
-    unit = max(1.0, np.sqrt(np.count_nonzero(inner) * fock.coeff_dim))
+    degree = fock.N if degree is None else degree
+    inner, on = reference_cells(fock, 1, degree)
+    src, off = reference_cells(fock, min(2, fock.N), degree)
+    cells, d = fock.cell_count, fock.coeff_dim
+    unit = max(1.0, np.sqrt(np.count_nonzero(interior_cells(fock, 1)) * d))
+    every = np.arange(cells)
+    identity = [(every, every, np.broadcast_to(np.eye(d), (cells, d, d)))]
     out = {}
     for i, w in enumerate(model.isometries, start=1):
-        wtw = product(w, w, adjoint=True)
-        out[f"isometry_v{i}"] = terms_norm(fock, [(1.0, wtw)], inner, inner,
-                                           minus_identity=True) / unit
+        wtw = [(to, start, blocks * np.where(to == start, on, off)[:, None, None])
+               for to, start, blocks in product(w, w, adjoint=True)]
+        out[f"isometry_v{i}"] = terms_norm(fock, [(1.0, wtw), (-on, identity)],
+                                           inner, inner) / unit
     for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
         ji = product(vj, vi)
         ref = max(1.0, terms_norm(fock, [(1.0, ji)], src))
@@ -116,11 +137,13 @@ def per_pair_isometric_representation(model):
     return out
 
 
-def per_pair_factorization(model):
+def per_pair_factorization(model, degree=None):
     """The transfer factorization residuals from one ``product`` per order and
-    one ``terms_norm`` per residual (the verifier's former code)."""
+    one ``terms_norm`` per residual (the verifier's former code), on the
+    model's source cells of margin min(2, N), or with a degree N0 on those with
+    |alpha| <= N0 - min(2, N)."""
     fock = model.fock
-    src = interior_cells(fock, min(2, fock.N))
+    src, _ = reference_cells(fock, min(2, fock.N), fock.N if degree is None else degree)
     l1 = model.L1.terms
     ref = max(1.0, terms_norm(fock, [(1.0, l1)], src))
     v1, vn = model.isometries[0], model.isometries[-1]
@@ -130,12 +153,15 @@ def per_pair_factorization(model):
 
 
 def assert_matches_per_pair(model):
-    got, ref = verify_isometric_representation(model), per_pair_isometric_representation(model)
+    """The one-pass checks against the per-pair references on the same cells."""
+    degree = min(model.N, FIXED_DEGREE)
+    got = verify_isometric_representation(model)
+    ref = per_pair_isometric_representation(model, degree)
     assert list(got) == list(ref)
     for name, value in ref.items():
         assert abs(got[name] - value) <= 1e-14, (name, got[name], value)
     # the factorization pass sums every block in the per-pair order: equal bit for bit
-    assert verify_factorization(model) == per_pair_factorization(model)
+    assert verify_factorization(model) == per_pair_factorization(model, degree)
 
 
 WIDTHS = {"u-commuting": (2, 3)}  # the u-commuting style builds n = 2 and 3 only
@@ -149,6 +175,25 @@ def test_one_pass_matches_per_pair_loop(style, N):
         assert_matches_per_pair(model)
         broken = rebuilt_model(model, model.coupling.U + 0.1)
         assert_matches_per_pair(broken)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("style", STYLES)
+def test_fixed_degree_matches_model_degree(style, N):
+    """The checks on the cells of degree <= FIXED_DEGREE give the residuals of
+    the model's interior cells: within 1e-14 on correct models, and within
+    1e-12 relative on broken ones, whose residuals are O(1)."""
+    for n in WIDTHS.get(style, (2, 3, 5, 8)):
+        model = assemble_model(style_tuple(style, n, 2, seed=40 + n), N=N)
+        broken = rebuilt_model(model, model.coupling.U + 0.1)
+        for case, relative in ((model, False), (broken, True)):
+            got = {**verify_isometric_representation(case), **verify_factorization(case)}
+            ref = {**per_pair_isometric_representation(case), **per_pair_factorization(case)}
+            assert list(got) == list(ref)
+            for name, value in ref.items():
+                bound = 1e-12 * value if relative else 1e-14
+                assert abs(got[name] - value) <= bound, (n, name, got[name], value)
+        assert max(verify_isometric_representation(broken).values()) > 1e-3
 
 
 def per_operator_intertwining(model):
@@ -264,6 +309,27 @@ def test_pi_telescoping_exact_for_slow_tuples():
     pi = verify_pi(model)
     assert max(model.tails) > 0.1
     assert pi["pi_isometry"] < 1e-13 and pi["pi_tail_match"] < 1e-13
+
+
+def test_deep_model_checks_in_bounded_memory():
+    """At N = 30 (5456 cells) the isometry, commutation and factorization
+    checks read the cells of degree <= 3 only.  Their own allocations peak
+    under 16 MB (they measured 333 + 84 MB when they read every cell); the
+    model's table is built first, as ``full_report``'s intertwining check does."""
+    model = assemble_model(random_tuple("scaled-commuting", 4, 3, seed=0), N=30)
+    assert model.fock.cell_count == 5456
+    model.table  # the model's own cached table, which three checks share
+    tracemalloc.start()
+    try:
+        verify_isometric_representation(model)
+        verify_factorization(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    report = full_report(model)
+    assert report.passed, report.failures()
+    assert report.config["N"] == 30 and report.config["fixed_degree"] == 3
 
 
 def test_intertwinings_across_degrees():
@@ -398,3 +464,4 @@ def test_report_serializes():
     doc = full_report(model).to_dict()
     assert doc["passed"] is True
     assert set(doc) >= {"residuals", "verdicts", "tail_bounds", "config"}
+    assert doc["config"]["N"] == 2 and doc["config"]["fixed_degree"] == 2
