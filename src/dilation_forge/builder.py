@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, TermTable, creation_matrix, enumerate_indices
+from .fock import FockModel, FockOperator, creation_matrix, enumerate_indices
 from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_sqrt,
                      range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
@@ -157,12 +157,6 @@ class DilationModel:
     def L1(self) -> FockOperator:
         """The merged creation operator, built once per model."""
         return creation_matrix(self.fock, 0)
-
-    @cached_property
-    def table(self) -> TermTable:
-        """One ``TermTable`` of the isometries followed by L1, built once per
-        model; the verifier's product and intertwining checks all read it."""
-        return TermTable(self.isometries + [self.L1])
 
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
@@ -492,8 +486,8 @@ def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLay
     else:
         raise DimensionMismatch("transfer operators exist for the first and last index only")
     # coefficient-end insertion of the merged factor: prod_{t > 0} u(t, 0)^alpha_t
-    back = fock.cell_phases(np.where(np.arange(fock.m) > 0, fock.merged_phases[:, 0], 1))
-    kappa = fock.cell_phases([merged_cost] + [spec.u(which, j) for j in range(2, spec.n)])
+    back = np.where(np.arange(fock.m) > 0, fock.merged_phases[:, 0], 1)
+    kappa = [merged_cost] + [spec.u(which, j) for j in range(2, spec.n)]
     return FockOperator(fock, adj(a), shift_block, 0, back, kappa)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import __version__
@@ -48,6 +49,17 @@ ERROR_EXITS = {
     DilationForgeError: (EXIT_INPUT, ""),
     OSError: (EXIT_INPUT, ""),
 }
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number >= 0 (NaN would switch every gate off)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", "-i", required=True, help="tuple JSON file")
         p.add_argument("--output", "-o", help="write result JSON here")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=float, default=1e-10, help="base tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-10, help="base tolerance")
 
     p = sub.add_parser("classify", help="test membership in the dilatable class")
     common(p)

@@ -20,24 +20,30 @@ appear:
 
 With an all-ones table both conventions are the plain shift.
 
-Every Fock operator of the construction is a ``FockOperator``: a block on
-each cell plus a block carried one cell up in a single slot, with per-cell
-phases.  It is applied, and composed with another operator, cell by cell and
-never stored as a dim x dim matrix.  A ``TermTable`` holds the blocks of
-several operators at once, so that any list of pairwise products is one
-gather and one batched block product, and ``group_norms`` measures any number
-of such composites in one reduction.
+Every Fock operator of the construction is a ``FockOperator``: one d x d
+block on every cell plus one d x d block carried one cell up in a single
+slot, each times a unimodular character of the cell.  It is applied cell by
+cell and never stored as a dim x dim matrix, nor as one block per cell.
+``product_norms`` measures sums of products of such operators from their
+blocks and characters in closed form, without reading a cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_matrix
+from .linalg import adj, as_matrix
+
+PHASE_TOL = 1e-12  # largest | |c| - 1 | of a character cost, as for a tuple's phase table
+# Characters closer than this are one character to ``product_norms``: products of a few
+# costs, each within PHASE_TOL of the circle, stay far inside it, and summing their blocks
+# first keeps a vanishing residual from cancelling between separately taken norms.
+CHARACTER_TOL = 1e-9
 
 
 def enumerate_indices(m: int, N: int) -> np.ndarray:
@@ -114,18 +120,9 @@ class FockModel:
     def dim(self) -> int:
         return self.cell_count * self.coeff_dim
 
-    def cell_phases(self, costs) -> np.ndarray:
-        """prod_s costs[s]^alpha_s for every cell alpha."""
-        return np.prod(np.asarray(costs, dtype=complex) ** self.cells, axis=1)
-
-    @cached_property
-    def creation_phases(self) -> np.ndarray:
-        """Read-only (m, cells) table: row s is ``cell_phases`` of the front-insertion
-        costs u(s, t) for t < s (1 for t >= s), the phases of creation operator s."""
-        costs = np.where(np.tri(self.m, k=-1, dtype=bool), self.merged_phases, 1)
-        table = np.prod(costs[:, None, :] ** self.cells, axis=2)
-        table.setflags(write=False)
-        return table
+    def cell_phases(self, costs, rows=slice(None)) -> np.ndarray:
+        """prod_s costs[s]^alpha_s for every cell alpha, or for the cells ``rows``."""
+        return np.prod(np.asarray(costs, dtype=complex) ** self.cells[rows], axis=1)
 
     @cached_property
     def successors(self) -> np.ndarray:
@@ -138,46 +135,56 @@ class FockModel:
         return table
 
     def successor(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cells alpha with |alpha| < N and the cells alpha + e_s they shift to."""
-        src = np.flatnonzero(self.successors[s] >= 0)
-        return src, self.successors[s, src]
+        """Cells alpha with |alpha| < N, the first comb(m + N - 1, m) in degree
+        order, and the cells alpha + e_s they shift to."""
+        inner = comb(self.m + self.N - 1, self.m)
+        return np.arange(inner), self.successors[s, :inner]
 
 
 class FockOperator:
-    """kappa-weighted cellwise block plus a one-slot cell shift on F_N(E) (x) D.
+    """A cellwise block plus a one-slot cell shift on F_N(E) (x) D, each times a
+    unimodular character of the cell.
 
     Maps (alpha, v) to kappa(alpha) * [(alpha, diag v) + shift_phase(alpha) *
     (alpha + e_slot, shift v)], dropping shifted output past |alpha| = N, so
     the adjoint annihilates cells with alpha_slot = 0.  ``diag=None`` omits
-    the cellwise part, ``shift=None`` is the identity.  Stored as terms
-    (dst cells, src cells, blocks), one block per source cell, each term
-    mapping distinct source cells to distinct destination cells.  Products
-    of operators are formed by ``TermTable.products``.
-
-    ``kappa`` and ``shift_phase`` must be unimodular characters of the cell,
-    chi(alpha) = prod_s c_s^alpha_s with |c_s| = 1, as ``FockModel.cell_phases``
-    makes them: the verifier reads the isometry, commutation and factorization
-    identities on the cells of degree <= ``verifier.FIXED_DEGREE`` only, which
-    gives the model's residuals only because every cell then carries the same
-    blocks up to a phase.  A phase that is not such a character breaks that
-    argument.
+    the cellwise part, ``shift=None`` is the identity.  kappa and shift_phase
+    are the characters chi_c(alpha) = prod_s c_s^alpha_s of the per-slot costs
+    ``kappa_costs`` (all 1 by default) and ``shift_costs``, which must be
+    unimodular (``DimensionMismatch`` otherwise).  Stored as its terms (slot or
+    None, d x d block, costs): the shift term (slot, shift, shift_costs *
+    kappa_costs) and the cellwise term (None, diag, kappa_costs); ``moves``
+    adds each term's per-cell phases.  No block is stored per cell, and
+    ``product_norms`` measures products of operators from the terms alone.
     """
 
-    def __init__(self, fock: FockModel, diag, shift, slot: int, shift_phase, kappa=None):
-        d, cells = fock.coeff_dim, fock.cell_count
+    def __init__(self, fock: FockModel, diag, shift, slot: int, shift_costs, kappa_costs=None):
+        d, m = fock.coeff_dim, fock.m
         shift = np.eye(d, dtype=complex) if shift is None else as_matrix(shift)
-        kappa = np.ones(cells, dtype=complex) if kappa is None else np.asarray(kappa, dtype=complex)
-        shift_phase = np.asarray(shift_phase, dtype=complex)
         if shift.shape != (d, d) or (diag is not None and np.shape(diag) != (d, d)):
             raise DimensionMismatch(f"blocks must be {d} x {d} (the coefficient dimension)")
-        if kappa.shape != (cells,) or shift_phase.shape != (cells,):
-            raise DimensionMismatch("need one phase per cell")
+        if not 0 <= slot < m:
+            raise DimensionMismatch(f"shift slot {slot} out of range")
+        costs = [np.asarray(c, dtype=complex)
+                 for c in (shift_costs, np.ones(m) if kappa_costs is None else kappa_costs)]
+        if any(c.shape != (m,) for c in costs) or \
+                not np.all(np.abs(np.abs(costs) - 1.0) <= PHASE_TOL):
+            raise DimensionMismatch(f"need {m} unimodular character costs, one per slot")
         self.fock, self.shape = fock, (fock.dim, fock.dim)
-        src, dst = fock.successor(slot)
-        self.terms = [(dst, src, (shift_phase[src, None, None] * shift) * kappa[src, None, None])]
+        self.terms = [(slot, shift, costs[0] * costs[1])]
         if diag is not None:
-            every = np.arange(cells)
-            self.terms.append((every, every, as_matrix(diag) * kappa[:, None, None]))
+            self.terms.append((None, as_matrix(diag), costs[1]))
+
+    @cached_property
+    def moves(self) -> list:
+        """Per term: its phases (``FockModel.cell_phases`` of its costs) on the
+        source cells it reads, its block, and those source cells and the
+        destination cells it writes; built on first use, once."""
+        every, out = np.arange(self.fock.cell_count), []
+        for slot, block, costs in self.terms:
+            src, dst = (every, every) if slot is None else self.fock.successor(slot)
+            out.append((self.fock.cell_phases(costs, src), block, src, dst))
+        return out
 
     def _cells(self, x) -> np.ndarray:
         x = np.asarray(x)
@@ -189,112 +196,133 @@ class FockOperator:
         """This operator times the dim x cols matrix ``x``."""
         y = self._cells(x)
         out = np.zeros(y.shape, dtype=complex)
-        for dst, src, blocks in self.terms:
-            out[dst] += blocks @ y[src]
+        for phase, block, src, dst in self.moves:
+            out[dst] += (phase[:, None, None] * block) @ y[src]
         return out.reshape(x.shape)
 
     def apply_adj(self, x: np.ndarray) -> np.ndarray:
         """The adjoint of this operator times the dim x cols matrix ``x``."""
         y = self._cells(x)
         out = np.zeros(y.shape, dtype=complex)
-        for dst, src, blocks in self.terms:
-            out[src] += blocks.conj().transpose(0, 2, 1) @ y[dst]
+        for phase, block, src, dst in self.moves:
+            out[src] += (phase.conj()[:, None, None] * adj(block)) @ y[dst]
         return out.reshape(x.shape)
 
     def __array__(self, dtype=None, copy=None):
         """The dense dim x dim matrix, for tests and comparisons."""
         cells, d = self.fock.cell_count, self.fock.coeff_dim
         out = np.zeros((cells, d, cells, d), dtype=complex)
-        for dst, src, blocks in self.terms:
-            out[dst, :, src, :] = blocks
+        for phase, block, src, dst in self.moves:
+            out[dst, :, src, :] = phase[:, None, None] * block
         return out.reshape(self.shape).astype(dtype or complex, copy=False)
 
 
-class TermTable:
-    """The terms of several Fock operators on one model, as one table of blocks.
+def _character_sums(z: np.ndarray, low: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Per row, the sum of z^alpha = prod_s z_s^alpha_s over the cells
+    alpha >= ``low`` with |alpha| <= ``top``: z^low times the sum of the
+    complete homogeneous polynomials h_k(z) for k <= top - |low|, by the slot
+    recursion h_k <- sum_{j <= k} z_s^(k-j) h_j (|z_s| = 1)."""
+    free = top - low.sum(axis=1)
+    powers = np.arange(max(free.max(initial=0), 0) + 1)
+    h = np.zeros((len(z), len(powers)), dtype=complex)
+    h[:, 0] = 1.0
+    for s in range(z.shape[1]):
+        w = z[:, s, None] ** powers
+        h = w * np.cumsum(h / w, axis=1)
+    sums = np.cumsum(h, axis=1)[np.arange(len(z)), free.clip(0, None)]
+    return np.where(free >= 0, sums * np.prod(z ** low, axis=1), 0.0)
 
-    Row r maps source cell ``src[r]`` to destination cell ``dst[r]`` by
-    ``blocks[r]`` and comes from term ``term[r]`` of operator ``op[r]``; each
-    operator's rows are contiguous.  ``where[0][k, t, c]`` is the row of term t
-    of operator k with source cell c and ``where[1][k, t, c]`` the one with
-    destination cell c, -1 where there is none.
+
+def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.ndarray:
+    """Frobenius norms of sums of products of Fock operators on interior
+    cells, in closed form: no cell is read.
+
+    Pair p adds coef[p] ops[left[p]] ops[right[p]] to group[p]; index
+    len(ops) is the identity.  Group g takes the left factor's adjoint where
+    ``adjoint[g]`` and keeps the cells with |alpha| <= N - src[g] as sources
+    and |alpha| <= N - dst[g] as destinations.  Returns each group's norm.
+
+    A term (slot s or None, block M, costs c) moves alpha to alpha + delta,
+    delta = e_s or 0, with phase chi_c(alpha); its adjoint moves alpha to
+    alpha - delta with block M*, costs conj(c) and the constant
+    1 / conj(chi_c(delta)).  A product of two terms from alpha is then
+    chi_l(delta_r) (chi_l chi_r)(alpha) M_l M_r at the displacement
+    Delta = delta_l + delta_r, on the cells alpha >= max(0, -Delta) that keep
+    every step within the truncation and the margins.  All term products are
+    one batched matmul.  The products of a group at one Delta and cell range
+    whose characters agree within CHARACTER_TOL are added to one block Y, which
+    adds C ||Y||^2, C the binomial cell count.  Two such blocks of one group
+    and Delta with different characters c_k, c_l add 2 Re <Y_k, Y_l> times
+    the sum of conj(c_k)^alpha c_l^alpha over their common cells
+    (``_character_sums``).
     """
-
-    def __init__(self, ops: list):
-        terms = [(k, t, term) for k, w in enumerate(ops) for t, term in enumerate(w.terms)]
-        sizes = [len(dst) for _, _, (dst, _, _) in terms]
-        self.op = np.repeat([k for k, _, _ in terms], sizes)
-        self.term = np.repeat([t for _, t, _ in terms], sizes)
-        self.dst, self.src, self.blocks = (np.concatenate(part)
-                                           for part in zip(*(term for _, _, term in terms)))
-        self.count = np.bincount(self.op, minlength=len(ops))
-        self.first = np.cumsum(self.count) - self.count
-        rows = np.arange(len(self.op))
-        self.where = np.full((2, len(ops), self.term.max(initial=0) + 1, ops[0].fock.cell_count),
-                             -1)
-        self.where[0, self.op, self.term, self.src] = rows
-        self.where[1, self.op, self.term, self.dst] = rows
-
-    def products(self, other: TermTable, left, right, adjoint: bool = False,
-                 src=None, dst=None) -> tuple:
-        """The blocks of every product ops[left[p]] of this table (its adjoint
-        with ``adjoint``) times ops[right[p]] of ``other`` at once, as arrays
-        (left term, p, dst cells, src cells, blocks), ordered by left term, then
-        p, then right row.
-
-        Each right row meets the rows of its left factor's terms at its
-        destination cell through one gather in ``where``, and all block products
-        are one batched matmul.  As in ``FockOperator.apply``, output shifted
-        past |alpha| = N is dropped at each factor.  The boolean cell masks
-        ``src`` and ``dst`` keep only the blocks from and to their cells.
-        """
-        left, right = np.asarray(left, dtype=int), np.asarray(right, dtype=int)
-        count = other.count[right]
-        pair = np.repeat(np.arange(len(right)), count)
-        offset = np.cumsum(count) - count  # where each pair's rows start among all pairs'
-        inner = np.arange(len(pair)) + np.repeat(other.first[right] - offset, count)
-        if src is not None:
-            keep = src[other.src[inner]]
-            pair, inner = pair[keep], inner[keep]
-        outer = self.where[int(adjoint)][left[pair], :, other.dst[inner]].T
-        term, k = np.nonzero(outer >= 0)
-        outer, pair, inner = outer[term, k], pair[k], inner[k]
-        to = (self.src if adjoint else self.dst)[outer]
-        if dst is not None:
-            keep = dst[to]
-            term, pair, inner, outer, to = (a[keep] for a in (term, pair, inner, outer, to))
-        blocks = self.blocks[outer]
-        if adjoint:
-            blocks = blocks.conj().transpose(0, 2, 1)
-        return term, pair, to, other.src[inner], blocks @ other.blocks[inner]
-
-
-def group_norms(model: FockModel, group, dst: np.ndarray, src: np.ndarray,
-                blocks: np.ndarray, groups: int) -> np.ndarray:
-    """Per group g < ``groups``, the Frobenius norm of its blocks summed per
-    (dst, src) cell pair.
-
-    One stable sort of the (group, dst, src) keys; the blocks of each key are
-    added in that order, one vectorized pass per rank within a key, and the
-    squared norms of the sums added per group.  (``np.add.reduceat`` over the
-    sorted blocks gives these sums up to rounding, but loops over every
-    (key, entry) pair and was about twice as slow on deep models.)
-    """
-    cells = model.cell_count
-    keys = (group * cells + dst) * cells + src
-    if not keys.size:
-        return np.zeros(groups)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    bounds = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-    starts, length = bounds[:-1], bounds[1:] - bounds[:-1]
-    sums = blocks[order[starts]]
-    for rank in range(1, length.max()):
-        more = np.flatnonzero(length > rank)
-        sums[more] += blocks[order[starts[more] + rank]]
-    sums = sums.reshape(len(starts), -1).view(float)
-    return np.sqrt(np.bincount(keys[starts] // cells ** 2, np.einsum("kx,kx->k", sums, sums),
-                               minlength=groups))
+    fock = ops[0].fock
+    m, N, d = fock.m, fock.N, fock.coeff_dim
+    eye = np.eye(d)
+    terms = [t for op in ops for t in op.terms] + [(None, eye, np.ones(m))]
+    counts, T = np.array([len(op.terms) for op in ops] + [1]), len(terms)
+    slot = np.array([m if s is None else s for s, _, _ in terms] * 2)  # slot m: no shift
+    costs = np.ones((T, m + 1), dtype=complex)  # with chi(e_m) = 1
+    costs[:, :m] = [c for _, _, c in terms]
+    costs = np.concatenate([costs, costs.conj()])  # row T + t: the costs of term t's adjoint
+    blocks = np.array([b for _, b, _ in terms], dtype=complex)
+    blocks = np.concatenate([blocks, adj(blocks)])
+    plain = np.all(blocks == eye, axis=(1, 2))  # identity blocks
+    # every (left term, right term) of every pair; lt is the left term's row
+    first, width = np.cumsum(counts) - counts, np.arange(counts.max())
+    left, right = np.asarray(left), np.asarray(right)
+    p, a, b = np.nonzero((width < counts[left][:, None])[:, :, None]
+                         & (width < counts[right][:, None])[:, None])
+    g = np.asarray(group)[p]
+    flip = np.asarray(adjoint)[g]
+    lt, rt = first[left[p]] + a + T * flip, first[right[p]] + b
+    sl, sr = slot[lt], slot[rt]
+    # Delta = e_sl + e_sr, or e_sr - e_sl with ``flip``, as e_up + e_up2 - e_down
+    up = np.where(flip, np.where(sl == sr, m, sr), np.minimum(sl, sr))
+    up2, down = np.where(flip, m, np.maximum(sl, sr)), np.where(flip & (sl != sr), sl, m)
+    moved = (up < m) * 1 + (up2 < m) - (down < m)
+    top = N - np.maximum(np.maximum(sr < m, moved),
+                         np.maximum(np.asarray(src)[g], np.asarray(dst)[g] + moved))
+    free = (top - (down < m)).clip(-1)  # the cells alpha >= e_down with |alpha| <= top
+    chars = costs[lt] * costs[rt]
+    const = np.asarray(coef, dtype=complex)[p] * costs[lt, sr] / np.where(flip, costs[lt, sl], 1)
+    prods = blocks[np.where(plain[lt], rt, lt)]
+    both = np.flatnonzero(~plain[lt] & ~plain[rt])
+    prods[both] = blocks[lt[both]] @ blocks[rt[both]]
+    prods *= const[:, None, None]
+    # one sum per (group, Delta, cell range, character): a product whose
+    # character is not within CHARACTER_TOL of its sum's first moves to the next sum
+    kind = ((g * (m + 1) + up) * (m + 1) + up2) * (m + 1) + down
+    key = (kind * (N + 2) + free + 1) * len(p)
+    while True:
+        _, heads, cluster = np.unique(key, return_index=True, return_inverse=True)
+        far = np.abs((chars - chars[heads[cluster]]).view(float)).max(axis=1) > CHARACTER_TOL
+        if not far.any():
+            break
+        key += far
+    sums, rest = prods[heads], np.ones(len(p), dtype=bool)
+    rest[heads] = False
+    np.add.at(sums, cluster[rest], prods[rest])  # most sums hold one product
+    size = np.array([0] + [comb(m + k, m) for k in range(N + 1)], dtype=float)
+    flat = sums.reshape(len(heads), -1).view(float)
+    squares = np.bincount(g[heads], np.einsum("ij,ij->i", flat, flat) * size[free[heads] + 1],
+                          minlength=len(adjoint))
+    # sums at one (group, Delta) with different characters or cell ranges
+    kind = kind[heads]  # ascending
+    shared = np.zeros(len(kind), dtype=bool)
+    shared[1:] = kind[1:] == kind[:-1]
+    shared[:-1] |= shared[1:]
+    if shared.any():
+        shared = np.flatnonzero(shared)
+        j, k = shared[np.argwhere(kind[shared, None] == kind[None, shared])].T
+        j, k = j[j != k], k[j != k]
+        hj, hk = heads[j], heads[k]
+        low = np.eye(m + 1, m, dtype=int)[down]
+        span = _character_sums(chars[hj, :m].conj() * chars[hk, :m],
+                               np.maximum(low[hj], low[hk]), np.minimum(top[hj], top[hk]))
+        squares += np.bincount(g[hj], (np.sum(sums[j].conj() * sums[k], axis=(1, 2))
+                                       * span).real, minlength=len(adjoint))
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
 def creation_matrix(model: FockModel, s: int) -> FockOperator:
@@ -305,7 +333,8 @@ def creation_matrix(model: FockModel, s: int) -> FockOperator:
     """
     if not 0 <= s < model.m:
         raise DimensionMismatch(f"generator index {s} out of range")
-    return FockOperator(model, None, None, s, model.creation_phases[s])
+    return FockOperator(model, None, None, s, np.where(np.arange(model.m) < s,
+                                                       model.merged_phases[s], 1))
 
 
 def interior_cells(model: FockModel, margin: int) -> np.ndarray:

@@ -5,67 +5,63 @@ model and reports a relative residual.  Interior restrictions make the
 truncation error exactly zero on the compared subspace: margin 1 for
 single-operator identities, margin 2 where two operators compose.
 
-Fock operators are only ever applied to Pi, or composed with each other
-cell by cell and the composite's blocks measured on the interior cells.  No
-dim x dim product is formed.  One ``fock.TermTable`` per model
-(``DilationModel.table``: the isometries, then L1) serves three checks, each
-one stacked pass over the whole tuple.  The intertwinings apply every block
-of the table to Pi in one batched product.  Every W_i* W_i and every ordered
-product V_a V_b come from one ``TermTable.products`` call each, and all their
-residuals and reference norms from one ``fock.group_norms`` reduction.  Both
-transfer factorizations of V_1 and V_n are one more ``products`` call, their
-residuals and the reference L1 one more ``group_norms`` reduction.
+Fock operators are applied to Pi, never stored as dim x dim matrices, and
+never composed cell by cell.  The isometry, commutation and factorization
+residuals are norms of sums of products of Fock operators, and
+``fock.product_norms`` gives them in closed form from the operators' d x d
+blocks and characters, without reading a cell, so that their time and memory
+do not depend on N.  One call measures every W_i* W_i - I, every
+V_a V_b - u(a,b) V_b V_a and each reference V_b V_a; one more both transfer
+factorizations of V_1 and V_n and the reference L1.
 
-The isometry, commutation and factorization checks read only the fixed
-cells, those of degree |alpha| <= N0 - margin with N0 = min(N, FIXED_DEGREE),
-and give the model's residuals at any N.  Proof.  Every operator of the table
-is a ``FockOperator`` whose per-cell phases (kappa, the shift phase) are
-unimodular characters chi(alpha) = prod_s c_s^{alpha_s}, from
-``FockModel.cell_phases``, so chi(alpha + delta) = chi(delta) chi(alpha).  A
-block of a product of two terms from source cell alpha is then the product of
-the two terms' characters at alpha (the left one conjugated in W* W) times a
-matrix that depends on neither alpha nor N.  The displacement dst - src fixes
-which shift terms a block used (tau1 and taun, the two operators that shift
-in one slot, share their shift phase), so all blocks added at one cell pair
-carry one common character, of modulus 1.  Each composite's squared
-Frobenius norm is therefore a sum, over the kinds of block, of (the number of
-cells of that kind) x (one block's squared norm).  Every kind already occurs
-at alpha = 0 and alpha = e_s, which are fixed cells of margin 2 whenever
-N >= FIXED_DEGREE = 3.  The kinds:
+The closed form counts cells.  Let m = n - 1 and C(K) = comb(m + K, m), the
+number of cells with |alpha| <= K (0 for K < 0).  Every term of tau1, the
+L_i, taun and L1 is a d x d block M, which does not depend on the cell, times
+a unimodular character chi(alpha) = prod_s c_s^alpha_s of its source cell,
+and moves alpha to alpha + delta, delta = e_s or 0.  A product of two terms
+from source cell alpha is chi_l(delta_r) (chi_l chi_r)(alpha) M_l M_r, at
+the displacement Delta = delta_l + delta_r.  In the construction every term
+pair of one composite that lands at one Delta carries the same character:
+tau1 and taun share the coefficient-end cost of the merged slot, and the
+product of their kappa costs with it is trivial, the character of L1.  So a
+composite's squared norm is sum_Delta count(Delta) ||sum coef
+chi_l(delta_r) M_l M_r||^2:
 
-* V_a V_b - u(a,b) V_b V_a, V_1 V_n - L1 and V_n V_1 - u(n,1) L1, with
-  their references V_b V_a and L1: one kind, the source cells with
-  |alpha| <= N - 2.  Residual and reference scale with the same count, so
-  the ratio on the cells with |alpha| <= N0 - 2 is the model's.
 * W_i* W_i - I on the cells with |alpha| <= N - 1, as sources and as
-  destinations: the diagonal blocks alpha -> alpha (the -I among them), on
-  count(interior_cells(fock, 1)) cells; the blocks alpha -> alpha + e_s, on
-  the count(interior_cells(fock, 2)) cells with |alpha| <= N - 2; and their
-  adjoints alpha -> alpha - e_s, on the same number of cells.  Read on the
-  fixed cells of margin 1, the diagonal blocks are scaled by the square root
-  of count(interior_cells(fock, 1)) over the number of fixed cells of margin
-  1, and the others by that of count(interior_cells(fock, 2)) over the number
-  of fixed cells of margin 2 (``_cell_weight``).  The norm is then the
-  model's, and the residual is divided by the model's unit
-  sqrt(count(interior_cells(fock, 1)) * dim D).
+  destinations, with D the cellwise block of W_i (0 for a creation operator)
+  and S its shift block: D*D + S*S - I from alpha to alpha on C(N - 1)
+  cells, D*S from alpha to alpha + e_s on the C(N - 2) cells with
+  |alpha| <= N - 2, and its adjoint S*D on as many.  So isometry_v_i =
+  sqrt(C(N - 1) ||D*D + S*S - I||^2 + 2 C(N - 2) ||D*S||^2), divided by the
+  unit max(1, sqrt(C(N - 1) d)).
+* V_a V_b - u(a,b) V_b V_a, V_1 V_n - L1 and V_n V_1 - u(n,1) L1, and their
+  references V_b V_a and L1, have one kind of cell: the C(N - min(2, N))
+  source cells.  At N = 1 the term pairs with |Delta| = 2 fall past the
+  truncation and drop out.  Residual and reference scale with the same
+  count, and the residual is their ratio, relative to max(1, reference).
 
-For N <= FIXED_DEGREE the fixed cells are the model's and every weight is 1.
-Equivariance stays at the model's N: its coordinate labels are powers of the
-automorphisms along alpha, not characters, so its residual on the cells of
-low degree is a different mixture.  The checks that read Pi (``pi``, the
-intertwinings, the moments) stay at the model's N as well.
+``product_norms`` does not take the shared character on trust: products at
+one Delta whose characters differ enter through a Gram matrix of character
+sums, so a wrong phase in an operator shows in these residuals as it would on
+the cells.
+
+The intertwinings, the moments and equivariance stay per cell.  The first
+two act on Pi, whose cells carry the powers T*^alpha, not one block times a
+character; equivariance reads coordinate labels that are automorphism powers
+along alpha.  They use each term's constant block and phases, and in
+``_fock_covariance`` a term's mass is |M|^2 on every cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import (FockModel, FockOperator, enumerate_indices, group_norms, interior_cells,
-                   interior_projector, parent_rows)
+from .fock import FockOperator, enumerate_indices, interior_projector, parent_rows, product_norms
 from .linalg import adj, eye, frob_stack, rel_residual
 from .tuples import invert_perm, ordered_power_products
 
@@ -76,7 +72,6 @@ DEFAULT_TOLERANCES = {
     "moment": 1e-10,   # brute-force moment oracle (plus computed allowance)
 }
 MOMENT_MAXDEG = 3  # highest degree |beta| of the moment oracle
-FIXED_DEGREE = 3   # highest cell degree the isometry, commutation and factorization checks read
 
 
 @dataclass
@@ -121,21 +116,30 @@ def verify_intertwining(model: DilationModel) -> dict:
     for the isometries V_1..V_n against T_1..T_n and for L1 against the
     merged generator.
 
-    One stacked pass over ``model.table``: every block's adjoint times the Pi
-    block of its destination cell is one batched product, added into its
-    operator's source cells term by term, as ``FockOperator.apply_adj`` adds
-    them; every residual is ``rel_residual``'s, from ``frob_stack``.
+    One stacked pass of the products ``FockOperator.apply_adj`` forms: every
+    term's block* times its phase's conjugate on each of its cells, times the
+    Pi block of the destination cell, is one batched product, added into its
+    operator's source cells; every residual is ``rel_residual``'s, from
+    ``frob_stack``.
     """
-    spec, fock, pi, table = model.spec, model.fock, model.Pi, model.table
-    inner = interior_projector(fock, 1)
+    spec, fock, pi = model.spec, model.fock, model.Pi
+    ops = model.isometries + [model.L1]
+    moves = [move for w in ops for move in w.moves]
+    size = [len(src) for _, _, src, _ in moves]
+    op, term = np.repeat([(k, t) for k, w in enumerate(ops) for t in range(len(w.moves))],
+                         size, axis=0).T
+    phase, src, dst = (np.concatenate(part) for part in zip(*((p, s, d) for p, _, s, d in moves)))
+    blocks = adj(np.array([block for _, block, _, _ in moves]))
+    blocks = blocks[np.repeat(np.arange(len(moves)), size)] * phase.conj()[:, None, None]
     y = pi.reshape(fock.cell_count, fock.coeff_dim, -1)
-    blocks = adj(table.blocks) @ y[table.dst]
-    out = np.zeros((len(table.count),) + y.shape, dtype=complex)
-    for t in range(table.term.max() + 1):
-        rows = table.term == t
-        out[table.op[rows], table.src[rows]] += blocks[rows]
+    products = blocks @ y[dst]
+    out = np.zeros((len(ops),) + y.shape, dtype=complex)
+    for t in range(term.max() + 1):  # an operator's terms, one at a time, as apply_adj adds them
+        rows = term == t
+        out[op[rows], src[rows]] += products[rows]
+    inner = interior_projector(fock, 1)
     ts = np.array([spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)])
-    lhs = out.reshape(len(ts), *pi.shape)[:, inner]
+    lhs = out.reshape(len(ops), *pi.shape)[:, inner]
     rhs = (pi @ adj(ts))[:, inner]
     resid = frob_stack(lhs - rhs) / np.maximum(1.0, frob_stack(rhs))
     names = (["dilation1_tau1"] + [f"dilation_L{i}" for i in range(2, spec.n)]
@@ -143,42 +147,20 @@ def verify_intertwining(model: DilationModel) -> dict:
     return dict(zip(names, resid.tolist()))
 
 
-def _fixed_cells(fock: FockModel, margin: int) -> np.ndarray:
-    """Boolean mask of the cells with |alpha| <= min(N, FIXED_DEGREE) - margin."""
-    return interior_cells(fock, fock.N - min(fock.N, FIXED_DEGREE) + margin)
-
-
-def _cell_weight(fock: FockModel, margin: int) -> float:
-    """sqrt(model cells / fixed cells) at ``margin``: the factor that makes the
-    blocks of the fixed cells of one kind carry the norm of all the model's."""
-    return float(np.sqrt(np.count_nonzero(interior_cells(fock, margin))
-                         / np.count_nonzero(_fixed_cells(fock, margin))))
-
-
 def verify_factorization(model: DilationModel) -> dict:
     """Transfer products against the merged creation operator.
 
     tau1 (I x taun) equals the merged creation L1; the reversed product equals
     it up to the flip phase u(n,1) that re-orders the two fused factors.  Both
-    products are compared on the source cells with |alpha| <= N0 - min(2, N),
-    N0 = min(N, FIXED_DEGREE), relative to L1 there: every source cell carries
-    the same blocks up to one character, so the ratios are those on the
-    model's cells with |alpha| <= N - min(2, N) (see the module docstring).
-    V_1 V_n and V_n V_1 come from one ``TermTable.products`` call and every
-    norm from one ``group_norms`` reduction, whose groups are V_1 V_n - L1,
-    V_n V_1 - u(n,1) L1 and L1.
+    products are compared on the source cells with |alpha| <= N - min(2, N),
+    relative to L1 there, by one ``product_norms`` call whose groups are
+    V_1 V_n - L1, V_n V_1 - u(n,1) L1 and L1 (see the module docstring).
     """
-    fock, table, n = model.fock, model.table, model.spec.n
-    src = _fixed_cells(fock, min(2, fock.N))
-    _, p, to, start, vv = table.products(table, [0, n - 1], [n - 1, 0], src=src)
-    l1_to, l1_start, l1 = model.L1.terms[0]  # a creation operator has one term
-    keep = src[l1_start]
-    l1_to, l1_start, l1 = l1_to[keep], l1_start[keep], l1[keep]
-    flip = model.spec.u(model.spec.n, 1)
-    norms = group_norms(fock, np.concatenate([p, np.arange(3).repeat(len(l1))]),
-                        np.concatenate([to, np.tile(l1_to, 3)]),
-                        np.concatenate([start, np.tile(l1_start, 3)]),
-                        np.concatenate([vv, -l1, -flip * l1, l1]), 3)
+    spec, ws, margin = model.spec, model.isometries, min(2, model.N)
+    norms = product_norms(  # index 3: the identity, after V_1, V_n and L1
+        [ws[0], ws[-1], model.L1], left=[0, 3, 1, 3, 3], right=[1, 2, 0, 2, 2],
+        coef=[1.0, -1.0, 1.0, -spec.u(spec.n, 1), 1.0], group=[0, 0, 1, 1, 2],
+        adjoint=np.zeros(3, dtype=bool), src=np.full(3, margin), dst=np.zeros(3, dtype=int))
     ref = max(1.0, float(norms[2]))
     return {"factor_tau12": float(norms[0]) / ref, "factor_tau21": float(norms[1]) / ref}
 
@@ -187,52 +169,30 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     """Each dilated operator is isometric on interior cells and the family
     u-commutes with the original phase table.
 
-    With N0 = min(N, FIXED_DEGREE), W*W - I is measured on the cells with
-    |alpha| <= N0 - 1, as sources and as destinations, its diagonal blocks
-    (the -I among them) weighted by ``_cell_weight`` at margin 1 and its
-    blocks alpha -> alpha +- e_s by that at margin 2, relative to
-    sqrt(#interior coordinates of the model); V_i V_j - u(i,j) V_j V_i on the
-    source cells with |alpha| <= N0 - min(2, N), relative to V_j V_i there.
-    Every cell of one kind carries the same blocks up to one character, so
-    these are the residuals on the model's cells with |alpha| <= N - 1 and
-    N - min(2, N) (see the module docstring).  One pass: all W_i* W_i, and all
-    ordered V_a V_b, come from one ``TermTable.products`` call each, and every
-    norm from one ``group_norms`` reduction, whose group i - 1 is
-    W_i* W_i - I, group n + p the p-th of the P pairs i < j (``combinations``
-    order) and group n + P + p that pair's reference V_j V_i.
+    W*W - I is measured on the cells with |alpha| <= N - 1, as sources and as
+    destinations, relative to sqrt(#interior coordinates); V_i V_j -
+    u(i,j) V_j V_i on the source cells with |alpha| <= N - min(2, N), relative
+    to V_j V_i there.  One ``product_norms`` call (see the module docstring),
+    whose group i - 1 is W_i* W_i - I, group n + q the q-th of the Q pairs
+    i < j (``combinations`` order) and group n + Q + q that pair's reference
+    V_j V_i.
     """
-    spec, fock, ws = model.spec, model.fock, model.isometries
-    n, d = len(ws), fock.coeff_dim
-    inner = _fixed_cells(fock, 1)
-    src = _fixed_cells(fock, min(2, fock.N))
-    unit = max(1.0, np.sqrt(np.count_nonzero(interior_cells(fock, 1)) * d))
-    on, off = _cell_weight(fock, 1), _cell_weight(fock, min(2, fock.N))
-    table, every, cells = model.table, np.arange(n), np.flatnonzero(inner)
-    _, w_group, w_to, w_start, wtw = table.products(table, every, every, adjoint=True,
-                                                    src=inner, dst=inner)
-    wtw *= np.where(w_to == w_start, on, off)[:, None, None]
-    pairs = list(combinations(range(n), 2))
-    lo, hi = np.array(pairs, dtype=int).reshape(-1, 2).T
-    # V_i V_j for every pair p, then V_j V_i for every pair as p + len(pairs)
-    _, p, to, start, vv = table.products(table, np.concatenate([lo, hi]),
-                                         np.concatenate([hi, lo]), src=src)
-    swapped = p >= len(pairs)
-    p %= len(pairs)
-    ref = vv[swapped]
-    vv[swapped] *= -spec.phases[lo, hi][p[swapped], None, None]
-    blocks = np.concatenate([wtw, np.broadcast_to(-on * np.eye(d), (n * len(cells), d, d)), vv,
-                             ref])
-    del wtw, vv, ref  # keep one copy of the blocks through the reduction
-    norms = group_norms(
-        fock,
-        np.concatenate([w_group, every.repeat(len(cells)), n + p, n + len(pairs) + p[swapped]]),
-        np.concatenate([w_to, np.tile(cells, n), to, to[swapped]]),
-        np.concatenate([w_start, np.tile(cells, n), start, start[swapped]]),
-        blocks, n + 2 * len(pairs))
+    spec, fock, n = model.spec, model.fock, model.spec.n
+    lo, hi = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
+    every, pairs, q = np.arange(n), len(lo), np.arange(len(lo))
+    iso = np.arange(n + 2 * pairs) < n  # the groups of W_i* W_i - I
+    norms = product_norms(
+        model.isometries, left=np.concatenate([every, np.full(n, n), lo, hi, hi]),
+        right=np.concatenate([every, np.full(n, n), hi, lo, lo]),  # index n: the identity
+        coef=np.concatenate([np.ones(n), -np.ones(n), np.ones(pairs), -spec.phases[lo, hi],
+                             np.ones(pairs)]),
+        group=np.concatenate([every, every, n + q, n + q, n + pairs + q]),
+        adjoint=iso, src=np.where(iso, 1, min(2, fock.N)), dst=iso.astype(int))
+    unit = max(1.0, np.sqrt(comb(fock.m + fock.N - 1, fock.m) * fock.coeff_dim))
     out = {f"isometry_v{i + 1}": float(norms[i] / unit) for i in range(n)}
-    diff, ref = norms[n:n + len(pairs)], np.maximum(1.0, norms[n + len(pairs):])
+    diff, ref = norms[n:n + pairs], np.maximum(1.0, norms[n + pairs:])
     out.update((f"commute_{i + 1}_{j + 1}", float(diff[q] / ref[q]))
-               for q, (i, j) in enumerate(pairs))
+               for q, (i, j) in enumerate(zip(lo, hi)))
     return out
 
 
@@ -273,23 +233,24 @@ def verify_moments(model: DilationModel) -> dict:
 def _fock_covariance(w: FockOperator, labels: np.ndarray, q: int, p: int) -> float:
     """rel_residual(W rho(q) - rho(p) W, rho(p) W) for rho the indicators of coordinate labels.
 
-    The difference has entries W_ij ([label_j = q] - [label_i = p]): a sum over W's blocks.
+    The difference has entries W_ij ([label_j = q] - [label_i = p]): a sum over W's
+    terms, each of mass |M|^2 on every cell it moves, times the number of those
+    cells whose labels disagree at (i, j).
     """
     delta = ref = 0.0
-    for dst, src, blocks in w.terms:
-        mass = np.abs(blocks) ** 2
-        rows, cols = labels[dst] == p, labels[src] == q
-        delta += float(np.sum(mass * (rows[:, :, None] != cols[:, None, :])))
-        ref += float(np.sum(mass * rows[:, :, None]))
+    for _, block, src, dst in w.moves:
+        mass = np.abs(block) ** 2
+        rows, cols = (labels[dst] == p).astype(float), (labels[src] == q).astype(float)
+        delta += float(np.sum(mass * (rows.T @ (1.0 - cols) + (1.0 - rows).T @ cols)))
+        ref += float(np.sum(mass * rows.sum(axis=0)[:, None]))
     return float(np.sqrt(delta) / max(1.0, np.sqrt(ref)))
 
 
 def verify_equivariance(model: DilationModel) -> dict:
     """Algebra covariance of U1, Un and of the dilated isometries.
 
-    Read on every cell of the model, not on the fixed cells: the coordinate
-    labels are automorphism powers along alpha, not characters, so the cells
-    of low degree do not stand for the others (see the module docstring).
+    Read on every cell of the model: the coordinate labels are automorphism
+    powers along alpha, not characters (see the module docstring).
     """
     spec = model.spec
     if spec.algebra is None:
@@ -319,7 +280,6 @@ def full_report(model: DilationModel, tolerances: dict | None = None) -> Verific
     if tolerances:
         tol.update(tolerances)
     report = VerificationReport(config={"tolerances": tol, "N": model.N,
-                                        "fixed_degree": min(model.N, FIXED_DEGREE),
                                         "moment_maxdeg": MOMENT_MAXDEG})
     report.tail_bounds = [float(t) for t in model.tails]
 

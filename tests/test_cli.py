@@ -440,6 +440,30 @@ def test_usage_error_is_input_error(triple_file, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", [["classify", "-i", "{tuple}"],
+                                     ["dilate", "-i", "{tuple}", "-o", "{model}"],
+                                     ["verify", "-i", "{tuple}"]],
+                         ids=["classify", "dilate", "verify"])
+def test_tolerance_that_is_not_finite_and_nonnegative_is_input_error(tmp_path, triple_file,
+                                                                      capsys, command, tol):
+    """A NaN ``--tol`` would switch every gate off, an infinite one pass every
+    check: both, and a negative one, are usage errors (exit 1)."""
+    model_path = tmp_path / "model.json"
+    argv = [a.format(tuple=triple_file, model=model_path) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={tol}"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not model_path.exists()
+
+
+def test_zero_tolerance_is_valid(triple_file):
+    assert main(["classify", "-i", triple_file, "--tol", "0"]) == 0
+
+
 def test_consecutive_calls_share_one_parser(tmp_path, triple_file, capsys, monkeypatch):
     parrott = tmp_path / "parrott.json"
     dump_json(tuple_to_dict(parrott_tuple()), str(parrott))

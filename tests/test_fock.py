@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
-from dilation_forge.fock import (FockModel, FockOperator, TermTable, creation_matrix,
-                                 enumerate_indices, group_norms, interior_cells,
-                                 interior_projector, parent_rows)
+from dilation_forge.fock import (PHASE_TOL, FockModel, FockOperator, creation_matrix,
+                                 enumerate_indices, interior_cells, interior_projector,
+                                 parent_rows, product_norms)
 from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
 from fock_reference import product as pair_product, terms_norm
@@ -59,8 +59,24 @@ def phase_back(model, s, alpha):
     return out
 
 
-def back_phases(model, s):
-    return [phase_back(model, s, alpha) for alpha in index_list(model)]
+def back_costs(model, s):
+    """The costs of coefficient-end insertion of slot s: u(t, s) for t > s."""
+    return np.where(np.arange(model.m) > s, model.merged_phases[:, s], 1)
+
+
+def character(costs, alpha):
+    """prod_s costs[s]^alpha_s, factor by factor."""
+    out = 1.0 + 0.0j
+    for c, a in zip(costs, alpha):
+        out *= complex(c) ** a
+    return out
+
+
+def random_costs(model, rng, quarter_turns):
+    """m unimodular character costs; powers of i with ``quarter_turns``."""
+    if quarter_turns:
+        return np.array([1, 1j, -1, -1j])[rng.integers(0, 4, model.m)]
+    return np.exp(2j * np.pi * rng.uniform(0, 1, model.m))
 
 
 def kron_reference(model, diag, shift, slot, phase_fn, kappa):
@@ -76,15 +92,6 @@ def kron_reference(model, diag, shift, slot, phase_fn, kappa):
     if diag is not None:
         out = out + np.kron(np.eye(cells), diag)
     return out * np.repeat(kappa, d)[None, :]
-
-
-def dense(model, terms):
-    """The dim x dim matrix of a list of (dst cells, src cells, blocks) terms."""
-    cells, d = model.cell_count, model.coeff_dim
-    out = np.zeros((cells, d, cells, d), dtype=complex)
-    for dst, src, blocks in terms:
-        out[dst, :, src, :] += blocks
-    return out.reshape(model.dim, model.dim)
 
 
 def unit_columns(mask):
@@ -186,9 +193,10 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     for s in range(m):
-        diag, shift = cmat(coeff, coeff), cmat(coeff, coeff)
-        kappa = model.merged_phases[s, rng.integers(0, m, model.cell_count)]
-        op = FockOperator(model, diag, shift, s, back_phases(model, s), kappa)
+        diag, shift, costs = cmat(coeff, coeff), cmat(coeff, coeff), random_costs(model, rng,
+                                                                                  quarter_turns)
+        op = FockOperator(model, diag, shift, s, back_costs(model, s), costs)
+        kappa = [character(costs, alpha) for alpha in index_list(model)]
         ref = kron_reference(model, diag, shift, s, lambda a: phase_back(model, s, a), kappa)
         assert same(np.asarray(op), ref)
         x = cmat(model.dim, 3)
@@ -209,19 +217,26 @@ def test_cell_phases_match_per_cell_loops(m, N, coeff, quarter_turns):
         front = [phase_front(model, s, a) for a in index_list(model)]
         assert same(model.cell_phases(np.where(slots < s, u[s], 1)), np.array(front))
         assert same(model.cell_phases(np.where(slots > s, u[:, s], 1)),
-                    np.array(back_phases(model, s)))
+                    np.array([phase_back(model, s, a) for a in index_list(model)]))
 
 
 @pytest.mark.parametrize("quarter_turns", [True, False])
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_turns):
+    """Creation operator s is one identity block with the front-insertion
+    costs u(s, t), t < s, and its phases on the cells it shifts are their
+    ``cell_phases``, built once."""
     model, _ = random_model(m, N, coeff, 10 * m + N, quarter_turns)
-    table = model.creation_phases
-    assert table.shape == (m, model.cell_count) and not table.flags.writeable
-    assert model.creation_phases is table  # built once per model
     for s in range(m):
+        op = creation_matrix(model, s)
         costs = np.where(np.arange(m) < s, model.merged_phases[s], 1)
-        assert table[s].tobytes() == model.cell_phases(costs).tobytes()
+        [(slot, block, got)] = op.terms
+        assert slot == s and np.array_equal(block, np.eye(coeff))
+        assert got.tobytes() == costs.astype(complex).tobytes()
+        [(phase, _, src, dst)] = op.moves
+        assert op.moves is op.moves  # built once per operator
+        assert phase.tobytes() == model.cell_phases(costs)[src].tobytes()
+        assert np.array_equal(model.cells[dst], model.cells[src] + np.eye(m, dtype=int)[s])
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,8 +244,8 @@ def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_t
        quarter_turns=st.booleans())
 def test_cell_and_creation_phases_are_unimodular_characters(m, N, seed, quarter_turns):
     """phase(alpha + beta) = phase(alpha) phase(beta) and |phase| = 1 for
-    ``cell_phases`` of unimodular costs and every row of ``creation_phases``:
-    the verifier's fixed-degree checks rest on this."""
+    ``cell_phases`` of unimodular costs and for the costs of every creation
+    operator: ``product_norms`` rests on this."""
     model, rng = random_model(m, N, 1, seed, quarter_turns)
     costs = np.exp(2j * np.pi * rng.uniform(0, 1, m))
     where = index_of(model)
@@ -238,17 +253,20 @@ def test_cell_and_creation_phases_are_unimodular_characters(m, N, seed, quarter_
     pairs = [(where[a], where[b], where[tuple(x + y for x, y in zip(a, b))])
              for a in cells for b in cells if sum(a) + sum(b) <= N]
     first, second, total = np.array(pairs).T
-    for phase in [model.cell_phases(costs), *model.creation_phases]:
+    creations = [model.cell_phases(creation_matrix(model, s).terms[0][2]) for s in range(m)]
+    for phase in [model.cell_phases(costs), *creations]:
         assert phase[0] == 1
         assert np.allclose(np.abs(phase), 1, rtol=0, atol=1e-14)
         assert np.allclose(phase[total], phase[first] * phase[second], rtol=0, atol=1e-14)
 
 
 def operator_zoo(model, rng, quarter_turns):
-    """A weighted diagonal-plus-shift operator and a creation operator per slot.
+    """A diagonal-plus-shift operator of random character costs and a creation
+    operator per slot.
 
-    With ``quarter_turns`` the blocks have Gaussian-integer entries, so every
-    product and sum of blocks is exact in floating point whatever the order.
+    With ``quarter_turns`` the blocks have Gaussian-integer entries and the
+    costs are powers of i, so every product and sum of blocks and phases is
+    exact in floating point whatever the order.
     """
     d, m = model.coeff_dim, model.m
 
@@ -259,118 +277,89 @@ def operator_zoo(model, rng, quarter_turns):
 
     ops = []
     for s in range(m):
-        kappa = model.merged_phases[s, rng.integers(0, m, model.cell_count)]
-        ops += [FockOperator(model, block(), block(), s, back_phases(model, s), kappa),
+        ops += [FockOperator(model, block(), block(), s, random_costs(model, rng, quarter_turns),
+                             random_costs(model, rng, quarter_turns)),
                 creation_matrix(model, s)]
     return ops
-
-
-def dense_products(model, pairs, pair, to, start, blocks):
-    """The dim x dim matrix of each of ``pairs`` products from the rows of
-    ``TermTable.products``, blocks at the same cell pair added."""
-    cells, d = model.cell_count, model.coeff_dim
-    out = np.zeros((pairs, cells, d, cells, d), dtype=complex)
-    np.add.at(out, (pair, to, slice(None), start, slice(None)), blocks)
-    return out.reshape(pairs, model.dim, model.dim)
-
-
-def masked(matrix, src, dst, coeff):
-    """``matrix`` with the columns outside the ``src`` cells and the rows outside
-    the ``dst`` cells set to zero."""
-    return matrix * np.repeat(dst, coeff)[:, None] * np.repeat(src, coeff)[None, :]
 
 
 @pytest.mark.parametrize("quarter_turns", [True, False])
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_products_match_dense_products(m, N, coeff, quarter_turns):
-    """All ordered products of a table's operators (and with ``adjoint``) from
-    one ``TermTable.products`` call each; then mixed pair lists against a
-    second table, with source and destination cell masks."""
+    """The closed-form norm of every product of two operators of the zoo or
+    the identity, and of the left one's adjoint times the other, on the
+    interior cells of every pair of margins, equals the norm of the dense
+    product there: bit for bit with quarter turns, whose sums are exact."""
     model, rng = random_model(m, N, coeff, 10 * m + N, quarter_turns)
-    same = np.array_equal if quarter_turns else lambda a, b: np.allclose(a, b, rtol=0, atol=1e-15)
+    same = (lambda a, b: a == b) if quarter_turns else \
+        (lambda a, b: np.isclose(a, b, rtol=1e-13, atol=1e-15))
     ops = operator_zoo(model, rng, quarter_turns)
-    mats = [np.asarray(w) for w in ops]
-    table = TermTable(ops)
-    left, right = np.divmod(np.arange(len(ops) ** 2), len(ops))
-    for adjoint in (False, True):
-        term, pair, to, start, blocks = table.products(table, left, right, adjoint)
-        assert (np.diff(term * len(left) + pair) >= 0).all()  # by left term, then pair
-        got = dense_products(model, len(left), pair, to, start, blocks)
-        for p, (a, b) in enumerate(zip(left, right)):
-            assert same(got[p], (adj(mats[a]) if adjoint else mats[a]) @ mats[b]), (p, adjoint)
-    others = ops[::-2] + [ops[0]]
-    other = TermTable(others)
-    left = rng.integers(0, len(ops), 7)
-    right = rng.integers(0, len(others), 7)
-    for adjoint in (False, True):
-        src, dst = rng.random(model.cell_count) < 0.6, rng.random(model.cell_count) < 0.6
-        for src_mask, dst_mask in ((None, None), (src, None), (None, dst), (src, dst)):
-            _, pair, to, start, blocks = table.products(other, left, right, adjoint,
-                                                        src=src_mask, dst=dst_mask)
-            got = dense_products(model, len(left), pair, to, start, blocks)
-            keep_src = np.ones(model.cell_count, bool) if src_mask is None else src_mask
-            keep_dst = np.ones(model.cell_count, bool) if dst_mask is None else dst_mask
-            for p, (a, b) in enumerate(zip(left, right)):
-                full = (adj(mats[a]) if adjoint else mats[a]) @ np.asarray(others[b])
-                assert same(got[p], masked(full, keep_src, keep_dst, coeff)), (p, adjoint)
+    mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]  # index len(ops): the identity
+    left, right = np.divmod(np.arange(len(mats) ** 2), len(mats))
+    every = np.arange(len(left))
+    for adjoint, src, dst in product((False, True), range(N + 1), range(N + 1)):
+        norms = product_norms(ops, left, right, np.ones(len(left)), every,
+                              np.full(len(left), adjoint), np.full(len(left), src),
+                              np.full(len(left), dst))
+        for g, (a, b) in enumerate(zip(left, right)):
+            ref = terms_norm(model, [(1.0, pair_product(mats[a], mats[b], adjoint))], src, dst)
+            assert same(norms[g], ref), (adjoint, src, dst, a, b, norms[g], ref)
     if N <= 1:  # a second creation shifts past the truncation degree
-        creations = TermTable([creation_matrix(model, s) for s in range(m)])
-        every = np.arange(m)
-        assert creations.products(creations, every.repeat(m), np.tile(every, m))[0].size == 0
+        creations = np.arange(1, len(ops), 2)
+        pairs = len(creations) ** 2
+        norms = product_norms(ops, creations.repeat(len(creations)), np.tile(creations, m),
+                              np.ones(pairs), np.arange(pairs), np.zeros(pairs, dtype=bool),
+                              np.zeros(pairs, dtype=int), np.zeros(pairs, dtype=int))
+        assert not norms.any()
 
 
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_group_norms_match_dense_masked_norms(m, N, coeff):
-    """Weighted products spread over several groups, one of them empty, against
-    the norms of the dense weighted sums on the masked cells."""
+    """Weighted sums of products spread over several groups, one of them
+    empty, each group with its own adjoint flag and margins, against the norms
+    of the dense weighted sums on those cells.  Products of one group at one
+    displacement carry different characters here, so their cross terms are
+    character sums over the cells."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 2, quarter_turns=False)
     ops = operator_zoo(model, rng, quarter_turns=False)
-    mats = [np.asarray(w) for w in ops]
-    table = TermTable(ops)
-    left, right = rng.integers(0, len(ops), 9), rng.integers(0, len(ops), 9)
-    group = rng.integers(0, 3, 9)  # group 3 gets no blocks
-    coef = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]
+    pairs, groups = 9, 4
     for _ in range(4):
-        src, dst = rng.random(model.cell_count) < 0.6, rng.random(model.cell_count) < 0.6
-        for adjoint in (False, True):
-            _, pair, to, start, blocks = table.products(table, left, right, adjoint, src, dst)
-            norms = group_norms(model, group[pair], to, start,
-                                coef[pair, None, None] * blocks, 4)
-            for g in range(4):
-                whole = sum((coef[p] * (adj(mats[left[p]]) if adjoint else mats[left[p]])
-                             @ mats[right[p]] for p in np.flatnonzero(group == g)),
-                            np.zeros((model.dim, model.dim)))
-                assert np.isclose(norms[g], np.linalg.norm(masked(whole, src, dst, coeff)),
-                                  rtol=1e-13, atol=1e-15), (g, adjoint)
-    empty = np.zeros(0, dtype=int)
-    assert np.array_equal(group_norms(model, empty, empty, empty,
-                                      np.zeros((0, coeff, coeff), dtype=complex), 3),
-                          np.zeros(3))
+        left, right = rng.integers(0, len(mats), pairs), rng.integers(0, len(mats), pairs)
+        group = rng.integers(0, groups - 1, pairs)  # group 3 gets no products
+        coef = rng.standard_normal(pairs) + 1j * rng.standard_normal(pairs)
+        adjoint = rng.random(groups) < 0.5
+        src, dst = rng.integers(0, N + 1, groups), rng.integers(0, N + 1, groups)
+        norms = product_norms(ops, left, right, coef, group, adjoint, src, dst)
+        for g in range(groups):
+            parts = [(coef[p], pair_product(mats[left[p]], mats[right[p]], adjoint[g]))
+                     for p in np.flatnonzero(group == g)]
+            assert np.isclose(norms[g], terms_norm(model, parts, src[g], dst[g]),
+                              rtol=1e-13, atol=1e-15), g
+        assert norms[groups - 1] == 0.0
 
 
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
-    """The one-pair ``product`` and one-group ``terms_norm`` references that the
-    verifier's tests compare the stacked passes with."""
+    """The dense ``product`` and ``terms_norm`` references that the verifier's
+    tests use, against the same products applied by ``apply`` and
+    ``apply_adj`` to the identity columns."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 1, quarter_turns=False)
     ops = operator_zoo(model, rng, quarter_turns=False)
     a, b = ops[0], ops[-2]
     parts = [(1.0, pair_product(a, b)), (-0.7 + 0.2j, pair_product(b, a)),
              (0.5, pair_product(a, a, adjoint=True))]
-    whole = sum(c * dense(model, terms) for c, terms in parts)
-    assert np.allclose(whole, np.asarray(a) @ np.asarray(b) + (-0.7 + 0.2j) * np.asarray(b)
-                       @ np.asarray(a) + 0.5 * adj(np.asarray(a)) @ np.asarray(a),
-                       rtol=0, atol=1e-14)
-    for _ in range(4):
-        src, dst = rng.random(model.cell_count) < 0.6, rng.random(model.cell_count) < 0.6
-        cols, rows = np.repeat(src, coeff), np.repeat(dst, coeff)
+    eye = np.eye(model.dim)
+    applied = (a.apply(b.apply(eye)) + (-0.7 + 0.2j) * b.apply(a.apply(eye))
+               + 0.5 * a.apply_adj(a.apply(eye)))
+    for src, dst in product(range(N + 1), [None, *range(N + 1)]):
+        cols = interior_projector(model, src)
+        rows = np.ones(model.dim, dtype=bool) if dst is None else interior_projector(model, dst)
         for minus_identity in (False, True):
-            ref = whole - np.eye(model.dim) * minus_identity
-            assert np.isclose(terms_norm(model, parts, src, minus_identity=minus_identity),
-                              np.linalg.norm(ref[:, cols]), rtol=1e-13, atol=1e-15)
+            ref = (applied - eye * minus_identity)[np.ix_(rows, cols)]
             assert np.isclose(terms_norm(model, parts, src, dst, minus_identity),
-                              np.linalg.norm(ref[np.ix_(rows, cols)]), rtol=1e-13, atol=1e-15)
-    assert terms_norm(model, [], src, dst) == 0.0
+                              np.linalg.norm(ref), rtol=1e-13, atol=1e-15)
+    assert terms_norm(model, [], 0) == 0.0
 
 
 def test_interior_cells_repeat_to_projector():
@@ -433,7 +422,7 @@ def test_interior_projector_margins():
 
 def test_transfer_shift_trivial_phases_is_plain_shift():
     model = trivial_model(2, 2, coeff=2)
-    shift = FockOperator(model, None, np.eye(2), 0, back_phases(model, 0))
+    shift = FockOperator(model, None, np.eye(2), 0, back_costs(model, 0))
     assert np.array_equal(np.asarray(shift), np.asarray(creation_matrix(model, 0)))
     # the adjoint annihilates cells with alpha_0 = 0
     for c, alpha in enumerate(index_list(model)):
@@ -445,7 +434,7 @@ def test_transfer_shift_trivial_phases_is_plain_shift():
 def test_transfer_shift_phases_are_back_insertion():
     phases = np.array([[1, 1j], [-1j, 1]])
     model = FockModel(m=2, N=3, coeff_dim=1, merged_phases=phases)
-    shift = np.asarray(FockOperator(model, None, np.eye(1), 0, back_phases(model, 0)))
+    shift = np.asarray(FockOperator(model, None, np.eye(1), 0, back_costs(model, 0)))
     L0 = np.asarray(creation_matrix(model, 0))
     # same sparsity and magnitudes as front creation of the merged slot
     assert np.allclose(np.abs(shift), np.abs(L0))
@@ -457,10 +446,30 @@ def test_transfer_shift_phases_are_back_insertion():
 
 def test_fock_operator_dimension_check():
     model = trivial_model(2, 1, coeff=3)
-    ones = np.ones(model.cell_count)
+    ones = np.ones(model.m)
     with pytest.raises(DimensionMismatch):
         FockOperator(model, None, np.eye(2), 0, ones)
     with pytest.raises(DimensionMismatch):
-        FockOperator(model, np.eye(3), None, 0, ones[:-1])
+        FockOperator(model, np.eye(3), None, 2, ones)
     with pytest.raises(DimensionMismatch):
         creation_matrix(model, 0).apply(np.eye(model.dim - 1))
+
+
+@pytest.mark.parametrize("costs", [np.ones(3), np.ones(1), np.ones(6),
+                                   [1.0, 1.5], [1.0, np.nan], [1.0, np.inf],
+                                   [1.0, 1.0 + 10 * PHASE_TOL], [1.0, np.exp(0.3j) * 0.9]],
+                         ids=["m + 1", "one", "one per cell", "1.5", "nan", "inf", "off by 1e-11",
+                              "0.9 times a phase"])
+@pytest.mark.parametrize("which", ["shift", "kappa"])
+def test_costs_must_be_one_unimodular_number_per_slot(costs, which):
+    """A character cost is one number of modulus 1 (within PHASE_TOL, the
+    tolerance of a tuple's phase table) per slot; anything else is a
+    ``DimensionMismatch``, for the shift and for kappa."""
+    model, good = trivial_model(2, 2, coeff=1), np.exp(1j * np.array([0.2, 1.3]))
+    with pytest.raises(DimensionMismatch):
+        if which == "shift":
+            FockOperator(model, np.eye(1), None, 0, costs, good)
+        else:
+            FockOperator(model, np.eye(1), None, 0, good, costs)
+    near = good * (1 + PHASE_TOL / 10)  # within the tolerance
+    FockOperator(model, np.eye(1), None, 0, near, near)
