@@ -40,10 +40,6 @@ from .errors import DimensionMismatch
 from .linalg import adj, as_matrix
 
 PHASE_TOL = 1e-12  # largest | |c| - 1 | of a character cost, as for a tuple's phase table
-# Characters closer than this are one character to ``product_norms``: products of a few
-# costs, each within PHASE_TOL of the circle, stay far inside it, and summing their blocks
-# first keeps a vanishing residual from cancelling between separately taken norms.
-CHARACTER_TOL = 1e-9
 
 
 def enumerate_indices(m: int, N: int) -> np.ndarray:
@@ -154,8 +150,7 @@ class FockOperator:
     unimodular (``DimensionMismatch`` otherwise).  Stored as its terms (slot or
     None, d x d block, costs): the shift term (slot, shift, shift_costs *
     kappa_costs) and the cellwise term (None, diag, kappa_costs); ``moves``
-    adds each term's per-cell phases.  No block is stored per cell, and
-    ``product_norms`` measures products of operators from the terms alone.
+    adds each term's per-cell phases.  No block is stored per cell.
     """
 
     def __init__(self, fock: FockModel, diag, shift, slot: int, shift_costs, kappa_costs=None):
@@ -217,20 +212,23 @@ class FockOperator:
         return out.reshape(self.shape).astype(dtype or complex, copy=False)
 
 
-def _character_sums(z: np.ndarray, low: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Per row, the sum of z^alpha = prod_s z_s^alpha_s over the cells
-    alpha >= ``low`` with |alpha| <= ``top``: z^low times the sum of the
-    complete homogeneous polynomials h_k(z) for k <= top - |low|, by the slot
-    recursion h_k <- sum_{j <= k} z_s^(k-j) h_j (|z_s| = 1)."""
-    free = top - low.sum(axis=1)
+def _deviation_sums(theta: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Per row, the sum of exp(i theta . alpha) - 1 over the cells with
+    |alpha| <= ``free`` (none for free < 0), degree by degree through the slots
+    with every z^p - 1 an ``expm1``: exact to rounding relative to |theta|
+    however small, and exactly 0 for theta = 0."""
+    rows, m = theta.shape
     powers = np.arange(max(free.max(initial=0), 0) + 1)
-    h = np.zeros((len(z), len(powers)), dtype=complex)
-    h[:, 0] = 1.0
-    for s in range(z.shape[1]):
-        w = z[:, s, None] ** powers
-        h = w * np.cumsum(h / w, axis=1)
-    sums = np.cumsum(h, axis=1)[np.arange(len(z)), free.clip(0, None)]
-    return np.where(free >= 0, sums * np.prod(z ** low, axis=1), 0.0)
+    count = (powers == 0) * 1.0
+    dev = np.zeros((rows, len(powers)), dtype=complex)
+    for s in range(m):
+        step = np.expm1(1j * theta[:, s, None] * powers)
+        total = count + dev
+        dev = np.cumsum(dev, axis=1)
+        for p in powers[1:]:
+            dev[:, p:] += step[:, p, None] * total[:, :-p]
+        count = np.cumsum(count)
+    return np.where(free >= 0, np.cumsum(dev, axis=1)[np.arange(rows), free.clip(0)], 0.0)
 
 
 def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.ndarray:
@@ -248,13 +246,20 @@ def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.
     1 / conj(chi_c(delta)).  A product of two terms from alpha is then
     chi_l(delta_r) (chi_l chi_r)(alpha) M_l M_r at the displacement
     Delta = delta_l + delta_r, on the cells alpha >= max(0, -Delta) that keep
-    every step within the truncation and the margins.  All term products are
-    one batched matmul.  The products of a group at one Delta and cell range
-    whose characters agree within CHARACTER_TOL are added to one block Y, which
-    adds C ||Y||^2, C the binomial cell count.  Two such blocks of one group
-    and Delta with different characters c_k, c_l add 2 Re <Y_k, Y_l> times
-    the sum of conj(c_k)^alpha c_l^alpha over their common cells
-    (``_character_sums``).
+    every step within the truncation and the margins; all of them are one
+    batched matmul.  At one Delta a group's products have nested cell ranges
+    with one corner e_down; from there, alpha = e_down + beta, product k is Y_k
+    (its block times its value on e_down) times the character chi_k(beta).
+    Their squared norm over the cells is sum_k,l <Y_k, Y_l> sum_beta (1 +
+    (conj(chi_k) chi_l(beta) - 1)).  The 1s give, per range, C ||S||^2: S the
+    sum of the products on this range and the wider ones, C the binomial
+    count of its cells in no narrower range.  The rest, for characters that
+    differ, is 2 Re <Y_k, Y_l> times a sum of exp(i theta . beta) - 1
+    (``_deviation_sums``, theta the angles of conj(c_k) c_l).  Products that
+    cancel, with equal or nearly equal characters, cancel inside S and the
+    deviations, not between separately taken norms, so a small residual is
+    exact to rounding; characters count as their unimodular parts (a cost
+    within PHASE_TOL of the circle moves a norm by about 2 N PHASE_TOL at most).
     """
     fock = ops[0].fock
     m, N, d = fock.m, fock.N, fock.coeff_dim
@@ -284,44 +289,43 @@ def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.
     top = N - np.maximum(np.maximum(sr < m, moved),
                          np.maximum(np.asarray(src)[g], np.asarray(dst)[g] + moved))
     free = (top - (down < m)).clip(-1)  # the cells alpha >= e_down with |alpha| <= top
+    kind = ((g * (m + 1) + up) * (m + 1) + up2) * (m + 1) + down
+    key = kind * (N + 2) + free + 1
+    order = np.argsort(key, kind="stable")  # products by (group, Delta, cell range)
+    p, g, flip, lt, rt, sl, sr, down, free, kind, key = (
+        x[order] for x in (p, g, flip, lt, rt, sl, sr, down, free, kind, key))
     chars = costs[lt] * costs[rt]
     const = np.asarray(coef, dtype=complex)[p] * costs[lt, sr] / np.where(flip, costs[lt, sl], 1)
     prods = blocks[np.where(plain[lt], rt, lt)]
     both = np.flatnonzero(~plain[lt] & ~plain[rt])
     prods[both] = blocks[lt[both]] @ blocks[rt[both]]
-    prods *= const[:, None, None]
-    # one sum per (group, Delta, cell range, character): a product whose
-    # character is not within CHARACTER_TOL of its sum's first moves to the next sum
-    kind = ((g * (m + 1) + up) * (m + 1) + up2) * (m + 1) + down
-    key = (kind * (N + 2) + free + 1) * len(p)
-    while True:
-        _, heads, cluster = np.unique(key, return_index=True, return_inverse=True)
-        far = np.abs((chars - chars[heads[cluster]]).view(float)).max(axis=1) > CHARACTER_TOL
-        if not far.any():
+    corner = chars[np.arange(len(p)), down]  # each product from its first cell, e_down
+    prods *= (const * corner / np.abs(corner))[:, None, None]
+    # the counts: per (group, Delta, cell range), ||S||^2 times its cells in no narrower one
+    opens = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    band = np.add.reduceat(prods, opens, axis=0)
+    outer, within = band.copy(), np.r_[False, kind[opens[1:]] == kind[opens[:-1]]]
+    lower = np.where(within, np.r_[-1, free[opens[:-1]]], -1)  # the next narrower range
+    for step in range(1, len(opens)):
+        same = kind[opens[step:]] == kind[opens[:-step]]
+        if not same.any():
             break
-        key += far
-    sums, rest = prods[heads], np.ones(len(p), dtype=bool)
-    rest[heads] = False
-    np.add.at(sums, cluster[rest], prods[rest])  # most sums hold one product
+        outer[:-step][same] += band[step:][same]
     size = np.array([0] + [comb(m + k, m) for k in range(N + 1)], dtype=float)
-    flat = sums.reshape(len(heads), -1).view(float)
-    squares = np.bincount(g[heads], np.einsum("ij,ij->i", flat, flat) * size[free[heads] + 1],
-                          minlength=len(adjoint))
-    # sums at one (group, Delta) with different characters or cell ranges
-    kind = kind[heads]  # ascending
-    shared = np.zeros(len(kind), dtype=bool)
-    shared[1:] = kind[1:] == kind[:-1]
-    shared[:-1] |= shared[1:]
-    if shared.any():
-        shared = np.flatnonzero(shared)
-        j, k = shared[np.argwhere(kind[shared, None] == kind[None, shared])].T
-        j, k = j[j != k], k[j != k]
-        hj, hk = heads[j], heads[k]
-        low = np.eye(m + 1, m, dtype=int)[down]
-        span = _character_sums(chars[hj, :m].conj() * chars[hk, :m],
-                               np.maximum(low[hj], low[hk]), np.minimum(top[hj], top[hk]))
-        squares += np.bincount(g[hj], (np.sum(sums[j].conj() * sums[k], axis=(1, 2))
-                                       * span).real, minlength=len(adjoint))
+    flat = outer.reshape(len(opens), -1).view(float)
+    squares = np.bincount(g[opens], np.einsum("ij,ij->i", flat, flat)
+                          * (size[free[opens] + 1] - size[lower + 1]), minlength=len(adjoint))
+    # the characters: 2 Re <Y_k, Y_l> (sum of conj(chi_k) chi_l - 1 over the
+    # common cells) for the products of one group and Delta whose characters differ
+    odd = np.any(chars != chars[np.searchsorted(kind, kind)], axis=1)  # unlike the first
+    if odd.any():
+        mixed = np.flatnonzero(np.isin(kind, kind[odd]))
+        j, k = mixed[np.argwhere(kind[mixed, None] == kind[mixed])].T
+        angles = np.angle(chars[:, :m])
+        j, k = (x[np.any(angles[j] != angles[k], axis=1)] for x in (j, k))
+        dev = _deviation_sums(angles[k] - angles[j], np.minimum(free[j], free[k]))
+        squares += np.bincount(g[j], (np.sum(prods[j].conj() * prods[k], axis=(1, 2))
+                                      * dev).real, minlength=len(adjoint))
     return np.sqrt(np.maximum(squares, 0.0))
 
 

@@ -41,9 +41,9 @@ chi_l(delta_r) M_l M_r||^2:
   count, and the residual is their ratio, relative to max(1, reference).
 
 ``product_norms`` does not take the shared character on trust: products at
-one Delta whose characters differ enter through a Gram matrix of character
-sums, so a wrong phase in an operator shows in these residuals as it would on
-the cells.
+one Delta whose characters differ add their inner products times sums of the
+characters' deviations over the cells, so a wrong phase in an operator, of
+any size, shows in these residuals as it would on the cells.
 
 The intertwinings, the moments and equivariance stay per cell.  The first
 two act on Pi, whose cells carry the powers T*^alpha, not one block times a

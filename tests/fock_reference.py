@@ -4,11 +4,13 @@ Fock operators become dim x dim matrices (``np.asarray``), their products
 plain matrix products, and a norm is taken of the rows and columns of the
 interior cells: the brute force that ``fock.product_norms`` and the
 verifier's isometry, commutation and factorization checks are compared with.
+The same matrices in block-sparse form (``cell_blocks``) serve models whose
+dense matrices would not fit.
 """
 
 import numpy as np
 
-from dilation_forge.fock import interior_projector
+from dilation_forge.fock import interior_cells, interior_projector
 from dilation_forge.linalg import adj
 
 
@@ -30,3 +32,46 @@ def terms_norm(model, parts, src, dst=None, minus_identity=False):
         whole = whole - np.eye(model.dim)
     rows = np.ones(model.dim, dtype=bool) if dst is None else interior_projector(model, dst)
     return float(np.linalg.norm(whole[np.ix_(rows, interior_projector(model, src))]))
+
+
+# Block-sparse forms of the same matrices, for models too large for dense ones:
+# an operator is its nonzero d x d blocks, as (destination cells, source cells,
+# blocks), and a product joins the blocks of the right factor to the blocks of
+# the left factor that read its destination cells.
+
+def cell_blocks(op, adjoint=False):
+    """The blocks of a Fock operator (of its adjoint with ``adjoint``), one per
+    term and source cell, each times its phase on that cell."""
+    dst, src, blocks = (np.concatenate(parts) for parts in zip(
+        *[(to, start, phase[:, None, None] * block) for phase, block, start, to in op.moves]))
+    return (src, dst, adj(blocks)) if adjoint else (dst, src, blocks)
+
+
+def sparse_product(a, b, adjoint=False):
+    """The block-sparse product of Fock operators ``a`` (its adjoint with
+    ``adjoint``) and ``b``."""
+    (a_dst, a_src, a_blocks), (b_dst, b_src, b_blocks) = cell_blocks(a, adjoint), cell_blocks(b)
+    order = np.argsort(a_src, kind="stable")
+    lo = np.searchsorted(a_src, b_dst, sorter=order)
+    counts = np.searchsorted(a_src, b_dst, side="right", sorter=order) - lo
+    right = np.repeat(np.arange(len(b_dst)), counts)
+    left = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    return a_dst[left], b_src[right], a_blocks[left] @ b_blocks[right]
+
+
+def sparse_terms_norm(model, parts, src, dst=None, minus_identity=False):
+    """``terms_norm`` of block-sparse parts (``cell_blocks``, ``sparse_product``)."""
+    cells, d = model.cell_count, model.coeff_dim
+    pieces = [(to, start, coef * blocks) for coef, (to, start, blocks) in parts]
+    if minus_identity:
+        every = np.arange(cells)
+        pieces.append((every, every, np.broadcast_to(-np.eye(d), (cells, d, d))))
+    if not pieces:
+        return 0.0
+    to, start, blocks = (np.concatenate(x) for x in zip(*pieces))
+    rows = np.ones(cells, dtype=bool) if dst is None else interior_cells(model, dst)
+    keep = interior_cells(model, src)[start] & rows[to]
+    _, where = np.unique(to[keep] * cells + start[keep], return_inverse=True)
+    sums = np.zeros((where.max(initial=-1) + 1, d, d), dtype=complex)
+    np.add.at(sums, where, blocks[keep])
+    return float(np.linalg.norm(sums))

@@ -10,10 +10,11 @@ from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
 from dilation_forge.fock import (PHASE_TOL, FockModel, FockOperator, creation_matrix,
                                  enumerate_indices, interior_cells, interior_projector,
-                                 parent_rows, product_norms)
+                                 _deviation_sums, parent_rows, product_norms)
 from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
-from fock_reference import product as pair_product, terms_norm
+from fock_reference import (product as pair_product, sparse_product, sparse_terms_norm,
+                            terms_norm)
 
 
 def trivial_model(m, N, coeff=1):
@@ -339,16 +340,59 @@ def test_group_norms_match_dense_masked_norms(m, N, coeff):
         assert norms[groups - 1] == 0.0
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-7, 1.0])
+@pytest.mark.parametrize("m,N", [(1, 4), (2, 3), (3, 5)])
+def test_deviation_sums_match_cellwise_sums(m, N, scale):
+    """Sums of exp(i theta . alpha) - 1 over the cells with |alpha| <= free,
+    against the cell-by-cell sums: within 1e-13 relative to the sum of the
+    terms' moduli, for angles of any size."""
+    rng = np.random.default_rng(m * 10 + N)
+    cells = enumerate_indices(m, N)
+    theta = scale * rng.uniform(-np.pi, np.pi, (N + 2, m))
+    got = _deviation_sums(theta, np.arange(-1, N + 1))
+    for row, free in enumerate(range(-1, N + 1)):
+        terms = np.expm1(1j * cells[cells.sum(axis=1) <= free] @ theta[row])
+        assert abs(got[row] - terms.sum()) <= 1e-13 * np.abs(terms).sum(), free
+
+
+@pytest.mark.parametrize("turn", [1e-13, 1e-9, 1e-5])
+@pytest.mark.parametrize("m,N,coeff", SHAPES)
+def test_nearly_equal_characters_do_not_cancel(m, N, coeff, turn):
+    """An operator less its copy whose costs are turned by ``turn``: the
+    products' characters differ by about |alpha| * turn, and the closed-form
+    norms of its products with the zoo equal the dense ones within 1e-14
+    (their rounding) and 1e-12 relative, however small the turn."""
+    model, rng = random_model(m, N, coeff, 10 * m + N + 3, quarter_turns=False)
+    ops = operator_zoo(model, rng, quarter_turns=False)
+    (slot, shift, shift_costs), (_, diag, kappa_costs) = ops[0].terms
+    turned = FockOperator(model, diag, shift, slot, shift_costs / kappa_costs,
+                          kappa_costs * np.exp(1j * turn * rng.uniform(-1, 1, m)))
+    ops.append(turned)
+    mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]
+    t, one = len(ops) - 1, len(ops)
+    for b in range(len(ops)):
+        for adjoint, src, dst in product((False, True), range(N + 1), range(N + 1)):
+            norms = product_norms(ops, [0, t], [b, b], [1.0, -1.0], [0, 0], [adjoint],
+                                  [src], [dst])
+            diff = [(1.0, pair_product(mats[0], mats[b], adjoint)),
+                    (-1.0, pair_product(mats[t], mats[b], adjoint))]
+            ref = terms_norm(model, diff, src, dst)
+            assert abs(norms[0] - ref) <= 1e-14 + 1e-12 * ref, (b, adjoint, src, dst)
+    norms = product_norms(ops, [0, t], [one, one], [1.0, -1.0], [0, 0], [False], [0], [0])
+    assert (norms[0] > 0) == (N > 0)  # at N = 0 every character is 1
+
+
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
-    """The dense ``product`` and ``terms_norm`` references that the verifier's
-    tests use, against the same products applied by ``apply`` and
-    ``apply_adj`` to the identity columns."""
+    """The dense ``product`` and ``terms_norm`` references, and their
+    block-sparse forms that the verifier's tests use, against the same
+    products applied by ``apply`` and ``apply_adj`` to the identity columns."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 1, quarter_turns=False)
     ops = operator_zoo(model, rng, quarter_turns=False)
     a, b = ops[0], ops[-2]
-    parts = [(1.0, pair_product(a, b)), (-0.7 + 0.2j, pair_product(b, a)),
-             (0.5, pair_product(a, a, adjoint=True))]
+    coefs, pairs = (1.0, -0.7 + 0.2j, 0.5), ((a, b, False), (b, a, False), (a, a, True))
+    parts = [(c, pair_product(*pair)) for c, pair in zip(coefs, pairs)]
+    blocks = [(c, sparse_product(*pair)) for c, pair in zip(coefs, pairs)]
     eye = np.eye(model.dim)
     applied = (a.apply(b.apply(eye)) + (-0.7 + 0.2j) * b.apply(a.apply(eye))
                + 0.5 * a.apply_adj(a.apply(eye)))
@@ -357,9 +401,10 @@ def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
         rows = np.ones(model.dim, dtype=bool) if dst is None else interior_projector(model, dst)
         for minus_identity in (False, True):
             ref = (applied - eye * minus_identity)[np.ix_(rows, cols)]
-            assert np.isclose(terms_norm(model, parts, src, dst, minus_identity),
-                              np.linalg.norm(ref), rtol=1e-13, atol=1e-15)
-    assert terms_norm(model, [], 0) == 0.0
+            for norm, terms in ((terms_norm, parts), (sparse_terms_norm, blocks)):
+                assert np.isclose(norm(model, terms, src, dst, minus_identity),
+                                  np.linalg.norm(ref), rtol=1e-13, atol=1e-15)
+    assert terms_norm(model, [], 0) == sparse_terms_norm(model, [], 0) == 0.0
 
 
 def test_interior_cells_repeat_to_projector():

@@ -16,7 +16,7 @@ from dilation_forge.verifier import (DEFAULT_TOLERANCES, full_report,
                                      verify_equivariance, verify_factorization,
                                      verify_intertwining, verify_isometric_representation,
                                      verify_moments, verify_pi)
-from fock_reference import product, terms_norm
+from fock_reference import cell_blocks, sparse_product, sparse_terms_norm
 
 
 def gated_worst(report):
@@ -101,10 +101,12 @@ def test_composed_residuals_match_identity_columns_swap_covariant(N):
                                           ("scaled-commuting", 4, 1)])
 def test_phases_at_the_tolerance_edge_match_identity_columns(style, n, seed):
     """Off-diagonal phases whose modulus is off by up to 4.9e-13, which the
-    tuple's and the merged tuple's phase checks still accept: characters that
-    should agree then differ by a few 1e-12, and the closed form still equals
-    the brute force within 1e-11, because it sums their products before it
-    takes a norm (split at 1e-12 instead, the first case read 2.6e-6)."""
+    tuple's and the merged tuple's phase checks still accept: the characters'
+    moduli then stray from 1 by a few 1e-12 on the deeper cells, which the
+    brute force sees (about 3e-12) and the closed form, taking each character
+    as its unimodular part, does not (about 8e-13); they agree within 1e-11.
+    (Differences of such characters cancelling between separately taken
+    norms once read 2.6e-6 here.)"""
     spec = style_tuple(style, n, 2, seed=seed)
     drift = np.triu(1.0 - 4.9e-13 * np.random.default_rng(0).uniform(0.5, 1.0, (n, n)), 1)
     phases = spec.phases * (drift + drift.T + np.eye(n))
@@ -115,36 +117,35 @@ def test_phases_at_the_tolerance_edge_match_identity_columns(style, n, seed):
     assert max(abs(got[name] - value) for name, value in ref.items()) <= 1e-11
 
 
-DENSE_DIM = 160  # the largest model dimension whose dense products the tests form
-
-
 def per_pair_isometric_representation(model):
-    """The isometry and commutation residuals one pair at a time, from dense
-    products (``fock_reference``) on the model's interior cells."""
+    """The isometry and commutation residuals one pair at a time, from
+    block-sparse products (``fock_reference``) on the model's interior cells."""
     spec, fock = model.spec, model.fock
     unit = max(1.0, np.sqrt(np.count_nonzero(interior_projector(fock, 1))))
     margin, out = min(2, fock.N), {}
     for i, w in enumerate(model.isometries, start=1):
-        out[f"isometry_v{i}"] = terms_norm(fock, [(1.0, product(w, w, adjoint=True))], 1, 1,
-                                           minus_identity=True) / unit
+        out[f"isometry_v{i}"] = sparse_terms_norm(
+            fock, [(1.0, sparse_product(w, w, adjoint=True))], 1, 1, minus_identity=True) / unit
     for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
-        ji = product(vj, vi)
-        ref = max(1.0, terms_norm(fock, [(1.0, ji)], margin))
-        out[f"commute_{i}_{j}"] = terms_norm(fock, [(1.0, product(vi, vj)),
-                                                    (-spec.u(i, j), ji)], margin) / ref
+        ji = sparse_product(vj, vi)
+        ref = max(1.0, sparse_terms_norm(fock, [(1.0, ji)], margin))
+        out[f"commute_{i}_{j}"] = sparse_terms_norm(
+            fock, [(1.0, sparse_product(vi, vj)), (-spec.u(i, j), ji)], margin) / ref
     return out
 
 
 def per_pair_factorization(model):
-    """The transfer factorization residuals from dense products on the model's
-    source cells of margin min(2, N)."""
+    """The transfer factorization residuals from block-sparse products on the
+    model's source cells of margin min(2, N)."""
     fock, margin = model.fock, min(2, model.N)
-    l1 = np.asarray(model.L1)
-    ref = max(1.0, terms_norm(fock, [(1.0, l1)], margin))
+    l1 = cell_blocks(model.L1)
+    ref = max(1.0, sparse_terms_norm(fock, [(1.0, l1)], margin))
     v1, vn = model.isometries[0], model.isometries[-1]
     flip = model.spec.u(model.spec.n, 1)
-    return {"factor_tau12": terms_norm(fock, [(1.0, product(v1, vn)), (-1.0, l1)], margin) / ref,
-            "factor_tau21": terms_norm(fock, [(1.0, product(vn, v1)), (-flip, l1)], margin) / ref}
+    return {"factor_tau12": sparse_terms_norm(
+                fock, [(1.0, sparse_product(v1, vn)), (-1.0, l1)], margin) / ref,
+            "factor_tau21": sparse_terms_norm(
+                fock, [(1.0, sparse_product(vn, v1)), (-flip, l1)], margin) / ref}
 
 
 def assert_close(got, ref):
@@ -156,9 +157,18 @@ def assert_close(got, ref):
 
 
 def assert_matches_per_pair(model):
-    """The one-pass closed-form checks against the dense per-pair references."""
+    """The one-pass closed-form checks against the per-pair references."""
     assert_close({**verify_isometric_representation(model), **verify_factorization(model)},
                  {**per_pair_isometric_representation(model), **per_pair_factorization(model)})
+
+
+def assert_broken_matches_per_pair(model):
+    """The model and its rebuild from the non-unitary coupling U + 0.1, whose
+    residuals are O(1), against the per-pair references."""
+    assert_matches_per_pair(model)
+    broken = rebuilt_model(model, model.coupling.U + 0.1)
+    assert_matches_per_pair(broken)
+    assert max(verify_isometric_representation(broken).values()) > 1e-3
 
 
 WIDTHS = {"u-commuting": (2, 3)}  # the u-commuting style builds n = 2 and 3 only
@@ -167,33 +177,19 @@ WIDTHS = {"u-commuting": (2, 3)}  # the u-commuting style builds n = 2 and 3 onl
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("style", STYLES)
 def test_one_pass_matches_per_pair_loop(style, N):
-    """Every width whose model stays within DENSE_DIM: at N = 1 all of 2..10."""
-    checked = 0
+    """Every width from 2 to 10, the wide-tuple shapes."""
     for n in WIDTHS.get(style, range(2, 11)):
-        model = assemble_model(style_tuple(style, n, 2, seed=30 + n), N=N)
-        if model.fock.dim > DENSE_DIM:
-            continue
-        assert_matches_per_pair(model)
-        broken = rebuilt_model(model, model.coupling.U + 0.1)
-        assert_matches_per_pair(broken)
-        checked += 1
-    assert checked >= 2
+        assert_broken_matches_per_pair(assemble_model(style_tuple(style, n, 2, seed=30 + n), N=N))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("style", STYLES)
 def test_fixed_degree_matches_model_degree(style, N):
-    """The closed-form residuals, which read no cell, against brute force on
-    the identity columns of the model's interior coordinates at its degree N:
-    within 1e-14 on correct models, and within 1e-12 relative on broken ones,
-    whose residuals are O(1)."""
-    for n in WIDTHS.get(style, (2, 3, 4)):
-        model = assemble_model(style_tuple(style, n, 2, seed=40 + n), N=N)
-        broken = rebuilt_model(model, model.coupling.U + 0.1)
-        for case in (model, broken):
-            assert_close({**verify_isometric_representation(case), **verify_factorization(case)},
-                         reference_products(case))
-        assert max(verify_isometric_representation(broken).values()) > 1e-3
+    """The closed form does a fixed amount of work at every degree, reading no
+    cell; its residuals equal the per-pair products on the model's interior
+    cells at degrees up to 6, for widths up to 8 (up to 13728 coordinates)."""
+    for n in WIDTHS.get(style, (2, 3, 5, 8)):
+        assert_broken_matches_per_pair(assemble_model(style_tuple(style, n, 2, seed=40 + n), N=N))
 
 
 def per_operator_intertwining(model):
@@ -272,6 +268,29 @@ def test_factorization_sees_a_bent_transfer_shift():
     assert after["factor_tau12"] > 1e-3 and after["factor_tau21"] > 1e-3
     assert after["isometry_v1"] == before["isometry_v1"]
     assert_matches_per_pair(bent_model)
+
+
+@pytest.mark.parametrize("turn", [1e-13, 1e-10, 1e-7])
+@pytest.mark.parametrize("n,N", [(5, 3), (4, 30)])
+def test_slightly_turned_transfer_shift_matches_per_pair(n, N, turn):
+    """tau_n's shift cost turned by ``turn`` in slot 1: on a cell with
+    alpha_1 = K its character is off by about K * turn, so the factorization
+    residuals grow in proportion (0.32 * turn at N = 3, 6.4 * turn at N = 30).  The closed
+    form, which sums the products' character deviations rather than their
+    characters, equals the per-pair products within 1e-16 at every turn, and
+    at N = 30 too (a tolerance that took characters within 1e-9 as equal read
+    turns of 1e-10 as 0 and missed turns of 1e-7 by 1.7e-10)."""
+    model = assemble_model(random_tuple("scaled-commuting" if N > 6 else "jointly-nilpotent",
+                                        n, 2, seed=4), N=N)
+    (slot, shift, shift_costs), (_, diag, kappa_costs) = model.isometries[-1].terms
+    costs = shift_costs / kappa_costs * np.exp(1j * turn * (np.arange(model.fock.m) == 1))
+    bent = FockOperator(model.fock, diag, shift, slot, costs, kappa_costs)
+    bent_model = replace(model, isometries=model.isometries[:-1] + [bent])
+    got = {**verify_isometric_representation(bent_model), **verify_factorization(bent_model)}
+    ref = {**per_pair_isometric_representation(bent_model), **per_pair_factorization(bent_model)}
+    assert list(got) == list(ref)
+    assert max(abs(got[name] - value) for name, value in ref.items()) <= 1e-16
+    assert got["factor_tau12"] > turn / 10 and got["factor_tau21"] > turn / 10
 
 
 def test_zero_tuple_all_pass_exactly():
