@@ -98,7 +98,8 @@ class CouplingData:
     """V0 with the complements M1 (of span X in D) and M2 (of span Y in Udom)
     before padding, the algebra and the frames X, Y of ``defect_frames``;
     solve_aux adds ``mult1``, build_U the padded layout, U, V and
-    ``vs`` = V Q1n* Dhat, which build_transfer and build_Pi read."""
+    ``vs`` = V Q1n* Dhat, which build_transfer reads and from which build_Pi
+    forms Pi."""
 
     V0: np.ndarray
     M1: np.ndarray
@@ -499,11 +500,14 @@ def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: Coeffici
             + [transfer_tau(spec, transfer, layout, fock, spec.n)])
 
 
-def build_Pi(merged: TupleSpec, defects: dict, coupling: CouplingData,
-             fock: FockModel) -> tuple[np.ndarray, np.ndarray]:
-    """Dilation map Pi: H -> F_N(E) (x) D and its exact per-basis-vector tail."""
-    pi = (coupling.vs @ ordered_power_products(merged, fock.cells)).reshape(-1, merged.dimH)
-    return pi, truncation_tails(merged, defects["hat1n"].root, fock.N)
+def build_Pi(merged: TupleSpec, vs: np.ndarray, fock: FockModel) -> np.ndarray:
+    """Dilation map Pi: H -> F_N(E) (x) D, whose cell-alpha block is vs (T^(alpha))*.
+
+    ``vs`` = V Q1n* Dhat (dim D x dimH) is the block of cell 0, so Pi is
+    determined by it and the merged tuple; ``assemble_model`` and the model
+    loader both form Pi here.
+    """
+    return (vs @ ordered_power_products(merged, fock.cells)).reshape(-1, merged.dimH)
 
 
 def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
@@ -548,7 +552,8 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     layout = coupling.layout
     fock = FockModel(m=merged.n, N=N, coeff_dim=layout.dim, merged_phases=merged.phases)
     isometries = dilated_isometries(spec, transfer, layout, fock)
-    pi, tails = build_Pi(merged, defects, coupling, fock)
+    pi = build_Pi(merged, coupling.vs, fock)
+    tails = truncation_tails(merged, defects["hat1n"].root, N)
     return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
                          layout=layout, coupling=coupling, transfer=transfer, Pi=pi,
                          isometries=isometries, tails=tails)

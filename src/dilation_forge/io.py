@@ -1,19 +1,20 @@
 """JSON serialization of tuples, reports and dilation models.
 
 Every document is written compact (no whitespace, sorted keys) and carries a
-``schema_version``: 1 for tuples and reports, 4 for models.  Python's float
+``schema_version``: 1 for tuples and reports, 5 for models.  Python's float
 repr is shortest-exact, so every round trip is bit-faithful.  Matrix entries
 must be finite JSON numbers; booleans, strings, NaN and infinities are input
 errors.
 
 Tuple documents, which are also written by hand, store each matrix as nested
-rows of [re, im] pairs.  A model file stores U1, Un and Pi as flat row-major
-matrices ``{"shape": [rows, cols], "re": [...], "im": [...]}``, beside the
-tuple, N, the sizes record ``dims``, the tails and the construction
-self-check residuals.  On load the coefficient layout is rebuilt from the
-tuple and ``dims.aux``, each declared shape is checked against it before any
-list is converted, and the dilated isometries are rebuilt from the file's U1
-and Un.
+rows of [re, im] pairs.  A model file stores U1, Un and the cell-0 block of
+Pi (dim D x dimH) as flat row-major matrices
+``{"shape": [rows, cols], "re": [...], "im": [...]}``, beside the tuple, N,
+the sizes record ``dims``, the tails and the construction self-check
+residuals, so its size does not grow with N.  On load the coefficient layout
+is rebuilt from the tuple and ``dims.aux``, each declared shape is checked
+against it before any list is converted, Pi is rebuilt from its stored block
+by ``build_Pi`` and the dilated isometries from the file's U1 and Un.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from typing import Any
 import numpy as np
 
 from .builder import (MAX_PAD, CoefficientLayout, DilationModel, TransferData, build_defects,
-                      coefficient_layout, dilated_isometries, effective_algebra)
+                      build_Pi, coefficient_layout, dilated_isometries, effective_algebra)
 from .errors import MalformedSpec
 from .fock import FockModel
 from .tuples import AlgebraStructure, TupleSpec
 
 SCHEMA_VERSION = 1
-MODEL_SCHEMA_VERSION = 4
+MODEL_SCHEMA_VERSION = 5
 _NUMBER_TYPES = {int, float}  # what json reads a JSON number as; bool is not among them
 
 
@@ -187,7 +188,7 @@ def model_to_dict(model: DilationModel) -> dict:
         "dims": _dims(model.layout, model.defects, model.fock.cell_count),
         "U1": matrix_to_json(model.transfer.U1),
         "Un": matrix_to_json(model.transfer.Un),
-        "Pi": matrix_to_json(model.Pi),
+        "Pi": matrix_to_json(model.Pi[:model.layout.dim]),  # cell 0; build_Pi gives the rest
         "tails": [float(t) for t in model.tails],
         "construction_residuals": {k: float(v) for k, v in model.transfer.residuals.items()},
     }
@@ -198,10 +199,12 @@ def model_from_dict(doc: dict) -> DilationModel:
 
     The tuple passes the class gate again and its defect data are recomputed
     (``build_defects``), the coefficient layout from them and ``dims.aux``;
-    ``dims`` must then equal the rebuilt sizes.  U1, Un, Pi, the tails and the
-    construction residuals are taken from the file and the dilated isometries
-    rebuilt from its U1 and Un, so file-level corruption is caught by the
-    verifier.  A loaded model has no coupling data.
+    ``dims`` must then equal the rebuilt sizes.  U1, Un, Pi's cell-0 block,
+    the tails and the construction residuals are taken from the file; every
+    field is checked before Pi is rebuilt from that block by ``build_Pi`` and
+    the dilated isometries from U1 and Un, so file-level corruption is caught
+    by the verifier (a corrupted block fails ``pi_isometry`` against the
+    stored tails).  A loaded model has no coupling data.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")
@@ -233,10 +236,11 @@ def model_from_dict(doc: dict) -> DilationModel:
     transfer = TransferData(U1=json_to_matrix(doc, "U1", (size1, size1)),
                             Un=json_to_matrix(doc, "Un", (sizen, sizen)),
                             residuals=dict(zip(residuals, values.tolist())))
-    pi = json_to_matrix(doc, "Pi", (cells * layout.dim, spec.dimH))
+    vs = json_to_matrix(doc, "Pi", (layout.dim, spec.dimH))
     fock = FockModel(m=merged.n, N=N, coeff_dim=layout.dim, merged_phases=merged.phases)
     return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
-                         layout=layout, coupling=None, transfer=transfer, Pi=pi,
+                         layout=layout, coupling=None, transfer=transfer,
+                         Pi=build_Pi(merged, vs, fock),
                          isometries=dilated_isometries(spec, transfer, layout, fock),
                          tails=tails)
 

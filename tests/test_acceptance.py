@@ -176,12 +176,12 @@ def test_criterion_8_mutation_sensitivity():
     coupling.U[1, 1] *= -1.0
     cfg = BuildConfig(check_identities=False)
     transfer = build_transfer(spec, coupling, cfg)
-    pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
+    pi = build_Pi(model.merged, coupling.vs, model.fock)
     mutated = DilationModel(
         spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
         layout=model.layout, coupling=coupling, transfer=transfer, Pi=pi,
         isometries=dilated_isometries(spec, transfer, model.layout, model.fock),
-        tails=tails)
+        tails=model.tails)
     report = full_report(mutated)
     assert not report.passed
     worst = max(report.residuals[k] for k in report.failures())

@@ -231,6 +231,11 @@ def _flat(rows):
             "im": [v for _, im in rows for v in im]}
 
 
+def _every_cell_Pi(doc):
+    """Pi with a block of rows per cell, as schema version 4 stored it."""
+    doc["Pi"] = _flat(_rows(doc["Pi"]) * doc["dims"]["cells"])
+
+
 MODEL_FILE_DEFECTS = {
     **{f"missing {key}": _drop(key) for key in (
         "schema_version", "tuple", "N", "dims", "U1", "Un", "Pi", "tails",
@@ -240,6 +245,8 @@ MODEL_FILE_DEFECTS = {
     "schema version 1": _set(1, "schema_version"),
     "schema version 2": _set(2, "schema_version"),
     "schema version 3": _set(3, "schema_version"),
+    "schema version 4": _set(4, "schema_version"),
+    "Pi with every cell's rows": _every_cell_Pi,
     "Pi missing a row": _set(lambda m: _flat(_rows(m)[:-1]), "Pi"),
     "U1 missing a column": _set(lambda m: _flat([(re[:-1], im[:-1]) for re, im in _rows(m)]),
                                 "U1"),
@@ -362,13 +369,13 @@ def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U1", "Un", "Pi",
                         "tails", "construction_residuals"}
     assert doc["tuple"]["schema_version"] == 1
-    cells, coeff = doc["dims"]["cells"], doc["dims"]["coeff"]
-    assert doc["Pi"]["shape"] == [cells * coeff, 1]
-    assert len(doc["Pi"]["re"]) == len(doc["Pi"]["im"]) == cells * coeff
+    coeff = doc["dims"]["coeff"]
+    assert doc["Pi"]["shape"] == [coeff, 1]  # the cell-0 block alone
+    assert len(doc["Pi"]["re"]) == len(doc["Pi"]["im"]) == coeff
     assert doc["tuple"]["matrices"][0][0] == [[[0.5, 0.0]]]  # tuples keep [re, im] pairs
     text = model_path.read_text()
     assert "\n" not in text.rstrip("\n") and ", " not in text and ": " not in text
@@ -388,6 +395,50 @@ def test_model_file_round_trip_is_exact(style, config):
     for w_back, w in zip(back.isometries, model.isometries):
         assert np.array_equal(np.asarray(w_back), np.asarray(w))
     assert full_report(back).residuals == full_report(model).residuals
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 9])
+@pytest.mark.parametrize("style", STYLES)
+def test_model_file_reload_is_exact_at_every_degree(style, N):
+    """Pi rebuilt from the stored block is the built Pi, bit for bit."""
+    model = assemble_model(random_tuple(style, 3, 4, seed=5), N=N)
+    text = dump_json(model_to_dict(model), None)
+    back = model_from_dict(json.loads(text))
+    pairs = [(back.Pi, model.Pi), (back.tails, model.tails), (back.transfer.U1, model.transfer.U1),
+             (back.transfer.Un, model.transfer.Un)] + list(zip(back.isometries, model.isometries))
+    assert len(back.isometries) == len(model.isometries)
+    for got, want in pairs:
+        assert np.array_equal(np.asarray(got), np.asarray(want))
+    assert full_report(back).residuals == full_report(model).residuals
+    assert dump_json(model_to_dict(back), None) == text  # a re-dump is byte for byte the file
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_model_file_size_does_not_grow_with_degree(style):
+    """Past N, dims.cells and the dimH tails, the file is the same text at every N."""
+    spec = random_tuple(style, 3, 4, seed=3)
+    rest = set()
+    for N in range(1, 17):
+        doc = json.loads(dump_json(model_to_dict(assemble_model(spec, N=N)), None))
+        assert doc["N"] == N and len(doc.pop("tails")) == spec.dimH
+        del doc["N"], doc["dims"]["cells"]
+        rest.add(dump_json(doc, None))
+    assert len(rest) == 1
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_corrupted_stored_pi_block_fails_pi_isometry(tmp_path, capsys, style):
+    tuple_path, model_path = tmp_path / "t.json", tmp_path / "model.json"
+    report_path = tmp_path / "report.json"
+    assert main(["random", "--style", style, "--n", "3", "-o", str(tuple_path)]) == 0
+    assert main(["dilate", "-i", str(tuple_path), "--degree", "3", "-o", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["Pi"]["re"][0] += 0.5
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "-m", str(model_path), "-o", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())
+    assert not report["passed"] and not report["verdicts"]["pi_isometry"]
 
 
 def test_noncommuting_tuple_is_rejected(tmp_path, capsys):

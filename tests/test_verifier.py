@@ -63,12 +63,12 @@ def rebuilt_model(model, U):
     spec, coupling = model.spec, model.coupling
     coupling.U = U
     transfer = build_transfer(spec, coupling, BuildConfig(check_identities=False))
-    pi, tails = build_Pi(model.merged, model.defects, coupling, model.fock)
+    pi = build_Pi(model.merged, coupling.vs, model.fock)
     return DilationModel(
         spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
         layout=model.layout, coupling=coupling, transfer=transfer, Pi=pi,
         isometries=dilated_isometries(spec, transfer, model.layout, model.fock),
-        tails=tails)
+        tails=model.tails)
 
 
 def assert_matches_reference(model):
