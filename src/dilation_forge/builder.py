@@ -20,7 +20,7 @@ requirement that the dilation identities hold exactly on interior cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, creation_matrix, enumerate_indices
+from .fock import FockModel, FockOperator, check_cell_budget, creation_matrix, enumerate_indices
 from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_sqrt,
                      range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
@@ -81,7 +81,6 @@ class CoefficientLayout:
     mult2: np.ndarray
     D: np.ndarray
     Udom: np.ndarray
-    Dprime: np.ndarray
     parts_D: tuple
     parts_Udom: tuple
     Dprime_rows: np.ndarray
@@ -98,8 +97,8 @@ class CouplingData:
     """V0 with the complements M1 (of span X in D) and M2 (of span Y in Udom)
     before padding, the algebra and the frames X, Y of ``defect_frames``;
     solve_aux adds ``mult1``, build_U the padded layout, U, V and
-    ``vs`` = V Q1n* Dhat, which build_transfer reads and from which build_Pi
-    forms Pi."""
+    ``vs`` = V Q1n* Dhat, which build_transfer reads and the model keeps as
+    Pi's cell-0 block."""
 
     V0: np.ndarray
     M1: np.ndarray
@@ -128,17 +127,26 @@ class TransferData:
 
 @dataclass
 class DilationModel:
+    """The finite data that fix the dilation, among them U1, Un, Pi's cell-0
+    block ``vs`` and the tails; the Fock model, Pi and the dilated isometries
+    are derived from them on construction, for built and loaded models alike."""
+
     spec: TupleSpec
     merged: TupleSpec
-    fock: FockModel
     N: int
     defects: dict
     layout: CoefficientLayout
-    coupling: Optional[CouplingData]  # None for a model read from a file
     transfer: TransferData
-    Pi: np.ndarray
-    isometries: list
+    vs: np.ndarray
     tails: np.ndarray
+    fock: FockModel = field(init=False)
+    Pi: np.ndarray = field(init=False)
+    isometries: list = field(init=False)
+
+    def __post_init__(self):
+        self.fock = FockModel(self.merged.n, self.N, self.layout.dim, self.merged.phases)
+        self.isometries = dilated_isometries(self.spec, self.transfer, self.layout, self.fock)
+        self.Pi = build_Pi(self.merged, self.vs, self.fock)
 
     def coordinate_labels(self) -> Optional[np.ndarray]:
         """Algebra label of each model coordinate, shape (cells, dim D); rho(e_p)
@@ -255,10 +263,10 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
                  np.concatenate([np.take(a1, lab_d), lab_dp]))
     un_labels = (np.concatenate([lab_d, np.take(g1n, lab_q1)]),
                  np.concatenate([np.take(an, lab_d), lab_q1]))
-    for arr in (mult1, mult2, lab_d, lab_udom, lab_dp, dprime_rows, *u1_labels, *un_labels):
+    for arr in (mult1, mult2, lab_d, lab_udom, dprime_rows, *u1_labels, *un_labels):
         arr.setflags(write=False)
     return CoefficientLayout(
-        rn=rn, r1=r1, mult1=mult1, mult2=mult2, D=lab_d, Udom=lab_udom, Dprime=lab_dp,
+        rn=rn, r1=r1, mult1=mult1, mult2=mult2, D=lab_d, Udom=lab_udom,
         parts_D=(slice(0, rn), slice(rn, rn + r1), slice(rn + r1, dim)),
         parts_Udom=(slice(0, r1), slice(r1, r1 + rn), slice(r1 + rn, dim)),
         Dprime_rows=dprime_rows, U1_labels=u1_labels, Un_labels=un_labels)
@@ -504,8 +512,8 @@ def build_Pi(merged: TupleSpec, vs: np.ndarray, fock: FockModel) -> np.ndarray:
     """Dilation map Pi: H -> F_N(E) (x) D, whose cell-alpha block is vs (T^(alpha))*.
 
     ``vs`` = V Q1n* Dhat (dim D x dimH) is the block of cell 0, so Pi is
-    determined by it and the merged tuple; ``assemble_model`` and the model
-    loader both form Pi here.
+    determined by it and the merged tuple; ``DilationModel`` forms Pi here,
+    for a built and a loaded model alike.
     """
     return (vs @ ordered_power_products(merged, fock.cells)).reshape(-1, merged.dimH)
 
@@ -545,15 +553,10 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     transfer = build_transfer(spec, coupling, config)
     _gate(transfer.residuals, "defect_equality", eq_resid, config.identity_gate,
           config.check_identities)
-    pure, radius = is_pure(merged, 1)
-    if config.check_identities and not pure and radius >= 1.0:
+    _, radius = is_pure(merged, 1)
+    if config.check_identities and radius >= 1.0:
         raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
-
-    layout = coupling.layout
-    fock = FockModel(m=merged.n, N=N, coeff_dim=layout.dim, merged_phases=merged.phases)
-    isometries = dilated_isometries(spec, transfer, layout, fock)
-    pi = build_Pi(merged, coupling.vs, fock)
+    check_cell_budget(merged.n, N)
     tails = truncation_tails(merged, defects["hat1n"].root, N)
-    return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
-                         layout=layout, coupling=coupling, transfer=transfer, Pi=pi,
-                         isometries=isometries, tails=tails)
+    return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=coupling.layout,
+                         transfer=transfer, vs=coupling.vs, tails=tails)

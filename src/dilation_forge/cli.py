@@ -10,7 +10,8 @@ code, and the prefix of its one ``error:`` line on stderr, is ``ERROR_EXITS``;
 only ``main`` reads it, so no command catches an error itself.
 
 ``dilate`` and ``verify -i`` build through ``_build``; only ``dilate`` gates
-the construction identities at ``--tol``.  ``verify --format text`` and
+the construction identities at ``--tol``; ``verify -m`` takes none of its
+options (``_check_usage``).  ``verify --format text`` and
 ``demo`` print through ``_print_report``: the construction self-check
 residuals before the verification residuals; for ``verify -m`` they are the
 ones stored in the model file.
@@ -38,6 +39,8 @@ EXIT_INPUT = 1
 EXIT_NOT_IN_CLASS = 2
 EXIT_INFEASIBLE = 3
 EXIT_IDENTITY = 4
+
+BUILD_DEFAULTS = {"degree": 4, "aux_pad": 0, "seed": None}  # build options not given
 
 # error class -> (exit code, prefix of its stderr line); ``main`` takes the
 # row of the nearest class in the raised error's MRO
@@ -171,21 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="test membership in the dilatable class")
     common(p)
 
-    p = sub.add_parser("dilate", help="construct the dilation model "
-                       "(cost grows like C(n-1+N, n-1) * dim D)")
-    common(p)
-    p.add_argument("--degree", type=int, default=4, help="Fock truncation degree N")
-    p.add_argument("--aux-pad", type=int, default=0, help="extra auxiliary padding")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for an alternative (still valid) unitary completion")
-
-    p = sub.add_parser("verify", help="run the full identity verifier")
-    common(p, needs_input=False)
-    p.add_argument("--input", "-i", help="tuple JSON file (build then verify)")
-    p.add_argument("--model", "-m", help="previously written model JSON file")
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--aux-pad", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    dilate = sub.add_parser("dilate", help="construct the dilation model "
+                            "(cost grows like C(n-1+N, n-1) * dim D)")
+    common(dilate)
+    verify = sub.add_parser("verify", help="run the full identity verifier")
+    common(verify, needs_input=False)
+    verify.add_argument("--input", "-i", help="tuple JSON file (build then verify)")
+    verify.add_argument("--model", "-m", help="previously written model JSON file")
+    for p in (dilate, verify):  # None when not given, see BUILD_DEFAULTS
+        p.add_argument("--degree", type=int, help="Fock truncation degree N (default 4)")
+        p.add_argument("--aux-pad", type=int, help="extra auxiliary padding (default 0)")
+        p.add_argument("--seed", type=int,
+                       help="seed for an alternative (still valid) unitary completion")
 
     p = sub.add_parser("random", help="generate a seeded example tuple")
     p.add_argument("--style", choices=STYLES, default="jointly-nilpotent")
@@ -199,16 +199,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_usage(args):
+    """The input errors the parser cannot see: ``verify`` without exactly one
+    source or with ``-m`` and a build option, a degree below 1.  Fills in the
+    build options not given."""
+    if args.command == "verify":
+        if bool(args.input) == bool(args.model):
+            raise DilationForgeError("verify needs exactly one of --input and --model")
+        given = [f"--{name.replace('_', '-')}" for name in BUILD_DEFAULTS
+                 if getattr(args, name) is not None]
+        if args.model and given:
+            raise DilationForgeError(f"verify --model takes no {', '.join(given)}: "
+                                     "a model file fixes its degree, padding and completion")
+    if args.command in ("dilate", "verify"):
+        vars(args).update((k, v) for k, v in BUILD_DEFAULTS.items() if getattr(args, k) is None)
+    if args.command in ("dilate", "verify", "demo") and args.degree < 1:
+        raise DilationForgeError(f"--degree must be at least 1, got {args.degree}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify" and not (args.input or args.model):
-        print("error: verify needs --input or --model", file=sys.stderr)
-        return EXIT_INPUT
-    builds = args.command in ("dilate", "demo") or (args.command == "verify" and not args.model)
-    if builds and args.degree < 1:
-        print(f"error: --degree must be at least 1, got {args.degree}", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        _check_usage(args)
         return globals()[f"cmd_{args.command}"](args)
     except tuple(ERROR_EXITS) as exc:
         code, prefix = next(ERROR_EXITS[k] for k in type(exc).__mro__ if k in ERROR_EXITS)

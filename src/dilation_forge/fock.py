@@ -40,6 +40,15 @@ from .errors import DimensionMismatch
 from .linalg import adj, as_matrix
 
 PHASE_TOL = 1e-12  # largest | |c| - 1 | of a character cost, as for a tuple's phase table
+MAX_CELLS = 2 ** 15  # largest cell count comb(m + N, m) of a truncated model
+
+
+def check_cell_budget(m: int, N: int):
+    """``DimensionMismatch`` if F_N over m generators has over MAX_CELLS cells,
+    from their count alone, before anything whose size grows with N."""
+    if N >= 0 and comb(m + N, m) > MAX_CELLS:
+        raise DimensionMismatch(f"truncation degree {N} over {m} generators gives "
+                                f"{comb(m + N, m)} cells, more than the budget of {MAX_CELLS}")
 
 
 def enumerate_indices(m: int, N: int) -> np.ndarray:
@@ -106,6 +115,7 @@ class FockModel:
         self.merged_phases = as_matrix(self.merged_phases)
         if self.merged_phases.shape != (self.m, self.m):
             raise DimensionMismatch("merged phase table must be m x m")
+        check_cell_budget(self.m, self.N)
         self.cells = enumerate_indices(self.m, self.N)
 
     @property

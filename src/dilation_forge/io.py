@@ -13,8 +13,9 @@ Pi (dim D x dimH) as flat row-major matrices
 the sizes record ``dims``, the tails and the construction self-check
 residuals, so its size does not grow with N.  On load the coefficient layout
 is rebuilt from the tuple and ``dims.aux``, each declared shape is checked
-against it before any list is converted, Pi is rebuilt from its stored block
-by ``build_Pi`` and the dilated isometries from the file's U1 and Un.
+against it before any list is converted, and the fields make a
+``DilationModel``, which derives Pi and the dilated isometries as for a built
+model after checking N's cell budget.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from typing import Any
 import numpy as np
 
 from .builder import (MAX_PAD, CoefficientLayout, DilationModel, TransferData, build_defects,
-                      build_Pi, coefficient_layout, dilated_isometries, effective_algebra)
+                      coefficient_layout, effective_algebra)
 from .errors import MalformedSpec
-from .fock import FockModel
 from .tuples import AlgebraStructure, TupleSpec
 
 SCHEMA_VERSION = 1
@@ -188,7 +188,8 @@ def model_to_dict(model: DilationModel) -> dict:
         "dims": _dims(model.layout, model.defects, model.fock.cell_count),
         "U1": matrix_to_json(model.transfer.U1),
         "Un": matrix_to_json(model.transfer.Un),
-        "Pi": matrix_to_json(model.Pi[:model.layout.dim]),  # cell 0; build_Pi gives the rest
+        # cell 0 as build_Pi forms it: vs @ I, whose zeros may differ from vs's in sign
+        "Pi": matrix_to_json(model.Pi[:model.layout.dim]),
         "tails": [float(t) for t in model.tails],
         "construction_residuals": {k: float(v) for k, v in model.transfer.residuals.items()},
     }
@@ -201,10 +202,9 @@ def model_from_dict(doc: dict) -> DilationModel:
     (``build_defects``), the coefficient layout from them and ``dims.aux``;
     ``dims`` must then equal the rebuilt sizes.  U1, Un, Pi's cell-0 block,
     the tails and the construction residuals are taken from the file; every
-    field is checked before Pi is rebuilt from that block by ``build_Pi`` and
-    the dilated isometries from U1 and Un, so file-level corruption is caught
-    by the verifier (a corrupted block fails ``pi_isometry`` against the
-    stored tails).  A loaded model has no coupling data.
+    field is checked before they make the ``DilationModel``, so file-level
+    corruption is caught by the verifier (a corrupted block fails
+    ``pi_isometry`` against the stored tails).
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")
@@ -222,8 +222,7 @@ def model_from_dict(doc: dict) -> DilationModel:
         raise MalformedSpec(f"$.dims.aux: expected {alg.k} integers in 0..{MAX_PAD}")
     defects, merged, _ = build_defects(spec, alg)
     layout = coefficient_layout(spec, defects, aux, alg)
-    cells = comb(merged.n + N, merged.n)
-    expected = _dims(layout, defects, cells)
+    expected = _dims(layout, defects, comb(merged.n + N, merged.n))
     if dims != expected:
         raise MalformedSpec(f"$.dims: expected {expected} for this tuple and N")
     tails = _require(doc, "tails", list, "$")
@@ -236,12 +235,8 @@ def model_from_dict(doc: dict) -> DilationModel:
     transfer = TransferData(U1=json_to_matrix(doc, "U1", (size1, size1)),
                             Un=json_to_matrix(doc, "Un", (sizen, sizen)),
                             residuals=dict(zip(residuals, values.tolist())))
-    vs = json_to_matrix(doc, "Pi", (layout.dim, spec.dimH))
-    fock = FockModel(m=merged.n, N=N, coeff_dim=layout.dim, merged_phases=merged.phases)
-    return DilationModel(spec=spec, merged=merged, fock=fock, N=N, defects=defects,
-                         layout=layout, coupling=None, transfer=transfer,
-                         Pi=build_Pi(merged, vs, fock),
-                         isometries=dilated_isometries(spec, transfer, layout, fock),
+    return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=layout,
+                         transfer=transfer, vs=json_to_matrix(doc, "Pi", (layout.dim, spec.dimH)),
                          tails=tails)
 
 

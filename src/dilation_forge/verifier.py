@@ -47,9 +47,9 @@ any size, shows in these residuals as it would on the cells.
 
 The intertwinings, the moments and equivariance stay per cell.  The first
 two act on Pi, whose cells carry the powers T*^alpha, not one block times a
-character; equivariance reads coordinate labels that are automorphism powers
-along alpha.  They use each term's constant block and phases, and in
-``_fock_covariance`` a term's mass is |M|^2 on every cell.
+character, and apply each operator to it by ``FockOperator.apply_adj``;
+equivariance reads coordinate labels that are automorphism powers along
+alpha, and in ``_fock_covariance`` a term's mass is |M|^2 on every cell.
 """
 
 from __future__ import annotations
@@ -112,34 +112,13 @@ def verify_pi(model: DilationModel) -> dict:
 
 
 def verify_intertwining(model: DilationModel) -> dict:
-    """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells,
-    for the isometries V_1..V_n against T_1..T_n and for L1 against the
-    merged generator.
-
-    One stacked pass of the products ``FockOperator.apply_adj`` forms: every
-    term's block* times its phase's conjugate on each of its cells, times the
-    Pi block of the destination cell, is one batched product, added into its
-    operator's source cells; every residual is ``rel_residual``'s, from
-    ``frob_stack``.
-    """
-    spec, fock, pi = model.spec, model.fock, model.Pi
-    ops = model.isometries + [model.L1]
-    moves = [move for w in ops for move in w.moves]
-    size = [len(src) for _, _, src, _ in moves]
-    op, term = np.repeat([(k, t) for k, w in enumerate(ops) for t in range(len(w.moves))],
-                         size, axis=0).T
-    phase, src, dst = (np.concatenate(part) for part in zip(*((p, s, d) for p, _, s, d in moves)))
-    blocks = adj(np.array([block for _, block, _, _ in moves]))
-    blocks = blocks[np.repeat(np.arange(len(moves)), size)] * phase.conj()[:, None, None]
-    y = pi.reshape(fock.cell_count, fock.coeff_dim, -1)
-    products = blocks @ y[dst]
-    out = np.zeros((len(ops),) + y.shape, dtype=complex)
-    for t in range(term.max() + 1):  # an operator's terms, one at a time, as apply_adj adds them
-        rows = term == t
-        out[op[rows], src[rows]] += products[rows]
-    inner = interior_projector(fock, 1)
+    """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells, for
+    V_1..V_n against T_1..T_n and L1 against the merged generator: one
+    ``FockOperator.apply_adj`` per operator, ``rel_residual`` by ``frob_stack``."""
+    spec, pi = model.spec, model.Pi
+    inner = interior_projector(model.fock, 1)
+    lhs = np.array([w.apply_adj(pi)[inner] for w in model.isometries + [model.L1]])
     ts = np.array([spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)])
-    lhs = out.reshape(len(ops), *pi.shape)[:, inner]
     rhs = (pi @ adj(ts))[:, inner]
     resid = frob_stack(lhs - rhs) / np.maximum(1.0, frob_stack(rhs))
     names = (["dilation1_tau1"] + [f"dilation_L{i}" for i in range(2, spec.n)]

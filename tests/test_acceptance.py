@@ -6,13 +6,13 @@ per-criterion lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_defects,
-                                    build_Pi, build_transfer, build_V0, build_U,
-                                    dilated_isometries, effective_algebra, solve_aux,
+from dilation_forge.builder import (BuildConfig, assemble_model, build_defects, build_transfer,
+                                    build_V0, build_U, effective_algebra, solve_aux,
                                     truncation_tails)
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.tuples import TupleSpec, classify
@@ -171,17 +171,12 @@ def test_criterion_7_equivariant():
 def test_criterion_8_mutation_sensitivity():
     spec = random_tuple("scaled-commuting", 3, 4, 800)
     model = assemble_model(spec, N=3)
-    coupling = model.coupling
-    coupling.U = coupling.U.copy()
+    coupling = build_V0(spec, model.defects, effective_algebra(spec))  # the test's own
+    solve_aux(spec, coupling)
+    build_U(spec, model.defects, coupling)
     coupling.U[1, 1] *= -1.0
-    cfg = BuildConfig(check_identities=False)
-    transfer = build_transfer(spec, coupling, cfg)
-    pi = build_Pi(model.merged, coupling.vs, model.fock)
-    mutated = DilationModel(
-        spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
-        layout=model.layout, coupling=coupling, transfer=transfer, Pi=pi,
-        isometries=dilated_isometries(spec, transfer, model.layout, model.fock),
-        tails=model.tails)
+    transfer = build_transfer(spec, coupling, BuildConfig(check_identities=False))
+    mutated = replace(model, transfer=transfer)
     report = full_report(mutated)
     assert not report.passed
     worst = max(report.residuals[k] for k in report.failures())

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from dilation_forge.builder import (UNITARY_GATE, BuildConfig, CouplingData, ass
                                     build_defects, build_transfer, build_U, build_V0,
                                     coefficient_layout, defect_frames, effective_algebra,
                                     simplex_mass, solve_aux, truncation_tails)
-from dilation_forge.errors import (IdentityResidualExceeded, InfeasibleFinitePadding, NotInClass,
-                                   UnsupportedMultiplicity)
+from dilation_forge.errors import (DimensionMismatch, IdentityResidualExceeded,
+                                   InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
 from dilation_forge.fock import enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj
@@ -92,7 +93,7 @@ def test_coupling_carries_each_intermediate_once(aux_pad):
     hat1n = defects["hat1n"]
     assert coupling.vs.tobytes() == (coupling.V @ (adj(hat1n.basis) @ hat1n.root)).tobytes()
     fresh = coefficient_layout(spec, defects, coupling.mult1, coupling.algebra)
-    for name in ("mult1", "mult2", "D", "Udom", "Dprime", "Dprime_rows"):
+    for name in ("mult1", "mult2", "D", "Udom", "Dprime_rows"):
         assert np.array_equal(getattr(coupling.layout, name), getattr(fresh, name)), name
     assert coupling.layout.parts_D == fresh.parts_D
 
@@ -336,12 +337,29 @@ def test_model_determinism_and_free_completion():
     m1 = assemble_model(spec, N=3)
     m2 = assemble_model(spec, N=3)
     assert np.array_equal(m1.Pi, m2.Pi)
-    assert np.array_equal(m1.coupling.U, m2.coupling.U)
+    assert np.array_equal(m1.transfer.U1, m2.transfer.U1)  # U1 holds every column of U
+    u = coupling_for(spec)[2].U
+    assert np.array_equal(coupling_for(spec)[2].U, u)
     alt = assemble_model(spec, N=3, config=BuildConfig(completion_seed=42))
-    assert not np.allclose(alt.coupling.U, m1.coupling.U)
+    assert not np.allclose(coupling_for(spec, BuildConfig(completion_seed=42))[2].U, u)
+    assert not np.allclose(alt.transfer.U1, m1.transfer.U1)
     # the theorems hold for any admissible completion
     from dilation_forge.verifier import full_report
     assert full_report(alt).passed
+
+
+def test_degree_beyond_the_cell_budget_fails_before_the_tails():
+    """comb(3 + 10^9, 3) cells: ``DimensionMismatch`` before the tails or the
+    Fock model allocate anything that grows with N."""
+    spec = random_tuple("scaled-commuting", 4, 3, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="budget of 32768"):
+            assemble_model(spec, N=10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_assemble_rejects_out_of_class():

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -474,6 +475,59 @@ def test_demo_prints_identities(capsys):
 
 def test_verify_requires_source(capsys):
     assert main(["verify"]) == 1
+
+
+FIXED_BY_FILE = "a model file fixes its degree, padding and completion"
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["-i", "{tuple}"], "verify needs exactly one of --input and --model"),
+    (["--degree", "7"], f"verify --model takes no --degree: {FIXED_BY_FILE}"),
+    (["--degree", "2"], f"verify --model takes no --degree: {FIXED_BY_FILE}"),
+    (["--aux-pad", "0"], f"verify --model takes no --aux-pad: {FIXED_BY_FILE}"),
+    (["--seed", "3", "--aux-pad", "1"],
+     f"verify --model takes no --aux-pad, --seed: {FIXED_BY_FILE}"),
+], ids=["input", "other degree", "same degree", "aux-pad", "seed and aux-pad"])
+def test_verify_model_takes_no_build_option(tmp_path, triple_file, capsys, extra, message):
+    """A model file fixes N, the padding and the completion; an option that
+    says otherwise is an input error, not silently dropped."""
+    model_path = tmp_path / "model.json"
+    assert main(["dilate", "-i", triple_file, "--degree", "2", "-o", str(model_path)]) == 0
+    capsys.readouterr()
+    argv = ["verify", "-m", str(model_path)] + [a.format(tuple=triple_file) for a in extra]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"] and captured.out == ""
+
+
+def _budget_error(captured) -> bool:
+    lines = captured.err.splitlines()
+    return (len(lines) == 1 and lines[0].startswith("error: truncation degree 1000000000 ")
+            and lines[0].endswith("more than the budget of 32768") and captured.out == "")
+
+
+def test_degree_beyond_the_cell_budget_is_input_error(tmp_path, capsys):
+    tuple_path, model_path = tmp_path / "t.json", tmp_path / "model.json"
+    assert main(["random", "--style", "scaled-commuting", "--n", "4", "-o", str(tuple_path)]) == 0
+    capsys.readouterr()
+    assert main(["dilate", "-i", str(tuple_path), "--degree", "1000000000",
+                 "-o", str(model_path)]) == 1
+    assert _budget_error(capsys.readouterr())
+    assert not model_path.exists()
+
+
+def test_model_file_beyond_the_cell_budget_is_input_error(tmp_path, capsys):
+    """A file of a few kB may declare any N; the model checks the cell budget
+    before anything of that size is allocated."""
+    tuple_path, model_path = tmp_path / "t.json", tmp_path / "model.json"
+    assert main(["random", "--style", "scaled-commuting", "--n", "4", "-o", str(tuple_path)]) == 0
+    assert main(["dilate", "-i", str(tuple_path), "--degree", "2", "-o", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["N"], doc["dims"]["cells"] = 10 ** 9, comb(3 + 10 ** 9, 3)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "-m", str(model_path)]) == 1
+    assert _budget_error(capsys.readouterr())
 
 
 @pytest.mark.parametrize("argv", [["dilate", "-i", "{tuple}", "--bogus"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
-from dilation_forge.fock import (PHASE_TOL, FockModel, FockOperator, creation_matrix,
+from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, creation_matrix,
                                  enumerate_indices, interior_cells, interior_projector,
                                  _deviation_sums, parent_rows, product_norms)
 from dilation_forge.generators import random_tuple
@@ -179,6 +179,16 @@ def test_enumerate_count_formula():
     for m in (1, 2, 3):
         for N in (0, 1, 3, 5):
             assert len(enumerate_indices(m, N)) == comb(m + N, m)
+
+
+def test_cell_budget_bounds_the_model():
+    """At most ``MAX_CELLS`` cells; the check reads only the count, so a degree
+    of 10^9 fails at once."""
+    assert trivial_model(1, MAX_CELLS - 1).cell_count == MAX_CELLS
+    for m, N in ((1, MAX_CELLS), (3, 57), (4, 10 ** 9)):
+        assert comb(m + N, m) > MAX_CELLS
+        with pytest.raises(DimensionMismatch, match=f"budget of {MAX_CELLS}"):
+            trivial_model(m, N)
 
 
 SHAPES = [(1, 0, 2), (2, 0, 1), (1, 1, 3), (3, 1, 2), (2, 3, 2), (3, 2, 3), (1, 4, 1)]

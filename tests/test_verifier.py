@@ -1,12 +1,13 @@
 import tracemalloc
+from copy import copy
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from dilation_forge.builder import (BuildConfig, DilationModel, assemble_model, build_Pi,
-                                    build_transfer, dilated_isometries)
+from dilation_forge.builder import (BuildConfig, assemble_model, build_transfer, build_U,
+                                    build_V0, effective_algebra, solve_aux)
 from dilation_forge.fock import (FockOperator, creation_matrix, enumerate_indices,
                                  interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
@@ -58,17 +59,24 @@ def reference_products(model):
     return out
 
 
-def rebuilt_model(model, U):
-    """The model rebuilt, without the construction's self-checks, from coupling matrix U."""
-    spec, coupling = model.spec, model.coupling
-    coupling.U = U
-    transfer = build_transfer(spec, coupling, BuildConfig(check_identities=False))
-    pi = build_Pi(model.merged, coupling.vs, model.fock)
-    return DilationModel(
-        spec=spec, merged=model.merged, fock=model.fock, N=model.N, defects=model.defects,
-        layout=model.layout, coupling=coupling, transfer=transfer, Pi=pi,
-        isometries=dilated_isometries(spec, transfer, model.layout, model.fock),
-        tails=model.tails)
+def rebuilt_model(model, change):
+    """The model with U1 and Un rebuilt, without the construction's self-checks,
+    from ``change(U)``: U the coupling unitary of a coupling formed anew for the
+    model's tuple (a model keeps none)."""
+    spec, defects = model.spec, model.defects
+    coupling = build_V0(spec, defects, effective_algebra(spec))
+    solve_aux(spec, coupling)
+    build_U(spec, defects, coupling)
+    coupling.U = change(coupling.U)
+    return replace(model, transfer=build_transfer(spec, coupling,
+                                                  BuildConfig(check_identities=False)))
+
+
+def with_isometries(model, isometries):
+    """A copy of the model whose dilated isometries are ``isometries``."""
+    bent = copy(model)
+    bent.isometries = isometries
+    return bent
 
 
 def assert_matches_reference(model):
@@ -85,7 +93,7 @@ def test_composed_residuals_match_identity_columns(style, N):
     model = assemble_model(style_tuple(style, 3, 3, seed=21), N=N)
     assert_matches_reference(model)
     # a non-unitary coupling makes the residuals O(1), so the masks show in the values
-    broken = rebuilt_model(model, model.coupling.U + 0.1)
+    broken = rebuilt_model(model, lambda u: u + 0.1)
     assert_matches_reference(broken)
     assert max(verify_isometric_representation(broken).values()) > 1e-3
 
@@ -166,7 +174,7 @@ def assert_broken_matches_per_pair(model):
     """The model and its rebuild from the non-unitary coupling U + 0.1, whose
     residuals are O(1), against the per-pair references."""
     assert_matches_per_pair(model)
-    broken = rebuilt_model(model, model.coupling.U + 0.1)
+    broken = rebuilt_model(model, lambda u: u + 0.1)
     assert_matches_per_pair(broken)
     assert max(verify_isometric_representation(broken).values()) > 1e-3
 
@@ -194,7 +202,7 @@ def test_fixed_degree_matches_model_degree(style, N):
 
 def per_operator_intertwining(model):
     """The intertwining residuals one operator at a time, by ``apply_adj`` and
-    ``rel_residual`` (the verifier's former loop)."""
+    ``rel_residual``, each right-hand side from its own product."""
     spec, pi = model.spec, model.Pi
     inner = interior_projector(model.fock, 1)
     ts = [spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)]
@@ -208,14 +216,15 @@ def per_operator_intertwining(model):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("style", STYLES)
 def test_stacked_intertwining_matches_per_operator_loop(style, N):
-    """The stacked pass forms the sums ``apply_adj`` forms: equal bit for bit."""
+    """The verifier's ``apply_adj`` per operator and stacked ``frob_stack``
+    equal this loop's ``rel_residual`` per operator, bit for bit."""
     for n in WIDTHS.get(style, range(2, 11)):
         model = assemble_model(style_tuple(style, n, 2, seed=30 + n), N=N)
         got = verify_intertwining(model)
         assert list(got) == (["dilation1_tau1"] + [f"dilation_L{i}" for i in range(2, n)]
                              + ["dilation2_taun", "dilationV_L1"])
         assert list(got.values()) == per_operator_intertwining(model)
-        broken = rebuilt_model(model, model.coupling.U + 0.1)
+        broken = rebuilt_model(model, lambda u: u + 0.1)
         got = verify_intertwining(broken)
         assert list(got.values()) == per_operator_intertwining(broken)
         assert max(got["dilation1_tau1"], got["dilation2_taun"]) > 1e-3
@@ -231,7 +240,7 @@ def test_one_pass_keeps_each_pair_in_its_residual():
     [(slot, block, costs)] = creation_matrix(model.fock, k - 1).terms
     turn = np.exp(0.7j * (np.arange(model.fock.m) != slot))
     bent = FockOperator(model.fock, None, 1.25 * block, slot, costs * turn)
-    bent_model = replace(model, isometries=model.isometries[:k - 1] + [bent] + model.isometries[k:])
+    bent_model = with_isometries(model, model.isometries[:k - 1] + [bent] + model.isometries[k:])
     after = verify_isometric_representation(bent_model)
     assert list(after) == list(before)
     tol = DEFAULT_TOLERANCES["linear"]
@@ -261,7 +270,7 @@ def test_factorization_sees_a_bent_transfer_shift():
     turn = np.exp(0.7j * (np.arange(model.fock.m) == 1))
     bent = FockOperator(model.fock, diag, shift, slot, shift_costs / kappa_costs * turn,
                         kappa_costs)
-    bent_model = replace(model, isometries=model.isometries[:-1] + [bent])
+    bent_model = with_isometries(model, model.isometries[:-1] + [bent])
     after = {**verify_isometric_representation(bent_model), **verify_factorization(bent_model)}
     assert list(after) == list(before)
     assert max(before["factor_tau12"], before["factor_tau21"]) <= DEFAULT_TOLERANCES["product"]
@@ -285,7 +294,7 @@ def test_slightly_turned_transfer_shift_matches_per_pair(n, N, turn):
     (slot, shift, shift_costs), (_, diag, kappa_costs) = model.isometries[-1].terms
     costs = shift_costs / kappa_costs * np.exp(1j * turn * (np.arange(model.fock.m) == 1))
     bent = FockOperator(model.fock, diag, shift, slot, costs, kappa_costs)
-    bent_model = replace(model, isometries=model.isometries[:-1] + [bent])
+    bent_model = with_isometries(model, model.isometries[:-1] + [bent])
     got = {**verify_isometric_representation(bent_model), **verify_factorization(bent_model)}
     ref = {**per_pair_isometric_representation(bent_model), **per_pair_factorization(bent_model)}
     assert list(got) == list(ref)
@@ -456,9 +465,12 @@ def test_coordinate_labels_match_per_cell_composition(automorphisms):
 def test_mutation_sensitivity():
     spec = random_tuple("scaled-commuting", 3, 4, seed=8)
     model = assemble_model(spec, N=3)
-    U = model.coupling.U.copy()
-    U[0, 0] *= -1.0
-    report = full_report(rebuilt_model(model, U))
+
+    def flip(u):
+        u[0, 0] *= -1.0
+        return u
+
+    report = full_report(rebuilt_model(model, flip))
     assert not report.passed
     failing = [report.residuals[k] for k in report.failures()]
     assert max(failing) > 1e-3
