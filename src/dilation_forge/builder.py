@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, check_cell_budget, creation_matrix, enumerate_indices
+from .fock import FockModel, FockOperator, check_cell_budget, creation_matrix, degree_blocks
 from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_sqrt,
                      range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
@@ -44,7 +44,6 @@ class BuildConfig:
     identity_gate: float = 1e-10
     aux_pad: int = 0
     completion_seed: Optional[int] = None
-    check_identities: bool = True
 
     def __post_init__(self):
         if self.aux_pad < 0:
@@ -53,7 +52,6 @@ class BuildConfig:
 
 @dataclass
 class DefectData:
-    square: np.ndarray
     root: np.ndarray
     basis: np.ndarray   # orthonormal columns spanning the range of ``root``
     labels: np.ndarray  # algebra component of each basis column
@@ -150,16 +148,15 @@ class DilationModel:
 
     def coordinate_labels(self) -> Optional[np.ndarray]:
         """Algebra label of each model coordinate, shape (cells, dim D); rho(e_p)
-        on the truncated model is the diagonal indicator of label p."""
+        on the truncated model is the diagonal indicator of label p.  Cell alpha
+        maps D's labels by prod_s a_s^{alpha_s} (the a_s commute), one per tree link."""
         if self.spec.algebra is None:
             return None
-        alg, cells = self.merged.algebra, self.fock.cells
-        labels = np.broadcast_to(self.layout.D, (cells.shape[0], self.layout.dim))
-        for s, auto in enumerate(alg.automorphisms):  # apply a_s^{alpha_s}, slot 0 first
-            powers = [np.arange(alg.k)]
-            for _ in range(self.N):
-                powers.append(np.asarray(auto)[powers[-1]])
-            labels = np.asarray(powers)[cells[:, s, None], labels]
+        fock, autos = self.fock, np.asarray(self.merged.algebra.automorphisms)
+        labels = np.empty((fock.cell_count, self.layout.dim), dtype=int)
+        labels[0] = self.layout.D
+        for rows in degree_blocks(fock.m, self.N):  # a_s applied to the labels of alpha - e_s
+            labels[rows] = autos[fock.slot[rows, None], labels[fock.parent[rows]]]
         return labels
 
     @cached_property
@@ -214,8 +211,7 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
     defects = {}
     for name, sq in (("hat1", sq_hat1), ("hatn", sq_hatn), ("hat1n", sq_hat1n)):
         root = psd_sqrt(sq)
-        defects[name] = DefectData(sq, root, *_per_component(root, blocks, blocks, alg.k,
-                                                             range_basis))
+        defects[name] = DefectData(root, *_per_component(root, blocks, blocks, alg.k, range_basis))
 
     t1, tn = spec.op(1), spec.op(spec.n)
     resid = max(
@@ -374,7 +370,7 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
         u += cod_p @ adj(dom_p)
 
     resid, gate = frob(adj(u) @ u - eye(dD)), UNITARY_GATE * max(1.0, dD)
-    if config.check_identities and resid > gate:
+    if resid > gate:
         raise IdentityResidualExceeded("U_unitarity", resid, gate)
 
     q1n = defects["hat1n"].basis
@@ -388,9 +384,9 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
     return coupling
 
 
-def _gate(residuals: dict, name: str, value: float, gate: float, enabled: bool):
+def _gate(residuals: dict, name: str, value: float, gate: float):
     residuals[name] = value
-    if enabled and value > gate:
+    if value > gate:
         raise IdentityResidualExceeded(name, value, gate)
 
 
@@ -431,17 +427,15 @@ def build_transfer(spec: TupleSpec, coupling: CouplingData,
     un = np.block([[an, bn], [cn, np.zeros((r1, r1), dtype=complex)]])
 
     residuals: dict = {}
-    chk = config.check_identities
     _gate(residuals, "U1_unitarity", frob(adj(u1) @ u1 - eye(u1.shape[0])),
-          UNITARY_GATE * max(1.0, u1.shape[0]), chk)
+          UNITARY_GATE * max(1.0, u1.shape[0]))
     _gate(residuals, "Un_unitarity", frob(adj(un) @ un - eye(un.shape[0])),
-          UNITARY_GATE * max(1.0, un.shape[0]), chk)
+          UNITARY_GATE * max(1.0, un.shape[0]))
     for tag, (a, b, c) in (("U1", (a1, b1, c1)), ("Un", (an, bn, cn))):
-        _gate(residuals, f"{tag}_ACstar", frob(a @ adj(c)), UNITARY_GATE * dD, chk)
-        _gate(residuals, f"{tag}_CCstar", frob(c @ adj(c) - eye(c.shape[0])),
-              UNITARY_GATE * dD, chk)
+        _gate(residuals, f"{tag}_ACstar", frob(a @ adj(c)), UNITARY_GATE * dD)
+        _gate(residuals, f"{tag}_CCstar", frob(c @ adj(c) - eye(c.shape[0])), UNITARY_GATE * dD)
         _gate(residuals, f"{tag}_rows", frob(a @ adj(a) + b @ adj(b) - eye(dD)),
-              UNITARY_GATE * dD, chk)
+              UNITARY_GATE * dD)
 
     # the frames X = (Dn h, D1 t1* h) and Y = (D1 h, Dn tn* h) of build_V0, in coordinates
     x, y, vs = coupling.X, coupling.Y, coupling.vs
@@ -451,20 +445,20 @@ def build_transfer(spec: TupleSpec, coupling: CouplingData,
     f_in = np.vstack([y, np.zeros((e2, spec.dimH))])
     f_out = np.vstack([x, np.zeros((e1, spec.dimH))])
     _gate(residuals, "frame_eq_f", rel_residual(u_mat @ f_in - f_out, f_out),
-          config.identity_gate, chk)
+          config.identity_gate)
 
     lemma_in = np.vstack([vs, y[r1:] @ adj(t1), np.zeros((e1, spec.dimH))])
     lemma_out = np.vstack([vs @ adj(t1), x[:rn], np.zeros((e1, spec.dimH))])
     _gate(residuals, "lemma_U1", rel_residual(u1 @ lemma_in - lemma_out, lemma_out),
-          config.identity_gate, chk)
+          config.identity_gate)
 
     mu = spec.u(spec.n, 1)  # flip into merged (E1 before En) coordinate order
     abn_in = np.vstack([vs, mu * (x[rn:] @ adj(tn))])
     abn_out = np.vstack([vs @ adj(tn), y[:r1]])
     _gate(residuals, "eq_ABn", rel_residual(un @ abn_in - abn_out, abn_out),
-          config.identity_gate, chk)
+          config.identity_gate)
     _gate(residuals, "eq_Cn", rel_residual(cn @ vs - y[:r1], y[:r1]),
-          config.identity_gate, chk)
+          config.identity_gate)
 
     return TransferData(U1=u1, Un=un, residuals=residuals)
 
@@ -515,7 +509,7 @@ def build_Pi(merged: TupleSpec, vs: np.ndarray, fock: FockModel) -> np.ndarray:
     determined by it and the merged tuple; ``DilationModel`` forms Pi here,
     for a built and a loaded model alike.
     """
-    return (vs @ ordered_power_products(merged, fock.cells)).reshape(-1, merged.dimH)
+    return (vs @ ordered_power_products(merged, fock.N)).reshape(-1, merged.dimH)
 
 
 def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
@@ -537,8 +531,8 @@ def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.nda
 
 def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
     """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over |alpha| <= N, one
-    power-table row per cell of ``enumerate_indices``."""
-    table = ordered_power_products(merged, enumerate_indices(merged.n, N))
+    power-table row per cell."""
+    table = ordered_power_products(merged, N)
     return np.sum(np.abs(dhat_root @ table) ** 2, axis=1).sum(axis=0)
 
 
@@ -551,10 +545,9 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     solve_aux(spec, coupling, config)
     build_U(spec, defects, coupling, config)
     transfer = build_transfer(spec, coupling, config)
-    _gate(transfer.residuals, "defect_equality", eq_resid, config.identity_gate,
-          config.check_identities)
+    _gate(transfer.residuals, "defect_equality", eq_resid, config.identity_gate)
     _, radius = is_pure(merged, 1)
-    if config.check_identities and radius >= 1.0:
+    if radius >= 1.0:
         raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
     check_cell_budget(merged.n, N)
     tails = truncation_tails(merged, defects["hat1n"].root, N)

@@ -5,6 +5,10 @@ Z_+^m with total degree |alpha| <= N, each cell a copy of the coefficient
 space.  The canonical tensor-slot order inside a cell monomial is generator
 order: the merged generator's factors first, then generator 2, and so on.
 
+The cells form a tree, alpha != 0 hanging from alpha - e_s (s its first
+non-zero slot): ``enumerate_indices`` returns the links, every walk over the
+cells follows them, and the successor table is the one lookup by value.
+
 Phase bookkeeping: the generators u-commute via the merged table, so moving a
 tensor factor across the monomial picks up phases.  Two insertion conventions
 appear:
@@ -51,9 +55,10 @@ def check_cell_budget(m: int, N: int):
                                 f"{comb(m + N, m)} cells, more than the budget of {MAX_CELLS}")
 
 
-def enumerate_indices(m: int, N: int) -> np.ndarray:
-    """All alpha in Z_+^m with |alpha| <= N as a read-only (cells, m) array,
-    ordered by degree then colex.
+def enumerate_indices(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(cells, slot, parent)``: all alpha in Z_+^m with |alpha| <= N
+    as a (cells, m) array ordered by degree then colex, each row's first
+    non-zero slot s and the row of its parent alpha - e_s (row 0: slot 0, itself).
 
     Within a degree the order is (k,0,..) before (k-1,1,0,..) etc., i.e.
     ascending in the reversed tuple, so m=2, N=1 yields [(0,0),(1,0),(0,1)].
@@ -64,13 +69,24 @@ def enumerate_indices(m: int, N: int) -> np.ndarray:
     if m < 1 or N < 0:
         raise DimensionMismatch("need m >= 1 and N >= 0")
     unit = np.eye(m, dtype=int)
-    levels, first = [np.zeros((1, m), dtype=int)], np.array([m - 1])
+    zero, first, start = np.zeros(1, dtype=int), np.array([m - 1]), 0
+    levels, slot, parent = [np.zeros((1, m), dtype=int)], [zero], [zero]
     for _ in range(N):  # the slot added is the child's first non-zero slot
         rows, first = np.nonzero(np.arange(m) <= first[:, None])
+        parent.append(rows + start)
+        start += len(levels[-1])
         levels.append(levels[-1][rows] + unit[first])
-    cells = np.concatenate(levels)
-    cells.setflags(write=False)
-    return cells
+        slot.append(first)
+    out = tuple(np.concatenate(x) for x in (levels, slot, parent))
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
+def degree_blocks(m: int, N: int) -> list:
+    """The rows of degrees 1..N of ``enumerate_indices(m, N)``, as slices: degree
+    k is [comb(m + k - 1, m), comb(m + k, m)); a walk down the tree takes them in turn."""
+    return [slice(comb(m + k - 1, m), comb(m + k, m)) for k in range(1, N + 1)]
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -86,37 +102,26 @@ def _row_index(cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return order[np.searchsorted(keys, _row_keys(rows), sorter=order).clip(max=len(keys) - 1)]
 
 
-def parent_rows(cells: np.ndarray, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Per row alpha of ``cells``: the slot s of its first (``last``: last)
-    non-zero entry and the row of alpha - e_s, which ``cells`` must hold.
-    A zero row is its own parent."""
-    nonzero = cells > 0
-    slot = cells.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1) if last else \
-        np.argmax(nonzero, axis=1)
-    lower = cells - np.eye(cells.shape[1], dtype=int)[slot] * nonzero
-    parent = _row_index(cells, lower)
-    if not (cells[parent] == lower).all():
-        raise DimensionMismatch("a multi-index minus its unit is not among the cells")
-    return slot, parent
-
-
 @dataclass
 class FockModel:
     """Index bookkeeping for the truncated Fock space F_N(E) (x) D: the cells
-    are the rows of ``cells``, as ordered by ``enumerate_indices``."""
+    are the rows of ``cells``, with their tree links ``slot`` and ``parent``,
+    as ``enumerate_indices`` returns them."""
 
     m: int
     N: int
     coeff_dim: int
     merged_phases: np.ndarray
     cells: np.ndarray = field(init=False)
+    slot: np.ndarray = field(init=False)
+    parent: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.merged_phases = as_matrix(self.merged_phases)
         if self.merged_phases.shape != (self.m, self.m):
             raise DimensionMismatch("merged phase table must be m x m")
         check_cell_budget(self.m, self.N)
-        self.cells = enumerate_indices(self.m, self.N)
+        self.cells, self.slot, self.parent = enumerate_indices(self.m, self.N)
 
     @property
     def cell_count(self) -> int:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MalformedSpec, UnsupportedMultiplicity
-from .fock import parent_rows
+from .fock import degree_blocks, enumerate_indices
 from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, psd_check, psd_flags
 
 PURITY_TOL = 1e-8
@@ -301,10 +301,10 @@ def purity_radii(spec: TupleSpec, indices: Sequence[int]) -> list[float]:
     return [float(np.max(np.abs(np.linalg.eigvals(cp_map_matrix(spec, i))))) for i in indices]
 
 
-def is_pure(spec: TupleSpec, i: int, tol: float = PURITY_TOL) -> tuple[bool, float]:
-    """Purity of index i: the spectral radius of its CP map (``purity_radii``) is below one."""
+def is_pure(spec: TupleSpec, i: int) -> tuple[bool, float]:
+    """Purity of index i: its CP map's spectral radius is below 1 - PURITY_TOL."""
     radius = purity_radii(spec, [i])[0]
-    return radius < 1.0 - tol, radius
+    return radius < 1.0 - PURITY_TOL, radius
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -375,23 +375,21 @@ def merge_1n(spec: TupleSpec) -> TupleSpec:
                      phases=phases, algebra=algebra)
 
 
-def ordered_power_products(spec: TupleSpec, cells) -> np.ndarray:
-    """Adjoint power products (T^{(alpha)})* for d = 1, one per row of ``cells``.
+def ordered_power_products(spec: TupleSpec, N: int) -> np.ndarray:
+    """Adjoint power products (T^{(alpha)})* for d = 1, one per row of
+    ``fock.enumerate_indices(spec.n, N)``.
 
     T^{(alpha)} = t_1^{a_1} t_2^{a_2} ... with slot-1 powers leftmost.  Row r
     of the (rows, dimH, dimH) table is (T^{(alpha_r)})* = (T^{(alpha_r - e_s)})*
-    t_s*, s the first non-zero slot, one batched product per degree; the rows
-    may come in any order but must hold each alpha - e_s (``fock.parent_rows``).
+    t_s*, s the first non-zero slot: the enumerator's parent link, one batched
+    product per degree block of rows.
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("power products require d = 1")
-    cells = np.asarray(cells, dtype=int)
-    slot, parent = parent_rows(cells)
+    _, slot, parent = enumerate_indices(spec.n, N)
     tadj = adj(np.array([row[0] for row in spec.blocks]))
-    degree = cells.sum(axis=1)
-    table = np.empty((len(cells), spec.dimH, spec.dimH), dtype=complex)
-    table[degree == 0] = np.eye(spec.dimH)
-    for k in range(1, degree.max(initial=0) + 1):
-        rows = np.flatnonzero(degree == k)
+    table = np.empty((len(slot), spec.dimH, spec.dimH), dtype=complex)
+    table[0] = np.eye(spec.dimH)
+    for rows in degree_blocks(spec.n, N):
         table[rows] = table[parent[rows]] @ tadj[slot[rows]]
     return table

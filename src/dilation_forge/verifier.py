@@ -61,9 +61,9 @@ from math import comb
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import FockOperator, enumerate_indices, interior_projector, parent_rows, product_norms
+from .fock import FockOperator, enumerate_indices, interior_projector, product_norms
 from .linalg import adj, eye, frob_stack, rel_residual
-from .tuples import invert_perm, ordered_power_products
+from .tuples import invert_perm
 
 DEFAULT_TOLERANCES = {
     "linear": 1e-10,   # single-operator intertwinings, isometries, equivariance
@@ -178,27 +178,30 @@ def verify_isometric_representation(model: DilationModel) -> dict:
 def verify_moments(model: DilationModel) -> dict:
     """Brute-force oracle <Pi h, V^beta Pi g> = <h, T^beta g> over all basis pairs.
 
-    V^beta = V_1^{beta_1} ... V_n^{beta_n}.  One (betas, dim, dimH) memo over
-    the rows of ``enumerate_indices(n, MOMENT_MAXDEG)`` holds (V^beta)* Pi =
-    V_s* (V^{beta - e_s})* Pi, s the last non-zero slot of beta, from one
-    ``apply_adj`` per (degree, s) group on its predecessors side by side.  It
-    gives both sides, Pi* V^beta Pi = ((V^beta)* Pi)* Pi, and
-    ``tuples.ordered_power_products`` gives (T^beta)* on the same rows.  At
-    finite truncation the identity holds only up to the dropped mass, so the
-    entry comes with a computed ``moment_allowance``: the spectral defect of
-    Pi*Pi plus the largest operator-norm gap between V^beta* Pi and Pi T^beta*,
-    from the gaps' dimH x dimH Gram eigenvalues.  Both vanish when the tuple
-    is nilpotent enough for the truncation to be exact.
+    V^beta = V_1^{beta_1} ... V_n^{beta_n}.  The betas are the rows of
+    ``enumerate_indices(n, MOMENT_MAXDEG)`` read with the slots reversed, so a
+    row's first unit j is beta's last, s = n - 1 - j, and its parent link is
+    beta - e_s.  One walk down that tree, per (degree, s) group, fills the
+    (betas, dim, dimH) memo (V^beta)* Pi = V_s* (V^{beta - e_s})* Pi (one
+    ``apply_adj`` on the group's parents side by side) and the table
+    (T^beta)* = t_s* (T^{beta - e_s})*; the memo gives both sides, Pi* V^beta
+    Pi = ((V^beta)* Pi)* Pi.  At finite truncation the identity holds only up
+    to the dropped mass, so the entry comes with a computed
+    ``moment_allowance``: the spectral defect of Pi*Pi plus the largest
+    operator-norm gap between V^beta* Pi and Pi T^beta*, from the gaps'
+    dimH x dimH Gram eigenvalues.  Both vanish when the tuple is nilpotent
+    enough for the truncation to be exact.
     """
-    spec, pi, ws = model.spec, model.Pi, model.isometries
-    betas = enumerate_indices(spec.n, min(MOMENT_MAXDEG, max(model.N - 1, 0)))
-    tadj = ordered_power_products(spec, betas)
-    slot, parent = parent_rows(betas, last=True)
-    group = betas.sum(axis=1) * spec.n + slot  # (degree, slot) pairs, in degree order
-    back = np.empty((len(betas),) + pi.shape, dtype=complex)
-    back[0] = pi
+    spec, pi, ws, n = model.spec, model.Pi, model.isometries, model.spec.n
+    cells, slot, parent = enumerate_indices(n, min(MOMENT_MAXDEG, max(model.N - 1, 0)))
+    group = cells.sum(axis=1) * n + n - 1 - slot  # (degree, beta's last slot), in degree order
+    ops = adj(np.array([spec.op(i) for i in range(1, n + 1)]))
+    tadj = np.empty((len(cells), spec.dimH, spec.dimH), dtype=complex)
+    back = np.empty((len(cells),) + pi.shape, dtype=complex)
+    tadj[0], back[0] = eye(spec.dimH), pi
     for g in np.unique(group[1:]):
-        rows, s = np.flatnonzero(group == g), g % spec.n
+        rows, s = np.flatnonzero(group == g), g % n
+        tadj[rows] = ops[s] @ tadj[parent[rows]]
         cols = back[parent[rows]].transpose(1, 0, 2).reshape(len(pi), -1)
         back[rows] = ws[s].apply_adj(cols).reshape(len(pi), len(rows), -1).transpose(1, 0, 2)
     residual = float(np.max(np.abs(adj(back) @ pi - adj(tadj))))

@@ -7,10 +7,12 @@ per-criterion lines.
 
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dilation_forge import builder
 from dilation_forge.builder import (BuildConfig, assemble_model, build_defects, build_transfer,
                                     build_V0, build_U, effective_algebra, solve_aux,
                                     truncation_tails)
@@ -175,7 +177,8 @@ def test_criterion_8_mutation_sensitivity():
     solve_aux(spec, coupling)
     build_U(spec, model.defects, coupling)
     coupling.U[1, 1] *= -1.0
-    transfer = build_transfer(spec, coupling, BuildConfig(check_identities=False))
+    with mock.patch.object(builder, "UNITARY_GATE", np.inf):
+        transfer = build_transfer(spec, coupling, BuildConfig(identity_gate=np.inf))
     mutated = replace(model, transfer=transfer)
     report = full_report(mutated)
     assert not report.passed

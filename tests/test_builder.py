@@ -33,17 +33,18 @@ def coupling_for(spec, config=BuildConfig()):
 
 def test_defects_scalar_triple_frozen_values():
     defects, merged, resid = defects_for(scalar_triple(0.5, 0.4, 0.3))
-    assert defects["hat1"].square[0, 0] == pytest.approx((1 - 0.16) * (1 - 0.09))   # 0.7644
-    assert defects["hatn"].square[0, 0] == pytest.approx((1 - 0.25) * (1 - 0.16))   # 0.63
-    assert defects["hat1n"].square[0, 0] == pytest.approx((1 - 0.0225) * (1 - 0.16))  # 0.8211
+    squares = {name: (d.root @ d.root)[0, 0] for name, d in defects.items()}
+    assert squares["hat1"] == pytest.approx((1 - 0.16) * (1 - 0.09))   # 0.7644
+    assert squares["hatn"] == pytest.approx((1 - 0.25) * (1 - 0.16))   # 0.63
+    assert squares["hat1n"] == pytest.approx((1 - 0.0225) * (1 - 0.16))  # 0.8211
     assert resid < 1e-14
     assert merged.op(1)[0, 0] == pytest.approx(0.15)
 
 
 def test_defects_pair():
     defects, _, _ = defects_for(TupleSpec.from_operators([[[0.5]], [[0.8]]]))
-    assert defects["hat1"].square[0, 0] == pytest.approx(1 - 0.64)
-    assert defects["hatn"].square[0, 0] == pytest.approx(1 - 0.25)
+    assert (defects["hat1"].root @ defects["hat1"].root)[0, 0] == pytest.approx(1 - 0.64)
+    assert (defects["hatn"].root @ defects["hatn"].root)[0, 0] == pytest.approx(1 - 0.25)
 
 
 def test_defects_reject_out_of_class():
@@ -399,20 +400,20 @@ def test_power_table_matches_dict_memo(m):
     ops = [(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 3 for _ in range(m)]
     spec = TupleSpec.from_operators(ops)
     for N in range(7):
-        for cells in (enumerate_indices(m, N), box_indices(m, N)):
-            table = ordered_power_products(spec, cells)
-            memo = dict_power_products(spec, cells)
-            ref = np.array([memo[tuple(alpha)] for alpha in np.asarray(cells).tolist()])
-            assert table.shape == ref.shape
-            assert np.linalg.norm(table - ref) <= 1e-15 * np.linalg.norm(ref)
+        cells = enumerate_indices(m, N)[0]
+        table = ordered_power_products(spec, N)
+        memo = dict_power_products(spec, cells)
+        ref = np.array([memo[tuple(alpha)] for alpha in cells.tolist()])
+        assert table.shape == ref.shape
+        assert np.linalg.norm(table - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 def box_enumeration_tails(merged, dhat_root, N):
     """Reference tails: the 2^m telescoping of the (N+1)^m box partial sum,
-    minus the box cells above degree N, each cell a row of the power table."""
+    minus the box cells above degree N, each cell from ``dict_power_products``."""
     m, dim = merged.n, merged.dimH
     cells = box_indices(m, N)
-    table = ordered_power_products(merged, cells)
+    memo = dict_power_products(merged, cells)
     tele = np.zeros(dim)
     for mask in range(1, 2 ** m):
         members = [s for s in range(m) if mask >> s & 1]
@@ -422,9 +423,9 @@ def box_enumeration_tails(merged, dhat_root, N):
         power = np.linalg.matrix_power(tg, N + 1)
         tele -= (-1.0) ** len(members) * np.sum(np.abs(power) ** 2, axis=1)
     excess = np.zeros(dim)
-    for row, alpha in enumerate(cells):
+    for alpha in cells:
         if sum(alpha) > N:
-            excess += np.sum(np.abs(dhat_root @ table[row]) ** 2, axis=0)
+            excess += np.sum(np.abs(dhat_root @ memo[alpha]) ** 2, axis=0)
     return tele + excess
 
 

@@ -10,7 +10,7 @@ from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
 from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, creation_matrix,
                                  enumerate_indices, interior_cells, interior_projector,
-                                 _deviation_sums, parent_rows, product_norms)
+                                 _deviation_sums, product_norms)
 from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
 from fock_reference import (product as pair_product, sparse_product, sparse_terms_norm,
@@ -100,9 +100,9 @@ def unit_columns(mask):
 
 
 def test_enumerate_basics():
-    assert enumerate_indices(1, 2).tolist() == [[0], [1], [2]]
-    assert enumerate_indices(2, 1).tolist() == [[0, 0], [1, 0], [0, 1]]
-    assert len(enumerate_indices(2, 2)) == 6
+    assert enumerate_indices(1, 2)[0].tolist() == [[0], [1], [2]]
+    assert enumerate_indices(2, 1)[0].tolist() == [[0, 0], [1, 0], [0, 1]]
+    assert len(enumerate_indices(2, 2)[0]) == 6
     cells = trivial_model(2, 2).cells
     assert cells.shape == (6, 2) and not cells.flags.writeable
 
@@ -113,10 +113,10 @@ def test_enumerate_matches_sorted_box(m):
     for N in range(7):
         box = [a for a in product(range(N + 1), repeat=m) if sum(a) <= N]
         ref = sorted(box, key=lambda a: (sum(a), a[::-1]))
-        assert enumerate_indices(m, N).tolist() == [list(a) for a in ref]
+        assert enumerate_indices(m, N)[0].tolist() == [list(a) for a in ref]
 
 
-@pytest.mark.parametrize("m,N", [(1, 3), (2, 4), (3, 3), (5, 2)])
+@pytest.mark.parametrize("m,N", [(1, 0), (1, 3), (2, 4), (3, 3), (5, 2), (4, 4), (6, 3), (2, 9)])
 def test_successor_matches_position_lookup(m, N):
     model = trivial_model(m, N)
     position = index_of(model)
@@ -157,28 +157,27 @@ def test_operators_from_successor_table_are_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize("m,N", [(1, 0), (1, 3), (2, 4), (3, 3), (5, 2)])
 def test_parent_rows_drop_first_or_last_unit(m, N):
-    cells = enumerate_indices(m, N)
+    """The enumerator's links drop each row's first unit, from a parent of
+    one degree less; read with the slots reversed, they drop its last unit."""
+    cells, slot, parent = enumerate_indices(m, N)
+    assert not (slot.flags.writeable or parent.flags.writeable)
     rows = [tuple(a) for a in cells.tolist()]
     for last in (False, True):
-        slot, parent = parent_rows(cells, last=last)
-        for r, a in enumerate(rows):
+        read = [a[::-1] for a in rows] if last else rows
+        for r, a in enumerate(read):
             if not any(a):
-                assert parent[r] == r
+                assert r == 0 and parent[r] == r and slot[r] == 0
                 continue
             s = [k for k, v in enumerate(a) if v][-1 if last else 0]
-            assert slot[r] == s
-            assert rows[parent[r]] == a[:s] + (a[s] - 1,) + a[s + 1:]
-
-
-def test_parent_rows_need_every_parent():
-    with pytest.raises(DimensionMismatch):
-        parent_rows(np.array([[0, 0], [2, 1]]))
+            assert (m - 1 - slot[r] if last else slot[r]) == s
+            assert read[parent[r]] == a[:s] + (a[s] - 1,) + a[s + 1:]
+            assert sum(cells[parent[r]]) == sum(a) - 1
 
 
 def test_enumerate_count_formula():
     for m in (1, 2, 3):
         for N in (0, 1, 3, 5):
-            assert len(enumerate_indices(m, N)) == comb(m + N, m)
+            assert len(enumerate_indices(m, N)[0]) == comb(m + N, m)
 
 
 def test_cell_budget_bounds_the_model():
@@ -357,7 +356,7 @@ def test_deviation_sums_match_cellwise_sums(m, N, scale):
     against the cell-by-cell sums: within 1e-13 relative to the sum of the
     terms' moduli, for angles of any size."""
     rng = np.random.default_rng(m * 10 + N)
-    cells = enumerate_indices(m, N)
+    cells = enumerate_indices(m, N)[0]
     theta = scale * rng.uniform(-np.pi, np.pi, (N + 2, m))
     got = _deviation_sums(theta, np.arange(-1, N + 1))
     for row, free in enumerate(range(-1, N + 1)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dilation_forge.errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
-from dilation_forge.linalg import (adj, frob, frob_stack, isometry_from_frames,
+from dilation_forge.linalg import (DEFAULT_TOL, adj, frob, frob_stack, isometry_from_frames,
                                    orthogonal_complement, psd_check, psd_flags, psd_sqrt,
                                    range_basis)
 
@@ -121,6 +121,7 @@ def test_psd_sqrt_verdict_is_the_gate_verdict_at_the_cutoff():
     cutoff -tol * max(1, ||A||_2)."""
     rng = np.random.default_rng(5)
     tol, verdicts = 1e-10, set()
+    assert tol == DEFAULT_TOL  # the cutoff psd_sqrt uses
     for dim in (2, 3, 5):
         q, _ = np.linalg.qr(crandn(rng, (dim, dim)))
         for step in range(-40, 41):
@@ -130,7 +131,7 @@ def test_psd_sqrt_verdict_is_the_gate_verdict_at_the_cutoff():
             ok = psd_check(a, tol).is_psd
             verdicts.add(ok)
             try:
-                psd_sqrt(a, tol)
+                psd_sqrt(a)
                 assert ok, (dim, step)
             except NotPSD:
                 assert not ok, (dim, step)

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 from copy import copy
 from dataclasses import replace
 from itertools import combinations
@@ -6,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from dilation_forge import builder
 from dilation_forge.builder import (BuildConfig, assemble_model, build_transfer, build_U,
                                     build_V0, effective_algebra, solve_aux)
 from dilation_forge.fock import (FockOperator, creation_matrix, enumerate_indices,
@@ -68,8 +70,9 @@ def rebuilt_model(model, change):
     solve_aux(spec, coupling)
     build_U(spec, defects, coupling)
     coupling.U = change(coupling.U)
-    return replace(model, transfer=build_transfer(spec, coupling,
-                                                  BuildConfig(check_identities=False)))
+    with mock.patch.object(builder, "UNITARY_GATE", np.inf):
+        transfer = build_transfer(spec, coupling, BuildConfig(identity_gate=np.inf))
+    return replace(model, transfer=transfer)
 
 
 def with_isometries(model, isometries):
@@ -369,14 +372,15 @@ def test_moments_nilpotent_exact():
 def two_memo_moments(model, maxdeg=3):
     """The moment oracle from a forward memo V^beta Pi and an adjoint memo (V^beta)* Pi."""
     spec, pi, ws = model.spec, model.Pi, model.isometries
-    betas = [tuple(b) for b in enumerate_indices(spec.n, min(maxdeg, model.N - 1)).tolist()]
+    K = min(maxdeg, model.N - 1)
+    betas = [tuple(b) for b in enumerate_indices(spec.n, K)[0].tolist()]
     forward, backward = {betas[0]: pi}, {betas[0]: pi}
     for beta in betas[1:]:
         slots = [k for k, v in enumerate(beta) if v > 0]
         for memo, s, apply in ((forward, slots[0], "apply"), (backward, slots[-1], "apply_adj")):
             lower = beta[:s] + (beta[s] - 1,) + beta[s + 1:]
             memo[beta] = getattr(ws[s], apply)(memo[lower])
-    tadj = ordered_power_products(spec, betas)
+    tadj = ordered_power_products(spec, K)
     residual = gap = 0.0
     for row, beta in enumerate(betas):
         residual = max(residual, np.max(np.abs(adj(pi) @ forward[beta] - adj(tadj[row]))))
