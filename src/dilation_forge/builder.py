@@ -1,7 +1,7 @@
 """End-to-end construction of the isometric dilation for d = 1 tuples.
 
 Pipeline: defect operators for the two deleted-index sub-tuples and the merged
-tuple, the norm-preserving coupling V0 between the two defect frames, finite
+tuple, the norm-preserving coupling V0 between the two defect frames, minimal
 auxiliary padding, the extended unitary U, the block unitaries U1/Un, their
 transfer-operator realizations on the truncated Fock model, and the dilation
 map Pi with exact truncation-tail accounting.  Szego operators and tails are
@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
-                     NotInClass, UnsupportedMultiplicity)
+from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
+                     InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
 from .fock import FockModel, FockOperator, check_cell_budget, creation_matrix, degree_blocks
 from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_sqrt,
                      range_basis, rel_residual)
@@ -41,13 +41,14 @@ MAX_PAD = 64          # largest auxiliary multiplicity of one algebra component
 
 @dataclass
 class BuildConfig:
+    """The identity gate and the one free choice, the completion of V0 to U."""
+
     identity_gate: float = 1e-10
-    aux_pad: int = 0
     completion_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.aux_pad < 0:
-            raise DimensionMismatch(f"aux_pad counts padding coordinates, got {self.aux_pad}")
+        if (self.completion_seed or 0) < 0:
+            raise DilationForgeError(f"completion seed must be >= 0, got {self.completion_seed}")
 
 
 @dataclass
@@ -285,9 +286,8 @@ def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingD
                         X=x, Y=y)
 
 
-def solve_aux(spec: TupleSpec, coupling: CouplingData,
-              config: BuildConfig = BuildConfig()) -> tuple[int, int]:
-    """Finite auxiliary padding: the multiplicity vector mult1 of aux1.
+def solve_aux(spec: TupleSpec, coupling: CouplingData) -> tuple[int, int]:
+    """The minimal finite auxiliary padding: the multiplicity vector mult1 of aux1.
 
     aux2 has multiplicities mult2 = mult1 o an^{-1} (existence of u2), and
     mult1 = mult2 o a1^{-1} (existence of u1); the unitary completion needs
@@ -295,10 +295,11 @@ def solve_aux(spec: TupleSpec, coupling: CouplingData,
     mult1[an^{-1}(p)] - mult1[p] = #M1_p - #M2_p, and mult1 is constant along
     the twist a1 o an.  These differences fix mult1 on each orbit of <a1, an>
     up to a shift: the potentials are propagated along an^{-1}, an, the twist
-    and its inverse, and shifted so that the orbit's least entry is
-    ``config.aux_pad``.  The scalar case reduces to #M1 = #M2 and padding
-    (pad, pad).  Stores mult1 on the coupling and returns the sizes of aux1
-    and aux2, which are equal.
+    and its inverse, and shifted so that the orbit's least entry is 0.  The
+    scalar case reduces to #M1 = #M2 and no padding.  More padding (``mult1``
+    raised before ``build_U``) adds coordinates that no V^alpha Pi h reaches
+    unless a completion seed mixes them in.  Stores mult1 on the coupling and
+    returns the sizes of aux1 and aux2, which are equal.
     """
     alg = coupling.algebra
     a1, an = np.asarray(alg.automorphisms[0]), np.asarray(alg.automorphisms[spec.n - 1])
@@ -323,7 +324,7 @@ def solve_aux(spec: TupleSpec, coupling: CouplingData,
                         f"multiplicity constraints are inconsistent at component {q}"
                         f" ({pot[q]} vs {val}); no finite padding exists")
         orbit, values = list(pot), np.array(list(pot.values()))
-        mult1[orbit], seen[orbit] = values - values.min() + config.aux_pad, True
+        mult1[orbit], seen[orbit] = values - values.min(), True
     if int(mult1.max(initial=0)) > MAX_PAD:
         raise InfeasibleFinitePadding(
             f"minimal padding {int(mult1.max())} exceeds the limit {MAX_PAD}")
@@ -509,7 +510,7 @@ def build_Pi(merged: TupleSpec, vs: np.ndarray, fock: FockModel) -> np.ndarray:
     determined by it and the merged tuple; ``DilationModel`` forms Pi here,
     for a built and a loaded model alike.
     """
-    return (vs @ ordered_power_products(merged, fock.N)).reshape(-1, merged.dimH)
+    return (vs @ ordered_power_products(merged, fock)).reshape(-1, merged.dimH)
 
 
 def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
@@ -529,10 +530,10 @@ def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.nda
     return 1.0 - np.real(np.diag(sum(layer)))
 
 
-def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
-    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over |alpha| <= N, one
-    power-table row per cell."""
-    table = ordered_power_products(merged, N)
+def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, fock: FockModel) -> np.ndarray:
+    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over the cells of ``fock``,
+    one power-table row per cell."""
+    table = ordered_power_products(merged, fock)
     return np.sum(np.abs(dhat_root @ table) ** 2, axis=1).sum(axis=0)
 
 
@@ -542,7 +543,7 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     alg = effective_algebra(spec)
     defects, merged, eq_resid = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)
-    solve_aux(spec, coupling, config)
+    solve_aux(spec, coupling)
     build_U(spec, defects, coupling, config)
     transfer = build_transfer(spec, coupling, config)
     _gate(transfer.residuals, "defect_equality", eq_resid, config.identity_gate)

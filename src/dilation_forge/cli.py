@@ -9,12 +9,12 @@ padding; 4 construction identity residual exceeded.  Which error gets which
 code, and the prefix of its one ``error:`` line on stderr, is ``ERROR_EXITS``;
 only ``main`` reads it, so no command catches an error itself.
 
-``dilate`` and ``verify -i`` build through ``_build``; only ``dilate`` gates
-the construction identities at ``--tol``; ``verify -m`` takes none of its
-options (``_check_usage``).  ``verify --format text`` and
-``demo`` print through ``_print_report``: the construction self-check
-residuals before the verification residuals; for ``verify -m`` they are the
-ones stored in the model file.
+``dilate`` and ``verify -i`` build through ``_build`` with the minimal padding;
+``--seed`` picks the unitary completion, the one free choice.  Only ``dilate``
+gates the construction identities at ``--tol``; ``verify -m`` takes no build
+option (``_check_usage``).  ``verify --format text`` and ``demo`` print
+through ``_print_report``: the construction self-check residuals, for
+``verify -m`` those stored in the model file, then the verification residuals.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ EXIT_NOT_IN_CLASS = 2
 EXIT_INFEASIBLE = 3
 EXIT_IDENTITY = 4
 
-BUILD_DEFAULTS = {"degree": 4, "aux_pad": 0, "seed": None}  # build options not given
+BUILD_DEFAULTS = {"degree": 4, "seed": None}  # build options not given
 
 # error class -> (exit code, prefix of its stderr line); ``main`` takes the
 # row of the nearest class in the raised error's MRO
@@ -90,8 +90,8 @@ def _print_report(construction: dict, doc: dict) -> int:
 
 
 def _build(args, **config) -> DilationModel:
-    """The model of ``--input`` at ``--degree`` with ``--aux-pad`` and ``--seed``."""
-    config = BuildConfig(aux_pad=args.aux_pad, completion_seed=args.seed, **config)
+    """The model of ``--input`` at ``--degree``, its completion picked by ``--seed``."""
+    config = BuildConfig(completion_seed=args.seed, **config)
     return assemble_model(load_tuple(args.input), N=args.degree, config=config)
 
 
@@ -183,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--model", "-m", help="previously written model JSON file")
     for p in (dilate, verify):  # None when not given, see BUILD_DEFAULTS
         p.add_argument("--degree", type=int, help="Fock truncation degree N (default 4)")
-        p.add_argument("--aux-pad", type=int, help="extra auxiliary padding (default 0)")
         p.add_argument("--seed", type=int,
-                       help="seed for an alternative (still valid) unitary completion")
+                       help="seed >= 0 for an alternative (still valid) unitary completion")
 
     p = sub.add_parser("random", help="generate a seeded example tuple")
     p.add_argument("--style", choices=STYLES, default="jointly-nilpotent")

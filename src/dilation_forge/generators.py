@@ -142,6 +142,8 @@ def random_tuple(style: str, n: int, dimH: int, seed: int, **kwargs) -> TupleSpe
         raise GenerationFailed(f"need n >= 2 and dimH >= 1, got n={n}, dimH={dimH} (the "
                                "dilatable class has n >= 2; a single contraction T dilates "
                                "as the pair (T, 0))")
+    if seed < 0:
+        raise GenerationFailed(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if style == "jointly-nilpotent":
         return jointly_nilpotent(rng, n, dimH)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MalformedSpec, UnsupportedMultiplicity
-from .fock import degree_blocks, enumerate_indices
+from .fock import FockModel, degree_blocks
 from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, psd_check, psd_flags
 
 PURITY_TOL = 1e-8
@@ -375,21 +375,19 @@ def merge_1n(spec: TupleSpec) -> TupleSpec:
                      phases=phases, algebra=algebra)
 
 
-def ordered_power_products(spec: TupleSpec, N: int) -> np.ndarray:
-    """Adjoint power products (T^{(alpha)})* for d = 1, one per row of
-    ``fock.enumerate_indices(spec.n, N)``.
+def ordered_power_products(spec: TupleSpec, fock: FockModel) -> np.ndarray:
+    """Adjoint power products (T^{(alpha)})* for d = 1, one per cell of ``fock``.
 
     T^{(alpha)} = t_1^{a_1} t_2^{a_2} ... with slot-1 powers leftmost.  Row r
     of the (rows, dimH, dimH) table is (T^{(alpha_r)})* = (T^{(alpha_r - e_s)})*
-    t_s*, s the first non-zero slot: the enumerator's parent link, one batched
+    t_s*, s the first non-zero slot: the cell tree's parent link, one batched
     product per degree block of rows.
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("power products require d = 1")
-    _, slot, parent = enumerate_indices(spec.n, N)
     tadj = adj(np.array([row[0] for row in spec.blocks]))
-    table = np.empty((len(slot), spec.dimH, spec.dimH), dtype=complex)
+    table = np.empty((fock.cell_count, spec.dimH, spec.dimH), dtype=complex)
     table[0] = np.eye(spec.dimH)
-    for rows in degree_blocks(spec.n, N):
-        table[rows] = table[parent[rows]] @ tadj[slot[rows]]
+    for rows in degree_blocks(fock.m, fock.N):
+        table[rows] = table[fock.parent[rows]] @ tadj[fock.slot[rows]]
     return table

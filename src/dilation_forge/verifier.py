@@ -106,7 +106,7 @@ def verify_pi(model: DilationModel) -> dict:
     """
     col_mass = np.sum(np.abs(model.Pi) ** 2, axis=0)
     pi_isometry = float(np.max(np.abs(col_mass + model.tails - 1.0)))
-    direct = simplex_mass(model.merged, model.defects["hat1n"].root, model.N)
+    direct = simplex_mass(model.merged, model.defects["hat1n"].root, model.fock)
     pi_tail_match = float(np.max(np.abs(direct + model.tails - 1.0)))
     return {"pi_isometry": pi_isometry, "pi_tail_match": pi_tail_match}
 

@@ -12,11 +12,13 @@ from dilation_forge.builder import (UNITARY_GATE, BuildConfig, CouplingData, ass
                                     simplex_mass, solve_aux, truncation_tails)
 from dilation_forge.errors import (DimensionMismatch, IdentityResidualExceeded,
                                    InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
-from dilation_forge.fock import enumerate_indices
+from dilation_forge.fock import FockModel, enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
+from dilation_forge.io import dump_json, model_to_dict
 from dilation_forge.linalg import adj
 from dilation_forge.tuples import AlgebraStructure, TupleSpec, classify, ordered_power_products
 from dilation_forge.verifier import full_report
+from padding import compressions, minimal_rank, padded_coupling, padded_covariant_spec, padded_model
 
 
 def defects_for(spec):
@@ -26,7 +28,7 @@ def defects_for(spec):
 def coupling_for(spec, config=BuildConfig()):
     defects, merged, eq = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
-    solve_aux(spec, coupling, config)
+    solve_aux(spec, coupling)
     build_U(spec, defects, coupling, config)
     return defects, merged, coupling, eq
 
@@ -83,12 +85,12 @@ def test_v0_maps_frames_for_class_members():
         assert np.linalg.norm(coupling.V0 @ x - y) < 1e-10
 
 
-@pytest.mark.parametrize("aux_pad", [0, 1])
-def test_coupling_carries_each_intermediate_once(aux_pad):
+@pytest.mark.parametrize("pad", [0, 1])
+def test_coupling_carries_each_intermediate_once(pad):
     """The frames and V Q1n* Dhat are formed once, by the stage that owns them,
     and equal what their own functions form; so does the padded layout."""
     spec = random_tuple("covariant", 3, 4, seed=6, k=2, automorphisms=[[1, 0], [0, 1], [1, 0]])
-    defects, _, coupling, _ = coupling_for(spec, BuildConfig(aux_pad=aux_pad))
+    defects, _, coupling, _ = padded_coupling(spec, pad)
     x, y = defect_frames(spec, defects)
     assert coupling.X.tobytes() == x.tobytes() and coupling.Y.tobytes() == y.tobytes()
     hat1n = defects["hat1n"]
@@ -110,27 +112,14 @@ def test_solve_aux_scalar_mode():
 
 
 def test_solve_aux_user_padding():
+    """Padding beyond the minimal one is reached through the stages: mult1
+    raised between ``solve_aux`` and ``build_U``."""
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=1)
-    defects, _, _ = defects_for(spec)
-    coupling = build_V0(spec, defects, effective_algebra(spec))
-    e1, e2 = solve_aux(spec, coupling, BuildConfig(aux_pad=2))
-    assert (e1, e2) == (2, 2)
-    build_U(spec, defects, coupling, BuildConfig(aux_pad=2))
+    defects, _, coupling, _ = padded_coupling(spec, 2)
+    assert coupling.mult1.tolist() == coupling.layout.mult2.tolist() == [2]
+    assert coupling.layout.dim == coefficient_layout(spec, defects, [0], coupling.algebra).dim + 2
     u = coupling.U
     assert np.linalg.norm(adj(u) @ u - np.eye(u.shape[0])) < 1e-12
-
-
-def padded_covariant_spec():
-    # alpha1 = alpha3 = swap, alpha2 = id on C^2 (+) C^1; the rank-one defect
-    # direction of hatn makes the component multiplicities of M1/M2 differ,
-    # forcing one unit of auxiliary padding
-    a, s, c, d = 0.6, 0.8, 0.5, 0.3
-    b = a * d / c
-    t1 = np.zeros((3, 3), complex); t1[0, 2] = a; t1[2, 1] = b
-    t3 = np.zeros((3, 3), complex); t3[0, 2] = c; t3[2, 1] = d
-    t2 = np.zeros((3, 3), complex); t2[0, 1] = s
-    alg = AlgebraStructure(k=2, block_of=[0, 0, 1], automorphisms=[[1, 0], [0, 1], [1, 0]])
-    return TupleSpec.from_operators([t1, t2, t3], algebra=alg)
 
 
 def test_solve_aux_equivariant_identity_automorphisms():
@@ -172,10 +161,9 @@ def test_solve_aux_infeasible():
 def test_solve_aux_matches_brute_force_search(k):
     """Every commuting pair (a1, an) of permutations of k components, with
     M1/M2 component counts drawn at random, drawn feasible and drawn with an
-    odd total (never feasible), at aux_pad 0 and 2: solve_aux returns the
-    componentwise-minimal mult1 in {0..10}^k that a brute-force search finds,
-    plus the pad, and raises InfeasibleFinitePadding exactly when the search
-    finds none.  The counts stay small enough for every minimal solution to
+    odd total (never feasible): solve_aux returns the componentwise-minimal
+    mult1 in {0..10}^k that a brute-force search finds, and raises
+    InfeasibleFinitePadding exactly when the search finds none.  The counts stay small enough for every minimal solution to
     lie in the searched box."""
     rng = np.random.default_rng(k)
     box = np.array(list(itertools.product(range(11), repeat=k)))
@@ -202,19 +190,17 @@ def test_solve_aux_matches_brute_force_search(k):
             outcomes.add(len(solutions) > 0)
             minimal = solutions.min(axis=0, initial=10)
             assert not len(solutions) or np.all(solutions == minimal, axis=1).any()
-            for pad in (0, 2):
-                coupling = CouplingData(V0=None, M1=None, M2=None, X=None, Y=None,
-                                        M1_labels=np.repeat(np.arange(k), count1),
-                                        M2_labels=np.repeat(np.arange(k), count2),
-                                        algebra=spec.algebra)
-                config = BuildConfig(aux_pad=pad)
-                if not len(solutions):
-                    with pytest.raises(InfeasibleFinitePadding):
-                        solve_aux(spec, coupling, config)
-                    continue
-                size = int(minimal.sum()) + pad * k
-                assert solve_aux(spec, coupling, config) == (size, size)
-                assert coupling.mult1.tolist() == (minimal + pad).tolist()
+            coupling = CouplingData(V0=None, M1=None, M2=None, X=None, Y=None,
+                                    M1_labels=np.repeat(np.arange(k), count1),
+                                    M2_labels=np.repeat(np.arange(k), count2),
+                                    algebra=spec.algebra)
+            if not len(solutions):
+                with pytest.raises(InfeasibleFinitePadding):
+                    solve_aux(spec, coupling)
+                continue
+            size = int(minimal.sum())
+            assert solve_aux(spec, coupling) == (size, size)
+            assert coupling.mult1.tolist() == minimal.tolist()
     assert outcomes == {True, False}
 
 
@@ -289,7 +275,7 @@ def test_tails_match_pi_mass_both_routes():
         model = assemble_model(spec, N=4)
         mass = np.sum(np.abs(model.Pi) ** 2, axis=0)
         assert np.max(np.abs(mass + model.tails - 1.0)) < 1e-12
-        direct = simplex_mass(model.merged, model.defects["hat1n"].root, 4)
+        direct = simplex_mass(model.merged, model.defects["hat1n"].root, model.fock)
         assert np.max(np.abs(direct + model.tails - 1.0)) < 1e-12
 
 
@@ -349,6 +335,49 @@ def test_model_determinism_and_free_completion():
     assert full_report(alt).passed
 
 
+# the tuples of the padding facts: each style at seed 0, and the tuple whose
+# minimal padding is [1, 0]
+FACT_TUPLES = {
+    "scaled-commuting": lambda: random_tuple("scaled-commuting", 3, 3, seed=0),
+    "u-commuting": lambda: random_tuple("u-commuting", 3, 4, seed=0),
+    "covariant": lambda: random_tuple("covariant", 3, 4, seed=0),
+    "jointly-nilpotent": lambda: random_tuple("jointly-nilpotent", 4, 3, seed=0),
+    "padded-covariant": padded_covariant_spec,
+}
+
+
+@pytest.mark.parametrize("name", list(FACT_TUPLES))
+def test_padding_without_a_seed_is_invisible(name):
+    """Without a completion seed, one more padding coordinate per component
+    adds only coordinates that no V^alpha Pi h reaches: every Pi* V_i* V_j Pi
+    and the minimal rank stay, while dim D grows.  At pad 0 the stages give
+    the model ``assemble_model`` builds, byte for byte."""
+    spec = FACT_TUPLES[name]()
+    model = assemble_model(spec, N=3)
+    text = dump_json(model_to_dict(model), None)
+    assert dump_json(model_to_dict(padded_model(spec, 3, 0)), None) == text
+    padded = padded_model(spec, 3, 1)
+    k = effective_algebra(spec).k
+    assert padded.layout.dim == model.layout.dim + k
+    assert np.max(np.abs(compressions(padded) - compressions(model))) <= 1e-14
+    assert minimal_rank(padded) == minimal_rank(model)
+    assert full_report(padded).passed
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_completion_seeds_give_inequivalent_dilations(seed):
+    """On a jointly nilpotent tuple T^alpha = 0 for |alpha| >= 3, so N = 3 is
+    exact (no tail); a seeded completion still passes, yet moves the
+    compressions, which a unitary equivalence of the minimal dilations would
+    keep: the dilation is not unique."""
+    spec = FACT_TUPLES["jointly-nilpotent"]()
+    model = assemble_model(spec, N=3)
+    assert np.max(np.abs(model.tails)) < 1e-14
+    seeded = assemble_model(spec, N=3, config=BuildConfig(completion_seed=seed))
+    assert full_report(seeded).passed
+    assert np.max(np.abs(compressions(seeded) - compressions(model))) > 0.1
+
+
 def test_degree_beyond_the_cell_budget_fails_before_the_tails():
     """comb(3 + 10^9, 3) cells: ``DimensionMismatch`` before the tails or the
     Fock model allocate anything that grows with N."""
@@ -401,7 +430,7 @@ def test_power_table_matches_dict_memo(m):
     spec = TupleSpec.from_operators(ops)
     for N in range(7):
         cells = enumerate_indices(m, N)[0]
-        table = ordered_power_products(spec, N)
+        table = ordered_power_products(spec, FockModel(m, N, 1, spec.phases))
         memo = dict_power_products(spec, cells)
         ref = np.array([memo[tuple(alpha)] for alpha in cells.tolist()])
         assert table.shape == ref.shape

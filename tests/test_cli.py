@@ -16,6 +16,7 @@ from dilation_forge.io import (dump_json, load_model, load_tuple, model_from_dic
                                model_to_dict, tuple_from_dict, tuple_to_dict)
 from dilation_forge.tuples import TupleSpec, classify
 from dilation_forge.verifier import full_report
+from padding import padded_model
 
 
 @pytest.fixture
@@ -318,17 +319,40 @@ def test_degree_below_one_is_input_error(tmp_path, triple_file, capsys, command,
 @pytest.mark.parametrize("command", [["dilate", "-o", "{model}"], ["verify"]],
                          ids=["dilate", "verify"])
 def test_negative_aux_pad_is_input_error(tmp_path, capsys, style, command):
-    """A negative padding count is rejected by ``BuildConfig``: one error line,
-    no traceback from the layout or the unitary completion."""
+    """The padding is always the minimal one, so ``--aux-pad`` is an unknown
+    option: a usage error (exit 1), no traceback, no model file."""
     tuple_path, model_path = tmp_path / "t.json", tmp_path / "model.json"
     assert main(["random", "--style", style, "--n", "4", "-o", str(tuple_path)]) == 0
     capsys.readouterr()
     argv = [a.format(model=model_path) for a in command]
-    assert main(argv + ["-i", str(tuple_path), "--degree", "2", "--aux-pad", "-1"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-i", str(tuple_path), "--degree", "2", "--aux-pad", "-1"])
+    assert exc.value.code == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: aux_pad counts padding coordinates, got -1"]
+    assert "unrecognized arguments: --aux-pad -1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command", [["dilate", "-i", "{tuple}", "-o", "{model}"],
+                                     ["verify", "-i", "{tuple}"], ["random", "-o", "{model}"]],
+                         ids=["dilate", "verify", "random"])
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_negative_seed_is_input_error(tmp_path, triple_file, capsys, command, seed):
+    """A negative completion or generator seed: one error line and exit 1,
+    not numpy's traceback."""
+    model_path = tmp_path / "model.json"
+    argv = [a.format(tuple=triple_file, model=model_path) for a in command]
+    assert main(argv + ["--seed", seed]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith(f"got {seed}")
     assert captured.out == ""
     assert not model_path.exists()
+    with pytest.raises(DilationForgeError):
+        BuildConfig(completion_seed=int(seed))
+    with pytest.raises(GenerationFailed):
+        random_tuple("jointly-nilpotent", 3, 4, seed=int(seed))
 
 
 def test_model_file_of_degree_zero_is_input_error(tmp_path, capsys):
@@ -382,11 +406,14 @@ def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
     assert "\n" not in text.rstrip("\n") and ", " not in text and ": " not in text
 
 
-@pytest.mark.parametrize("config", [BuildConfig(), BuildConfig(aux_pad=1, completion_seed=7)],
+@pytest.mark.parametrize("build", [lambda spec: assemble_model(spec, N=3),
+                                   lambda spec: padded_model(spec, 3, 1, seed=7)],
                          ids=["default", "padded"])
 @pytest.mark.parametrize("style", STYLES)
-def test_model_file_round_trip_is_exact(style, config):
-    model = assemble_model(random_tuple(style, 3, 4, seed=3), N=3, config=config)
+def test_model_file_round_trip_is_exact(style, build):
+    """Also for a seeded completion on one more padding coordinate per
+    component: a loaded file may hold any padding in 0..MAX_PAD."""
+    model = build(random_tuple(style, 3, 4, seed=3))
     back = model_from_dict(json.loads(dump_json(model_to_dict(model), None)))
     for name in ("Pi", "tails"):
         assert np.array_equal(getattr(back, name), getattr(model, name)), name
@@ -478,26 +505,34 @@ def test_verify_requires_source(capsys):
 
 
 FIXED_BY_FILE = "a model file fixes its degree, padding and completion"
+UNKNOWN = "dilation-forge: error: unrecognized arguments:"
 
 
 @pytest.mark.parametrize("extra,message", [
-    (["-i", "{tuple}"], "verify needs exactly one of --input and --model"),
-    (["--degree", "7"], f"verify --model takes no --degree: {FIXED_BY_FILE}"),
-    (["--degree", "2"], f"verify --model takes no --degree: {FIXED_BY_FILE}"),
-    (["--aux-pad", "0"], f"verify --model takes no --aux-pad: {FIXED_BY_FILE}"),
-    (["--seed", "3", "--aux-pad", "1"],
-     f"verify --model takes no --aux-pad, --seed: {FIXED_BY_FILE}"),
+    (["-i", "{tuple}"], "error: verify needs exactly one of --input and --model"),
+    (["--degree", "7"], f"error: verify --model takes no --degree: {FIXED_BY_FILE}"),
+    (["--degree", "2"], f"error: verify --model takes no --degree: {FIXED_BY_FILE}"),
+    (["--aux-pad", "0"], f"{UNKNOWN} --aux-pad 0"),
+    (["--seed", "3", "--aux-pad", "1"], f"{UNKNOWN} --aux-pad 1"),
 ], ids=["input", "other degree", "same degree", "aux-pad", "seed and aux-pad"])
 def test_verify_model_takes_no_build_option(tmp_path, triple_file, capsys, extra, message):
     """A model file fixes N, the padding and the completion; an option that
-    says otherwise is an input error, not silently dropped."""
+    says otherwise is an input error, not silently dropped.  ``--aux-pad`` is
+    no option at all: the parser's usage error, also exit 1."""
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "2", "-o", str(model_path)]) == 0
     capsys.readouterr()
     argv = ["verify", "-m", str(model_path)] + [a.format(tuple=triple_file) for a in extra]
-    assert main(argv) == 1
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: {message}"] and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[-1] == message and captured.out == "" and "Traceback" not in captured.err
+    if message.startswith("error: "):
+        assert len(lines) == 1
 
 
 def _budget_error(captured) -> bool:

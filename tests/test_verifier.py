@@ -10,7 +10,7 @@ import pytest
 from dilation_forge import builder
 from dilation_forge.builder import (BuildConfig, assemble_model, build_transfer, build_U,
                                     build_V0, effective_algebra, solve_aux)
-from dilation_forge.fock import (FockOperator, creation_matrix, enumerate_indices,
+from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
                                  interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
@@ -20,6 +20,7 @@ from dilation_forge.verifier import (DEFAULT_TOLERANCES, full_report,
                                      verify_intertwining, verify_isometric_representation,
                                      verify_moments, verify_pi)
 from fock_reference import cell_blocks, sparse_product, sparse_terms_norm
+from padding import padded_model
 
 
 def gated_worst(report):
@@ -105,7 +106,7 @@ def test_composed_residuals_match_identity_columns(style, N):
 def test_composed_residuals_match_identity_columns_swap_covariant(N):
     spec = random_tuple("covariant", 3, 4, seed=6, k=2,
                         automorphisms=[[1, 0], [0, 1], [1, 0]])
-    assert_matches_reference(assemble_model(spec, N=N, config=BuildConfig(aux_pad=1)))
+    assert_matches_reference(padded_model(spec, N, 1))
 
 
 @pytest.mark.parametrize("style,n,seed", [("jointly-nilpotent", 4, 1), ("u-commuting", 3, 0),
@@ -380,7 +381,7 @@ def two_memo_moments(model, maxdeg=3):
         for memo, s, apply in ((forward, slots[0], "apply"), (backward, slots[-1], "apply_adj")):
             lower = beta[:s] + (beta[s] - 1,) + beta[s + 1:]
             memo[beta] = getattr(ws[s], apply)(memo[lower])
-    tadj = ordered_power_products(spec, K)
+    tadj = ordered_power_products(spec, FockModel(spec.n, K, 1, spec.phases))
     residual = gap = 0.0
     for row, beta in enumerate(betas):
         residual = max(residual, np.max(np.abs(adj(pi) @ forward[beta] - adj(tadj[row]))))
@@ -439,11 +440,12 @@ def test_equivariance_identity_automorphisms():
 
 def test_equivariance_swap_automorphisms():
     # swaps on indices 1 and n, then on index n alone, so that the merged
-    # automorphism is a swap too; aux_pad = 1 pairs aux2 with aux1 through alpha_n
+    # automorphism is a swap too; one more padding coordinate per component
+    # pairs aux2 with aux1 through alpha_n
     for automorphisms in ([[1, 0], [0, 1], [1, 0]], [[0, 1], [0, 1], [1, 0]]):
         spec = random_tuple("covariant", 3, 4, seed=6, k=2, automorphisms=automorphisms)
         for pad in (0, 1):
-            model = assemble_model(spec, N=3, config=BuildConfig(aux_pad=pad))
+            model = padded_model(spec, 3, pad)
             eq = verify_equivariance(model)
             assert max(eq.values()) < 1e-10
             assert full_report(model).passed
@@ -454,7 +456,7 @@ def test_equivariance_swap_automorphisms():
 def test_coordinate_labels_match_per_cell_composition(automorphisms):
     spec = random_tuple("covariant", len(automorphisms), 4, seed=6, k=2,
                         automorphisms=automorphisms)
-    model = assemble_model(spec, N=3, config=BuildConfig(aux_pad=1))
+    model = padded_model(spec, 3, 1)
     alg = model.merged.algebra
     ref = []
     for alpha in model.fock.cells.tolist():
