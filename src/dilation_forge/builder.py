@@ -9,8 +9,8 @@ recursions in the CP maps phi_s(X) = t_s X t_s*, not subset or box sums.
 
 Coordinates: defect spaces are represented by orthonormal column bases inside
 H, and the coupling spaces are coordinate direct sums laid out by
-``coefficient_layout`` (see ``CoefficientLayout``).  Once U1 and Un are fixed,
-the dilated isometries depend only on them, the layout and the Fock model.
+``coefficient_layout`` (see ``CoefficientLayout``).  Once U is fixed, U1, Un
+and the dilated isometries depend only on it, the layout and the Fock model.
 
 For d = 1 every tensor factor E_i (x) W is canonically W; only the algebra
 action (twisted by the automorphism) and the u-phases remember the factor.
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
                      InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, check_cell_budget, creation_matrix, degree_blocks
+from .fock import FockModel, FockOperator, creation_matrix, degree_blocks
 from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_sqrt,
                      range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
@@ -69,9 +69,12 @@ class CoefficientLayout:
     ``rn``/``r1`` are the ranks of D_hatn/D_hat1; aux1 holds ``mult1[p]``
     coordinates of component p and aux2 ``mult2[p] = mult1[an^{-1}(p)]``.
     ``parts_D`` and ``parts_Udom`` slice the three parts of D and Udom, and
-    ``Dprime_rows`` are the coordinates of D' inside D.  ``U1_labels`` and
-    ``Un_labels`` are the (domain, codomain) labels of U1 on D (+) (E x D')
-    and of Un on D (+) (E x D1).  Built only by ``coefficient_layout``.
+    ``Dprime_rows`` are the coordinates of D' inside D.  ``Dprime_pair`` is
+    each D' coordinate's partner in Udom: Dn's in En x Dn, and aux1's in aux2
+    under u2, which pairs the label-an^{-1}(p) block of aux1 with the label-p
+    block of aux2.  ``U1_labels`` and ``Un_labels`` are the (domain, codomain)
+    labels of U1 on D (+) (E x D') and of Un on D (+) (E x D1).  Built only by
+    ``coefficient_layout``.
     """
 
     rn: int
@@ -83,6 +86,7 @@ class CoefficientLayout:
     parts_D: tuple
     parts_Udom: tuple
     Dprime_rows: np.ndarray
+    Dprime_pair: np.ndarray
     U1_labels: tuple
     Un_labels: tuple
 
@@ -95,7 +99,7 @@ class CoefficientLayout:
 class CouplingData:
     """V0 with the complements M1 (of span X in D) and M2 (of span Y in Udom)
     before padding, the algebra and the frames X, Y of ``defect_frames``;
-    solve_aux adds ``mult1``, build_U the padded layout, U, V and
+    solve_aux adds ``mult1``, build_U the padded layout, U and
     ``vs`` = V Q1n* Dhat, which build_transfer reads and the model keeps as
     Pi's cell-0 block."""
 
@@ -110,15 +114,15 @@ class CouplingData:
     mult1: Optional[np.ndarray] = None
     layout: Optional[CoefficientLayout] = None
     U: Optional[np.ndarray] = None
-    V: Optional[np.ndarray] = None
     vs: Optional[np.ndarray] = None
 
 
 @dataclass
 class TransferData:
-    """U1 and Un with the construction self-check residuals by name: those of
-    ``build_transfer`` and ``defect_equality``, which ``assemble_model`` adds."""
+    """The completion U, U1 and Un of ``transfer_unitaries`` and the construction
+    residuals: ``build_transfer``'s and ``defect_equality``, which ``assemble_model`` adds."""
 
+    U: np.ndarray
     U1: np.ndarray
     Un: np.ndarray
     residuals: dict
@@ -126,9 +130,10 @@ class TransferData:
 
 @dataclass
 class DilationModel:
-    """The finite data that fix the dilation, among them U1, Un, Pi's cell-0
-    block ``vs`` and the tails; the Fock model, Pi and the dilated isometries
-    are derived from them on construction, for built and loaded models alike."""
+    """The finite data that fix the dilation, among them U, U1, Un and Pi's
+    cell-0 block ``vs``; the Fock model (which checks the cell budget first),
+    the tails, Pi and the dilated isometries are derived on construction, for
+    built and loaded models alike."""
 
     spec: TupleSpec
     merged: TupleSpec
@@ -137,13 +142,14 @@ class DilationModel:
     layout: CoefficientLayout
     transfer: TransferData
     vs: np.ndarray
-    tails: np.ndarray
     fock: FockModel = field(init=False)
+    tails: np.ndarray = field(init=False)
     Pi: np.ndarray = field(init=False)
     isometries: list = field(init=False)
 
     def __post_init__(self):
         self.fock = FockModel(self.merged.n, self.N, self.layout.dim, self.merged.phases)
+        self.tails = truncation_tails(self.merged, self.defects["hat1n"].root, self.N)
         self.isometries = dilated_isometries(self.spec, self.transfer, self.layout, self.fock)
         self.Pi = build_Pi(self.merged, self.vs, self.fock)
 
@@ -247,26 +253,31 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
     g1n = compose_perm(a1, an)  # the merged generator's automorphism
     lab_qn, lab_q1 = defects["hatn"].labels, defects["hat1"].labels
     rn, r1 = lab_qn.size, lab_q1.size
+    an_inv = invert_perm(an)
     mult1 = np.array(mult1, dtype=int)
-    mult2 = mult1[invert_perm(an)]
+    mult2 = mult1[an_inv]
     aux1 = np.repeat(np.arange(alg.k), mult1)
     aux2 = np.repeat(np.arange(alg.k), mult2)
+    pair = np.empty(aux1.size, dtype=int)
+    for p in range(alg.k):
+        pair[aux1 == an_inv[p]] = np.flatnonzero(aux2 == p)
     lab_d = np.concatenate([lab_qn, np.take(a1, lab_q1), aux1])
     lab_udom = np.concatenate([lab_q1, np.take(an, lab_qn), aux2])
     lab_dp = np.concatenate([lab_qn, aux1])
     dim = lab_d.size
     dprime_rows = np.r_[0:rn, rn + r1:dim]
+    dprime_pair = np.concatenate([np.arange(r1, r1 + rn), r1 + rn + pair])
     u1_labels = (np.concatenate([lab_d, np.take(g1n, lab_dp)]),
                  np.concatenate([np.take(a1, lab_d), lab_dp]))
     un_labels = (np.concatenate([lab_d, np.take(g1n, lab_q1)]),
                  np.concatenate([np.take(an, lab_d), lab_q1]))
-    for arr in (mult1, mult2, lab_d, lab_udom, dprime_rows, *u1_labels, *un_labels):
+    for arr in (mult1, mult2, lab_d, lab_udom, dprime_rows, dprime_pair, *u1_labels, *un_labels):
         arr.setflags(write=False)
     return CoefficientLayout(
         rn=rn, r1=r1, mult1=mult1, mult2=mult2, D=lab_d, Udom=lab_udom,
         parts_D=(slice(0, rn), slice(rn, rn + r1), slice(rn + r1, dim)),
         parts_Udom=(slice(0, r1), slice(r1, r1 + rn), slice(r1 + rn, dim)),
-        Dprime_rows=dprime_rows, U1_labels=u1_labels, Un_labels=un_labels)
+        Dprime_rows=dprime_rows, Dprime_pair=dprime_pair, U1_labels=u1_labels, Un_labels=un_labels)
 
 
 def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingData:
@@ -380,8 +391,7 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
 
     coupling.layout = layout
     coupling.U = u
-    coupling.V = isometry_from_frames(src, dst)
-    coupling.vs = coupling.V @ src
+    coupling.vs = isometry_from_frames(src, dst) @ src
     return coupling
 
 
@@ -391,48 +401,48 @@ def _gate(residuals: dict, name: str, value: float, gate: float):
         raise IdentityResidualExceeded(name, value, gate)
 
 
-def build_transfer(spec: TupleSpec, coupling: CouplingData,
-                   config: BuildConfig = BuildConfig()) -> TransferData:
-    """Block unitaries U1 and Un, plus self-checks.
+def transfer_unitaries(spec: TupleSpec, layout: CoefficientLayout,
+                       u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block unitaries U1 and Un, fixed rearrangements of the completion U.
 
     U1 = [[(I1 x U) P1, (I1 x U) j2'], [i2*, 0]] on D (+) (E_merged x D') and
     Un = [[(I (+) u2) P2 U*, i1'], [i1* U*, 0]] on D (+) (E_merged x D1).
     The inclusion i1' carries the flip phase u(1,n) that re-expresses merged
     coordinates (E1 tensor En order) inside En x E1 x D1; it cancels against
-    the conjugate flip used when feeding merged-order inputs.  The unitary u2
-    pairs the label-p block of aux2 with the label an^{-1}(p) block of aux1:
-    aux1 coordinate j is the image of aux2 coordinate ``pair[j]``.
+    the conjugate flip used when feeding merged-order inputs.  j2' and u2
+    read the Udom coordinates ``layout.Dprime_pair``.  Built and loaded models
+    alike get U1 and Un here alone.
     """
+    e1d1, d1, dD = layout.parts_D[1], layout.parts_Udom[0], layout.dim
+    rows, cols = layout.Dprime_rows, layout.Dprime_pair
+    u1 = np.zeros((dD + rows.size,) * 2, dtype=complex)
+    u1[:dD, e1d1] = u[:, d1]
+    u1[:dD, dD:] = u[:, cols]
+    u1[dD + np.arange(rows.size), rows] = 1.0
+    u_adj = adj(u)
+    un = np.zeros((dD + layout.r1,) * 2, dtype=complex)
+    un[rows, :dD] = u_adj[cols]
+    un[e1d1, dD:] = spec.u(1, spec.n) * eye(layout.r1)
+    un[dD:, :dD] = u_adj[d1]
+    return u1, un
+
+
+def build_transfer(spec: TupleSpec, coupling: CouplingData,
+                   config: BuildConfig = BuildConfig()) -> TransferData:
+    """Block unitaries U1 and Un of ``transfer_unitaries``, plus self-checks
+    on their blocks [[A, B], [C, 0]] and on U."""
     layout, u_mat = coupling.layout, coupling.U
-    an_inv = invert_perm(coupling.algebra.automorphisms[spec.n - 1])
-    _, e1d1, aux1 = layout.parts_D
-    d1, endn, aux2 = layout.parts_Udom
     rn, r1, dD = layout.rn, layout.r1, layout.dim
     e1, e2 = int(layout.mult1.sum()), int(layout.mult2.sum())
-    pair = np.empty(e1, dtype=int)
-    for p in range(len(an_inv)):
-        pair[layout.D[aux1] == an_inv[p]] = np.flatnonzero(layout.Udom[aux2] == p)
-    u_adj = adj(u_mat)
-
-    a1 = np.zeros((dD, dD), dtype=complex)
-    a1[:, e1d1] = u_mat[:, d1]
-    b1 = np.hstack([u_mat[:, endn], u_mat[:, aux2][:, pair]])
-    c1 = eye(dD)[layout.Dprime_rows]
-    u1 = np.block([[a1, b1], [c1, np.zeros((rn + e1, rn + e1), dtype=complex)]])
-
-    an = np.zeros((dD, dD), dtype=complex)
-    an[layout.Dprime_rows] = np.vstack([u_adj[endn], u_adj[aux2][pair]])
-    bn = np.zeros((dD, r1), dtype=complex)
-    bn[e1d1] = spec.u(1, spec.n) * eye(r1)
-    cn = u_adj[d1]
-    un = np.block([[an, bn], [cn, np.zeros((r1, r1), dtype=complex)]])
+    u1, un = transfer_unitaries(spec, layout, u_mat)
+    blocks = {tag: (w[:dD, :dD], w[:dD, dD:], w[dD:, :dD]) for tag, w in (("U1", u1), ("Un", un))}
 
     residuals: dict = {}
     _gate(residuals, "U1_unitarity", frob(adj(u1) @ u1 - eye(u1.shape[0])),
           UNITARY_GATE * max(1.0, u1.shape[0]))
     _gate(residuals, "Un_unitarity", frob(adj(un) @ un - eye(un.shape[0])),
           UNITARY_GATE * max(1.0, un.shape[0]))
-    for tag, (a, b, c) in (("U1", (a1, b1, c1)), ("Un", (an, bn, cn))):
+    for tag, (a, b, c) in blocks.items():
         _gate(residuals, f"{tag}_ACstar", frob(a @ adj(c)), UNITARY_GATE * dD)
         _gate(residuals, f"{tag}_CCstar", frob(c @ adj(c) - eye(c.shape[0])), UNITARY_GATE * dD)
         _gate(residuals, f"{tag}_rows", frob(a @ adj(a) + b @ adj(b) - eye(dD)),
@@ -458,10 +468,10 @@ def build_transfer(spec: TupleSpec, coupling: CouplingData,
     abn_out = np.vstack([vs @ adj(tn), y[:r1]])
     _gate(residuals, "eq_ABn", rel_residual(un @ abn_in - abn_out, abn_out),
           config.identity_gate)
-    _gate(residuals, "eq_Cn", rel_residual(cn @ vs - y[:r1], y[:r1]),
+    _gate(residuals, "eq_Cn", rel_residual(blocks["Un"][2] @ vs - y[:r1], y[:r1]),
           config.identity_gate)
 
-    return TransferData(U1=u1, Un=un, residuals=residuals)
+    return TransferData(U=u_mat, U1=u1, Un=un, residuals=residuals)
 
 
 def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
@@ -550,7 +560,5 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     _, radius = is_pure(merged, 1)
     if radius >= 1.0:
         raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
-    check_cell_budget(merged.n, N)
-    tails = truncation_tails(merged, defects["hat1n"].root, N)
     return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=coupling.layout,
-                         transfer=transfer, vs=coupling.vs, tails=tails)
+                         transfer=transfer, vs=coupling.vs)

@@ -47,14 +47,6 @@ PHASE_TOL = 1e-12  # largest | |c| - 1 | of a character cost, as for a tuple's p
 MAX_CELLS = 2 ** 15  # largest cell count comb(m + N, m) of a truncated model
 
 
-def check_cell_budget(m: int, N: int):
-    """``DimensionMismatch`` if F_N over m generators has over MAX_CELLS cells,
-    from their count alone, before anything whose size grows with N."""
-    if N >= 0 and comb(m + N, m) > MAX_CELLS:
-        raise DimensionMismatch(f"truncation degree {N} over {m} generators gives "
-                                f"{comb(m + N, m)} cells, more than the budget of {MAX_CELLS}")
-
-
 def enumerate_indices(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(cells, slot, parent)``: all alpha in Z_+^m with |alpha| <= N
     as a (cells, m) array ordered by degree then colex, each row's first
@@ -106,7 +98,9 @@ def _row_index(cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class FockModel:
     """Index bookkeeping for the truncated Fock space F_N(E) (x) D: the cells
     are the rows of ``cells``, with their tree links ``slot`` and ``parent``,
-    as ``enumerate_indices`` returns them."""
+    as ``enumerate_indices`` returns them.  More than MAX_CELLS cells is a
+    ``DimensionMismatch``, found from their count alone, before anything
+    whose size grows with N."""
 
     m: int
     N: int
@@ -120,7 +114,10 @@ class FockModel:
         self.merged_phases = as_matrix(self.merged_phases)
         if self.merged_phases.shape != (self.m, self.m):
             raise DimensionMismatch("merged phase table must be m x m")
-        check_cell_budget(self.m, self.N)
+        m, N = self.m, self.N
+        if N >= 0 and comb(m + N, m) > MAX_CELLS:
+            raise DimensionMismatch(f"truncation degree {N} over {m} generators gives "
+                                    f"{comb(m + N, m)} cells, more than the budget of {MAX_CELLS}")
         self.cells, self.slot, self.parent = enumerate_indices(self.m, self.N)
 
     @property

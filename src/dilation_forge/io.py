@@ -1,21 +1,21 @@
 """JSON serialization of tuples, reports and dilation models.
 
 Every document is written compact (no whitespace, sorted keys) and carries a
-``schema_version``: 1 for tuples and reports, 5 for models.  Python's float
+``schema_version``: 1 for tuples and reports, 6 for models.  Python's float
 repr is shortest-exact, so every round trip is bit-faithful.  Matrix entries
 must be finite JSON numbers; booleans, strings, NaN and infinities are input
 errors.
 
 Tuple documents, which are also written by hand, store each matrix as nested
-rows of [re, im] pairs.  A model file stores U1, Un and the cell-0 block of
-Pi (dim D x dimH) as flat row-major matrices
+rows of [re, im] pairs.  A model file stores the completion U (dim D x dim D)
+and Pi's cell-0 block (dim D x dimH) as flat row-major matrices
 ``{"shape": [rows, cols], "re": [...], "im": [...]}``, beside the tuple, N,
-the sizes record ``dims``, the tails and the construction self-check
-residuals, so its size does not grow with N.  On load the coefficient layout
-is rebuilt from the tuple and ``dims.aux``, each declared shape is checked
-against it before any list is converted, and the fields make a
-``DilationModel``, which derives Pi and the dilated isometries as for a built
-model after checking N's cell budget.
+the sizes record ``dims`` and the construction self-check residuals, so its
+size does not grow with N.  On load the coefficient layout is rebuilt from
+the tuple and ``dims.aux``, each declared shape is checked against it before
+any list is converted, and the rest is derived as for a built model: U1 and
+Un by ``transfer_unitaries``, then, past N's cell budget, the tails, Pi and
+the dilated isometries.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from typing import Any
 import numpy as np
 
 from .builder import (MAX_PAD, CoefficientLayout, DilationModel, TransferData, build_defects,
-                      coefficient_layout, effective_algebra)
+                      coefficient_layout, effective_algebra, transfer_unitaries)
 from .errors import MalformedSpec
 from .tuples import AlgebraStructure, TupleSpec
 
 SCHEMA_VERSION = 1
-MODEL_SCHEMA_VERSION = 5
+MODEL_SCHEMA_VERSION = 6
 _NUMBER_TYPES = {int, float}  # what json reads a JSON number as; bool is not among them
 
 
@@ -186,11 +186,9 @@ def model_to_dict(model: DilationModel) -> dict:
         "tuple": tuple_to_dict(model.spec),
         "N": model.N,
         "dims": _dims(model.layout, model.defects, model.fock.cell_count),
-        "U1": matrix_to_json(model.transfer.U1),
-        "Un": matrix_to_json(model.transfer.Un),
+        "U": matrix_to_json(model.transfer.U),
         # cell 0 as build_Pi forms it: vs @ I, whose zeros may differ from vs's in sign
         "Pi": matrix_to_json(model.Pi[:model.layout.dim]),
-        "tails": [float(t) for t in model.tails],
         "construction_residuals": {k: float(v) for k, v in model.transfer.residuals.items()},
     }
 
@@ -200,11 +198,11 @@ def model_from_dict(doc: dict) -> DilationModel:
 
     The tuple passes the class gate again and its defect data are recomputed
     (``build_defects``), the coefficient layout from them and ``dims.aux``;
-    ``dims`` must then equal the rebuilt sizes.  U1, Un, Pi's cell-0 block,
-    the tails and the construction residuals are taken from the file; every
-    field is checked before they make the ``DilationModel``, so file-level
-    corruption is caught by the verifier (a corrupted block fails
-    ``pi_isometry`` against the stored tails).
+    ``dims`` must then equal the rebuilt sizes.  U, Pi's cell-0 block and the
+    construction residuals are read from the file, each checked, and U1 and Un
+    formed from U by ``transfer_unitaries``; the ``DilationModel`` derives the
+    tails from the tuple, so a corrupted block fails ``pi_isometry`` against
+    tails that the file cannot corrupt along with it.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")
@@ -225,19 +223,13 @@ def model_from_dict(doc: dict) -> DilationModel:
     expected = _dims(layout, defects, comb(merged.n + N, merged.n))
     if dims != expected:
         raise MalformedSpec(f"$.dims: expected {expected} for this tuple and N")
-    tails = _require(doc, "tails", list, "$")
-    if len(tails) != spec.dimH:
-        raise MalformedSpec(f"$.tails: expected {spec.dimH} finite numbers")
-    tails = _floats(tails, "$.tails")
     residuals = _require(doc, "construction_residuals", dict, "$")
     values = _floats(list(residuals.values()), "$.construction_residuals")
-    size1, sizen = layout.U1_labels[0].size, layout.Un_labels[0].size
-    transfer = TransferData(U1=json_to_matrix(doc, "U1", (size1, size1)),
-                            Un=json_to_matrix(doc, "Un", (sizen, sizen)),
+    u = json_to_matrix(doc, "U", (layout.dim, layout.dim))
+    transfer = TransferData(u, *transfer_unitaries(spec, layout, u),
                             residuals=dict(zip(residuals, values.tolist())))
     return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=layout,
-                         transfer=transfer, vs=json_to_matrix(doc, "Pi", (layout.dim, spec.dimH)),
-                         tails=tails)
+                         transfer=transfer, vs=json_to_matrix(doc, "Pi", (layout.dim, spec.dimH)))
 
 
 def load_model(path: str) -> DilationModel:

@@ -12,8 +12,7 @@ import itertools
 import numpy as np
 
 from dilation_forge.builder import (BuildConfig, DilationModel, build_defects, build_transfer,
-                                    build_U, build_V0, effective_algebra, solve_aux,
-                                    truncation_tails)
+                                    build_U, build_V0, effective_algebra, solve_aux)
 from dilation_forge.linalg import adj
 from dilation_forge.tuples import AlgebraStructure, TupleSpec
 
@@ -50,8 +49,7 @@ def padded_model(spec, N, pad, seed=None):
     transfer = build_transfer(spec, coupling)
     transfer.residuals["defect_equality"] = eq
     return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=coupling.layout,
-                         transfer=transfer, vs=coupling.vs,
-                         tails=truncation_tails(merged, defects["hat1n"].root, N))
+                         transfer=transfer, vs=coupling.vs)
 
 
 def compressions(model):

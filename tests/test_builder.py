@@ -15,7 +15,7 @@ from dilation_forge.errors import (DimensionMismatch, IdentityResidualExceeded,
 from dilation_forge.fock import FockModel, enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.io import dump_json, model_to_dict
-from dilation_forge.linalg import adj
+from dilation_forge.linalg import adj, isometry_from_frames
 from dilation_forge.tuples import AlgebraStructure, TupleSpec, classify, ordered_power_products
 from dilation_forge.verifier import full_report
 from padding import compressions, minimal_rank, padded_coupling, padded_covariant_spec, padded_model
@@ -94,9 +94,11 @@ def test_coupling_carries_each_intermediate_once(pad):
     x, y = defect_frames(spec, defects)
     assert coupling.X.tobytes() == x.tobytes() and coupling.Y.tobytes() == y.tobytes()
     hat1n = defects["hat1n"]
-    assert coupling.vs.tobytes() == (coupling.V @ (adj(hat1n.basis) @ hat1n.root)).tobytes()
+    src = adj(hat1n.basis) @ hat1n.root
+    dst = np.vstack([x, np.zeros((int(coupling.mult1.sum()), spec.dimH))])
+    assert coupling.vs.tobytes() == (isometry_from_frames(src, dst) @ src).tobytes()
     fresh = coefficient_layout(spec, defects, coupling.mult1, coupling.algebra)
-    for name in ("mult1", "mult2", "D", "Udom", "Dprime_rows"):
+    for name in ("mult1", "mult2", "D", "Udom", "Dprime_rows", "Dprime_pair"):
         assert np.array_equal(getattr(coupling.layout, name), getattr(fresh, name)), name
     assert coupling.layout.parts_D == fresh.parts_D
 

@@ -12,8 +12,8 @@ from dilation_forge.errors import (DilationForgeError, DimensionMismatch, Genera
                                    InfeasibleFinitePadding, MalformedSpec, NonFinite, NonSquare,
                                    NotInClass, NotPSD, UnsupportedMultiplicity)
 from dilation_forge.generators import STYLES, parrott_tuple, random_tuple, scalar_triple
-from dilation_forge.io import (dump_json, load_model, load_tuple, model_from_dict,
-                               model_to_dict, tuple_from_dict, tuple_to_dict)
+from dilation_forge.io import (dump_json, load_model, load_tuple, matrix_to_json,
+                               model_from_dict, model_to_dict, tuple_from_dict, tuple_to_dict)
 from dilation_forge.tuples import TupleSpec, classify
 from dilation_forge.verifier import full_report
 from padding import padded_model
@@ -197,11 +197,41 @@ def test_verify_mutated_model_fails(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
     clean = json.loads(model_path.read_text())
-    for key in ("U1", "Pi"):
+    for key in ("U", "Pi"):
         doc = json.loads(json.dumps(clean))
         doc[key]["re"][0], doc[key]["im"][0] = 0.9, 0.1
         model_path.write_text(json.dumps(doc))
         assert main(["verify", "--model", str(model_path)]) == 2, key
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("style", STYLES)
+def test_every_single_entry_corruption_of_U_fails_verification(style, seed):
+    """U1, Un and so the dilated isometries are formed from the stored U: a
+    change of any one entry of U fails the report of the loaded model."""
+    model = assemble_model(random_tuple(style, 3, 4, seed=3), N=2,
+                           config=BuildConfig(completion_seed=seed))
+    doc = model_to_dict(model)
+    assert full_report(model_from_dict(doc)).passed
+    re = doc["U"]["re"]
+    for k in range(len(re)):
+        re[k] += 0.5
+        assert not full_report(model_from_dict(doc)).passed, divmod(k, doc["dims"]["coeff"])
+        re[k] -= 0.5
+
+
+def test_schema_5_model_file_is_input_error(tmp_path, capsys):
+    """A file in the version-5 layout, with U1, Un and the tails in place of U."""
+    model = assemble_model(scalar_triple(), N=2)
+    doc = model_to_dict(model)
+    del doc["U"]
+    doc.update(schema_version=5, U1=matrix_to_json(model.transfer.U1),
+               Un=matrix_to_json(model.transfer.Un), tails=model.tails.tolist())
+    model_path = tmp_path / "model.json"
+    dump_json(doc, str(model_path))
+    assert main(["verify", "-m", str(model_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: $.schema_version: expected 6, got 5"]
 
 
 def _drop(*path):
@@ -240,8 +270,7 @@ def _every_cell_Pi(doc):
 
 MODEL_FILE_DEFECTS = {
     **{f"missing {key}": _drop(key) for key in (
-        "schema_version", "tuple", "N", "dims", "U1", "Un", "Pi", "tails",
-        "construction_residuals")},
+        "schema_version", "tuple", "N", "dims", "U", "Pi", "construction_residuals")},
     **{f"missing dims.{key}": _drop("dims", key) for key in ("coeff", "cells", "aux", "ranks")},
     **{f"missing Pi.{key}": _drop("Pi", key) for key in ("shape", "re", "im")},
     "schema version 1": _set(1, "schema_version"),
@@ -250,30 +279,28 @@ MODEL_FILE_DEFECTS = {
     "schema version 4": _set(4, "schema_version"),
     "Pi with every cell's rows": _every_cell_Pi,
     "Pi missing a row": _set(lambda m: _flat(_rows(m)[:-1]), "Pi"),
-    "U1 missing a column": _set(lambda m: _flat([(re[:-1], im[:-1]) for re, im in _rows(m)]),
-                                "U1"),
-    "Un not square": _set(lambda m: _flat(_rows(m)[:-1]), "Un"),
-    "U1 nested [re, im] rows": _set(lambda m: [[[a, b] for a, b in zip(re, im)]
-                                               for re, im in _rows(m)], "U1"),
+    "U missing a column": _set(lambda m: _flat([(re[:-1], im[:-1]) for re, im in _rows(m)]),
+                               "U"),
+    "U not square": _set(lambda m: _flat(_rows(m)[:-1]), "U"),
+    "U shape disagrees with the sizes": _set(lambda s: [s[0] + 1, s[1] + 1], "U", "shape"),
+    "U nested [re, im] rows": _set(lambda m: [[[a, b] for a, b in zip(re, im)]
+                                              for re, im in _rows(m)], "U"),
     "Pi shape disagrees with the sizes": _set(lambda s: [s[0] + 1, s[1]], "Pi", "shape"),
     "Pi shape a bool": _set(lambda s: [s[0], True], "Pi", "shape"),  # the triple's dimH is 1
     "Pi shape huge": _set([10 ** 12, 10 ** 12], "Pi", "shape"),
     "Pi re too short": _set(lambda v: v[:-1], "Pi", "re"),
-    "Un im too long": _set(lambda v: v + [0.0], "Un", "im"),
+    "U im too long": _set(lambda v: v + [0.0], "U", "im"),
     "Pi re entry a string": _set(lambda v: ["0.5"] + v[1:], "Pi", "re"),
-    "U1 im entry a bool": _set(lambda v: [False] + v[1:], "U1", "im"),
+    "U im entry a bool": _set(lambda v: [False] + v[1:], "U", "im"),
     "Pi re entry a list": _set(lambda v: [[0.5, 0.0]] + v[1:], "Pi", "re"),
     "Pi re entry not finite": _set(lambda v: [float("nan")] + v[1:], "Pi", "re"),
-    "Un im entry infinite": _set(lambda v: [float("inf")] + v[1:], "Un", "im"),
+    "U im entry infinite": _set(lambda v: [float("inf")] + v[1:], "U", "im"),
     "Pi im entry beyond the float range": _set(lambda v: [10 ** 400] + v[1:], "Pi", "im"),
     "construction residuals not an object": _set([0.0], "construction_residuals"),
     "construction residual not finite": _set(lambda r: {**r, "eq_Cn": float("nan")},
                                              "construction_residuals"),
     "construction residual a string": _set(lambda r: {**r, "eq_Cn": "0"},
                                            "construction_residuals"),
-    "tails too short": _set(lambda t: t[:-1], "tails"),
-    "tails not numbers": _set(lambda t: ["x"] * len(t), "tails"),
-    "tails not finite": _set(lambda t: [float("nan")] + t[1:], "tails"),
     "coefficient dimension": _set(lambda c: c + 1, "dims", "coeff"),
     "dims disagree with the tuple": _set(lambda r: {**r, "hat1": r["hat1"] + 1}, "dims", "ranks"),
     "dims.aux of the wrong length": _set(lambda a: a + [0], "dims", "aux"),
@@ -394,11 +421,12 @@ def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["schema_version"] == 5
-    assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U1", "Un", "Pi",
-                        "tails", "construction_residuals"}
+    assert doc["schema_version"] == 6
+    assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U", "Pi",
+                        "construction_residuals"}
     assert doc["tuple"]["schema_version"] == 1
     coeff = doc["dims"]["coeff"]
+    assert doc["U"]["shape"] == [coeff, coeff]  # the completion; U1 and Un are formed from it
     assert doc["Pi"]["shape"] == [coeff, 1]  # the cell-0 block alone
     assert len(doc["Pi"]["re"]) == len(doc["Pi"]["im"]) == coeff
     assert doc["tuple"]["matrices"][0][0] == [[[0.5, 0.0]]]  # tuples keep [re, im] pairs
@@ -417,6 +445,7 @@ def test_model_file_round_trip_is_exact(style, build):
     back = model_from_dict(json.loads(dump_json(model_to_dict(model), None)))
     for name in ("Pi", "tails"):
         assert np.array_equal(getattr(back, name), getattr(model, name)), name
+    assert np.array_equal(back.transfer.U, model.transfer.U)
     assert np.array_equal(back.transfer.U1, model.transfer.U1)
     assert np.array_equal(back.transfer.Un, model.transfer.Un)
     assert len(back.isometries) == len(model.isometries)
@@ -443,12 +472,12 @@ def test_model_file_reload_is_exact_at_every_degree(style, N):
 
 @pytest.mark.parametrize("style", STYLES)
 def test_model_file_size_does_not_grow_with_degree(style):
-    """Past N, dims.cells and the dimH tails, the file is the same text at every N."""
+    """Past N and dims.cells, the file is the same text at every N."""
     spec = random_tuple(style, 3, 4, seed=3)
     rest = set()
     for N in range(1, 17):
         doc = json.loads(dump_json(model_to_dict(assemble_model(spec, N=N)), None))
-        assert doc["N"] == N and len(doc.pop("tails")) == spec.dimH
+        assert doc["N"] == N
         del doc["N"], doc["dims"]["cells"]
         rest.add(dump_json(doc, None))
     assert len(rest) == 1
