@@ -29,8 +29,8 @@ import numpy as np
 from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
                      InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
 from .fock import FockModel, FockOperator, creation_matrix, degree_blocks
-from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_sqrt,
-                     range_basis, rel_residual)
+from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_check,
+                     psd_sqrt, range_basis, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
                      invert_perm, is_pure, merge_1n, ordered_power_products, szego_operator)
 
@@ -98,10 +98,7 @@ class CoefficientLayout:
 @dataclass
 class CouplingData:
     """V0 with the complements M1 (of span X in D) and M2 (of span Y in Udom)
-    before padding, the algebra and the frames X, Y of ``defect_frames``;
-    solve_aux adds ``mult1``, build_U the padded layout, U and
-    ``vs`` = V Q1n* Dhat, which build_transfer reads and the model keeps as
-    Pi's cell-0 block."""
+    before padding, the algebra and the frames X, Y of ``defect_frames``."""
 
     V0: np.ndarray
     M1: np.ndarray
@@ -111,16 +108,11 @@ class CouplingData:
     algebra: AlgebraStructure
     X: np.ndarray
     Y: np.ndarray
-    mult1: Optional[np.ndarray] = None
-    layout: Optional[CoefficientLayout] = None
-    U: Optional[np.ndarray] = None
-    vs: Optional[np.ndarray] = None
 
 
 @dataclass
 class TransferData:
-    """The completion U, U1 and Un of ``transfer_unitaries`` and the construction
-    residuals: ``build_transfer``'s and ``defect_equality``, which ``assemble_model`` adds."""
+    """The completion U, U1 and Un of ``transfer_unitaries`` and their construction residuals."""
 
     U: np.ndarray
     U1: np.ndarray
@@ -201,8 +193,9 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
     """Defect data for hat1 (drop index 1), hatn (drop index n) and the merged tuple.
 
     Returns ``(defects, merged, equality_residual)``, the residual measuring
-    the two displayed factorizations of the merged defect square.  Each
-    defect's range basis splits by algebra component (``_per_component``).
+    the two displayed factorizations of the merged defect square.  The PSD
+    verdicts of the hat1 and hatn squares are the class gate's; each defect's
+    range basis splits by algebra component (``_per_component``).
     ``alg`` is ``effective_algebra(spec)``, resolved once by the caller.
     """
     if spec.d != 1:
@@ -216,8 +209,9 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
 
     blocks = np.asarray(alg.block_of)
     defects = {}
-    for name, sq in (("hat1", sq_hat1), ("hatn", sq_hatn), ("hat1n", sq_hat1n)):
-        root = psd_sqrt(sq)
+    for name, sq, verdict in zip(("hat1", "hatn", "hat1n"), (sq_hat1, sq_hatn, sq_hat1n),
+                                 (report.szego_hat1, report.szego_hatn, psd_check(sq_hat1n))):
+        root = psd_sqrt(sq, verdict)
         defects[name] = DefectData(root, *_per_component(root, blocks, blocks, alg.k, range_basis))
 
     t1, tn = spec.op(1), spec.op(spec.n)
@@ -234,12 +228,9 @@ def defect_frames(spec: TupleSpec, defects: dict) -> tuple[np.ndarray, np.ndarra
     X_h = D_hatn h (+) D_hat1 t1* h  lives in Dn (+) (E1 x D1);
     Y_h = D_hat1 h (+) D_hatn tn* h  lives in D1 (+) (En x Dn).
     """
-    qn, q1 = defects["hatn"].basis, defects["hat1"].basis
-    dn, d1 = defects["hatn"].root, defects["hat1"].root
-    t1, tn = spec.op(1), spec.op(spec.n)
-    x = np.vstack([adj(qn) @ dn, adj(q1) @ d1 @ adj(t1)])
-    y = np.vstack([adj(q1) @ d1, adj(qn) @ dn @ adj(tn)])
-    return x, y
+    dn = adj(defects["hatn"].basis) @ defects["hatn"].root  # D_hatn in Dn's coordinates
+    d1 = adj(defects["hat1"].basis) @ defects["hat1"].root
+    return (np.vstack([dn, d1 @ adj(spec.op(1))]), np.vstack([d1, dn @ adj(spec.op(spec.n))]))
 
 
 def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
@@ -297,7 +288,7 @@ def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingD
                         X=x, Y=y)
 
 
-def solve_aux(spec: TupleSpec, coupling: CouplingData) -> tuple[int, int]:
+def solve_aux(spec: TupleSpec, coupling: CouplingData) -> np.ndarray:
     """The minimal finite auxiliary padding: the multiplicity vector mult1 of aux1.
 
     aux2 has multiplicities mult2 = mult1 o an^{-1} (existence of u2), and
@@ -309,8 +300,7 @@ def solve_aux(spec: TupleSpec, coupling: CouplingData) -> tuple[int, int]:
     and its inverse, and shifted so that the orbit's least entry is 0.  The
     scalar case reduces to #M1 = #M2 and no padding.  More padding (``mult1``
     raised before ``build_U``) adds coordinates that no V^alpha Pi h reaches
-    unless a completion seed mixes them in.  Stores mult1 on the coupling and
-    returns the sizes of aux1 and aux2, which are equal.
+    unless a completion seed mixes them in.
     """
     alg = coupling.algebra
     a1, an = np.asarray(alg.automorphisms[0]), np.asarray(alg.automorphisms[spec.n - 1])
@@ -339,8 +329,7 @@ def solve_aux(spec: TupleSpec, coupling: CouplingData) -> tuple[int, int]:
     if int(mult1.max(initial=0)) > MAX_PAD:
         raise InfeasibleFinitePadding(
             f"minimal padding {int(mult1.max())} exceeds the limit {MAX_PAD}")
-    coupling.mult1 = mult1
-    return int(mult1.sum()), int(mult1.sum())
+    return mult1
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -349,12 +338,13 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
-            config: BuildConfig = BuildConfig()) -> CouplingData:
-    """Lay out the padded D and Udom, extend V0^{-1} to the unitary U: Udom -> D
-    and assemble the isometry V."""
+def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
+            config: BuildConfig = BuildConfig()) -> tuple:
+    """Lay out D and Udom padded by the aux1 multiplicities ``mult1``, extend
+    V0^{-1} to the unitary U: Udom -> D and form Pi's cell-0 block vs = V Q1n*
+    Dhat of the isometry V.  Returns ``(layout, U, vs)``."""
     alg = coupling.algebra
-    layout = coefficient_layout(spec, defects, coupling.mult1, alg)
+    layout = coefficient_layout(spec, defects, mult1, alg)
     rn, r1, dD = layout.rn, layout.r1, layout.dim
     aux1, aux2 = layout.parts_D[2], layout.parts_Udom[2]
     e1, e2 = int(layout.mult1.sum()), int(layout.mult2.sum())
@@ -389,16 +379,7 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData,
     src = adj(q1n) @ defects["hat1n"].root
     dst = np.vstack([coupling.X, np.zeros((e1, spec.dimH))])
 
-    coupling.layout = layout
-    coupling.U = u
-    coupling.vs = isometry_from_frames(src, dst) @ src
-    return coupling
-
-
-def _gate(residuals: dict, name: str, value: float, gate: float):
-    residuals[name] = value
-    if value > gate:
-        raise IdentityResidualExceeded(name, value, gate)
+    return layout, u, isometry_from_frames(src, dst) @ src
 
 
 def transfer_unitaries(spec: TupleSpec, layout: CoefficientLayout,
@@ -427,51 +408,68 @@ def transfer_unitaries(spec: TupleSpec, layout: CoefficientLayout,
     return u1, un
 
 
-def build_transfer(spec: TupleSpec, coupling: CouplingData,
-                   config: BuildConfig = BuildConfig()) -> TransferData:
-    """Block unitaries U1 and Un of ``transfer_unitaries``, plus self-checks
-    on their blocks [[A, B], [C, 0]] and on U."""
-    layout, u_mat = coupling.layout, coupling.U
+def _norm(a: np.ndarray) -> float:
+    """||a||_F by one vdot, at a third of ``frob``'s cost on these small blocks."""
+    return float(np.sqrt(np.vdot(a, a).real))
+
+
+def _rel(delta: np.ndarray, reference: np.ndarray) -> float:
+    return _norm(delta) / max(1.0, _norm(reference))
+
+
+def measure_transfer(spec: TupleSpec, layout: CoefficientLayout, u: np.ndarray, vs: np.ndarray,
+                     frames: tuple, defect_equality: float) -> TransferData:
+    """U1 and Un of ``transfer_unitaries`` and the construction residuals, ungated.
+
+    One Gram G = W W* - I per block unitary W = [[A, B], [C, 0]] gives
+    W_unitarity = ||G||_F (||W* W - I||_F in exact arithmetic, W being square)
+    and its blocks W_rows = ||A A* + B B* - I||, W_ACstar = ||A C*|| and
+    W_CCstar = ||C C* - I||.  The frames X, Y of ``defect_frames`` give U Y = X
+    (frame_eq_f), lemma_U1, eq_ABn and eq_Cn on vs, with the zero padding rows
+    left out of the products.  Built and loaded models are measured here alike.
+    """
+    x, y = frames
     rn, r1, dD = layout.rn, layout.r1, layout.dim
-    e1, e2 = int(layout.mult1.sum()), int(layout.mult2.sum())
-    u1, un = transfer_unitaries(spec, layout, u_mat)
-    blocks = {tag: (w[:dD, :dD], w[:dD, dD:], w[dD:, :dD]) for tag, w in (("U1", u1), ("Un", un))}
+    t1_adj, tn_adj = adj(spec.op(1)), adj(spec.op(spec.n))
+    u1, un = transfer_unitaries(spec, layout, u)
+    grams = {tag: w @ adj(w) - eye(len(w)) for tag, w in (("U1", u1), ("Un", un))}
+    residuals = {f"{tag}_unitarity": _norm(g) for tag, g in grams.items()}
+    for tag, g in grams.items():
+        residuals.update({f"{tag}_ACstar": _norm(g[:dD, dD:]), f"{tag}_CCstar": _norm(g[dD:, dD:]),
+                          f"{tag}_rows": _norm(g[:dD, :dD])})
 
-    residuals: dict = {}
-    _gate(residuals, "U1_unitarity", frob(adj(u1) @ u1 - eye(u1.shape[0])),
-          UNITARY_GATE * max(1.0, u1.shape[0]))
-    _gate(residuals, "Un_unitarity", frob(adj(un) @ un - eye(un.shape[0])),
-          UNITARY_GATE * max(1.0, un.shape[0]))
-    for tag, (a, b, c) in blocks.items():
-        _gate(residuals, f"{tag}_ACstar", frob(a @ adj(c)), UNITARY_GATE * dD)
-        _gate(residuals, f"{tag}_CCstar", frob(c @ adj(c) - eye(c.shape[0])), UNITARY_GATE * dD)
-        _gate(residuals, f"{tag}_rows", frob(a @ adj(a) + b @ adj(b) - eye(dD)),
-              UNITARY_GATE * dD)
+    frame = u[:, :r1 + rn] @ y  # Y fills D1 (+) (En x Dn), X fills Dn (+) (E1 x D1)
+    frame[:rn + r1] -= x
+    residuals["frame_eq_f"] = _rel(frame, x)
 
-    # the frames X = (Dn h, D1 t1* h) and Y = (D1 h, Dn tn* h) of build_V0, in coordinates
-    x, y, vs = coupling.X, coupling.Y, coupling.vs
-    t1, tn = spec.op(1), spec.op(spec.n)
-
-    # defining frame equation of U, Eq-level check on a basis of E1 (x) H
-    f_in = np.vstack([y, np.zeros((e2, spec.dimH))])
-    f_out = np.vstack([x, np.zeros((e1, spec.dimH))])
-    _gate(residuals, "frame_eq_f", rel_residual(u_mat @ f_in - f_out, f_out),
-          config.identity_gate)
-
-    lemma_in = np.vstack([vs, y[r1:] @ adj(t1), np.zeros((e1, spec.dimH))])
-    lemma_out = np.vstack([vs @ adj(t1), x[:rn], np.zeros((e1, spec.dimH))])
-    _gate(residuals, "lemma_U1", rel_residual(u1 @ lemma_in - lemma_out, lemma_out),
-          config.identity_gate)
+    lemma_out = np.vstack([vs @ t1_adj, x[:rn]])  # D (+) (E x Dn); its aux1 rows are zero
+    lemma = u1[:, :dD + rn] @ np.vstack([vs, y[r1:] @ t1_adj])
+    lemma[:dD + rn] -= lemma_out
+    residuals["lemma_U1"] = _rel(lemma, lemma_out)
 
     mu = spec.u(spec.n, 1)  # flip into merged (E1 before En) coordinate order
-    abn_in = np.vstack([vs, mu * (x[rn:] @ adj(tn))])
-    abn_out = np.vstack([vs @ adj(tn), y[:r1]])
-    _gate(residuals, "eq_ABn", rel_residual(un @ abn_in - abn_out, abn_out),
-          config.identity_gate)
-    _gate(residuals, "eq_Cn", rel_residual(blocks["Un"][2] @ vs - y[:r1], y[:r1]),
-          config.identity_gate)
+    abn_out = np.vstack([vs @ tn_adj, y[:r1]])
+    residuals["eq_ABn"] = _rel(un @ np.vstack([vs, mu * (x[rn:] @ tn_adj)]) - abn_out, abn_out)
+    residuals["eq_Cn"] = _rel(un[dD:, :dD] @ vs - y[:r1], y[:r1])
+    residuals["defect_equality"] = defect_equality
+    return TransferData(U=u, U1=u1, Un=un, residuals=residuals)
 
-    return TransferData(U=u_mat, U1=u1, Un=un, residuals=residuals)
+
+def build_transfer(spec: TupleSpec, coupling: CouplingData, layout: CoefficientLayout,
+                   u: np.ndarray, vs: np.ndarray, defect_equality: float,
+                   config: BuildConfig = BuildConfig()) -> TransferData:
+    """``measure_transfer`` on the frames of ``build_V0``, its residuals gated in
+    order: U1's and Un's at UNITARY_GATE times the dimension of the block
+    unitary (unitarity) or of D (blocks), the others at ``config.identity_gate``."""
+    transfer = measure_transfer(spec, layout, u, vs, (coupling.X, coupling.Y), defect_equality)
+    sizes = {"U1": len(transfer.U1), "Un": len(transfer.Un)}
+    for name, value in transfer.residuals.items():
+        tag, _, kind = name.partition("_")
+        gate = (config.identity_gate if tag not in sizes else
+                UNITARY_GATE * (max(1.0, sizes[tag]) if kind == "unitarity" else layout.dim))
+        if value > gate:
+            raise IdentityResidualExceeded(name, value, gate)
+    return transfer
 
 
 def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
@@ -553,12 +551,11 @@ def assemble_model(spec: TupleSpec, N: int = 4,
     alg = effective_algebra(spec)
     defects, merged, eq_resid = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)
-    solve_aux(spec, coupling)
-    build_U(spec, defects, coupling, config)
-    transfer = build_transfer(spec, coupling, config)
-    _gate(transfer.residuals, "defect_equality", eq_resid, config.identity_gate)
+    mult1 = solve_aux(spec, coupling)
+    layout, u, vs = build_U(spec, defects, coupling, mult1, config)
+    transfer = build_transfer(spec, coupling, layout, u, vs, eq_resid, config)
     _, radius = is_pure(merged, 1)
     if radius >= 1.0:
         raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
-    return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=coupling.layout,
-                         transfer=transfer, vs=coupling.vs)
+    return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=layout,
+                         transfer=transfer, vs=vs)

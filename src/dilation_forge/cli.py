@@ -12,9 +12,9 @@ only ``main`` reads it, so no command catches an error itself.
 ``dilate`` and ``verify -i`` build through ``_build`` with the minimal padding;
 ``--seed`` picks the unitary completion, the one free choice.  Only ``dilate``
 gates the construction identities at ``--tol``; ``verify -m`` takes no build
-option (``_check_usage``).  ``verify --format text`` and ``demo`` print
-through ``_print_report``: the construction self-check residuals, for
-``verify -m`` those stored in the model file, then the verification residuals.
+option (``_check_usage``).  ``verify --format text`` and ``demo`` print the
+report document through ``_print_report``: the construction residuals measured
+on the model's data, built or loaded, then the verification residuals.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _print_report(construction: dict, doc: dict) -> int:
+def _print_report(doc: dict) -> int:
     """The text report of ``verify`` and ``demo``; returns its exit code."""
     print("construction self-check residuals:")
-    for name, value in sorted(construction.items()):
+    for name, value in sorted(doc["construction_residuals"].items()):
         print(f"  {name:24s} {value:12.3e}")
     print("verification residuals:")
     for name, value in sorted(doc["residuals"].items()):
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
     if args.output:
         dump_json(doc, args.output)
     if args.format == "text":
-        return _print_report(model.transfer.residuals, doc)
+        return _print_report(doc)
     print(dump_json(doc, None))
     return EXIT_OK if doc["passed"] else EXIT_NOT_IN_CLASS
 
@@ -151,7 +151,7 @@ def cmd_random(args) -> int:
 def cmd_demo(args) -> int:
     print(f"scalar triple (0.5, 0.4, 0.3), truncation degree N={args.degree}")
     model = assemble_model(scalar_triple(), N=args.degree)
-    return _print_report(model.transfer.residuals, verification_report_doc(full_report(model)))
+    return _print_report(verification_report_doc(full_report(model)))
 
 
 @functools.cache

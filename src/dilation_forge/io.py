@@ -1,21 +1,21 @@
 """JSON serialization of tuples, reports and dilation models.
 
 Every document is written compact (no whitespace, sorted keys) and carries a
-``schema_version``: 1 for tuples and reports, 6 for models.  Python's float
+``schema_version``: 1 for tuples and reports, 7 for models.  Python's float
 repr is shortest-exact, so every round trip is bit-faithful.  Matrix entries
 must be finite JSON numbers; booleans, strings, NaN and infinities are input
 errors.
 
 Tuple documents, which are also written by hand, store each matrix as nested
-rows of [re, im] pairs.  A model file stores the completion U (dim D x dim D)
-and Pi's cell-0 block (dim D x dimH) as flat row-major matrices
-``{"shape": [rows, cols], "re": [...], "im": [...]}``, beside the tuple, N,
-the sizes record ``dims`` and the construction self-check residuals, so its
-size does not grow with N.  On load the coefficient layout is rebuilt from
-the tuple and ``dims.aux``, each declared shape is checked against it before
-any list is converted, and the rest is derived as for a built model: U1 and
-Un by ``transfer_unitaries``, then, past N's cell budget, the tails, Pi and
-the dilated isometries.
+rows of [re, im] pairs.  A model file holds exactly ``MODEL_FIELDS``: the
+tuple, N, the sizes record ``dims``, and the completion U (dim D x dim D) and
+Pi's cell-0 block (dim D x dimH) as flat row-major matrices ``{"shape": [rows,
+cols], "re": [...], "im": [...]}``, so its size does not grow with N.  On load
+the coefficient layout is rebuilt from the tuple and ``dims.aux``, each
+declared shape is checked against it before any list is converted, and the
+rest is derived as for a built model: U1, Un and the construction residuals
+by ``measure_transfer``, then, past N's cell budget, the tails, Pi and the
+dilated isometries.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from typing import Any
 
 import numpy as np
 
-from .builder import (MAX_PAD, CoefficientLayout, DilationModel, TransferData, build_defects,
-                      coefficient_layout, effective_algebra, transfer_unitaries)
+from .builder import (MAX_PAD, CoefficientLayout, DilationModel, build_defects,
+                      coefficient_layout, defect_frames, effective_algebra, measure_transfer)
 from .errors import MalformedSpec
 from .tuples import AlgebraStructure, TupleSpec
 
 SCHEMA_VERSION = 1
-MODEL_SCHEMA_VERSION = 6
+MODEL_SCHEMA_VERSION = 7
+MODEL_FIELDS = {"schema_version", "kind", "tuple", "N", "dims", "U", "Pi"}
 _NUMBER_TYPES = {int, float}  # what json reads a JSON number as; bool is not among them
 
 
@@ -189,26 +190,29 @@ def model_to_dict(model: DilationModel) -> dict:
         "U": matrix_to_json(model.transfer.U),
         # cell 0 as build_Pi forms it: vs @ I, whose zeros may differ from vs's in sign
         "Pi": matrix_to_json(model.Pi[:model.layout.dim]),
-        "construction_residuals": {k: float(v) for k, v in model.transfer.residuals.items()},
     }
 
 
 def model_from_dict(doc: dict) -> DilationModel:
     """Rebuild a verifiable model from its JSON document.
 
-    The tuple passes the class gate again and its defect data are recomputed
-    (``build_defects``), the coefficient layout from them and ``dims.aux``;
-    ``dims`` must then equal the rebuilt sizes.  U, Pi's cell-0 block and the
-    construction residuals are read from the file, each checked, and U1 and Un
-    formed from U by ``transfer_unitaries``; the ``DilationModel`` derives the
-    tails from the tuple, so a corrupted block fails ``pi_isometry`` against
-    tails that the file cannot corrupt along with it.
+    The document holds exactly ``MODEL_FIELDS``.  The tuple passes the class
+    gate again and its defect data are recomputed (``build_defects``), the
+    coefficient layout from them and ``dims.aux``; ``dims`` must then equal
+    the rebuilt sizes.  U and Pi's cell-0 block are read and checked, and
+    ``measure_transfer`` forms U1 and Un from U and measures the construction
+    residuals with the rebuilt defects' frames, so a corrupted U shows there;
+    a corrupted block fails ``pi_isometry`` against tails that the
+    ``DilationModel`` derives from the tuple.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")
     version = _require(doc, "schema_version", int, "$")
     if version != MODEL_SCHEMA_VERSION:
         raise MalformedSpec(f"$.schema_version: expected {MODEL_SCHEMA_VERSION}, got {version}")
+    unknown = sorted(set(doc) - MODEL_FIELDS)
+    if unknown:
+        raise MalformedSpec(f"$.{unknown[0]}: unknown field")
     spec = tuple_from_dict(_require(doc, "tuple", dict, "$"), "$.tuple")
     N = _require(doc, "N", int, "$")
     if N < 1:
@@ -218,18 +222,16 @@ def model_from_dict(doc: dict) -> DilationModel:
     alg = effective_algebra(spec)
     if len(aux) != alg.k or any(type(v) is not int or not 0 <= v <= MAX_PAD for v in aux):
         raise MalformedSpec(f"$.dims.aux: expected {alg.k} integers in 0..{MAX_PAD}")
-    defects, merged, _ = build_defects(spec, alg)
+    defects, merged, eq_resid = build_defects(spec, alg)
     layout = coefficient_layout(spec, defects, aux, alg)
     expected = _dims(layout, defects, comb(merged.n + N, merged.n))
     if dims != expected:
         raise MalformedSpec(f"$.dims: expected {expected} for this tuple and N")
-    residuals = _require(doc, "construction_residuals", dict, "$")
-    values = _floats(list(residuals.values()), "$.construction_residuals")
     u = json_to_matrix(doc, "U", (layout.dim, layout.dim))
-    transfer = TransferData(u, *transfer_unitaries(spec, layout, u),
-                            residuals=dict(zip(residuals, values.tolist())))
+    vs = json_to_matrix(doc, "Pi", (layout.dim, spec.dimH))
+    transfer = measure_transfer(spec, layout, u, vs, defect_frames(spec, defects), eq_resid)
     return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=layout,
-                         transfer=transfer, vs=json_to_matrix(doc, "Pi", (layout.dim, spec.dimH)))
+                         transfer=transfer, vs=vs)
 
 
 def load_model(path: str) -> DilationModel:

@@ -93,19 +93,16 @@ def _psd_cutoff(eigs: np.ndarray, tol: float) -> np.ndarray:
     return low >= -tol * np.maximum(np.maximum(1.0, high), np.abs(low))
 
 
-def psd_sqrt(a) -> np.ndarray:
+def psd_sqrt(a, report: PsdReport) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
-    Eigenvalues in [-DEFAULT_TOL*scale, 0) are clamped to zero; anything more negative
-    raises :class:`NotPSD`.  A Hermitian defect above 1e-8 (relative) also
-    raises, since the input is then not a meaningful Szego operator.
+    ``report`` is the caller's ``psd_check(a)``, which has checked that ``a``
+    is finite and square.  Eigenvalues in [-DEFAULT_TOL*scale, 0) are clamped
+    to zero; anything more negative raises :class:`NotPSD`, and so does a
+    Hermitian defect above 1e-8 (relative): no meaningful Szego operator has one.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"psd_sqrt needs a square matrix, got {a.shape}")
     if a.shape[0] == 0:
         return a.copy()
-    report = psd_check(a)
     if report.hermitian_defect > 1e-8:
         raise NotPSD(f"matrix is not Hermitian (defect {report.hermitian_defect:.3e})")
     if not report.is_psd:

@@ -80,6 +80,7 @@ class VerificationReport:
     verdicts: dict = field(default_factory=dict)
     tail_bounds: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    construction: dict = field(default_factory=dict)  # the model's, measured and not gated
 
     @property
     def passed(self) -> bool:
@@ -94,7 +95,8 @@ class VerificationReport:
                 "tail_bounds": [float(t) for t in self.tail_bounds],
                 "config": self.config,
                 "passed": bool(self.passed),
-                "failures": self.failures()}
+                "failures": self.failures(),
+                "construction_residuals": {k: float(v) for k, v in self.construction.items()}}
 
 
 def verify_pi(model: DilationModel) -> dict:
@@ -257,12 +259,13 @@ def verify_equivariance(model: DilationModel) -> dict:
 
 
 def full_report(model: DilationModel, tolerances: dict | None = None) -> VerificationReport:
-    """Run every verifier and aggregate residuals with per-identity verdicts."""
+    """Run every verifier, gate its residuals, and carry the model's construction residuals."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
     report = VerificationReport(config={"tolerances": tol, "N": model.N,
-                                        "moment_maxdeg": MOMENT_MAXDEG})
+                                        "moment_maxdeg": MOMENT_MAXDEG},
+                                construction=dict(model.transfer.residuals))
     report.tail_bounds = [float(t) for t in model.tails]
 
     groups = [

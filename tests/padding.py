@@ -1,18 +1,20 @@
 """Models with more than the minimal padding, built through the stages, and the
 invariants that say what padding and the completion seed change.
 
-``assemble_model`` always takes the minimal padding; a padded model raises
-``mult1`` between ``solve_aux`` and ``build_U`` and runs the later stages as
-``assemble_model`` does.  The invariants read the model through
+``assemble_model`` always takes the minimal padding; a padded model adds to
+the ``mult1`` that ``solve_aux`` returns before ``build_U`` and runs the later
+stages as ``assemble_model`` does.  The invariants read the model through
 ``FockOperator.apply`` alone, independent of the builder.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-from dilation_forge.builder import (BuildConfig, DilationModel, build_defects, build_transfer,
-                                    build_U, build_V0, effective_algebra, solve_aux)
+from dilation_forge.builder import (BuildConfig, CoefficientLayout, CouplingData, DilationModel,
+                                    build_defects, build_transfer, build_U, build_V0,
+                                    effective_algebra, solve_aux)
 from dilation_forge.linalg import adj
 from dilation_forge.tuples import AlgebraStructure, TupleSpec
 
@@ -30,26 +32,36 @@ def padded_covariant_spec():
     return TupleSpec.from_operators([t1, t2, t3], algebra=alg)
 
 
+class Stages(NamedTuple):
+    """What the stages of ``assemble_model`` make up to ``build_U``."""
+
+    defects: dict
+    merged: TupleSpec
+    coupling: CouplingData
+    defect_equality: float
+    layout: CoefficientLayout
+    U: np.ndarray
+    vs: np.ndarray
+
+
 def padded_coupling(spec, pad, seed=None):
-    """``(defects, merged, coupling, defect_equality)`` with U built on
-    ``pad`` coordinates of aux1 per component beyond the minimal padding."""
+    """The ``Stages`` with U built on ``pad`` coordinates of aux1 per
+    component beyond the minimal padding."""
     alg = effective_algebra(spec)
     defects, merged, eq = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)
-    solve_aux(spec, coupling)
-    coupling.mult1 = coupling.mult1 + pad
-    build_U(spec, defects, coupling, BuildConfig(completion_seed=seed))
-    return defects, merged, coupling, eq
+    built = build_U(spec, defects, coupling, solve_aux(spec, coupling) + pad,
+                    BuildConfig(completion_seed=seed))
+    return Stages(defects, merged, coupling, eq, *built)
 
 
 def padded_model(spec, N, pad, seed=None):
     """``assemble_model(spec, N, BuildConfig(completion_seed=seed))``, on
     ``pad`` more padding coordinates per component."""
-    defects, merged, coupling, eq = padded_coupling(spec, pad, seed)
-    transfer = build_transfer(spec, coupling)
-    transfer.residuals["defect_equality"] = eq
-    return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=coupling.layout,
-                         transfer=transfer, vs=coupling.vs)
+    st = padded_coupling(spec, pad, seed)
+    transfer = build_transfer(spec, st.coupling, st.layout, st.U, st.vs, st.defect_equality)
+    return DilationModel(spec=spec, merged=st.merged, N=N, defects=st.defects, layout=st.layout,
+                         transfer=transfer, vs=st.vs)
 
 
 def compressions(model):

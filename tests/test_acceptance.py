@@ -7,15 +7,13 @@ per-criterion lines.
 
 import time
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from dilation_forge import builder
-from dilation_forge.builder import (BuildConfig, assemble_model, build_defects, build_transfer,
-                                    build_V0, build_U, effective_algebra, solve_aux,
-                                    truncation_tails)
+from dilation_forge.builder import (assemble_model, build_defects, build_transfer, build_V0,
+                                    build_U, defect_frames, effective_algebra, measure_transfer,
+                                    solve_aux, truncation_tails)
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.tuples import TupleSpec, classify
 from dilation_forge.verifier import full_report, verify_equivariance, verify_moments
@@ -61,10 +59,8 @@ def test_criterion_2_construction_identities():
         alg = effective_algebra(spec)
         defects, merged, eq = build_defects(spec, alg)
         coupling = build_V0(spec, defects, alg)
-        solve_aux(spec, coupling)
-        build_U(spec, defects, coupling)
-        transfer = build_transfer(spec, coupling)
-        u = coupling.U
+        layout, u, vs = build_U(spec, defects, coupling, solve_aux(spec, coupling))
+        transfer = build_transfer(spec, coupling, layout, u, vs, eq)
         worst["equality"] = max(worst["equality"], eq)
         worst["unitary"] = max(worst["unitary"],
                                float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))))
@@ -173,12 +169,10 @@ def test_criterion_7_equivariant():
 def test_criterion_8_mutation_sensitivity():
     spec = random_tuple("scaled-commuting", 3, 4, 800)
     model = assemble_model(spec, N=3)
-    coupling = build_V0(spec, model.defects, effective_algebra(spec))  # the test's own
-    solve_aux(spec, coupling)
-    build_U(spec, model.defects, coupling)
-    coupling.U[1, 1] *= -1.0
-    with mock.patch.object(builder, "UNITARY_GATE", np.inf):
-        transfer = build_transfer(spec, coupling, BuildConfig(identity_gate=np.inf))
+    u = model.transfer.U.copy()
+    u[1, 1] *= -1.0
+    transfer = measure_transfer(spec, model.layout, u, model.vs, defect_frames(spec, model.defects),
+                                model.transfer.residuals["defect_equality"])
     mutated = replace(model, transfer=transfer)
     report = full_report(mutated)
     assert not report.passed

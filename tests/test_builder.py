@@ -26,11 +26,13 @@ def defects_for(spec):
 
 
 def coupling_for(spec, config=BuildConfig()):
-    defects, merged, eq = defects_for(spec)
-    coupling = build_V0(spec, defects, effective_algebra(spec))
-    solve_aux(spec, coupling)
-    build_U(spec, defects, coupling, config)
-    return defects, merged, coupling, eq
+    """The ``Stages`` of ``assemble_model(spec, config=config)`` up to ``build_U``."""
+    return padded_coupling(spec, 0, config.completion_seed)
+
+
+def transfer_for(spec, st):
+    """``build_transfer`` on the ``Stages`` ``st`` of ``spec``."""
+    return build_transfer(spec, st.coupling, st.layout, st.U, st.vs, st.defect_equality)
 
 
 def test_defects_scalar_triple_frozen_values():
@@ -58,12 +60,12 @@ def test_defects_reject_out_of_class():
 
 
 def test_zero_tuple_coupling_is_identity_like():
-    defects, _, coupling, eq = coupling_for(zero_tuple(3, 2))
-    assert eq == 0.0
+    st = coupling_for(zero_tuple(3, 2))
+    assert st.defect_equality == 0.0
     # frames are h (+) 0 on both sides, so V0 acts as the identity on the H copy
-    x, y = defect_frames(zero_tuple(3, 2), defects)
-    assert np.linalg.norm(coupling.V0 @ x - y) < 1e-14
-    assert np.linalg.norm(adj(coupling.U) @ coupling.U - np.eye(coupling.U.shape[0])) < 1e-13
+    x, y = defect_frames(zero_tuple(3, 2), st.defects)
+    assert np.linalg.norm(st.coupling.V0 @ x - y) < 1e-14
+    assert np.linalg.norm(adj(st.U) @ st.U - np.eye(st.U.shape[0])) < 1e-13
 
 
 def test_frames_scalar_pair():
@@ -90,25 +92,24 @@ def test_coupling_carries_each_intermediate_once(pad):
     """The frames and V Q1n* Dhat are formed once, by the stage that owns them,
     and equal what their own functions form; so does the padded layout."""
     spec = random_tuple("covariant", 3, 4, seed=6, k=2, automorphisms=[[1, 0], [0, 1], [1, 0]])
-    defects, _, coupling, _ = padded_coupling(spec, pad)
-    x, y = defect_frames(spec, defects)
-    assert coupling.X.tobytes() == x.tobytes() and coupling.Y.tobytes() == y.tobytes()
-    hat1n = defects["hat1n"]
+    st = padded_coupling(spec, pad)
+    x, y = defect_frames(spec, st.defects)
+    assert st.coupling.X.tobytes() == x.tobytes() and st.coupling.Y.tobytes() == y.tobytes()
+    hat1n = st.defects["hat1n"]
     src = adj(hat1n.basis) @ hat1n.root
-    dst = np.vstack([x, np.zeros((int(coupling.mult1.sum()), spec.dimH))])
-    assert coupling.vs.tobytes() == (isometry_from_frames(src, dst) @ src).tobytes()
-    fresh = coefficient_layout(spec, defects, coupling.mult1, coupling.algebra)
+    dst = np.vstack([x, np.zeros((int(st.layout.mult1.sum()), spec.dimH))])
+    assert st.vs.tobytes() == (isometry_from_frames(src, dst) @ src).tobytes()
+    fresh = coefficient_layout(spec, st.defects, st.layout.mult1, st.coupling.algebra)
     for name in ("mult1", "mult2", "D", "Udom", "Dprime_rows", "Dprime_pair"):
-        assert np.array_equal(getattr(coupling.layout, name), getattr(fresh, name)), name
-    assert coupling.layout.parts_D == fresh.parts_D
+        assert np.array_equal(getattr(st.layout, name), getattr(fresh, name)), name
+    assert st.layout.parts_D == fresh.parts_D
 
 
 def test_solve_aux_scalar_mode():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=0)
     defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
-    e1, e2 = solve_aux(spec, coupling)
-    assert (e1, e2) == (0, 0)
+    assert solve_aux(spec, coupling).tolist() == [0]
     # the complements always match in dimension for d = 1
     assert coupling.M1.shape[1] == coupling.M2.shape[1]
 
@@ -117,10 +118,10 @@ def test_solve_aux_user_padding():
     """Padding beyond the minimal one is reached through the stages: mult1
     raised between ``solve_aux`` and ``build_U``."""
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=1)
-    defects, _, coupling, _ = padded_coupling(spec, 2)
-    assert coupling.mult1.tolist() == coupling.layout.mult2.tolist() == [2]
-    assert coupling.layout.dim == coefficient_layout(spec, defects, [0], coupling.algebra).dim + 2
-    u = coupling.U
+    st = padded_coupling(spec, 2)
+    assert st.layout.mult1.tolist() == st.layout.mult2.tolist() == [2]
+    assert st.layout.dim == coefficient_layout(spec, st.defects, [0], st.coupling.algebra).dim + 2
+    u = st.U
     assert np.linalg.norm(adj(u) @ u - np.eye(u.shape[0])) < 1e-12
 
 
@@ -128,17 +129,16 @@ def test_solve_aux_equivariant_identity_automorphisms():
     spec = random_tuple("covariant", 3, 4, seed=2, k=2, automorphisms=[[0, 1]] * 3)
     defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
-    assert solve_aux(spec, coupling) == (0, 0)
+    assert solve_aux(spec, coupling).tolist() == [0, 0]
 
 
 def test_solve_aux_equivariant_minimal_padding():
     spec = padded_covariant_spec()
     defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
-    e1, e2 = solve_aux(spec, coupling)
-    assert (e1, e2) == (1, 1)
-    assert coupling.mult1.tolist() == [1, 0]
-    assert coefficient_layout(spec, defects, coupling.mult1,
+    mult1 = solve_aux(spec, coupling)
+    assert mult1.tolist() == [1, 0]
+    assert coefficient_layout(spec, defects, mult1,
                               effective_algebra(spec)).mult2.tolist() == [0, 1]
 
 
@@ -200,21 +200,19 @@ def test_solve_aux_matches_brute_force_search(k):
                 with pytest.raises(InfeasibleFinitePadding):
                     solve_aux(spec, coupling)
                 continue
-            size = int(minimal.sum())
-            assert solve_aux(spec, coupling) == (size, size)
-            assert coupling.mult1.tolist() == minimal.tolist()
+            assert solve_aux(spec, coupling).tolist() == minimal.tolist()
     assert outcomes == {True, False}
 
 
 def test_build_U_unitary_and_block_pattern():
     spec = padded_covariant_spec()
-    defects, _, coupling, _ = coupling_for(spec)
-    u = coupling.U
+    st = coupling_for(spec)
+    u = st.U
     assert np.linalg.norm(adj(u) @ u - np.eye(u.shape[0])) < 1e-12
     # equivariance: U maps each component to itself
     off = 0.0
-    for i, li in enumerate(coupling.layout.D):
-        for j, lj in enumerate(coupling.layout.Udom):
+    for i, li in enumerate(st.layout.D):
+        for j, lj in enumerate(st.layout.Udom):
             if li != lj:
                 off = max(off, abs(u[i, j]))
     assert off < 1e-12
@@ -224,9 +222,9 @@ def test_transfer_identities_on_random_members():
     for seed in range(6):
         style = "jointly-nilpotent" if seed % 2 else "scaled-commuting"
         spec = random_tuple(style, 3, 3 + seed % 3, seed=seed)
-        defects, _, coupling, eq = coupling_for(spec)
-        transfer = build_transfer(spec, coupling)
-        assert eq < 1e-10
+        st = coupling_for(spec)
+        transfer = transfer_for(spec, st)
+        assert st.defect_equality < 1e-10
         assert transfer.residuals["lemma_U1"] < 1e-10
         assert transfer.residuals["eq_ABn"] < 1e-10
         assert transfer.residuals["eq_Cn"] < 1e-10
@@ -236,9 +234,9 @@ def test_transfer_identities_on_random_members():
 
 def test_transfer_blocks_satisfy_colligation_relations():
     spec = random_tuple("u-commuting", 3, 4, seed=4)
-    defects, _, coupling, _ = coupling_for(spec)
-    tr = build_transfer(spec, coupling)
-    d = coupling.layout.dim
+    st = coupling_for(spec)
+    tr = transfer_for(spec, st)
+    d = st.layout.dim
     for u in (tr.U1, tr.Un):
         a, b, c = u[:d, :d], u[:d, d:], u[d:, :d]
         assert np.linalg.norm(a @ adj(c)) < 1e-12
@@ -311,11 +309,11 @@ def test_U_unitarity_error_reports_the_bound_it_applies():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=1)
     defects, _, _ = defects_for(spec)
     coupling = build_V0(spec, defects, effective_algebra(spec))
-    solve_aux(spec, coupling)
-    dim = coefficient_layout(spec, defects, coupling.mult1, coupling.algebra).dim
+    mult1 = solve_aux(spec, coupling)
+    dim = coefficient_layout(spec, defects, mult1, coupling.algebra).dim
     coupling.V0 = (1.0 + 1e-9) * coupling.V0  # the extension U is no longer unitary
     with pytest.raises(IdentityResidualExceeded) as exc:
-        build_U(spec, defects, coupling)
+        build_U(spec, defects, coupling, mult1)
     assert dim > 1 and exc.value.identity == "U_unitarity"
     assert exc.value.gate == UNITARY_GATE * dim < exc.value.residual
     assert f"{exc.value.gate:.1e}" in str(exc.value)
@@ -327,10 +325,10 @@ def test_model_determinism_and_free_completion():
     m2 = assemble_model(spec, N=3)
     assert np.array_equal(m1.Pi, m2.Pi)
     assert np.array_equal(m1.transfer.U1, m2.transfer.U1)  # U1 holds every column of U
-    u = coupling_for(spec)[2].U
-    assert np.array_equal(coupling_for(spec)[2].U, u)
+    u = coupling_for(spec).U
+    assert np.array_equal(coupling_for(spec).U, u)
     alt = assemble_model(spec, N=3, config=BuildConfig(completion_seed=42))
-    assert not np.allclose(coupling_for(spec, BuildConfig(completion_seed=42))[2].U, u)
+    assert not np.allclose(coupling_for(spec, BuildConfig(completion_seed=42)).U, u)
     assert not np.allclose(alt.transfer.U1, m1.transfer.U1)
     # the theorems hold for any admissible completion
     from dilation_forge.verifier import full_report

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dilation_forge import cli
-from dilation_forge.builder import BuildConfig, assemble_model
+from dilation_forge.builder import UNITARY_GATE, BuildConfig, assemble_model
 from dilation_forge.cli import main
 from dilation_forge.errors import (DilationForgeError, DimensionMismatch, GenerationFailed,
                                    GramMismatch, IdentityResidualExceeded,
@@ -204,6 +204,39 @@ def test_verify_mutated_model_fails(tmp_path, triple_file):
         assert main(["verify", "--model", str(model_path)]) == 2, key
 
 
+@pytest.mark.parametrize("style", STYLES)
+def test_verify_reports_measured_construction_residuals_of_a_corrupted_U(tmp_path, capsys,
+                                                                         style):
+    """The construction residuals of a loaded model are measured on its U, not
+    read from the file: one corrupted entry shows above the gates of
+    U1_unitarity and frame_eq_f, in text and in JSON, and verify exits 2."""
+    doc = model_to_dict(assemble_model(random_tuple(style, 3, 4, seed=3), N=2))
+    doc["U"]["re"][0] += 0.5
+    model_path = tmp_path / "model.json"
+    dump_json(doc, str(model_path))
+    dim_u1 = len(load_model(str(model_path)).transfer.U1)
+    gates = {"U1_unitarity": UNITARY_GATE * dim_u1, "frame_eq_f": BuildConfig().identity_gate}
+    capsys.readouterr()
+    assert main(["verify", "-m", str(model_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    printed = {line.split()[0]: float(line.split()[1]) for line in
+               out[out.index("construction self-check residuals:") + 1:
+                   out.index("verification residuals:")]}
+    assert main(["verify", "-m", str(model_path), "--format", "json"]) == 2
+    reported = json.loads(capsys.readouterr().out)["construction_residuals"]
+    for name, gate in gates.items():
+        assert printed[name] > gate and reported[name] > gate, (name, printed[name], gate)
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("style", STYLES)
+def test_loaded_construction_residuals_equal_built_ones(style, seed):
+    model = assemble_model(random_tuple(style, 3, 4, seed=3), N=2,
+                           config=BuildConfig(completion_seed=seed))
+    back = model_from_dict(json.loads(dump_json(model_to_dict(model), None)))
+    assert list(back.transfer.residuals.items()) == list(model.transfer.residuals.items())
+
+
 @pytest.mark.parametrize("seed", [None, 5])
 @pytest.mark.parametrize("style", STYLES)
 def test_every_single_entry_corruption_of_U_fails_verification(style, seed):
@@ -231,7 +264,30 @@ def test_schema_5_model_file_is_input_error(tmp_path, capsys):
     dump_json(doc, str(model_path))
     assert main(["verify", "-m", str(model_path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: $.schema_version: expected 6, got 5"]
+    assert captured.err.splitlines() == ["error: $.schema_version: expected 7, got 5"]
+
+
+def test_schema_6_model_file_is_input_error(tmp_path, capsys):
+    """A file in the version-6 layout, which also stored the construction residuals."""
+    model = assemble_model(scalar_triple(), N=2)
+    doc = model_to_dict(model)
+    doc.update(schema_version=6, construction_residuals=model.transfer.residuals)
+    model_path = tmp_path / "model.json"
+    dump_json(doc, str(model_path))
+    assert main(["verify", "-m", str(model_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: $.schema_version: expected 7, got 6"]
+
+
+@pytest.mark.parametrize("field", ["construction_residuals", "U1", "comment"])
+def test_unknown_model_file_field_is_input_error(tmp_path, capsys, field):
+    doc = model_to_dict(assemble_model(scalar_triple(), N=2))
+    doc[field] = {}
+    model_path = tmp_path / "model.json"
+    dump_json(doc, str(model_path))
+    assert main(["verify", "-m", str(model_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: $.{field}: unknown field"]
 
 
 def _drop(*path):
@@ -270,7 +326,7 @@ def _every_cell_Pi(doc):
 
 MODEL_FILE_DEFECTS = {
     **{f"missing {key}": _drop(key) for key in (
-        "schema_version", "tuple", "N", "dims", "U", "Pi", "construction_residuals")},
+        "schema_version", "tuple", "N", "dims", "U", "Pi")},
     **{f"missing dims.{key}": _drop("dims", key) for key in ("coeff", "cells", "aux", "ranks")},
     **{f"missing Pi.{key}": _drop("Pi", key) for key in ("shape", "re", "im")},
     "schema version 1": _set(1, "schema_version"),
@@ -297,10 +353,8 @@ MODEL_FILE_DEFECTS = {
     "U im entry infinite": _set(lambda v: [float("inf")] + v[1:], "U", "im"),
     "Pi im entry beyond the float range": _set(lambda v: [10 ** 400] + v[1:], "Pi", "im"),
     "construction residuals not an object": _set([0.0], "construction_residuals"),
-    "construction residual not finite": _set(lambda r: {**r, "eq_Cn": float("nan")},
-                                             "construction_residuals"),
-    "construction residual a string": _set(lambda r: {**r, "eq_Cn": "0"},
-                                           "construction_residuals"),
+    "construction residual not finite": _set({"eq_Cn": float("nan")}, "construction_residuals"),
+    "construction residual a string": _set({"eq_Cn": "0"}, "construction_residuals"),
     "coefficient dimension": _set(lambda c: c + 1, "dims", "coeff"),
     "dims disagree with the tuple": _set(lambda r: {**r, "hat1": r["hat1"] + 1}, "dims", "ranks"),
     "dims.aux of the wrong length": _set(lambda a: a + [0], "dims", "aux"),
@@ -421,9 +475,8 @@ def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["schema_version"] == 6
-    assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U", "Pi",
-                        "construction_residuals"}
+    assert doc["schema_version"] == 7
+    assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U", "Pi"}
     assert doc["tuple"]["schema_version"] == 1
     coeff = doc["dims"]["coeff"]
     assert doc["U"]["shape"] == [coeff, coeff]  # the completion; U1 and Un are formed from it
@@ -666,8 +719,8 @@ def test_model_file_keeps_construction_residuals(tmp_path, triple_file, capsys):
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
     residuals = assemble_model(scalar_triple(), N=3).transfer.residuals
     assert "defect_equality" in residuals and "eq_Cn" in residuals
-    assert json.loads(model_path.read_text())["construction_residuals"] == residuals
-    assert load_model(str(model_path)).transfer.residuals == residuals
+    assert "construction_residuals" not in json.loads(model_path.read_text())
+    assert load_model(str(model_path)).transfer.residuals == residuals  # measured on load
     capsys.readouterr()
     assert main(["verify", "-m", str(model_path)]) == 0
     out = capsys.readouterr().out.splitlines()

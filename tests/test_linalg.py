@@ -87,31 +87,35 @@ def test_psd_check_rejects_nonsquare():
 
 
 def test_psd_sqrt_diagonal():
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+    a = np.diag([4.0, 9.0])
+    assert np.allclose(psd_sqrt(a, psd_check(a)), np.diag([2.0, 3.0]))
 
 
 def test_psd_sqrt_zero():
-    assert np.allclose(psd_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
+    a = np.zeros((3, 3))
+    assert np.allclose(psd_sqrt(a, psd_check(a)), np.zeros((3, 3)))
 
 
 def test_psd_sqrt_hand_eigendecomposition():
     # [[2,1],[1,2]] has eigenpairs (1, (1,-1)/sqrt2) and (3, (1,1)/sqrt2)
     r3 = np.sqrt(3.0)
     expected = 0.5 * np.array([[r3 + 1, r3 - 1], [r3 - 1, r3 + 1]])
-    got = psd_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    got = psd_sqrt(a, psd_check(a))
     assert np.allclose(got, expected, atol=1e-14)
 
 
 def test_psd_sqrt_clamps_tiny_negatives():
     a = np.diag([1.0, -1e-15])
-    b = psd_sqrt(a)
+    b = psd_sqrt(a, psd_check(a))
     assert np.all(np.isfinite(b))
     assert b[1, 1] == 0.0
 
 
 def test_psd_sqrt_rejects_indefinite():
+    a = np.diag([1.0, -0.5])
     with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -0.5]))
+        psd_sqrt(a, psd_check(a))
 
 
 def test_psd_sqrt_verdict_is_the_gate_verdict_at_the_cutoff():
@@ -131,7 +135,7 @@ def test_psd_sqrt_verdict_is_the_gate_verdict_at_the_cutoff():
             ok = psd_check(a, tol).is_psd
             verdicts.add(ok)
             try:
-                psd_sqrt(a)
+                psd_sqrt(a, psd_check(a))
                 assert ok, (dim, step)
             except NotPSD:
                 assert not ok, (dim, step)
@@ -139,11 +143,14 @@ def test_psd_sqrt_verdict_is_the_gate_verdict_at_the_cutoff():
 
 
 def test_psd_sqrt_rejects_non_hermitian_and_negative_inputs():
+    skew = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(NotPSD, match="not Hermitian"):
-        psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        psd_sqrt(skew, psd_check(skew))
+    below = np.diag([1.0, -1e-9])  # below -tol * max(1, ||A||) = -1e-10
     with pytest.raises(NotPSD, match="below tolerance"):
-        psd_sqrt(np.diag([1.0, -1e-9]))  # below -tol * max(1, ||A||) = -1e-10
-    assert psd_sqrt(np.diag([1.0, -1e-11]))[1, 1] == 0.0  # within the tolerance: clamped
+        psd_sqrt(below, psd_check(below))
+    within = np.diag([1.0, -1e-11])
+    assert psd_sqrt(within, psd_check(within))[1, 1] == 0.0  # within the tolerance: clamped
 
 
 def test_psd_sqrt_squares_back():
@@ -151,7 +158,7 @@ def test_psd_sqrt_squares_back():
     for _ in range(5):
         m = crandn(rng, (4, 4))
         a = m @ adj(m)
-        b = psd_sqrt(a)
+        b = psd_sqrt(a, psd_check(a))
         assert np.linalg.norm(b @ b - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
         assert np.linalg.norm(b - adj(b)) < 1e-12
 

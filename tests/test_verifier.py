@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 from copy import copy
 from dataclasses import replace
 from itertools import combinations
@@ -7,9 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dilation_forge import builder
-from dilation_forge.builder import (BuildConfig, assemble_model, build_transfer, build_U,
-                                    build_V0, effective_algebra, solve_aux)
+from dilation_forge.builder import assemble_model, defect_frames, measure_transfer
 from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
                                  interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
@@ -63,16 +60,12 @@ def reference_products(model):
 
 
 def rebuilt_model(model, change):
-    """The model with U1 and Un rebuilt, without the construction's self-checks,
-    from ``change(U)``: U the coupling unitary of a coupling formed anew for the
-    model's tuple (a model keeps none)."""
+    """The model with U1 and Un formed and measured, ungated, from
+    ``change(U)``, U a copy of the model's completion."""
     spec, defects = model.spec, model.defects
-    coupling = build_V0(spec, defects, effective_algebra(spec))
-    solve_aux(spec, coupling)
-    build_U(spec, defects, coupling)
-    coupling.U = change(coupling.U)
-    with mock.patch.object(builder, "UNITARY_GATE", np.inf):
-        transfer = build_transfer(spec, coupling, BuildConfig(identity_gate=np.inf))
+    transfer = measure_transfer(spec, model.layout, change(model.transfer.U.copy()), model.vs,
+                                defect_frames(spec, defects),
+                                model.transfer.residuals["defect_equality"])
     return replace(model, transfer=transfer)
 
 
