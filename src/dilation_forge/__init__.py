@@ -8,10 +8,10 @@ identity numerically.
 
 __version__ = "0.1.0"
 
-from .builder import (BuildConfig, CoefficientLayout, CouplingData, DefectData, DilationModel,
-                      TransferData, assemble_model, build_defects, build_Pi, build_transfer,
-                      build_U, build_V0, coefficient_layout, dilated_isometries, solve_aux,
-                      transfer_tau, truncation_tails)
+from .builder import (CoefficientLayout, CouplingData, DefectData, DilationModel, TransferData,
+                      assemble_model, build_defects, build_Pi, build_transfer, build_U, build_V0,
+                      coefficient_layout, dilated_isometries, solve_aux, transfer_tau,
+                      truncation_tails)
 from .errors import (DilationForgeError, DimensionMismatch, GenerationFailed, GramMismatch,
                      IdentityResidualExceeded, InfeasibleFinitePadding, MalformedSpec,
                      NonFinite, NonSquare, NotInClass, NotPSD, UnsupportedMultiplicity)

@@ -35,20 +35,9 @@ from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_a
                      invert_perm, is_pure, merge_1n, ordered_power_products, szego_operator)
 
 
-UNITARY_GATE = 1e-12  # per-dimension gate on U, U1 and Un unitarity residuals
-MAX_PAD = 64          # largest auxiliary multiplicity of one algebra component
-
-
-@dataclass
-class BuildConfig:
-    """The identity gate and the one free choice, the completion of V0 to U."""
-
-    identity_gate: float = 1e-10
-    completion_seed: Optional[int] = None
-
-    def __post_init__(self):
-        if (self.completion_seed or 0) < 0:
-            raise DilationForgeError(f"completion seed must be >= 0, got {self.completion_seed}")
+IDENTITY_GATE = 1e-10  # gate on the frame, lemma and defect-equality residuals
+UNITARY_GATE = 1e-12   # per-dimension gate on U, U1 and Un unitarity residuals
+MAX_PAD = 64           # largest auxiliary multiplicity of one algebra component
 
 
 @dataclass
@@ -194,8 +183,9 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
 
     Returns ``(defects, merged, equality_residual)``, the residual measuring
     the two displayed factorizations of the merged defect square.  The PSD
-    verdicts of the hat1 and hatn squares are the class gate's; each defect's
-    range basis splits by algebra component (``_per_component``).
+    verdicts of the hat1 and hatn squares are the class gate's, and the
+    merged generator must be pure, for a built and a loaded model alike; each
+    defect's range basis splits by algebra component (``_per_component``).
     ``alg`` is ``effective_algebra(spec)``, resolved once by the caller.
     """
     if spec.d != 1:
@@ -204,6 +194,9 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
     if not report.in_T1n:
         raise NotInClass("; ".join(report.failing_conditions()) or "not in the dilatable class")
     merged = merge_1n(spec)
+    _, radius = is_pure(merged, 1)
+    if radius >= 1.0:
+        raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
 
     sq_hat1n = szego_operator(merged, range(1, merged.n + 1))
 
@@ -339,10 +332,12 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
-            config: BuildConfig = BuildConfig()) -> tuple:
+            completion_seed: Optional[int] = None) -> tuple:
     """Lay out D and Udom padded by the aux1 multiplicities ``mult1``, extend
     V0^{-1} to the unitary U: Udom -> D and form Pi's cell-0 block vs = V Q1n*
-    Dhat of the isometry V.  Returns ``(layout, U, vs)``."""
+    Dhat of the isometry V.  ``completion_seed``, the construction's one free
+    choice, rotates each component's completion by a seeded Haar unitary.
+    Returns ``(layout, U, vs)``."""
     alg = coupling.algebra
     layout = coefficient_layout(spec, defects, mult1, alg)
     rn, r1, dD = layout.rn, layout.r1, layout.dim
@@ -360,7 +355,7 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
     cod_labels = np.concatenate([coupling.M1_labels, layout.D[aux1]])
 
     u = np.array(w)
-    rng = None if config.completion_seed is None else np.random.default_rng(config.completion_seed)
+    rng = None if completion_seed is None else np.random.default_rng(completion_seed)
     for p in range(alg.k):
         dom_p = dom_basis[:, np.flatnonzero(dom_labels == p)]
         cod_p = cod_basis[:, np.flatnonzero(cod_labels == p)]
@@ -456,16 +451,15 @@ def measure_transfer(spec: TupleSpec, layout: CoefficientLayout, u: np.ndarray, 
 
 
 def build_transfer(spec: TupleSpec, coupling: CouplingData, layout: CoefficientLayout,
-                   u: np.ndarray, vs: np.ndarray, defect_equality: float,
-                   config: BuildConfig = BuildConfig()) -> TransferData:
+                   u: np.ndarray, vs: np.ndarray, defect_equality: float) -> TransferData:
     """``measure_transfer`` on the frames of ``build_V0``, its residuals gated in
     order: U1's and Un's at UNITARY_GATE times the dimension of the block
-    unitary (unitarity) or of D (blocks), the others at ``config.identity_gate``."""
+    unitary (unitarity) or of D (blocks), the others at IDENTITY_GATE."""
     transfer = measure_transfer(spec, layout, u, vs, (coupling.X, coupling.Y), defect_equality)
     sizes = {"U1": len(transfer.U1), "Un": len(transfer.Un)}
     for name, value in transfer.residuals.items():
         tag, _, kind = name.partition("_")
-        gate = (config.identity_gate if tag not in sizes else
+        gate = (IDENTITY_GATE if tag not in sizes else
                 UNITARY_GATE * (max(1.0, sizes[tag]) if kind == "unitarity" else layout.dim))
         if value > gate:
             raise IdentityResidualExceeded(name, value, gate)
@@ -546,16 +540,16 @@ def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, fock: FockModel) -> n
 
 
 def assemble_model(spec: TupleSpec, N: int = 4,
-                   config: BuildConfig = BuildConfig()) -> DilationModel:
-    """Run the whole construction and package the dilation model."""
+                   completion_seed: Optional[int] = None) -> DilationModel:
+    """Run the whole construction and package the dilation model; a negative
+    ``completion_seed`` is an input error, raised before any other work."""
+    if (completion_seed or 0) < 0:
+        raise DilationForgeError(f"completion seed must be >= 0, got {completion_seed}")
     alg = effective_algebra(spec)
     defects, merged, eq_resid = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)
     mult1 = solve_aux(spec, coupling)
-    layout, u, vs = build_U(spec, defects, coupling, mult1, config)
-    transfer = build_transfer(spec, coupling, layout, u, vs, eq_resid, config)
-    _, radius = is_pure(merged, 1)
-    if radius >= 1.0:
-        raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
+    layout, u, vs = build_U(spec, defects, coupling, mult1, completion_seed)
+    transfer = build_transfer(spec, coupling, layout, u, vs, eq_resid)
     return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=layout,
                          transfer=transfer, vs=vs)

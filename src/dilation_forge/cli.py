@@ -10,22 +10,22 @@ code, and the prefix of its one ``error:`` line on stderr, is ``ERROR_EXITS``;
 only ``main`` reads it, so no command catches an error itself.
 
 ``dilate`` and ``verify -i`` build through ``_build`` with the minimal padding;
-``--seed`` picks the unitary completion, the one free choice.  Only ``dilate``
-gates the construction identities at ``--tol``; ``verify -m`` takes no build
-option (``_check_usage``).  ``verify --format text`` and ``demo`` print the
-report document through ``_print_report``: the construction residuals measured
-on the model's data, built or loaded, then the verification residuals.
+``--seed`` picks the unitary completion, the one free choice; ``verify -m``
+takes no build option (``_check_usage``).  Every gate is a module constant,
+so no command takes a tolerance and a verdict means the same on every run.
+``verify --format text`` and ``demo`` print the report document through
+``_print_report``: the construction residuals measured on the model's data,
+built or loaded, then the verification residuals.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import __version__
-from .builder import BuildConfig, DilationModel, assemble_model
+from .builder import DilationModel, assemble_model
 from .errors import (DilationForgeError, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
 from .generators import STYLES, random_tuple, scalar_triple
@@ -54,17 +54,6 @@ ERROR_EXITS = {
 }
 
 
-def _tolerance(text: str) -> float:
-    """A ``--tol`` value: a finite number >= 0 (NaN would switch every gate off)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, which this CLI reserves for "not in
     class"; usage errors are input errors here."""
@@ -89,14 +78,13 @@ def _print_report(doc: dict) -> int:
     return EXIT_OK if doc["passed"] else EXIT_NOT_IN_CLASS
 
 
-def _build(args, **config) -> DilationModel:
+def _build(args) -> DilationModel:
     """The model of ``--input`` at ``--degree``, its completion picked by ``--seed``."""
-    config = BuildConfig(completion_seed=args.seed, **config)
-    return assemble_model(load_tuple(args.input), N=args.degree, config=config)
+    return assemble_model(load_tuple(args.input), N=args.degree, completion_seed=args.seed)
 
 
 def cmd_classify(args) -> int:
-    report = classify(load_tuple(args.input), tol=args.tol)
+    report = classify(load_tuple(args.input))
     doc = class_report_doc(report)
     if args.output:
         dump_json(doc, args.output)
@@ -116,7 +104,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    model = _build(args, identity_gate=args.tol)
+    model = _build(args)
     doc = model_to_dict(model)
     if args.output:
         dump_json(doc, args.output)
@@ -129,7 +117,7 @@ def cmd_dilate(args) -> int:
 
 def cmd_verify(args) -> int:
     model = load_model(args.model) if args.model else _build(args)
-    doc = verification_report_doc(full_report(model, {"linear": args.tol}))
+    doc = verification_report_doc(full_report(model))
     if args.output:
         dump_json(doc, args.output)
     if args.format == "text":
@@ -164,19 +152,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, prints_report=True):
         if needs_input:
             p.add_argument("--input", "-i", required=True, help="tuple JSON file")
         p.add_argument("--output", "-o", help="write result JSON here")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=_tolerance, default=1e-10, help="base tolerance")
+        if prints_report:
+            p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("classify", help="test membership in the dilatable class")
     common(p)
 
     dilate = sub.add_parser("dilate", help="construct the dilation model "
                             "(cost grows like C(n-1+N, n-1) * dim D)")
-    common(dilate)
+    common(dilate, prints_report=False)
     verify = sub.add_parser("verify", help="run the full identity verifier")
     common(verify, needs_input=False)
     verify.add_argument("--input", "-i", help="tuple JSON file (build then verify)")

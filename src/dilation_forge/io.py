@@ -197,13 +197,14 @@ def model_from_dict(doc: dict) -> DilationModel:
     """Rebuild a verifiable model from its JSON document.
 
     The document holds exactly ``MODEL_FIELDS``.  The tuple passes the class
-    gate again and its defect data are recomputed (``build_defects``), the
-    coefficient layout from them and ``dims.aux``; ``dims`` must then equal
-    the rebuilt sizes.  U and Pi's cell-0 block are read and checked, and
-    ``measure_transfer`` forms U1 and Un from U and measures the construction
-    residuals with the rebuilt defects' frames, so a corrupted U shows there;
-    a corrupted block fails ``pi_isometry`` against tails that the
-    ``DilationModel`` derives from the tuple.
+    gate and the merged-purity check again and its defect data are recomputed
+    (``build_defects``, as in a build), the coefficient layout from them and
+    ``dims.aux``; ``dims`` must then equal the rebuilt sizes.  U and Pi's
+    cell-0 block are read and checked, and ``measure_transfer`` forms U1 and
+    Un from U and measures the construction residuals with the rebuilt
+    defects' frames, so a corrupted U shows there; a corrupted block fails
+    ``pi_isometry`` against tails that the ``DilationModel`` derives from the
+    tuple.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GramMismatch, NonFinite, NonSquare, NotPSD
 
-DEFAULT_TOL = 1e-10
+PSD_TOL = 1e-10   # PSD cutoff: min_eig >= -PSD_TOL * max(1, ||A||_2)
 RANK_TOL = 1e-10  # singular values below RANK_TOL * the largest one count as zero
 GRAM_TOL = 1e-8   # largest relative Gram mismatch isometry_from_frames accepts
 
@@ -61,13 +61,13 @@ class PsdReport(NamedTuple):
     hermitian_defect: float
 
 
-def psd_check(a, tol: float = DEFAULT_TOL) -> PsdReport:
+def psd_check(a) -> PsdReport:
     """Test positive semidefiniteness of a Hermitian-intended matrix.
 
     Returns ``(is_psd, min_eig, hermitian_defect)`` where ``min_eig`` is the
     smallest eigenvalue of the Hermitian part (A + A*)/2 and
     ``hermitian_defect`` = ||A - A*||_F / max(1, ||A||_F).  The verdict uses
-    the scale-aware cutoff ``min_eig >= -tol * max(1, ||A||_2)``.
+    the scale-aware cutoff ``min_eig >= -PSD_TOL * max(1, ||A||_2)``.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -76,28 +76,28 @@ def psd_check(a, tol: float = DEFAULT_TOL) -> PsdReport:
         return PsdReport(True, 0.0, 0.0)
     defect = rel_residual(a - adj(a), a)
     eigs = np.linalg.eigvalsh(0.5 * (a + adj(a)))
-    return PsdReport(bool(_psd_cutoff(eigs, tol)), float(eigs[0]), defect)
+    return PsdReport(bool(_psd_cutoff(eigs)), float(eigs[0]), defect)
 
 
-def psd_flags(stack: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``psd_check(a, tol).is_psd`` for every matrix a of a (k, dim, dim)
+def psd_flags(stack: np.ndarray) -> np.ndarray:
+    """``psd_check(a).is_psd`` for every matrix a of a (k, dim, dim)
     stack, dim >= 1, from one batched ``eigvalsh``."""
     stack = np.asarray(stack)
-    return _psd_cutoff(np.linalg.eigvalsh(0.5 * (stack + adj(stack))), tol)
+    return _psd_cutoff(np.linalg.eigvalsh(0.5 * (stack + adj(stack))))
 
 
-def _psd_cutoff(eigs: np.ndarray, tol: float) -> np.ndarray:
-    """The verdict min_eig >= -tol * max(1, ||A||_2) from ascending eigenvalues
-    along the last axis."""
+def _psd_cutoff(eigs: np.ndarray) -> np.ndarray:
+    """The verdict min_eig >= -PSD_TOL * max(1, ||A||_2) from ascending
+    eigenvalues along the last axis."""
     low, high = eigs[..., 0], eigs[..., -1]
-    return low >= -tol * np.maximum(np.maximum(1.0, high), np.abs(low))
+    return low >= -PSD_TOL * np.maximum(np.maximum(1.0, high), np.abs(low))
 
 
 def psd_sqrt(a, report: PsdReport) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
     ``report`` is the caller's ``psd_check(a)``, which has checked that ``a``
-    is finite and square.  Eigenvalues in [-DEFAULT_TOL*scale, 0) are clamped
+    is finite and square.  Eigenvalues in [-PSD_TOL*scale, 0) are clamped
     to zero; anything more negative raises :class:`NotPSD`, and so does a
     Hermitian defect above 1e-8 (relative): no meaningful Szego operator has one.
     """

@@ -25,8 +25,8 @@ from .errors import MalformedSpec, UnsupportedMultiplicity
 from .fock import FockModel, degree_blocks
 from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, psd_check, psd_flags
 
-PURITY_TOL = 1e-8
-CONTRACTION_TOL = 1e-10
+PURITY_TOL = 1e-8        # pure: cp radius < 1 - PURITY_TOL
+CONTRACTION_TOL = 1e-10  # row norms <= 1 + it; structure residuals <= it * max(1, max ||T_i||^2)
 
 
 def _integral(*values) -> bool:
@@ -308,7 +308,7 @@ def is_pure(spec: TupleSpec, i: int) -> tuple[bool, float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def class_gate(spec: TupleSpec, tol: float = 1e-10) -> tuple[ClassReport, np.ndarray, np.ndarray]:
+def class_gate(spec: TupleSpec) -> tuple[ClassReport, np.ndarray, np.ndarray]:
     """The class test: ``validate``, the hat1/hatn Szego PSD checks and the
     purity radii, which are exactly the fields ``failing_conditions`` reads.
 
@@ -320,8 +320,8 @@ def class_gate(spec: TupleSpec, tol: float = 1e-10) -> tuple[ClassReport, np.nda
     report = validate(spec)
     all_idx = list(range(1, spec.n + 1))
     sq_hat1, sq_hatn = szego_operators(spec, [all_idx[1:], all_idx[:-1]])
-    report.szego_hat1 = psd_check(sq_hat1, tol)
-    report.szego_hatn = psd_check(sq_hatn, tol)
+    report.szego_hat1 = psd_check(sq_hat1)
+    report.szego_hatn = psd_check(sq_hatn)
 
     report.purity_radii = purity_radii(spec, all_idx)
     report.pure_flags = [radius < 1.0 - PURITY_TOL for radius in report.purity_radii]
@@ -331,17 +331,17 @@ def class_gate(spec: TupleSpec, tol: float = 1e-10) -> tuple[ClassReport, np.nda
     return report, sq_hat1, sq_hatn
 
 
-def classify(spec: TupleSpec, tol: float = 1e-10) -> ClassReport:
+def classify(spec: TupleSpec) -> ClassReport:
     """Full class membership report: the class gate plus the full Szego
     operator and the GKVW table, neither of which feeds the verdict."""
-    report, _, _ = class_gate(spec, tol)
+    report, _, _ = class_gate(spec)
     all_idx = list(range(1, spec.n + 1))
     middle = all_idx[1:-1]
     sq = szego_operators(spec, [all_idx] + [[i for i in all_idx if i != p] for p in middle])
-    report.szego_full = psd_check(sq[0], tol)
+    report.szego_full = psd_check(sq[0])
     # dropping index 1 or n leaves the hat1 or hatn tuple the gate has checked
     psd_without = {1: report.szego_hat1.is_psd, spec.n: report.szego_hatn.is_psd}
-    psd_without.update(zip(middle, psd_flags(sq[1:], tol).tolist()))
+    psd_without.update(zip(middle, psd_flags(sq[1:]).tolist()))
     report.gkvw = {(p, q): (psd_without[p], psd_without[q])
                    for p, q in itertools.combinations(all_idx, 2)}
     return report

@@ -65,7 +65,7 @@ from .fock import FockOperator, enumerate_indices, interior_projector, product_n
 from .linalg import adj, eye, frob_stack, rel_residual
 from .tuples import invert_perm
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "linear": 1e-10,   # single-operator intertwinings, isometries, equivariance
     "product": 1e-9,   # two-factor factorizations and commutation
     "pi": 1e-12,       # exact telescoping of the dilation map
@@ -258,12 +258,10 @@ def verify_equivariance(model: DilationModel) -> dict:
     return out
 
 
-def full_report(model: DilationModel, tolerances: dict | None = None) -> VerificationReport:
-    """Run every verifier, gate its residuals, and carry the model's construction residuals."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-    report = VerificationReport(config={"tolerances": tol, "N": model.N,
+def full_report(model: DilationModel) -> VerificationReport:
+    """Run every verifier, gate its residuals at ``TOLERANCES``, and carry the
+    model's construction residuals."""
+    report = VerificationReport(config={"tolerances": dict(TOLERANCES), "N": model.N,
                                         "moment_maxdeg": MOMENT_MAXDEG},
                                 construction=dict(model.transfer.residuals))
     report.tail_bounds = [float(t) for t in model.tails]
@@ -278,10 +276,10 @@ def full_report(model: DilationModel, tolerances: dict | None = None) -> Verific
     for entries, kind in groups:
         for name, value in entries.items():
             report.residuals[name] = value
-            report.verdicts[name] = value <= tol[kind]
+            report.verdicts[name] = value <= TOLERANCES[kind]
 
     moments = verify_moments(model)
     report.residuals.update(moments)
     report.verdicts["moment_match"] = (
-        moments["moment_match"] <= tol["moment"] + moments["moment_allowance"])
+        moments["moment_match"] <= TOLERANCES["moment"] + moments["moment_allowance"])
     return report

@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dilation_forge.builder import (BuildConfig, CoefficientLayout, CouplingData, DilationModel,
-                                    build_defects, build_transfer, build_U, build_V0,
-                                    effective_algebra, solve_aux)
+from dilation_forge.builder import (CoefficientLayout, CouplingData, DilationModel, build_defects,
+                                    build_transfer, build_U, build_V0, effective_algebra,
+                                    solve_aux)
 from dilation_forge.linalg import adj
 from dilation_forge.tuples import AlgebraStructure, TupleSpec
 
@@ -51,12 +51,12 @@ def padded_coupling(spec, pad, seed=None):
     defects, merged, eq = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)
     built = build_U(spec, defects, coupling, solve_aux(spec, coupling) + pad,
-                    BuildConfig(completion_seed=seed))
+                    completion_seed=seed)
     return Stages(defects, merged, coupling, eq, *built)
 
 
 def padded_model(spec, N, pad, seed=None):
-    """``assemble_model(spec, N, BuildConfig(completion_seed=seed))``, on
+    """``assemble_model(spec, N, completion_seed=seed)``, on
     ``pad`` more padding coordinates per component."""
     st = padded_coupling(spec, pad, seed)
     transfer = build_transfer(spec, st.coupling, st.layout, st.U, st.vs, st.defect_equality)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilation_forge.builder import (UNITARY_GATE, BuildConfig, CouplingData, assemble_model,
+from dilation_forge import builder
+from dilation_forge.builder import (UNITARY_GATE, CouplingData, assemble_model,
                                     build_defects, build_transfer, build_U, build_V0,
                                     coefficient_layout, defect_frames, effective_algebra,
                                     simplex_mass, solve_aux, truncation_tails)
@@ -15,8 +16,9 @@ from dilation_forge.errors import (DimensionMismatch, IdentityResidualExceeded,
 from dilation_forge.fock import FockModel, enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.io import dump_json, model_to_dict
-from dilation_forge.linalg import adj, isometry_from_frames
-from dilation_forge.tuples import AlgebraStructure, TupleSpec, classify, ordered_power_products
+from dilation_forge.linalg import adj, isometry_from_frames, psd_sqrt
+from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify,
+                                   ordered_power_products)
 from dilation_forge.verifier import full_report
 from padding import compressions, minimal_rank, padded_coupling, padded_covariant_spec, padded_model
 
@@ -25,9 +27,9 @@ def defects_for(spec):
     return build_defects(spec, effective_algebra(spec))
 
 
-def coupling_for(spec, config=BuildConfig()):
-    """The ``Stages`` of ``assemble_model(spec, config=config)`` up to ``build_U``."""
-    return padded_coupling(spec, 0, config.completion_seed)
+def coupling_for(spec, completion_seed=None):
+    """The ``Stages`` of ``assemble_model(spec, completion_seed=...)`` up to ``build_U``."""
+    return padded_coupling(spec, 0, completion_seed)
 
 
 def transfer_for(spec, st):
@@ -288,6 +290,48 @@ def test_tail_monotone_in_degree():
     assert np.all(t5 >= -1e-13)
 
 
+def test_build_defects_roots_take_the_class_gate_verdicts_at_the_cutoff(monkeypatch):
+    """``build_defects`` hands ``psd_sqrt`` the class gate's own squares and
+    PSD verdicts for hat1 and hatn, so a tuple in the class always gets its
+    defects, also with a smallest Szego eigenvalue within rounding of the
+    cutoff -PSD_TOL * max(1, ||A||_2).  The tuples (0, t2, 0) with
+    t2 = [[0, R], [0, 0]] and R R* = I - A have the hat1 Szego operator
+    diag(A, I); A's smallest eigenvalue steps across -1e-10."""
+    calls = []
+
+    def spy(a, report):
+        calls.append((a, report))
+        return psd_sqrt(a, report)
+
+    monkeypatch.setattr(builder, "psd_sqrt", spy)
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for dim in (2, 3):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, _ = np.linalg.qr(z)
+        for step in range(-20, 21):
+            eigs = np.linspace(1.0, 0.5, dim)
+            eigs[-1] = -1e-10 + step * 1e-16
+            r = (q * np.sqrt(1.0 - eigs)) @ adj(q)  # R R* = I - A, A = q diag(eigs) q*
+            t2 = np.zeros((2 * dim, 2 * dim), dtype=complex)
+            t2[:dim, dim:] = r
+            zero = np.zeros_like(t2)
+            spec = TupleSpec.from_operators([zero, t2, zero])
+            gate, sq_hat1, sq_hatn = class_gate(spec)
+            verdicts.add(gate.in_T1n)
+            calls.clear()
+            if not gate.in_T1n:
+                with pytest.raises(NotInClass):
+                    defects_for(spec)
+                assert calls == []
+                continue
+            defects_for(spec)
+            (a1, v1), (an, vn) = calls[:2]
+            assert v1 == gate.szego_hat1 and vn == gate.szego_hatn, (dim, step)
+            assert np.array_equal(a1, sq_hat1) and np.array_equal(an, sq_hatn)
+    assert verdicts == {True, False}
+
+
 def test_tails_stay_exact_when_the_tuple_commutes_only_to_the_class_gate():
     """t_1 + 3e-11 J / 3 (J all ones) keeps the tuple in class, with a
     commutation residual of 7.8e-12 under the 1e-10 gate.  Tails summed from
@@ -327,8 +371,8 @@ def test_model_determinism_and_free_completion():
     assert np.array_equal(m1.transfer.U1, m2.transfer.U1)  # U1 holds every column of U
     u = coupling_for(spec).U
     assert np.array_equal(coupling_for(spec).U, u)
-    alt = assemble_model(spec, N=3, config=BuildConfig(completion_seed=42))
-    assert not np.allclose(coupling_for(spec, BuildConfig(completion_seed=42)).U, u)
+    alt = assemble_model(spec, N=3, completion_seed=42)
+    assert not np.allclose(coupling_for(spec, completion_seed=42).U, u)
     assert not np.allclose(alt.transfer.U1, m1.transfer.U1)
     # the theorems hold for any admissible completion
     from dilation_forge.verifier import full_report
@@ -373,7 +417,7 @@ def test_completion_seeds_give_inequivalent_dilations(seed):
     spec = FACT_TUPLES["jointly-nilpotent"]()
     model = assemble_model(spec, N=3)
     assert np.max(np.abs(model.tails)) < 1e-14
-    seeded = assemble_model(spec, N=3, config=BuildConfig(completion_seed=seed))
+    seeded = assemble_model(spec, N=3, completion_seed=seed)
     assert full_report(seeded).passed
     assert np.max(np.abs(compressions(seeded) - compressions(model))) > 0.1
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dilation_forge import cli
-from dilation_forge.builder import UNITARY_GATE, BuildConfig, assemble_model
+from dilation_forge.builder import IDENTITY_GATE, UNITARY_GATE, assemble_model
 from dilation_forge.cli import main
 from dilation_forge.errors import (DilationForgeError, DimensionMismatch, GenerationFailed,
                                    GramMismatch, IdentityResidualExceeded,
@@ -215,7 +215,7 @@ def test_verify_reports_measured_construction_residuals_of_a_corrupted_U(tmp_pat
     model_path = tmp_path / "model.json"
     dump_json(doc, str(model_path))
     dim_u1 = len(load_model(str(model_path)).transfer.U1)
-    gates = {"U1_unitarity": UNITARY_GATE * dim_u1, "frame_eq_f": BuildConfig().identity_gate}
+    gates = {"U1_unitarity": UNITARY_GATE * dim_u1, "frame_eq_f": IDENTITY_GATE}
     capsys.readouterr()
     assert main(["verify", "-m", str(model_path)]) == 2
     out = capsys.readouterr().out.splitlines()
@@ -231,8 +231,7 @@ def test_verify_reports_measured_construction_residuals_of_a_corrupted_U(tmp_pat
 @pytest.mark.parametrize("seed", [None, 5])
 @pytest.mark.parametrize("style", STYLES)
 def test_loaded_construction_residuals_equal_built_ones(style, seed):
-    model = assemble_model(random_tuple(style, 3, 4, seed=3), N=2,
-                           config=BuildConfig(completion_seed=seed))
+    model = assemble_model(random_tuple(style, 3, 4, seed=3), N=2, completion_seed=seed)
     back = model_from_dict(json.loads(dump_json(model_to_dict(model), None)))
     assert list(back.transfer.residuals.items()) == list(model.transfer.residuals.items())
 
@@ -242,8 +241,7 @@ def test_loaded_construction_residuals_equal_built_ones(style, seed):
 def test_every_single_entry_corruption_of_U_fails_verification(style, seed):
     """U1, Un and so the dilated isometries are formed from the stored U: a
     change of any one entry of U fails the report of the loaded model."""
-    model = assemble_model(random_tuple(style, 3, 4, seed=3), N=2,
-                           config=BuildConfig(completion_seed=seed))
+    model = assemble_model(random_tuple(style, 3, 4, seed=3), N=2, completion_seed=seed)
     doc = model_to_dict(model)
     assert full_report(model_from_dict(doc)).passed
     re = doc["U"]["re"]
@@ -421,7 +419,8 @@ def test_negative_aux_pad_is_input_error(tmp_path, capsys, style, command):
 @pytest.mark.parametrize("seed", ["-1", "-3"])
 def test_negative_seed_is_input_error(tmp_path, triple_file, capsys, command, seed):
     """A negative completion or generator seed: one error line and exit 1,
-    not numpy's traceback."""
+    not numpy's traceback.  ``assemble_model`` checks the seed before any
+    other work, so an out-of-class tuple gets the same error."""
     model_path = tmp_path / "model.json"
     argv = [a.format(tuple=triple_file, model=model_path) for a in command]
     assert main(argv + ["--seed", seed]) == 1
@@ -430,8 +429,8 @@ def test_negative_seed_is_input_error(tmp_path, triple_file, capsys, command, se
     assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith(f"got {seed}")
     assert captured.out == ""
     assert not model_path.exists()
-    with pytest.raises(DilationForgeError):
-        BuildConfig(completion_seed=int(seed))
+    with pytest.raises(DilationForgeError, match=f"completion seed must be >= 0, got {seed}$"):
+        assemble_model(parrott_tuple(), N=2, completion_seed=int(seed))
     with pytest.raises(GenerationFailed):
         random_tuple("jointly-nilpotent", 3, 4, seed=int(seed))
 
@@ -649,9 +648,10 @@ def test_model_file_beyond_the_cell_budget_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["dilate", "-i", "{tuple}", "--bogus"],
                                   ["dilate", "-i", "{tuple}", "--degree", "abc"],
+                                  ["dilate", "-i", "{tuple}", "--format", "json"],
                                   ["classify"], ["dilate"], ["frobnicate"]],
-                         ids=["unknown option", "bad int", "classify without -i",
-                              "dilate without -i", "unknown command"])
+                         ids=["unknown option", "bad int", "dilate --format",
+                              "classify without -i", "dilate without -i", "unknown command"])
 def test_usage_error_is_input_error(triple_file, capsys, argv):
     # exit 2 means "not in class" here, so argparse's usage exit 2 becomes 1
     with pytest.raises(SystemExit) as exc:
@@ -662,28 +662,62 @@ def test_usage_error_is_input_error(triple_file, capsys, argv):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
-@pytest.mark.parametrize("command", [["classify", "-i", "{tuple}"],
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "1e-3", "1"])
+@pytest.mark.parametrize("command", [["classify", "-i", "{tuple}", "-o", "{model}"],
                                      ["dilate", "-i", "{tuple}", "-o", "{model}"],
-                                     ["verify", "-i", "{tuple}"]],
+                                     ["verify", "-i", "{tuple}", "-o", "{model}"]],
                          ids=["classify", "dilate", "verify"])
 def test_tolerance_that_is_not_finite_and_nonnegative_is_input_error(tmp_path, triple_file,
                                                                       capsys, command, tol):
-    """A NaN ``--tol`` would switch every gate off, an infinite one pass every
-    check: both, and a negative one, are usage errors (exit 1)."""
+    """The gates are module constants, so ``--tol`` is an unknown option for
+    any value: a usage error (exit 1), one ``error:`` line, no traceback, no
+    output file."""
     model_path = tmp_path / "model.json"
     argv = [a.format(tuple=triple_file, model=model_path) for a in command]
     with pytest.raises(SystemExit) as exc:
         main(argv + [f"--tol={tol}"])
     assert exc.value.code == 1
     captured = capsys.readouterr()
-    assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"dilation-forge: error: unrecognized arguments: --tol={tol}"]
+    assert captured.err.startswith("usage: dilation-forge ")
     assert "Traceback" not in captured.err and captured.out == ""
     assert not model_path.exists()
 
 
-def test_zero_tolerance_is_valid(triple_file):
-    assert main(["classify", "-i", triple_file, "--tol", "0"]) == 0
+def test_classify_and_dilate_agree_just_outside_the_class(tmp_path, capsys):
+    """The Parrott tuple scaled by 0.7072 has Szego minimum eigenvalue
+    -2.6e-4: both commands, which share the class gate, exit 2, and no
+    tolerance can move the cutoff of one of them."""
+    ops = [0.7072 * parrott_tuple().op(i) for i in (1, 2, 3)]
+    tuple_path, model_path = tmp_path / "scaled.json", tmp_path / "model.json"
+    dump_json(tuple_to_dict(TupleSpec.from_operators(ops)), str(tuple_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "-i", str(tuple_path), "--tol", "1e-3"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert main(["classify", "-i", str(tuple_path)]) == 2
+    assert "in dilatable class: False" in capsys.readouterr().out
+    assert main(["dilate", "-i", str(tuple_path), "-o", str(model_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: not in the dilatable class: szego_hat1")
+    assert not model_path.exists()
+
+
+def test_verify_fails_a_model_with_one_U_entry_moved_by_1e_9(tmp_path, capsys):
+    """A covariant n = 3 model whose U is off by 1e-9 in one entry fails the
+    fixed ``linear`` gate of the report, which no option can widen."""
+    doc = model_to_dict(assemble_model(random_tuple("covariant", 3, 4, seed=0), N=3))
+    doc["U"]["re"][0] += 1e-9
+    model_path = tmp_path / "model.json"
+    dump_json(doc, str(model_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-m", str(model_path), "--tol", "1e-3"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert main(["verify", "-m", str(model_path), "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    failed = sorted(name for name, ok in report["verdicts"].items() if not ok)
+    assert failed == ["commute_1_3", "dilation1_tau1", "isometry_v1", "isometry_v3"]
 
 
 def test_consecutive_calls_share_one_parser(tmp_path, triple_file, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dilation_forge.errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
-from dilation_forge.linalg import (DEFAULT_TOL, adj, frob, frob_stack, isometry_from_frames,
+from dilation_forge.linalg import (PSD_TOL, adj, frob, frob_stack, isometry_from_frames,
                                    orthogonal_complement, psd_check, psd_flags, psd_sqrt,
                                    range_basis)
 
@@ -39,12 +39,12 @@ def test_frob_stack_equals_frob_bit_for_bit(dim):
 
 
 def test_psd_check_identity():
-    ok, min_eig, defect = psd_check(np.eye(2), 1e-10)
+    ok, min_eig, defect = psd_check(np.eye(2))
     assert ok and min_eig == pytest.approx(1.0) and defect == 0.0
 
 
 def test_psd_check_indefinite_diagonal():
-    ok, min_eig, defect = psd_check(np.diag([1.0, -2.0]), 1e-10)
+    ok, min_eig, defect = psd_check(np.diag([1.0, -2.0]))
     assert not ok
     assert min_eig == pytest.approx(-2.0)
     assert defect == 0.0
@@ -59,26 +59,25 @@ def test_psd_check_parrott_full_szego():
         t = spec.op(i)
         s -= t @ adj(t)
     assert np.allclose(s, np.diag([1, 1, -2, -2]))
-    ok, min_eig, defect = psd_check(s, 1e-10)
+    ok, min_eig, defect = psd_check(s)
     assert not ok and min_eig == pytest.approx(-2.0) and defect < 1e-15
 
 
 def test_psd_flags_match_psd_check_per_matrix():
     rng = np.random.default_rng(7)
-    tol = 1e-10
     stack = []
     for dim_scale in (1e-3, 1.0, 50.0):
         a = crandn(rng, (4, 4))
         h = dim_scale * (a @ adj(a))
         low = np.linalg.eigvalsh(h)[0]
-        # shifted to straddle the cutoff -tol * max(1, ||h||_2) from both sides
-        cut = tol * max(1.0, np.linalg.eigvalsh(h)[-1])
+        # shifted to straddle the cutoff -PSD_TOL * max(1, ||h||_2) from both sides
+        cut = PSD_TOL * max(1.0, np.linalg.eigvalsh(h)[-1])
         for shift in (0.0, low + 0.5 * cut, low + 2.0 * cut, low + 1.0):
             stack.append(h - shift * np.eye(4) + 1e-13 * crandn(rng, (4, 4)))
     stack = np.array(stack)
-    assert psd_flags(stack, tol).tolist() == [psd_check(a, tol).is_psd for a in stack]
-    assert set(psd_flags(stack, tol).tolist()) == {True, False}
-    assert psd_flags(np.zeros((0, 3, 3)), tol).shape == (0,)
+    assert psd_flags(stack).tolist() == [psd_check(a).is_psd for a in stack]
+    assert set(psd_flags(stack).tolist()) == {True, False}
+    assert psd_flags(np.zeros((0, 3, 3))).shape == (0,)
 
 
 def test_psd_check_rejects_nonsquare():
@@ -118,35 +117,11 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(a, psd_check(a))
 
 
-def test_psd_sqrt_verdict_is_the_gate_verdict_at_the_cutoff():
-    """The class gate decides with ``psd_check``; ``psd_sqrt`` on the same
-    matrix raises exactly when that verdict fails, so a tuple in the class can
-    always be dilated, also for a smallest eigenvalue within rounding of the
-    cutoff -tol * max(1, ||A||_2)."""
-    rng = np.random.default_rng(5)
-    tol, verdicts = 1e-10, set()
-    assert tol == DEFAULT_TOL  # the cutoff psd_sqrt uses
-    for dim in (2, 3, 5):
-        q, _ = np.linalg.qr(crandn(rng, (dim, dim)))
-        for step in range(-40, 41):
-            eigs = np.linspace(1.0, 0.5, dim)
-            eigs[-1] = -tol + step * 2e-18  # across the cutoff, in steps of a few ulps
-            a = (q * eigs) @ adj(q)
-            ok = psd_check(a, tol).is_psd
-            verdicts.add(ok)
-            try:
-                psd_sqrt(a, psd_check(a))
-                assert ok, (dim, step)
-            except NotPSD:
-                assert not ok, (dim, step)
-    assert verdicts == {True, False}
-
-
 def test_psd_sqrt_rejects_non_hermitian_and_negative_inputs():
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(NotPSD, match="not Hermitian"):
         psd_sqrt(skew, psd_check(skew))
-    below = np.diag([1.0, -1e-9])  # below -tol * max(1, ||A||) = -1e-10
+    below = np.diag([1.0, -1e-9])  # below -PSD_TOL * max(1, ||A||) = -1e-10
     with pytest.raises(NotPSD, match="below tolerance"):
         psd_sqrt(below, psd_check(below))
     within = np.diag([1.0, -1e-11])

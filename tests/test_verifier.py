@@ -12,10 +12,9 @@ from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enume
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
 from dilation_forge.tuples import TupleSpec, compose_perm, ordered_power_products
-from dilation_forge.verifier import (DEFAULT_TOLERANCES, full_report,
-                                     verify_equivariance, verify_factorization,
-                                     verify_intertwining, verify_isometric_representation,
-                                     verify_moments, verify_pi)
+from dilation_forge.verifier import (TOLERANCES, full_report, verify_equivariance,
+                                     verify_factorization, verify_intertwining,
+                                     verify_isometric_representation, verify_moments, verify_pi)
 from fock_reference import cell_blocks, sparse_product, sparse_terms_norm
 from padding import padded_model
 
@@ -240,7 +239,7 @@ def test_one_pass_keeps_each_pair_in_its_residual():
     bent_model = with_isometries(model, model.isometries[:k - 1] + [bent] + model.isometries[k:])
     after = verify_isometric_representation(bent_model)
     assert list(after) == list(before)
-    tol = DEFAULT_TOLERANCES["linear"]
+    tol = TOLERANCES["linear"]
     n = model.spec.n
     for i, j in combinations(range(1, n + 1), 2):
         name = f"commute_{i}_{j}"
@@ -270,7 +269,7 @@ def test_factorization_sees_a_bent_transfer_shift():
     bent_model = with_isometries(model, model.isometries[:-1] + [bent])
     after = {**verify_isometric_representation(bent_model), **verify_factorization(bent_model)}
     assert list(after) == list(before)
-    assert max(before["factor_tau12"], before["factor_tau21"]) <= DEFAULT_TOLERANCES["product"]
+    assert max(before["factor_tau12"], before["factor_tau21"]) <= TOLERANCES["product"]
     assert after["factor_tau12"] > 1e-3 and after["factor_tau21"] > 1e-3
     assert after["isometry_v1"] == before["isometry_v1"]
     assert_matches_per_pair(bent_model)
@@ -480,4 +479,4 @@ def test_report_serializes():
     doc = full_report(model).to_dict()
     assert doc["passed"] is True
     assert set(doc) >= {"residuals", "verdicts", "tail_bounds", "config"}
-    assert doc["config"] == {"tolerances": DEFAULT_TOLERANCES, "N": 2, "moment_maxdeg": 3}
+    assert doc["config"] == {"tolerances": TOLERANCES, "N": 2, "moment_maxdeg": 3}
