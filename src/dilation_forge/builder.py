@@ -7,10 +7,10 @@ transfer-operator realizations on the truncated Fock model, and the dilation
 map Pi with exact truncation-tail accounting.  Szego operators and tails are
 recursions in the CP maps phi_s(X) = t_s X t_s*, not subset or box sums.
 
-Coordinates: defect spaces are represented by orthonormal column bases inside
-H, and the coupling spaces are coordinate direct sums laid out by
-``coefficient_layout`` (see ``CoefficientLayout``).  Once U is fixed, U1, Un
-and the dilated isometries depend only on it, the layout and the Fock model.
+Coordinates: defect spaces are orthonormal column bases inside H, and the
+coupling spaces coordinate direct sums laid out by ``coefficient_layout``.
+Once U is fixed, U1, Un and the dilated isometries depend only on it, the
+layout and the Fock model; Pi does not depend on U at all (``build_Pi``).
 
 For d = 1 every tensor factor E_i (x) W is canonically W; only the algebra
 action (twisted by the automorphism) and the u-phases remember the factor.
@@ -111,10 +111,9 @@ class TransferData:
 
 @dataclass
 class DilationModel:
-    """The finite data that fix the dilation, among them U, U1, Un and Pi's
-    cell-0 block ``vs``; the Fock model (which checks the cell budget first),
-    the tails, Pi and the dilated isometries are derived on construction, for
-    built and loaded models alike."""
+    """The finite data that fix the dilation, among them U, U1 and Un; the Fock
+    model (which checks the cell budget first), the tails, Pi and the dilated
+    isometries are derived on construction, for built and loaded models alike."""
 
     spec: TupleSpec
     merged: TupleSpec
@@ -122,7 +121,6 @@ class DilationModel:
     defects: dict
     layout: CoefficientLayout
     transfer: TransferData
-    vs: np.ndarray
     fock: FockModel = field(init=False)
     tails: np.ndarray = field(init=False)
     Pi: np.ndarray = field(init=False)
@@ -132,7 +130,8 @@ class DilationModel:
         self.fock = FockModel(self.merged.n, self.N, self.layout.dim, self.merged.phases)
         self.tails = truncation_tails(self.merged, self.defects["hat1n"].root, self.N)
         self.isometries = dilated_isometries(self.spec, self.transfer, self.layout, self.fock)
-        self.Pi = build_Pi(self.merged, self.vs, self.fock)
+        x, _ = defect_frames(self.spec, self.defects)
+        self.Pi = build_Pi(self.merged, pad_rows(x, self.layout), self.fock)
 
     def coordinate_labels(self) -> Optional[np.ndarray]:
         """Algebra label of each model coordinate, shape (cells, dim D); rho(e_p)
@@ -224,6 +223,12 @@ def defect_frames(spec: TupleSpec, defects: dict) -> tuple[np.ndarray, np.ndarra
     dn = adj(defects["hatn"].basis) @ defects["hatn"].root  # D_hatn in Dn's coordinates
     d1 = adj(defects["hat1"].basis) @ defects["hat1"].root
     return (np.vstack([dn, d1 @ adj(spec.op(1))]), np.vstack([d1, dn @ adj(spec.op(spec.n))]))
+
+
+def pad_rows(a: np.ndarray, layout: CoefficientLayout) -> np.ndarray:
+    """``a`` with zero rows on aux1 of D (or aux2 of Udom); [X; 0] for the frame X
+    of ``defect_frames`` is Pi's cell-0 block."""
+    return np.vstack([a, np.zeros((layout.dim - len(a), a.shape[1]))])
 
 
 def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
@@ -331,27 +336,29 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _check_seed(completion_seed: Optional[int]):
+    if (completion_seed or 0) < 0:
+        raise DilationForgeError(f"completion seed must be >= 0, got {completion_seed}")
+
+
 def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
             completion_seed: Optional[int] = None) -> tuple:
-    """Lay out D and Udom padded by the aux1 multiplicities ``mult1``, extend
-    V0^{-1} to the unitary U: Udom -> D and form Pi's cell-0 block vs = V Q1n*
-    Dhat of the isometry V.  ``completion_seed``, the construction's one free
-    choice, rotates each component's completion by a seeded Haar unitary.
-    Returns ``(layout, U, vs)``."""
+    """Lay out D and Udom padded by the aux1 multiplicities ``mult1`` and extend
+    V0^{-1} to the unitary U: Udom -> D; returns ``(layout, U)``.  A
+    ``completion_seed`` >= 0, the one free choice, rotates each component's
+    completion by a seeded Haar unitary."""
+    _check_seed(completion_seed)
     alg = coupling.algebra
     layout = coefficient_layout(spec, defects, mult1, alg)
     rn, r1, dD = layout.rn, layout.r1, layout.dim
     aux1, aux2 = layout.parts_D[2], layout.parts_Udom[2]
-    e1, e2 = int(layout.mult1.sum()), int(layout.mult2.sum())
 
     w = np.zeros((dD, dD), dtype=complex)
     w[:rn + r1, :r1 + rn] = adj(coupling.V0)
 
-    dom_basis = np.vstack([coupling.M2, np.zeros((e2, coupling.M2.shape[1]))])
-    dom_basis = np.hstack([dom_basis, np.vstack([np.zeros((r1 + rn, e2)), np.eye(e2)])])
+    dom_basis = np.hstack([pad_rows(coupling.M2, layout), eye(dD)[:, aux2]])
     dom_labels = np.concatenate([coupling.M2_labels, layout.Udom[aux2]])
-    cod_basis = np.vstack([coupling.M1, np.zeros((e1, coupling.M1.shape[1]))])
-    cod_basis = np.hstack([cod_basis, np.vstack([np.zeros((rn + r1, e1)), np.eye(e1)])])
+    cod_basis = np.hstack([pad_rows(coupling.M1, layout), eye(dD)[:, aux1]])
     cod_labels = np.concatenate([coupling.M1_labels, layout.D[aux1]])
 
     u = np.array(w)
@@ -369,12 +376,7 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
     resid, gate = frob(adj(u) @ u - eye(dD)), UNITARY_GATE * max(1.0, dD)
     if resid > gate:
         raise IdentityResidualExceeded("U_unitarity", resid, gate)
-
-    q1n = defects["hat1n"].basis
-    src = adj(q1n) @ defects["hat1n"].root
-    dst = np.vstack([coupling.X, np.zeros((e1, spec.dimH))])
-
-    return layout, u, isometry_from_frames(src, dst) @ src
+    return layout, u
 
 
 def transfer_unitaries(spec: TupleSpec, layout: CoefficientLayout,
@@ -412,18 +414,19 @@ def _rel(delta: np.ndarray, reference: np.ndarray) -> float:
     return _norm(delta) / max(1.0, _norm(reference))
 
 
-def measure_transfer(spec: TupleSpec, layout: CoefficientLayout, u: np.ndarray, vs: np.ndarray,
-                     frames: tuple, defect_equality: float) -> TransferData:
+def measure_transfer(spec: TupleSpec, layout: CoefficientLayout, u: np.ndarray, frames: tuple,
+                     defect_equality: float) -> TransferData:
     """U1 and Un of ``transfer_unitaries`` and the construction residuals, ungated.
 
     One Gram G = W W* - I per block unitary W = [[A, B], [C, 0]] gives
     W_unitarity = ||G||_F (||W* W - I||_F in exact arithmetic, W being square)
     and its blocks W_rows = ||A A* + B B* - I||, W_ACstar = ||A C*|| and
     W_CCstar = ||C C* - I||.  The frames X, Y of ``defect_frames`` give U Y = X
-    (frame_eq_f), lemma_U1, eq_ABn and eq_Cn on vs, with the zero padding rows
-    left out of the products.  Built and loaded models are measured here alike.
+    (frame_eq_f), and lemma_U1, eq_ABn and eq_Cn on xs = ``pad_rows(X)``,
+    its zero rows left out of the products.  Built and loaded models alike.
     """
     x, y = frames
+    xs = pad_rows(x, layout)
     rn, r1, dD = layout.rn, layout.r1, layout.dim
     t1_adj, tn_adj = adj(spec.op(1)), adj(spec.op(spec.n))
     u1, un = transfer_unitaries(spec, layout, u)
@@ -437,25 +440,25 @@ def measure_transfer(spec: TupleSpec, layout: CoefficientLayout, u: np.ndarray, 
     frame[:rn + r1] -= x
     residuals["frame_eq_f"] = _rel(frame, x)
 
-    lemma_out = np.vstack([vs @ t1_adj, x[:rn]])  # D (+) (E x Dn); its aux1 rows are zero
-    lemma = u1[:, :dD + rn] @ np.vstack([vs, y[r1:] @ t1_adj])
+    lemma_out = np.vstack([xs @ t1_adj, x[:rn]])  # D (+) (E x Dn); its aux1 rows are zero
+    lemma = u1[:, :dD + rn] @ np.vstack([xs, y[r1:] @ t1_adj])
     lemma[:dD + rn] -= lemma_out
     residuals["lemma_U1"] = _rel(lemma, lemma_out)
 
     mu = spec.u(spec.n, 1)  # flip into merged (E1 before En) coordinate order
-    abn_out = np.vstack([vs @ tn_adj, y[:r1]])
-    residuals["eq_ABn"] = _rel(un @ np.vstack([vs, mu * (x[rn:] @ tn_adj)]) - abn_out, abn_out)
-    residuals["eq_Cn"] = _rel(un[dD:, :dD] @ vs - y[:r1], y[:r1])
+    abn_out = np.vstack([xs @ tn_adj, y[:r1]])
+    residuals["eq_ABn"] = _rel(un @ np.vstack([xs, mu * (x[rn:] @ tn_adj)]) - abn_out, abn_out)
+    residuals["eq_Cn"] = _rel(un[dD:, :dD] @ xs - y[:r1], y[:r1])
     residuals["defect_equality"] = defect_equality
     return TransferData(U=u, U1=u1, Un=un, residuals=residuals)
 
 
 def build_transfer(spec: TupleSpec, coupling: CouplingData, layout: CoefficientLayout,
-                   u: np.ndarray, vs: np.ndarray, defect_equality: float) -> TransferData:
+                   u: np.ndarray, defect_equality: float) -> TransferData:
     """``measure_transfer`` on the frames of ``build_V0``, its residuals gated in
     order: U1's and Un's at UNITARY_GATE times the dimension of the block
     unitary (unitarity) or of D (blocks), the others at IDENTITY_GATE."""
-    transfer = measure_transfer(spec, layout, u, vs, (coupling.X, coupling.Y), defect_equality)
+    transfer = measure_transfer(spec, layout, u, (coupling.X, coupling.Y), defect_equality)
     sizes = {"U1": len(transfer.U1), "Un": len(transfer.Un)}
     for name, value in transfer.residuals.items():
         tag, _, kind = name.partition("_")
@@ -505,14 +508,14 @@ def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: Coeffici
             + [transfer_tau(spec, transfer, layout, fock, spec.n)])
 
 
-def build_Pi(merged: TupleSpec, vs: np.ndarray, fock: FockModel) -> np.ndarray:
-    """Dilation map Pi: H -> F_N(E) (x) D, whose cell-alpha block is vs (T^(alpha))*.
+def build_Pi(merged: TupleSpec, xs: np.ndarray, fock: FockModel) -> np.ndarray:
+    """Dilation map Pi: H -> F_N(E) (x) D, whose cell-alpha block is xs (T^(alpha))*.
 
-    ``vs`` = V Q1n* Dhat (dim D x dimH) is the block of cell 0, so Pi is
-    determined by it and the merged tuple; ``DilationModel`` forms Pi here,
-    for a built and a loaded model alike.
+    ``xs`` = [X; 0] of ``pad_rows`` (h -> D_hatn h (+) D_hat1 t1* h) is
+    cell 0's block, so the tuple and the layout fix Pi, whatever the
+    completion; ``DilationModel`` forms Pi here, built or loaded alike.
     """
-    return (vs @ ordered_power_products(merged, fock)).reshape(-1, merged.dimH)
+    return (xs @ ordered_power_products(merged, fock)).reshape(-1, merged.dimH)
 
 
 def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
@@ -543,13 +546,12 @@ def assemble_model(spec: TupleSpec, N: int = 4,
                    completion_seed: Optional[int] = None) -> DilationModel:
     """Run the whole construction and package the dilation model; a negative
     ``completion_seed`` is an input error, raised before any other work."""
-    if (completion_seed or 0) < 0:
-        raise DilationForgeError(f"completion seed must be >= 0, got {completion_seed}")
+    _check_seed(completion_seed)
     alg = effective_algebra(spec)
     defects, merged, eq_resid = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)
     mult1 = solve_aux(spec, coupling)
-    layout, u, vs = build_U(spec, defects, coupling, mult1, completion_seed)
-    transfer = build_transfer(spec, coupling, layout, u, vs, eq_resid)
+    layout, u = build_U(spec, defects, coupling, mult1, completion_seed)
+    transfer = build_transfer(spec, coupling, layout, u, eq_resid)
     return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=layout,
-                         transfer=transfer, vs=vs)
+                         transfer=transfer)

@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify tuples of (u-)commuting contractions and construct/verify "
                     "their isometric dilations on a truncated Fock space.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.commands = parser.add_subparsers(dest="command", required=True)  # read by main
 
     def common(p, needs_input=True, prints_report=True):
         if needs_input:
@@ -205,7 +205,10 @@ def _check_usage(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported with the usage of the sub-command, which lists what it takes
+        parser.commands.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _check_usage(args)
         return globals()[f"cmd_{args.command}"](args)

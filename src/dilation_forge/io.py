@@ -1,20 +1,20 @@
 """JSON serialization of tuples, reports and dilation models.
 
 Every document is written compact (no whitespace, sorted keys) and carries a
-``schema_version``: 1 for tuples and reports, 7 for models.  Python's float
+``schema_version``: 1 for tuples and reports, 8 for models.  Python's float
 repr is shortest-exact, so every round trip is bit-faithful.  Matrix entries
 must be finite JSON numbers; booleans, strings, NaN and infinities are input
 errors.
 
 Tuple documents, which are also written by hand, store each matrix as nested
 rows of [re, im] pairs.  A model file holds exactly ``MODEL_FIELDS``: the
-tuple, N, the sizes record ``dims``, and the completion U (dim D x dim D) and
-Pi's cell-0 block (dim D x dimH) as flat row-major matrices ``{"shape": [rows,
-cols], "re": [...], "im": [...]}``, so its size does not grow with N.  On load
-the coefficient layout is rebuilt from the tuple and ``dims.aux``, each
-declared shape is checked against it before any list is converted, and the
-rest is derived as for a built model: U1, Un and the construction residuals
-by ``measure_transfer``, then, past N's cell budget, the tails, Pi and the
+tuple, N, the sizes record ``dims`` with the padding ``dims.aux``, and the
+completion U as a flat row-major matrix ``{"shape": [dim D, dim D], "re":
+[...], "im": [...]}``, what the tuple does not fix, so its size does not grow
+with N.  On load the layout is rebuilt from the tuple and ``dims.aux``, U's
+shape is checked against it before any list is converted, and the rest is
+derived as for a built model: U1, Un and the construction residuals by
+``measure_transfer``, then, past N's cell budget, the tails, Pi and the
 dilated isometries.
 """
 
@@ -32,8 +32,8 @@ from .errors import MalformedSpec
 from .tuples import AlgebraStructure, TupleSpec
 
 SCHEMA_VERSION = 1
-MODEL_SCHEMA_VERSION = 7
-MODEL_FIELDS = {"schema_version", "kind", "tuple", "N", "dims", "U", "Pi"}
+MODEL_SCHEMA_VERSION = 8
+MODEL_FIELDS = {"schema_version", "kind", "tuple", "N", "dims", "U"}
 _NUMBER_TYPES = {int, float}  # what json reads a JSON number as; bool is not among them
 
 
@@ -78,11 +78,10 @@ def matrix_to_json(arr: np.ndarray) -> dict:
             "im": arr.imag.ravel().tolist()}
 
 
-def json_to_matrix(doc: dict, key: str, shape: tuple, path: str = "$") -> np.ndarray:
-    """The complex matrix of the flat matrix field ``key``, whose declared shape
+def json_to_matrix(doc: dict, key: str, shape: tuple) -> np.ndarray:
+    """The complex matrix of the model-file field ``key``, whose declared shape
     must be ``shape``; the shape is checked before any list is converted."""
-    enc = _require(doc, key, dict, path)
-    path = f"{path}.{key}"
+    enc, path = _require(doc, key, dict, "$"), f"$.{key}"
     declared = _require(enc, "shape", list, path)
     if declared != list(shape) or any(type(v) is not int for v in declared):
         raise MalformedSpec(f"{path}.shape: expected {list(shape)}, got {declared}")
@@ -188,8 +187,6 @@ def model_to_dict(model: DilationModel) -> dict:
         "N": model.N,
         "dims": _dims(model.layout, model.defects, model.fock.cell_count),
         "U": matrix_to_json(model.transfer.U),
-        # cell 0 as build_Pi forms it: vs @ I, whose zeros may differ from vs's in sign
-        "Pi": matrix_to_json(model.Pi[:model.layout.dim]),
     }
 
 
@@ -199,12 +196,10 @@ def model_from_dict(doc: dict) -> DilationModel:
     The document holds exactly ``MODEL_FIELDS``.  The tuple passes the class
     gate and the merged-purity check again and its defect data are recomputed
     (``build_defects``, as in a build), the coefficient layout from them and
-    ``dims.aux``; ``dims`` must then equal the rebuilt sizes.  U and Pi's
-    cell-0 block are read and checked, and ``measure_transfer`` forms U1 and
-    Un from U and measures the construction residuals with the rebuilt
-    defects' frames, so a corrupted U shows there; a corrupted block fails
-    ``pi_isometry`` against tails that the ``DilationModel`` derives from the
-    tuple.
+    ``dims.aux``; ``dims`` must then equal the rebuilt sizes.  U is read and
+    checked, and ``measure_transfer`` forms U1 and Un from it and measures the
+    construction residuals with the rebuilt defects' frames, so a corrupted U
+    shows there; Pi and the tails come from the tuple.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")
@@ -229,10 +224,9 @@ def model_from_dict(doc: dict) -> DilationModel:
     if dims != expected:
         raise MalformedSpec(f"$.dims: expected {expected} for this tuple and N")
     u = json_to_matrix(doc, "U", (layout.dim, layout.dim))
-    vs = json_to_matrix(doc, "Pi", (layout.dim, spec.dimH))
-    transfer = measure_transfer(spec, layout, u, vs, defect_frames(spec, defects), eq_resid)
+    transfer = measure_transfer(spec, layout, u, defect_frames(spec, defects), eq_resid)
     return DilationModel(spec=spec, merged=merged, N=N, defects=defects, layout=layout,
-                         transfer=transfer, vs=vs)
+                         transfer=transfer)
 
 
 def load_model(path: str) -> DilationModel:

@@ -41,7 +41,6 @@ class Stages(NamedTuple):
     defect_equality: float
     layout: CoefficientLayout
     U: np.ndarray
-    vs: np.ndarray
 
 
 def padded_coupling(spec, pad, seed=None):
@@ -59,9 +58,9 @@ def padded_model(spec, N, pad, seed=None):
     """``assemble_model(spec, N, completion_seed=seed)``, on
     ``pad`` more padding coordinates per component."""
     st = padded_coupling(spec, pad, seed)
-    transfer = build_transfer(spec, st.coupling, st.layout, st.U, st.vs, st.defect_equality)
+    transfer = build_transfer(spec, st.coupling, st.layout, st.U, st.defect_equality)
     return DilationModel(spec=spec, merged=st.merged, N=N, defects=st.defects, layout=st.layout,
-                         transfer=transfer, vs=st.vs)
+                         transfer=transfer)
 
 
 def compressions(model):

@@ -59,8 +59,8 @@ def test_criterion_2_construction_identities():
         alg = effective_algebra(spec)
         defects, merged, eq = build_defects(spec, alg)
         coupling = build_V0(spec, defects, alg)
-        layout, u, vs = build_U(spec, defects, coupling, solve_aux(spec, coupling))
-        transfer = build_transfer(spec, coupling, layout, u, vs, eq)
+        layout, u = build_U(spec, defects, coupling, solve_aux(spec, coupling))
+        transfer = build_transfer(spec, coupling, layout, u, eq)
         worst["equality"] = max(worst["equality"], eq)
         worst["unitary"] = max(worst["unitary"],
                                float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))))
@@ -171,7 +171,7 @@ def test_criterion_8_mutation_sensitivity():
     model = assemble_model(spec, N=3)
     u = model.transfer.U.copy()
     u[1, 1] *= -1.0
-    transfer = measure_transfer(spec, model.layout, u, model.vs, defect_frames(spec, model.defects),
+    transfer = measure_transfer(spec, model.layout, u, defect_frames(spec, model.defects),
                                 model.transfer.residuals["defect_equality"])
     mutated = replace(model, transfer=transfer)
     report = full_report(mutated)

@@ -34,7 +34,7 @@ def coupling_for(spec, completion_seed=None):
 
 def transfer_for(spec, st):
     """``build_transfer`` on the ``Stages`` ``st`` of ``spec``."""
-    return build_transfer(spec, st.coupling, st.layout, st.U, st.vs, st.defect_equality)
+    return build_transfer(spec, st.coupling, st.layout, st.U, st.defect_equality)
 
 
 def test_defects_scalar_triple_frozen_values():
@@ -91,16 +91,21 @@ def test_v0_maps_frames_for_class_members():
 
 @pytest.mark.parametrize("pad", [0, 1])
 def test_coupling_carries_each_intermediate_once(pad):
-    """The frames and V Q1n* Dhat are formed once, by the stage that owns them,
-    and equal what their own functions form; so does the padded layout."""
+    """The frames are formed once, by the stage that owns them, and equal what
+    their own function forms; so does the padded layout.  Pi's cell-0 block
+    is the padded frame [X; 0] exactly (``build_Pi`` multiplies it by the
+    identity, which may flip the sign of a zero), and within rounding of
+    V Q1n* Dhat, V the isometry that carries the merged defect frame onto it."""
     spec = random_tuple("covariant", 3, 4, seed=6, k=2, automorphisms=[[1, 0], [0, 1], [1, 0]])
     st = padded_coupling(spec, pad)
     x, y = defect_frames(spec, st.defects)
     assert st.coupling.X.tobytes() == x.tobytes() and st.coupling.Y.tobytes() == y.tobytes()
+    dst = np.vstack([x, np.zeros((int(st.layout.mult1.sum()), spec.dimH))])
+    block = padded_model(spec, 2, pad).Pi[:st.layout.dim]
+    assert np.array_equal(block, dst)
     hat1n = st.defects["hat1n"]
     src = adj(hat1n.basis) @ hat1n.root
-    dst = np.vstack([x, np.zeros((int(st.layout.mult1.sum()), spec.dimH))])
-    assert st.vs.tobytes() == (isometry_from_frames(src, dst) @ src).tobytes()
+    assert np.max(np.abs(block - isometry_from_frames(src, dst) @ src)) <= 1e-14
     fresh = coefficient_layout(spec, st.defects, st.layout.mult1, st.coupling.algebra)
     for name in ("mult1", "mult2", "D", "Udom", "Dprime_rows", "Dprime_pair"):
         assert np.array_equal(getattr(st.layout, name), getattr(fresh, name)), name
@@ -413,13 +418,15 @@ def test_completion_seeds_give_inequivalent_dilations(seed):
     """On a jointly nilpotent tuple T^alpha = 0 for |alpha| >= 3, so N = 3 is
     exact (no tail); a seeded completion still passes, yet moves the
     compressions, which a unitary equivalence of the minimal dilations would
-    keep: the dilation is not unique."""
+    keep: the dilation is not unique.  Pi stays the same bit for bit: its
+    cell-0 block is the defect frame X, which U does not enter."""
     spec = FACT_TUPLES["jointly-nilpotent"]()
     model = assemble_model(spec, N=3)
     assert np.max(np.abs(model.tails)) < 1e-14
     seeded = assemble_model(spec, N=3, completion_seed=seed)
     assert full_report(seeded).passed
     assert np.max(np.abs(compressions(seeded) - compressions(model))) > 0.1
+    assert seeded.Pi.tobytes() == model.Pi.tobytes()
 
 
 def test_degree_beyond_the_cell_budget_fails_before_the_tails():

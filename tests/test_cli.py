@@ -16,7 +16,7 @@ from dilation_forge.io import (dump_json, load_model, load_tuple, matrix_to_json
                                model_from_dict, model_to_dict, tuple_from_dict, tuple_to_dict)
 from dilation_forge.tuples import TupleSpec, classify
 from dilation_forge.verifier import full_report
-from padding import padded_model
+from padding import padded_coupling, padded_model
 
 
 @pytest.fixture
@@ -196,12 +196,10 @@ def test_error_class_gets_its_exit_code_and_one_error_line(triple_file, capsys, 
 def test_verify_mutated_model_fails(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
-    clean = json.loads(model_path.read_text())
-    for key in ("U", "Pi"):
-        doc = json.loads(json.dumps(clean))
-        doc[key]["re"][0], doc[key]["im"][0] = 0.9, 0.1
-        model_path.write_text(json.dumps(doc))
-        assert main(["verify", "--model", str(model_path)]) == 2, key
+    doc = json.loads(model_path.read_text())
+    doc["U"]["re"][0], doc["U"]["im"][0] = 0.9, 0.1
+    model_path.write_text(json.dumps(doc))
+    assert main(["verify", "--model", str(model_path)]) == 2
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -251,33 +249,28 @@ def test_every_single_entry_corruption_of_U_fails_verification(style, seed):
         re[k] -= 0.5
 
 
-def test_schema_5_model_file_is_input_error(tmp_path, capsys):
-    """A file in the version-5 layout, with U1, Un and the tails in place of U."""
+@pytest.mark.parametrize("version", [5, 6, 7])
+def test_old_schema_model_file_is_input_error(tmp_path, capsys, version):
+    """A file in the layout of version 5, 6 or 7, each of which stored Pi's
+    cell-0 block: version 5 with U1, Un and the tails in place of U, version
+    6 with the construction residuals as well."""
     model = assemble_model(scalar_triple(), N=2)
     doc = model_to_dict(model)
-    del doc["U"]
-    doc.update(schema_version=5, U1=matrix_to_json(model.transfer.U1),
-               Un=matrix_to_json(model.transfer.Un), tails=model.tails.tolist())
+    doc.update(schema_version=version, Pi=matrix_to_json(model.Pi[:model.layout.dim]))
+    if version == 5:
+        del doc["U"]
+        doc.update(U1=matrix_to_json(model.transfer.U1), Un=matrix_to_json(model.transfer.Un),
+                   tails=model.tails.tolist())
+    if version == 6:
+        doc.update(construction_residuals=model.transfer.residuals)
     model_path = tmp_path / "model.json"
     dump_json(doc, str(model_path))
     assert main(["verify", "-m", str(model_path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: $.schema_version: expected 7, got 5"]
+    assert captured.err.splitlines() == [f"error: $.schema_version: expected 8, got {version}"]
 
 
-def test_schema_6_model_file_is_input_error(tmp_path, capsys):
-    """A file in the version-6 layout, which also stored the construction residuals."""
-    model = assemble_model(scalar_triple(), N=2)
-    doc = model_to_dict(model)
-    doc.update(schema_version=6, construction_residuals=model.transfer.residuals)
-    model_path = tmp_path / "model.json"
-    dump_json(doc, str(model_path))
-    assert main(["verify", "-m", str(model_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: $.schema_version: expected 7, got 6"]
-
-
-@pytest.mark.parametrize("field", ["construction_residuals", "U1", "comment"])
+@pytest.mark.parametrize("field", ["construction_residuals", "U1", "Pi", "comment"])
 def test_unknown_model_file_field_is_input_error(tmp_path, capsys, field):
     doc = model_to_dict(assemble_model(scalar_triple(), N=2))
     doc[field] = {}
@@ -317,39 +310,31 @@ def _flat(rows):
             "im": [v for _, im in rows for v in im]}
 
 
-def _every_cell_Pi(doc):
-    """Pi with a block of rows per cell, as schema version 4 stored it."""
-    doc["Pi"] = _flat(_rows(doc["Pi"]) * doc["dims"]["cells"])
-
-
 MODEL_FILE_DEFECTS = {
     **{f"missing {key}": _drop(key) for key in (
-        "schema_version", "tuple", "N", "dims", "U", "Pi")},
+        "schema_version", "tuple", "N", "dims", "U")},
     **{f"missing dims.{key}": _drop("dims", key) for key in ("coeff", "cells", "aux", "ranks")},
-    **{f"missing Pi.{key}": _drop("Pi", key) for key in ("shape", "re", "im")},
+    **{f"missing U.{key}": _drop("U", key) for key in ("shape", "re", "im")},
     "schema version 1": _set(1, "schema_version"),
     "schema version 2": _set(2, "schema_version"),
     "schema version 3": _set(3, "schema_version"),
     "schema version 4": _set(4, "schema_version"),
-    "Pi with every cell's rows": _every_cell_Pi,
-    "Pi missing a row": _set(lambda m: _flat(_rows(m)[:-1]), "Pi"),
     "U missing a column": _set(lambda m: _flat([(re[:-1], im[:-1]) for re, im in _rows(m)]),
                                "U"),
     "U not square": _set(lambda m: _flat(_rows(m)[:-1]), "U"),
     "U shape disagrees with the sizes": _set(lambda s: [s[0] + 1, s[1] + 1], "U", "shape"),
     "U nested [re, im] rows": _set(lambda m: [[[a, b] for a, b in zip(re, im)]
                                               for re, im in _rows(m)], "U"),
-    "Pi shape disagrees with the sizes": _set(lambda s: [s[0] + 1, s[1]], "Pi", "shape"),
-    "Pi shape a bool": _set(lambda s: [s[0], True], "Pi", "shape"),  # the triple's dimH is 1
-    "Pi shape huge": _set([10 ** 12, 10 ** 12], "Pi", "shape"),
-    "Pi re too short": _set(lambda v: v[:-1], "Pi", "re"),
+    "U shape a float": _set(lambda s: [float(s[0]), s[1]], "U", "shape"),  # 2.0 == 2 in Python
+    "U shape huge": _set([10 ** 12, 10 ** 12], "U", "shape"),
+    "U re too short": _set(lambda v: v[:-1], "U", "re"),
     "U im too long": _set(lambda v: v + [0.0], "U", "im"),
-    "Pi re entry a string": _set(lambda v: ["0.5"] + v[1:], "Pi", "re"),
+    "U re entry a string": _set(lambda v: ["0.5"] + v[1:], "U", "re"),
     "U im entry a bool": _set(lambda v: [False] + v[1:], "U", "im"),
-    "Pi re entry a list": _set(lambda v: [[0.5, 0.0]] + v[1:], "Pi", "re"),
-    "Pi re entry not finite": _set(lambda v: [float("nan")] + v[1:], "Pi", "re"),
+    "U re entry a list": _set(lambda v: [[0.5, 0.0]] + v[1:], "U", "re"),
+    "U re entry not finite": _set(lambda v: [float("nan")] + v[1:], "U", "re"),
     "U im entry infinite": _set(lambda v: [float("inf")] + v[1:], "U", "im"),
-    "Pi im entry beyond the float range": _set(lambda v: [10 ** 400] + v[1:], "Pi", "im"),
+    "U im entry beyond the float range": _set(lambda v: [10 ** 400] + v[1:], "U", "im"),
     "construction residuals not an object": _set([0.0], "construction_residuals"),
     "construction residual not finite": _set({"eq_Cn": float("nan")}, "construction_residuals"),
     "construction residual a string": _set({"eq_Cn": "0"}, "construction_residuals"),
@@ -431,6 +416,8 @@ def test_negative_seed_is_input_error(tmp_path, triple_file, capsys, command, se
     assert not model_path.exists()
     with pytest.raises(DilationForgeError, match=f"completion seed must be >= 0, got {seed}$"):
         assemble_model(parrott_tuple(), N=2, completion_seed=int(seed))
+    with pytest.raises(DilationForgeError, match=f"completion seed must be >= 0, got {seed}$"):
+        padded_coupling(scalar_triple(), 0, int(seed))  # the stages check it too
     with pytest.raises(GenerationFailed):
         random_tuple("jointly-nilpotent", 3, 4, seed=int(seed))
 
@@ -474,13 +461,12 @@ def test_model_file_holds_no_dense_isometries(tmp_path, triple_file):
     model_path = tmp_path / "model.json"
     assert main(["dilate", "-i", triple_file, "--degree", "3", "-o", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["schema_version"] == 7
-    assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U", "Pi"}
+    assert doc["schema_version"] == 8
+    assert set(doc) == {"schema_version", "kind", "tuple", "N", "dims", "U"}
     assert doc["tuple"]["schema_version"] == 1
     coeff = doc["dims"]["coeff"]
     assert doc["U"]["shape"] == [coeff, coeff]  # the completion; U1 and Un are formed from it
-    assert doc["Pi"]["shape"] == [coeff, 1]  # the cell-0 block alone
-    assert len(doc["Pi"]["re"]) == len(doc["Pi"]["im"]) == coeff
+    assert len(doc["U"]["re"]) == len(doc["U"]["im"]) == coeff * coeff
     assert doc["tuple"]["matrices"][0][0] == [[[0.5, 0.0]]]  # tuples keep [re, im] pairs
     text = model_path.read_text()
     assert "\n" not in text.rstrip("\n") and ", " not in text and ": " not in text
@@ -509,7 +495,7 @@ def test_model_file_round_trip_is_exact(style, build):
 @pytest.mark.parametrize("N", [1, 2, 5, 9])
 @pytest.mark.parametrize("style", STYLES)
 def test_model_file_reload_is_exact_at_every_degree(style, N):
-    """Pi rebuilt from the stored block is the built Pi, bit for bit."""
+    """Pi formed on load from the tuple's defect frame is the built Pi, bit for bit."""
     model = assemble_model(random_tuple(style, 3, 4, seed=5), N=N)
     text = dump_json(model_to_dict(model), None)
     back = model_from_dict(json.loads(text))
@@ -533,21 +519,6 @@ def test_model_file_size_does_not_grow_with_degree(style):
         del doc["N"], doc["dims"]["cells"]
         rest.add(dump_json(doc, None))
     assert len(rest) == 1
-
-
-@pytest.mark.parametrize("style", STYLES)
-def test_corrupted_stored_pi_block_fails_pi_isometry(tmp_path, capsys, style):
-    tuple_path, model_path = tmp_path / "t.json", tmp_path / "model.json"
-    report_path = tmp_path / "report.json"
-    assert main(["random", "--style", style, "--n", "3", "-o", str(tuple_path)]) == 0
-    assert main(["dilate", "-i", str(tuple_path), "--degree", "3", "-o", str(model_path)]) == 0
-    doc = json.loads(model_path.read_text())
-    doc["Pi"]["re"][0] += 0.5
-    model_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["verify", "-m", str(model_path), "-o", str(report_path)]) == 2
-    report = json.loads(report_path.read_text())
-    assert not report["passed"] and not report["verdicts"]["pi_isometry"]
 
 
 def test_noncommuting_tuple_is_rejected(tmp_path, capsys):
@@ -586,7 +557,7 @@ def test_verify_requires_source(capsys):
 
 
 FIXED_BY_FILE = "a model file fixes its degree, padding and completion"
-UNKNOWN = "dilation-forge: error: unrecognized arguments:"
+UNKNOWN = "dilation-forge verify: error: unrecognized arguments:"
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -646,19 +617,25 @@ def test_model_file_beyond_the_cell_budget_is_input_error(tmp_path, capsys):
     assert _budget_error(capsys.readouterr())
 
 
-@pytest.mark.parametrize("argv", [["dilate", "-i", "{tuple}", "--bogus"],
-                                  ["dilate", "-i", "{tuple}", "--degree", "abc"],
-                                  ["dilate", "-i", "{tuple}", "--format", "json"],
-                                  ["classify"], ["dilate"], ["frobnicate"]],
-                         ids=["unknown option", "bad int", "dilate --format",
-                              "classify without -i", "dilate without -i", "unknown command"])
-def test_usage_error_is_input_error(triple_file, capsys, argv):
-    # exit 2 means "not in class" here, so argparse's usage exit 2 becomes 1
+@pytest.mark.parametrize("argv,prog", [
+    (["dilate", "-i", "{tuple}", "--bogus"], "dilation-forge dilate"),
+    (["dilate", "-i", "{tuple}", "--degree", "abc"], "dilation-forge dilate"),
+    (["dilate", "-i", "{tuple}", "--format", "json"], "dilation-forge dilate"),
+    (["classify"], "dilation-forge classify"),
+    (["dilate"], "dilation-forge dilate"),
+    (["frobnicate"], "dilation-forge"),
+], ids=["unknown option", "bad int", "dilate --format", "classify without -i",
+        "dilate without -i", "unknown command"])
+def test_usage_error_is_input_error(triple_file, capsys, argv, prog):
+    """Exit 2 means "not in class" here, so argparse's usage exit 2 becomes 1.
+    An error after a sub-command shows that sub-command's usage."""
     with pytest.raises(SystemExit) as exc:
         main([a.format(tuple=triple_file) for a in argv])
     assert exc.value.code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("usage: dilation-forge") and "error:" in captured.err
+    assert captured.err.startswith(f"usage: {prog} [-h]")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"{prog}: error: ")
     assert captured.out == ""
 
 
@@ -679,8 +656,8 @@ def test_tolerance_that_is_not_finite_and_nonnegative_is_input_error(tmp_path, t
     assert exc.value.code == 1
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert errors == [f"dilation-forge: error: unrecognized arguments: --tol={tol}"]
-    assert captured.err.startswith("usage: dilation-forge ")
+    assert errors == [f"dilation-forge {command[0]}: error: unrecognized arguments: --tol={tol}"]
+    assert captured.err.startswith(f"usage: dilation-forge {command[0]} ")
     assert "Traceback" not in captured.err and captured.out == ""
     assert not model_path.exists()
 

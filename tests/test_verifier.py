@@ -62,7 +62,7 @@ def rebuilt_model(model, change):
     """The model with U1 and Un formed and measured, ungated, from
     ``change(U)``, U a copy of the model's completion."""
     spec, defects = model.spec, model.defects
-    transfer = measure_transfer(spec, model.layout, change(model.transfer.U.copy()), model.vs,
+    transfer = measure_transfer(spec, model.layout, change(model.transfer.U.copy()),
                                 defect_frames(spec, defects),
                                 model.transfer.residuals["defect_equality"])
     return replace(model, transfer=transfer)
