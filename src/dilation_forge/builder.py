@@ -167,6 +167,9 @@ def _per_component(mat: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarr
     and columns labelled p to orthonormal columns, which are embedded in the
     rows labelled p; the columns come grouped by component, p ascending.
     """
+    if k == 1:  # one component: the block is the whole matrix
+        sub = basis_of(mat)
+        return sub, np.zeros(sub.shape[1], dtype=int)
     cols, labels = [], []
     for p in range(k):
         rows = np.flatnonzero(row_labels == p)
@@ -273,17 +276,18 @@ def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingD
     """Partial isometry V0: span X -> span Y and the complements M1, M2 of its
     initial and final spaces in D and Udom before padding (``alg`` as in
     ``build_defects``)."""
-    bare = coefficient_layout(spec, defects, np.zeros(alg.k, dtype=int), alg)
     x, y = defect_frames(spec, defects)
-    v0 = isometry_from_frames(x, y)
     blocks = np.asarray(alg.block_of)
 
     def complement(block):
         return orthogonal_complement(range_basis(block))
-    m1, m1lab = _per_component(x, bare.D, blocks, alg.k, complement)
-    m2, m2lab = _per_component(y, bare.Udom, blocks, alg.k, complement)
-    return CouplingData(V0=v0, M1=m1, M2=m2, M1_labels=m1lab, M2_labels=m2lab, algebra=alg,
-                        X=x, Y=y)
+    qn, q1 = defects["hatn"].labels, defects["hat1"].labels
+    d_labels = np.r_[qn, np.take(alg.automorphisms[0], q1)]  # D = Dn (+) (E1 x D1) before padding
+    udom_labels = np.r_[q1, np.take(alg.automorphisms[spec.n - 1], qn)]  # Udom = D1 (+) (En x Dn)
+    m1, m1lab = _per_component(x, d_labels, blocks, alg.k, complement)
+    m2, m2lab = _per_component(y, udom_labels, blocks, alg.k, complement)
+    return CouplingData(V0=isometry_from_frames(x, y), M1=m1, M2=m2, M1_labels=m1lab,
+                        M2_labels=m2lab, algebra=alg, X=x, Y=y)
 
 
 def solve_aux(spec: TupleSpec, coupling: CouplingData) -> np.ndarray:

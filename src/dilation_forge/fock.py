@@ -129,8 +129,12 @@ class FockModel:
         return self.cell_count * self.coeff_dim
 
     def cell_phases(self, costs, rows=slice(None)) -> np.ndarray:
-        """prod_s costs[s]^alpha_s for every cell alpha, or for the cells ``rows``."""
-        return np.prod(np.asarray(costs, dtype=complex) ** self.cells[rows], axis=1)
+        """prod_s costs[s]^alpha_s for every cell alpha (or the cells ``rows``) and each
+        row of ``costs`` (..., m): per tree link, the parent's phase times the slot's cost."""
+        out = np.ones(np.shape(costs)[:-1] + (self.cell_count,), dtype=complex)
+        for block in degree_blocks(self.m, self.N):
+            out[..., block] = out[..., self.parent[block]] * np.asarray(costs)[..., self.slot[block]]
+        return out[..., rows]
 
     @cached_property
     def successors(self) -> np.ndarray:
@@ -141,12 +145,6 @@ class FockModel:
         table[:, self.cells.sum(axis=1) == self.N] = -1
         table.setflags(write=False)
         return table
-
-    def successor(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cells alpha with |alpha| < N, the first comb(m + N - 1, m) in degree
-        order, and the cells alpha + e_s they shift to."""
-        inner = comb(self.m + self.N - 1, self.m)
-        return np.arange(inner), self.successors[s, :inner]
 
 
 class FockOperator:
@@ -183,37 +181,29 @@ class FockOperator:
             self.terms.append((None, as_matrix(diag), costs[1]))
 
     @cached_property
+    def reads(self) -> tuple:
+        """Per term (row): the cell its adjoint reads into each cell (-1 where none,
+        past the truncation), the conjugate phase there, and the conjugate block."""
+        fock, (slots, blocks, costs) = self.fock, zip(*self.terms)
+        every = np.arange(fock.cell_count)
+        reads = np.array([every if s is None else fock.successors[s] for s in slots])
+        return reads, fock.cell_phases(np.array(costs)).conj(), np.array(blocks).conj()
+
+    @cached_property
     def moves(self) -> list:
         """Per term: its phases (``FockModel.cell_phases`` of its costs) on the
         source cells it reads, its block, and those source cells and the
         destination cells it writes; built on first use, once."""
+        inner = np.arange(comb(self.fock.m + self.fock.N - 1, self.fock.m))  # |alpha| < N
         every, out = np.arange(self.fock.cell_count), []
         for slot, block, costs in self.terms:
-            src, dst = (every, every) if slot is None else self.fock.successor(slot)
+            src, dst = (every, every) if slot is None else (inner, self.fock.successors[slot, inner])
             out.append((self.fock.cell_phases(costs, src), block, src, dst))
         return out
 
-    def _cells(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[0] != self.fock.dim:
-            raise DimensionMismatch(f"operand has {x.shape[0]} rows, expected {self.fock.dim}")
-        return x.reshape(self.fock.cell_count, self.fock.coeff_dim, -1)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """This operator times the dim x cols matrix ``x``."""
-        y = self._cells(x)
-        out = np.zeros(y.shape, dtype=complex)
-        for phase, block, src, dst in self.moves:
-            out[dst] += (phase[:, None, None] * block) @ y[src]
-        return out.reshape(x.shape)
-
     def apply_adj(self, x: np.ndarray) -> np.ndarray:
-        """The adjoint of this operator times the dim x cols matrix ``x``."""
-        y = self._cells(x)
-        out = np.zeros(y.shape, dtype=complex)
-        for phase, block, src, dst in self.moves:
-            out[src] += (phase.conj()[:, None, None] * adj(block)) @ y[dst]
-        return out.reshape(x.shape)
+        """The adjoint of this operator times ``x``: ``apply_adjoints`` of it alone."""
+        return apply_adjoints([self], x)[0].reshape(np.shape(x))
 
     def __array__(self, dtype=None, copy=None):
         """The dense dim x dim matrix, for tests and comparisons."""
@@ -222,6 +212,27 @@ class FockOperator:
         for phase, block, src, dst in self.moves:
             out[dst, :, src, :] = phase[:, None, None] * block
         return out.reshape(self.shape).astype(dtype or complex, copy=False)
+
+
+def apply_adjoints(ops: list, x: np.ndarray) -> np.ndarray:
+    """The adjoints of the Fock operators ``ops`` (of one model) times the dim x
+    cols matrix ``x``, an (ops, dim, cols) array: each term's cells read
+    (``FockOperator.reads``) times its block in one batched product, then its
+    phases.  No term's result depends on another's, so ``apply_adj`` is bit-equal."""
+    fock, counts, x = ops[0].fock, np.array([len(op.terms) for op in ops]), np.asarray(x)
+    if x.shape[0] != fock.dim:
+        raise DimensionMismatch(f"operand has {x.shape[0]} rows, expected {fock.dim}")
+    cells, d, cols = fock.cell_count, fock.coeff_dim, x.size // fock.dim
+    # each cell as cols x d, then the zero cell that a read of -1 picks
+    rows = np.concatenate([x.reshape(cells, d, cols).transpose(0, 2, 1), np.zeros((1, cols, d))])
+    reads, phases, blocks = (np.concatenate(part) for part in zip(*(op.reads for op in ops)))
+    prod = (rows[reads].reshape(len(blocks), -1, d) @ blocks).reshape(len(blocks), cells, cols, d)
+    prod *= phases[:, :, None, None]  # each cell's (M* y)^T (cols x d), times its phase
+    out = np.empty((len(ops), cells, d, cols), dtype=complex)
+    view, first = out.transpose(0, 1, 3, 2), np.cumsum(counts) - counts
+    for k, t in enumerate(first):  # an operator's terms, summed in order
+        view[k] = prod[t] + prod[t + 1] if counts[k] > 1 else prod[t]
+    return out.reshape(len(ops), -1, cols)
 
 
 def _deviation_sums(theta: np.ndarray, free: np.ndarray) -> np.ndarray:

@@ -5,13 +5,24 @@ plain matrix products, and a norm is taken of the rows and columns of the
 interior cells: the brute force that ``fock.product_norms`` and the
 verifier's isometry, commutation and factorization checks are compared with.
 The same matrices in block-sparse form (``cell_blocks``) serve models whose
-dense matrices would not fit.
+dense matrices would not fit.  ``apply`` applies an operator cell by cell,
+from its terms.
 """
 
 import numpy as np
 
 from dilation_forge.fock import interior_cells, interior_projector
 from dilation_forge.linalg import adj
+
+
+def apply(op, x):
+    """The Fock operator ``op`` times the dim x cols matrix ``x``, term by term
+    from its moves, each block times its phase on every source cell."""
+    y = np.asarray(x).reshape(op.fock.cell_count, op.fock.coeff_dim, -1)
+    out = np.zeros(y.shape, dtype=complex)
+    for phase, block, src, dst in op.moves:
+        out[dst] += (phase[:, None, None] * block) @ y[src]
+    return out.reshape(np.shape(x))
 
 
 def product(a, b, adjoint=False):

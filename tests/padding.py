@@ -4,7 +4,7 @@ invariants that say what padding and the completion seed change.
 ``assemble_model`` always takes the minimal padding; a padded model adds to
 the ``mult1`` that ``solve_aux`` returns before ``build_U`` and runs the later
 stages as ``assemble_model`` does.  The invariants read the model through
-``FockOperator.apply`` alone, independent of the builder.
+``fock_reference.apply`` alone, independent of the builder.
 """
 
 import itertools
@@ -17,6 +17,7 @@ from dilation_forge.builder import (CoefficientLayout, CouplingData, DilationMod
                                     solve_aux)
 from dilation_forge.linalg import adj
 from dilation_forge.tuples import AlgebraStructure, TupleSpec
+from fock_reference import apply
 
 
 def padded_covariant_spec():
@@ -66,7 +67,7 @@ def padded_model(spec, N, pad, seed=None):
 def compressions(model):
     """The (n, n, dimH, dimH) array of Pi* V_i* V_j Pi.  A unitary W with
     W Pi = Pi' and W V_j = V'_j W on the minimal space leaves it unchanged."""
-    images = np.array([w.apply(model.Pi) for w in model.isometries])
+    images = np.array([apply(w, model.Pi) for w in model.isometries])
     return adj(images)[:, None] @ images[None]
 
 
@@ -77,6 +78,6 @@ def minimal_rank(model, degree=2):
         for word in itertools.combinations_with_replacement(range(len(ws)), k):
             block = model.Pi
             for i in reversed(word):
-                block = ws[i].apply(block)
+                block = apply(ws[i], block)
             blocks.append(block)
     return np.linalg.matrix_rank(np.hstack(blocks))

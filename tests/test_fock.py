@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
-from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, creation_matrix,
-                                 enumerate_indices, interior_cells, interior_projector,
-                                 _deviation_sums, product_norms)
+from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, apply_adjoints,
+                                 creation_matrix, enumerate_indices, interior_cells,
+                                 interior_projector, _deviation_sums, product_norms)
 from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
-from fock_reference import (product as pair_product, sparse_product, sparse_terms_norm,
-                            terms_norm)
+from fock_reference import (apply, product as pair_product, sparse_product,
+                            sparse_terms_norm, terms_norm)
 
 
 def trivial_model(m, N, coeff=1):
@@ -121,7 +121,8 @@ def test_successor_matches_position_lookup(m, N):
     model = trivial_model(m, N)
     position = index_of(model)
     for s in range(m):
-        src, dst = model.successor(s)
+        src = np.flatnonzero(model.successors[s] >= 0)
+        dst = model.successors[s, src]
         ref = [(c, position[a[:s] + (a[s] + 1,) + a[s + 1:]])
                for c, a in enumerate(index_list(model)) if sum(a) < N]
         assert list(zip(src.tolist(), dst.tolist())) == ref
@@ -142,14 +143,12 @@ def test_operators_from_successor_table_are_bit_identical(monkeypatch):
     model = assemble_model(random_tuple("u-commuting", 3, 4, seed=5), N=4)
     built = [np.asarray(w) for w in model.isometries] + [np.asarray(model.L1)]
 
-    def successor_by_search(fock, s):
+    def successors_by_search(fock):
         position = index_of(fock)
-        src = [c for c, a in enumerate(index_list(fock)) if sum(a) < fock.N]
-        dst = [position[a[:s] + (a[s] + 1,) + a[s + 1:]]
-               for a in (index_list(fock)[c] for c in src)]
-        return np.array(src, dtype=int), np.array(dst, dtype=int)
+        return np.array([[position.get(a[:s] + (a[s] + 1,) + a[s + 1:], -1)
+                          for a in index_list(fock)] for s in range(fock.m)])
 
-    monkeypatch.setattr(FockModel, "successor", successor_by_search)
+    monkeypatch.setattr(FockModel, "successors", property(successors_by_search))
     again = dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
     again.append(creation_matrix(model.fock, 0))
     assert all(np.array_equal(a, np.asarray(b)) for a, b in zip(built, again))
@@ -210,11 +209,32 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
         ref = kron_reference(model, diag, shift, s, lambda a: phase_back(model, s, a), kappa)
         assert same(np.asarray(op), ref)
         x = cmat(model.dim, 3)
-        assert np.allclose(op.apply(x), ref @ x, atol=1e-13)
+        assert np.allclose(apply(op, x), ref @ x, atol=1e-13)
         assert np.allclose(op.apply_adj(x), adj(ref) @ x, atol=1e-13)
         creation = kron_reference(model, None, None, s, lambda a: phase_front(model, s, a),
                                   np.ones(model.cell_count))
         assert same(np.asarray(creation_matrix(model, s)), creation)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+@pytest.mark.parametrize("style,n", [("u-commuting", 3), ("covariant", 4), ("scaled-commuting", 5)])
+def test_stacked_adjoints_match_each_operator(style, n, N):
+    """``apply_adjoints`` over (tau1, L_2, ..., L_{n-1}, taun, L1) equals each
+    operator's ``apply_adj`` bit for bit, on five columns and on one, and the
+    dense adjoints within rounding."""
+    model = assemble_model(random_tuple(style, n, 4, seed=N), N=N)
+    ops = model.isometries + [model.L1]
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal((model.fock.dim, 5)) + 1j * rng.standard_normal((model.fock.dim, 5))
+    stacked = apply_adjoints(ops, x)
+    assert stacked.shape == (len(ops), model.fock.dim, 5)
+    for got, op in zip(stacked, ops):
+        assert np.array_equal(got, op.apply_adj(x))
+        assert np.allclose(got, adj(np.asarray(op)) @ x, atol=1e-13)
+    column = apply_adjoints(ops, x[:, :1])
+    for got, many, op in zip(column, stacked, ops):
+        assert np.array_equal(got[:, 0], op.apply_adj(x[:, 0]))
+        assert np.allclose(got, many[:, :1], atol=1e-13)
 
 
 @pytest.mark.parametrize("quarter_turns", [True, False])
@@ -403,8 +423,8 @@ def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
     parts = [(c, pair_product(*pair)) for c, pair in zip(coefs, pairs)]
     blocks = [(c, sparse_product(*pair)) for c, pair in zip(coefs, pairs)]
     eye = np.eye(model.dim)
-    applied = (a.apply(b.apply(eye)) + (-0.7 + 0.2j) * b.apply(a.apply(eye))
-               + 0.5 * a.apply_adj(a.apply(eye)))
+    applied = (apply(a, apply(b, eye)) + (-0.7 + 0.2j) * apply(b, apply(a, eye))
+               + 0.5 * a.apply_adj(apply(a, eye)))
     for src, dst in product(range(N + 1), [None, *range(N + 1)]):
         cols = interior_projector(model, src)
         rows = np.ones(model.dim, dtype=bool) if dst is None else interior_projector(model, dst)
@@ -427,7 +447,7 @@ def test_creation_is_jordan_shift():
     model = trivial_model(1, 1)
     L = creation_matrix(model, 0)
     assert np.allclose(np.asarray(L), np.array([[0, 0], [1, 0]]))
-    assert np.allclose(L.apply(L.apply(np.eye(2))), 0)
+    assert np.allclose(apply(L, apply(L, np.eye(2))), 0)
 
 
 def test_creation_isometry_on_interior():
@@ -436,12 +456,12 @@ def test_creation_isometry_on_interior():
     e1 = unit_columns(inner)
     for s in range(2):
         L = creation_matrix(model, s)
-        assert np.linalg.norm(L.apply_adj(L.apply(e1))[inner] - e1[inner]) < 1e-14
+        assert np.linalg.norm(L.apply_adj(apply(L, e1))[inner] - e1[inner]) < 1e-14
     # ranges of distinct generators are orthogonal cellwise: the same source
     # cell lands in different target cells, so the cell-diagonal of L0* L1
     # vanishes (the full product is a shift, not zero: the generators commute)
     l0, l1 = creation_matrix(model, 0), creation_matrix(model, 1)
-    cross = l0.apply_adj(l1.apply(np.eye(model.dim)))
+    cross = l0.apply_adj(apply(l1, np.eye(model.dim)))
     d = model.coeff_dim
     for c in range(model.cell_count):
         assert np.linalg.norm(cross[c * d:(c + 1) * d, c * d:(c + 1) * d]) == 0.0
@@ -463,7 +483,8 @@ def test_creation_u_commutation():
     e2 = unit_columns(interior_projector(model, 2))
     l0, l1 = creation_matrix(model, 0), creation_matrix(model, 1)
     u01 = phases[0, 1]
-    assert np.linalg.norm(l0.apply(l1.apply(e2)) - u01 * l1.apply(l0.apply(e2))) < 1e-14
+    gap = apply(l0, apply(l1, e2)) - u01 * apply(l1, apply(l0, e2))
+    assert np.linalg.norm(gap) < 1e-14
 
 
 def test_interior_projector_margins():
@@ -506,7 +527,7 @@ def test_fock_operator_dimension_check():
     with pytest.raises(DimensionMismatch):
         FockOperator(model, np.eye(3), None, 2, ones)
     with pytest.raises(DimensionMismatch):
-        creation_matrix(model, 0).apply(np.eye(model.dim - 1))
+        creation_matrix(model, 0).apply_adj(np.eye(model.dim - 1))
 
 
 @pytest.mark.parametrize("costs", [np.ones(3), np.ones(1), np.ones(6),

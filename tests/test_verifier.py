@@ -11,11 +11,12 @@ from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enume
                                  interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
-from dilation_forge.tuples import TupleSpec, compose_perm, ordered_power_products
-from dilation_forge.verifier import (TOLERANCES, full_report, verify_equivariance,
-                                     verify_factorization, verify_intertwining,
-                                     verify_isometric_representation, verify_moments, verify_pi)
-from fock_reference import cell_blocks, sparse_product, sparse_terms_norm
+from dilation_forge.tuples import TupleSpec, compose_perm, invert_perm, ordered_power_products
+from dilation_forge.verifier import (TOLERANCES, _fock_covariance, full_report,
+                                     verify_equivariance, verify_factorization,
+                                     verify_intertwining, verify_isometric_representation,
+                                     verify_moments, verify_pi)
+from fock_reference import apply, cell_blocks, sparse_product, sparse_terms_norm
 from padding import padded_model
 
 
@@ -47,14 +48,14 @@ def reference_products(model):
     e1, e2 = unit_columns(inner), unit_columns(interior_projector(fock, min(2, fock.N)))
     out = {}
     for i, w in enumerate(model.isometries, start=1):
-        out[f"isometry_v{i}"] = rel_residual(w.apply_adj(w.apply(e1))[inner] - e1[inner], e1)
+        out[f"isometry_v{i}"] = rel_residual(w.apply_adj(apply(w, e1))[inner] - e1[inner], e1)
     for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
-        ji = vj.apply(vi.apply(e2))
-        out[f"commute_{i}_{j}"] = rel_residual(vi.apply(vj.apply(e2)) - spec.u(i, j) * ji, ji)
-    l1 = creation_matrix(fock, 0).apply(e2)
+        ji = apply(vj, apply(vi, e2))
+        out[f"commute_{i}_{j}"] = rel_residual(apply(vi, apply(vj, e2)) - spec.u(i, j) * ji, ji)
+    l1 = apply(creation_matrix(fock, 0), e2)
     v1, vn = model.isometries[0], model.isometries[-1]
-    out["factor_tau12"] = rel_residual(v1.apply(vn.apply(e2)) - l1, l1)
-    out["factor_tau21"] = rel_residual(vn.apply(v1.apply(e2)) - spec.u(spec.n, 1) * l1, l1)
+    out["factor_tau12"] = rel_residual(apply(v1, apply(vn, e2)) - l1, l1)
+    out["factor_tau21"] = rel_residual(apply(vn, apply(v1, e2)) - spec.u(spec.n, 1) * l1, l1)
     return out
 
 
@@ -76,7 +77,7 @@ def with_isometries(model, isometries):
 
 
 def assert_matches_reference(model):
-    got = {**verify_isometric_representation(model), **verify_factorization(model)}
+    got = verify_isometric_representation(model)
     ref = reference_products(model)
     assert list(got) == list(ref)
     for name, value in ref.items():
@@ -115,7 +116,7 @@ def test_phases_at_the_tolerance_edge_match_identity_columns(style, n, seed):
     drift = np.triu(1.0 - 4.9e-13 * np.random.default_rng(0).uniform(0.5, 1.0, (n, n)), 1)
     phases = spec.phases * (drift + drift.T + np.eye(n))
     model = assemble_model(replace(spec, phases=phases), N=4)
-    got = {**verify_isometric_representation(model), **verify_factorization(model)}
+    got = verify_isometric_representation(model)
     ref = reference_products(model)
     assert list(got) == list(ref)
     assert max(abs(got[name] - value) for name, value in ref.items()) <= 1e-11
@@ -161,9 +162,12 @@ def assert_close(got, ref):
 
 
 def assert_matches_per_pair(model):
-    """The one-pass closed-form checks against the per-pair references."""
-    assert_close({**verify_isometric_representation(model), **verify_factorization(model)},
-                 {**per_pair_isometric_representation(model), **per_pair_factorization(model)})
+    """The one-pass closed-form checks against the per-pair references; the
+    factorization entries are the same whether asked for alone or with the rest."""
+    got = verify_isometric_representation(model)
+    assert verify_factorization(model) == {"factor_tau12": got["factor_tau12"],
+                                           "factor_tau21": got["factor_tau21"]}
+    assert_close(got, {**per_pair_isometric_representation(model), **per_pair_factorization(model)})
 
 
 def assert_broken_matches_per_pair(model):
@@ -212,8 +216,9 @@ def per_operator_intertwining(model):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("style", STYLES)
 def test_stacked_intertwining_matches_per_operator_loop(style, N):
-    """The verifier's ``apply_adj`` per operator and stacked ``frob_stack``
-    equal this loop's ``rel_residual`` per operator, bit for bit."""
+    """The verifier's one ``apply_adjoints`` over the family and stacked
+    ``frob_stack`` equal this loop's ``apply_adj`` and ``rel_residual`` per
+    operator, bit for bit."""
     for n in WIDTHS.get(style, range(2, 11)):
         model = assemble_model(style_tuple(style, n, 2, seed=30 + n), N=N)
         got = verify_intertwining(model)
@@ -253,6 +258,24 @@ def test_one_pass_keeps_each_pair_in_its_residual():
     assert_matches_per_pair(bent_model)
 
 
+def test_commutation_is_gated_at_linear():
+    """A middle operator's costs turned by 5e-10 in the other slots put each
+    commutation involving it between the two gates, 1e-10 < residual <= 1e-9:
+    ``full_report`` fails exactly those entries, which it gates at "linear"
+    like the isometries, not at the factorizations' "product"."""
+    model = assemble_model(random_tuple("jointly-nilpotent", 5, 2, seed=4), N=3)
+    k = 3  # V_3 is the creation operator of merged slot k - 1 (0-based)
+    [(slot, block, costs)] = creation_matrix(model.fock, k - 1).terms
+    turn = np.exp(5e-10j * (np.arange(model.fock.m) != slot))
+    bent = FockOperator(model.fock, None, block, slot, costs * turn)
+    report = full_report(with_isometries(
+        model, model.isometries[:k - 1] + [bent] + model.isometries[k:]))
+    bent_pairs = [f"commute_{i}_{j}" for i, j in combinations(range(1, 6), 2) if k in (i, j)]
+    for name in bent_pairs:
+        assert TOLERANCES["linear"] < report.residuals[name] <= TOLERANCES["product"], name
+    assert report.failures() == bent_pairs
+
+
 def test_factorization_sees_a_bent_transfer_shift():
     """tau_n's shift cost turned in slot 1, which it never shifts: every block
     stays, but the shift's character no longer matches tau_1's and L1's on
@@ -260,14 +283,14 @@ def test_factorization_sees_a_bent_transfer_shift():
     isometry entry stays as it was, and the closed form still equals the
     dense products."""
     model = assemble_model(random_tuple("jointly-nilpotent", 5, 2, seed=4), N=3)
-    before = {**verify_isometric_representation(model), **verify_factorization(model)}
+    before = verify_isometric_representation(model)
     tau = model.isometries[-1]
     (slot, shift, shift_costs), (_, diag, kappa_costs) = tau.terms
     turn = np.exp(0.7j * (np.arange(model.fock.m) == 1))
     bent = FockOperator(model.fock, diag, shift, slot, shift_costs / kappa_costs * turn,
                         kappa_costs)
     bent_model = with_isometries(model, model.isometries[:-1] + [bent])
-    after = {**verify_isometric_representation(bent_model), **verify_factorization(bent_model)}
+    after = verify_isometric_representation(bent_model)
     assert list(after) == list(before)
     assert max(before["factor_tau12"], before["factor_tau21"]) <= TOLERANCES["product"]
     assert after["factor_tau12"] > 1e-3 and after["factor_tau21"] > 1e-3
@@ -291,7 +314,7 @@ def test_slightly_turned_transfer_shift_matches_per_pair(n, N, turn):
     costs = shift_costs / kappa_costs * np.exp(1j * turn * (np.arange(model.fock.m) == 1))
     bent = FockOperator(model.fock, diag, shift, slot, costs, kappa_costs)
     bent_model = with_isometries(model, model.isometries[:-1] + [bent])
-    got = {**verify_isometric_representation(bent_model), **verify_factorization(bent_model)}
+    got = verify_isometric_representation(bent_model)
     ref = {**per_pair_isometric_representation(bent_model), **per_pair_factorization(bent_model)}
     assert list(got) == list(ref)
     assert max(abs(got[name] - value) for name, value in ref.items()) <= 1e-16
@@ -326,17 +349,21 @@ def test_pi_telescoping_exact_for_slow_tuples():
 def test_deep_model_checks_in_bounded_memory():
     """At N = 30 (5456 cells) the isometry, commutation and factorization
     checks read no cell: on a freshly built model their own allocations peak
-    under 1 MB (they took 333 + 84 MB when they read every cell)."""
+    under 1 MB (they took 333 + 84 MB when they read every cell).  The
+    intertwinings read every cell of Pi (32736 x 3); their one stacked
+    ``apply_adjoints`` peaks within twice the 23.4 MB of one ``apply_adj``
+    per operator, the first call on the same model."""
     model = assemble_model(random_tuple("scaled-commuting", 4, 3, seed=0), N=30)
     assert model.fock.cell_count == 5456
-    tracemalloc.start()
-    try:
-        verify_isometric_representation(model)
-        verify_factorization(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20, peak
+    for check, bound in ((verify_isometric_representation, 2 ** 20),
+                         (verify_intertwining, 2 * 23.4e6)):
+        tracemalloc.start()
+        try:
+            check(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (check.__name__, peak)
     report = full_report(model)
     assert report.passed, report.failures()
     assert report.config["N"] == 30
@@ -370,9 +397,9 @@ def two_memo_moments(model, maxdeg=3):
     forward, backward = {betas[0]: pi}, {betas[0]: pi}
     for beta in betas[1:]:
         slots = [k for k, v in enumerate(beta) if v > 0]
-        for memo, s, apply in ((forward, slots[0], "apply"), (backward, slots[-1], "apply_adj")):
+        for memo, s, adjoint in ((forward, slots[0], False), (backward, slots[-1], True)):
             lower = beta[:s] + (beta[s] - 1,) + beta[s + 1:]
-            memo[beta] = getattr(ws[s], apply)(memo[lower])
+            memo[beta] = ws[s].apply_adj(memo[lower]) if adjoint else apply(ws[s], memo[lower])
     tadj = ordered_power_products(spec, FockModel(spec.n, K, 1, spec.phases))
     residual = gap = 0.0
     for row, beta in enumerate(betas):
@@ -410,6 +437,39 @@ def test_u_commuting_full_suite():
             report = full_report(model)
             assert report.passed, (n, seed, report.failures())
             assert gated_worst(report) < 1e-10
+
+
+def per_component_covariance(w, labels, q, p):
+    """The covariance residual of one component p, W rho(q) - rho(p) W against
+    rho(p) W, one term and one pair of indicator matrices at a time."""
+    delta = ref = 0.0
+    for _, block, src, dst in w.moves:
+        mass = np.abs(block) ** 2
+        rows, cols = (labels[dst] == p).astype(float), (labels[src] == q).astype(float)
+        delta += float(np.sum(mass * (rows.T @ (1.0 - cols) + (1.0 - rows).T @ cols)))
+        ref += float(np.sum(mass * rows.sum(axis=0)[:, None]))
+    return float(np.sqrt(delta) / max(1.0, np.sqrt(ref)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_one_pass_covariance_matches_per_component_loop(n, seed):
+    """Every component at once equals one component at a time within 1e-15,
+    for the automorphism that each operator intertwines (exactly 0 here, as
+    the whole equivariance group is) and for a wrong one (O(1) residuals)."""
+    model = assemble_model(random_tuple("covariant", n, 4, seed=seed), N=1 if n == 9 else 3)
+    k, labels = model.spec.algebra.k, model.coordinate_labels()
+    member = (labels[..., None] == np.arange(k)).astype(float)
+    perms = list(model.spec.algebra.automorphisms) + [model.merged.algebra.automorphisms[0]]
+    wrong = 0.0
+    for w, perm in zip(model.isometries + [model.L1], perms):
+        for inv in (invert_perm(perm), np.roll(invert_perm(perm), 1)):
+            got = _fock_covariance(w, member, inv)
+            ref = [per_component_covariance(w, labels, inv[p], p) for p in range(k)]
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, ref)), (got, ref)
+            wrong = max(wrong, *ref)
+    assert wrong > 0.1
+    assert all(value == 0.0 for value in verify_equivariance(model).values())
 
 
 def test_equivariance_trivial_algebra_is_silent():
