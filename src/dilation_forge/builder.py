@@ -21,16 +21,15 @@ requirement that the dilation identities hold exactly on interior cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
                      InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, creation_matrix, degree_blocks
+from .fock import FockModel, FockOperator, creation_operators, degree_blocks
 from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_check,
-                     psd_sqrt, range_basis, rel_residual)
+                     psd_sqrt, range_bases, rel_residual)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
                      invert_perm, is_pure, merge_1n, ordered_power_products, szego_operator)
 
@@ -125,11 +124,13 @@ class DilationModel:
     tails: np.ndarray = field(init=False)
     Pi: np.ndarray = field(init=False)
     isometries: list = field(init=False)
+    L1: FockOperator = field(init=False)  # the merged creation operator
 
     def __post_init__(self):
         self.fock = FockModel(self.merged.n, self.N, self.layout.dim, self.merged.phases)
         self.tails = truncation_tails(self.merged, self.defects["hat1n"].root, self.N)
-        self.isometries = dilated_isometries(self.spec, self.transfer, self.layout, self.fock)
+        self.isometries, self.L1 = dilated_isometries(self.spec, self.transfer, self.layout,
+                                                      self.fock)
         x, _ = defect_frames(self.spec, self.defects)
         self.Pi = build_Pi(self.merged, pad_rows(x, self.layout), self.fock)
 
@@ -146,11 +147,6 @@ class DilationModel:
             labels[rows] = autos[fock.slot[rows, None], labels[fock.parent[rows]]]
         return labels
 
-    @cached_property
-    def L1(self) -> FockOperator:
-        """The merged creation operator, built once per model."""
-        return creation_matrix(self.fock, 0)
-
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
     """The declared algebra, or the trivial one-component algebra."""
@@ -159,25 +155,48 @@ def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
     return AlgebraStructure(1, [0] * spec.dimH, [[0]] * spec.n)
 
 
-def _per_component(mat: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray, k: int,
-                   basis_of) -> tuple[np.ndarray, np.ndarray]:
-    """A basis that splits by algebra component, and the component of each column.
+def _by_shape(fn, mats: list) -> list:
+    """``fn`` of each matrix of ``mats``, one call per shape on the stack of the
+    matrices of that shape; ``fn`` returns one result per stacked matrix."""
+    groups, out = {}, [None] * len(mats)
+    for i, mat in enumerate(mats):
+        groups.setdefault(mat.shape, []).append(i)
+    for rows in groups.values():
+        for i, result in zip(rows, fn(np.array([mats[i] for i in rows]))):
+            out[i] = result
+    return out
 
-    For each component p, ``basis_of`` maps the block of ``mat`` on the rows
-    and columns labelled p to orthonormal columns, which are embedded in the
-    rows labelled p; the columns come grouped by component, p ascending.
+
+def _complements(stack: np.ndarray) -> list:
+    """The orthogonal complement of the range of each matrix of a stack."""
+    return _by_shape(orthogonal_complement, range_bases(stack))
+
+
+def _per_component(mats: list, row_labels: list, col_labels: np.ndarray, k: int,
+                   bases_of) -> list:
+    """Per matrix of ``mats``, a basis that splits by algebra component, and the
+    component of each column.
+
+    Every matrix's block on the rows (labelled by its entry of ``row_labels``)
+    and the columns labelled p, for every component p, is mapped to
+    orthonormal columns by ``bases_of``, one call per block shape on the stack
+    of the blocks of that shape (``_by_shape``); they are embedded in the rows
+    labelled p, and the columns come grouped by component, p ascending.
     """
-    if k == 1:  # one component: the block is the whole matrix
-        sub = basis_of(mat)
-        return sub, np.zeros(sub.shape[1], dtype=int)
-    cols, labels = [], []
-    for p in range(k):
-        rows = np.flatnonzero(row_labels == p)
-        sub = basis_of(mat[np.ix_(rows, np.flatnonzero(col_labels == p))])
-        cols.append(np.zeros((mat.shape[0], sub.shape[1]), dtype=complex))
-        cols[-1][rows] = sub
-        labels += [p] * sub.shape[1]
-    return np.hstack(cols), np.asarray(labels, dtype=int)
+    cols = [np.flatnonzero(col_labels == p) for p in range(k)]
+    rows = [[np.flatnonzero(labels == p) for p in range(k)] for labels in row_labels]
+    subs = iter(_by_shape(bases_of, [mat[np.ix_(r[p], cols[p])] for mat, r in zip(mats, rows)
+                                     for p in range(k)]))
+    out = []
+    for mat, r in zip(mats, rows):
+        parts = [next(subs) for _ in range(k)]
+        widths = [part.shape[1] for part in parts]
+        basis, start = np.zeros((len(mat), sum(widths)), dtype=complex), 0
+        for p, part in enumerate(parts):
+            basis[r[p], start:start + part.shape[1]] = part
+            start += part.shape[1]
+        out.append((basis, np.repeat(np.arange(k), widths)))
+    return out
 
 
 def build_defects(spec: TupleSpec, alg: AlgebraStructure):
@@ -202,12 +221,12 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
 
     sq_hat1n = szego_operator(merged, range(1, merged.n + 1))
 
+    roots = psd_sqrt(np.array([sq_hat1, sq_hatn, sq_hat1n]),
+                     (report.szego_hat1, report.szego_hatn, psd_check(sq_hat1n)))
     blocks = np.asarray(alg.block_of)
-    defects = {}
-    for name, sq, verdict in zip(("hat1", "hatn", "hat1n"), (sq_hat1, sq_hatn, sq_hat1n),
-                                 (report.szego_hat1, report.szego_hatn, psd_check(sq_hat1n))):
-        root = psd_sqrt(sq, verdict)
-        defects[name] = DefectData(root, *_per_component(root, blocks, blocks, alg.k, range_basis))
+    parts = _per_component(roots, [blocks] * 3, blocks, alg.k, range_bases)
+    defects = {name: DefectData(root, *part)
+               for name, root, part in zip(("hat1", "hatn", "hat1n"), roots, parts)}
 
     t1, tn = spec.op(1), spec.op(spec.n)
     resid = max(
@@ -257,7 +276,7 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
     lab_udom = np.concatenate([lab_q1, np.take(an, lab_qn), aux2])
     lab_dp = np.concatenate([lab_qn, aux1])
     dim = lab_d.size
-    dprime_rows = np.r_[0:rn, rn + r1:dim]
+    dprime_rows = np.concatenate([np.arange(rn), np.arange(rn + r1, dim)])
     dprime_pair = np.concatenate([np.arange(r1, r1 + rn), r1 + rn + pair])
     u1_labels = (np.concatenate([lab_d, np.take(g1n, lab_dp)]),
                  np.concatenate([np.take(a1, lab_d), lab_dp]))
@@ -277,15 +296,11 @@ def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingD
     initial and final spaces in D and Udom before padding (``alg`` as in
     ``build_defects``)."""
     x, y = defect_frames(spec, defects)
-    blocks = np.asarray(alg.block_of)
-
-    def complement(block):
-        return orthogonal_complement(range_basis(block))
     qn, q1 = defects["hatn"].labels, defects["hat1"].labels
-    d_labels = np.r_[qn, np.take(alg.automorphisms[0], q1)]  # D = Dn (+) (E1 x D1) before padding
-    udom_labels = np.r_[q1, np.take(alg.automorphisms[spec.n - 1], qn)]  # Udom = D1 (+) (En x Dn)
-    m1, m1lab = _per_component(x, d_labels, blocks, alg.k, complement)
-    m2, m2lab = _per_component(y, udom_labels, blocks, alg.k, complement)
+    d_labels = np.concatenate([qn, np.take(alg.automorphisms[0], q1)])  # Dn (+) (E1 x D1)
+    udom_labels = np.concatenate([q1, np.take(alg.automorphisms[spec.n - 1], qn)])  # D1 (+) (En x Dn)
+    (m1, m1lab), (m2, m2lab) = _per_component([x, y], [d_labels, udom_labels],
+                                              np.asarray(alg.block_of), alg.k, _complements)
     return CouplingData(V0=isometry_from_frames(x, y), M1=m1, M2=m2, M1_labels=m1lab,
                         M2_labels=m2lab, algebra=alg, X=x, Y=y)
 
@@ -505,11 +520,13 @@ def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLay
 
 
 def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
-                       fock: FockModel) -> list:
-    """The dilated tuple (tau1, L_2, ..., L_{n-1}, taun) on the truncated model."""
-    middles = [creation_matrix(fock, i - 1) for i in range(2, spec.n)]
+                       fock: FockModel) -> tuple[list, FockOperator]:
+    """The dilated tuple (tau1, L_2, ..., L_{n-1}, taun) on the truncated model,
+    and the merged creation operator L1: the creation operators of every
+    merged slot come from one ``creation_operators`` call."""
+    l1, *middles = creation_operators(fock, range(fock.m))
     return ([transfer_tau(spec, transfer, layout, fock, 1)] + middles
-            + [transfer_tau(spec, transfer, layout, fock, spec.n)])
+            + [transfer_tau(spec, transfer, layout, fock, spec.n)]), l1
 
 
 def build_Pi(merged: TupleSpec, xs: np.ndarray, fock: FockModel) -> np.ndarray:

@@ -180,14 +180,20 @@ class FockOperator:
         if diag is not None:
             self.terms.append((None, as_matrix(diag), costs[1]))
 
+    @classmethod
+    def _of_terms(cls, fock: FockModel, terms: list) -> "FockOperator":
+        """An operator of terms its maker has checked as ``__init__`` checks them."""
+        op = cls.__new__(cls)
+        op.fock, op.shape, op.terms = fock, (fock.dim, fock.dim), terms
+        return op
+
     @cached_property
     def reads(self) -> tuple:
         """Per term (row): the cell its adjoint reads into each cell (-1 where none,
-        past the truncation), the conjugate phase there, and the conjugate block."""
-        fock, (slots, blocks, costs) = self.fock, zip(*self.terms)
-        every = np.arange(fock.cell_count)
-        reads = np.array([every if s is None else fock.successors[s] for s in slots])
-        return reads, fock.cell_phases(np.array(costs)).conj(), np.array(blocks).conj()
+        past the truncation), the conjugate phase there, and the conjugate block;
+        ``_fill_reads`` of this operator alone."""
+        _fill_reads([self])
+        return self.reads
 
     @cached_property
     def moves(self) -> list:
@@ -214,14 +220,34 @@ class FockOperator:
         return out.reshape(self.shape).astype(dtype or complex, copy=False)
 
 
+def _fill_reads(ops: list):
+    """Set ``reads`` of each of ``ops`` (of one model): one gather from the
+    successor table, with the cell itself for a cellwise term, and one
+    ``FockModel.cell_phases`` over the costs of all their terms."""
+    if not ops:
+        return
+    fock = ops[0].fock
+    slots, blocks, costs = zip(*(term for op in ops for term in op.terms))
+    table = np.vstack([fock.successors, np.arange(fock.cell_count)])  # row m: each cell itself
+    reads = table[[fock.m if s is None else s for s in slots]]
+    phases, blocks = fock.cell_phases(np.array(costs)).conj(), np.array(blocks).conj()
+    start = 0
+    for op in ops:
+        end = start + len(op.terms)
+        op.reads = reads[start:end], phases[start:end], blocks[start:end]
+        start = end
+
+
 def apply_adjoints(ops: list, x: np.ndarray) -> np.ndarray:
     """The adjoints of the Fock operators ``ops`` (of one model) times the dim x
     cols matrix ``x``, an (ops, dim, cols) array: each term's cells read
-    (``FockOperator.reads``) times its block in one batched product, then its
-    phases.  No term's result depends on another's, so ``apply_adj`` is bit-equal."""
+    (``FockOperator.reads``, filled here in one pass for the operators that
+    lack it) times its block in one batched product, then its phases.  No
+    term's result depends on another's, so ``apply_adj`` is bit-equal."""
     fock, counts, x = ops[0].fock, np.array([len(op.terms) for op in ops]), np.asarray(x)
     if x.shape[0] != fock.dim:
         raise DimensionMismatch(f"operand has {x.shape[0]} rows, expected {fock.dim}")
+    _fill_reads([op for op in ops if "reads" not in vars(op)])
     cells, d, cols = fock.cell_count, fock.coeff_dim, x.size // fock.dim
     # each cell as cols x d, then the zero cell that a read of -1 picks
     rows = np.concatenate([x.reshape(cells, d, cols).transpose(0, 2, 1), np.zeros((1, cols, d))])
@@ -325,10 +351,10 @@ def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.
     corner = chars[np.arange(len(p)), down]  # each product from its first cell, e_down
     prods *= (const * corner / np.abs(corner))[:, None, None]
     # the counts: per (group, Delta, cell range), ||S||^2 times its cells in no narrower one
-    opens = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    opens = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
     band = np.add.reduceat(prods, opens, axis=0)
-    outer, within = band.copy(), np.r_[False, kind[opens[1:]] == kind[opens[:-1]]]
-    lower = np.where(within, np.r_[-1, free[opens[:-1]]], -1)  # the next narrower range
+    outer, within = band.copy(), np.concatenate([[False], kind[opens[1:]] == kind[opens[:-1]]])
+    lower = np.where(within, np.concatenate([[-1], free[opens[:-1]]]), -1)  # next narrower range
     for step in range(1, len(opens)):
         same = kind[opens[step:]] == kind[opens[:-step]]
         if not same.any():
@@ -352,16 +378,28 @@ def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.
     return np.sqrt(np.maximum(squares, 0.0))
 
 
-def creation_matrix(model: FockModel, s: int) -> FockOperator:
-    """Left creation operator of generator s (0-based slot) on F_N(E) (x) D.
+def creation_operators(model: FockModel, slots) -> list:
+    """Left creation operators of generators ``slots`` (0-based) on F_N(E) (x) D,
+    from one cost table and one unimodularity check.
 
-    Maps cell (alpha, v) to prod_{t < s} u(s, t)^alpha_t * (alpha + e_s, v)
-    (front insertion); cells at the truncation boundary |alpha| = N map to zero.
+    Creation s maps cell (alpha, v) to prod_{t < s} u(s, t)^alpha_t *
+    (alpha + e_s, v) (front insertion); cells at the truncation boundary
+    |alpha| = N map to zero.
     """
-    if not 0 <= s < model.m:
-        raise DimensionMismatch(f"generator index {s} out of range")
-    return FockOperator(model, None, None, s, np.where(np.arange(model.m) < s,
-                                                       model.merged_phases[s], 1))
+    slots = np.asarray(slots, dtype=int)
+    bad = slots[(slots < 0) | (slots >= model.m)]
+    if bad.size:
+        raise DimensionMismatch(f"generator index {bad[0]} out of range")
+    costs = np.where(np.arange(model.m) < slots[:, None], model.merged_phases[slots], 1)
+    if not np.all(np.abs(np.abs(costs) - 1.0) <= PHASE_TOL):
+        raise DimensionMismatch(f"need {model.m} unimodular character costs, one per slot")
+    eye = np.eye(model.coeff_dim, dtype=complex)
+    return [FockOperator._of_terms(model, [(s, eye, c)]) for s, c in zip(slots.tolist(), costs)]
+
+
+def creation_matrix(model: FockModel, s: int) -> FockOperator:
+    """Left creation operator of generator s: ``creation_operators`` of slot s alone."""
+    return creation_operators(model, [s])[0]
 
 
 def interior_cells(model: FockModel, margin: int) -> np.ndarray:

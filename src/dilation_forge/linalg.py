@@ -93,66 +93,72 @@ def _psd_cutoff(eigs: np.ndarray) -> np.ndarray:
     return low >= -PSD_TOL * np.maximum(np.maximum(1.0, high), np.abs(low))
 
 
-def psd_sqrt(a, report: PsdReport) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+def psd_sqrt(a, report) -> np.ndarray:
+    """Hermitian PSD square root via eigendecomposition, of a matrix or of each
+    matrix in a (k, dim, dim) stack from one batched ``eigh``.
 
-    ``report`` is the caller's ``psd_check(a)``, which has checked that ``a``
-    is finite and square.  Eigenvalues in [-PSD_TOL*scale, 0) are clamped
-    to zero; anything more negative raises :class:`NotPSD`, and so does a
-    Hermitian defect above 1e-8 (relative): no meaningful Szego operator has one.
+    ``report`` is the caller's ``psd_check`` of ``a`` (of a stack: one per
+    matrix, in order), which has checked that it is finite and square, and
+    whose ``eigvalsh`` verdict decides.  Eigenvalues in [-PSD_TOL*scale, 0)
+    are clamped to zero; anything more negative raises :class:`NotPSD`, and
+    so does a Hermitian defect above 1e-8 (relative): no meaningful Szego
+    operator has one.
     """
-    if a.shape[0] == 0:
+    a = np.asarray(a)
+    for r in ([report] if a.ndim == 2 else report):
+        if r.hermitian_defect > 1e-8:
+            raise NotPSD(f"matrix is not Hermitian (defect {r.hermitian_defect:.3e})")
+        if not r.is_psd:
+            raise NotPSD(f"matrix has eigenvalue {r.min_eig:.6e} below tolerance")
+    if a.shape[-1] == 0:
         return a.copy()
-    if report.hermitian_defect > 1e-8:
-        raise NotPSD(f"matrix is not Hermitian (defect {report.hermitian_defect:.3e})")
-    if not report.is_psd:
-        raise NotPSD(f"matrix has eigenvalue {report.min_eig:.6e} below tolerance")
-    h = 0.5 * (a + adj(a))
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ adj(v)
+    w, v = np.linalg.eigh(0.5 * (a + adj(a)))
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ adj(v)
 
 
 def _normalize_column_phases(b: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry of near-maximal modulus is positive real."""
-    b = b.copy()
-    for j in range(b.shape[1]):
-        col = b[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = int(np.argmax(mags > 0.5 * top))
-        phase = col[lead] / abs(col[lead])
-        b[:, j] = col * np.conj(phase)
-    return b
+    """Rotate each column (of a matrix or of each matrix in a stack) so its first
+    entry of near-maximal modulus is positive real; an all-zero column stays."""
+    mags = np.abs(b)
+    lead = np.argmax(mags > 0.5 * mags.max(axis=-2, keepdims=True, initial=0.0), axis=-2)
+    pick = np.take_along_axis(b, lead[..., None, :], axis=-2)
+    size = np.hypot(pick.real, pick.imag)  # what abs() of one complex scalar rounds to
+    return b * np.conj(np.where(size == 0.0, 1.0, pick / np.where(size == 0.0, 1.0, size)))
+
+
+def range_bases(stack: np.ndarray) -> list:
+    """``range_basis`` of each matrix of a finite (k, rows, cols) stack, from one
+    batched SVD."""
+    k, rows, cols = stack.shape
+    if rows == 0 or cols == 0:
+        return [np.zeros((rows, 0), dtype=complex)] * k
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    ranks = np.sum(s > RANK_TOL * s[:, :1], axis=1)  # 0 for a zero matrix
+    u = _normalize_column_phases(u)
+    return [basis[:, :rank] for basis, rank in zip(u, ranks.tolist())]
 
 
 def range_basis(a) -> np.ndarray:
     """Orthonormal basis of range(A) as an (rows, rank) array, rank decided by
-    singular values.
+    singular values: ``range_bases`` of A alone.
 
     Columns are ordered by descending singular value and phase-normalized so
     repeated runs give identical output.
     """
-    a = as_matrix(a)
-    if a.size == 0 or frob(a) == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return _normalize_column_phases(u[:, :rank])
+    return range_bases(as_matrix(a)[None])[0]
 
 
 def orthogonal_complement(basis: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the orthogonal complement of the
-    span of the orthonormal columns of ``basis``."""
-    n, r = basis.shape
+    span of the orthonormal columns of ``basis``, or of each basis in a
+    (k, n, r) stack from one batched SVD."""
+    n, r = basis.shape[-2:]
     if r == 0:
-        return eye(n)
+        return np.broadcast_to(eye(n), basis.shape[:-1] + (n,)).copy()
     if r >= n:
-        return np.zeros((n, 0), dtype=complex)
+        return np.zeros(basis.shape[:-1] + (0,), dtype=complex)
     u, _, _ = np.linalg.svd(basis, full_matrices=True)
-    return _normalize_column_phases(u[:, r:])
+    return _normalize_column_phases(u[..., r:])
 
 
 def isometry_from_frames(x, y) -> np.ndarray:

@@ -265,9 +265,14 @@ def szego_operators(spec: TupleSpec, subsets: Sequence[Sequence[int]]) -> np.nda
     member = np.zeros((len(subsets), spec.n + 1, 1, 1), dtype=bool)
     for r, S in enumerate(subsets):
         member[r, list(S)] = True
+    t = np.array(spec.blocks)  # (n, d, dimH, dimH), with the adjoints formed once
+    t_adj = adj(t)
     x = np.tile(np.eye(spec.dimH, dtype=complex), (len(subsets), 1, 1))
-    for i in range(spec.n, 0, -1):
-        x = np.where(member[:, i], x - cp_apply(spec, i, x), x)
+    for i in range(spec.n - 1, -1, -1):  # phi_{i+1}(X) as cp_apply sums it
+        phi = t[i, 0] @ x @ t_adj[i, 0]
+        for j in range(1, spec.d):
+            phi += t[i, j] @ x @ t_adj[i, j]
+        x = np.where(member[:, i + 1], x - phi, x)
     return x
 
 
@@ -308,6 +313,23 @@ def is_pure(spec: TupleSpec, i: int) -> tuple[bool, float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _gate(spec: TupleSpec, subsets: list) -> tuple[ClassReport, np.ndarray]:
+    """``class_gate``'s report and the Szego operators of hat1, hatn and then
+    of ``subsets``, all from one ``szego_operators`` recursion."""
+    report = validate(spec)
+    all_idx = list(range(1, spec.n + 1))
+    sq = szego_operators(spec, [all_idx[1:], all_idx[:-1]] + subsets)
+    report.szego_hat1 = psd_check(sq[0])
+    report.szego_hatn = psd_check(sq[1])
+
+    report.purity_radii = purity_radii(spec, all_idx)
+    report.pure_flags = [radius < 1.0 - PURITY_TOL for radius in report.purity_radii]
+    report.purity_indeterminate = [abs(radius - 1.0) <= PURITY_TOL for radius in report.purity_radii]
+    report.hatn_pure = all(report.pure_flags[:-1]) if spec.n > 1 else True
+    report.in_T1n = not report.failing_conditions()
+    return report, sq
+
+
 def class_gate(spec: TupleSpec) -> tuple[ClassReport, np.ndarray, np.ndarray]:
     """The class test: ``validate``, the hat1/hatn Szego PSD checks and the
     purity radii, which are exactly the fields ``failing_conditions`` reads.
@@ -317,31 +339,21 @@ def class_gate(spec: TupleSpec) -> tuple[ClassReport, np.ndarray, np.ndarray]:
     Entries so large that the products overflow raise ``NonFinite`` from the
     first PSD check, without floating-point warnings.
     """
-    report = validate(spec)
-    all_idx = list(range(1, spec.n + 1))
-    sq_hat1, sq_hatn = szego_operators(spec, [all_idx[1:], all_idx[:-1]])
-    report.szego_hat1 = psd_check(sq_hat1)
-    report.szego_hatn = psd_check(sq_hatn)
-
-    report.purity_radii = purity_radii(spec, all_idx)
-    report.pure_flags = [radius < 1.0 - PURITY_TOL for radius in report.purity_radii]
-    report.purity_indeterminate = [abs(radius - 1.0) <= PURITY_TOL for radius in report.purity_radii]
-    report.hatn_pure = all(report.pure_flags[:-1]) if spec.n > 1 else True
-    report.in_T1n = not report.failing_conditions()
-    return report, sq_hat1, sq_hatn
+    report, sq = _gate(spec, [])
+    return report, sq[0], sq[1]
 
 
 def classify(spec: TupleSpec) -> ClassReport:
     """Full class membership report: the class gate plus the full Szego
-    operator and the GKVW table, neither of which feeds the verdict."""
-    report, _, _ = class_gate(spec)
+    operator and the GKVW table, neither of which feeds the verdict; the gate
+    and these read one Szego recursion."""
     all_idx = list(range(1, spec.n + 1))
     middle = all_idx[1:-1]
-    sq = szego_operators(spec, [all_idx] + [[i for i in all_idx if i != p] for p in middle])
-    report.szego_full = psd_check(sq[0])
+    report, sq = _gate(spec, [all_idx] + [[i for i in all_idx if i != p] for p in middle])
+    report.szego_full = psd_check(sq[2])
     # dropping index 1 or n leaves the hat1 or hatn tuple the gate has checked
     psd_without = {1: report.szego_hat1.is_psd, spec.n: report.szego_hatn.is_psd}
-    psd_without.update(zip(middle, psd_flags(sq[1:]).tolist()))
+    psd_without.update(zip(middle, psd_flags(sq[3:]).tolist()))
     report.gkvw = {(p, q): (psd_without[p], psd_without[q])
                    for p, q in itertools.combinations(all_idx, 2)}
     return report

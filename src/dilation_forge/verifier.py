@@ -149,16 +149,18 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     iso = np.arange(fac + 3) < n  # the groups of W_i* W_i - I
     norms = product_norms(
         model.isometries + [model.L1],
-        left=np.r_[every, one, lo, hi, hi, 0, n + 1, n - 1, n + 1, n + 1],
-        right=np.r_[every, one, hi, lo, lo, n - 1, n, 0, n, n],
-        coef=np.r_[np.ones(n), -np.ones(n), np.ones(pairs), -spec.phases[lo, hi], np.ones(pairs),
-                   1.0, -1.0, 1.0, -spec.u(n, 1), 1.0],
-        group=np.r_[every, every, n + q, n + q, n + pairs + q, fac, fac, fac + 1, fac + 1, fac + 2],
+        left=np.concatenate([every, one, lo, hi, hi, [0, n + 1, n - 1, n + 1, n + 1]]),
+        right=np.concatenate([every, one, hi, lo, lo, [n - 1, n, 0, n, n]]),
+        coef=np.concatenate([np.ones(n), -np.ones(n), np.ones(pairs), -spec.phases[lo, hi],
+                             np.ones(pairs), [1.0, -1.0, 1.0, -spec.u(n, 1), 1.0]]),
+        group=np.concatenate([every, every, n + q, n + q, n + pairs + q,
+                              [fac, fac, fac + 1, fac + 1, fac + 2]]),
         adjoint=iso, src=np.where(iso, 1, min(2, fock.N)), dst=iso.astype(int))
     unit = max(1.0, np.sqrt(comb(fock.m + fock.N - 1, fock.m) * fock.coeff_dim))
     out = {f"isometry_v{i + 1}": float(norms[i] / unit) for i in range(n)}
-    diff = norms[np.r_[n:n + pairs, fac, fac + 1]]  # the commutators and factorizations,
-    ref = np.maximum(1.0, norms[np.r_[n + pairs:fac, fac + 2, fac + 2]])  # each over its reference
+    # the commutators and factorizations, each over its reference
+    diff = norms[np.concatenate([n + q, [fac, fac + 1]])]
+    ref = np.maximum(1.0, norms[np.concatenate([n + pairs + q, [fac + 2, fac + 2]])])
     names = [f"commute_{i + 1}_{j + 1}" for i, j in zip(lo, hi)] + list(PRODUCT_GATED)
     out.update(zip(names, (diff / ref).tolist()))
     return out
@@ -180,12 +182,14 @@ def verify_moments(model: DilationModel) -> dict:
     (V^beta)* Pi = V_s* (V^{beta - e_s})* Pi, the degree-1 rows by one
     ``apply_adjoints``, each deeper (degree, s) group by one ``apply_adj`` on
     its parents side by side, and the table (T^beta)* = t_s* (T^{beta - e_s})*;
-    the memo gives both sides, Pi* V^beta Pi = ((V^beta)* Pi)* Pi.  At finite
-    truncation the identity holds only up to the dropped mass, so the entry
-    comes with a computed ``moment_allowance``: the spectral defect of Pi*Pi
-    plus the largest operator-norm gap between V^beta* Pi and Pi T^beta*, from
-    the gaps' dimH x dimH Gram eigenvalues.  Both vanish when the tuple is
-    nilpotent enough for the truncation to be exact.
+    the memo gives both sides, (Pi* V^beta Pi)* = Pi* ((V^beta)* Pi) against
+    (T^beta)*, with no conjugate copy of the memo.  At finite truncation the
+    identity holds only up to the dropped mass, so the entry comes with a
+    computed ``moment_allowance``: the spectral defect of Pi*Pi plus the
+    largest operator-norm gap between V^beta* Pi and Pi T^beta*, from the
+    gaps' dimH x dimH Gram eigenvalues; the gaps overwrite the memo, and each
+    Gram is one real product of a gap's real and imaginary parts side by side.
+    Both vanish when the tuple is nilpotent enough for the truncation to be exact.
     """
     spec, pi, ws, n = model.spec, model.Pi, model.isometries, model.spec.n
     cells, slot, parent = enumerate_indices(n, min(MOMENT_MAXDEG, max(model.N - 1, 0)))
@@ -201,10 +205,15 @@ def verify_moments(model: DilationModel) -> dict:
         tadj[rows] = ops[s] @ tadj[parent[rows]]
         cols = back[parent[rows]].transpose(1, 0, 2).reshape(len(pi), -1)
         back[rows] = ws[s].apply_adj(cols).reshape(len(pi), len(rows), -1).transpose(1, 0, 2)
-    residual = float(np.max(np.abs(adj(back) @ pi - adj(tadj))))
-    diff = back[1:] - pi @ tadj[1:]
-    gap = float(np.sqrt(np.max(np.linalg.eigvalsh(adj(diff) @ diff), initial=0.0)))
-    gram_defect = eye(spec.dimH) - adj(pi) @ pi
+    pi_adj = adj(pi)
+    residual = float(np.max(np.abs(pi_adj @ back - tadj)))
+    back[1:] -= pi @ tadj[1:]  # the gaps V^beta* Pi - Pi T^beta*, in place
+    flat = back[1:].view(float)  # real and imaginary parts of each column side by side
+    real = (flat.swapaxes(-1, -2) @ flat).reshape(-1, spec.dimH, 2, spec.dimH, 2)
+    gram = (real[:, :, 0, :, 0] + real[:, :, 1, :, 1]
+            + 1j * (real[:, :, 0, :, 1] - real[:, :, 1, :, 0]))  # each gap's G* G
+    gap = float(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)))
+    gram_defect = eye(spec.dimH) - pi_adj @ pi
     lam = float(max(0.0, np.max(np.linalg.eigvalsh(0.5 * (gram_defect + adj(gram_defect))))))
     return {"moment_match": residual, "moment_allowance": gap + lam}
 

@@ -16,7 +16,8 @@ from dilation_forge.errors import (DimensionMismatch, IdentityResidualExceeded,
 from dilation_forge.fock import FockModel, enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.io import dump_json, model_to_dict
-from dilation_forge.linalg import adj, isometry_from_frames, psd_sqrt
+from dilation_forge.linalg import (adj, isometry_from_frames, orthogonal_complement, psd_sqrt,
+                                   range_bases, range_basis)
 from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify,
                                    ordered_power_products)
 from dilation_forge.verifier import full_report
@@ -296,17 +297,17 @@ def test_tail_monotone_in_degree():
 
 
 def test_build_defects_roots_take_the_class_gate_verdicts_at_the_cutoff(monkeypatch):
-    """``build_defects`` hands ``psd_sqrt`` the class gate's own squares and
-    PSD verdicts for hat1 and hatn, so a tuple in the class always gets its
-    defects, also with a smallest Szego eigenvalue within rounding of the
-    cutoff -PSD_TOL * max(1, ||A||_2).  The tuples (0, t2, 0) with
-    t2 = [[0, R], [0, 0]] and R R* = I - A have the hat1 Szego operator
-    diag(A, I); A's smallest eigenvalue steps across -1e-10."""
+    """``build_defects`` hands its one stacked ``psd_sqrt`` call the class
+    gate's own squares and PSD verdicts for hat1 and hatn, so a tuple in the
+    class always gets its defects, also with a smallest Szego eigenvalue
+    within rounding of the cutoff -PSD_TOL * max(1, ||A||_2).  The tuples
+    (0, t2, 0) with t2 = [[0, R], [0, 0]] and R R* = I - A have the hat1 Szego
+    operator diag(A, I); A's smallest eigenvalue steps across -1e-10."""
     calls = []
 
-    def spy(a, report):
-        calls.append((a, report))
-        return psd_sqrt(a, report)
+    def spy(a, reports):
+        calls.append((a, reports))
+        return psd_sqrt(a, reports)
 
     monkeypatch.setattr(builder, "psd_sqrt", spy)
     rng = np.random.default_rng(5)
@@ -331,7 +332,8 @@ def test_build_defects_roots_take_the_class_gate_verdicts_at_the_cutoff(monkeypa
                 assert calls == []
                 continue
             defects_for(spec)
-            (a1, v1), (an, vn) = calls[:2]
+            [(stack, reports)] = calls
+            (a1, an, _), (v1, vn, _) = stack, reports
             assert v1 == gate.szego_hat1 and vn == gate.szego_hatn, (dim, step)
             assert np.array_equal(a1, sq_hat1) and np.array_equal(an, sq_hatn)
     assert verdicts == {True, False}
@@ -522,3 +524,79 @@ def test_tails_recursion_matches_box_enumeration(style, N, n, dim, seed):
     root = defects["hat1n"].root
     ref = box_enumeration_tails(merged, root, N)
     assert np.max(np.abs(truncation_tails(merged, root, N) - ref)) < 1e-13
+
+
+def per_component_loop(mat, row_labels, col_labels, k, basis_of):
+    """The loop ``builder._per_component`` replaced: one matrix, one block and
+    one ``basis_of`` call per component."""
+    cols, labels = [], []
+    for p in range(k):
+        rows = np.flatnonzero(row_labels == p)
+        sub = basis_of(mat[np.ix_(rows, np.flatnonzero(col_labels == p))])
+        cols.append(np.zeros((mat.shape[0], sub.shape[1]), dtype=complex))
+        cols[-1][rows] = sub
+        labels += [p] * sub.shape[1]
+    return np.hstack(cols), np.asarray(labels, dtype=int)
+
+
+def complement_of_range(block):
+    return orthogonal_complement(range_basis(block))
+
+
+def assert_per_component_matches_loop(mats, row_labels, col_labels, k):
+    for grouped, single in ((range_bases, range_basis), (builder._complements, complement_of_range)):
+        got = builder._per_component(mats, row_labels, col_labels, k, grouped)
+        assert len(got) == len(mats)
+        for (basis, labels), mat, rows in zip(got, mats, row_labels):
+            ref_basis, ref_labels = per_component_loop(mat, rows, col_labels, k, single)
+            assert basis.shape == ref_basis.shape and np.array_equal(basis, ref_basis)
+            assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shape_grouped_bases_match_per_block_calls(seed):
+    """The shape-grouped range bases and complements of ``_per_component``
+    equal ``range_basis`` and ``orthogonal_complement(range_basis(.))`` block by
+    block, bit for bit: components of unequal sizes (so several shape groups), a
+    rank-deficient block, a zero block, a component with no rows in one
+    matrix, one component (k = 1), and matrices of different row labels."""
+    rng = np.random.default_rng(seed)
+    k = 4
+    col_labels = rng.permutation(np.repeat(np.arange(k), [2, 2, 3, 1]))
+    roots = []
+    for _ in range(3):
+        mat = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) * 0.3
+        roots.append(mat * (col_labels[:, None] == col_labels))  # block diagonal by component
+    roots[1][np.ix_(col_labels == 2, col_labels == 2)] = 0.0  # a zero block
+    low = rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
+    roots[2][np.ix_(col_labels == 2, col_labels == 2)] = low  # rank one
+    assert_per_component_matches_loop(roots, [col_labels] * 3, col_labels, k)
+    x, y = rng.standard_normal((6, 8)) + 0j, rng.standard_normal((9, 8)) + 0j
+    x_rows = np.array([0, 0, 1, 2, 2, 2])  # no row of component 3
+    y_rows = rng.permutation(np.repeat(np.arange(k), [3, 2, 2, 2]))
+    assert_per_component_matches_loop([x, y], [x_rows, y_rows], col_labels, k)
+    one = np.zeros(8, dtype=int)
+    assert_per_component_matches_loop(roots, [one] * 3, one, 1)
+
+
+@pytest.mark.parametrize("style,n", [("covariant", 4), ("covariant", 9), ("scaled-commuting", 5),
+                                     ("jointly-nilpotent", 4), ("u-commuting", 3)])
+def test_built_defects_and_complements_match_per_block_calls(style, n):
+    """A model's defect bases and its complements M1, M2 are those of the
+    per-matrix, per-component loop, bit for bit."""
+    spec = random_tuple(style, n, 4, seed=n)
+    alg = effective_algebra(spec)
+    blocks = np.asarray(alg.block_of)
+    defects, _, _ = build_defects(spec, alg)
+    for d in defects.values():
+        basis, labels = per_component_loop(d.root, blocks, blocks, alg.k, range_basis)
+        assert np.array_equal(d.basis, basis) and np.array_equal(d.labels, labels)
+    coupling = build_V0(spec, defects, alg)
+    d_labels = np.concatenate([defects["hatn"].labels,
+                               np.take(alg.automorphisms[0], defects["hat1"].labels)])
+    u_labels = np.concatenate([defects["hat1"].labels,
+                               np.take(alg.automorphisms[n - 1], defects["hatn"].labels)])
+    for got, got_labels, frame, rows in ((coupling.M1, coupling.M1_labels, coupling.X, d_labels),
+                                         (coupling.M2, coupling.M2_labels, coupling.Y, u_labels)):
+        basis, labels = per_component_loop(frame, rows, blocks, alg.k, complement_of_range)
+        assert np.array_equal(got, basis) and np.array_equal(got_labels, labels)

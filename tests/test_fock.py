@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch
 from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, apply_adjoints,
-                                 creation_matrix, enumerate_indices, interior_cells,
-                                 interior_projector, _deviation_sums, product_norms)
+                                 creation_matrix, creation_operators, enumerate_indices,
+                                 interior_cells, interior_projector, _deviation_sums,
+                                 product_norms)
 from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
 from fock_reference import (apply, product as pair_product, sparse_product,
@@ -149,9 +150,10 @@ def test_operators_from_successor_table_are_bit_identical(monkeypatch):
                           for a in index_list(fock)] for s in range(fock.m)])
 
     monkeypatch.setattr(FockModel, "successors", property(successors_by_search))
-    again = dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
-    again.append(creation_matrix(model.fock, 0))
-    assert all(np.array_equal(a, np.asarray(b)) for a, b in zip(built, again))
+    again, l1 = dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
+    again += [l1, creation_matrix(model.fock, 0)]
+    assert len(again) == len(built) + 1
+    assert all(np.array_equal(a, np.asarray(b)) for a, b in zip(built + built[-1:], again))
 
 
 @pytest.mark.parametrize("m,N", [(1, 0), (1, 3), (2, 4), (3, 3), (5, 2)])
@@ -548,3 +550,66 @@ def test_costs_must_be_one_unimodular_number_per_slot(costs, which):
             FockOperator(model, np.eye(1), None, 0, good, costs)
     near = good * (1 + PHASE_TOL / 10)  # within the tolerance
     FockOperator(model, np.eye(1), None, 0, near, near)
+
+
+@pytest.mark.parametrize("quarter_turns", [True, False])
+@pytest.mark.parametrize("m,N,coeff", SHAPES)
+def test_creation_family_equals_each_slot(m, N, coeff, quarter_turns):
+    """``creation_operators`` over every slot equals ``creation_matrix`` of each
+    slot and the operator the checked constructor makes of the front-insertion
+    costs, term for term."""
+    model, _ = random_model(m, N, coeff, 10 * m + N, quarter_turns)
+    family = creation_operators(model, range(m))
+    assert len(family) == m
+    for s, op in enumerate(family):
+        costs = np.where(np.arange(m) < s, model.merged_phases[s], 1)
+        for ref in (creation_matrix(model, s), FockOperator(model, None, None, s, costs)):
+            assert len(op.terms) == len(ref.terms) == 1 and op.shape == ref.shape
+            for (slot, block, c), (ref_slot, ref_block, ref_c) in zip(op.terms, ref.terms):
+                assert slot == ref_slot == s
+                assert np.array_equal(block, ref_block) and np.array_equal(c, ref_c)
+        assert np.array_equal(np.asarray(op), np.asarray(creation_matrix(model, s)))
+
+
+def test_creation_family_rejects_what_each_slot_rejects():
+    model, _ = random_model(3, 2, 2, 7, False)
+    for slots in ([0, 3], [-1], [3]):
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            creation_operators(model, slots)
+    with pytest.raises(DimensionMismatch, match="out of range"):
+        creation_matrix(model, 3)
+    phases = np.ones((3, 3), dtype=complex)
+    phases[2, 0], phases[0, 2] = 1.5, 1 / 1.5
+    skewed = FockModel(m=3, N=2, coeff_dim=1, merged_phases=phases)
+    creation_operators(skewed, [0, 1])  # slots 0 and 1 read no entry off the circle
+    for slots in ([0, 1, 2], [2]):
+        with pytest.raises(DimensionMismatch, match="unimodular"):
+            creation_operators(skewed, slots)
+
+
+def fresh_family(model):
+    isometries, l1 = dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
+    return isometries + [l1]
+
+
+@pytest.mark.parametrize("style,n,N", [("u-commuting", 3, 4), ("covariant", 4, 2),
+                                       ("scaled-commuting", 5, 1), ("jointly-nilpotent", 6, 3)])
+def test_one_pass_reads_equal_each_operator_own(style, n, N):
+    """``apply_adjoints`` fills ``reads`` of the operators that lack it in one
+    pass, equal bit for bit to each operator's own and to the per-term
+    definition; an operator that has it keeps it, and building a model fills none."""
+    model = assemble_model(random_tuple(style, n, 4, seed=n), N=N)
+    fock = model.fock
+    assert not any("reads" in vars(op) for op in model.isometries + [model.L1])
+    batch, single = fresh_family(model), fresh_family(model)
+    kept = batch[1].reads
+    apply_adjoints(batch, np.zeros((fock.dim, 1)))
+    assert batch[1].reads is kept
+    every = np.arange(fock.cell_count)
+    for op, ref in zip(batch, single):
+        slots, blocks, costs = zip(*op.terms)
+        definition = (np.array([every if s is None else fock.successors[s] for s in slots]),
+                      fock.cell_phases(np.array(costs)).conj(), np.array(blocks).conj())
+        for got, own, want in zip(op.reads, ref.reads, definition):
+            assert got.dtype == own.dtype == want.dtype
+            assert got.tobytes() == own.tobytes() == want.tobytes()

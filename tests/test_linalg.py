@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dilation_forge.errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
-from dilation_forge.linalg import (PSD_TOL, adj, frob, frob_stack, isometry_from_frames,
-                                   orthogonal_complement, psd_check, psd_flags, psd_sqrt,
-                                   range_basis)
+from dilation_forge.linalg import (PSD_TOL, _normalize_column_phases, adj, frob, frob_stack,
+                                   isometry_from_frames, orthogonal_complement, psd_check,
+                                   psd_flags, psd_sqrt, range_bases, range_basis)
 
 
 def crandn(rng, shape):
@@ -239,3 +239,80 @@ def test_orthogonal_complement():
     assert c.shape == (5, 5 - b.shape[1])
     assert np.linalg.norm(adj(c) @ b) < 1e-12
 
+
+
+def loop_column_phases(b):
+    """The per-column loop that ``linalg._normalize_column_phases`` replaced."""
+    b = b.copy()
+    for j in range(b.shape[1]):
+        col = b[:, j]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        lead = int(np.argmax(mags > 0.5 * top))
+        phase = col[lead] / abs(col[lead])
+        b[:, j] = col * np.conj(phase)
+    return b
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_vectorized_column_phases_equal_the_loop(seed):
+    """Bit for bit, signs of zero included, with an all-zero column, a column
+    whose two largest entries tie, entries of every scale, and on a stack."""
+    rng = np.random.default_rng(seed)
+    for rows, cols in [(1, 1), (2, 3), (4, 4), (7, 3), (3, 7)]:
+        b = crandn(rng, (rows, cols)) * 10.0 ** rng.uniform(-14, 3, (rows, cols))
+        b[:, rng.integers(cols)] = 0.0
+        b[-1, -1] = 1j * b[0, -1]
+        assert _normalize_column_phases(b).tobytes() == loop_column_phases(b).tobytes()
+    stack = crandn(rng, (5, 4, 3))
+    stack[2, :, 1] = 0.0
+    got = _normalize_column_phases(stack)
+    assert all(g.tobytes() == loop_column_phases(a).tobytes() for g, a in zip(got, stack))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_psd_sqrt_of_a_stack_equals_each_matrix_bit_for_bit(dim):
+    """One batched ``eigh`` over a full-rank, a rank-one, a zero and a clamped
+    matrix gives each one's ``psd_sqrt``; a failing report of any raises."""
+    rng = np.random.default_rng(dim)
+    z = crandn(rng, (dim, dim))
+    v = crandn(rng, (dim, 1))
+    clamped = np.eye(dim, dtype=complex)
+    clamped[-1, -1] = -0.5 * PSD_TOL
+    stack = np.array([z @ adj(z), v @ adj(v), np.zeros((dim, dim)), clamped])
+    reports = [psd_check(a) for a in stack]
+    got = psd_sqrt(stack, reports)
+    assert got.shape == stack.shape
+    for g, a, r in zip(got, stack, reports):
+        assert g.tobytes() == psd_sqrt(a, r).tobytes()
+    bad = stack.copy()
+    bad[1, -1, -1] -= 1.0 + np.linalg.norm(v) ** 2
+    with pytest.raises(NotPSD):
+        psd_sqrt(bad, [psd_check(a) for a in bad])
+
+
+def test_range_bases_of_a_stack_equal_each_matrix():
+    """One batched SVD over full-rank, rank-deficient and zero matrices gives
+    each one's ``range_basis``, bit for bit; empty shapes give empty bases."""
+    rng = np.random.default_rng(12)
+    for rows, cols in [(4, 4), (5, 3), (3, 6), (1, 2)]:
+        full = crandn(rng, (rows, cols))
+        low = crandn(rng, (rows, 1)) @ crandn(rng, (1, cols))
+        stack = np.array([full, low, np.zeros((rows, cols)), 1e-12 * full])
+        got = range_bases(stack)
+        assert [g.shape[1] for g in got] == [min(rows, cols), 1, 0, min(rows, cols)]
+        for g, a in zip(got, stack):
+            assert np.array_equal(g, range_basis(a)) and g.shape == range_basis(a).shape
+    assert [g.shape for g in range_bases(np.zeros((2, 3, 0)))] == [(3, 0), (3, 0)]
+
+
+@pytest.mark.parametrize("n,r", [(5, 0), (5, 1), (5, 3), (4, 4), (1, 1)])
+def test_orthogonal_complement_of_a_stack_equals_each_basis(n, r):
+    rng = np.random.default_rng(10 * n + r)
+    stack = np.array([np.linalg.qr(crandn(rng, (n, n)))[0][:, :r] for _ in range(3)])
+    got = orthogonal_complement(stack)
+    assert got.shape == (3, n, n - r)
+    for g, b in zip(got, stack):
+        assert g.tobytes() == orthogonal_complement(b).tobytes()

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dilation_forge.errors import MalformedSpec, UnsupportedMultiplicity
 from dilation_forge.generators import (STYLES, parrott_tuple, random_tuple, scalar_triple,
                                        zero_tuple)
-from dilation_forge.linalg import adj, frob
-from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify,
+from dilation_forge.linalg import adj, frob, psd_check, psd_flags
+from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify, cp_apply,
                                    cp_map_matrix, invert_perm, is_pure, merge_1n, szego_operator,
                                    szego_operators, validate)
 
@@ -370,6 +370,39 @@ def test_szego_stack_matches_each_subset(n, d):
     assert stack.shape == (len(subsets), 3, 3)
     for S, row in zip(subsets, stack):
         assert np.array_equal(row, szego_operator(spec, S)), S
+    assert stack.tobytes() == cp_apply_recursion(spec, subsets).tobytes()
+
+
+def cp_apply_recursion(spec, subsets):
+    """The recursion ``szego_operators`` ran before it formed the blocks and
+    their adjoints once: one ``cp_apply`` per step."""
+    member = np.zeros((len(subsets), spec.n + 1, 1, 1), dtype=bool)
+    for r, S in enumerate(subsets):
+        member[r, list(S)] = True
+    x = np.tile(np.eye(spec.dimH, dtype=complex), (len(subsets), 1, 1))
+    for i in range(spec.n, 0, -1):
+        x = np.where(member[:, i], x - cp_apply(spec, i, x), x)
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CASES))
+def test_classify_reads_one_recursion(name):
+    """``classify`` takes the gate's hat1 and hatn, the full Szego operator and
+    the middle GKVW operators from one stack, equal bit for bit to a recursion
+    per call."""
+    spec = GATE_CASES[name]
+    report = classify(spec)
+    full = list(range(1, spec.n + 1))
+    middle = [[i for i in full if i != p] for p in full[1:-1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        hats = cp_apply_recursion(spec, [full[1:], full[:-1]])
+        rest = cp_apply_recursion(spec, [full] + middle)
+    assert report.szego_hat1 == psd_check(hats[0]) and report.szego_hatn == psd_check(hats[1])
+    assert report.szego_full == psd_check(rest[0])
+    without = dict(zip(full[1:-1], psd_flags(rest[1:]).tolist())) if middle else {}
+    for (p, q), flags in report.gkvw.items():
+        assert flags == tuple(without.get(i, report.szego_hat1.is_psd if i == 1
+                                          else report.szego_hatn.is_psd) for i in (p, q))
 
 
 def reference_validate(spec, tol=1e-10):
