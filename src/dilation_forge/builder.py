@@ -21,17 +21,18 @@ requirement that the dilation identities hold exactly on interior cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
                      InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, creation_operators, degree_blocks
-from .linalg import (adj, eye, frob, isometry_from_frames, orthogonal_complement, psd_check,
-                     psd_sqrt, range_bases, rel_residual)
+from .fock import FockModel, FockOperator, apply_adjoints, creation_operators, degree_blocks
+from .linalg import (adj, eye, frob, frob_stack, isometry_from_frames, orthogonal_complement,
+                     psd_check, psd_sqrt, range_bases)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
-                     invert_perm, is_pure, merge_1n, ordered_power_products, szego_operator)
+                     invert_perm, merge_1n, ordered_power_products, purity_radii)
 
 
 IDENTITY_GATE = 1e-10  # gate on the frame, lemma and defect-equality residuals
@@ -134,6 +135,12 @@ class DilationModel:
         x, _ = defect_frames(self.spec, self.defects)
         self.Pi = build_Pi(self.merged, pad_rows(x, self.layout), self.fock)
 
+    @cached_property
+    def pi_adjoints(self) -> np.ndarray:
+        """V_i* Pi for each dilated isometry, then L1* Pi, read by the intertwining
+        and moment checks: one ``apply_adjoints`` per model."""
+        return apply_adjoints(self.isometries + [self.L1], self.Pi)
+
     def coordinate_labels(self) -> Optional[np.ndarray]:
         """Algebra label of each model coordinate, shape (cells, dim D); rho(e_p)
         on the truncated model is the diagonal indicator of label p.  Cell alpha
@@ -149,10 +156,13 @@ class DilationModel:
 
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
-    """The declared algebra, or the trivial one-component algebra."""
+    """The declared algebra, or the trivial one-component algebra, which is
+    valid by construction and so skips ``AlgebraStructure``'s checks."""
     if spec.algebra is not None:
         return spec.algebra
-    return AlgebraStructure(1, [0] * spec.dimH, [[0]] * spec.n)
+    trivial = AlgebraStructure.__new__(AlgebraStructure)
+    vars(trivial).update(k=1, block_of=[0] * spec.dimH, automorphisms=[[0]] * spec.n)
+    return trivial
 
 
 def _by_shape(fn, mats: list) -> list:
@@ -185,7 +195,7 @@ def _per_component(mats: list, row_labels: list, col_labels: np.ndarray, k: int,
     """
     cols = [np.flatnonzero(col_labels == p) for p in range(k)]
     rows = [[np.flatnonzero(labels == p) for p in range(k)] for labels in row_labels]
-    subs = iter(_by_shape(bases_of, [mat[np.ix_(r[p], cols[p])] for mat, r in zip(mats, rows)
+    subs = iter(_by_shape(bases_of, [mat[r[p][:, None], cols[p]] for mat, r in zip(mats, rows)
                                      for p in range(k)]))
     out = []
     for mat, r in zip(mats, rows):
@@ -203,37 +213,36 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
     """Defect data for hat1 (drop index 1), hatn (drop index n) and the merged tuple.
 
     Returns ``(defects, merged, equality_residual)``, the residual measuring
-    the two displayed factorizations of the merged defect square.  The PSD
-    verdicts of the hat1 and hatn squares are the class gate's, and the
-    merged generator must be pure, for a built and a loaded model alike; each
-    defect's range basis splits by algebra component (``_per_component``).
+    the two displayed factorizations of the merged defect square.  One
+    ``class_gate`` recursion gives the verdict, the hat1 and hatn squares with
+    their PSD reports and the Szego operator M of indices 2..n-1 (I for n =
+    2); M - t1n M t1n* (t1n = t_1 t_n) is the merged square, bit for bit.
+    The merged generator must be pure, for a built and a loaded model alike;
+    each defect's range basis splits by algebra component (``_per_component``).
     ``alg`` is ``effective_algebra(spec)``, resolved once by the caller.
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("the dilation construction requires d = 1")
-    report, sq_hat1, sq_hatn = class_gate(spec)
+    report, sq = class_gate(spec, [range(2, spec.n)])
     if not report.in_T1n:
         raise NotInClass("; ".join(report.failing_conditions()) or "not in the dilatable class")
     merged = merge_1n(spec)
-    _, radius = is_pure(merged, 1)
+    radius = purity_radii(merged, [1])[0]
     if radius >= 1.0:
         raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
 
-    sq_hat1n = szego_operator(merged, range(1, merged.n + 1))
-
-    roots = psd_sqrt(np.array([sq_hat1, sq_hatn, sq_hat1n]),
-                     (report.szego_hat1, report.szego_hatn, psd_check(sq_hat1n)))
+    sq[2:] -= merged.op(1) @ sq[2:] @ adj(merged.op(1))  # M becomes the merged square
+    roots = psd_sqrt(sq, (report.szego_hat1, report.szego_hatn, psd_check(sq[2])))
     blocks = np.asarray(alg.block_of)
     parts = _per_component(roots, [blocks] * 3, blocks, alg.k, range_bases)
     defects = {name: DefectData(root, *part)
                for name, root, part in zip(("hat1", "hatn", "hat1n"), roots, parts)}
 
-    t1, tn = spec.op(1), spec.op(spec.n)
-    resid = max(
-        rel_residual(sq_hat1n - (sq_hatn + t1 @ sq_hat1 @ adj(t1)), sq_hat1n),
-        rel_residual(sq_hat1n - (sq_hat1 + tn @ sq_hatn @ adj(tn)), sq_hat1n),
-    )
-    return defects, merged, resid
+    # the two factorizations hatn + t1 hat1 t1* and hat1 + tn hatn tn* of the merged square
+    ends = np.array([spec.op(1), spec.op(spec.n)])
+    sides = sq[1::-1] + ends @ sq[:2] @ adj(ends)
+    norms = frob_stack(np.concatenate([sq[2] - sides, sq[2:]]))
+    return defects, merged, float(norms[:2].max() / max(1.0, norms[2]))
 
 
 def defect_frames(spec: TupleSpec, defects: dict) -> tuple[np.ndarray, np.ndarray]:

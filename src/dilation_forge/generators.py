@@ -27,7 +27,7 @@ def _scale_into_class(ops, phases=None, algebra=None) -> TupleSpec:
     scale = 1.0
     for _ in range(60):
         spec = TupleSpec.from_operators([scale * t for t in ops], phases=phases, algebra=algebra)
-        report, _, _ = class_gate(spec)
+        report, _ = class_gate(spec, [])
         radii_ok = all(r <= 1.0 - MARGIN for r in report.purity_radii[:-1])
         szego_ok = (report.szego_hat1.min_eig >= MARGIN and report.szego_hatn.min_eig >= MARGIN)
         if report.in_T1n and report.is_contraction_tuple and radii_ok and szego_ok:

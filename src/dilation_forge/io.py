@@ -7,15 +7,16 @@ must be finite JSON numbers; booleans, strings, NaN and infinities are input
 errors.
 
 Tuple documents, which are also written by hand, store each matrix as nested
-rows of [re, im] pairs.  A model file holds exactly ``MODEL_FIELDS``: the
-tuple, N, the sizes record ``dims`` with the padding ``dims.aux``, and the
-completion U as a flat row-major matrix ``{"shape": [dim D, dim D], "re":
-[...], "im": [...]}``, what the tuple does not fix, so its size does not grow
-with N.  On load the layout is rebuilt from the tuple and ``dims.aux``, U's
-shape is checked against it before any list is converted, and the rest is
-derived as for a built model: U1, Un and the construction residuals by
-``measure_transfer``, then, past N's cell budget, the tails, Pi and the
-dilated isometries.
+rows of [re, im] pairs, all read in one pass.  A model file holds exactly
+``MODEL_FIELDS``: the tuple, N, the sizes record ``dims`` with the padding
+``dims.aux``, and the completion U as a flat row-major matrix ``{"shape":
+[dim D, dim D], "re": [...], "im": [...]}``, what the tuple does not fix, so
+its size does not grow with N.  On load the tuple passes the class gate,
+whose one Szego recursion also gives the defects (``build_defects``), the
+layout is rebuilt from them and ``dims.aux``, U's shape is checked against it
+before any list is converted, and the rest is derived as for a built model:
+U1, Un and the construction residuals by ``measure_transfer``, then, past N's
+cell budget, the tails, Pi and the dilated isometries.
 """
 
 from __future__ import annotations
@@ -53,23 +54,19 @@ def _floats(values: list, path: str) -> np.ndarray:
 
 
 def complex_to_json(arr: np.ndarray) -> list:
-    """Nested lists of [re, im] pairs, row-major."""
-    arr = np.asarray(arr, dtype=complex)
-    if arr.ndim == 1:
-        return [[float(v.real), float(v.imag)] for v in arr]
-    return [complex_to_json(row) for row in arr]
+    """Nested lists of [re, im] pairs, row-major: each part's Python float,
+    signed zeros included."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(float).reshape(*arr.shape, 2).tolist()
 
 
-def json_to_complex(data, path: str = "$") -> np.ndarray:
-    """A finite complex matrix from rows of [re, im] number pairs."""
-    try:
-        shape = np.shape(data)
-    except ValueError as exc:
-        raise MalformedSpec(f"{path}: expected nested [re, im] number pairs ({exc})")
-    if len(shape) != 3 or shape[-1] != 2:
-        raise MalformedSpec(f"{path}: expected a matrix of [re, im] pairs")
-    values = _floats([v for row in data for pair in row for v in pair], path)
-    return values.view(complex).reshape(shape[:2])
+def json_to_complex(data, path: str, shape: tuple) -> np.ndarray:
+    """A finite complex array of ``shape`` from nested [re, im] number pairs,
+    their nesting checked before any entry is converted."""
+    nested = np.array(data, dtype=object)  # ragged nesting stops at a list entry
+    if nested.shape != (*shape, 2):
+        raise MalformedSpec(f"{path}: expected {' x '.join(map(str, shape))} [re, im] pairs")
+    return _floats(nested.ravel().tolist(), path).view(complex).reshape(shape)
 
 
 def matrix_to_json(arr: np.ndarray) -> dict:
@@ -131,17 +128,21 @@ def tuple_from_dict(doc: dict, path: str = "$") -> TupleSpec:
     n = _require(doc, "n", int, path)
     dim = _require(doc, "dimH", int, path)
     d = _require(doc, "d", int, path) if "d" in doc else 1
+    if min(n, dim, d) < 1:
+        raise MalformedSpec(f"{path}: n, dimH and d must be positive")
     mats = _require(doc, "matrices", list, path)
-    if len(mats) != n:
-        raise MalformedSpec(f"{path}.matrices: expected {n} rows, got {len(mats)}")
-    blocks = []
-    for i, row in enumerate(mats):
-        if not isinstance(row, list) or len(row) != d:
-            raise MalformedSpec(f"{path}.matrices[{i}]: expected {d} matrices")
-        blocks.append([json_to_complex(m, f"{path}.matrices[{i}][{j}]") for j, m in enumerate(row)])
+    try:  # every matrix in one pass
+        blocks = json_to_complex(mats, f"{path}.matrices", (n, d, dim, dim))
+    except MalformedSpec:  # name the first matrix at fault, if one is
+        for i, row in enumerate(mats):
+            if not isinstance(row, list) or len(row) != d:
+                raise MalformedSpec(f"{path}.matrices[{i}]: expected {d} matrices")
+            for j, m in enumerate(row):
+                json_to_complex(m, f"{path}.matrices[{i}][{j}]", (dim, dim))
+        raise
     phases = None
     if "phases" in doc and doc["phases"] is not None:
-        phases = json_to_complex(doc["phases"], f"{path}.phases")
+        phases = json_to_complex(doc["phases"], f"{path}.phases", (n, n))
     algebra = None
     if "algebra" in doc and doc["algebra"] is not None:
         alg = _require(doc, "algebra", dict, path)
@@ -149,7 +150,8 @@ def tuple_from_dict(doc: dict, path: str = "$") -> TupleSpec:
             k=_require(alg, "k", int, f"{path}.algebra"),
             block_of=_require(alg, "block_of", list, f"{path}.algebra"),
             automorphisms=_require(alg, "automorphisms", list, f"{path}.algebra"))
-    return TupleSpec(n=n, dimH=dim, d=d, blocks=blocks, phases=phases, algebra=algebra)
+    return TupleSpec(n=n, dimH=dim, d=d, blocks=[list(row) for row in blocks], phases=phases,
+                     algebra=algebra)
 
 
 def _read_json(path: str):
@@ -194,12 +196,13 @@ def model_from_dict(doc: dict) -> DilationModel:
     """Rebuild a verifiable model from its JSON document.
 
     The document holds exactly ``MODEL_FIELDS``.  The tuple passes the class
-    gate and the merged-purity check again and its defect data are recomputed
-    (``build_defects``, as in a build), the coefficient layout from them and
-    ``dims.aux``; ``dims`` must then equal the rebuilt sizes.  U is read and
-    checked, and ``measure_transfer`` forms U1 and Un from it and measures the
-    construction residuals with the rebuilt defects' frames, so a corrupted U
-    shows there; Pi and the tails come from the tuple.
+    gate and the merged-purity check again, and its defect data, the merged
+    square included, come from the gate's one Szego recursion
+    (``build_defects``, as in a build); the coefficient layout comes from them
+    and ``dims.aux``, and ``dims`` must then equal the rebuilt sizes.  U is
+    read and checked, and ``measure_transfer`` forms U1 and Un from it and
+    measures the construction residuals with the rebuilt defects' frames, so
+    a corrupted U shows there; Pi and the tails come from the tuple.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "dilation_model":
         raise MalformedSpec("$.kind: expected 'dilation_model'")

@@ -61,29 +61,35 @@ class PsdReport(NamedTuple):
     hermitian_defect: float
 
 
-def psd_check(a) -> PsdReport:
-    """Test positive semidefiniteness of a Hermitian-intended matrix.
+def psd_checks(stack) -> list:
+    """Test positive semidefiniteness of each Hermitian-intended matrix of a
+    (k, dim, dim) stack: one ``(is_psd, min_eig, hermitian_defect)`` each, from
+    one batched ``eigvalsh`` and ``frob_stack`` (bit-equal to ``frob``).
 
-    Returns ``(is_psd, min_eig, hermitian_defect)`` where ``min_eig`` is the
-    smallest eigenvalue of the Hermitian part (A + A*)/2 and
-    ``hermitian_defect`` = ||A - A*||_F / max(1, ||A||_F).  The verdict uses
+    ``min_eig`` is the smallest eigenvalue of the Hermitian part (A + A*)/2,
+    ``hermitian_defect`` = ||A - A*||_F / max(1, ||A||_F), and the verdict is
     the scale-aware cutoff ``min_eig >= -PSD_TOL * max(1, ||A||_2)``.
+    Non-finite entries (non-finite input, or overflow) raise :class:`NonFinite`.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"psd_check needs a square matrix, got {a.shape}")
-    if a.shape[0] == 0:
-        return PsdReport(True, 0.0, 0.0)
-    defect = rel_residual(a - adj(a), a)
-    eigs = np.linalg.eigvalsh(0.5 * (a + adj(a)))
-    return PsdReport(bool(_psd_cutoff(eigs)), float(eigs[0]), defect)
+    stack = np.asarray(stack, dtype=complex)
+    k, rows, cols = stack.shape
+    if not np.isfinite(stack).all():
+        raise NonFinite("matrix contains NaN or Inf entries (non-finite input, or overflow)")
+    if rows != cols:
+        raise NonSquare(f"psd_check needs a square matrix, got {(rows, cols)}")
+    if not stack.size:
+        return [PsdReport(True, 0.0, 0.0)] * k
+    herm = adj(stack)
+    norms = frob_stack(np.concatenate([stack - herm, stack]))
+    eigs = np.linalg.eigvalsh(0.5 * (stack + herm))
+    return [PsdReport(ok, low, defect) for ok, low, defect
+            in zip(_psd_cutoff(eigs).tolist(), eigs[:, 0].tolist(),
+                   (norms[:k] / np.maximum(1.0, norms[k:])).tolist())]
 
 
-def psd_flags(stack: np.ndarray) -> np.ndarray:
-    """``psd_check(a).is_psd`` for every matrix a of a (k, dim, dim)
-    stack, dim >= 1, from one batched ``eigvalsh``."""
-    stack = np.asarray(stack)
-    return _psd_cutoff(np.linalg.eigvalsh(0.5 * (stack + adj(stack))))
+def psd_check(a) -> PsdReport:
+    """``psd_checks`` of the one matrix ``a``."""
+    return psd_checks(as_matrix(a)[None])[0]
 
 
 def _psd_cutoff(eigs: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ X -> sum_j T_{i,j} X T_{i,j}* has spectral radius < 1).
 from __future__ import annotations
 
 import itertools
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import MalformedSpec, UnsupportedMultiplicity
 from .fock import FockModel, degree_blocks
-from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, psd_check, psd_flags
+from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, psd_checks
 
 PURITY_TOL = 1e-8        # pure: cp radius < 1 - PURITY_TOL
 CONTRACTION_TOL = 1e-10  # row norms <= 1 + it; structure residuals <= it * max(1, max ||T_i||^2)
@@ -228,7 +229,8 @@ def validate(spec: TupleSpec) -> ClassReport:
     report = ClassReport(n=spec.n, d=spec.d)
     t = np.array(spec.blocks)  # (n, d, dimH, dimH)
     rows = t.transpose(0, 2, 1, 3).reshape(spec.n, spec.dimH, -1)  # row i is (T_{i,1} ... T_{i,d})
-    report.row_norms = np.linalg.norm(rows, 2, axis=(1, 2)).tolist()
+    # the largest singular values, as np.linalg.norm(rows, 2, axis=(1, 2)) takes them
+    report.row_norms = np.linalg.svd(rows, compute_uv=False)[:, 0].tolist()
     report.is_contraction_tuple = all(nrm <= 1.0 + CONTRACTION_TOL for nrm in report.row_norms)
     top = max(report.row_norms)
     report.structure_gate = CONTRACTION_TOL * max(1.0, top * top)
@@ -313,14 +315,21 @@ def is_pure(spec: TupleSpec, i: int) -> tuple[bool, float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _gate(spec: TupleSpec, subsets: list) -> tuple[ClassReport, np.ndarray]:
-    """``class_gate``'s report and the Szego operators of hat1, hatn and then
-    of ``subsets``, all from one ``szego_operators`` recursion."""
+def class_gate(spec: TupleSpec, subsets: list) -> tuple[ClassReport, np.ndarray]:
+    """The class test: ``validate``, the hat1/hatn Szego PSD checks (one
+    ``psd_checks`` call) and the purity radii, which are exactly the fields
+    ``failing_conditions`` reads.
+
+    Returns ``(report, sq)``, ``sq`` the Szego operators of hat1, hatn and
+    then of ``subsets``, all from one ``szego_operators`` recursion, which
+    ``classify`` and the builder read.  Entries so large that the products
+    overflow raise ``NonFinite`` from the PSD check, without floating-point
+    warnings.
+    """
     report = validate(spec)
     all_idx = list(range(1, spec.n + 1))
     sq = szego_operators(spec, [all_idx[1:], all_idx[:-1]] + subsets)
-    report.szego_hat1 = psd_check(sq[0])
-    report.szego_hatn = psd_check(sq[1])
+    report.szego_hat1, report.szego_hatn = psd_checks(sq[:2])
 
     report.purity_radii = purity_radii(spec, all_idx)
     report.pure_flags = [radius < 1.0 - PURITY_TOL for radius in report.purity_radii]
@@ -330,30 +339,17 @@ def _gate(spec: TupleSpec, subsets: list) -> tuple[ClassReport, np.ndarray]:
     return report, sq
 
 
-def class_gate(spec: TupleSpec) -> tuple[ClassReport, np.ndarray, np.ndarray]:
-    """The class test: ``validate``, the hat1/hatn Szego PSD checks and the
-    purity radii, which are exactly the fields ``failing_conditions`` reads.
-
-    Returns ``(report, szego_hat1, szego_hatn)``; the two Szego operators are
-    formed once here, and the builder takes its defect squares from them.
-    Entries so large that the products overflow raise ``NonFinite`` from the
-    first PSD check, without floating-point warnings.
-    """
-    report, sq = _gate(spec, [])
-    return report, sq[0], sq[1]
-
-
 def classify(spec: TupleSpec) -> ClassReport:
     """Full class membership report: the class gate plus the full Szego
     operator and the GKVW table, neither of which feeds the verdict; the gate
     and these read one Szego recursion."""
     all_idx = list(range(1, spec.n + 1))
     middle = all_idx[1:-1]
-    report, sq = _gate(spec, [all_idx] + [[i for i in all_idx if i != p] for p in middle])
-    report.szego_full = psd_check(sq[2])
+    report, sq = class_gate(spec, [all_idx] + [[i for i in all_idx if i != p] for p in middle])
+    report.szego_full, *without = psd_checks(sq[2:])
     # dropping index 1 or n leaves the hat1 or hatn tuple the gate has checked
     psd_without = {1: report.szego_hat1.is_psd, spec.n: report.szego_hatn.is_psd}
-    psd_without.update(zip(middle, psd_flags(sq[3:]).tolist()))
+    psd_without.update((p, r.is_psd) for p, r in zip(middle, without))
     report.gkvw = {(p, q): (psd_without[p], psd_without[q])
                    for p, q in itertools.combinations(all_idx, 2)}
     return report
@@ -364,27 +360,31 @@ def merge_1n(spec: TupleSpec) -> TupleSpec:
 
     The merged generator sits in slot 1; moving any other generator past it
     crosses both original factors, so the merged phase toward index i is
-    u(i,1)*u(i,n).  With an algebra present the merged slot carries the
-    composed automorphism.
+    u(i,1)*u(i,n), each part divided by the product's modulus, in which the
+    two factors' modulus errors add up (an exactly unimodular product stays
+    as it is, bit for bit).  With an algebra present the merged slot carries
+    the composed automorphism.  The merge checks only what it creates (t_1
+    t_n finite): it is a copy of ``spec``, whose fields were checked.
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("merge_1n requires d = 1")
     if spec.n < 2:
         raise MalformedSpec("merge_1n needs n >= 2")
     m = spec.n - 1
-    ops = [spec.op(1) @ spec.op(spec.n)] + [spec.op(i) for i in range(2, spec.n)]
-    phases = np.ones((m, m), dtype=complex)  # slot s > 0 holds original index s + 1
-    phases[1:, 0] = [spec.u(i, 1) * spec.u(i, spec.n) for i in range(2, spec.n)]
+    u = spec.phases.tolist()
+    prods = [u[s][0] * u[s][m] for s in range(1, m)]  # slot s > 0 holds original index s + 1
+    phases = np.ones((m, m), dtype=complex)
+    phases[1:, 0] = [complex(p.real / abs(p), p.imag / abs(p)) for p in prods]
     phases[0, 1:] = np.conj(phases[1:, 0])
     phases[1:, 1:] = spec.phases[1:m, 1:m]
-    algebra = None
+    merged = copy(spec)  # keeps the checked fields and runs no __post_init__
+    merged.n, merged.phases = m, phases
+    merged.blocks = [[as_matrix(spec.op(1) @ spec.op(spec.n))]] + spec.blocks[1:m]
     if spec.algebra is not None:
-        alg = spec.algebra
-        merged_auto = [compose_perm(alg.automorphisms[0], alg.automorphisms[spec.n - 1])]
-        merged_auto += [alg.automorphisms[i - 1] for i in range(2, spec.n)]
-        algebra = AlgebraStructure(alg.k, list(alg.block_of), merged_auto)
-    return TupleSpec(n=m, dimH=spec.dimH, d=1, blocks=[[t] for t in ops],
-                     phases=phases, algebra=algebra)
+        autos = spec.algebra.automorphisms
+        merged.algebra = copy(spec.algebra)
+        merged.algebra.automorphisms = [compose_perm(autos[0], autos[spec.n - 1])] + autos[1:m]
+    return merged
 
 
 def ordered_power_products(spec: TupleSpec, fock: FockModel) -> np.ndarray:

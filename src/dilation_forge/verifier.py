@@ -46,10 +46,11 @@ characters' deviations over the cells, so a wrong phase in an operator, of
 any size, shows in these residuals as it would on the cells.
 
 The intertwinings, the moments and equivariance stay per cell.  The first
-two apply the family's adjoints at once (``fock.apply_adjoints``) to Pi, whose
-cells carry the powers T*^alpha, not one block times a character; equivariance
-reads coordinate labels that are automorphism powers along alpha, and in
-``_fock_covariance`` a term's mass is |M|^2 on every cell, for every component.
+two read the family's adjoints applied to Pi, once per model and at once
+(``DilationModel.pi_adjoints``), whose cells carry the powers T*^alpha, not
+one block times a character; equivariance reads coordinate labels that are
+automorphism powers along alpha, and in ``_fock_covariance`` a term's mass is
+|M|^2 on every cell, for every component.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from math import comb
 import numpy as np
 
 from .builder import DilationModel, simplex_mass
-from .fock import apply_adjoints, enumerate_indices, interior_projector, product_norms
+from .fock import enumerate_indices, interior_projector, product_norms
 from .linalg import adj, eye, frob_stack, rel_residual
 from .tuples import invert_perm
 
@@ -116,11 +117,11 @@ def verify_pi(model: DilationModel) -> dict:
 
 def verify_intertwining(model: DilationModel) -> dict:
     """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells, for
-    V_1..V_n against T_1..T_n and L1 against the merged generator: one
-    ``apply_adjoints`` over all of them, ``rel_residual`` by ``frob_stack``."""
+    V_1..V_n against T_1..T_n and L1 against the merged generator: the
+    model's ``pi_adjoints``, ``rel_residual`` by ``frob_stack``."""
     spec, pi = model.spec, model.Pi
     inner = interior_projector(model.fock, 1)
-    lhs = apply_adjoints(model.isometries + [model.L1], pi)[:, inner]
+    lhs = model.pi_adjoints[:, inner]
     ts = np.array([spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)])
     rhs = (pi @ adj(ts))[:, inner]
     resid = frob_stack(lhs - rhs) / np.maximum(1.0, frob_stack(rhs))
@@ -179,9 +180,9 @@ def verify_moments(model: DilationModel) -> dict:
     ``enumerate_indices(n, MOMENT_MAXDEG)`` read with the slots reversed, so a
     row's first unit j is beta's last, s = n - 1 - j, and its parent link is
     beta - e_s.  One walk down that tree fills the (betas, dim, dimH) memo
-    (V^beta)* Pi = V_s* (V^{beta - e_s})* Pi, the degree-1 rows by one
-    ``apply_adjoints``, each deeper (degree, s) group by one ``apply_adj`` on
-    its parents side by side, and the table (T^beta)* = t_s* (T^{beta - e_s})*;
+    (V^beta)* Pi = V_s* (V^{beta - e_s})* Pi, the degree-1 rows from the
+    model's ``pi_adjoints``, each deeper (degree, s) group by one ``apply_adj``
+    on its parents side by side, and the table (T^beta)* = t_s* (T^{beta - e_s})*;
     the memo gives both sides, (Pi* V^beta Pi)* = Pi* ((V^beta)* Pi) against
     (T^beta)*, with no conjugate copy of the memo.  At finite truncation the
     identity holds only up to the dropped mass, so the entry comes with a
@@ -199,7 +200,7 @@ def verify_moments(model: DilationModel) -> dict:
     back = np.empty((len(cells),) + pi.shape, dtype=complex)
     tadj[0], back[0] = eye(spec.dimH), pi
     if len(cells) > 1:  # row 1 + j is beta = e_s, s = n - 1 - j
-        tadj[1:n + 1], back[1:n + 1] = ops[::-1], apply_adjoints(ws, pi)[::-1]
+        tadj[1:n + 1], back[1:n + 1] = ops[::-1], model.pi_adjoints[n - 1::-1]
     for g in np.unique(group[n + 1:]):
         rows, s = np.flatnonzero(group == g), g % n
         tadj[rows] = ops[s] @ tadj[parent[rows]]

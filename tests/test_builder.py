@@ -18,8 +18,8 @@ from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple
 from dilation_forge.io import dump_json, model_to_dict
 from dilation_forge.linalg import (adj, isometry_from_frames, orthogonal_complement, psd_sqrt,
                                    range_bases, range_basis)
-from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify,
-                                   ordered_power_products)
+from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify, merge_1n,
+                                   ordered_power_products, szego_operator)
 from dilation_forge.verifier import full_report
 from padding import compressions, minimal_rank, padded_coupling, padded_covariant_spec, padded_model
 
@@ -323,7 +323,7 @@ def test_build_defects_roots_take_the_class_gate_verdicts_at_the_cutoff(monkeypa
             t2[:dim, dim:] = r
             zero = np.zeros_like(t2)
             spec = TupleSpec.from_operators([zero, t2, zero])
-            gate, sq_hat1, sq_hatn = class_gate(spec)
+            gate, (sq_hat1, sq_hatn) = class_gate(spec, [])
             verdicts.add(gate.in_T1n)
             calls.clear()
             if not gate.in_T1n:
@@ -579,15 +579,34 @@ def test_shape_grouped_bases_match_per_block_calls(seed):
     assert_per_component_matches_loop(roots, [one] * 3, one, 1)
 
 
+def test_trivial_algebra_equals_a_checked_one():
+    """Without a declared algebra the builder's one-component algebra, which
+    skips the checks, has the fields ``AlgebraStructure`` checks and builds."""
+    spec = random_tuple("jointly-nilpotent", 4, 3, seed=0)
+    checked = AlgebraStructure(1, [0] * 3, [[0]] * 4)
+    assert vars(effective_algebra(spec)) == vars(checked)
+    covariant = random_tuple("covariant", 3, 4, seed=0)
+    assert effective_algebra(covariant) is covariant.algebra
+
+
 @pytest.mark.parametrize("style,n", [("covariant", 4), ("covariant", 9), ("scaled-commuting", 5),
-                                     ("jointly-nilpotent", 4), ("u-commuting", 3)])
-def test_built_defects_and_complements_match_per_block_calls(style, n):
+                                     ("jointly-nilpotent", 4), ("u-commuting", 3),
+                                     ("scaled-commuting", 2), ("jointly-nilpotent", 10)])
+def test_built_defects_and_complements_match_per_block_calls(style, n, monkeypatch):
     """A model's defect bases and its complements M1, M2 are those of the
-    per-matrix, per-component loop, bit for bit."""
+    per-matrix, per-component loop, bit for bit.  The merged square, which
+    ``build_defects`` forms from the class gate's row of the inner indices
+    2..n-1 (I for n = 2), is the merged tuple's own Szego operator, bit for bit."""
+    squares = []
+    monkeypatch.setattr(builder, "psd_sqrt", lambda a, reports: squares.append(a.copy())
+                        or psd_sqrt(a, reports))
     spec = random_tuple(style, n, 4, seed=n)
     alg = effective_algebra(spec)
     blocks = np.asarray(alg.block_of)
-    defects, _, _ = build_defects(spec, alg)
+    defects, merged, _ = build_defects(spec, alg)
+    [(_, _, hat1n)] = squares
+    assert hat1n.tobytes() == szego_operator(merge_1n(spec), range(1, n)).tobytes()
+    assert merged.phases.tobytes() == merge_1n(spec).phases.tobytes()
     for d in defects.values():
         basis, labels = per_component_loop(d.root, blocks, blocks, alg.k, range_basis)
         assert np.array_equal(d.basis, basis) and np.array_equal(d.labels, labels)

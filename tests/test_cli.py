@@ -35,6 +35,50 @@ def test_roundtrip_exact():
     assert np.array_equal(spec.phases, back.phases)
 
 
+def _loop_complex_to_json(arr):
+    """Nested [re, im] pairs as a loop over the entries writes them."""
+    if arr.ndim == 1:
+        return [[float(v.real), float(v.imag)] for v in arr]
+    return [_loop_complex_to_json(row) for row in arr]
+
+
+def test_tuple_document_keeps_every_float():
+    """The matrices and phases of a tuple document are written with one
+    ``tolist`` each, byte for byte as the per-entry loop writes them: signed
+    zeros, subnormals and 1e300 included; reading the text back gives the
+    same bits."""
+    spec = random_tuple("u-commuting", 3, 4, seed=0)  # its phase table holds -0.0 parts
+    odd = np.array([complex(-0.0, -0.0), complex(5e-324, -0.0), complex(1e300, -2.5e-310),
+                    complex(-1e300, 0.0)])
+    spec.blocks[1][0][:, 0] = odd  # TupleSpec does not gate row norms
+    doc = tuple_to_dict(spec)
+    loop = {**doc, "matrices": [[_loop_complex_to_json(m) for m in row] for row in spec.blocks],
+            "phases": _loop_complex_to_json(spec.phases)}
+    text = dump_json(doc, None)
+    assert text == dump_json(loop, None)
+    back = tuple_from_dict(json.loads(text))
+    assert back.op(2).tobytes() == spec.op(2).tobytes()
+    assert back.phases.tobytes() == spec.phases.tobytes()
+
+
+@pytest.mark.parametrize("excess", [6e-13, 9e-13])
+def test_phases_within_the_unimodularity_check_dilate_and_verify(tmp_path, excess):
+    """Off-diagonal phases whose modulus exceeds 1 by less than the 1e-12 that
+    ``TupleSpec`` accepts: the merged products u(i,1) u(i,n) add the two
+    errors, and are divided by their modulus, so the tuple that classify puts
+    in the class also dilates, and its model file verifies."""
+    spec = random_tuple("u-commuting", 3, 4, seed=0)
+    phases = spec.phases * (1 + excess * (1 - np.eye(3)))
+    assert np.max(np.abs(np.abs(phases[1:, 0] * phases[1:, 2]) - 1)) > 1e-12
+    path, model_path = tmp_path / "t.json", tmp_path / "m.json"
+    dump_json(tuple_to_dict(TupleSpec.from_operators([spec.op(i) for i in (1, 2, 3)], phases)),
+              str(path))
+    assert classify(load_tuple(str(path))).in_T1n
+    assert main(["classify", "-i", str(path)]) == 0
+    assert main(["dilate", "-i", str(path), "--degree", "3", "-o", str(model_path)]) == 0
+    assert main(["verify", "-m", str(model_path)]) == 0
+
+
 def test_roundtrip_algebra(tmp_path):
     spec = random_tuple("covariant", 3, 4, seed=2, k=2,
                         automorphisms=[[1, 0], [0, 1], [1, 0]])
@@ -775,18 +819,40 @@ TUPLE_FILE_DEFECTS = {
                                                 + m[1:], "matrices"),
     "phase entry a bool": _set([[[True, 0.0] if i == j else [1.0, 0.0] for j in range(3)]
                                 for i in range(3)], "phases"),
+    "matrix of the wrong size": _set(lambda m: m[:1] + [[[[[0.0, 0.0]] * 3] * 3]] + m[2:],
+                                     "matrices"),
+    "matrix row holding two matrices": _set(lambda m: m[:2] + [m[2] * 2], "matrices"),
+    "matrix row too short": lambda doc: doc["matrices"][1][0][2].pop(),
+    "matrix entry a string in the last matrix":
+        lambda doc: doc["matrices"][2][0][-1].__setitem__(-1, ["x", 0.0]),
+}
+# the matrix that the error line of a matrix defect names
+MATRIX_PATHS = {
+    "matrix a vector": "$.matrices[0][0]",
+    "matrix entry not finite": "$.matrices[0][0]",
+    "matrix entry a bool": "$.matrices[0][0]",
+    "matrix entry a numeric string": "$.matrices[0][0]",
+    "matrix entry beyond the float range": "$.matrices[0][0]",
+    "matrix of the wrong size": "$.matrices[1][0]",
+    "matrix row holding two matrices": "$.matrices[2]",
+    "matrix row too short": "$.matrices[1][0]",
+    "matrix entry a string in the last matrix": "$.matrices[2][0]",
 }
 
 
 @pytest.mark.parametrize("defect", sorted(TUPLE_FILE_DEFECTS))
 def test_classify_malformed_tuple_file_is_input_error(tmp_path, capsys, defect):
+    """Every defect exits 1 with one error line; the tuple's matrices are read
+    in one pass, yet a matrix defect's line names the matrix at fault."""
     doc = _covariant_doc()
     TUPLE_FILE_DEFECTS[defect](doc)
     path = tmp_path / "tuple.json"
     path.write_text(json.dumps(doc))
     assert main(["classify", "-i", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and "Traceback" not in err and err.count("\n") == 1
+    if defect.startswith("matrix"):
+        assert err.startswith(f"error: {MATRIX_PATHS[defect]}: ")
 
 
 def test_classify_text_names_indeterminate_purity(tmp_path, triple_file, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dilation_forge.errors import DimensionMismatch, GramMismatch, NonSquare, NotPSD
+from dilation_forge.errors import DimensionMismatch, GramMismatch, NonFinite, NonSquare, NotPSD
 from dilation_forge.linalg import (PSD_TOL, _normalize_column_phases, adj, frob, frob_stack,
                                    isometry_from_frames, orthogonal_complement, psd_check,
-                                   psd_flags, psd_sqrt, range_bases, range_basis)
+                                   psd_checks, psd_sqrt, range_bases, range_basis)
 
 
 def crandn(rng, shape):
@@ -63,7 +63,20 @@ def test_psd_check_parrott_full_szego():
     assert not ok and min_eig == pytest.approx(-2.0) and defect < 1e-15
 
 
-def test_psd_flags_match_psd_check_per_matrix():
+def _loop_psd_check(a):
+    """``psd_check`` as one matrix at a time computed it: ``rel_residual`` by
+    ``np.linalg.norm`` and one ``eigvalsh``."""
+    eigs = np.linalg.eigvalsh(0.5 * (a + adj(a)))
+    low, high = eigs[0], eigs[-1]
+    return (bool(low >= -PSD_TOL * max(1.0, high, abs(low))), float(low),
+            float(np.linalg.norm(a - adj(a))) / max(1.0, float(np.linalg.norm(a))))
+
+
+def test_psd_checks_match_psd_check_per_matrix():
+    """One batched ``eigvalsh`` and two ``frob_stack`` calls give each
+    matrix's report bit for bit, ``hermitian_defect`` included, on both sides
+    of the cutoff; an empty stack gives no reports, and a non-finite entry
+    anywhere in the stack raises."""
     rng = np.random.default_rng(7)
     stack = []
     for dim_scale in (1e-3, 1.0, 50.0):
@@ -75,9 +88,15 @@ def test_psd_flags_match_psd_check_per_matrix():
         for shift in (0.0, low + 0.5 * cut, low + 2.0 * cut, low + 1.0):
             stack.append(h - shift * np.eye(4) + 1e-13 * crandn(rng, (4, 4)))
     stack = np.array(stack)
-    assert psd_flags(stack).tolist() == [psd_check(a).is_psd for a in stack]
-    assert set(psd_flags(stack).tolist()) == {True, False}
-    assert psd_flags(np.zeros((0, 3, 3))).shape == (0,)
+    reports = psd_checks(stack)
+    assert reports == [psd_check(a) for a in stack]
+    assert reports == [_loop_psd_check(a) for a in stack]
+    assert {r.is_psd for r in reports} == {True, False}
+    assert psd_checks(np.zeros((0, 3, 3))) == []
+    assert psd_checks(np.zeros((2, 0, 0))) == [(True, 0.0, 0.0)] * 2
+    stack[3, 1, 2] = np.inf
+    with pytest.raises(NonFinite):
+        psd_checks(stack)
 
 
 def test_psd_check_rejects_nonsquare():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilation_forge.errors import MalformedSpec, UnsupportedMultiplicity
+from dilation_forge.errors import MalformedSpec, NonFinite, UnsupportedMultiplicity
 from dilation_forge.generators import (STYLES, parrott_tuple, random_tuple, scalar_triple,
                                        zero_tuple)
-from dilation_forge.linalg import adj, frob, psd_check, psd_flags
+from dilation_forge.linalg import adj, frob, psd_check
 from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify, cp_apply,
                                    cp_map_matrix, invert_perm, is_pure, merge_1n, szego_operator,
                                    szego_operators, validate)
@@ -169,7 +169,7 @@ def test_single_operator_fails_the_gate_by_name():
     """Every Szego and purity condition holds vacuously at n = 1, but the
     construction fuses indices 1 and n: the gate names the missing index."""
     spec = TupleSpec.from_operators([0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])])
-    for rep in (class_gate(spec)[0], classify(spec)):
+    for rep in (class_gate(spec, [])[0], classify(spec)):
         assert not rep.in_T1n
         assert rep.failing_conditions() == [
             "n = 1 < 2: the construction fuses indices 1 and n; "
@@ -216,6 +216,8 @@ def test_merge_phases():
 
 
 def test_merged_phase_table_matches_the_pair_loop():
+    """The merged phase toward slot s is u(s+1,1) u(s+1,n), each part divided
+    by the product's modulus."""
     rng = np.random.default_rng(3)
     for n in (2, 3, 5, 8):
         upper = np.triu(np.exp(2j * np.pi * rng.uniform(size=(n, n))), 1)
@@ -224,11 +226,36 @@ def test_merged_phase_table_matches_the_pair_loop():
         m = n - 1
         ref = np.ones((m, m), dtype=complex)
         for s in range(1, m):
-            ref[s, 0] = spec.u(s + 1, 1) * spec.u(s + 1, n)
+            p = spec.u(s + 1, 1) * spec.u(s + 1, n)
+            ref[s, 0] = complex(p.real / abs(p), p.imag / abs(p))
             ref[0, s] = np.conj(ref[s, 0])
             for t in range(1, m):
                 ref[s, t] = spec.u(s + 1, t + 1)
         assert merge_1n(spec).phases.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("style,n", [("u-commuting", 3), ("covariant", 4), ("covariant", 9),
+                                     ("scaled-commuting", 2)])
+def test_merge_fields_equal_a_validated_spec(style, n):
+    """``merge_1n`` checks only what it creates; its fields are those that
+    ``TupleSpec`` and ``AlgebraStructure`` build and check from the same data,
+    bit for bit.  A product t_1 t_n that overflows raises NonFinite."""
+    merged = merge_1n(random_tuple(style, n, 4, seed=n))
+    alg = merged.algebra
+    checked = TupleSpec(n=merged.n, dimH=merged.dimH, d=merged.d, blocks=merged.blocks,
+                        phases=merged.phases.copy(),
+                        algebra=None if alg is None else AlgebraStructure(alg.k, alg.block_of,
+                                                                          alg.automorphisms))
+    assert (merged.n, merged.dimH, merged.d) == (checked.n, checked.dimH, checked.d) == (n - 1, 4, 1)
+    for got, want in zip([m for row in merged.blocks for m in row] + [merged.phases],
+                         [m for row in checked.blocks for m in row] + [checked.phases]):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert (alg is None) == (checked.algebra is None)
+    if alg is not None:
+        assert vars(alg) == vars(checked.algebra)
+    big = TupleSpec.from_operators([[[1e200]], [[0.0]], [[1e200]]])
+    with pytest.raises(NonFinite), np.errstate(over="ignore"):
+        merge_1n(big)
 
 
 def test_merge_requires_d1():
@@ -348,7 +375,7 @@ GATE_CASES = _gate_cases()
 @pytest.mark.parametrize("name", sorted(GATE_CASES))
 def test_class_gate_agrees_with_classify(name):
     spec = GATE_CASES[name]
-    gate, sq_hat1, sq_hatn = class_gate(spec)
+    gate, (sq_hat1, sq_hatn) = class_gate(spec, [])
     full = classify(spec)
     assert gate.in_T1n == full.in_T1n
     assert gate.failing_conditions() == full.failing_conditions()
@@ -399,7 +426,7 @@ def test_classify_reads_one_recursion(name):
         rest = cp_apply_recursion(spec, [full] + middle)
     assert report.szego_hat1 == psd_check(hats[0]) and report.szego_hatn == psd_check(hats[1])
     assert report.szego_full == psd_check(rest[0])
-    without = dict(zip(full[1:-1], psd_flags(rest[1:]).tolist())) if middle else {}
+    without = {p: psd_check(s).is_psd for p, s in zip(full[1:-1], rest[1:])}
     for (p, q), flags in report.gkvw.items():
         assert flags == tuple(without.get(i, report.szego_hat1.is_psd if i == 1
                                           else report.szego_hatn.is_psd) for i in (p, q))

@@ -6,9 +6,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from dilation_forge import builder
 from dilation_forge.builder import assemble_model, defect_frames, measure_transfer
-from dilation_forge.fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
-                                 interior_projector)
+from dilation_forge.fock import (FockModel, FockOperator, apply_adjoints, creation_matrix,
+                                 enumerate_indices, interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
 from dilation_forge.tuples import TupleSpec, compose_perm, invert_perm, ordered_power_products
@@ -70,9 +71,11 @@ def rebuilt_model(model, change):
 
 
 def with_isometries(model, isometries):
-    """A copy of the model whose dilated isometries are ``isometries``."""
+    """A copy of the model whose dilated isometries are ``isometries``, without
+    the original's ``pi_adjoints`` if it had formed them."""
     bent = copy(model)
     bent.isometries = isometries
+    vars(bent).pop("pi_adjoints", None)
     return bent
 
 
@@ -82,6 +85,21 @@ def assert_matches_reference(model):
     assert list(got) == list(ref)
     for name, value in ref.items():
         assert abs(got[name] - value) <= 1e-14 * max(1.0, value), (name, got[name], value)
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_report_applies_the_adjoints_to_pi_once(style, monkeypatch):
+    """The intertwining and moment checks read the model's one
+    ``pi_adjoints``; its isometry rows are ``apply_adjoints`` of the
+    isometries alone, bit for bit."""
+    model = assemble_model(style_tuple(style, 3, 3, seed=21), N=3)
+    calls = []
+    monkeypatch.setattr(builder, "apply_adjoints",
+                        lambda ops, x: calls.append(len(ops)) or apply_adjoints(ops, x))
+    assert full_report(model).to_dict() == full_report(model).to_dict()
+    assert calls == [model.spec.n + 1]
+    n = model.spec.n
+    assert model.pi_adjoints[:n].tobytes() == apply_adjoints(model.isometries, model.Pi).tobytes()
 
 
 @pytest.mark.parametrize("N", [1, 2, 5])
