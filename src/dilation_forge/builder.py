@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
                      InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, apply_adjoints, creation_operators, degree_blocks
+from .fock import FockModel, FockOperator, apply_adjoints, creation_operators
 from .linalg import (adj, eye, frob, frob_stack, isometry_from_frames, orthogonal_complement,
                      psd_check, psd_sqrt, range_bases)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
@@ -140,19 +140,6 @@ class DilationModel:
         """V_i* Pi for each dilated isometry, then L1* Pi, read by the intertwining
         and moment checks: one ``apply_adjoints`` per model."""
         return apply_adjoints(self.isometries + [self.L1], self.Pi)
-
-    def coordinate_labels(self) -> Optional[np.ndarray]:
-        """Algebra label of each model coordinate, shape (cells, dim D); rho(e_p)
-        on the truncated model is the diagonal indicator of label p.  Cell alpha
-        maps D's labels by prod_s a_s^{alpha_s} (the a_s commute), one per tree link."""
-        if self.spec.algebra is None:
-            return None
-        fock, autos = self.fock, np.asarray(self.merged.algebra.automorphisms)
-        labels = np.empty((fock.cell_count, self.layout.dim), dtype=int)
-        labels[0] = self.layout.D
-        for rows in degree_blocks(fock.m, self.N):  # a_s applied to the labels of alpha - e_s
-            labels[rows] = autos[fock.slot[rows, None], labels[fock.parent[rows]]]
-        return labels
 
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
@@ -548,21 +535,25 @@ def build_Pi(merged: TupleSpec, xs: np.ndarray, fock: FockModel) -> np.ndarray:
     return (xs @ ordered_power_products(merged, fock)).reshape(-1, merged.dimH)
 
 
-def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
-    """Per-basis-vector tail ||h||^2 - sum_{|alpha|<=N} ||Dhat T*^(alpha) h||^2.
-
-    The sum is diag(A_0(1) + ... + A_N(1)) for the degree-k layers A_k(s) of
-    the CP maps phi_s(X) = t_s X t_s*, by the recursion over the slots
-    A_k(s) = A_k(s+1) + phi_s(A_{k-1}(s)) with A_0 = Dhat* Dhat, O(mN)
-    applications in all.  No step assumes that the merged CP maps commute, so
-    a commutation error under the class gate does not enter the tails.
-    """
-    square = adj(dhat_root) @ dhat_root
-    layer = [square] + [np.zeros_like(square)] * N  # layer[k] = A_k(s)
-    for s in range(merged.n, 0, -1):
+def degree_layers(step, m: int, first: np.ndarray, N: int) -> list:
+    """[A_0, ..., A_N], A_k = sum_{|alpha| = k} step_1^{alpha_1} ... step_m^{alpha_m}(first),
+    by A_k(s) = A_k(s+1) + step_s(A_{k-1}(s)) over the slots s = m..1: O(mN)
+    steps, none assumed to commute with another."""
+    layer = [first] + [np.zeros_like(first)] * N  # layer[k] = A_k(s)
+    for s in range(m, 0, -1):
         for k in range(1, N + 1):
-            layer[k] = layer[k] + cp_apply(merged, s, layer[k - 1])
-    return 1.0 - np.real(np.diag(sum(layer)))
+            layer[k] = layer[k] + step(s, layer[k - 1])
+    return layer
+
+
+def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:
+    """Per-basis-vector tail ||h||^2 - sum_{|alpha|<=N} ||Dhat T*^(alpha) h||^2:
+    the sum is the diagonal of the ``degree_layers`` of the CP maps
+    phi_s(X) = t_s X t_s* from Dhat* Dhat, so a commutation error under the
+    class gate does not enter the tails."""
+    square = adj(dhat_root) @ dhat_root
+    layers = degree_layers(lambda s, x: cp_apply(merged, s, x), merged.n, square, N)
+    return 1.0 - np.real(np.diag(sum(layers)))
 
 
 def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, fock: FockModel) -> np.ndarray:

@@ -26,8 +26,10 @@ With an all-ones table both conventions are the plain shift.
 
 Every Fock operator of the construction is a ``FockOperator``: one d x d
 block on every cell plus one d x d block carried one cell up in a single
-slot, each times a unimodular character of the cell.  It is applied cell by
-cell and never stored as a dim x dim matrix, nor as one block per cell.
+slot, each times a unimodular character of the cell.  It is never stored as
+a dim x dim matrix, nor as one block per cell: ``apply_adjoints`` applies its
+adjoint cell by cell from one table of the cells each term reads
+(``FockOperator.reads``).
 ``product_norms`` measures sums of products of such operators from their
 blocks and characters in closed form, without reading a cell.
 """
@@ -159,8 +161,9 @@ class FockOperator:
     ``kappa_costs`` (all 1 by default) and ``shift_costs``, which must be
     unimodular (``DimensionMismatch`` otherwise).  Stored as its terms (slot or
     None, d x d block, costs): the shift term (slot, shift, shift_costs *
-    kappa_costs) and the cellwise term (None, diag, kappa_costs); ``moves``
-    adds each term's per-cell phases.  No block is stored per cell.
+    kappa_costs) and the cellwise term (None, diag, kappa_costs).  Its one
+    per-cell table is ``reads``, and ``apply_adjoints`` its one application.
+    No block is stored per cell.
     """
 
     def __init__(self, fock: FockModel, diag, shift, slot: int, shift_costs, kappa_costs=None):
@@ -195,28 +198,14 @@ class FockOperator:
         _fill_reads([self])
         return self.reads
 
-    @cached_property
-    def moves(self) -> list:
-        """Per term: its phases (``FockModel.cell_phases`` of its costs) on the
-        source cells it reads, its block, and those source cells and the
-        destination cells it writes; built on first use, once."""
-        inner = np.arange(comb(self.fock.m + self.fock.N - 1, self.fock.m))  # |alpha| < N
-        every, out = np.arange(self.fock.cell_count), []
-        for slot, block, costs in self.terms:
-            src, dst = (every, every) if slot is None else (inner, self.fock.successors[slot, inner])
-            out.append((self.fock.cell_phases(costs, src), block, src, dst))
-        return out
-
-    def apply_adj(self, x: np.ndarray) -> np.ndarray:
-        """The adjoint of this operator times ``x``: ``apply_adjoints`` of it alone."""
-        return apply_adjoints([self], x)[0].reshape(np.shape(x))
-
     def __array__(self, dtype=None, copy=None):
-        """The dense dim x dim matrix, for tests and comparisons."""
+        """The dense dim x dim matrix, for tests and comparisons, from ``reads``:
+        a term's cell alpha maps to the cell its adjoint reads into alpha."""
         cells, d = self.fock.cell_count, self.fock.coeff_dim
         out = np.zeros((cells, d, cells, d), dtype=complex)
-        for phase, block, src, dst in self.moves:
-            out[dst, :, src, :] = phase[:, None, None] * block
+        for read, phase, block in zip(*self.reads):
+            src = np.flatnonzero(read >= 0)
+            out[read[src], :, src, :] = phase[src, None, None].conj() * block.conj()
         return out.reshape(self.shape).astype(dtype or complex, copy=False)
 
 
@@ -243,7 +232,8 @@ def apply_adjoints(ops: list, x: np.ndarray) -> np.ndarray:
     cols matrix ``x``, an (ops, dim, cols) array: each term's cells read
     (``FockOperator.reads``, filled here in one pass for the operators that
     lack it) times its block in one batched product, then its phases.  No
-    term's result depends on another's, so ``apply_adj`` is bit-equal."""
+    term's result depends on another's, so an operator's result is the same
+    bit for bit alone or among others."""
     fock, counts, x = ops[0].fock, np.array([len(op.terms) for op in ops]), np.asarray(x)
     if x.shape[0] != fock.dim:
         raise DimensionMismatch(f"operand has {x.shape[0]} rows, expected {fock.dim}")

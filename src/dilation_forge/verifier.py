@@ -45,12 +45,18 @@ one Delta whose characters differ add their inner products times sums of the
 characters' deviations over the cells, so a wrong phase in an operator, of
 any size, shows in these residuals as it would on the cells.
 
-The intertwinings, the moments and equivariance stay per cell.  The first
-two read the family's adjoints applied to Pi, once per model and at once
-(``DilationModel.pi_adjoints``), whose cells carry the powers T*^alpha, not
-one block times a character; equivariance reads coordinate labels that are
-automorphism powers along alpha, and in ``_fock_covariance`` a term's mass is
-|M|^2 on every cell, for every component.
+Equivariance counts cells as well.  rho(p) is the indicator of the
+coordinates labelled p, and cell alpha's labels are g(alpha) = prod_s
+a_s^{alpha_s} of D's, for the merged automorphisms, which commute.  So a term
+(slot s or None, block M) of W, of automorphism a_W, puts W rho(a_W^{-1}(p)) -
+rho(p) W at (i, j) of a source cell alpha exactly when [g(alpha)(x_i) = p] xor
+[g(alpha)(y_j) = p], x = a_s(D) (D for a cellwise term) and y = a_W(D); with
+N[p, q] = #{alpha : g(alpha)(q) = p} over its source cells, its squared
+residual is sum_q N[p, q] sum_ij |M_ij|^2 ([x_i = q][y_j != q] + [x_i != q]
+[y_j = q]), its squared reference sum_q N[p, q] sum_ij |M_ij|^2 [x_i = q].
+The intertwinings and the moments stay per cell: they read the family's
+adjoints applied to Pi (``DilationModel.pi_adjoints``), whose cells carry the
+powers T*^alpha.
 """
 
 from __future__ import annotations
@@ -61,10 +67,9 @@ from math import comb
 
 import numpy as np
 
-from .builder import DilationModel, simplex_mass
-from .fock import enumerate_indices, interior_projector, product_norms
+from .builder import DilationModel, degree_layers, simplex_mass
+from .fock import apply_adjoints, enumerate_indices, interior_projector, product_norms
 from .linalg import adj, eye, frob_stack, rel_residual
-from .tuples import invert_perm
 
 TOLERANCES = {
     "linear": 1e-10,   # single-operator intertwinings, isometries, commutation, equivariance
@@ -181,7 +186,7 @@ def verify_moments(model: DilationModel) -> dict:
     row's first unit j is beta's last, s = n - 1 - j, and its parent link is
     beta - e_s.  One walk down that tree fills the (betas, dim, dimH) memo
     (V^beta)* Pi = V_s* (V^{beta - e_s})* Pi, the degree-1 rows from the
-    model's ``pi_adjoints``, each deeper (degree, s) group by one ``apply_adj``
+    model's ``pi_adjoints``, each deeper (degree, s) group by one ``apply_adjoints``
     on its parents side by side, and the table (T^beta)* = t_s* (T^{beta - e_s})*;
     the memo gives both sides, (Pi* V^beta Pi)* = Pi* ((V^beta)* Pi) against
     (T^beta)*, with no conjugate copy of the memo.  At finite truncation the
@@ -205,7 +210,7 @@ def verify_moments(model: DilationModel) -> dict:
         rows, s = np.flatnonzero(group == g), g % n
         tadj[rows] = ops[s] @ tadj[parent[rows]]
         cols = back[parent[rows]].transpose(1, 0, 2).reshape(len(pi), -1)
-        back[rows] = ws[s].apply_adj(cols).reshape(len(pi), len(rows), -1).transpose(1, 0, 2)
+        back[rows] = apply_adjoints([ws[s]], cols).reshape(len(pi), len(rows), -1).swapaxes(0, 1)
     pi_adj = adj(pi)
     residual = float(np.max(np.abs(pi_adj @ back - tadj)))
     back[1:] -= pi @ tadj[1:]  # the gaps V^beta* Pi - Pi T^beta*, in place
@@ -219,26 +224,41 @@ def verify_moments(model: DilationModel) -> dict:
     return {"moment_match": residual, "moment_allowance": gap + lam}
 
 
-def _fock_covariance(w, member: np.ndarray, inv) -> np.ndarray:
-    """Per component p, rel_residual(W rho(inv[p]) - rho(p) W, rho(p) W), rho(p)
-    the indicator of coordinate label p (``member``, (cells, d, k)): per term
-    of W, its mass |M|^2 times the count of the cells it moves whose labels
-    disagree at (i, j), rows^T (1 - cols) + (1 - rows)^T cols for every p."""
-    delta = ref = 0.0
-    for _, block, src, dst in w.moves:
-        mass = np.abs(block) ** 2
-        rows, cols = member[dst].transpose(2, 1, 0), member[src][:, :, inv].transpose(2, 0, 1)
-        delta += np.sum(mass * (rows @ (1.0 - cols) + (1.0 - rows) @ cols), axis=(1, 2))
-        ref += rows.sum(axis=2) @ mass.sum(axis=1)
-    return np.sqrt(delta) / np.maximum(1.0, np.sqrt(ref))
+def _relabel_counts(autos: np.ndarray, N: int) -> np.ndarray:
+    """(N + 2, k, k): entry K + 1 is N[p, q] over the cells with |alpha| <= K,
+    entry 0 zero; the sum of prod_s P_s^{alpha_s}, P_s the permutation matrix
+    of a_s (row s of ``autos``), by ``degree_layers``."""
+    m, k = autos.shape
+    perms = (autos[:, None, :] == np.arange(k)[:, None]).astype(float)  # [s, p, q]: a_s(q) = p
+    layers = degree_layers(lambda s, x: perms[s - 1] @ x, m, np.eye(k), N)
+    return np.cumsum([np.zeros((k, k))] + layers, axis=0)
+
+
+def _covariance(model: DilationModel, autos) -> np.ndarray:
+    """(operators, k): the relative residual of W rho(a_W^{-1}(p)) - rho(p) W
+    against rho(p) W for W = tau1, L_2, ..., taun, L1, a_W the rows of
+    ``autos``, and each component p (see the module docstring)."""
+    merged, labels = np.asarray(model.merged.algebra.automorphisms), model.layout.D
+    ops, k = model.isometries + [model.L1], merged.shape[1]
+    owner = np.repeat(np.arange(len(ops)), [len(op.terms) for op in ops])
+    slots, blocks, _ = zip(*(term for op in ops for term in op.terms))
+    x = np.array([labels if s is None else merged[s, labels] for s in slots])
+    rows = (x[..., None] == np.arange(k)).astype(float)  # [x_i = q]
+    cols = (np.asarray(autos)[owner][:, labels, None] == np.arange(k)).astype(float)  # [y_j = q]
+    mass = np.abs(np.array(blocks)) ** 2
+    mismatch = np.sum(rows * (mass @ (1.0 - cols)) + (1.0 - rows) * (mass @ cols), axis=1)  # F
+    total = np.sum(rows * mass.sum(axis=2, keepdims=True), axis=1)  # R
+    # a shift term's sources are the cells with |alpha| <= N - 1, a cellwise term's all
+    counts = _relabel_counts(merged, model.N)[[model.N + (s is None) for s in slots]]
+    squares = np.zeros((len(ops), 2, k))
+    np.add.at(squares, owner, np.einsum("tpq,tcq->tcp", counts, np.stack([mismatch, total], 1)))
+    return np.sqrt(squares[:, 0]) / np.maximum(1.0, np.sqrt(squares[:, 1]))
 
 
 def verify_equivariance(model: DilationModel) -> dict:
-    """Algebra covariance of U1, Un and of the dilated isometries.
-
-    Read on every cell of the model: the coordinate labels are automorphism
-    powers along alpha, not characters (see the module docstring).
-    """
+    """Algebra covariance of U1, Un and of the dilated isometries, the latter
+    in closed form from cell 0's labels and the cell counts per relabelling
+    (see the module docstring): no cell is read."""
     spec, alg, out = model.spec, model.spec.algebra, {}
     if alg is None:
         return out
@@ -247,11 +267,9 @@ def verify_equivariance(model: DilationModel) -> dict:
                                   ("equiv_Un", model.transfer.Un, model.layout.Un_labels)):
         out[name] = max(rel_residual(mat * ((dom == p)[None, :] != (cod == p)[:, None]), mat)
                         for p in range(alg.k))
-    member = (model.coordinate_labels()[..., None] == np.arange(alg.k)).astype(float)
-    perms = list(alg.automorphisms) + [model.merged.algebra.automorphisms[0]]
+    autos = list(alg.automorphisms) + [model.merged.algebra.automorphisms[0]]
     names = [f"equiv_v{i}" for i in range(1, spec.n + 1)] + ["equiv_L1"]
-    for name, w, perm in zip(names, model.isometries + [model.L1], perms):
-        out[name] = float(np.max(_fock_covariance(w, member, invert_perm(perm))))
+    out.update(zip(names, np.max(_covariance(model, autos), axis=1).tolist()))
     return out
 
 

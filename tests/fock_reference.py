@@ -6,13 +6,26 @@ interior cells: the brute force that ``fock.product_norms`` and the
 verifier's isometry, commutation and factorization checks are compared with.
 The same matrices in block-sparse form (``cell_blocks``) serve models whose
 dense matrices would not fit.  ``apply`` applies an operator cell by cell,
-from its terms.
+from its terms.  The algebra action is referenced cell by cell as well: a
+label per coordinate (``coordinate_labels``) and the covariance residuals
+of one component at a time (``per_component_covariance``).
 """
 
 import numpy as np
 
-from dilation_forge.fock import interior_cells, interior_projector
+from dilation_forge.fock import degree_blocks, interior_cells, interior_projector
 from dilation_forge.linalg import adj
+from dilation_forge.tuples import invert_perm
+
+
+def moves(op):
+    """Per term of ``op``: its phase on each source cell, its block, the source
+    cells and their destination cells, from the cells its adjoint reads."""
+    out = []
+    for read, phase, block in zip(*op.reads):
+        src = np.flatnonzero(read >= 0)
+        out.append((phase[src].conj(), block.conj(), src, read[src]))
+    return out
 
 
 def apply(op, x):
@@ -20,9 +33,41 @@ def apply(op, x):
     from its moves, each block times its phase on every source cell."""
     y = np.asarray(x).reshape(op.fock.cell_count, op.fock.coeff_dim, -1)
     out = np.zeros(y.shape, dtype=complex)
-    for phase, block, src, dst in op.moves:
+    for phase, block, src, dst in moves(op):
         out[dst] += (phase[:, None, None] * block) @ y[src]
     return out.reshape(np.shape(x))
+
+
+def coordinate_labels(model):
+    """Algebra label of each model coordinate, (cells, dim D): cell alpha maps
+    D's labels by prod_s a_s^{alpha_s}, one a_s per tree link alpha - e_s to alpha."""
+    fock, autos = model.fock, np.asarray(model.merged.algebra.automorphisms)
+    labels = np.empty((fock.cell_count, model.layout.dim), dtype=int)
+    labels[0] = model.layout.D
+    for rows in degree_blocks(fock.m, model.N):
+        labels[rows] = autos[fock.slot[rows, None], labels[fock.parent[rows]]]
+    return labels
+
+
+def per_component_covariance(w, labels, q, p):
+    """The covariance residual of one component p, W rho(q) - rho(p) W against
+    rho(p) W, one term and one pair of indicator matrices at a time."""
+    delta = ref = 0.0
+    for _, block, src, dst in moves(w):
+        mass = np.abs(block) ** 2
+        rows, cols = (labels[dst] == p).astype(float), (labels[src] == q).astype(float)
+        delta += float(np.sum(mass * (rows.T @ (1.0 - cols) + (1.0 - rows).T @ cols)))
+        ref += float(np.sum(mass * rows.sum(axis=0)[:, None]))
+    return float(np.sqrt(delta) / max(1.0, np.sqrt(ref)))
+
+
+def covariance(model, autos):
+    """``per_component_covariance`` of tau1, L_2, ..., taun, L1 with the
+    automorphisms ``autos``, (operators, k), from the coordinate labels."""
+    labels, k = coordinate_labels(model), model.spec.algebra.k
+    return np.array([[per_component_covariance(w, labels, invert_perm(a)[p], p)
+                      for p in range(k)]
+                     for w, a in zip(model.isometries + [model.L1], autos)])
 
 
 def product(a, b, adjoint=False):
@@ -54,7 +99,7 @@ def cell_blocks(op, adjoint=False):
     """The blocks of a Fock operator (of its adjoint with ``adjoint``), one per
     term and source cell, each times its phase on that cell."""
     dst, src, blocks = (np.concatenate(parts) for parts in zip(
-        *[(to, start, phase[:, None, None] * block) for phase, block, start, to in op.moves]))
+        *[(to, start, phase[:, None, None] * block) for phase, block, start, to in moves(op)]))
     return (src, dst, adj(blocks)) if adjoint else (dst, src, blocks)
 
 

@@ -17,6 +17,7 @@ from dilation_forge.builder import (assemble_model, build_defects, build_transfe
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.tuples import TupleSpec, classify
 from dilation_forge.verifier import full_report, verify_equivariance, verify_moments
+from fock_reference import coordinate_labels
 
 TOL_LINEAR = 1e-10
 TOL_PRODUCT = 1e-9
@@ -158,7 +159,7 @@ def test_criterion_7_equivariant():
 
     spec_id = random_tuple("covariant", 3, 4, 701, k=2, automorphisms=[[0, 1]] * 3)
     model_id = assemble_model(spec_id, N=3)
-    labels = model_id.coordinate_labels().ravel()
+    labels = coordinate_labels(model_id).ravel()
     rho = [np.diag((labels == p).astype(complex)) for p in range(2)]
     worst_comm = max(float(np.linalg.norm(np.asarray(w) @ r - r @ np.asarray(w)))
                      for w in model_id.isometries for r in rho)

@@ -212,7 +212,7 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
         assert same(np.asarray(op), ref)
         x = cmat(model.dim, 3)
         assert np.allclose(apply(op, x), ref @ x, atol=1e-13)
-        assert np.allclose(op.apply_adj(x), adj(ref) @ x, atol=1e-13)
+        assert np.allclose(apply_adjoints([op], x)[0], adj(ref) @ x, atol=1e-13)
         creation = kron_reference(model, None, None, s, lambda a: phase_front(model, s, a),
                                   np.ones(model.cell_count))
         assert same(np.asarray(creation_matrix(model, s)), creation)
@@ -221,9 +221,9 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
 @pytest.mark.parametrize("N", [1, 2, 4])
 @pytest.mark.parametrize("style,n", [("u-commuting", 3), ("covariant", 4), ("scaled-commuting", 5)])
 def test_stacked_adjoints_match_each_operator(style, n, N):
-    """``apply_adjoints`` over (tau1, L_2, ..., L_{n-1}, taun, L1) equals each
-    operator's ``apply_adj`` bit for bit, on five columns and on one, and the
-    dense adjoints within rounding."""
+    """``apply_adjoints`` over (tau1, L_2, ..., L_{n-1}, taun, L1) equals
+    ``apply_adjoints`` of each operator alone bit for bit, on five columns and
+    on one, and the dense adjoints within rounding."""
     model = assemble_model(random_tuple(style, n, 4, seed=N), N=N)
     ops = model.isometries + [model.L1]
     rng = np.random.default_rng(N)
@@ -231,11 +231,11 @@ def test_stacked_adjoints_match_each_operator(style, n, N):
     stacked = apply_adjoints(ops, x)
     assert stacked.shape == (len(ops), model.fock.dim, 5)
     for got, op in zip(stacked, ops):
-        assert np.array_equal(got, op.apply_adj(x))
+        assert np.array_equal(got, apply_adjoints([op], x)[0])
         assert np.allclose(got, adj(np.asarray(op)) @ x, atol=1e-13)
     column = apply_adjoints(ops, x[:, :1])
     for got, many, op in zip(column, stacked, ops):
-        assert np.array_equal(got[:, 0], op.apply_adj(x[:, 0]))
+        assert np.array_equal(got, apply_adjoints([op], x[:, 0])[0])
         assert np.allclose(got, many[:, :1], atol=1e-13)
 
 
@@ -257,7 +257,7 @@ def test_cell_phases_match_per_cell_loops(m, N, coeff, quarter_turns):
 def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_turns):
     """Creation operator s is one identity block with the front-insertion
     costs u(s, t), t < s, and its phases on the cells it shifts are their
-    ``cell_phases``, built once."""
+    ``cell_phases``, read in one table built once."""
     model, _ = random_model(m, N, coeff, 10 * m + N, quarter_turns)
     for s in range(m):
         op = creation_matrix(model, s)
@@ -265,10 +265,12 @@ def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_t
         [(slot, block, got)] = op.terms
         assert slot == s and np.array_equal(block, np.eye(coeff))
         assert got.tobytes() == costs.astype(complex).tobytes()
-        [(phase, _, src, dst)] = op.moves
-        assert op.moves is op.moves  # built once per operator
-        assert phase.tobytes() == model.cell_phases(costs)[src].tobytes()
-        assert np.array_equal(model.cells[dst], model.cells[src] + np.eye(m, dtype=int)[s])
+        [read], [phase], _ = op.reads
+        assert op.reads is op.reads  # built once per operator
+        assert phase.tobytes() == model.cell_phases(costs).conj().tobytes()
+        src = np.flatnonzero(read >= 0)  # the cells below the truncation
+        assert np.array_equal(src, np.flatnonzero(model.cells.sum(axis=1) < N))
+        assert np.array_equal(model.cells[read[src]], model.cells[src] + np.eye(m, dtype=int)[s])
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,7 +419,7 @@ def test_nearly_equal_characters_do_not_cancel(m, N, coeff, turn):
 def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
     """The dense ``product`` and ``terms_norm`` references, and their
     block-sparse forms that the verifier's tests use, against the same
-    products applied by ``apply`` and ``apply_adj`` to the identity columns."""
+    products applied by ``apply`` and ``apply_adjoints`` to the identity columns."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 1, quarter_turns=False)
     ops = operator_zoo(model, rng, quarter_turns=False)
     a, b = ops[0], ops[-2]
@@ -426,7 +428,7 @@ def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
     blocks = [(c, sparse_product(*pair)) for c, pair in zip(coefs, pairs)]
     eye = np.eye(model.dim)
     applied = (apply(a, apply(b, eye)) + (-0.7 + 0.2j) * apply(b, apply(a, eye))
-               + 0.5 * a.apply_adj(apply(a, eye)))
+               + 0.5 * apply_adjoints([a], apply(a, eye))[0])
     for src, dst in product(range(N + 1), [None, *range(N + 1)]):
         cols = interior_projector(model, src)
         rows = np.ones(model.dim, dtype=bool) if dst is None else interior_projector(model, dst)
@@ -458,12 +460,12 @@ def test_creation_isometry_on_interior():
     e1 = unit_columns(inner)
     for s in range(2):
         L = creation_matrix(model, s)
-        assert np.linalg.norm(L.apply_adj(apply(L, e1))[inner] - e1[inner]) < 1e-14
+        assert np.linalg.norm(apply_adjoints([L], apply(L, e1))[0][inner] - e1[inner]) < 1e-14
     # ranges of distinct generators are orthogonal cellwise: the same source
     # cell lands in different target cells, so the cell-diagonal of L0* L1
     # vanishes (the full product is a shift, not zero: the generators commute)
     l0, l1 = creation_matrix(model, 0), creation_matrix(model, 1)
-    cross = l0.apply_adj(apply(l1, np.eye(model.dim)))
+    cross = apply_adjoints([l0], apply(l1, np.eye(model.dim)))[0]
     d = model.coeff_dim
     for c in range(model.cell_count):
         assert np.linalg.norm(cross[c * d:(c + 1) * d, c * d:(c + 1) * d]) == 0.0
@@ -505,7 +507,7 @@ def test_transfer_shift_trivial_phases_is_plain_shift():
     for c, alpha in enumerate(index_list(model)):
         if alpha[0] == 0:
             idx = c * 2
-            assert np.linalg.norm(shift.apply_adj(np.eye(model.dim)[:, idx:idx + 2])) == 0
+            assert np.linalg.norm(apply_adjoints([shift], np.eye(model.dim)[:, idx:idx + 2])) == 0
 
 
 def test_transfer_shift_phases_are_back_insertion():
@@ -529,7 +531,7 @@ def test_fock_operator_dimension_check():
     with pytest.raises(DimensionMismatch):
         FockOperator(model, np.eye(3), None, 2, ones)
     with pytest.raises(DimensionMismatch):
-        creation_matrix(model, 0).apply_adj(np.eye(model.dim - 1))
+        apply_adjoints([creation_matrix(model, 0)], np.eye(model.dim - 1))
 
 
 @pytest.mark.parametrize("costs", [np.ones(3), np.ones(1), np.ones(6),

@@ -1,7 +1,7 @@
 import tracemalloc
 from copy import copy
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,11 +13,12 @@ from dilation_forge.fock import (FockModel, FockOperator, apply_adjoints, creati
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
 from dilation_forge.tuples import TupleSpec, compose_perm, invert_perm, ordered_power_products
-from dilation_forge.verifier import (TOLERANCES, _fock_covariance, full_report,
+from dilation_forge.verifier import (TOLERANCES, _covariance, _relabel_counts, full_report,
                                      verify_equivariance, verify_factorization,
                                      verify_intertwining, verify_isometric_representation,
                                      verify_moments, verify_pi)
-from fock_reference import apply, cell_blocks, sparse_product, sparse_terms_norm
+from fock_reference import (apply, cell_blocks, coordinate_labels, covariance, sparse_product,
+                            sparse_terms_norm)
 from padding import padded_model
 
 
@@ -49,7 +50,8 @@ def reference_products(model):
     e1, e2 = unit_columns(inner), unit_columns(interior_projector(fock, min(2, fock.N)))
     out = {}
     for i, w in enumerate(model.isometries, start=1):
-        out[f"isometry_v{i}"] = rel_residual(w.apply_adj(apply(w, e1))[inner] - e1[inner], e1)
+        gram = apply_adjoints([w], apply(w, e1))[0]
+        out[f"isometry_v{i}"] = rel_residual(gram[inner] - e1[inner], e1)
     for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
         ji = apply(vj, apply(vi, e2))
         out[f"commute_{i}_{j}"] = rel_residual(apply(vi, apply(vj, e2)) - spec.u(i, j) * ji, ji)
@@ -219,15 +221,16 @@ def test_fixed_degree_matches_model_degree(style, N):
 
 
 def per_operator_intertwining(model):
-    """The intertwining residuals one operator at a time, by ``apply_adj`` and
-    ``rel_residual``, each right-hand side from its own product."""
+    """The intertwining residuals one operator at a time, by ``apply_adjoints``
+    of each operator alone and ``rel_residual``, each right-hand side from its
+    own product."""
     spec, pi = model.spec, model.Pi
     inner = interior_projector(model.fock, 1)
     ts = [spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)]
     out = []
     for w, t in zip(model.isometries + [model.L1], ts):
         rhs = (pi @ adj(t))[inner]
-        out.append(rel_residual(w.apply_adj(pi)[inner] - rhs, rhs))
+        out.append(rel_residual(apply_adjoints([w], pi)[0][inner] - rhs, rhs))
     return out
 
 
@@ -235,8 +238,8 @@ def per_operator_intertwining(model):
 @pytest.mark.parametrize("style", STYLES)
 def test_stacked_intertwining_matches_per_operator_loop(style, N):
     """The verifier's one ``apply_adjoints`` over the family and stacked
-    ``frob_stack`` equal this loop's ``apply_adj`` and ``rel_residual`` per
-    operator, bit for bit."""
+    ``frob_stack`` equal this loop's ``apply_adjoints`` and ``rel_residual``
+    per operator, bit for bit."""
     for n in WIDTHS.get(style, range(2, 11)):
         model = assemble_model(style_tuple(style, n, 2, seed=30 + n), N=N)
         got = verify_intertwining(model)
@@ -369,7 +372,7 @@ def test_deep_model_checks_in_bounded_memory():
     checks read no cell: on a freshly built model their own allocations peak
     under 1 MB (they took 333 + 84 MB when they read every cell).  The
     intertwinings read every cell of Pi (32736 x 3); their one stacked
-    ``apply_adjoints`` peaks within twice the 23.4 MB of one ``apply_adj``
+    ``apply_adjoints`` peaks within twice the 23.4 MB of one ``apply_adjoints`` call
     per operator, the first call on the same model."""
     model = assemble_model(random_tuple("scaled-commuting", 4, 3, seed=0), N=30)
     assert model.fock.cell_count == 5456
@@ -417,7 +420,8 @@ def two_memo_moments(model, maxdeg=3):
         slots = [k for k, v in enumerate(beta) if v > 0]
         for memo, s, adjoint in ((forward, slots[0], False), (backward, slots[-1], True)):
             lower = beta[:s] + (beta[s] - 1,) + beta[s + 1:]
-            memo[beta] = ws[s].apply_adj(memo[lower]) if adjoint else apply(ws[s], memo[lower])
+            memo[beta] = (apply_adjoints([ws[s]], memo[lower])[0] if adjoint
+                          else apply(ws[s], memo[lower]))
     tadj = ordered_power_products(spec, FockModel(spec.n, K, 1, spec.phases))
     residual = gap = 0.0
     for row, beta in enumerate(betas):
@@ -457,37 +461,57 @@ def test_u_commuting_full_suite():
             assert gated_worst(report) < 1e-10
 
 
-def per_component_covariance(w, labels, q, p):
-    """The covariance residual of one component p, W rho(q) - rho(p) W against
-    rho(p) W, one term and one pair of indicator matrices at a time."""
-    delta = ref = 0.0
-    for _, block, src, dst in w.moves:
-        mass = np.abs(block) ** 2
-        rows, cols = (labels[dst] == p).astype(float), (labels[src] == q).astype(float)
-        delta += float(np.sum(mass * (rows.T @ (1.0 - cols) + (1.0 - rows).T @ cols)))
-        ref += float(np.sum(mass * rows.sum(axis=0)[:, None]))
-    return float(np.sqrt(delta) / max(1.0, np.sqrt(ref)))
+def cycle_powers(k, n, seed):
+    """n seeded powers of the cycle j -> j + 1 of C^k: automorphisms that
+    commute, with one another and with the cycle."""
+    rng = np.random.default_rng(seed)
+    return [[(j + r) % k for j in range(k)] for r in rng.integers(0, k, n)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n", [3, 4, 9])
 def test_one_pass_covariance_matches_per_component_loop(n, seed):
-    """Every component at once equals one component at a time within 1e-15,
-    for the automorphism that each operator intertwines (exactly 0 here, as
-    the whole equivariance group is) and for a wrong one (O(1) residuals)."""
-    model = assemble_model(random_tuple("covariant", n, 4, seed=seed), N=1 if n == 9 else 3)
-    k, labels = model.spec.algebra.k, model.coordinate_labels()
-    member = (labels[..., None] == np.arange(k)).astype(float)
-    perms = list(model.spec.algebra.automorphisms) + [model.merged.algebra.automorphisms[0]]
-    wrong = 0.0
-    for w, perm in zip(model.isometries + [model.L1], perms):
-        for inv in (invert_perm(perm), np.roll(invert_perm(perm), 1)):
-            got = _fock_covariance(w, member, inv)
-            ref = [per_component_covariance(w, labels, inv[p], p) for p in range(k)]
-            assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, ref)), (got, ref)
-            wrong = max(wrong, *ref)
-    assert wrong > 0.1
-    assert all(value == 0.0 for value in verify_equivariance(model).values())
+    """The closed form over the cell counts equals the per-cell reference, one
+    component at a time, within 1e-15 relative, for k = 2, 3, 4 and N = 0, 1,
+    3, 8: for the automorphism that each operator intertwines (exactly 0 here,
+    as the whole equivariance group is) and for a wrong one, the cycle after
+    it, which still commutes with the cell relabellings (O(1) residuals)."""
+    for k, N in product((2, 3, 4), (0, 1, 3, 8)):
+        spec = random_tuple("covariant", n, 2 * k, seed=seed, k=k,
+                            automorphisms=cycle_powers(k, n, seed))
+        model = assemble_model(spec, N=N)
+        autos = list(spec.algebra.automorphisms) + [model.merged.algebra.automorphisms[0]]
+        rolled = [invert_perm(np.roll(invert_perm(a), 1)) for a in autos]
+        for perms in (autos, rolled):
+            got, ref = _covariance(model, perms), covariance(model, perms)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, ref)), (k, N, got, ref)
+        assert not np.any(_covariance(model, autos))
+        assert np.max(covariance(model, rolled)) > 0.1
+        assert all(value == 0.0 for value in verify_equivariance(model).values())
+
+
+def test_equivariance_at_depth_reads_no_cell():
+    """At N = 30 (5456 cells) the closed form equals the per-cell reference,
+    for the model's automorphisms and the wrong ones of the test above, and
+    ``verify_equivariance`` allocates no per-cell table: its peak stays under
+    0.5 MB (the per-cell label and indicator tables took 5.1 MB)."""
+    spec = random_tuple("covariant", 4, 4, seed=3)
+    model = assemble_model(spec, N=30)
+    assert model.fock.cell_count == 5456
+    tracemalloc.start()
+    try:
+        eq = verify_equivariance(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, peak
+    autos = list(spec.algebra.automorphisms) + [model.merged.algebra.automorphisms[0]]
+    ref = covariance(model, autos)
+    assert [eq[f"equiv_v{i}"] for i in range(1, 5)] + [eq["equiv_L1"]] == \
+        np.max(ref, axis=1).tolist()
+    rolled = [invert_perm(np.roll(invert_perm(a), 1)) for a in autos]
+    got, ref = _covariance(model, rolled), covariance(model, rolled)
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, ref)) and np.max(ref) > 0.1
 
 
 def test_equivariance_trivial_algebra_is_silent():
@@ -501,7 +525,7 @@ def test_equivariance_identity_automorphisms():
     eq = verify_equivariance(model)
     assert eq and max(eq.values()) < 1e-10
     # with identity automorphisms the dilated isometries commute with rho(M)
-    labels = model.coordinate_labels().ravel()
+    labels = coordinate_labels(model).ravel()
     rho = [np.diag((labels == p).astype(complex)) for p in range(2)]
     for w in model.isometries:
         for r in rho:
@@ -524,18 +548,23 @@ def test_equivariance_swap_automorphisms():
 @pytest.mark.parametrize("automorphisms", [[[1, 0], [0, 1], [1, 0]], [[0, 1], [0, 1], [1, 0]],
                                            [[1, 0], [1, 0], [0, 1], [1, 0]]])
 def test_coordinate_labels_match_per_cell_composition(automorphisms):
+    """Each cell's relabelling g(alpha), composed a_s by a_s: the reference
+    labels are g(alpha) of D's, and the counts of ``_relabel_counts`` are the
+    number of cells with |alpha| <= K and g(alpha)(q) = p, for every K."""
     spec = random_tuple("covariant", len(automorphisms), 4, seed=6, k=2,
                         automorphisms=automorphisms)
     model = padded_model(spec, 3, 1)
     alg = model.merged.algebra
-    ref = []
+    ref, counts = [], np.zeros((model.N + 2, alg.k, alg.k))
     for alpha in model.fock.cells.tolist():
         g = list(range(alg.k))
         for s, count in enumerate(alpha):
             for _ in range(count):
                 g = compose_perm(alg.automorphisms[s], g)
         ref.append(np.asarray(g)[model.layout.D])
-    assert np.array_equal(model.coordinate_labels(), np.asarray(ref))
+        counts[sum(alpha) + 1:, g, range(alg.k)] += 1
+    assert np.array_equal(coordinate_labels(model), np.asarray(ref))
+    assert np.array_equal(_relabel_counts(np.asarray(alg.automorphisms), model.N), counts)
 
 
 def test_mutation_sensitivity():
