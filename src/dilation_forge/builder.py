@@ -31,8 +31,8 @@ from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExce
 from .fock import FockModel, FockOperator, apply_adjoints, creation_operators
 from .linalg import (adj, eye, frob, frob_stack, isometry_from_frames, orthogonal_complement,
                      psd_check, psd_sqrt, range_bases)
-from .tuples import (AlgebraStructure, TupleSpec, class_gate, compose_perm, cp_apply,
-                     invert_perm, merge_1n, ordered_power_products, purity_radii)
+from .tuples import (AlgebraStructure, TupleSpec, class_gate, cp_apply, merge_1n,
+                     ordered_power_products, purity_radii)
 
 
 IDENTITY_GATE = 1e-10  # gate on the frame, lemma and defect-equality residuals
@@ -101,18 +101,19 @@ class CouplingData:
 
 @dataclass
 class TransferData:
-    """The completion U, U1 and Un of ``transfer_unitaries`` and their construction residuals."""
+    """U, U1, Un (``transfer_unitaries``), the frames X, Y and the residuals measured on them."""
 
     U: np.ndarray
     U1: np.ndarray
     Un: np.ndarray
+    frames: tuple
     residuals: dict
 
 
 @dataclass
 class DilationModel:
-    """The finite data that fix the dilation, among them U, U1 and Un; the Fock
-    model (which checks the cell budget first), the tails, Pi and the dilated
+    """The finite data that fix the dilation, ``transfer`` among them; the Fock model
+    (which checks the cell budget first), the tails, the power table, Pi and the dilated
     isometries are derived on construction, for built and loaded models alike."""
 
     spec: TupleSpec
@@ -123,6 +124,7 @@ class DilationModel:
     transfer: TransferData
     fock: FockModel = field(init=False)
     tails: np.ndarray = field(init=False)
+    powers: np.ndarray = field(init=False)  # ``ordered_power_products`` of the merged tuple
     Pi: np.ndarray = field(init=False)
     isometries: list = field(init=False)
     L1: FockOperator = field(init=False)  # the merged creation operator
@@ -132,8 +134,8 @@ class DilationModel:
         self.tails = truncation_tails(self.merged, self.defects["hat1n"].root, self.N)
         self.isometries, self.L1 = dilated_isometries(self.spec, self.transfer, self.layout,
                                                       self.fock)
-        x, _ = defect_frames(self.spec, self.defects)
-        self.Pi = build_Pi(self.merged, pad_rows(x, self.layout), self.fock)
+        self.powers = ordered_power_products(self.merged, self.fock)
+        self.Pi = build_Pi(pad_rows(self.transfer.frames[0], self.layout), self.powers)
 
     @cached_property
     def pi_adjoints(self) -> np.ndarray:
@@ -148,7 +150,8 @@ def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
     if spec.algebra is not None:
         return spec.algebra
     trivial = AlgebraStructure.__new__(AlgebraStructure)
-    vars(trivial).update(k=1, block_of=[0] * spec.dimH, automorphisms=[[0]] * spec.n)
+    vars(trivial).update(k=1, block_of=np.broadcast_to(0, (spec.dimH,)),
+                         automorphisms=np.broadcast_to(0, (spec.n, 1)))  # read-only views
     return trivial
 
 
@@ -220,13 +223,12 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
 
     sq[2:] -= merged.op(1) @ sq[2:] @ adj(merged.op(1))  # M becomes the merged square
     roots = psd_sqrt(sq, (report.szego_hat1, report.szego_hatn, psd_check(sq[2])))
-    blocks = np.asarray(alg.block_of)
-    parts = _per_component(roots, [blocks] * 3, blocks, alg.k, range_bases)
+    parts = _per_component(roots, [alg.block_of] * 3, alg.block_of, alg.k, range_bases)
     defects = {name: DefectData(root, *part)
                for name, root, part in zip(("hat1", "hatn", "hat1n"), roots, parts)}
 
     # the two factorizations hatn + t1 hat1 t1* and hat1 + tn hatn tn* of the merged square
-    ends = np.array([spec.op(1), spec.op(spec.n)])
+    ends = spec.blocks[[0, -1], 0]
     sides = sq[1::-1] + ends @ sq[:2] @ adj(ends)
     norms = frob_stack(np.concatenate([sq[2] - sides, sq[2:]]))
     return defects, merged, float(norms[:2].max() / max(1.0, norms[2]))
@@ -256,11 +258,11 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
 
     A twisted summand E_i (x) W carries component a_i(label) on W's columns.
     """
-    a1, an = alg.automorphisms[0], alg.automorphisms[spec.n - 1]
-    g1n = compose_perm(a1, an)  # the merged generator's automorphism
+    a1, an = alg.automorphisms[[0, spec.n - 1]]
+    g1n = a1[an]  # the merged generator's automorphism
     lab_qn, lab_q1 = defects["hatn"].labels, defects["hat1"].labels
     rn, r1 = lab_qn.size, lab_q1.size
-    an_inv = invert_perm(an)
+    an_inv = np.argsort(an)
     mult1 = np.array(mult1, dtype=int)
     mult2 = mult1[an_inv]
     aux1 = np.repeat(np.arange(alg.k), mult1)
@@ -268,16 +270,14 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
     pair = np.empty(aux1.size, dtype=int)
     for p in range(alg.k):
         pair[aux1 == an_inv[p]] = np.flatnonzero(aux2 == p)
-    lab_d = np.concatenate([lab_qn, np.take(a1, lab_q1), aux1])
-    lab_udom = np.concatenate([lab_q1, np.take(an, lab_qn), aux2])
+    lab_d = np.concatenate([lab_qn, a1[lab_q1], aux1])
+    lab_udom = np.concatenate([lab_q1, an[lab_qn], aux2])
     lab_dp = np.concatenate([lab_qn, aux1])
     dim = lab_d.size
     dprime_rows = np.concatenate([np.arange(rn), np.arange(rn + r1, dim)])
     dprime_pair = np.concatenate([np.arange(r1, r1 + rn), r1 + rn + pair])
-    u1_labels = (np.concatenate([lab_d, np.take(g1n, lab_dp)]),
-                 np.concatenate([np.take(a1, lab_d), lab_dp]))
-    un_labels = (np.concatenate([lab_d, np.take(g1n, lab_q1)]),
-                 np.concatenate([np.take(an, lab_d), lab_q1]))
+    u1_labels = (np.concatenate([lab_d, g1n[lab_dp]]), np.concatenate([a1[lab_d], lab_dp]))
+    un_labels = (np.concatenate([lab_d, g1n[lab_q1]]), np.concatenate([an[lab_d], lab_q1]))
     for arr in (mult1, mult2, lab_d, lab_udom, dprime_rows, dprime_pair, *u1_labels, *un_labels):
         arr.setflags(write=False)
     return CoefficientLayout(
@@ -293,10 +293,10 @@ def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingD
     ``build_defects``)."""
     x, y = defect_frames(spec, defects)
     qn, q1 = defects["hatn"].labels, defects["hat1"].labels
-    d_labels = np.concatenate([qn, np.take(alg.automorphisms[0], q1)])  # Dn (+) (E1 x D1)
-    udom_labels = np.concatenate([q1, np.take(alg.automorphisms[spec.n - 1], qn)])  # D1 (+) (En x Dn)
-    (m1, m1lab), (m2, m2lab) = _per_component([x, y], [d_labels, udom_labels],
-                                              np.asarray(alg.block_of), alg.k, _complements)
+    d_labels = np.concatenate([qn, alg.automorphisms[0, q1]])  # Dn (+) (E1 x D1)
+    udom_labels = np.concatenate([q1, alg.automorphisms[spec.n - 1, qn]])  # D1 (+) (En x Dn)
+    (m1, m1lab), (m2, m2lab) = _per_component([x, y], [d_labels, udom_labels], alg.block_of,
+                                              alg.k, _complements)
     return CouplingData(V0=isometry_from_frames(x, y), M1=m1, M2=m2, M1_labels=m1lab,
                         M2_labels=m2lab, algebra=alg, X=x, Y=y)
 
@@ -316,7 +316,7 @@ def solve_aux(spec: TupleSpec, coupling: CouplingData) -> np.ndarray:
     unless a completion seed mixes them in.
     """
     alg = coupling.algebra
-    a1, an = np.asarray(alg.automorphisms[0]), np.asarray(alg.automorphisms[spec.n - 1])
+    a1, an = alg.automorphisms[[0, spec.n - 1]]
     an_inv, twist = np.argsort(an), a1[an]
     twist_inv = np.argsort(twist)
     delta = (np.bincount(coupling.M1_labels, minlength=alg.k)
@@ -465,7 +465,7 @@ def measure_transfer(spec: TupleSpec, layout: CoefficientLayout, u: np.ndarray, 
     residuals["eq_ABn"] = _rel(un @ np.vstack([xs, mu * (x[rn:] @ tn_adj)]) - abn_out, abn_out)
     residuals["eq_Cn"] = _rel(un[dD:, :dD] @ xs - y[:r1], y[:r1])
     residuals["defect_equality"] = defect_equality
-    return TransferData(U=u, U1=u1, Un=un, residuals=residuals)
+    return TransferData(U=u, U1=u1, Un=un, frames=frames, residuals=residuals)
 
 
 def build_transfer(spec: TupleSpec, coupling: CouplingData, layout: CoefficientLayout,
@@ -525,14 +525,15 @@ def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: Coeffici
             + [transfer_tau(spec, transfer, layout, fock, spec.n)]), l1
 
 
-def build_Pi(merged: TupleSpec, xs: np.ndarray, fock: FockModel) -> np.ndarray:
-    """Dilation map Pi: H -> F_N(E) (x) D, whose cell-alpha block is xs (T^(alpha))*.
+def build_Pi(xs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Dilation map Pi: H -> F_N(E) (x) D, whose cell-alpha block is xs (T^(alpha))*,
+    (T^(alpha))* the row alpha of the merged tuple's power table ``powers``.
 
-    ``xs`` = [X; 0] of ``pad_rows`` (h -> D_hatn h (+) D_hat1 t1* h) is
-    cell 0's block, so the tuple and the layout fix Pi, whatever the
-    completion; ``DilationModel`` forms Pi here, built or loaded alike.
+    ``xs`` = [X; 0] of ``pad_rows`` (h -> D_hatn h (+) D_hat1 t1* h) is cell 0's
+    block, so the tuple and the layout fix Pi, whatever the completion;
+    ``DilationModel`` forms Pi here, built or loaded alike.
     """
-    return (xs @ ordered_power_products(merged, fock)).reshape(-1, merged.dimH)
+    return (xs @ powers).reshape(-1, xs.shape[1])
 
 
 def degree_layers(step, m: int, first: np.ndarray, N: int) -> list:
@@ -556,11 +557,10 @@ def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.nda
     return 1.0 - np.real(np.diag(sum(layers)))
 
 
-def simplex_mass(merged: TupleSpec, dhat_root: np.ndarray, fock: FockModel) -> np.ndarray:
-    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over the cells of ``fock``,
-    one power-table row per cell."""
-    table = ordered_power_products(merged, fock)
-    return np.sum(np.abs(dhat_root @ table) ** 2, axis=1).sum(axis=0)
+def simplex_mass(dhat_root: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over the cells, one row
+    of the merged tuple's power table ``powers`` per cell."""
+    return np.sum(np.abs(dhat_root @ powers) ** 2, axis=1).sum(axis=0)
 
 
 def assemble_model(spec: TupleSpec, N: int = 4,

@@ -130,13 +130,13 @@ class FockModel:
     def dim(self) -> int:
         return self.cell_count * self.coeff_dim
 
-    def cell_phases(self, costs, rows=slice(None)) -> np.ndarray:
-        """prod_s costs[s]^alpha_s for every cell alpha (or the cells ``rows``) and each
-        row of ``costs`` (..., m): per tree link, the parent's phase times the slot's cost."""
+    def cell_phases(self, costs) -> np.ndarray:
+        """prod_s costs[s]^alpha_s for every cell alpha and each row of ``costs``
+        (..., m): per tree link, the parent's phase times the slot's cost."""
         out = np.ones(np.shape(costs)[:-1] + (self.cell_count,), dtype=complex)
         for block in degree_blocks(self.m, self.N):
             out[..., block] = out[..., self.parent[block]] * np.asarray(costs)[..., self.slot[block]]
-        return out[..., rows]
+        return out
 
     @cached_property
     def successors(self) -> np.ndarray:

@@ -122,17 +122,12 @@ def covariant(rng: np.random.Generator, n: int, dimH: int, k: int = 2,
     if automorphisms is None:
         cycle = [(j + 1) % k for j in range(k)]
         pool = [list(range(k)), cycle]
-        automorphisms = [list(pool[rng.integers(2)]) for _ in range(n)]
-    perms = []
-    for a in automorphisms:
-        p = np.zeros((k, k), dtype=complex)
-        for r in range(k):
-            p[a[r], r] = 1.0
-        perms.append(p)
+        automorphisms = [pool[rng.integers(2)] for _ in range(n)]
+    algebra = AlgebraStructure(k=k, block_of=np.repeat(np.arange(k), width),
+                               automorphisms=automorphisms)
     bs = _commuting_polynomials(rng, n, width, nilpotent=True)
-    ops = [np.kron(p, b) for p, b in zip(perms, bs)]
-    algebra = AlgebraStructure(k=k, block_of=[p for p in range(k) for _ in range(width)],
-                               automorphisms=[list(a) for a in automorphisms])
+    # P_i sends e_r to e_{a_i[r]}: its columns are those of the identity, permuted by a_i
+    ops = [np.kron(np.eye(k, dtype=complex)[:, a], b) for a, b in zip(algebra.automorphisms, bs)]
     return _scale_into_class(ops, algebra=algebra)
 
 

@@ -111,14 +111,14 @@ def tuple_to_dict(spec: TupleSpec) -> dict:
         "n": spec.n,
         "dimH": spec.dimH,
         "d": spec.d,
-        "matrices": [[complex_to_json(m) for m in row] for row in spec.blocks],
+        "matrices": complex_to_json(spec.blocks),
     }
     if not np.allclose(spec.phases, 1.0, atol=0, rtol=0):
         doc["phases"] = complex_to_json(spec.phases)
     if spec.algebra is not None:
         doc["algebra"] = {"k": spec.algebra.k,
-                          "block_of": list(spec.algebra.block_of),
-                          "automorphisms": [list(a) for a in spec.algebra.automorphisms]}
+                          "block_of": spec.algebra.block_of.tolist(),
+                          "automorphisms": spec.algebra.automorphisms.tolist()}
     return doc
 
 
@@ -150,8 +150,7 @@ def tuple_from_dict(doc: dict, path: str = "$") -> TupleSpec:
             k=_require(alg, "k", int, f"{path}.algebra"),
             block_of=_require(alg, "block_of", list, f"{path}.algebra"),
             automorphisms=_require(alg, "automorphisms", list, f"{path}.algebra"))
-    return TupleSpec(n=n, dimH=dim, d=d, blocks=[list(row) for row in blocks], phases=phases,
-                     algebra=algebra)
+    return TupleSpec(n=n, dimH=dim, d=d, blocks=blocks, phases=phases, algebra=algebra)
 
 
 def _read_json(path: str):

@@ -4,7 +4,8 @@ A tuple holds, for each index i in {1..n}, a row of d matrices
 T_{i,1}..T_{i,d} on C^dimH.  For d = 1 the single matrices t_i may u-commute
 (t_i t_j = u_{ij} t_j t_i with |u_{ij}| = 1) and may additionally be covariant
 for a diagonal algebra C^k acting blockwise on C^dimH with commuting
-permutation automorphisms.
+permutation automorphisms.  A tuple is its checked, read-only arrays, which
+every reader indexes directly; a copy of a checked tuple stays checked.
 
 Class membership (the dilatable class): the tuple must have n >= 2 indices
 and be a (u-)commuting, covariant row-contraction tuple, the sub-tuples
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MalformedSpec, UnsupportedMultiplicity
+from .errors import MalformedSpec, NonFinite, UnsupportedMultiplicity
 from .fock import FockModel, degree_blocks
 from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, psd_checks
 
@@ -34,45 +35,63 @@ def _integral(*values) -> bool:
     return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
 
 
-def compose_perm(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Array of the permutation q -> a[b[q]]."""
-    return [a[b[q]] for q in range(len(a))]
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-def invert_perm(a: Sequence[int]) -> list[int]:
-    inv = [0] * len(a)
-    for q, v in enumerate(a):
-        inv[v] = q
-    return inv
+def _checked_complex(values, shape: tuple, what: str) -> np.ndarray:
+    """A read-only complex array of ``shape`` from ``values``: one conversion,
+    one shape check and one finiteness check."""
+    try:
+        arr = np.array(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedSpec(f"{what} must be an array of numbers of shape {shape}") from None
+    if arr.shape != shape:
+        raise MalformedSpec(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise NonFinite(f"{what} has NaN or Inf entries")
+    return _frozen(arr)
+
+
+def _checked_labels(values, ndim: int, what: str) -> np.ndarray:
+    """A read-only int array of ``values``: ``ndim``-deep nested integers, bools not."""
+    try:
+        arr = np.array(values, dtype=object)
+        if arr.ndim == ndim and _integral(*arr.flat):
+            return _frozen(arr.astype(int))
+    except (ValueError, OverflowError):  # a ragged nesting, or an integer beyond int64
+        pass
+    raise MalformedSpec(f"algebra {what} must be integers")
 
 
 @dataclass
 class AlgebraStructure:
-    """Diagonal algebra C^k acting on H, with a commuting permutation per index.
+    """Diagonal algebra C^k acting on H, with a commuting permutation per index,
+    checked on construction into read-only int arrays.
 
-    ``block_of[j]`` is the algebra component (0-based) of the j-th basis vector
-    of H.  ``automorphisms[i]`` is a permutation array a with the convention
+    ``block_of[j]`` (shape (dimH,)) is the algebra component (0-based) of the
+    j-th basis vector of H, and row i of ``automorphisms`` (shape (n, k)) a
+    permutation a with the convention
     (alpha_i(x))_q = x_{a[q]}, equivalently alpha_i(e_p) = e_{a^{-1}(p)}.
     Covariance t_i sigma(alpha_i(a)) = sigma(a) t_i then forces t_i to map the
     coordinates of block a^{-1}(p) into block p only.
     """
 
     k: int
-    block_of: list[int]
-    automorphisms: list[list[int]]
+    block_of: np.ndarray
+    automorphisms: np.ndarray
 
     def __post_init__(self):
-        rows = [self.block_of, *self.automorphisms]
-        if not _integral(self.k) or not all(isinstance(r, list) and _integral(*r) for r in rows):
-            raise MalformedSpec("algebra k, block_of and automorphism entries must be integers")
-        self.block_of = [int(b) for b in self.block_of]
-        self.automorphisms = [[int(v) for v in a] for a in self.automorphisms]
-        if self.k < 1 or any(not 0 <= b < self.k for b in self.block_of):
-            raise MalformedSpec("k must be positive and block_of entries must lie in 0..k-1")
-        for i, a in enumerate(self.automorphisms):
-            if len(a) != self.k or sorted(a) != list(range(self.k)):
+        if not _integral(self.k) or self.k < 1:
+            raise MalformedSpec("algebra k must be a positive integer")
+        self.block_of = _checked_labels(self.block_of, 1, "block_of entries")
+        self.automorphisms = auto = _checked_labels(self.automorphisms, 2, "automorphism rows")
+        if np.any((self.block_of < 0) | (self.block_of >= self.k)):
+            raise MalformedSpec("block_of entries must lie in 0..k-1")
+        for i, a in enumerate(auto.tolist()):
+            if sorted(a) != list(range(self.k)):
                 raise MalformedSpec(f"automorphism {i} is not a permutation of 0..k-1")
-        auto = np.array(self.automorphisms, dtype=int).reshape(len(self.automorphisms), self.k)
         # auto[:, auto][i, j] is a_i o a_j
         if not np.array_equal(auto[:, auto], auto[:, auto].transpose(1, 0, 2)):
             raise MalformedSpec("automorphisms must pairwise commute")
@@ -80,53 +99,40 @@ class AlgebraStructure:
 
 @dataclass
 class TupleSpec:
-    """A tuple of contraction blocks with optional phases and algebra."""
+    """A tuple of contraction blocks with optional phases and algebra, checked on
+    construction into read-only complex arrays: ``blocks`` of shape (n, d,
+    dimH, dimH), T_{i,j} = blocks[i - 1, j - 1], and the (n, n) ``phases``."""
 
     n: int
     dimH: int
     d: int
-    blocks: list[list[np.ndarray]]
+    blocks: np.ndarray
     phases: np.ndarray | None = None
     algebra: AlgebraStructure | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.dimH < 1 or self.d < 1:
-            raise MalformedSpec("n, dimH and d must be positive")
-        if len(self.blocks) != self.n:
-            raise MalformedSpec(f"expected {self.n} block rows, got {len(self.blocks)}")
-        rows = []
-        for i, row in enumerate(self.blocks):
-            if len(row) != self.d:
-                raise MalformedSpec(f"block row {i + 1} has {len(row)} matrices, expected d={self.d}")
-            mats = []
-            for j, m in enumerate(row):
-                m = as_matrix(m)
-                if m.shape != (self.dimH, self.dimH):
-                    raise MalformedSpec(
-                        f"matrix ({i + 1},{j + 1}) has shape {m.shape}, expected ({self.dimH},{self.dimH})")
-                mats.append(m)
-            rows.append(mats)
-        self.blocks = rows
-        if self.phases is None:
-            self.phases = np.ones((self.n, self.n), dtype=complex)
-        else:
-            self.phases = as_matrix(self.phases)
-            if self.phases.shape != (self.n, self.n):
-                raise MalformedSpec(f"phase table must be {self.n}x{self.n}")
-            if self.d > 1 and frob(self.phases - np.ones((self.n, self.n))) > 1e-14:
-                raise MalformedSpec("u-phases are only supported for multiplicity d = 1")
-            if np.max(np.abs(np.abs(self.phases) - 1.0)) > 1e-12:
-                raise MalformedSpec("phases must be unimodular")
-            if np.max(np.abs(np.diag(self.phases) - 1.0)) > 1e-12:
-                raise MalformedSpec("diagonal phases must equal 1")
-            if frob(self.phases - adj(self.phases)) > 1e-12:
-                raise MalformedSpec("phase table must satisfy u[j,i] = conj(u[i,j])")
+        if not _integral(self.n, self.dimH, self.d) or min(self.n, self.dimH, self.d) < 1:
+            raise MalformedSpec("n, dimH and d must be positive integers")
+        n = self.n
+        self.blocks = _checked_complex(self.blocks, (n, self.d, self.dimH, self.dimH), "blocks")
+        self.phases = _checked_complex(np.ones((n, n)) if self.phases is None else self.phases,
+                                       (n, n), "phase table")
+        if self.d > 1 and frob(self.phases - np.ones((n, n))) > 1e-14:
+            raise MalformedSpec("u-phases are only supported for multiplicity d = 1")
+        if np.max(np.abs(np.abs(self.phases) - 1.0)) > 1e-12:
+            raise MalformedSpec("phases must be unimodular")
+        if np.max(np.abs(np.diag(self.phases) - 1.0)) > 1e-12:
+            raise MalformedSpec("diagonal phases must equal 1")
+        if frob(self.phases - adj(self.phases)) > 1e-12:
+            raise MalformedSpec("phase table must satisfy u[j,i] = conj(u[i,j])")
         if self.algebra is not None:
+            if not isinstance(self.algebra, AlgebraStructure):
+                raise MalformedSpec("algebra must be an AlgebraStructure")
             if self.d != 1:
                 raise MalformedSpec("algebra covariance is only supported for d = 1")
-            if len(self.algebra.block_of) != self.dimH:
+            if self.algebra.block_of.shape != (self.dimH,):
                 raise MalformedSpec("algebra.block_of must have length dimH")
-            if len(self.algebra.automorphisms) != self.n:
+            if len(self.algebra.automorphisms) != n:
                 raise MalformedSpec("algebra needs one automorphism per tuple index")
 
     @classmethod
@@ -134,17 +140,14 @@ class TupleSpec:
         """Build a d = 1 spec from plain matrices (scalars allowed for dimH = 1)."""
         if not len(ops):
             raise MalformedSpec("a tuple needs at least one operator")
-        mats = [as_matrix(np.atleast_2d(np.asarray(t, dtype=complex))) for t in ops]
-        dim = mats[0].shape[0]
-        return cls(n=len(mats), dimH=dim, d=1, blocks=[[m] for m in mats],
-                   phases=None if phases is None else np.asarray(phases, dtype=complex),
-                   algebra=algebra)
+        blocks = [[np.atleast_2d(t)] for t in ops]
+        return cls(len(ops), len(blocks[0][0]), 1, blocks, phases=phases, algebra=algebra)
 
     def op(self, i: int) -> np.ndarray:
         """The single operator t_i (1-based index), for d = 1."""
         if self.d != 1:
             raise UnsupportedMultiplicity("op() requires d = 1")
-        return self.blocks[i - 1][0]
+        return self.blocks[i - 1, 0]
 
     def u(self, i: int, j: int) -> complex:
         """Phase with t_i t_j = u(i,j) t_j t_i (1-based, all pairs)."""
@@ -227,7 +230,7 @@ def validate(spec: TupleSpec) -> ClassReport:
     square is a float product, which overflows to inf rather than raising.
     """
     report = ClassReport(n=spec.n, d=spec.d)
-    t = np.array(spec.blocks)  # (n, d, dimH, dimH)
+    t = spec.blocks
     rows = t.transpose(0, 2, 1, 3).reshape(spec.n, spec.dimH, -1)  # row i is (T_{i,1} ... T_{i,d})
     # the largest singular values, as np.linalg.norm(rows, 2, axis=(1, 2)) takes them
     report.row_norms = np.linalg.svd(rows, compute_uv=False)[:, 0].tolist()
@@ -249,7 +252,7 @@ def validate(spec: TupleSpec) -> ClassReport:
         alg = spec.algebra
         # t_i sigma(e_{a_i^-1(p)}) - sigma(e_p) t_i has entries t_ab ([blk_b = a_i^-1(p)] - [blk_a = p])
         inv = np.argsort(alg.automorphisms, axis=1)[:, :, None, None]  # (n, k, 1, 1)
-        blk = np.asarray(alg.block_of)
+        blk = alg.block_of
         mask = (blk == inv) != (blk[:, None] == np.arange(alg.k)[:, None, None])  # (n, k, a, b)
         report.covariance_residual = float(frob_stack(np.where(mask, t[:, :1], 0.0)).max())
     return report
@@ -267,8 +270,7 @@ def szego_operators(spec: TupleSpec, subsets: Sequence[Sequence[int]]) -> np.nda
     member = np.zeros((len(subsets), spec.n + 1, 1, 1), dtype=bool)
     for r, S in enumerate(subsets):
         member[r, list(S)] = True
-    t = np.array(spec.blocks)  # (n, d, dimH, dimH), with the adjoints formed once
-    t_adj = adj(t)
+    t, t_adj = spec.blocks, adj(spec.blocks)  # the adjoints formed once
     x = np.tile(np.eye(spec.dimH, dtype=complex), (len(subsets), 1, 1))
     for i in range(spec.n - 1, -1, -1):  # phi_{i+1}(X) as cp_apply sums it
         phi = t[i, 0] @ x @ t_adj[i, 0]
@@ -303,7 +305,7 @@ def purity_radii(spec: TupleSpec, indices: Sequence[int]) -> list[float]:
     r(t)^2, from one batched dimH x dimH eig instead of dimH^2 x dimH^2 ones.
     """
     if spec.d == 1:
-        ops = np.array([spec.op(i) for i in indices])
+        ops = spec.blocks[np.subtract(indices, 1), 0]
         return (np.abs(np.linalg.eigvals(ops)).max(axis=-1) ** 2).tolist()
     return [float(np.max(np.abs(np.linalg.eigvals(cp_map_matrix(spec, i))))) for i in indices]
 
@@ -363,8 +365,9 @@ def merge_1n(spec: TupleSpec) -> TupleSpec:
     u(i,1)*u(i,n), each part divided by the product's modulus, in which the
     two factors' modulus errors add up (an exactly unimodular product stays
     as it is, bit for bit).  With an algebra present the merged slot carries
-    the composed automorphism.  The merge checks only what it creates (t_1
-    t_n finite): it is a copy of ``spec``, whose fields were checked.
+    the composed automorphism a_1[a_n].  The merge checks only what it
+    creates (t_1 t_n finite): it is a copy of ``spec``, whose fields were
+    checked and are read-only, and its new arrays are read-only too.
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("merge_1n requires d = 1")
@@ -377,13 +380,13 @@ def merge_1n(spec: TupleSpec) -> TupleSpec:
     phases[1:, 0] = [complex(p.real / abs(p), p.imag / abs(p)) for p in prods]
     phases[0, 1:] = np.conj(phases[1:, 0])
     phases[1:, 1:] = spec.phases[1:m, 1:m]
-    merged = copy(spec)  # keeps the checked fields and runs no __post_init__
-    merged.n, merged.phases = m, phases
-    merged.blocks = [[as_matrix(spec.op(1) @ spec.op(spec.n))]] + spec.blocks[1:m]
+    merged = copy(spec)  # keeps the checked, read-only fields and runs no __post_init__
+    merged.n, merged.phases = m, _frozen(phases)
+    merged.blocks = _frozen(np.concatenate([as_matrix(spec.op(1) @ spec.op(m + 1))[None, None],
+                                            spec.blocks[1:m]]))
     if spec.algebra is not None:
-        autos = spec.algebra.automorphisms
-        merged.algebra = copy(spec.algebra)
-        merged.algebra.automorphisms = [compose_perm(autos[0], autos[spec.n - 1])] + autos[1:m]
+        autos, merged.algebra = spec.algebra.automorphisms, copy(spec.algebra)
+        merged.algebra.automorphisms = _frozen(np.concatenate([autos[0][autos[m]][None], autos[1:m]]))
     return merged
 
 
@@ -397,7 +400,7 @@ def ordered_power_products(spec: TupleSpec, fock: FockModel) -> np.ndarray:
     """
     if spec.d != 1:
         raise UnsupportedMultiplicity("power products require d = 1")
-    tadj = adj(np.array([row[0] for row in spec.blocks]))
+    tadj = adj(spec.blocks[:, 0])
     table = np.empty((fock.cell_count, spec.dimH, spec.dimH), dtype=complex)
     table[0] = np.eye(spec.dimH)
     for rows in degree_blocks(fock.m, fock.N):

@@ -110,12 +110,12 @@ def verify_pi(model: DilationModel) -> dict:
     """Exact telescoping: ||Pi h||^2 + tail(h) = ||h||^2 per basis vector.
 
     ``pi_isometry`` uses the assembled matrix Pi;
-    ``pi_tail_match`` recomputes the partial mass directly from defect
-    products, independent of every dilation matrix.
+    ``pi_tail_match`` recomputes the partial mass directly from defect products
+    (the merged defect root times the model's power table), independent of Pi.
     """
     col_mass = np.sum(np.abs(model.Pi) ** 2, axis=0)
     pi_isometry = float(np.max(np.abs(col_mass + model.tails - 1.0)))
-    direct = simplex_mass(model.merged, model.defects["hat1n"].root, model.fock)
+    direct = simplex_mass(model.defects["hat1n"].root, model.powers)
     pi_tail_match = float(np.max(np.abs(direct + model.tails - 1.0)))
     return {"pi_isometry": pi_isometry, "pi_tail_match": pi_tail_match}
 
@@ -127,7 +127,7 @@ def verify_intertwining(model: DilationModel) -> dict:
     spec, pi = model.spec, model.Pi
     inner = interior_projector(model.fock, 1)
     lhs = model.pi_adjoints[:, inner]
-    ts = np.array([spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)])
+    ts = np.concatenate([spec.blocks[:, 0], model.merged.blocks[:1, 0]])
     rhs = (pi @ adj(ts))[:, inner]
     resid = frob_stack(lhs - rhs) / np.maximum(1.0, frob_stack(rhs))
     names = (["dilation1_tau1"] + [f"dilation_L{i}" for i in range(2, spec.n)]
@@ -200,7 +200,7 @@ def verify_moments(model: DilationModel) -> dict:
     spec, pi, ws, n = model.spec, model.Pi, model.isometries, model.spec.n
     cells, slot, parent = enumerate_indices(n, min(MOMENT_MAXDEG, max(model.N - 1, 0)))
     group = cells.sum(axis=1) * n + n - 1 - slot  # (degree, beta's last slot), in degree order
-    ops = adj(np.array([spec.op(i) for i in range(1, n + 1)]))
+    ops = adj(spec.blocks[:, 0])
     tadj = np.empty((len(cells), spec.dimH, spec.dimH), dtype=complex)
     back = np.empty((len(cells),) + pi.shape, dtype=complex)
     tadj[0], back[0] = eye(spec.dimH), pi
@@ -238,13 +238,13 @@ def _covariance(model: DilationModel, autos) -> np.ndarray:
     """(operators, k): the relative residual of W rho(a_W^{-1}(p)) - rho(p) W
     against rho(p) W for W = tau1, L_2, ..., taun, L1, a_W the rows of
     ``autos``, and each component p (see the module docstring)."""
-    merged, labels = np.asarray(model.merged.algebra.automorphisms), model.layout.D
+    merged, labels = model.merged.algebra.automorphisms, model.layout.D
     ops, k = model.isometries + [model.L1], merged.shape[1]
     owner = np.repeat(np.arange(len(ops)), [len(op.terms) for op in ops])
     slots, blocks, _ = zip(*(term for op in ops for term in op.terms))
     x = np.array([labels if s is None else merged[s, labels] for s in slots])
     rows = (x[..., None] == np.arange(k)).astype(float)  # [x_i = q]
-    cols = (np.asarray(autos)[owner][:, labels, None] == np.arange(k)).astype(float)  # [y_j = q]
+    cols = (autos[owner][:, labels, None] == np.arange(k)).astype(float)  # [y_j = q]
     mass = np.abs(np.array(blocks)) ** 2
     mismatch = np.sum(rows * (mass @ (1.0 - cols)) + (1.0 - rows) * (mass @ cols), axis=1)  # F
     total = np.sum(rows * mass.sum(axis=2, keepdims=True), axis=1)  # R
@@ -267,7 +267,7 @@ def verify_equivariance(model: DilationModel) -> dict:
                                   ("equiv_Un", model.transfer.Un, model.layout.Un_labels)):
         out[name] = max(rel_residual(mat * ((dom == p)[None, :] != (cod == p)[:, None]), mat)
                         for p in range(alg.k))
-    autos = list(alg.automorphisms) + [model.merged.algebra.automorphisms[0]]
+    autos = np.concatenate([alg.automorphisms, model.merged.algebra.automorphisms[:1]])
     names = [f"equiv_v{i}" for i in range(1, spec.n + 1)] + ["equiv_L1"]
     out.update(zip(names, np.max(_covariance(model, autos), axis=1).tolist()))
     return out

@@ -15,7 +15,6 @@ import numpy as np
 
 from dilation_forge.fock import degree_blocks, interior_cells, interior_projector
 from dilation_forge.linalg import adj
-from dilation_forge.tuples import invert_perm
 
 
 def moves(op):
@@ -41,7 +40,7 @@ def apply(op, x):
 def coordinate_labels(model):
     """Algebra label of each model coordinate, (cells, dim D): cell alpha maps
     D's labels by prod_s a_s^{alpha_s}, one a_s per tree link alpha - e_s to alpha."""
-    fock, autos = model.fock, np.asarray(model.merged.algebra.automorphisms)
+    fock, autos = model.fock, model.merged.algebra.automorphisms
     labels = np.empty((fock.cell_count, model.layout.dim), dtype=int)
     labels[0] = model.layout.D
     for rows in degree_blocks(fock.m, model.N):
@@ -65,7 +64,7 @@ def covariance(model, autos):
     """``per_component_covariance`` of tau1, L_2, ..., taun, L1 with the
     automorphisms ``autos``, (operators, k), from the coordinate labels."""
     labels, k = coordinate_labels(model), model.spec.algebra.k
-    return np.array([[per_component_covariance(w, labels, invert_perm(a)[p], p)
+    return np.array([[per_component_covariance(w, labels, np.argsort(a)[p], p)
                       for p in range(k)]
                      for w, a in zip(model.isometries + [model.L1], autos)])
 

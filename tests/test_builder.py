@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilation_forge import builder
+from dilation_forge import io as dfio
 from dilation_forge.builder import (UNITARY_GATE, CouplingData, assemble_model,
                                     build_defects, build_transfer, build_U, build_V0,
                                     coefficient_layout, defect_frames, effective_algebra,
@@ -283,8 +285,47 @@ def test_tails_match_pi_mass_both_routes():
         model = assemble_model(spec, N=4)
         mass = np.sum(np.abs(model.Pi) ** 2, axis=0)
         assert np.max(np.abs(mass + model.tails - 1.0)) < 1e-12
-        direct = simplex_mass(model.merged, model.defects["hat1n"].root, model.fock)
+        direct = simplex_mass(model.defects["hat1n"].root, model.powers)
         assert np.max(np.abs(direct + model.tails - 1.0)) < 1e-12
+
+
+def test_one_power_table_per_model(monkeypatch):
+    """The model forms the merged power table once, for Pi, and ``full_report``
+    reads that table: ``pi_tail_match`` takes the merged defect root times it,
+    not Pi, bit for bit the mass of a second table."""
+    calls = []
+    monkeypatch.setattr(builder, "ordered_power_products",
+                        lambda *args: calls.append(1) or ordered_power_products(*args))
+    model = assemble_model(random_tuple("scaled-commuting", 3, 4, seed=0), N=4)
+    report = full_report(model)
+    assert len(calls) == 1
+    root = model.defects["hat1n"].root
+    direct = simplex_mass(root, ordered_power_products(model.merged, model.fock))
+    assert report.residuals["pi_tail_match"] == float(np.max(np.abs(direct + model.tails - 1.0)))
+    assert report.residuals["pi_tail_match"] < 1e-12
+
+
+def test_defect_frames_formed_once_per_build_and_per_load(monkeypatch):
+    """A build forms the frames X, Y in ``build_V0`` and a load in
+    ``model_from_dict``; the model takes Pi's cell-0 block from the frames its
+    transfer data were measured on, so each forms them exactly once."""
+    calls = []
+
+    def counted(spec, defects):
+        calls.append(1)
+        return defect_frames(spec, defects)
+
+    monkeypatch.setattr(builder, "defect_frames", counted)
+    monkeypatch.setattr(dfio, "defect_frames", counted)
+    for style in ("covariant", "jointly-nilpotent"):
+        model = assemble_model(random_tuple(style, 3, 4, seed=1), N=3)
+        assert len(calls) == 1
+        loaded = dfio.model_from_dict(json.loads(dump_json(model_to_dict(model), None)))
+        assert len(calls) == 2
+        assert loaded.Pi.tobytes() == model.Pi.tobytes()
+        x, _ = defect_frames(model.spec, model.defects)
+        assert np.array_equal(model.Pi[:len(x)], x)
+        calls.clear()
 
 
 def test_tail_monotone_in_degree():
@@ -583,8 +624,11 @@ def test_trivial_algebra_equals_a_checked_one():
     """Without a declared algebra the builder's one-component algebra, which
     skips the checks, has the fields ``AlgebraStructure`` checks and builds."""
     spec = random_tuple("jointly-nilpotent", 4, 3, seed=0)
-    checked = AlgebraStructure(1, [0] * 3, [[0]] * 4)
-    assert vars(effective_algebra(spec)) == vars(checked)
+    checked, trivial = AlgebraStructure(1, [0] * 3, [[0]] * 4), effective_algebra(spec)
+    assert trivial.k == checked.k == 1 and vars(trivial).keys() == vars(checked).keys()
+    for name in ("block_of", "automorphisms"):
+        got, want = getattr(trivial, name), getattr(checked, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     covariant = random_tuple("covariant", 3, 4, seed=0)
     assert effective_algebra(covariant) is covariant.algebra
 

@@ -50,7 +50,9 @@ def test_tuple_document_keeps_every_float():
     spec = random_tuple("u-commuting", 3, 4, seed=0)  # its phase table holds -0.0 parts
     odd = np.array([complex(-0.0, -0.0), complex(5e-324, -0.0), complex(1e300, -2.5e-310),
                     complex(-1e300, 0.0)])
-    spec.blocks[1][0][:, 0] = odd  # TupleSpec does not gate row norms
+    blocks = spec.blocks.copy()
+    blocks[1, 0, :, 0] = odd  # TupleSpec does not gate row norms
+    spec = TupleSpec(n=spec.n, dimH=spec.dimH, d=spec.d, blocks=blocks, phases=spec.phases)
     doc = tuple_to_dict(spec)
     loop = {**doc, "matrices": [[_loop_complex_to_json(m) for m in row] for row in spec.blocks],
             "phases": _loop_complex_to_json(spec.phases)}
@@ -86,7 +88,7 @@ def test_roundtrip_algebra(tmp_path):
     dump_json(tuple_to_dict(spec), str(path))
     back = load_tuple(str(path))
     assert back.algebra.k == 2
-    assert back.algebra.automorphisms == spec.algebra.automorphisms
+    assert np.array_equal(back.algebra.automorphisms, spec.algebra.automorphisms)
     assert np.array_equal(back.op(1), spec.op(1))
 
 

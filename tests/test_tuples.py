@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilation_forge.builder import effective_algebra
 from dilation_forge.errors import MalformedSpec, NonFinite, UnsupportedMultiplicity
 from dilation_forge.generators import (STYLES, parrott_tuple, random_tuple, scalar_triple,
                                        zero_tuple)
+from dilation_forge.io import tuple_from_dict, tuple_to_dict
 from dilation_forge.linalg import adj, frob, psd_check
 from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify, cp_apply,
-                                   cp_map_matrix, invert_perm, is_pure, merge_1n, szego_operator,
+                                   cp_map_matrix, is_pure, merge_1n, szego_operator,
                                    szego_operators, validate)
 
 
@@ -60,6 +62,61 @@ def test_malformed_specs():
         AlgebraStructure(k=2, block_of=[0, 1], automorphisms=[[0, 0]])
     with pytest.raises(MalformedSpec):
         AlgebraStructure(k=-1, block_of=[], automorphisms=[])
+    # a string, a dict, a ragged matrix, a row that is not a list, no blocks at all
+    for dim, blocks in ((1, [["x"]]), (1, [[{"a": 1}]]), (2, [[[[0.0], [0.0, 0.0]]]]), (1, [5]),
+                        (1, None)):
+        with pytest.raises(MalformedSpec):
+            TupleSpec(n=1, dimH=dim, d=1, blocks=blocks)
+    with pytest.raises(MalformedSpec):
+        AlgebraStructure(k=1, block_of=[0], automorphisms=None)
+    with pytest.raises(MalformedSpec):  # an algebra that is not an AlgebraStructure
+        TupleSpec.from_operators([[[0.5]]] * 2, algebra={"k": 1})
+    with pytest.raises(MalformedSpec):  # checked before the generator builds P_i from it
+        random_tuple("covariant", 2, 4, seed=0, automorphisms=[[0, 5], [0, 1]])
+
+
+def same_array(got, want) -> bool:
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _covariant_k2():
+    alg = AlgebraStructure(k=2, block_of=[0, 1], automorphisms=[[1, 0], [1, 0]])
+    return TupleSpec.from_operators([[[0, 0.3], [0, 0]], [[0, 0], [0.2, 0]]], algebra=alg)
+
+
+CONTRACT_TUPLES = {
+    "TupleSpec d = 2": lambda: TupleSpec(n=2, dimH=2, d=2, blocks=0.1 * np.ones((2, 2, 2, 2))),
+    "TupleSpec from lists": lambda: TupleSpec(n=1, dimH=1, d=1, blocks=[[[[0.5]]]]),
+    "from_operators": lambda: TupleSpec.from_operators([0.5, 0.4, 0.3]),
+    "from_operators covariant": _covariant_k2,
+    "tuple_from_dict": lambda: tuple_from_dict(tuple_to_dict(random_tuple("u-commuting", 3, 4, 1))),
+    "tuple_from_dict covariant": lambda: tuple_from_dict(tuple_to_dict(
+        random_tuple("covariant", 4, 4, seed=1))),
+    **{f"random_tuple {style}": (lambda style=style: random_tuple(style, 3, 4, seed=2))
+       for style in STYLES},
+    "merge_1n": lambda: merge_1n(random_tuple("scaled-commuting", 4, 3, seed=0)),
+    "merge_1n covariant": lambda: merge_1n(random_tuple("covariant", 4, 4, seed=0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_TUPLES))
+def test_a_tuple_is_its_read_only_arrays(name):
+    """Every way to make a tuple leaves its blocks, its phases and its
+    algebra's labels (the trivial algebra's where none is declared) as
+    read-only arrays of shape (n, d, dimH, dimH), (n, n), (dimH,) and (n, k),
+    complex and int; writing into any of them raises ValueError."""
+    spec = CONTRACT_TUPLES[name]()
+    n, d, dim = spec.n, spec.d, spec.dimH
+    alg = effective_algebra(spec)
+    assert (alg is spec.algebra) == (spec.algebra is not None)
+    for arr, shape, kind in ((spec.blocks, (n, d, dim, dim), "c"), (spec.phases, (n, n), "c"),
+                             (alg.block_of, (dim,), "i"), (alg.automorphisms, (n, alg.k), "i")):
+        assert (arr.shape, arr.dtype.kind, arr.flags.writeable) == (shape, kind, False)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+    if d == 1:
+        with pytest.raises(ValueError):
+            spec.op(n)[0, 0] = 1.0
 
 
 def test_automorphisms_must_pairwise_commute():
@@ -68,7 +125,7 @@ def test_automorphisms_must_pairwise_commute():
         AlgebraStructure(k=3, block_of=[0, 1, 2], automorphisms=[[1, 0, 2], [0, 2, 1]])
     # a 3-cycle, its inverse and the identity do
     alg = AlgebraStructure(k=3, block_of=[0, 1, 2], automorphisms=[[1, 2, 0], [2, 0, 1], [0, 1, 2]])
-    assert alg.automorphisms == [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
+    assert alg.automorphisms.tolist() == [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
 
 
 def test_subset_product_empty_and_scalars():
@@ -247,12 +304,12 @@ def test_merge_fields_equal_a_validated_spec(style, n):
                         algebra=None if alg is None else AlgebraStructure(alg.k, alg.block_of,
                                                                           alg.automorphisms))
     assert (merged.n, merged.dimH, merged.d) == (checked.n, checked.dimH, checked.d) == (n - 1, 4, 1)
-    for got, want in zip([m for row in merged.blocks for m in row] + [merged.phases],
-                         [m for row in checked.blocks for m in row] + [checked.phases]):
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert same_array(merged.blocks, checked.blocks) and same_array(merged.phases, checked.phases)
     assert (alg is None) == (checked.algebra is None)
     if alg is not None:
-        assert vars(alg) == vars(checked.algebra)
+        assert alg.k == checked.algebra.k
+        assert same_array(alg.block_of, checked.algebra.block_of)
+        assert same_array(alg.automorphisms, checked.algebra.automorphisms)
     big = TupleSpec.from_operators([[[1e200]], [[0.0]], [[1e200]]])
     with pytest.raises(NonFinite), np.errstate(over="ignore"):
         merge_1n(big)
@@ -454,7 +511,7 @@ def reference_validate(spec, tol=1e-10):
                 for p in range(alg.k)]
         cov = 0.0
         for i in idx:
-            t, inv = spec.op(i), invert_perm(alg.automorphisms[i - 1])
+            t, inv = spec.op(i), np.argsort(alg.automorphisms[i - 1])
             for p in range(alg.k):
                 cov = max(cov, frob(t @ proj[inv[p]] - proj[p] @ t))
     return norms, comm, cov, tol * max(1.0, max(norms) ** 2)
