@@ -17,7 +17,7 @@ from .errors import (DilationForgeError, DimensionMismatch, GenerationFailed, Gr
                      NonFinite, NonSquare, NotInClass, NotPSD, UnsupportedMultiplicity)
 from .fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
                    interior_projector)
-from .linalg import PsdReport, isometry_from_frames, psd_check, psd_sqrt, range_basis
+from .linalg import PsdReport, isometry_from_frames, psd_checks, psd_sqrt, range_basis
 from .tuples import (AlgebraStructure, ClassReport, TupleSpec, class_gate, classify, is_pure,
                      merge_1n, szego_operator, validate)
 from .verifier import (VerificationReport, full_report, verify_equivariance,

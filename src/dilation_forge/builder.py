@@ -30,7 +30,7 @@ from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExce
                      InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
 from .fock import FockModel, FockOperator, apply_adjoints, creation_operators
 from .linalg import (adj, eye, frob, frob_stack, isometry_from_frames, orthogonal_complement,
-                     psd_check, psd_sqrt, range_bases)
+                     psd_checks, psd_sqrt, range_bases)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, cp_apply, merge_1n,
                      ordered_power_products, purity_radii)
 
@@ -222,7 +222,7 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
         raise NotInClass(f"merged generator is not pure (cp radius {radius:.6g})")
 
     sq[2:] -= merged.op(1) @ sq[2:] @ adj(merged.op(1))  # M becomes the merged square
-    roots = psd_sqrt(sq, (report.szego_hat1, report.szego_hatn, psd_check(sq[2])))
+    roots = psd_sqrt(sq, (report.szego_hat1, report.szego_hatn, *psd_checks(sq[2:])))
     parts = _per_component(roots, [alg.block_of] * 3, alg.block_of, alg.k, range_bases)
     defects = {name: DefectData(root, *part)
                for name, root, part in zip(("hat1", "hatn", "hat1n"), roots, parts)}
@@ -511,8 +511,8 @@ def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLay
         raise DimensionMismatch("transfer operators exist for the first and last index only")
     # coefficient-end insertion of the merged factor: prod_{t > 0} u(t, 0)^alpha_t
     back = np.where(np.arange(fock.m) > 0, fock.merged_phases[:, 0], 1)
-    kappa = [merged_cost] + [spec.u(which, j) for j in range(2, spec.n)]
-    return FockOperator(fock, adj(a), shift_block, 0, back, kappa)
+    kappa = np.array([merged_cost] + [spec.u(which, j) for j in range(2, spec.n)])
+    return FockOperator(fock, [(0, shift_block, back * kappa), (fock.m, adj(a), kappa)])
 
 
 def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,

@@ -24,12 +24,13 @@ appear:
 
 With an all-ones table both conventions are the plain shift.
 
-Every Fock operator of the construction is a ``FockOperator``: one d x d
-block on every cell plus one d x d block carried one cell up in a single
-slot, each times a unimodular character of the cell.  It is never stored as
-a dim x dim matrix, nor as one block per cell: ``apply_adjoints`` applies its
-adjoint cell by cell from one table of the cells each term reads
-(``FockOperator.reads``).
+Every Fock operator of the construction is a ``FockOperator``, a list of
+terms (slot s, d x d block, m costs): the block times a unimodular character
+of the cell, carried one cell up in slot s < m, or kept on its cell for
+s = m.  ``stack_terms`` turns a family's terms into arrays and checks them,
+for every reader.  An operator is never stored as a dim x dim matrix, nor as
+one block per cell: ``apply_adjoints`` applies its adjoint cell by cell from
+one table of the cells each term reads (``FockOperator.reads``).
 ``product_norms`` measures sums of products of such operators from their
 blocks and characters in closed form, without reading a cell.
 """
@@ -42,7 +43,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 from .linalg import adj, as_matrix
 
 PHASE_TOL = 1e-12  # largest | |c| - 1 | of a character cost, as for a tuple's phase table
@@ -150,45 +151,16 @@ class FockModel:
 
 
 class FockOperator:
-    """A cellwise block plus a one-slot cell shift on F_N(E) (x) D, each times a
-    unimodular character of the cell.
-
-    Maps (alpha, v) to kappa(alpha) * [(alpha, diag v) + shift_phase(alpha) *
-    (alpha + e_slot, shift v)], dropping shifted output past |alpha| = N, so
-    the adjoint annihilates cells with alpha_slot = 0.  ``diag=None`` omits
-    the cellwise part, ``shift=None`` is the identity.  kappa and shift_phase
-    are the characters chi_c(alpha) = prod_s c_s^alpha_s of the per-slot costs
-    ``kappa_costs`` (all 1 by default) and ``shift_costs``, which must be
-    unimodular (``DimensionMismatch`` otherwise).  Stored as its terms (slot or
-    None, d x d block, costs): the shift term (slot, shift, shift_costs *
-    kappa_costs) and the cellwise term (None, diag, kappa_costs).  Its one
+    """A sum of terms on F_N(E) (x) D, one per slot at most: a term (s, M, c)
+    maps (alpha, v) to chi_c(alpha) (alpha + e_s, M v) for a slot s < m,
+    dropping output past |alpha| = N, and to chi_c(alpha) (alpha, M v) for
+    s = m; chi_c(alpha) = prod_s c_s^alpha_s of the m unimodular costs c.  The
+    terms are checked at first use (``stack_terms``), not here.  Its one
     per-cell table is ``reads``, and ``apply_adjoints`` its one application.
-    No block is stored per cell.
     """
 
-    def __init__(self, fock: FockModel, diag, shift, slot: int, shift_costs, kappa_costs=None):
-        d, m = fock.coeff_dim, fock.m
-        shift = np.eye(d, dtype=complex) if shift is None else as_matrix(shift)
-        if shift.shape != (d, d) or (diag is not None and np.shape(diag) != (d, d)):
-            raise DimensionMismatch(f"blocks must be {d} x {d} (the coefficient dimension)")
-        if not 0 <= slot < m:
-            raise DimensionMismatch(f"shift slot {slot} out of range")
-        costs = [np.asarray(c, dtype=complex)
-                 for c in (shift_costs, np.ones(m) if kappa_costs is None else kappa_costs)]
-        if any(c.shape != (m,) for c in costs) or \
-                not np.all(np.abs(np.abs(costs) - 1.0) <= PHASE_TOL):
-            raise DimensionMismatch(f"need {m} unimodular character costs, one per slot")
-        self.fock, self.shape = fock, (fock.dim, fock.dim)
-        self.terms = [(slot, shift, costs[0] * costs[1])]
-        if diag is not None:
-            self.terms.append((None, as_matrix(diag), costs[1]))
-
-    @classmethod
-    def _of_terms(cls, fock: FockModel, terms: list) -> "FockOperator":
-        """An operator of terms its maker has checked as ``__init__`` checks them."""
-        op = cls.__new__(cls)
-        op.fock, op.shape, op.terms = fock, (fock.dim, fock.dim), terms
-        return op
+    def __init__(self, fock: FockModel, terms: list):
+        self.fock, self.shape, self.terms = fock, (fock.dim, fock.dim), list(terms)
 
     @cached_property
     def reads(self) -> tuple:
@@ -209,6 +181,32 @@ class FockOperator:
         return out.reshape(self.shape).astype(dtype or complex, copy=False)
 
 
+def stack_terms(ops: list) -> tuple:
+    """``(owner, slots, blocks, costs)``: the terms of the Fock operators ``ops``
+    (of one model) as arrays, and the operator of each; the one check of terms.
+    An operator is 1 to m + 1 terms in distinct slots 0..m, each with a finite
+    d x d block and m costs within PHASE_TOL of the circle.  Anything else, a
+    ragged entry too, is a ``DimensionMismatch`` (a non-finite block ``NonFinite``)."""
+    m, d = ops[0].fock.m, ops[0].fock.coeff_dim
+    counts = [len(op.terms) for op in ops]
+    form = f"an operator is 1 to {m + 1} terms (slot in 0..{m}, {d} x {d} block, {m} costs)"
+    try:
+        slots, blocks, costs = zip(*[(s, b, c) for op in ops for s, b, c in op.terms])
+        slots, blocks, costs = np.array(slots), np.array(blocks, complex), np.array(costs, complex)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(form) from None
+    owner = np.repeat(np.arange(len(ops)), counts)
+    if (not all(counts) or slots.dtype.kind not in "iu" or slots.min() < 0 or slots.max() > m
+            or np.bincount(owner * (m + 1) + slots).max() > 1  # a slot twice in one operator
+            or blocks.shape[1:] != (d, d) or costs.shape[1:] != (m,)):
+        raise DimensionMismatch(form)
+    if not np.isfinite(blocks).all():
+        raise NonFinite("a term's block has NaN or Inf entries")
+    if not (np.abs(np.abs(costs) - 1.0) <= PHASE_TOL).all():
+        raise DimensionMismatch(f"need {m} unimodular character costs, one per slot")
+    return owner, slots, blocks, costs
+
+
 def _fill_reads(ops: list):
     """Set ``reads`` of each of ``ops`` (of one model): one gather from the
     successor table, with the cell itself for a cellwise term, and one
@@ -216,15 +214,12 @@ def _fill_reads(ops: list):
     if not ops:
         return
     fock = ops[0].fock
-    slots, blocks, costs = zip(*(term for op in ops for term in op.terms))
+    _, slots, blocks, costs = stack_terms(ops)
     table = np.vstack([fock.successors, np.arange(fock.cell_count)])  # row m: each cell itself
-    reads = table[[fock.m if s is None else s for s in slots]]
-    phases, blocks = fock.cell_phases(np.array(costs)).conj(), np.array(blocks).conj()
-    start = 0
-    for op in ops:
-        end = start + len(op.terms)
-        op.reads = reads[start:end], phases[start:end], blocks[start:end]
-        start = end
+    reads = table[slots], fock.cell_phases(costs).conj(), blocks.conj()
+    ends = np.cumsum([len(op.terms) for op in ops]).tolist()
+    for op, start, end in zip(ops, [0] + ends, ends):
+        op.reads = tuple(x[start:end] for x in reads)
 
 
 def apply_adjoints(ops: list, x: np.ndarray) -> np.ndarray:
@@ -246,8 +241,8 @@ def apply_adjoints(ops: list, x: np.ndarray) -> np.ndarray:
     prod *= phases[:, :, None, None]  # each cell's (M* y)^T (cols x d), times its phase
     out = np.empty((len(ops), cells, d, cols), dtype=complex)
     view, first = out.transpose(0, 1, 3, 2), np.cumsum(counts) - counts
-    for k, t in enumerate(first):  # an operator's terms, summed in order
-        view[k] = prod[t] + prod[t + 1] if counts[k] > 1 else prod[t]
+    for k, (t, count) in enumerate(zip(first, counts)):  # an operator's terms, summed in order
+        view[k] = sum(prod[t + 1:t + count], prod[t])
     return out.reshape(len(ops), -1, cols)
 
 
@@ -279,8 +274,8 @@ def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.
     ``adjoint[g]`` and keeps the cells with |alpha| <= N - src[g] as sources
     and |alpha| <= N - dst[g] as destinations.  Returns each group's norm.
 
-    A term (slot s or None, block M, costs c) moves alpha to alpha + delta,
-    delta = e_s or 0, with phase chi_c(alpha); its adjoint moves alpha to
+    A term (slot s, block M, costs c) moves alpha to alpha + delta, delta = e_s
+    (0 for the cellwise slot m), with phase chi_c(alpha); its adjoint moves alpha to
     alpha - delta with block M*, costs conj(c) and the constant
     1 / conj(chi_c(delta)).  A product of two terms from alpha is then
     chi_l(delta_r) (chi_l chi_r)(alpha) M_l M_r at the displacement
@@ -303,13 +298,13 @@ def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.
     fock = ops[0].fock
     m, N, d = fock.m, fock.N, fock.coeff_dim
     eye = np.eye(d)
-    terms = [t for op in ops for t in op.terms] + [(None, eye, np.ones(m))]
-    counts, T = np.array([len(op.terms) for op in ops] + [1]), len(terms)
-    slot = np.array([m if s is None else s for s, _, _ in terms] * 2)  # slot m: no shift
+    _, slots, blocks, term_costs = stack_terms(ops)  # then the identity: slot m, I, all 1
+    counts, T = np.array([len(op.terms) for op in ops] + [1]), len(slots) + 1
+    slot = np.concatenate([slots, [m]] * 2)
     costs = np.ones((T, m + 1), dtype=complex)  # with chi(e_m) = 1
-    costs[:, :m] = [c for _, _, c in terms]
+    costs[:-1, :m] = term_costs
     costs = np.concatenate([costs, costs.conj()])  # row T + t: the costs of term t's adjoint
-    blocks = np.array([b for _, b, _ in terms], dtype=complex)
+    blocks = np.concatenate([blocks, eye[None]])
     blocks = np.concatenate([blocks, adj(blocks)])
     plain = np.all(blocks == eye, axis=(1, 2))  # identity blocks
     # every (left term, right term) of every pair; lt is the left term's row
@@ -370,7 +365,7 @@ def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.
 
 def creation_operators(model: FockModel, slots) -> list:
     """Left creation operators of generators ``slots`` (0-based) on F_N(E) (x) D,
-    from one cost table and one unimodularity check.
+    from one cost table: each is the one term (s, I, costs).
 
     Creation s maps cell (alpha, v) to prod_{t < s} u(s, t)^alpha_t *
     (alpha + e_s, v) (front insertion); cells at the truncation boundary
@@ -381,10 +376,8 @@ def creation_operators(model: FockModel, slots) -> list:
     if bad.size:
         raise DimensionMismatch(f"generator index {bad[0]} out of range")
     costs = np.where(np.arange(model.m) < slots[:, None], model.merged_phases[slots], 1)
-    if not np.all(np.abs(np.abs(costs) - 1.0) <= PHASE_TOL):
-        raise DimensionMismatch(f"need {model.m} unimodular character costs, one per slot")
     eye = np.eye(model.coeff_dim, dtype=complex)
-    return [FockOperator._of_terms(model, [(s, eye, c)]) for s, c in zip(slots.tolist(), costs)]
+    return [FockOperator(model, [(s, eye, c)]) for s, c in zip(slots.tolist(), costs)]
 
 
 def creation_matrix(model: FockModel, s: int) -> FockOperator:

@@ -125,6 +125,8 @@ def covariant(rng: np.random.Generator, n: int, dimH: int, k: int = 2,
         automorphisms = [pool[rng.integers(2)] for _ in range(n)]
     algebra = AlgebraStructure(k=k, block_of=np.repeat(np.arange(k), width),
                                automorphisms=automorphisms)
+    if (rows := len(algebra.automorphisms)) != n:
+        raise GenerationFailed(f"covariant style needs n = {n} automorphisms, got {rows}")
     bs = _commuting_polynomials(rng, n, width, nilpotent=True)
     # P_i sends e_r to e_{a_i[r]}: its columns are those of the identity, permuted by a_i
     ops = [np.kron(np.eye(k, dtype=complex)[:, a], b) for a, b in zip(algebra.automorphisms, bs)]

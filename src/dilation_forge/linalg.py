@@ -76,7 +76,7 @@ def psd_checks(stack) -> list:
     if not np.isfinite(stack).all():
         raise NonFinite("matrix contains NaN or Inf entries (non-finite input, or overflow)")
     if rows != cols:
-        raise NonSquare(f"psd_check needs a square matrix, got {(rows, cols)}")
+        raise NonSquare(f"psd_checks needs square matrices, got {(rows, cols)}")
     if not stack.size:
         return [PsdReport(True, 0.0, 0.0)] * k
     herm = adj(stack)
@@ -87,11 +87,6 @@ def psd_checks(stack) -> list:
                    (norms[:k] / np.maximum(1.0, norms[k:])).tolist())]
 
 
-def psd_check(a) -> PsdReport:
-    """``psd_checks`` of the one matrix ``a``."""
-    return psd_checks(as_matrix(a)[None])[0]
-
-
 def _psd_cutoff(eigs: np.ndarray) -> np.ndarray:
     """The verdict min_eig >= -PSD_TOL * max(1, ||A||_2) from ascending
     eigenvalues along the last axis."""
@@ -100,18 +95,18 @@ def _psd_cutoff(eigs: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(a, report) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition, of a matrix or of each
-    matrix in a (k, dim, dim) stack from one batched ``eigh``.
+    """Hermitian PSD square root via eigendecomposition of each matrix in a
+    (k, dim, dim) stack, from one batched ``eigh``.
 
-    ``report`` is the caller's ``psd_check`` of ``a`` (of a stack: one per
-    matrix, in order), which has checked that it is finite and square, and
-    whose ``eigvalsh`` verdict decides.  Eigenvalues in [-PSD_TOL*scale, 0)
+    ``report`` is the caller's ``psd_checks`` of ``a`` (one per matrix, in
+    order), which has checked that it is finite and square, and whose
+    ``eigvalsh`` verdict decides.  Eigenvalues in [-PSD_TOL*scale, 0)
     are clamped to zero; anything more negative raises :class:`NotPSD`, and
     so does a Hermitian defect above 1e-8 (relative): no meaningful Szego
     operator has one.
     """
     a = np.asarray(a)
-    for r in ([report] if a.ndim == 2 else report):
+    for r in report:
         if r.hermitian_defect > 1e-8:
             raise NotPSD(f"matrix is not Hermitian (defect {r.hermitian_defect:.3e})")
         if not r.is_psd:

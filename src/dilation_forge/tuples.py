@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from copy import copy
 from dataclasses import dataclass, field
+from numbers import Number
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,10 +42,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _checked_complex(values, shape: tuple, what: str) -> np.ndarray:
-    """A read-only complex array of ``shape`` from ``values``: one conversion,
-    one shape check and one finiteness check."""
+    """A read-only complex copy of ``values`` of ``shape``, from one dtype, shape
+    and finiteness check: a string, bytes, a bool or None is a ``MalformedSpec``
+    naming its entry (read entry by entry only then)."""
     try:
-        arr = np.array(values, dtype=complex)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "iufc":  # not a numeric array
+            arr = np.array(values, dtype=object)
+            for where, x in np.ndenumerate(arr):
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, Number):
+                    raise MalformedSpec(f"{what} entry {where} is {x!r}, not a number")
+        arr = np.array(arr, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         raise MalformedSpec(f"{what} must be an array of numbers of shape {shape}") from None
     if arr.shape != shape:

@@ -48,9 +48,9 @@ any size, shows in these residuals as it would on the cells.
 Equivariance counts cells as well.  rho(p) is the indicator of the
 coordinates labelled p, and cell alpha's labels are g(alpha) = prod_s
 a_s^{alpha_s} of D's, for the merged automorphisms, which commute.  So a term
-(slot s or None, block M) of W, of automorphism a_W, puts W rho(a_W^{-1}(p)) -
+(slot s, block M) of W, of automorphism a_W, puts W rho(a_W^{-1}(p)) -
 rho(p) W at (i, j) of a source cell alpha exactly when [g(alpha)(x_i) = p] xor
-[g(alpha)(y_j) = p], x = a_s(D) (D for a cellwise term) and y = a_W(D); with
+[g(alpha)(y_j) = p], x = a_s(D) (D for the cellwise slot s = m) and y = a_W(D); with
 N[p, q] = #{alpha : g(alpha)(q) = p} over its source cells, its squared
 residual is sum_q N[p, q] sum_ij |M_ij|^2 ([x_i = q][y_j != q] + [x_i != q]
 [y_j = q]), its squared reference sum_q N[p, q] sum_ij |M_ij|^2 [x_i = q].
@@ -68,7 +68,8 @@ from math import comb
 import numpy as np
 
 from .builder import DilationModel, degree_layers, simplex_mass
-from .fock import apply_adjoints, enumerate_indices, interior_projector, product_norms
+from .fock import (apply_adjoints, enumerate_indices, interior_projector, product_norms,
+                   stack_terms)
 from .linalg import adj, eye, frob_stack, rel_residual
 
 TOLERANCES = {
@@ -240,16 +241,15 @@ def _covariance(model: DilationModel, autos) -> np.ndarray:
     ``autos``, and each component p (see the module docstring)."""
     merged, labels = model.merged.algebra.automorphisms, model.layout.D
     ops, k = model.isometries + [model.L1], merged.shape[1]
-    owner = np.repeat(np.arange(len(ops)), [len(op.terms) for op in ops])
-    slots, blocks, _ = zip(*(term for op in ops for term in op.terms))
-    x = np.array([labels if s is None else merged[s, labels] for s in slots])
+    owner, slots, blocks, _ = stack_terms(ops)
+    x = np.vstack([merged, np.arange(k)])[slots][:, labels]  # row m: a cellwise term's identity
     rows = (x[..., None] == np.arange(k)).astype(float)  # [x_i = q]
     cols = (autos[owner][:, labels, None] == np.arange(k)).astype(float)  # [y_j = q]
-    mass = np.abs(np.array(blocks)) ** 2
+    mass = np.abs(blocks) ** 2
     mismatch = np.sum(rows * (mass @ (1.0 - cols)) + (1.0 - rows) * (mass @ cols), axis=1)  # F
     total = np.sum(rows * mass.sum(axis=2, keepdims=True), axis=1)  # R
     # a shift term's sources are the cells with |alpha| <= N - 1, a cellwise term's all
-    counts = _relabel_counts(merged, model.N)[[model.N + (s is None) for s in slots]]
+    counts = _relabel_counts(merged, model.N)[model.N + (slots == model.fock.m)]
     squares = np.zeros((len(ops), 2, k))
     np.add.at(squares, owner, np.einsum("tpq,tcq->tcp", counts, np.stack([mismatch, total], 1)))
     return np.sqrt(squares[:, 0]) / np.maximum(1.0, np.sqrt(squares[:, 1]))

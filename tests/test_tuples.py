@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilation_forge.builder import effective_algebra
-from dilation_forge.errors import MalformedSpec, NonFinite, UnsupportedMultiplicity
+from dilation_forge.errors import (GenerationFailed, MalformedSpec, NonFinite,
+                                   UnsupportedMultiplicity)
 from dilation_forge.generators import (STYLES, parrott_tuple, random_tuple, scalar_triple,
                                        zero_tuple)
 from dilation_forge.io import tuple_from_dict, tuple_to_dict
-from dilation_forge.linalg import adj, frob, psd_check
+from dilation_forge.linalg import adj, frob
 from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify, cp_apply,
                                    cp_map_matrix, is_pure, merge_1n, szego_operator,
                                    szego_operators, validate)
+from linalg_reference import psd_check
 
 
 def subset_product(spec, G):
@@ -73,6 +76,17 @@ def test_malformed_specs():
         TupleSpec.from_operators([[[0.5]]] * 2, algebra={"k": 1})
     with pytest.raises(MalformedSpec):  # checked before the generator builds P_i from it
         random_tuple("covariant", 2, 4, seed=0, automorphisms=[[0, 5], [0, 1]])
+    with pytest.raises(GenerationFailed, match="n = 3 automorphisms, got 1"):  # one per index
+        random_tuple("covariant", 3, 4, seed=0, automorphisms=[[0, 1]])
+    # a numeric string, bytes, None and a bool, in the blocks and in the phase table
+    for entry in ("0.5", b"1", None, True):
+        named = rf"blocks entry \(0, 0, 0, 0\) is {re.escape(repr(entry))}"
+        with pytest.raises(MalformedSpec, match=named):
+            TupleSpec(n=1, dimH=1, d=1, blocks=[[[[entry]]]])
+        with pytest.raises(MalformedSpec, match=r"phase table entry \(0, 0\)"):
+            TupleSpec(n=1, dimH=1, d=1, blocks=[[[[0.5]]]], phases=[[entry]])
+    with pytest.raises(MalformedSpec, match=r"entry \(0, 0, 1, 0\) is 'x'"):  # among numbers
+        TupleSpec(n=1, dimH=2, d=1, blocks=[[[[0.5, 0.0], ["x", 0.0]]]])
 
 
 def same_array(got, want) -> bool:

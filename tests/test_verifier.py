@@ -18,7 +18,7 @@ from dilation_forge.verifier import (TOLERANCES, _covariance, _relabel_counts, f
                                      verify_intertwining, verify_isometric_representation,
                                      verify_moments, verify_pi)
 from fock_reference import (apply, cell_blocks, coordinate_labels, covariance, sparse_product,
-                            sparse_terms_norm)
+                            sparse_terms_norm, two_block_terms)
 from padding import padded_model
 
 
@@ -261,7 +261,7 @@ def test_one_pass_keeps_each_pair_in_its_residual():
     k = 3  # V_3 is the creation operator of merged slot k - 1 (0-based)
     [(slot, block, costs)] = creation_matrix(model.fock, k - 1).terms
     turn = np.exp(0.7j * (np.arange(model.fock.m) != slot))
-    bent = FockOperator(model.fock, None, 1.25 * block, slot, costs * turn)
+    bent = FockOperator(model.fock, [(slot, 1.25 * block, costs * turn)])
     bent_model = with_isometries(model, model.isometries[:k - 1] + [bent] + model.isometries[k:])
     after = verify_isometric_representation(bent_model)
     assert list(after) == list(before)
@@ -288,7 +288,7 @@ def test_commutation_is_gated_at_linear():
     k = 3  # V_3 is the creation operator of merged slot k - 1 (0-based)
     [(slot, block, costs)] = creation_matrix(model.fock, k - 1).terms
     turn = np.exp(5e-10j * (np.arange(model.fock.m) != slot))
-    bent = FockOperator(model.fock, None, block, slot, costs * turn)
+    bent = FockOperator(model.fock, [(slot, block, costs * turn)])
     report = full_report(with_isometries(
         model, model.isometries[:k - 1] + [bent] + model.isometries[k:]))
     bent_pairs = [f"commute_{i}_{j}" for i, j in combinations(range(1, 6), 2) if k in (i, j)]
@@ -308,8 +308,8 @@ def test_factorization_sees_a_bent_transfer_shift():
     tau = model.isometries[-1]
     (slot, shift, shift_costs), (_, diag, kappa_costs) = tau.terms
     turn = np.exp(0.7j * (np.arange(model.fock.m) == 1))
-    bent = FockOperator(model.fock, diag, shift, slot, shift_costs / kappa_costs * turn,
-                        kappa_costs)
+    bent = FockOperator(model.fock, two_block_terms(
+        model.fock, diag, shift, slot, shift_costs / kappa_costs * turn, kappa_costs))
     bent_model = with_isometries(model, model.isometries[:-1] + [bent])
     after = verify_isometric_representation(bent_model)
     assert list(after) == list(before)
@@ -333,7 +333,8 @@ def test_slightly_turned_transfer_shift_matches_per_pair(n, N, turn):
                                         n, 2, seed=4), N=N)
     (slot, shift, shift_costs), (_, diag, kappa_costs) = model.isometries[-1].terms
     costs = shift_costs / kappa_costs * np.exp(1j * turn * (np.arange(model.fock.m) == 1))
-    bent = FockOperator(model.fock, diag, shift, slot, costs, kappa_costs)
+    bent = FockOperator(model.fock, two_block_terms(model.fock, diag, shift, slot, costs,
+                                                    kappa_costs))
     bent_model = with_isometries(model, model.isometries[:-1] + [bent])
     got = verify_isometric_representation(bent_model)
     ref = {**per_pair_isometric_representation(bent_model), **per_pair_factorization(bent_model)}
