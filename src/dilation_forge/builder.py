@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
                      InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, apply_adjoints, creation_operators
-from .linalg import (adj, eye, frob, frob_stack, isometry_from_frames, orthogonal_complement,
-                     psd_checks, psd_sqrt, range_bases)
+from .fock import FockModel, FockOperator, apply_adjoints, creation_operators, degree_layers
+from .linalg import (RANK_TOL, adj, eye, frob, frob_stack, isometry_from_frames, psd_checks,
+                     psd_sqrt, range_bases)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, cp_apply, merge_1n,
                      ordered_power_products, purity_radii)
 
@@ -155,47 +155,21 @@ def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
     return trivial
 
 
-def _by_shape(fn, mats: list) -> list:
-    """``fn`` of each matrix of ``mats``, one call per shape on the stack of the
-    matrices of that shape; ``fn`` returns one result per stacked matrix."""
-    groups, out = {}, [None] * len(mats)
-    for i, mat in enumerate(mats):
-        groups.setdefault(mat.shape, []).append(i)
-    for rows in groups.values():
-        for i, result in zip(rows, fn(np.array([mats[i] for i in rows]))):
-            out[i] = result
-    return out
-
-
-def _complements(stack: np.ndarray) -> list:
-    """The orthogonal complement of the range of each matrix of a stack."""
-    return _by_shape(orthogonal_complement, range_bases(stack))
-
-
-def _per_component(mats: list, row_labels: list, col_labels: np.ndarray, k: int,
-                   bases_of) -> list:
-    """Per matrix of ``mats``, a basis that splits by algebra component, and the
-    component of each column.
-
-    Every matrix's block on the rows (labelled by its entry of ``row_labels``)
-    and the columns labelled p, for every component p, is mapped to
-    orthonormal columns by ``bases_of``, one call per block shape on the stack
-    of the blocks of that shape (``_by_shape``); they are embedded in the rows
-    labelled p, and the columns come grouped by component, p ascending.
-    """
-    cols = [np.flatnonzero(col_labels == p) for p in range(k)]
-    rows = [[np.flatnonzero(labels == p) for p in range(k)] for labels in row_labels]
-    subs = iter(_by_shape(bases_of, [mat[r[p][:, None], cols[p]] for mat, r in zip(mats, rows)
-                                     for p in range(k)]))
-    out = []
-    for mat, r in zip(mats, rows):
-        parts = [next(subs) for _ in range(k)]
-        widths = [part.shape[1] for part in parts]
-        basis, start = np.zeros((len(mat), sum(widths)), dtype=complex), 0
-        for p, part in enumerate(parts):
-            basis[r[p], start:start + part.shape[1]] = part
-            start += part.shape[1]
-        out.append((basis, np.repeat(np.arange(k), widths)))
+def _per_component(mats: np.ndarray, labels, k: int) -> list:
+    """Per matrix of the (j, dim, dim) stack ``mats``, a basis that splits by
+    algebra component and the component of each column: for each p, the range
+    basis of the matrix masked to the rows and columns labelled p (its row of
+    ``labels``, or ``labels`` for all; -1 for none), from one ``range_bases``
+    call in label order, so each block's basis is its own ``range_basis``, bit
+    for bit, and exactly 0 off its rows."""
+    order = np.argsort(labels, kind="stable")
+    mask = np.sort(labels)[..., None, :] == np.arange(k)[:, None]  # (matrix or all, p, coordinate)
+    ordered = mats[np.arange(len(mats))[:, None, None], order[..., :, None], order[..., None, :]]
+    masked = ordered[:, None] * (mask[..., :, None] & mask[..., None, :])
+    bases, out = iter(range_bases(masked.reshape(-1, *mats.shape[1:]))), []
+    for back in np.broadcast_to(np.argsort(order), mats.shape[:2]):  # each matrix's rows unsorted
+        parts = [next(bases) for _ in range(k)]
+        out.append((np.hstack(parts)[back], np.repeat(np.arange(k), [p.shape[1] for p in parts])))
     return out
 
 
@@ -223,7 +197,7 @@ def build_defects(spec: TupleSpec, alg: AlgebraStructure):
 
     sq[2:] -= merged.op(1) @ sq[2:] @ adj(merged.op(1))  # M becomes the merged square
     roots = psd_sqrt(sq, (report.szego_hat1, report.szego_hatn, *psd_checks(sq[2:])))
-    parts = _per_component(roots, [alg.block_of] * 3, alg.block_of, alg.k, range_bases)
+    parts = _per_component(roots, alg.block_of, alg.k)
     defects = {name: DefectData(root, *part)
                for name, root, part in zip(("hat1", "hatn", "hat1n"), roots, parts)}
 
@@ -267,9 +241,7 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
     mult2 = mult1[an_inv]
     aux1 = np.repeat(np.arange(alg.k), mult1)
     aux2 = np.repeat(np.arange(alg.k), mult2)
-    pair = np.empty(aux1.size, dtype=int)
-    for p in range(alg.k):
-        pair[aux1 == an_inv[p]] = np.flatnonzero(aux2 == p)
+    pair = np.argsort(an_inv[aux2], kind="stable")  # aux2's label-p block for aux1's an^{-1}(p)
     lab_d = np.concatenate([lab_qn, a1[lab_q1], aux1])
     lab_udom = np.concatenate([lab_q1, an[lab_qn], aux2])
     lab_dp = np.concatenate([lab_qn, aux1])
@@ -290,13 +262,26 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
 def build_V0(spec: TupleSpec, defects: dict, alg: AlgebraStructure) -> CouplingData:
     """Partial isometry V0: span X -> span Y and the complements M1, M2 of its
     initial and final spaces in D and Udom before padding (``alg`` as in
-    ``build_defects``)."""
+    ``build_defects``).  A frame masked to component p spans B_p (rank as in
+    ``range_bases``); the complement there is the range of I - B B* masked to p
+    (none where B_p fills p), in the order of its columns' leading coordinates."""
     x, y = defect_frames(spec, defects)
     qn, q1 = defects["hatn"].labels, defects["hat1"].labels
-    d_labels = np.concatenate([qn, alg.automorphisms[0, q1]])  # Dn (+) (E1 x D1)
-    udom_labels = np.concatenate([q1, alg.automorphisms[spec.n - 1, qn]])  # D1 (+) (En x Dn)
-    (m1, m1lab), (m2, m2lab) = _per_component([x, y], [d_labels, udom_labels], alg.block_of,
-                                              alg.k, _complements)
+    labels = np.stack([np.concatenate([qn, alg.automorphisms[0, q1]]),  # Dn (+) (E1 x D1)
+                       np.concatenate([q1, alg.automorphisms[spec.n - 1, qn]])])  # D1 (+) (En x Dn)
+    comp = np.arange(alg.k)[:, None, None]
+    rows = labels[:, None, :, None] == comp  # (frame, component, row, 1)
+    u, s, _ = np.linalg.svd(np.stack([x, y])[:, None] * (rows & (alg.block_of == comp)),
+                            full_matrices=False)
+    kept = s > RANK_TOL * s[..., :1]
+    span = u * kept[..., None, :]
+    filled = (rows.sum(axis=(2, 3)) == kept.sum(axis=2))[[[0], [1]], labels]  # by frame and row
+    parts = []
+    for basis, lab in _per_component(eye(len(x)) - np.sum(span @ adj(span), axis=1),
+                                     np.where(filled, -1, labels), alg.k):
+        order = np.lexsort((np.argmax(np.abs(basis), axis=0), lab))
+        parts += [basis[:, order], lab[order]]
+    m1, m1lab, m2, m2lab = parts
     return CouplingData(V0=isometry_from_frames(x, y), M1=m1, M2=m2, M1_labels=m1lab,
                         M2_labels=m2lab, algebra=alg, X=x, Y=y)
 
@@ -368,15 +353,14 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
     rn, r1, dD = layout.rn, layout.r1, layout.dim
     aux1, aux2 = layout.parts_D[2], layout.parts_Udom[2]
 
-    w = np.zeros((dD, dD), dtype=complex)
-    w[:rn + r1, :r1 + rn] = adj(coupling.V0)
+    u = np.zeros((dD, dD), dtype=complex)
+    u[:rn + r1, :r1 + rn] = adj(coupling.V0)
 
     dom_basis = np.hstack([pad_rows(coupling.M2, layout), eye(dD)[:, aux2]])
     dom_labels = np.concatenate([coupling.M2_labels, layout.Udom[aux2]])
     cod_basis = np.hstack([pad_rows(coupling.M1, layout), eye(dD)[:, aux1]])
     cod_labels = np.concatenate([coupling.M1_labels, layout.D[aux1]])
 
-    u = np.array(w)
     rng = None if completion_seed is None else np.random.default_rng(completion_seed)
     for p in range(alg.k):
         dom_p = dom_basis[:, np.flatnonzero(dom_labels == p)]
@@ -534,17 +518,6 @@ def build_Pi(xs: np.ndarray, powers: np.ndarray) -> np.ndarray:
     ``DilationModel`` forms Pi here, built or loaded alike.
     """
     return (xs @ powers).reshape(-1, xs.shape[1])
-
-
-def degree_layers(step, m: int, first: np.ndarray, N: int) -> list:
-    """[A_0, ..., A_N], A_k = sum_{|alpha| = k} step_1^{alpha_1} ... step_m^{alpha_m}(first),
-    by A_k(s) = A_k(s+1) + step_s(A_{k-1}(s)) over the slots s = m..1: O(mN)
-    steps, none assumed to commute with another."""
-    layer = [first] + [np.zeros_like(first)] * N  # layer[k] = A_k(s)
-    for s in range(m, 0, -1):
-        for k in range(1, N + 1):
-            layer[k] = layer[k] + step(s, layer[k - 1])
-    return layer
 
 
 def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.ndarray:

@@ -84,6 +84,17 @@ def degree_blocks(m: int, N: int) -> list:
     return [slice(comb(m + k - 1, m), comb(m + k, m)) for k in range(1, N + 1)]
 
 
+def degree_layers(step, m: int, first: np.ndarray, N: int) -> list:
+    """[A_0, ..., A_N], A_k = sum_{|alpha| = k} step_1^{alpha_1} ... step_m^{alpha_m}(first),
+    by A_k(s) = A_k(s+1) + step_s(A_{k-1}(s)) over the slots s = m..1: O(mN)
+    steps, none assumed to commute with another."""
+    layer = [first] + [np.zeros_like(first)] * N  # layer[k] = A_k(s)
+    for s in range(m, 0, -1):
+        for k in range(1, N + 1):
+            layer[k] = layer[k] + step(s, layer[k - 1])
+    return layer
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row of an integer array as one opaque byte-string key, for exact lookup."""
     rows = np.ascontiguousarray(rows)
@@ -247,22 +258,16 @@ def apply_adjoints(ops: list, x: np.ndarray) -> np.ndarray:
 
 
 def _deviation_sums(theta: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Per row, the sum of exp(i theta . alpha) - 1 over the cells with
-    |alpha| <= ``free`` (none for free < 0), degree by degree through the slots
-    with every z^p - 1 an ``expm1``: exact to rounding relative to |theta|
-    however small, and exactly 0 for theta = 0."""
-    rows, m = theta.shape
-    powers = np.arange(max(free.max(initial=0), 0) + 1)
-    count = (powers == 0) * 1.0
-    dev = np.zeros((rows, len(powers)), dtype=complex)
-    for s in range(m):
-        step = np.expm1(1j * theta[:, s, None] * powers)
-        total = count + dev
-        dev = np.cumsum(dev, axis=1)
-        for p in powers[1:]:
-            dev[:, p:] += step[:, p, None] * total[:, :-p]
-        count = np.cumsum(count)
-    return np.where(free >= 0, np.cumsum(dev, axis=1)[np.arange(rows), free.clip(0)], 0.0)
+    """Per row, the sum of exp(i theta . alpha) - 1 over the cells with |alpha| <=
+    ``free`` (none for free < 0): ``degree_layers`` of (count, deviation) pairs, a
+    slot-s factor taking (c, d) to (c, t c + (1 + t) d), t = expm1(i theta_s), so
+    exact to rounding relative to |theta| however small, and 0 for theta = 0."""
+    t = np.expm1(1j * theta.T)
+    first = np.array([np.ones(len(theta)), np.zeros(len(theta))], dtype=complex)
+    layers = degree_layers(lambda s, x: np.stack([x[0], t[s - 1] * x[0] + (1 + t[s - 1]) * x[1]]),
+                           theta.shape[1], first, max(free.max(initial=0), 0))
+    dev = np.cumsum([layer[1] for layer in layers], axis=0)
+    return np.where(free >= 0, dev[free.clip(0), np.arange(len(theta))], 0.0)
 
 
 def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.ndarray:

@@ -15,6 +15,7 @@ from .tuples import AlgebraStructure, TupleSpec, class_gate
 
 STYLES = ("jointly-nilpotent", "scaled-commuting", "u-commuting", "covariant")
 MARGIN = 1e-6  # minimum Szego eigenvalue and purity gap required of generated tuples
+PHASE_POOL = (1, -1, 1j, -1j)  # the commutation phases u_commuting draws from
 
 
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -72,15 +73,14 @@ def _weighted_shift(rng: np.random.Generator, dim: int) -> np.ndarray:
     return s
 
 
-def u_commuting(rng: np.random.Generator, n: int, dim: int,
-                phase_pool=(1, -1, 1j, -1j)) -> TupleSpec:
+def u_commuting(rng: np.random.Generator, n: int, dim: int) -> TupleSpec:
     """Weighted shift / diagonal pairs realizing unimodular commutation phases.
 
     n = 2: (S, D_q) with D_q S = q S D_q.  n = 3: a Kronecker pair of such
     systems sharing a diagonal, giving nontrivial phases on two of the three
     pairs (the third commutes).
     """
-    q1 = complex(phase_pool[rng.integers(len(phase_pool))])
+    q1 = complex(PHASE_POOL[rng.integers(len(PHASE_POOL))])
     if n == 2:
         s = _weighted_shift(rng, dim)
         d = np.diag(np.asarray([q1 ** j for j in range(dim)], dtype=complex))
@@ -89,7 +89,7 @@ def u_commuting(rng: np.random.Generator, n: int, dim: int,
         phases = np.asarray([[1, np.conj(q1)], [q1, 1]])
         return _scale_into_class([s, d], phases=phases)
     if n == 3:
-        q2 = complex(phase_pool[rng.integers(len(phase_pool))])
+        q2 = complex(PHASE_POOL[rng.integers(len(PHASE_POOL))])
         da, db = max(2, dim // 2), 2
         sa = _weighted_shift(rng, da)
         sb = _weighted_shift(rng, db)

@@ -8,20 +8,36 @@ basis vector so its first significantly-nonzero entry is positive real.
 
 from __future__ import annotations
 
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GramMismatch, NonFinite, NonSquare, NotPSD
+from .errors import DimensionMismatch, GramMismatch, MalformedSpec, NonFinite, NonSquare, NotPSD
 
 PSD_TOL = 1e-10   # PSD cutoff: min_eig >= -PSD_TOL * max(1, ||A||_2)
 RANK_TOL = 1e-10  # singular values below RANK_TOL * the largest one count as zero
 GRAM_TOL = 1e-8   # largest relative Gram mismatch isometry_from_frames accepts
 
 
+def as_complex(values, what: str) -> np.ndarray:
+    """A complex copy of the array of numbers ``values``, read entry by entry unless numeric:
+    a string, bytes, a bool or None is a :class:`MalformedSpec` naming it, as is a ragged array."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "iufc":  # not a numeric array
+            arr = np.array(values, dtype=object)
+            for where, x in np.ndenumerate(arr):
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, Number):
+                    raise MalformedSpec(f"{what} entry {where} is {x!r}, not a number")
+        return np.array(arr, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedSpec(f"{what} must be an array of numbers") from None
+
+
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-d complex ndarray and reject non-finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """A 2-d complex copy of ``a`` (``as_complex``), its entries finite."""
+    m = as_complex(a, "matrix")
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of ndim {m.ndim}")
     if m.size and not np.isfinite(m).all():
@@ -147,19 +163,6 @@ def range_basis(a) -> np.ndarray:
     repeated runs give identical output.
     """
     return range_bases(as_matrix(a)[None])[0]
-
-
-def orthogonal_complement(basis: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the orthogonal complement of the
-    span of the orthonormal columns of ``basis``, or of each basis in a
-    (k, n, r) stack from one batched SVD."""
-    n, r = basis.shape[-2:]
-    if r == 0:
-        return np.broadcast_to(eye(n), basis.shape[:-1] + (n,)).copy()
-    if r >= n:
-        return np.zeros(basis.shape[:-1] + (0,), dtype=complex)
-    u, _, _ = np.linalg.svd(basis, full_matrices=True)
-    return _normalize_column_phases(u[..., r:])
 
 
 def isometry_from_frames(x, y) -> np.ndarray:

@@ -19,14 +19,13 @@ from __future__ import annotations
 import itertools
 from copy import copy
 from dataclasses import dataclass, field
-from numbers import Number
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import MalformedSpec, NonFinite, UnsupportedMultiplicity
 from .fock import FockModel, degree_blocks
-from .linalg import PsdReport, adj, as_matrix, frob, frob_stack, psd_checks
+from .linalg import PsdReport, adj, as_complex, as_matrix, frob, frob_stack, psd_checks
 
 PURITY_TOL = 1e-8        # pure: cp radius < 1 - PURITY_TOL
 CONTRACTION_TOL = 1e-10  # row norms <= 1 + it; structure residuals <= it * max(1, max ||T_i||^2)
@@ -42,19 +41,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _checked_complex(values, shape: tuple, what: str) -> np.ndarray:
-    """A read-only complex copy of ``values`` of ``shape``, from one dtype, shape
-    and finiteness check: a string, bytes, a bool or None is a ``MalformedSpec``
-    naming its entry (read entry by entry only then)."""
-    try:
-        arr = np.asarray(values)
-        if arr.dtype.kind not in "iufc":  # not a numeric array
-            arr = np.array(values, dtype=object)
-            for where, x in np.ndenumerate(arr):
-                if isinstance(x, (bool, np.bool_)) or not isinstance(x, Number):
-                    raise MalformedSpec(f"{what} entry {where} is {x!r}, not a number")
-        arr = np.array(arr, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedSpec(f"{what} must be an array of numbers of shape {shape}") from None
+    """A read-only ``as_complex`` copy of ``values``, checked for ``shape`` and finiteness."""
+    arr = as_complex(values, what)
     if arr.shape != shape:
         raise MalformedSpec(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():

@@ -67,10 +67,10 @@ from math import comb
 
 import numpy as np
 
-from .builder import DilationModel, degree_layers, simplex_mass
-from .fock import (apply_adjoints, enumerate_indices, interior_projector, product_norms,
-                   stack_terms)
-from .linalg import adj, eye, frob_stack, rel_residual
+from .builder import DilationModel, simplex_mass
+from .fock import (apply_adjoints, degree_layers, enumerate_indices, interior_projector,
+                   product_norms, stack_terms)
+from .linalg import adj, eye, frob, frob_stack
 
 TOLERANCES = {
     "linear": 1e-10,   # single-operator intertwinings, isometries, commutation, equivariance
@@ -262,11 +262,12 @@ def verify_equivariance(model: DilationModel) -> dict:
     spec, alg, out = model.spec, model.spec.algebra, {}
     if alg is None:
         return out
-    # M rho_dom - rho_cod M has entries M_ij ([dom_j = p] - [cod_i = p])
+    # M rho_dom - rho_cod M has entries M_ij ([dom_j = p] - [cod_i = p]), for every p at once
+    comp = np.arange(alg.k)[:, None, None]
     for name, mat, (dom, cod) in (("equiv_U1", model.transfer.U1, model.layout.U1_labels),
                                   ("equiv_Un", model.transfer.Un, model.layout.Un_labels)):
-        out[name] = max(rel_residual(mat * ((dom == p)[None, :] != (cod == p)[:, None]), mat)
-                        for p in range(alg.k))
+        out[name] = float(frob_stack(mat * ((dom == comp) != (cod[:, None] == comp))).max()
+                          / max(1.0, frob(mat)))
     autos = np.concatenate([alg.automorphisms, model.merged.algebra.automorphisms[:1]])
     names = [f"equiv_v{i}" for i in range(1, spec.n + 1)] + ["equiv_L1"]
     out.update(zip(names, np.max(_covariance(model, autos), axis=1).tolist()))

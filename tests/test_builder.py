@@ -18,8 +18,7 @@ from dilation_forge.errors import (DimensionMismatch, IdentityResidualExceeded,
 from dilation_forge.fock import FockModel, enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.io import dump_json, model_to_dict
-from dilation_forge.linalg import (adj, isometry_from_frames, orthogonal_complement, psd_sqrt,
-                                   range_bases, range_basis)
+from dilation_forge.linalg import adj, isometry_from_frames, psd_sqrt, range_basis
 from dilation_forge.tuples import (AlgebraStructure, TupleSpec, class_gate, classify, merge_1n,
                                    ordered_power_products, szego_operator)
 from dilation_forge.verifier import full_report
@@ -113,6 +112,26 @@ def test_coupling_carries_each_intermediate_once(pad):
     for name in ("mult1", "mult2", "D", "Udom", "Dprime_rows", "Dprime_pair"):
         assert np.array_equal(getattr(st.layout, name), getattr(fresh, name)), name
     assert st.layout.parts_D == fresh.parts_D
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_aux_pairing_matches_per_component_loop(k):
+    """D' pairs aux1's label-an^{-1}(p) block with aux2's label-p block, in
+    order: the stable sort of aux2 by an^{-1} of its labels equals the loop it
+    replaced, for an order-k cycle an (an^{-1} != an from k = 3) and any
+    multiplicities, zeros included."""
+    rng = np.random.default_rng(k)
+    cycle = [(j + 1) % k for j in range(k)]
+    spec = random_tuple("covariant", 2, 2 * k, seed=k, k=k, automorphisms=[cycle, cycle])
+    defects, _, _ = defects_for(spec)
+    an_inv = np.argsort(spec.algebra.automorphisms[1])
+    for _ in range(20):
+        layout = coefficient_layout(spec, defects, rng.integers(0, 4, k), spec.algebra)
+        aux1, aux2 = layout.D[layout.parts_D[2]], layout.Udom[layout.parts_Udom[2]]
+        pair = np.empty(aux1.size, dtype=int)
+        for p in range(k):
+            pair[aux1 == an_inv[p]] = np.flatnonzero(aux2 == p)
+        assert np.array_equal(layout.Dprime_pair[layout.rn:], layout.r1 + layout.rn + pair)
 
 
 def test_solve_aux_scalar_mode():
@@ -581,64 +600,97 @@ def per_component_loop(mat, row_labels, col_labels, k, basis_of):
 
 
 def complement_of_range(block):
-    return orthogonal_complement(range_basis(block))
+    """The orthogonal complement of a block's range: the trailing left singular
+    vectors of its range basis."""
+    basis = range_basis(block)
+    return np.linalg.svd(basis, full_matrices=True)[0][:, basis.shape[1]:]
 
 
-def assert_per_component_matches_loop(mats, row_labels, col_labels, k):
-    for grouped, single in ((range_bases, range_basis), (builder._complements, complement_of_range)):
-        got = builder._per_component(mats, row_labels, col_labels, k, grouped)
-        assert len(got) == len(mats)
-        for (basis, labels), mat, rows in zip(got, mats, row_labels):
-            ref_basis, ref_labels = per_component_loop(mat, rows, col_labels, k, single)
-            assert basis.shape == ref_basis.shape and np.array_equal(basis, ref_basis)
-            assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+def crandn(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_same_spans(basis, labels, ref_basis, ref_labels):
+    """Orthonormal columns with the reference's labels, spanning its span."""
+    assert np.array_equal(labels, ref_labels)
+    assert np.abs(adj(basis) @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-14
+    assert np.abs(basis @ adj(basis) - ref_basis @ adj(ref_basis)).max(initial=0.0) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_shape_grouped_bases_match_per_block_calls(seed):
-    """The shape-grouped range bases and complements of ``_per_component``
-    equal ``range_basis`` and ``orthogonal_complement(range_basis(.))`` block by
-    block, bit for bit: components of unequal sizes (so several shape groups), a
-    rank-deficient block, a zero block, a component with no rows in one
-    matrix, one component (k = 1), and matrices of different row labels."""
+    """``_per_component`` masks each matrix to each component and takes every
+    range basis from one stack, with no grouping by shape; the bases equal the
+    per-block loop's ``range_basis`` block by block, bit for bit: interleaved
+    labels with k = 4 and k = 3, components of unequal sizes, a
+    rank-deficient block, a zero block, a component with no rows, rows of no
+    component (label -1), one label row per matrix, and one component (k = 1)."""
     rng = np.random.default_rng(seed)
-    k = 4
-    col_labels = rng.permutation(np.repeat(np.arange(k), [2, 2, 3, 1]))
-    roots = []
-    for _ in range(3):
-        mat = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) * 0.3
-        roots.append(mat * (col_labels[:, None] == col_labels))  # block diagonal by component
-    roots[1][np.ix_(col_labels == 2, col_labels == 2)] = 0.0  # a zero block
-    low = rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
-    roots[2][np.ix_(col_labels == 2, col_labels == 2)] = low  # rank one
-    assert_per_component_matches_loop(roots, [col_labels] * 3, col_labels, k)
-    x, y = rng.standard_normal((6, 8)) + 0j, rng.standard_normal((9, 8)) + 0j
-    x_rows = np.array([0, 0, 1, 2, 2, 2])  # no row of component 3
-    y_rows = rng.permutation(np.repeat(np.arange(k), [3, 2, 2, 2]))
-    assert_per_component_matches_loop([x, y], [x_rows, y_rows], col_labels, k)
+    for k, sizes in ((4, [2, 2, 3, 1]), (3, [2, 2, 2]), (3, [3, 0, 2])):
+        labels = rng.permutation(np.repeat(np.arange(k), sizes))
+        dim = labels.size
+        roots = crandn(rng, (3, dim, dim)) * 0.3 * (labels[:, None] == labels)
+        roots[1][np.ix_(labels == 2, labels == 2)] = 0.0  # a zero block
+        if k == 4:
+            low = rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
+            roots[2][np.ix_(labels == 2, labels == 2)] = low  # rank one
+        each = np.array([labels, np.where(labels == 0, -1, labels), rng.permutation(labels)])
+        for rows in (labels, each):
+            got = builder._per_component(roots, rows, k)
+            assert len(got) == 3
+            for (basis, got_labels), root, row in zip(got, roots, np.broadcast_to(rows, (3, dim))):
+                ref_basis, ref_labels = per_component_loop(root, row, row, k, range_basis)
+                assert basis.shape == ref_basis.shape and np.array_equal(basis, ref_basis)
+                assert got_labels.dtype == ref_labels.dtype
+                assert np.array_equal(got_labels, ref_labels)
     one = np.zeros(8, dtype=int)
-    assert_per_component_matches_loop(roots, [one] * 3, one, 1)
+    roots = crandn(rng, (3, 8, 8))
+    for (basis, got_labels), root in zip(builder._per_component(roots, one, 1), roots):
+        assert np.array_equal(basis, range_basis(root)) and not got_labels.any()
 
 
-def test_trivial_algebra_equals_a_checked_one():
-    """Without a declared algebra the builder's one-component algebra, which
-    skips the checks, has the fields ``AlgebraStructure`` checks and builds."""
-    spec = random_tuple("jointly-nilpotent", 4, 3, seed=0)
-    checked, trivial = AlgebraStructure(1, [0] * 3, [[0]] * 4), effective_algebra(spec)
-    assert trivial.k == checked.k == 1 and vars(trivial).keys() == vars(checked).keys()
-    for name in ("block_of", "automorphisms"):
-        got, want = getattr(trivial, name), getattr(checked, name)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    covariant = random_tuple("covariant", 3, 4, seed=0)
-    assert effective_algebra(covariant) is covariant.algebra
+def interleaved_covariant():
+    """A covariant k = 3 tuple whose coordinates are permuted so that no
+    component's coordinates are adjacent: ``block_of`` is [2, 0, 2, 0, 1, 1]."""
+    spec = random_tuple("covariant", 4, 6, seed=7, k=3)
+    perm = np.array([4, 1, 5, 0, 3, 2])
+    alg = AlgebraStructure(spec.algebra.k, spec.algebra.block_of[perm], spec.algebra.automorphisms)
+    return TupleSpec(n=spec.n, dimH=spec.dimH, d=1, blocks=spec.blocks[..., perm, :][..., perm],
+                     phases=spec.phases, algebra=alg)
+
+
+def assert_complements(spec, defects, coupling, alg):
+    """M1 and M2 against the frames X and Y: orthonormal, orthogonal to the
+    frame, exactly 0 off their component's rows, as many in component p as
+    its rows less the frame block's rank, labels ascending, each component's
+    columns in the order of their leading coordinates, and spanning the
+    per-block complements of the frame's blocks."""
+    n, blocks = spec.n, alg.block_of
+    d_labels = np.concatenate([defects["hatn"].labels, alg.automorphisms[0][defects["hat1"].labels]])
+    u_labels = np.concatenate([defects["hat1"].labels,
+                               alg.automorphisms[n - 1][defects["hatn"].labels]])
+    for got, got_labels, frame, rows in ((coupling.M1, coupling.M1_labels, coupling.X, d_labels),
+                                         (coupling.M2, coupling.M2_labels, coupling.Y, u_labels)):
+        assert np.abs(adj(got) @ frame).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(frame).max())
+        assert np.all(got[rows[:, None] != got_labels] == 0.0)
+        _, span_labels = per_component_loop(frame, rows, blocks, alg.k, range_basis)
+        assert np.array_equal(np.bincount(got_labels, minlength=alg.k),
+                              np.bincount(rows, minlength=alg.k)
+                              - np.bincount(span_labels, minlength=alg.k))
+        assert np.all(np.diff(got_labels) >= 0)
+        lead = np.argmax(np.abs(got), axis=0)
+        assert np.all((np.diff(lead) >= 0) | (np.diff(got_labels) > 0))
+        assert_same_spans(got, got_labels,
+                          *per_component_loop(frame, rows, blocks, alg.k, complement_of_range))
 
 
 @pytest.mark.parametrize("style,n", [("covariant", 4), ("covariant", 9), ("scaled-commuting", 5),
                                      ("jointly-nilpotent", 4), ("u-commuting", 3),
                                      ("scaled-commuting", 2), ("jointly-nilpotent", 10)])
 def test_built_defects_and_complements_match_per_block_calls(style, n, monkeypatch):
-    """A model's defect bases and its complements M1, M2 are those of the
-    per-matrix, per-component loop, bit for bit.  The merged square, which
+    """A model's defect bases are those of the per-matrix, per-component loop,
+    bit for bit, and its complements M1, M2 span the loop's per-block
+    complements and pass ``assert_complements``.  The merged square, which
     ``build_defects`` forms from the class gate's row of the inner indices
     2..n-1 (I for n = 2), is the merged tuple's own Szego operator, bit for bit."""
     squares = []
@@ -654,12 +706,56 @@ def test_built_defects_and_complements_match_per_block_calls(style, n, monkeypat
     for d in defects.values():
         basis, labels = per_component_loop(d.root, blocks, blocks, alg.k, range_basis)
         assert np.array_equal(d.basis, basis) and np.array_equal(d.labels, labels)
-    coupling = build_V0(spec, defects, alg)
-    d_labels = np.concatenate([defects["hatn"].labels,
-                               np.take(alg.automorphisms[0], defects["hat1"].labels)])
-    u_labels = np.concatenate([defects["hat1"].labels,
-                               np.take(alg.automorphisms[n - 1], defects["hatn"].labels)])
-    for got, got_labels, frame, rows in ((coupling.M1, coupling.M1_labels, coupling.X, d_labels),
-                                         (coupling.M2, coupling.M2_labels, coupling.Y, u_labels)):
-        basis, labels = per_component_loop(frame, rows, blocks, alg.k, complement_of_range)
-        assert np.array_equal(got, basis) and np.array_equal(got_labels, labels)
+    assert_complements(spec, defects, build_V0(spec, defects, alg), alg)
+
+
+def test_interleaved_components_build_exact_blocks():
+    """With interleaved components (k = 3) the defect bases are still the
+    per-block loop's, bit for bit, the complements pass ``assert_complements``,
+    with their exact zeros off their components, every equiv_* residual is at
+    most 1e-14 and the model verifies."""
+    spec = interleaved_covariant()
+    alg = spec.algebra
+    defects, _, _ = build_defects(spec, alg)
+    for d in defects.values():
+        basis, labels = per_component_loop(d.root, alg.block_of, alg.block_of, alg.k, range_basis)
+        assert np.array_equal(d.basis, basis) and np.array_equal(d.labels, labels)
+    assert_complements(spec, defects, build_V0(spec, defects, alg), alg)
+    report = full_report(assemble_model(spec, N=3))
+    assert report.passed
+    assert max(v for name, v in report.residuals.items() if name.startswith("equiv_")) <= 1e-14
+
+
+def test_a_span_that_fills_its_component_has_no_complement():
+    """t_1 = t_2 = S (+) I/2 with S the 3 x 3 shift, components interleaved:
+    in component 0 each frame spans both of its rows, so it has no complement
+    column, while component 1 gets its three, and the model needs no padding
+    and verifies.  With the defect bases turned by a unit phase, the frames'
+    masked I - B B* in component 0 is rounding, not zero, and still gives none."""
+    t = np.zeros((6, 6))
+    t[:3, :3], t[3:, 3:] = np.diag([1.0, 1.0], -1), 0.5 * np.eye(3)
+    perm = np.array([0, 3, 1, 4, 2, 5])
+    alg = AlgebraStructure(2, [0, 1, 0, 1, 0, 1], [[0, 1], [0, 1]])
+    spec = TupleSpec.from_operators([t[perm][:, perm]] * 2, algebra=alg)
+    defects, _, _ = build_defects(spec, alg)
+    turned = {name: builder.DefectData(d.root, d.basis * np.exp(0.7j), d.labels)
+              for name, d in defects.items()}
+    for defs in (defects, turned):
+        coupling = build_V0(spec, defs, alg)
+        assert coupling.M1_labels.tolist() == coupling.M2_labels.tolist() == [1, 1, 1]
+        assert_complements(spec, defs, coupling, alg)
+    model = assemble_model(spec, N=3)
+    assert model.layout.mult1.tolist() == [0, 0] and full_report(model).passed
+
+
+def test_trivial_algebra_equals_a_checked_one():
+    """Without a declared algebra the builder's one-component algebra, which
+    skips the checks, has the fields ``AlgebraStructure`` checks and builds."""
+    spec = random_tuple("jointly-nilpotent", 4, 3, seed=0)
+    checked, trivial = AlgebraStructure(1, [0] * 3, [[0]] * 4), effective_algebra(spec)
+    assert trivial.k == checked.k == 1 and vars(trivial).keys() == vars(checked).keys()
+    for name in ("block_of", "automorphisms"):
+        got, want = getattr(trivial, name), getattr(checked, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    covariant = random_tuple("covariant", 3, 4, seed=0)
+    assert effective_algebra(covariant) is covariant.algebra

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilation_forge.builder import assemble_model, dilated_isometries
-from dilation_forge.errors import DimensionMismatch, NonFinite
+from dilation_forge.errors import DimensionMismatch, MalformedSpec, NonFinite
 from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, apply_adjoints,
                                  creation_matrix, creation_operators, enumerate_indices,
                                  interior_cells, interior_projector, _deviation_sums,
@@ -189,6 +189,17 @@ def test_cell_budget_bounds_the_model():
         assert comb(m + N, m) > MAX_CELLS
         with pytest.raises(DimensionMismatch, match=f"budget of {MAX_CELLS}"):
             trivial_model(m, N)
+
+
+@pytest.mark.parametrize("phases,where", [([["1", "1"], ["1", "1"]], "(0, 0)"),
+                                          ([[True]], "(0, 0)"), ([[None]], "(0, 0)"),
+                                          ([[1.0, 1.0], [1.0, "1"]], "(1, 1)")])
+def test_a_phase_that_is_not_a_number_is_named(phases, where):
+    """A hand-made model's merged phase table follows the tuple's rule for a
+    number: a numeric string is not parsed, a bool is not 1, None is not NaN;
+    each is a ``MalformedSpec`` naming its entry."""
+    with pytest.raises(MalformedSpec, match=rf"entry \({where[1:-1]}\) is "):
+        FockModel(m=len(phases), N=1, coeff_dim=1, merged_phases=phases)
 
 
 SHAPES = [(1, 0, 2), (2, 0, 1), (1, 1, 3), (3, 1, 2), (2, 3, 2), (3, 2, 3), (1, 4, 1)]

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from dilation_forge.errors import DimensionMismatch, GramMismatch, NonFinite, NonSquare, NotPSD
-from dilation_forge.linalg import (PSD_TOL, _normalize_column_phases, adj, frob, frob_stack,
-                                   isometry_from_frames, orthogonal_complement, psd_checks,
-                                   psd_sqrt, range_bases, range_basis)
+from dilation_forge.errors import (DimensionMismatch, GramMismatch, MalformedSpec, NonFinite,
+                                   NonSquare, NotPSD)
+from dilation_forge.linalg import (PSD_TOL, _normalize_column_phases, adj, as_matrix, frob,
+                                   frob_stack, isometry_from_frames, psd_checks, psd_sqrt,
+                                   range_bases, range_basis)
 from linalg_reference import psd_check, psd_root
 
 
@@ -252,15 +255,6 @@ def test_unitary_completion_dimension_mismatch():
         unitary_completion(w, np.eye(2), np.eye(2)[:, :1])
 
 
-def test_orthogonal_complement():
-    rng = np.random.default_rng(4)
-    b = range_basis(crandn(rng, (5, 2)))
-    c = orthogonal_complement(b)
-    assert c.shape == (5, 5 - b.shape[1])
-    assert np.linalg.norm(adj(c) @ b) < 1e-12
-
-
-
 def loop_column_phases(b):
     """The per-column loop that ``linalg._normalize_column_phases`` replaced."""
     b = b.copy()
@@ -328,11 +322,30 @@ def test_range_bases_of_a_stack_equal_each_matrix():
     assert [g.shape for g in range_bases(np.zeros((2, 3, 0)))] == [(3, 0), (3, 0)]
 
 
-@pytest.mark.parametrize("n,r", [(5, 0), (5, 1), (5, 3), (4, 4), (1, 1)])
-def test_orthogonal_complement_of_a_stack_equals_each_basis(n, r):
-    rng = np.random.default_rng(10 * n + r)
-    stack = np.array([np.linalg.qr(crandn(rng, (n, n)))[0][:, :r] for _ in range(3)])
-    got = orthogonal_complement(stack)
-    assert got.shape == (3, n, n - r)
-    for g, b in zip(got, stack):
-        assert g.tobytes() == orthogonal_complement(b).tobytes()
+@pytest.mark.parametrize("entries,where", [([["1", "0"], ["0", "1"]], "(0, 0)"),
+                                           ([[1.0, b"1"]], "(0, 1)"), ([[True]], "(0, 0)"),
+                                           ([[0.5, 0.0], [None, 0.5]], "(1, 0)")])
+def test_a_matrix_entry_that_is_not_a_number_is_named(entries, where):
+    """``as_matrix`` and what reads through it take the tuple's rule for a
+    number: a string, bytes, a bool or None is a ``MalformedSpec`` naming its
+    entry, not parsed, read as 1 or read as NaN."""
+    for read in (as_matrix, range_basis, lambda a: isometry_from_frames(a, a)):
+        with pytest.raises(MalformedSpec, match=rf"entry {re.escape(where)} is "):
+            read(entries)
+
+
+def test_a_numeric_matrix_is_read_as_before():
+    """Numeric arrays and nested lists of numbers convert in one step, as a
+    copy; a ragged matrix is a ``MalformedSpec``, non-finite entries ``NonFinite``."""
+    a = np.arange(6, dtype=np.int64).reshape(2, 3)
+    got = as_matrix(a)
+    assert got.dtype == complex and np.array_equal(got, a)
+    z = np.eye(2, dtype=complex)
+    assert as_matrix(z) is not z and np.array_equal(as_matrix(z), z)
+    assert np.array_equal(as_matrix([[1, 2.5], [1j, np.float32(2)]]), [[1, 2.5], [1j, 2]])
+    with pytest.raises(MalformedSpec):
+        as_matrix([[1.0, 2.0], [3.0]])
+    with pytest.raises(NonFinite):
+        as_matrix([[np.nan]])
+    with pytest.raises(DimensionMismatch):
+        as_matrix([1.0, 2.0])
