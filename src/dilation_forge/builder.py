@@ -56,7 +56,7 @@ class CoefficientLayout:
         D'   = Dn (+) aux1
 
     ``rn``/``r1`` are the ranks of D_hatn/D_hat1; aux1 holds ``mult1[p]``
-    coordinates of component p and aux2 ``mult2[p] = mult1[an^{-1}(p)]``.
+    coordinates of component p and aux2 ``mult1[an^{-1}(p)]``.
     ``parts_D`` and ``parts_Udom`` slice the three parts of D and Udom, and
     ``Dprime_rows`` are the coordinates of D' inside D.  ``Dprime_pair`` is
     each D' coordinate's partner in Udom: Dn's in En x Dn, and aux1's in aux2
@@ -69,7 +69,6 @@ class CoefficientLayout:
     rn: int
     r1: int
     mult1: np.ndarray
-    mult2: np.ndarray
     D: np.ndarray
     Udom: np.ndarray
     parts_D: tuple
@@ -238,9 +237,8 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
     rn, r1 = lab_qn.size, lab_q1.size
     an_inv = np.argsort(an)
     mult1 = np.array(mult1, dtype=int)
-    mult2 = mult1[an_inv]
     aux1 = np.repeat(np.arange(alg.k), mult1)
-    aux2 = np.repeat(np.arange(alg.k), mult2)
+    aux2 = np.repeat(np.arange(alg.k), mult1[an_inv])
     pair = np.argsort(an_inv[aux2], kind="stable")  # aux2's label-p block for aux1's an^{-1}(p)
     lab_d = np.concatenate([lab_qn, a1[lab_q1], aux1])
     lab_udom = np.concatenate([lab_q1, an[lab_qn], aux2])
@@ -250,10 +248,10 @@ def coefficient_layout(spec: TupleSpec, defects: dict, mult1,
     dprime_pair = np.concatenate([np.arange(r1, r1 + rn), r1 + rn + pair])
     u1_labels = (np.concatenate([lab_d, g1n[lab_dp]]), np.concatenate([a1[lab_d], lab_dp]))
     un_labels = (np.concatenate([lab_d, g1n[lab_q1]]), np.concatenate([an[lab_d], lab_q1]))
-    for arr in (mult1, mult2, lab_d, lab_udom, dprime_rows, dprime_pair, *u1_labels, *un_labels):
+    for arr in (mult1, lab_d, lab_udom, dprime_rows, dprime_pair, *u1_labels, *un_labels):
         arr.setflags(write=False)
     return CoefficientLayout(
-        rn=rn, r1=r1, mult1=mult1, mult2=mult2, D=lab_d, Udom=lab_udom,
+        rn=rn, r1=r1, mult1=mult1, D=lab_d, Udom=lab_udom,
         parts_D=(slice(0, rn), slice(rn, rn + r1), slice(rn + r1, dim)),
         parts_Udom=(slice(0, r1), slice(r1, r1 + rn), slice(r1 + rn, dim)),
         Dprime_rows=dprime_rows, Dprime_pair=dprime_pair, U1_labels=u1_labels, Un_labels=un_labels)

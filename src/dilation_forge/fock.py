@@ -31,8 +31,9 @@ s = m.  ``stack_terms`` turns a family's terms into arrays and checks them,
 for every reader.  An operator is never stored as a dim x dim matrix, nor as
 one block per cell: ``apply_adjoints`` applies its adjoint cell by cell from
 one table of the cells each term reads (``FockOperator.reads``).
-``product_norms`` measures sums of products of such operators from their
-blocks and characters in closed form, without reading a cell.
+``product_norms`` measures sums of products of such operators, and
+``isometry_defects`` each W*W - I, from their blocks and characters in
+closed form, without reading a cell.
 """
 
 from __future__ import annotations
@@ -270,101 +271,92 @@ def _deviation_sums(theta: np.ndarray, free: np.ndarray) -> np.ndarray:
     return np.where(free >= 0, dev[free.clip(0), np.arange(len(theta))], 0.0)
 
 
-def product_norms(ops: list, left, right, coef, group, adjoint, src, dst) -> np.ndarray:
+def isometry_defects(ops: list) -> np.ndarray:
+    """||W*W - I|| of each operator W of ``ops`` on the cells with |alpha| <= N - 1,
+    as sources and as destinations: sqrt(C(N - 1) ||sum_t M_t* M_t - I||^2 +
+    2 C(N - 2) sum_{t < t'} ||M_t* M_t'||^2) over its terms' blocks, C(K) the
+    cell count comb(m + K, m) (0 for K < 0).  A term meets its own adjoint
+    with |chi|^2 = 1, and each pair of distinct terms at a displacement of its
+    own, so no character but its modulus enters."""
+    m, N, d = ops[0].fock.m, ops[0].fock.N, ops[0].fock.coeff_dim
+    owner, _, blocks, _ = stack_terms(ops)
+    cells = [comb(m + K, m) if K >= 0 else 0 for K in (N - 1, N - 2)]
+    gram = np.add.reduceat(adj(blocks) @ blocks, np.searchsorted(owner, np.arange(len(ops))))
+    flat = (gram - np.eye(d)).reshape(len(ops), d * d).view(float)
+    t, u = np.nonzero(np.triu(owner[:, None] == owner, 1))  # none for one-term operators
+    cross = (adj(blocks[t]) @ blocks[u]).reshape(len(t), d * d).view(float)
+    return np.sqrt(cells[0] * np.einsum("ij,ij->i", flat, flat) + 2 * cells[1]
+                   * np.bincount(owner[t], np.einsum("ij,ij->i", cross, cross),
+                                 minlength=len(ops)))
+
+
+def product_norms(ops: list, left, right, coef, group, src) -> np.ndarray:
     """Frobenius norms of sums of products of Fock operators on interior
     cells, in closed form: no cell is read.
 
     Pair p adds coef[p] ops[left[p]] ops[right[p]] to group[p]; index
-    len(ops) is the identity.  Group g takes the left factor's adjoint where
-    ``adjoint[g]`` and keeps the cells with |alpha| <= N - src[g] as sources
-    and |alpha| <= N - dst[g] as destinations.  Returns each group's norm.
+    len(ops) is the identity.  Group g keeps the cells with |alpha| <= N -
+    src[g] as sources.  Returns each group's norm.
 
     A term (slot s, block M, costs c) moves alpha to alpha + delta, delta = e_s
-    (0 for the cellwise slot m), with phase chi_c(alpha); its adjoint moves alpha to
-    alpha - delta with block M*, costs conj(c) and the constant
-    1 / conj(chi_c(delta)).  A product of two terms from alpha is then
-    chi_l(delta_r) (chi_l chi_r)(alpha) M_l M_r at the displacement
-    Delta = delta_l + delta_r, on the cells alpha >= max(0, -Delta) that keep
-    every step within the truncation and the margins; all of them are one
-    batched matmul.  At one Delta a group's products have nested cell ranges
-    with one corner e_down; from there, alpha = e_down + beta, product k is Y_k
-    (its block times its value on e_down) times the character chi_k(beta).
-    Their squared norm over the cells is sum_k,l <Y_k, Y_l> sum_beta (1 +
-    (conj(chi_k) chi_l(beta) - 1)).  The 1s give, per range, C ||S||^2: S the
-    sum of the products on this range and the wider ones, C the binomial
-    count of its cells in no narrower range.  The rest, for characters that
-    differ, is 2 Re <Y_k, Y_l> times a sum of exp(i theta . beta) - 1
-    (``_deviation_sums``, theta the angles of conj(c_k) c_l).  Products that
-    cancel, with equal or nearly equal characters, cancel inside S and the
-    deviations, not between separately taken norms, so a small residual is
-    exact to rounding; characters count as their unimodular parts (a cost
-    within PHASE_TOL of the circle moves a norm by about 2 N PHASE_TOL at most).
+    (0 for the cellwise slot m), with phase chi_c(alpha).  A product of two
+    terms from alpha is then chi_l(delta_r) (chi_l chi_r)(alpha) M_l M_r at
+    the displacement Delta = delta_l + delta_r, on the sources with |alpha| <=
+    N - max(src[g], |Delta|); all of them are one batched matmul.  Product k
+    of one group at one Delta is Y_k (its block times chi_l(delta_r)) times
+    the character chi_k(alpha).  Their squared norm over the cells is
+    sum_k,l <Y_k, Y_l> sum_alpha (1 + (conj(chi_k) chi_l(alpha) - 1)).  The 1s
+    give C ||S||^2: S the sum of the products, C the binomial count of the
+    cells.  The rest, for characters that differ, is 2 Re <Y_k, Y_l> times a
+    sum of exp(i theta . alpha) - 1 (``_deviation_sums``, theta the angles of
+    conj(c_k) c_l).  Products that cancel, with equal or nearly equal
+    characters, cancel inside S and the deviations, not between separately
+    taken norms, so a small residual is exact to rounding; characters count
+    as their unimodular parts (a cost within PHASE_TOL of the circle moves a
+    norm by about 2 N PHASE_TOL at most).
     """
-    fock = ops[0].fock
-    m, N, d = fock.m, fock.N, fock.coeff_dim
-    eye = np.eye(d)
+    m, N, d = ops[0].fock.m, ops[0].fock.N, ops[0].fock.coeff_dim
     _, slots, blocks, term_costs = stack_terms(ops)  # then the identity: slot m, I, all 1
-    counts, T = np.array([len(op.terms) for op in ops] + [1]), len(slots) + 1
-    slot = np.concatenate([slots, [m]] * 2)
-    costs = np.ones((T, m + 1), dtype=complex)  # with chi(e_m) = 1
+    counts = np.array([len(op.terms) for op in ops] + [1])
+    slot = np.concatenate([slots, [m]])
+    costs = np.ones((len(slot), m + 1), dtype=complex)  # with chi(e_m) = 1
     costs[:-1, :m] = term_costs
-    costs = np.concatenate([costs, costs.conj()])  # row T + t: the costs of term t's adjoint
-    blocks = np.concatenate([blocks, eye[None]])
-    blocks = np.concatenate([blocks, adj(blocks)])
-    plain = np.all(blocks == eye, axis=(1, 2))  # identity blocks
+    blocks = np.concatenate([blocks, np.eye(d)[None]])
+    plain = np.all(blocks == np.eye(d), axis=(1, 2))  # identity blocks
     # every (left term, right term) of every pair; lt is the left term's row
     first, width = np.cumsum(counts) - counts, np.arange(counts.max())
     left, right = np.asarray(left), np.asarray(right)
     p, a, b = np.nonzero((width < counts[left][:, None])[:, :, None]
                          & (width < counts[right][:, None])[:, None])
     g = np.asarray(group)[p]
-    flip = np.asarray(adjoint)[g]
-    lt, rt = first[left[p]] + a + T * flip, first[right[p]] + b
-    sl, sr = slot[lt], slot[rt]
-    # Delta = e_sl + e_sr, or e_sr - e_sl with ``flip``, as e_up + e_up2 - e_down
-    up = np.where(flip, np.where(sl == sr, m, sr), np.minimum(sl, sr))
-    up2, down = np.where(flip, m, np.maximum(sl, sr)), np.where(flip & (sl != sr), sl, m)
-    moved = (up < m) * 1 + (up2 < m) - (down < m)
-    top = N - np.maximum(np.maximum(sr < m, moved),
-                         np.maximum(np.asarray(src)[g], np.asarray(dst)[g] + moved))
-    free = (top - (down < m)).clip(-1)  # the cells alpha >= e_down with |alpha| <= top
-    kind = ((g * (m + 1) + up) * (m + 1) + up2) * (m + 1) + down
-    key = kind * (N + 2) + free + 1
-    order = np.argsort(key, kind="stable")  # products by (group, Delta, cell range)
-    p, g, flip, lt, rt, sl, sr, down, free, kind, key = (
-        x[order] for x in (p, g, flip, lt, rt, sl, sr, down, free, kind, key))
+    lt, rt = first[left[p]] + a, first[right[p]] + b
+    sl, sr = slot[lt], slot[rt]  # Delta = e_sl + e_sr
+    free = (N - np.maximum((sl < m) * 1 + (sr < m), np.asarray(src)[g])).clip(-1)
+    kind = (g * (m + 1) + np.minimum(sl, sr)) * (m + 1) + np.maximum(sl, sr)
+    order = np.argsort(kind, kind="stable")  # products by (group, Delta)
+    p, g, lt, rt, sr, free, kind = (x[order] for x in (p, g, lt, rt, sr, free, kind))
     chars = costs[lt] * costs[rt]
-    const = np.asarray(coef, dtype=complex)[p] * costs[lt, sr] / np.where(flip, costs[lt, sl], 1)
     prods = blocks[np.where(plain[lt], rt, lt)]
     both = np.flatnonzero(~plain[lt] & ~plain[rt])
     prods[both] = blocks[lt[both]] @ blocks[rt[both]]
-    corner = chars[np.arange(len(p)), down]  # each product from its first cell, e_down
-    prods *= (const * corner / np.abs(corner))[:, None, None]
-    # the counts: per (group, Delta, cell range), ||S||^2 times its cells in no narrower one
-    opens = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    band = np.add.reduceat(prods, opens, axis=0)
-    outer, within = band.copy(), np.concatenate([[False], kind[opens[1:]] == kind[opens[:-1]]])
-    lower = np.where(within, np.concatenate([[-1], free[opens[:-1]]]), -1)  # next narrower range
-    for step in range(1, len(opens)):
-        same = kind[opens[step:]] == kind[opens[:-step]]
-        if not same.any():
-            break
-        outer[:-step][same] += band[step:][same]
+    prods *= (np.asarray(coef, dtype=complex)[p] * costs[lt, sr])[:, None, None]
+    # the counts: per (group, Delta), ||S||^2 times its cells
+    opens = np.flatnonzero(np.concatenate([[True], kind[1:] != kind[:-1]]))
+    flat = np.add.reduceat(prods, opens, axis=0).reshape(len(opens), -1).view(float)
     size = np.array([0] + [comb(m + k, m) for k in range(N + 1)], dtype=float)
-    flat = outer.reshape(len(opens), -1).view(float)
-    squares = np.bincount(g[opens], np.einsum("ij,ij->i", flat, flat)
-                          * (size[free[opens] + 1] - size[lower + 1]), minlength=len(adjoint))
+    squares = np.bincount(g[opens], np.einsum("ij,ij->i", flat, flat) * size[free[opens] + 1],
+                          minlength=len(src))
     # the characters: 2 Re <Y_k, Y_l> (sum of conj(chi_k) chi_l - 1 over the
-    # common cells) for the products of one group and Delta whose characters differ
-    odd = np.any(chars != chars[np.searchsorted(kind, kind)], axis=1)  # unlike the first
-    if odd.any():
-        mixed = np.flatnonzero(np.isin(kind, kind[odd]))
+    # cells) for the products of one group and Delta whose characters differ
+    odd = kind[1:][(kind[1:] == kind[:-1]) & np.any(chars[1:] != chars[:-1], axis=1)]
+    if odd.size:
+        mixed = np.flatnonzero(np.isin(kind, odd))
         j, k = mixed[np.argwhere(kind[mixed, None] == kind[mixed])].T
         angles = np.angle(chars[:, :m])
         j, k = (x[np.any(angles[j] != angles[k], axis=1)] for x in (j, k))
-        dev = _deviation_sums(angles[k] - angles[j], np.minimum(free[j], free[k]))
+        dev = _deviation_sums(angles[k] - angles[j], free[j])
         squares += np.bincount(g[j], (np.sum(prods[j].conj() * prods[k], axis=(1, 2))
-                                      * dev).real, minlength=len(adjoint))
+                                      * dev).real, minlength=len(src))
     return np.sqrt(np.maximum(squares, 0.0))
 
 

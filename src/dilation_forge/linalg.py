@@ -116,10 +116,10 @@ def psd_sqrt(a, report) -> np.ndarray:
 
     ``report`` is the caller's ``psd_checks`` of ``a`` (one per matrix, in
     order), which has checked that it is finite and square, and whose
-    ``eigvalsh`` verdict decides.  Eigenvalues in [-PSD_TOL*scale, 0)
-    are clamped to zero; anything more negative raises :class:`NotPSD`, and
-    so does a Hermitian defect above 1e-8 (relative): no meaningful Szego
-    operator has one.
+    ``eigvalsh`` verdict decides.  Eigenvalues within PSD_TOL*scale of 0, on
+    either side, are zeroed, so rounding makes no root direction; anything
+    more negative raises :class:`NotPSD`, and so does a Hermitian defect
+    above 1e-8 (relative): no meaningful Szego operator has one.
     """
     a = np.asarray(a)
     for r in report:
@@ -130,7 +130,8 @@ def psd_sqrt(a, report) -> np.ndarray:
     if a.shape[-1] == 0:
         return a.copy()
     w, v = np.linalg.eigh(0.5 * (a + adj(a)))
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ adj(v)
+    band = PSD_TOL * np.maximum(np.maximum(1.0, w[..., -1:]), np.abs(w[..., :1]))
+    return (v * np.sqrt(np.where(w > band, w, 0.0))[..., None, :]) @ adj(v)
 
 
 def _normalize_column_phases(b: np.ndarray) -> np.ndarray:

@@ -7,12 +7,12 @@ single-operator identities, margin 2 where two operators compose.
 
 Fock operators are applied to Pi, never stored as dim x dim matrices, and
 never composed cell by cell.  The isometry, commutation and factorization
-residuals are norms of sums of products of Fock operators, and
-``fock.product_norms`` gives them in closed form from the operators' d x d
-blocks and characters, without reading a cell, so that their time and memory
-do not depend on N.  One call measures every W_i* W_i - I, every
-V_a V_b - u(a,b) V_b V_a and each reference V_b V_a, both transfer
-factorizations of V_1 and V_n and the reference L1.
+residuals are norms of sums of products of Fock operators in closed form
+from their d x d blocks and characters, reading no cell, so that their time
+and memory do not depend on N: ``fock.isometry_defects`` gives each
+W_i* W_i - I, and one ``fock.product_norms`` call every V_a V_b - u(a,b)
+V_b V_a and its reference V_b V_a, both transfer factorizations and the
+reference L1.
 
 The closed form counts cells.  Let m = n - 1 and C(K) = comb(m + K, m), the
 number of cells with |alpha| <= K (0 for K < 0).  Every term of tau1, the
@@ -33,7 +33,7 @@ chi_l(delta_r) M_l M_r||^2:
   cells, D*S from alpha to alpha + e_s on the C(N - 2) cells with
   |alpha| <= N - 2, and its adjoint S*D on as many.  So isometry_v_i =
   sqrt(C(N - 1) ||D*D + S*S - I||^2 + 2 C(N - 2) ||D*S||^2), divided by the
-  unit max(1, sqrt(C(N - 1) d)).
+  unit max(1, sqrt(C(N - 1) d)), whatever the characters (``isometry_defects``).
 * V_a V_b - u(a,b) V_b V_a, V_1 V_n - L1 and V_n V_1 - u(n,1) L1, and their
   references V_b V_a and L1, have one kind of cell: the C(N - min(2, N))
   source cells.  At N = 1 the term pairs with |Delta| = 2 fall past the
@@ -69,7 +69,7 @@ import numpy as np
 
 from .builder import DilationModel, simplex_mass
 from .fock import (apply_adjoints, degree_layers, enumerate_indices, interior_projector,
-                   product_norms, stack_terms)
+                   isometry_defects, product_norms, stack_terms)
 from .linalg import adj, eye, frob, frob_stack
 
 TOLERANCES = {
@@ -142,32 +142,30 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     merged creation L1, the reversed product L1 up to the flip phase u(n,1)
     that re-orders the two fused factors.
 
-    W*W - I is measured on the cells with |alpha| <= N - 1, as sources and as
-    destinations, relative to sqrt(#interior coordinates); the products on the
-    source cells with |alpha| <= N - min(2, N), relative to V_j V_i or L1
-    there.  One ``product_norms`` call (see the module docstring): group i - 1
-    is W_i* W_i - I, n + q the q-th pair i < j (``combinations`` order),
-    n + Q + q its V_j V_i, and the last three V_1 V_n - L1, V_n V_1 - u(n,1) L1, L1.
+    ``isometry_defects`` measures W*W - I relative to sqrt(#interior
+    coordinates); one ``product_norms`` call (see the module docstring) the
+    products on the source cells with |alpha| <= N - min(2, N): group q is
+    the q-th pair i < j (``combinations`` order), Q + q its V_j V_i, and the
+    last three V_1 V_n - L1, V_n V_1 - u(n,1) L1 and their reference L1.
     """
     spec, fock, n = model.spec, model.fock, model.spec.n
     lo, hi = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
-    every, pairs, q = np.arange(n), len(lo), np.arange(len(lo))
-    one, fac = np.full(n, n + 1), n + 2 * pairs  # index n: L1, n + 1: the identity
-    iso = np.arange(fac + 3) < n  # the groups of W_i* W_i - I
+    pairs, q = len(lo), np.arange(len(lo))
+    fac = 2 * pairs  # ops index n: L1, n + 1: the identity
     norms = product_norms(
         model.isometries + [model.L1],
-        left=np.concatenate([every, one, lo, hi, hi, [0, n + 1, n - 1, n + 1, n + 1]]),
-        right=np.concatenate([every, one, hi, lo, lo, [n - 1, n, 0, n, n]]),
-        coef=np.concatenate([np.ones(n), -np.ones(n), np.ones(pairs), -spec.phases[lo, hi],
-                             np.ones(pairs), [1.0, -1.0, 1.0, -spec.u(n, 1), 1.0]]),
-        group=np.concatenate([every, every, n + q, n + q, n + pairs + q,
-                              [fac, fac, fac + 1, fac + 1, fac + 2]]),
-        adjoint=iso, src=np.where(iso, 1, min(2, fock.N)), dst=iso.astype(int))
+        left=np.concatenate([lo, hi, hi, [0, n + 1, n - 1, n + 1, n + 1]]),
+        right=np.concatenate([hi, lo, lo, [n - 1, n, 0, n, n]]),
+        coef=np.concatenate([np.ones(pairs), -spec.phases[lo, hi], np.ones(pairs),
+                             [1.0, -1.0, 1.0, -spec.u(n, 1), 1.0]]),
+        group=np.concatenate([q, q, pairs + q, [fac, fac, fac + 1, fac + 1, fac + 2]]),
+        src=np.full(fac + 3, min(2, fock.N)))
     unit = max(1.0, np.sqrt(comb(fock.m + fock.N - 1, fock.m) * fock.coeff_dim))
-    out = {f"isometry_v{i + 1}": float(norms[i] / unit) for i in range(n)}
+    out = {f"isometry_v{i + 1}": float(v / unit)
+           for i, v in enumerate(isometry_defects(model.isometries))}
     # the commutators and factorizations, each over its reference
-    diff = norms[np.concatenate([n + q, [fac, fac + 1]])]
-    ref = np.maximum(1.0, norms[np.concatenate([n + pairs + q, [fac + 2, fac + 2]])])
+    diff = norms[np.concatenate([q, [fac, fac + 1]])]
+    ref = np.maximum(1.0, norms[np.concatenate([pairs + q, [fac + 2, fac + 2]])])
     names = [f"commute_{i + 1}_{j + 1}" for i, j in zip(lo, hi)] + list(PRODUCT_GATED)
     out.update(zip(names, (diff / ref).tolist()))
     return out

@@ -109,7 +109,7 @@ def test_coupling_carries_each_intermediate_once(pad):
     src = adj(hat1n.basis) @ hat1n.root
     assert np.max(np.abs(block - isometry_from_frames(src, dst) @ src)) <= 1e-14
     fresh = coefficient_layout(spec, st.defects, st.layout.mult1, st.coupling.algebra)
-    for name in ("mult1", "mult2", "D", "Udom", "Dprime_rows", "Dprime_pair"):
+    for name in ("mult1", "D", "Udom", "Dprime_rows", "Dprime_pair"):
         assert np.array_equal(getattr(st.layout, name), getattr(fresh, name)), name
     assert st.layout.parts_D == fresh.parts_D
 
@@ -134,6 +134,23 @@ def test_aux_pairing_matches_per_component_loop(k):
         assert np.array_equal(layout.Dprime_pair[layout.rn:], layout.r1 + layout.rn + pair)
 
 
+def test_a_rotated_shift_pair_dilates_as_the_shift_pair():
+    """(W S W*, W S W*), S the 3 x 3 shift and W a unitary, is in the class
+    as (S, S) is, builds, passes ``full_report`` and has the defect ranks of
+    (S, S): the Szego squares' rounding eigenvalues give no root direction."""
+    rng = np.random.default_rng(3)
+    w, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    s = np.eye(3, k=-1)
+    ranks = []
+    for t in (s, w @ s @ adj(w)):
+        spec = TupleSpec.from_operators([t, t])
+        assert classify(spec).in_T1n
+        model = assemble_model(spec, N=4)
+        assert full_report(model).passed
+        ranks.append({name: d.basis.shape[1] for name, d in model.defects.items()})
+    assert ranks[1] == ranks[0] == {"hat1": 1, "hatn": 1, "hat1n": 2}
+
+
 def test_solve_aux_scalar_mode():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=0)
     defects, _, _ = defects_for(spec)
@@ -148,7 +165,8 @@ def test_solve_aux_user_padding():
     raised between ``solve_aux`` and ``build_U``."""
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=1)
     st = padded_coupling(spec, 2)
-    assert st.layout.mult1.tolist() == st.layout.mult2.tolist() == [2]
+    assert st.layout.mult1.tolist() == [2]
+    assert st.layout.Udom[st.layout.parts_Udom[2]].tolist() == [0, 0]  # aux2, as many
     assert st.layout.dim == coefficient_layout(spec, st.defects, [0], st.coupling.algebra).dim + 2
     u = st.U
     assert np.linalg.norm(adj(u) @ u - np.eye(u.shape[0])) < 1e-12
@@ -167,8 +185,9 @@ def test_solve_aux_equivariant_minimal_padding():
     coupling = build_V0(spec, defects, effective_algebra(spec))
     mult1 = solve_aux(spec, coupling)
     assert mult1.tolist() == [1, 0]
-    assert coefficient_layout(spec, defects, mult1,
-                              effective_algebra(spec)).mult2.tolist() == [0, 1]
+    assert mult1[np.argsort(spec.algebra.automorphisms[-1])].tolist() == [0, 1]  # aux2's
+    layout = coefficient_layout(spec, defects, mult1, effective_algebra(spec))
+    assert layout.Udom[layout.parts_Udom[2]].tolist() == [1]
 
 
 def test_solve_aux_infeasible():

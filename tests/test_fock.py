@@ -10,8 +10,8 @@ from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch, MalformedSpec, NonFinite
 from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, apply_adjoints,
                                  creation_matrix, creation_operators, enumerate_indices,
-                                 interior_cells, interior_projector, _deviation_sums,
-                                 product_norms)
+                                 interior_cells, interior_projector, isometry_defects,
+                                 _deviation_sums, product_norms)
 from dilation_forge.generators import random_tuple
 from dilation_forge.linalg import adj
 from fock_reference import (apply, product as pair_product, sparse_product,
@@ -306,20 +306,24 @@ def test_cell_and_creation_phases_are_unimodular_characters(m, N, seed, quarter_
         assert np.allclose(phase[total], phase[first] * phase[second], rtol=0, atol=1e-14)
 
 
+def random_block(model, rng, quarter_turns):
+    """A d x d block: Gaussian-integer entries with ``quarter_turns``, so that
+    with costs that are powers of i every product and sum of blocks and
+    phases is exact in floating point whatever the order."""
+    d = model.coeff_dim
+    if quarter_turns:
+        return rng.integers(-3, 4, (d, d)) + 1j * rng.integers(-3, 4, (d, d))
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / (2 * d)
+
+
 def operator_zoo(model, rng, quarter_turns):
     """A diagonal-plus-shift operator of random character costs and a creation
-    operator per slot.
-
-    With ``quarter_turns`` the blocks have Gaussian-integer entries and the
-    costs are powers of i, so every product and sum of blocks and phases is
-    exact in floating point whatever the order.
-    """
-    d, m = model.coeff_dim, model.m
+    operator per slot, exact in floating point with ``quarter_turns``
+    (``random_block``)."""
+    m = model.m
 
     def block():
-        if quarter_turns:
-            return rng.integers(-3, 4, (d, d)) + 1j * rng.integers(-3, 4, (d, d))
-        return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / (2 * d)
+        return random_block(model, rng, quarter_turns)
 
     ops = []
     for s in range(m):
@@ -334,9 +338,8 @@ def operator_zoo(model, rng, quarter_turns):
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_products_match_dense_products(m, N, coeff, quarter_turns):
     """The closed-form norm of every product of two operators of the zoo or
-    the identity, and of the left one's adjoint times the other, on the
-    interior cells of every pair of margins, equals the norm of the dense
-    product there: bit for bit with quarter turns, whose sums are exact."""
+    the identity, on the source cells of every margin, equals the norm of the
+    dense product there: bit for bit with quarter turns, whose sums are exact."""
     model, rng = random_model(m, N, coeff, 10 * m + N, quarter_turns)
     same = (lambda a, b: a == b) if quarter_turns else \
         (lambda a, b: np.isclose(a, b, rtol=1e-13, atol=1e-15))
@@ -344,27 +347,25 @@ def test_products_match_dense_products(m, N, coeff, quarter_turns):
     mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]  # index len(ops): the identity
     left, right = np.divmod(np.arange(len(mats) ** 2), len(mats))
     every = np.arange(len(left))
-    for adjoint, src, dst in product((False, True), range(N + 1), range(N + 1)):
+    for src in range(N + 1):
         norms = product_norms(ops, left, right, np.ones(len(left)), every,
-                              np.full(len(left), adjoint), np.full(len(left), src),
-                              np.full(len(left), dst))
+                              np.full(len(left), src))
         for g, (a, b) in enumerate(zip(left, right)):
-            ref = terms_norm(model, [(1.0, pair_product(mats[a], mats[b], adjoint))], src, dst)
-            assert same(norms[g], ref), (adjoint, src, dst, a, b, norms[g], ref)
+            ref = terms_norm(model, [(1.0, pair_product(mats[a], mats[b]))], src)
+            assert same(norms[g], ref), (src, a, b, norms[g], ref)
     if N <= 1:  # a second creation shifts past the truncation degree
         creations = np.arange(1, len(ops), 2)
         pairs = len(creations) ** 2
         norms = product_norms(ops, creations.repeat(len(creations)), np.tile(creations, m),
-                              np.ones(pairs), np.arange(pairs), np.zeros(pairs, dtype=bool),
-                              np.zeros(pairs, dtype=int), np.zeros(pairs, dtype=int))
+                              np.ones(pairs), np.arange(pairs), np.zeros(pairs, dtype=int))
         assert not norms.any()
 
 
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_group_norms_match_dense_masked_norms(m, N, coeff):
     """Weighted sums of products spread over several groups, one of them
-    empty, each group with its own adjoint flag and margins, against the norms
-    of the dense weighted sums on those cells.  Products of one group at one
+    empty, each group with its own margin, against the norms of the dense
+    weighted sums on those source cells.  Products of one group at one
     displacement carry different characters here, so their cross terms are
     character sums over the cells."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 2, quarter_turns=False)
@@ -375,13 +376,12 @@ def test_group_norms_match_dense_masked_norms(m, N, coeff):
         left, right = rng.integers(0, len(mats), pairs), rng.integers(0, len(mats), pairs)
         group = rng.integers(0, groups - 1, pairs)  # group 3 gets no products
         coef = rng.standard_normal(pairs) + 1j * rng.standard_normal(pairs)
-        adjoint = rng.random(groups) < 0.5
-        src, dst = rng.integers(0, N + 1, groups), rng.integers(0, N + 1, groups)
-        norms = product_norms(ops, left, right, coef, group, adjoint, src, dst)
+        src = rng.integers(0, N + 1, groups)
+        norms = product_norms(ops, left, right, coef, group, src)
         for g in range(groups):
-            parts = [(coef[p], pair_product(mats[left[p]], mats[right[p]], adjoint[g]))
+            parts = [(coef[p], pair_product(mats[left[p]], mats[right[p]]))
                      for p in np.flatnonzero(group == g)]
-            assert np.isclose(norms[g], terms_norm(model, parts, src[g], dst[g]),
+            assert np.isclose(norms[g], terms_norm(model, parts, src[g]),
                               rtol=1e-13, atol=1e-15), g
         assert norms[groups - 1] == 0.0
 
@@ -418,15 +418,47 @@ def test_nearly_equal_characters_do_not_cancel(m, N, coeff, turn):
     mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]
     t, one = len(ops) - 1, len(ops)
     for b in range(len(ops)):
-        for adjoint, src, dst in product((False, True), range(N + 1), range(N + 1)):
-            norms = product_norms(ops, [0, t], [b, b], [1.0, -1.0], [0, 0], [adjoint],
-                                  [src], [dst])
-            diff = [(1.0, pair_product(mats[0], mats[b], adjoint)),
-                    (-1.0, pair_product(mats[t], mats[b], adjoint))]
-            ref = terms_norm(model, diff, src, dst)
-            assert abs(norms[0] - ref) <= 1e-14 + 1e-12 * ref, (b, adjoint, src, dst)
-    norms = product_norms(ops, [0, t], [one, one], [1.0, -1.0], [0, 0], [False], [0], [0])
+        for src in range(N + 1):
+            norms = product_norms(ops, [0, t], [b, b], [1.0, -1.0], [0, 0], [src])
+            diff = [(1.0, pair_product(mats[0], mats[b])), (-1.0, pair_product(mats[t], mats[b]))]
+            ref = terms_norm(model, diff, src)
+            assert abs(norms[0] - ref) <= 1e-14 + 1e-12 * ref, (b, src)
+    norms = product_norms(ops, [0, t], [one, one], [1.0, -1.0], [0, 0], [0])
     assert (norms[0] > 0) == (N > 0)  # at N = 0 every character is 1
+
+
+def general_operators(model, rng, quarter_turns, count=6):
+    """``count`` operators of 1 to m + 1 terms in random distinct slots, with
+    ``random_block`` blocks and unimodular costs."""
+    slots = [rng.permutation(model.m + 1)[:rng.integers(1, model.m + 2)] for _ in range(count)]
+    return [FockOperator(model, [(s, random_block(model, rng, quarter_turns),
+                                  random_costs(model, rng, quarter_turns)) for s in row.tolist()])
+            for row in slots]
+
+
+@pytest.mark.parametrize("quarter_turns", [True, False])
+@pytest.mark.parametrize("m,N,coeff", SHAPES + [(4, 3, 2)])
+def test_isometry_defects_match_dense_products(m, N, coeff, quarter_turns):
+    """||W*W - I|| on the cells with |alpha| <= N - 1, as sources and as
+    destinations, of general operators and of the creation operators, against
+    the dense product there: bit for bit with quarter turns, whose sums are
+    exact, and within 1e-15 of max(1, the dense norm) otherwise (a creation
+    operator's dense product rounds its phases' squared moduli); no cell at N = 0."""
+    model, rng = random_model(m, N, coeff, 10 * m + N + 5, quarter_turns)
+    ops = general_operators(model, rng, quarter_turns) + creation_operators(model, range(m))
+    got = isometry_defects(ops)
+    assert got.shape == (len(ops),)
+    if N == 0:
+        assert not got.any()
+        return
+    for w, norm in zip(ops, got):
+        dense = np.asarray(w)
+        ref = terms_norm(model, [(1.0, pair_product(dense, dense, adjoint=True))], 1, 1,
+                         minus_identity=True)
+        if quarter_turns:
+            assert norm == ref, (w.terms, norm, ref)
+        else:
+            assert abs(norm - ref) <= 1e-15 * max(1.0, ref), (norm, ref)
 
 
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
@@ -468,13 +500,12 @@ def test_an_operator_is_the_sum_of_its_terms(m, N, coeff):
     x = rng.standard_normal((model.dim, 2)) + 1j * rng.standard_normal((model.dim, 2))
     assert np.allclose(apply_adjoints([op] + parts, x)[0], adj(dense) @ x, rtol=0, atol=1e-13)
     margin = min(1, N)
-    for adjoint in (False, True):
-        norms = product_norms([op, parts[0]], [0, 0, 1], [0, 1, 2], [1.0, -0.5, 2.0], [0, 1, 2],
-                              [adjoint] * 3, [margin] * 3, [0] * 3)
-        mats = [dense, np.asarray(parts[0]), np.eye(model.dim)]
-        for g, (a, b, c) in enumerate(((0, 0, 1.0), (0, 1, -0.5), (1, 2, 2.0))):
-            ref = terms_norm(model, [(c, pair_product(mats[a], mats[b], adjoint))], margin, 0)
-            assert np.isclose(norms[g], ref, rtol=1e-12, atol=1e-14), (adjoint, g)
+    norms = product_norms([op, parts[0]], [0, 0, 1], [0, 1, 2], [1.0, -0.5, 2.0], [0, 1, 2],
+                          [margin] * 3)
+    mats = [dense, np.asarray(parts[0]), np.eye(model.dim)]
+    for g, (a, b, c) in enumerate(((0, 0, 1.0), (0, 1, -0.5), (1, 2, 2.0))):
+        ref = terms_norm(model, [(c, pair_product(mats[a], mats[b]))], margin)
+        assert np.isclose(norms[g], ref, rtol=1e-12, atol=1e-14), g
 
 
 def test_interior_cells_repeat_to_projector():
@@ -563,11 +594,13 @@ def test_transfer_shift_phases_are_back_insertion():
 
 def assert_rejected_at_use(op, error):
     """``op`` is built, and each first use of it raises ``error``:
-    ``apply_adjoints``, ``product_norms`` and ``np.asarray``."""
+    ``apply_adjoints``, ``product_norms``, ``isometry_defects`` and ``np.asarray``."""
     with pytest.raises(error):
         apply_adjoints([op], np.zeros((op.fock.dim, 1)))
     with pytest.raises(error):
-        product_norms([op], [0], [0], [1.0], [0], [False], [0], [0])
+        product_norms([op], [0], [0], [1.0], [0], [0])
+    with pytest.raises(error):
+        isometry_defects([op])
     with pytest.raises(error):
         np.asarray(op)
 
@@ -615,7 +648,8 @@ def test_costs_must_be_one_unimodular_number_per_slot(costs, which):
     assert_rejected_at_use(FockOperator(model, bad), DimensionMismatch)
     near = good * (1 + PHASE_TOL / 10)  # within the tolerance
     op = FockOperator(model, [(0, eye, near), (m, eye, near)])
-    assert np.isfinite(product_norms([op], [0], [0], [1.0], [0], [False], [0], [0])).all()
+    assert np.isfinite(product_norms([op], [0], [0], [1.0], [0], [0])).all()
+    assert np.isfinite(isometry_defects([op])).all()
     assert np.asarray(op).shape == op.shape
 
 

@@ -134,6 +134,18 @@ def test_psd_sqrt_clamps_tiny_negatives():
     assert b[1, 1] == 0.0
 
 
+def test_psd_sqrt_zeroes_the_band_on_both_sides():
+    """Eigenvalues within PSD_TOL * max(1, ||A||_2) of zero, positive ones
+    too, give no root singular value: a rank-1 square rotated by a unitary,
+    whose rounding eigenvalues are about 1e-16, keeps a rank-1 root."""
+    assert np.array_equal(psd_root(np.diag([4.0, 1e-11, -1e-11])), np.diag([2.0, 0.0, 0.0]))
+    assert psd_root(np.diag([1.0, 2e-10]))[1, 1] > 0.0  # outside the band
+    rng = np.random.default_rng(3)
+    w, _ = np.linalg.qr(crandn(rng, (3, 3)))
+    root = psd_root(w @ np.diag([1.0, 0.0, 0.0]) @ adj(w))
+    assert np.sum(np.linalg.svd(root, compute_uv=False) > 1e-12) == 1
+
+
 def test_psd_sqrt_rejects_indefinite():
     a = np.diag([1.0, -0.5])
     with pytest.raises(NotPSD):
