@@ -15,7 +15,7 @@ from .builder import (CoefficientLayout, CouplingData, DefectData, DilationModel
 from .errors import (DilationForgeError, DimensionMismatch, GenerationFailed, GramMismatch,
                      IdentityResidualExceeded, InfeasibleFinitePadding, MalformedSpec,
                      NonFinite, NonSquare, NotInClass, NotPSD, UnsupportedMultiplicity)
-from .fock import (FockModel, FockOperator, creation_matrix, enumerate_indices,
+from .fock import (FockFamily, FockModel, creation_matrix, enumerate_indices,
                    interior_projector)
 from .linalg import PsdReport, isometry_from_frames, psd_checks, psd_sqrt, range_basis
 from .tuples import (AlgebraStructure, ClassReport, TupleSpec, class_gate, classify, is_pure,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
                      InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
-from .fock import FockModel, FockOperator, apply_adjoints, creation_operators, degree_layers
+from .fock import FockFamily, FockModel, apply_adjoints, creation_terms, degree_layers
 from .linalg import (RANK_TOL, adj, eye, frob, frob_stack, isometry_from_frames, psd_checks,
                      psd_sqrt, range_bases)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, cp_apply, merge_1n,
@@ -113,7 +113,7 @@ class TransferData:
 class DilationModel:
     """The finite data that fix the dilation, ``transfer`` among them; the Fock model
     (which checks the cell budget first), the tails, the power table, Pi and the dilated
-    isometries are derived on construction, for built and loaded models alike."""
+    family are derived on construction, for built and loaded models alike."""
 
     spec: TupleSpec
     merged: TupleSpec
@@ -125,22 +125,19 @@ class DilationModel:
     tails: np.ndarray = field(init=False)
     powers: np.ndarray = field(init=False)  # ``ordered_power_products`` of the merged tuple
     Pi: np.ndarray = field(init=False)
-    isometries: list = field(init=False)
-    L1: FockOperator = field(init=False)  # the merged creation operator
+    isometries: FockFamily = field(init=False)  # tau1, L_2, ..., L_{n-1}, taun, then L1
 
     def __post_init__(self):
         self.fock = FockModel(self.merged.n, self.N, self.layout.dim, self.merged.phases)
         self.tails = truncation_tails(self.merged, self.defects["hat1n"].root, self.N)
-        self.isometries, self.L1 = dilated_isometries(self.spec, self.transfer, self.layout,
-                                                      self.fock)
+        self.isometries = dilated_isometries(self.spec, self.transfer, self.layout, self.fock)
         self.powers = ordered_power_products(self.merged, self.fock)
         self.Pi = build_Pi(pad_rows(self.transfer.frames[0], self.layout), self.powers)
 
     @cached_property
     def pi_adjoints(self) -> np.ndarray:
-        """V_i* Pi for each dilated isometry, then L1* Pi, read by the intertwining
-        and moment checks: one ``apply_adjoints`` per model."""
-        return apply_adjoints(self.isometries + [self.L1], self.Pi)
+        """The family's adjoints times Pi, formed once, read by the intertwining and moment checks."""
+        return apply_adjoints(self.isometries, self.Pi)
 
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
@@ -334,9 +331,16 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _check_seed(completion_seed: Optional[int]):
-    if (completion_seed or 0) < 0:
-        raise DilationForgeError(f"completion seed must be >= 0, got {completion_seed}")
+def _check_count(value, what: str, none: bool = False):
+    """``value`` as an int if it is an integer >= 0, Python or numpy but not a
+    bool (or None, with ``none``); a ``DilationForgeError`` naming ``what`` otherwise."""
+    if value is None and none:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DilationForgeError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise DilationForgeError(f"{what} must be >= 0, got {value}")
+    return int(value)
 
 
 def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
@@ -345,7 +349,7 @@ def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
     V0^{-1} to the unitary U: Udom -> D; returns ``(layout, U)``.  A
     ``completion_seed`` >= 0, the one free choice, rotates each component's
     completion by a seeded Haar unitary."""
-    _check_seed(completion_seed)
+    completion_seed = _check_count(completion_seed, "completion seed", none=True)
     alg = coupling.algebra
     layout = coefficient_layout(spec, defects, mult1, alg)
     rn, r1, dD = layout.rn, layout.r1, layout.dim
@@ -467,8 +471,8 @@ def build_transfer(spec: TupleSpec, coupling: CouplingData, layout: CoefficientL
 
 
 def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
-                 fock: FockModel, which: int) -> FockOperator:
-    """The transfer operator on the truncated model, read off U1 or Un alone.
+                 fock: FockModel, which: int) -> list:
+    """The terms of the transfer operator on the truncated model, read off U1 or Un alone.
 
     Realizes I_F (x) (A* + [I (x) C*] B*) with the domain identified through
     front insertion of the acting factor, so that the dilation identities hold
@@ -494,17 +498,17 @@ def transfer_tau(spec: TupleSpec, transfer: TransferData, layout: CoefficientLay
     # coefficient-end insertion of the merged factor: prod_{t > 0} u(t, 0)^alpha_t
     back = np.where(np.arange(fock.m) > 0, fock.merged_phases[:, 0], 1)
     kappa = np.array([merged_cost] + [spec.u(which, j) for j in range(2, spec.n)])
-    return FockOperator(fock, [(0, shift_block, back * kappa), (fock.m, adj(a), kappa)])
+    return [(0, shift_block, back * kappa), (fock.m, adj(a), kappa)]
 
 
 def dilated_isometries(spec: TupleSpec, transfer: TransferData, layout: CoefficientLayout,
-                       fock: FockModel) -> tuple[list, FockOperator]:
+                       fock: FockModel) -> FockFamily:
     """The dilated tuple (tau1, L_2, ..., L_{n-1}, taun) on the truncated model,
-    and the merged creation operator L1: the creation operators of every
-    merged slot come from one ``creation_operators`` call."""
-    l1, *middles = creation_operators(fock, range(fock.m))
-    return ([transfer_tau(spec, transfer, layout, fock, 1)] + middles
-            + [transfer_tau(spec, transfer, layout, fock, spec.n)]), l1
+    then the merged creation operator L1, as one family, checked once: the
+    creation terms of every merged slot come from one ``creation_terms`` call."""
+    l1, *middles = creation_terms(fock, range(fock.m))
+    return FockFamily(fock, [transfer_tau(spec, transfer, layout, fock, 1), *middles,
+                             transfer_tau(spec, transfer, layout, fock, spec.n), l1])
 
 
 def build_Pi(xs: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -536,9 +540,11 @@ def simplex_mass(dhat_root: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 def assemble_model(spec: TupleSpec, N: int = 4,
                    completion_seed: Optional[int] = None) -> DilationModel:
-    """Run the whole construction and package the dilation model; a negative
-    ``completion_seed`` is an input error, raised before any other work."""
-    _check_seed(completion_seed)
+    """Run the whole construction and package the dilation model.  A degree
+    ``N`` or a ``completion_seed`` (or None) that is no integer >= 0 is an
+    input error, raised before any other work."""
+    N = _check_count(N, "truncation degree N")
+    completion_seed = _check_count(completion_seed, "completion seed", none=True)
     alg = effective_algebra(spec)
     defects, merged, eq_resid = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)

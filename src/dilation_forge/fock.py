@@ -24,16 +24,13 @@ appear:
 
 With an all-ones table both conventions are the plain shift.
 
-Every Fock operator of the construction is a ``FockOperator``, a list of
-terms (slot s, d x d block, m costs): the block times a unimodular character
-of the cell, carried one cell up in slot s < m, or kept on its cell for
-s = m.  ``stack_terms`` turns a family's terms into arrays and checks them,
-for every reader.  An operator is never stored as a dim x dim matrix, nor as
-one block per cell: ``apply_adjoints`` applies its adjoint cell by cell from
-one table of the cells each term reads (``FockOperator.reads``).
-``product_norms`` measures sums of products of such operators, and
-``isometry_defects`` each W*W - I, from their blocks and characters in
-closed form, without reading a cell.
+Every Fock operator of the construction is a list of terms (slot s, d x d
+block, m costs), and a ``FockFamily`` the terms of a list of them as arrays,
+checked once, when it is made; never a dim x dim matrix, nor one block per
+cell.  Every reader takes a family: ``apply_adjoints`` applies its adjoints
+cell by cell from one table of the cells each term reads (``reads``),
+``product_norms`` measures sums of products of its operators, and
+``isometry_defects`` each W*W - I, in closed form, without reading a cell.
 """
 
 from __future__ import annotations
@@ -162,100 +159,99 @@ class FockModel:
         return table
 
 
-class FockOperator:
-    """A sum of terms on F_N(E) (x) D, one per slot at most: a term (s, M, c)
-    maps (alpha, v) to chi_c(alpha) (alpha + e_s, M v) for a slot s < m,
-    dropping output past |alpha| = N, and to chi_c(alpha) (alpha, M v) for
-    s = m; chi_c(alpha) = prod_s c_s^alpha_s of the m unimodular costs c.  The
-    terms are checked at first use (``stack_terms``), not here.  Its one
-    per-cell table is ``reads``, and ``apply_adjoints`` its one application.
+class FockFamily:
+    """Fock operators on F_N(E) (x) D, ``ops`` a list of per-operator term lists.
+    A term (s, M, c) maps (alpha, v) to chi_c(alpha) (alpha + e_s, M v) for a
+    slot s < m, dropping output past |alpha| = N, and to chi_c(alpha) (alpha,
+    M v) for s = m; chi_c(alpha) = prod_s c_s^alpha_s of the m unimodular costs c.
+
+    The constructor is the one check of terms: an operator is 1 to m + 1 terms
+    in distinct slots 0..m, each with a finite d x d block and m costs within
+    PHASE_TOL of the circle; anything else, a ragged entry too, is a
+    ``DimensionMismatch`` (a non-finite block ``NonFinite``).  It keeps read-only
+    arrays, a row per term in operator order: ``owner`` (its operator),
+    ``slots``, ``blocks``, ``costs``; ``starts`` is each operator's first row,
+    then the row count.  ``family[k]`` is operator k as a family of one, views
+    of these and of ``reads`` once formed; ``np.asarray`` of it is its matrix.
     """
 
-    def __init__(self, fock: FockModel, terms: list):
-        self.fock, self.shape, self.terms = fock, (fock.dim, fock.dim), list(terms)
+    def __init__(self, fock: FockModel, ops: list):
+        m, d = fock.m, fock.coeff_dim
+        form = f"an operator is 1 to {m + 1} terms (slot in 0..{m}, {d} x {d} block, {m} costs)"
+        try:
+            counts = [len(terms) for terms in ops]
+            slots, blocks, costs = zip(*[(s, b, c) for terms in ops for s, b, c in terms])
+            slots, blocks, costs = np.array(slots), np.array(blocks, complex), np.array(costs, complex)
+        except (TypeError, ValueError):
+            raise DimensionMismatch(form) from None
+        owner = np.repeat(np.arange(len(ops)), counts)
+        if (not all(counts) or slots.dtype.kind not in "iu" or slots.min() < 0 or slots.max() > m
+                or np.bincount(owner * (m + 1) + slots).max() > 1  # a slot twice in one operator
+                or blocks.shape[1:] != (d, d) or costs.shape[1:] != (m,)):
+            raise DimensionMismatch(form)
+        if not np.isfinite(blocks).all():
+            raise NonFinite("a term's block has NaN or Inf entries")
+        if not (np.abs(np.abs(costs) - 1.0) <= PHASE_TOL).all():
+            raise DimensionMismatch(f"need {m} unimodular character costs, one per slot")
+        for x in (owner, slots, blocks, costs):
+            x.setflags(write=False)
+        self.fock, self.owner, self.slots, self.blocks, self.costs = fock, owner, slots, blocks, costs
+        self.starts = np.cumsum([0] + counts).tolist()
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, k: int) -> FockFamily:
+        k = range(len(self))[k]  # an IndexError past either end, which ends iteration
+        lo, hi = self.starts[k], self.starts[k + 1]
+        one = object.__new__(FockFamily)
+        one.fock, one.owner, one.starts = self.fock, np.broadcast_to(0, (hi - lo,)), [0, hi - lo]
+        one.slots, one.blocks, one.costs = self.slots[lo:hi], self.blocks[lo:hi], self.costs[lo:hi]
+        if "reads" in vars(self):
+            one.reads = tuple(x[lo:hi] for x in self.reads)
+        return one
 
     @cached_property
     def reads(self) -> tuple:
-        """Per term (row): the cell its adjoint reads into each cell (-1 where none,
-        past the truncation), the conjugate phase there, and the conjugate block;
-        ``_fill_reads`` of this operator alone."""
-        _fill_reads([self])
-        return self.reads
+        """Per term (row): the cell its adjoint reads into each cell (-1 past the
+        truncation), the conjugate phase there and the conjugate block, from the
+        successor table (each cell itself for slot m) and one ``cell_phases``."""
+        fock = self.fock
+        table = np.vstack([fock.successors, np.arange(fock.cell_count)])  # row m: each cell itself
+        return table[self.slots], fock.cell_phases(self.costs).conj(), self.blocks.conj()
 
     def __array__(self, dtype=None, copy=None):
-        """The dense dim x dim matrix, for tests and comparisons, from ``reads``:
-        a term's cell alpha maps to the cell its adjoint reads into alpha."""
+        """The dense dim x dim matrix of a family of one, from ``reads``, for tests and
+        comparisons; a larger family is a ``DimensionMismatch``, never the sum."""
+        if len(self) != 1:
+            raise DimensionMismatch(f"a family of {len(self)} operators is not one matrix")
         cells, d = self.fock.cell_count, self.fock.coeff_dim
         out = np.zeros((cells, d, cells, d), dtype=complex)
         for read, phase, block in zip(*self.reads):
             src = np.flatnonzero(read >= 0)
             out[read[src], :, src, :] = phase[src, None, None].conj() * block.conj()
-        return out.reshape(self.shape).astype(dtype or complex, copy=False)
+        return out.reshape(self.fock.dim, -1).astype(dtype or complex, copy=False)
 
 
-def stack_terms(ops: list) -> tuple:
-    """``(owner, slots, blocks, costs)``: the terms of the Fock operators ``ops``
-    (of one model) as arrays, and the operator of each; the one check of terms.
-    An operator is 1 to m + 1 terms in distinct slots 0..m, each with a finite
-    d x d block and m costs within PHASE_TOL of the circle.  Anything else, a
-    ragged entry too, is a ``DimensionMismatch`` (a non-finite block ``NonFinite``)."""
-    m, d = ops[0].fock.m, ops[0].fock.coeff_dim
-    counts = [len(op.terms) for op in ops]
-    form = f"an operator is 1 to {m + 1} terms (slot in 0..{m}, {d} x {d} block, {m} costs)"
-    try:
-        slots, blocks, costs = zip(*[(s, b, c) for op in ops for s, b, c in op.terms])
-        slots, blocks, costs = np.array(slots), np.array(blocks, complex), np.array(costs, complex)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(form) from None
-    owner = np.repeat(np.arange(len(ops)), counts)
-    if (not all(counts) or slots.dtype.kind not in "iu" or slots.min() < 0 or slots.max() > m
-            or np.bincount(owner * (m + 1) + slots).max() > 1  # a slot twice in one operator
-            or blocks.shape[1:] != (d, d) or costs.shape[1:] != (m,)):
-        raise DimensionMismatch(form)
-    if not np.isfinite(blocks).all():
-        raise NonFinite("a term's block has NaN or Inf entries")
-    if not (np.abs(np.abs(costs) - 1.0) <= PHASE_TOL).all():
-        raise DimensionMismatch(f"need {m} unimodular character costs, one per slot")
-    return owner, slots, blocks, costs
-
-
-def _fill_reads(ops: list):
-    """Set ``reads`` of each of ``ops`` (of one model): one gather from the
-    successor table, with the cell itself for a cellwise term, and one
-    ``FockModel.cell_phases`` over the costs of all their terms."""
-    if not ops:
-        return
-    fock = ops[0].fock
-    _, slots, blocks, costs = stack_terms(ops)
-    table = np.vstack([fock.successors, np.arange(fock.cell_count)])  # row m: each cell itself
-    reads = table[slots], fock.cell_phases(costs).conj(), blocks.conj()
-    ends = np.cumsum([len(op.terms) for op in ops]).tolist()
-    for op, start, end in zip(ops, [0] + ends, ends):
-        op.reads = tuple(x[start:end] for x in reads)
-
-
-def apply_adjoints(ops: list, x: np.ndarray) -> np.ndarray:
-    """The adjoints of the Fock operators ``ops`` (of one model) times the dim x
-    cols matrix ``x``, an (ops, dim, cols) array: each term's cells read
-    (``FockOperator.reads``, filled here in one pass for the operators that
-    lack it) times its block in one batched product, then its phases.  No
-    term's result depends on another's, so an operator's result is the same
-    bit for bit alone or among others."""
-    fock, counts, x = ops[0].fock, np.array([len(op.terms) for op in ops]), np.asarray(x)
+def apply_adjoints(family: FockFamily, x: np.ndarray) -> np.ndarray:
+    """The adjoints of the operators of ``family`` times the dim x cols matrix
+    ``x``, an (operators, dim, cols) array: the cells each term reads times its
+    block in one batched product, then its phases, so that an operator's result
+    is the same bit for bit alone or in its family."""
+    fock, x = family.fock, np.asarray(x)
     if x.shape[0] != fock.dim:
         raise DimensionMismatch(f"operand has {x.shape[0]} rows, expected {fock.dim}")
-    _fill_reads([op for op in ops if "reads" not in vars(op)])
     cells, d, cols = fock.cell_count, fock.coeff_dim, x.size // fock.dim
     # each cell as cols x d, then the zero cell that a read of -1 picks
     rows = np.concatenate([x.reshape(cells, d, cols).transpose(0, 2, 1), np.zeros((1, cols, d))])
-    reads, phases, blocks = (np.concatenate(part) for part in zip(*(op.reads for op in ops)))
+    reads, phases, blocks = family.reads
     prod = (rows[reads].reshape(len(blocks), -1, d) @ blocks).reshape(len(blocks), cells, cols, d)
     prod *= phases[:, :, None, None]  # each cell's (M* y)^T (cols x d), times its phase
-    out = np.empty((len(ops), cells, d, cols), dtype=complex)
-    view, first = out.transpose(0, 1, 3, 2), np.cumsum(counts) - counts
-    for k, (t, count) in enumerate(zip(first, counts)):  # an operator's terms, summed in order
-        view[k] = sum(prod[t + 1:t + count], prod[t])
-    return out.reshape(len(ops), -1, cols)
+    out = np.empty((len(family), cells, d, cols), dtype=complex)
+    view, starts = out.transpose(0, 1, 3, 2), family.starts
+    for k, (t, end) in enumerate(zip(starts, starts[1:])):  # an operator's terms, summed in order
+        view[k] = sum(prod[t + 1:end], prod[t])
+    return out.reshape(len(family), -1, cols)
 
 
 def _deviation_sums(theta: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -271,31 +267,31 @@ def _deviation_sums(theta: np.ndarray, free: np.ndarray) -> np.ndarray:
     return np.where(free >= 0, dev[free.clip(0), np.arange(len(theta))], 0.0)
 
 
-def isometry_defects(ops: list) -> np.ndarray:
-    """||W*W - I|| of each operator W of ``ops`` on the cells with |alpha| <= N - 1,
+def isometry_defects(family: FockFamily) -> np.ndarray:
+    """||W*W - I|| of each operator W of ``family`` on the cells with |alpha| <= N - 1,
     as sources and as destinations: sqrt(C(N - 1) ||sum_t M_t* M_t - I||^2 +
     2 C(N - 2) sum_{t < t'} ||M_t* M_t'||^2) over its terms' blocks, C(K) the
     cell count comb(m + K, m) (0 for K < 0).  A term meets its own adjoint
     with |chi|^2 = 1, and each pair of distinct terms at a displacement of its
     own, so no character but its modulus enters."""
-    m, N, d = ops[0].fock.m, ops[0].fock.N, ops[0].fock.coeff_dim
-    owner, _, blocks, _ = stack_terms(ops)
+    m, N, d = family.fock.m, family.fock.N, family.fock.coeff_dim
+    owner, blocks = family.owner, family.blocks
     cells = [comb(m + K, m) if K >= 0 else 0 for K in (N - 1, N - 2)]
-    gram = np.add.reduceat(adj(blocks) @ blocks, np.searchsorted(owner, np.arange(len(ops))))
-    flat = (gram - np.eye(d)).reshape(len(ops), d * d).view(float)
+    gram = np.add.reduceat(adj(blocks) @ blocks, family.starts[:-1])
+    flat = (gram - np.eye(d)).reshape(len(family), d * d).view(float)
     t, u = np.nonzero(np.triu(owner[:, None] == owner, 1))  # none for one-term operators
     cross = (adj(blocks[t]) @ blocks[u]).reshape(len(t), d * d).view(float)
     return np.sqrt(cells[0] * np.einsum("ij,ij->i", flat, flat) + 2 * cells[1]
                    * np.bincount(owner[t], np.einsum("ij,ij->i", cross, cross),
-                                 minlength=len(ops)))
+                                 minlength=len(family)))
 
 
-def product_norms(ops: list, left, right, coef, group, src) -> np.ndarray:
-    """Frobenius norms of sums of products of Fock operators on interior
-    cells, in closed form: no cell is read.
+def product_norms(family: FockFamily, left, right, coef, group, src) -> np.ndarray:
+    """Frobenius norms of sums of products of the operators of ``family`` on
+    interior cells, in closed form: no cell is read.
 
-    Pair p adds coef[p] ops[left[p]] ops[right[p]] to group[p]; index
-    len(ops) is the identity.  Group g keeps the cells with |alpha| <= N -
+    Pair p adds coef[p] family[left[p]] family[right[p]] to group[p]; index
+    len(family) is the identity.  Group g keeps the cells with |alpha| <= N -
     src[g] as sources.  Returns each group's norm.
 
     A term (slot s, block M, costs c) moves alpha to alpha + delta, delta = e_s
@@ -315,16 +311,16 @@ def product_norms(ops: list, left, right, coef, group, src) -> np.ndarray:
     as their unimodular parts (a cost within PHASE_TOL of the circle moves a
     norm by about 2 N PHASE_TOL at most).
     """
-    m, N, d = ops[0].fock.m, ops[0].fock.N, ops[0].fock.coeff_dim
-    _, slots, blocks, term_costs = stack_terms(ops)  # then the identity: slot m, I, all 1
-    counts = np.array([len(op.terms) for op in ops] + [1])
-    slot = np.concatenate([slots, [m]])
+    m, N, d = family.fock.m, family.fock.N, family.fock.coeff_dim
+    first = np.array(family.starts)  # each operator's first row, then the identity's: slot m, I, all 1
+    counts = np.diff(first, append=first[-1] + 1)
+    slot = np.concatenate([family.slots, [m]])
     costs = np.ones((len(slot), m + 1), dtype=complex)  # with chi(e_m) = 1
-    costs[:-1, :m] = term_costs
-    blocks = np.concatenate([blocks, np.eye(d)[None]])
+    costs[:-1, :m] = family.costs
+    blocks = np.concatenate([family.blocks, np.eye(d)[None]])
     plain = np.all(blocks == np.eye(d), axis=(1, 2))  # identity blocks
     # every (left term, right term) of every pair; lt is the left term's row
-    first, width = np.cumsum(counts) - counts, np.arange(counts.max())
+    width = np.arange(counts.max())
     left, right = np.asarray(left), np.asarray(right)
     p, a, b = np.nonzero((width < counts[left][:, None])[:, :, None]
                          & (width < counts[right][:, None])[:, None])
@@ -360,26 +356,22 @@ def product_norms(ops: list, left, right, coef, group, src) -> np.ndarray:
     return np.sqrt(np.maximum(squares, 0.0))
 
 
-def creation_operators(model: FockModel, slots) -> list:
-    """Left creation operators of generators ``slots`` (0-based) on F_N(E) (x) D,
-    from one cost table: each is the one term (s, I, costs).
-
-    Creation s maps cell (alpha, v) to prod_{t < s} u(s, t)^alpha_t *
-    (alpha + e_s, v) (front insertion); cells at the truncation boundary
-    |alpha| = N map to zero.
-    """
+def creation_terms(model: FockModel, slots) -> list:
+    """The terms of the left creation operators of generators ``slots`` (0-based),
+    from one cost table: creation s is the one term (s, I, costs), mapping cell
+    (alpha, v) to prod_{t < s} u(s, t)^alpha_t (alpha + e_s, v) (front insertion)."""
     slots = np.asarray(slots, dtype=int)
     bad = slots[(slots < 0) | (slots >= model.m)]
     if bad.size:
         raise DimensionMismatch(f"generator index {bad[0]} out of range")
     costs = np.where(np.arange(model.m) < slots[:, None], model.merged_phases[slots], 1)
     eye = np.eye(model.coeff_dim, dtype=complex)
-    return [FockOperator(model, [(s, eye, c)]) for s, c in zip(slots.tolist(), costs)]
+    return [[(s, eye, c)] for s, c in zip(slots.tolist(), costs)]
 
 
-def creation_matrix(model: FockModel, s: int) -> FockOperator:
-    """Left creation operator of generator s: ``creation_operators`` of slot s alone."""
-    return creation_operators(model, [s])[0]
+def creation_matrix(model: FockModel, s: int) -> FockFamily:
+    """Left creation operator of generator s: the family of ``creation_terms`` of s alone."""
+    return FockFamily(model, creation_terms(model, [s]))
 
 
 def interior_cells(model: FockModel, margin: int) -> np.ndarray:

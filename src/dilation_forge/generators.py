@@ -113,11 +113,12 @@ def covariant(rng: np.random.Generator, n: int, dimH: int, k: int = 2,
 
     H = C^k (x) C^width with width = dimH / k, t_i = P_i (x) B_i with P_i the
     permutation matrix of alpha_i and B_i drawn from a commuting nilpotent
-    family.  ``dimH`` must be a positive multiple of ``k``.
+    family.  ``k`` must be a positive integer and ``dimH`` a multiple of it.
     """
-    if dimH < k or dimH % k:
-        raise GenerationFailed(f"covariant style needs dimH a positive multiple of k = {k}, "
-                               f"got dimH={dimH}")
+    if (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1
+            or dimH < k or dimH % k):
+        raise GenerationFailed("covariant style needs k a positive integer and dimH a positive "
+                               f"multiple of it, got k={k!r}, dimH={dimH}")
     width = dimH // k
     if automorphisms is None:
         cycle = [(j + 1) % k for j in range(k)]

@@ -5,14 +5,14 @@ model and reports a relative residual.  Interior restrictions make the
 truncation error exactly zero on the compared subspace: margin 1 for
 single-operator identities, margin 2 where two operators compose.
 
-Fock operators are applied to Pi, never stored as dim x dim matrices, and
-never composed cell by cell.  The isometry, commutation and factorization
-residuals are norms of sums of products of Fock operators in closed form
-from their d x d blocks and characters, reading no cell, so that their time
-and memory do not depend on N: ``fock.isometry_defects`` gives each
-W_i* W_i - I, and one ``fock.product_norms`` call every V_a V_b - u(a,b)
-V_b V_a and its reference V_b V_a, both transfer factorizations and the
-reference L1.
+Every check reads the model's one checked family of Fock operators,
+``DilationModel.isometries`` (tau1, L_2, ..., taun, then L1), applied only to
+Pi and never composed cell by cell.  The isometry, commutation and
+factorization residuals are norms of sums of its products in closed form from
+the d x d blocks and characters, reading no cell, so that their time and
+memory do not depend on N: ``fock.isometry_defects`` gives each W_i* W_i - I,
+and one ``fock.product_norms`` call every V_a V_b - u(a,b) V_b V_a and its
+reference V_b V_a, both transfer factorizations and the reference L1.
 
 The closed form counts cells.  Let m = n - 1 and C(K) = comb(m + K, m), the
 number of cells with |alpha| <= K (0 for K < 0).  Every term of tau1, the
@@ -69,7 +69,7 @@ import numpy as np
 
 from .builder import DilationModel, simplex_mass
 from .fock import (apply_adjoints, degree_layers, enumerate_indices, interior_projector,
-                   isometry_defects, product_norms, stack_terms)
+                   isometry_defects, product_norms)
 from .linalg import adj, eye, frob, frob_stack
 
 TOLERANCES = {
@@ -153,7 +153,7 @@ def verify_isometric_representation(model: DilationModel) -> dict:
     pairs, q = len(lo), np.arange(len(lo))
     fac = 2 * pairs  # ops index n: L1, n + 1: the identity
     norms = product_norms(
-        model.isometries + [model.L1],
+        model.isometries,
         left=np.concatenate([lo, hi, hi, [0, n + 1, n - 1, n + 1, n + 1]]),
         right=np.concatenate([hi, lo, lo, [n - 1, n, 0, n, n]]),
         coef=np.concatenate([np.ones(pairs), -spec.phases[lo, hi], np.ones(pairs),
@@ -162,7 +162,7 @@ def verify_isometric_representation(model: DilationModel) -> dict:
         src=np.full(fac + 3, min(2, fock.N)))
     unit = max(1.0, np.sqrt(comb(fock.m + fock.N - 1, fock.m) * fock.coeff_dim))
     out = {f"isometry_v{i + 1}": float(v / unit)
-           for i, v in enumerate(isometry_defects(model.isometries))}
+           for i, v in enumerate(isometry_defects(model.isometries)[:n])}
     # the commutators and factorizations, each over its reference
     diff = norms[np.concatenate([q, [fac, fac + 1]])]
     ref = np.maximum(1.0, norms[np.concatenate([pairs + q, [fac + 2, fac + 2]])])
@@ -209,7 +209,7 @@ def verify_moments(model: DilationModel) -> dict:
         rows, s = np.flatnonzero(group == g), g % n
         tadj[rows] = ops[s] @ tadj[parent[rows]]
         cols = back[parent[rows]].transpose(1, 0, 2).reshape(len(pi), -1)
-        back[rows] = apply_adjoints([ws[s]], cols).reshape(len(pi), len(rows), -1).swapaxes(0, 1)
+        back[rows] = apply_adjoints(ws[s], cols).reshape(len(pi), len(rows), -1).swapaxes(0, 1)
     pi_adj = adj(pi)
     residual = float(np.max(np.abs(pi_adj @ back - tadj)))
     back[1:] -= pi @ tadj[1:]  # the gaps V^beta* Pi - Pi T^beta*, in place
@@ -238,17 +238,17 @@ def _covariance(model: DilationModel, autos) -> np.ndarray:
     against rho(p) W for W = tau1, L_2, ..., taun, L1, a_W the rows of
     ``autos``, and each component p (see the module docstring)."""
     merged, labels = model.merged.algebra.automorphisms, model.layout.D
-    ops, k = model.isometries + [model.L1], merged.shape[1]
-    owner, slots, blocks, _ = stack_terms(ops)
+    family, k = model.isometries, merged.shape[1]
+    owner, slots = family.owner, family.slots
     x = np.vstack([merged, np.arange(k)])[slots][:, labels]  # row m: a cellwise term's identity
     rows = (x[..., None] == np.arange(k)).astype(float)  # [x_i = q]
     cols = (autos[owner][:, labels, None] == np.arange(k)).astype(float)  # [y_j = q]
-    mass = np.abs(blocks) ** 2
+    mass = np.abs(family.blocks) ** 2
     mismatch = np.sum(rows * (mass @ (1.0 - cols)) + (1.0 - rows) * (mass @ cols), axis=1)  # F
     total = np.sum(rows * mass.sum(axis=2, keepdims=True), axis=1)  # R
     # a shift term's sources are the cells with |alpha| <= N - 1, a cellwise term's all
     counts = _relabel_counts(merged, model.N)[model.N + (slots == model.fock.m)]
-    squares = np.zeros((len(ops), 2, k))
+    squares = np.zeros((len(family), 2, k))
     np.add.at(squares, owner, np.einsum("tpq,tcq->tcp", counts, np.stack([mismatch, total], 1)))
     return np.sqrt(squares[:, 0]) / np.maximum(1.0, np.sqrt(squares[:, 1]))
 

@@ -10,7 +10,8 @@ from its terms.  The algebra action is referenced cell by cell as well: a
 label per coordinate (``coordinate_labels``) and the covariance residuals
 of one component at a time (``per_component_covariance``).  An operator's
 terms in the two-block form of a transfer operator come from
-``two_block_terms``.
+``two_block_terms``, and a family's operators as term lists again from
+``term_lists``.
 """
 
 import numpy as np
@@ -35,9 +36,16 @@ def two_block_terms(fock, diag, shift, slot, shift_costs, kappa_costs=None):
     return terms
 
 
+def term_lists(family):
+    """The per-operator term lists that make ``family``, from its arrays."""
+    terms = list(zip(family.slots.tolist(), family.blocks, family.costs))
+    return [terms[lo:hi] for lo, hi in zip(family.starts, family.starts[1:])]
+
+
 def moves(op):
-    """Per term of ``op``: its phase on each source cell, its block, the source
-    cells and their destination cells, from the cells its adjoint reads."""
+    """Per term of ``op``, a family of one: its phase on each source cell, its
+    block, the source cells and their destination cells, from the cells its
+    adjoint reads."""
     out = []
     for read, phase, block in zip(*op.reads):
         src = np.flatnonzero(read >= 0)
@@ -84,7 +92,7 @@ def covariance(model, autos):
     labels, k = coordinate_labels(model), model.spec.algebra.k
     return np.array([[per_component_covariance(w, labels, np.argsort(a)[p], p)
                       for p in range(k)]
-                     for w, a in zip(model.isometries + [model.L1], autos)])
+                     for w, a in zip(model.isometries, autos)])
 
 
 def product(a, b, adjoint=False):

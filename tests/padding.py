@@ -67,13 +67,13 @@ def padded_model(spec, N, pad, seed=None):
 def compressions(model):
     """The (n, n, dimH, dimH) array of Pi* V_i* V_j Pi.  A unitary W with
     W Pi = Pi' and W V_j = V'_j W on the minimal space leaves it unchanged."""
-    images = np.array([apply(w, model.Pi) for w in model.isometries])
+    images = np.array([apply(w, model.Pi) for w in list(model.isometries)[:model.spec.n]])
     return adj(images)[:, None] @ images[None]
 
 
 def minimal_rank(model, degree=2):
     """The rank of the span of V^alpha Pi h over |alpha| <= ``degree``."""
-    ws, blocks = model.isometries, [model.Pi]
+    ws, blocks = list(model.isometries)[:model.spec.n], [model.Pi]
     for k in range(1, degree + 1):
         for word in itertools.combinations_with_replacement(range(len(ws)), k):
             block = model.Pi

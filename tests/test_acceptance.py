@@ -162,7 +162,7 @@ def test_criterion_7_equivariant():
     labels = coordinate_labels(model_id).ravel()
     rho = [np.diag((labels == p).astype(complex)) for p in range(2)]
     worst_comm = max(float(np.linalg.norm(np.asarray(w) @ r - r @ np.asarray(w)))
-                     for w in model_id.isometries for r in rho)
+                     for w in list(model_id.isometries)[:spec_id.n] for r in rho)
     assert worst_comm <= TOL_LINEAR
     report_line(7, f"swap covariance {worst_swap:.1e}; commutant case {worst_comm:.1e}")
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,9 @@ from dilation_forge.builder import (UNITARY_GATE, CouplingData, assemble_model,
                                     build_defects, build_transfer, build_U, build_V0,
                                     coefficient_layout, defect_frames, effective_algebra,
                                     simplex_mass, solve_aux, truncation_tails)
-from dilation_forge.errors import (DimensionMismatch, IdentityResidualExceeded,
-                                   InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
+from dilation_forge.errors import (DilationForgeError, DimensionMismatch, GenerationFailed,
+                                   IdentityResidualExceeded, InfeasibleFinitePadding, NotInClass,
+                                   UnsupportedMultiplicity)
 from dilation_forge.fock import FockModel, enumerate_indices
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.io import dump_json, model_to_dict
@@ -522,6 +524,43 @@ def test_degree_beyond_the_cell_budget_fails_before_the_tails():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"N": 1.5}, "truncation degree N must be an integer, got 1.5"),
+    ({"N": True}, "truncation degree N must be an integer, got True"),
+    ({"N": "3"}, "truncation degree N must be an integer, got '3'"),
+    ({"N": None}, "truncation degree N must be an integer, got None"),
+    ({"N": -1}, "truncation degree N must be >= 0, got -1"),
+    ({"completion_seed": 1.5}, "completion seed must be an integer, got 1.5"),
+    ({"completion_seed": "3"}, "completion seed must be an integer, got '3'"),
+    ({"completion_seed": True}, "completion seed must be an integer, got True"),
+    ({"completion_seed": False}, "completion seed must be an integer, got False"),
+    ({"completion_seed": np.int64(-2)}, "completion seed must be >= 0, got -2")])
+def test_build_counts_that_are_no_integers_are_input_errors(kwargs, message, monkeypatch):
+    """A degree or a completion seed that is not an integer >= 0 (a bool is
+    not one) is a ``DilationForgeError`` raised before any other work, so an
+    out-of-class tuple gets it too; Python and numpy integers, and N = 0,
+    build, and a numpy degree is stored as an int, which a model file takes."""
+    monkeypatch.setattr(builder, "effective_algebra", lambda spec: pytest.fail("built"))
+    for spec in (scalar_triple(), parrott_tuple()):
+        with pytest.raises(DilationForgeError, match=f"^{re.escape(message)}$"):
+            assemble_model(spec, **kwargs)
+    monkeypatch.undo()
+    for N, seed in ((np.int64(2), np.int32(5)), (np.uint8(0), None), (1, 0)):
+        model = assemble_model(scalar_triple(), N=N, completion_seed=seed)
+        assert type(model.N) is int and model.N == N
+        assert model.N == 0 or full_report(model).passed
+        dump_json(model_to_dict(model), None)
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, True, "2", None])
+def test_covariant_k_must_be_a_positive_integer(k):
+    """The covariant generator refuses a k that is not a positive integer with
+    ``GenerationFailed`` (k = 0 once divided by zero); a numpy integer is one."""
+    with pytest.raises(GenerationFailed, match="k a positive integer"):
+        random_tuple("covariant", 3, 4, 0, k=k)
+    assert random_tuple("covariant", 3, 4, 0, k=np.int64(2)).algebra.k == 2
 
 
 def test_assemble_rejects_out_of_class():

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DimensionMismatch, MalformedSpec, NonFinite
-from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockModel, FockOperator, apply_adjoints,
-                                 creation_matrix, creation_operators, enumerate_indices,
+from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockFamily, FockModel, apply_adjoints,
+                                 creation_matrix, creation_terms, enumerate_indices,
                                  interior_cells, interior_projector, isometry_defects,
                                  _deviation_sums, product_norms)
 from dilation_forge.generators import random_tuple
+from dilation_forge.io import model_from_dict, model_to_dict
 from dilation_forge.linalg import adj
+from dilation_forge.verifier import full_report
 from fock_reference import (apply, product as pair_product, sparse_product,
-                            sparse_terms_norm, terms_norm, two_block_terms)
+                            sparse_terms_norm, term_lists, terms_norm, two_block_terms)
 
 
 def trivial_model(m, N, coeff=1):
@@ -142,7 +144,7 @@ def test_successor_table_is_built_once(m, N):
 
 def test_operators_from_successor_table_are_bit_identical(monkeypatch):
     model = assemble_model(random_tuple("u-commuting", 3, 4, seed=5), N=4)
-    built = [np.asarray(w) for w in model.isometries] + [np.asarray(model.L1)]
+    built = [np.asarray(w) for w in model.isometries]
 
     def successors_by_search(fock):
         position = index_of(fock)
@@ -150,8 +152,8 @@ def test_operators_from_successor_table_are_bit_identical(monkeypatch):
                           for a in index_list(fock)] for s in range(fock.m)])
 
     monkeypatch.setattr(FockModel, "successors", property(successors_by_search))
-    again, l1 = dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
-    again += [l1, creation_matrix(model.fock, 0)]
+    again = list(dilated_isometries(model.spec, model.transfer, model.layout, model.fock))
+    again.append(creation_matrix(model.fock, 0))
     assert len(again) == len(built) + 1
     assert all(np.array_equal(a, np.asarray(b)) for a, b in zip(built + built[-1:], again))
 
@@ -217,14 +219,14 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
     for s in range(m):
         diag, shift, costs = cmat(coeff, coeff), cmat(coeff, coeff), random_costs(model, rng,
                                                                                   quarter_turns)
-        op = FockOperator(model, two_block_terms(model, diag, shift, s, back_costs(model, s),
-                                                 costs))
+        op = FockFamily(model, [two_block_terms(model, diag, shift, s, back_costs(model, s),
+                                                costs)])
         kappa = [character(costs, alpha) for alpha in index_list(model)]
         ref = kron_reference(model, diag, shift, s, lambda a: phase_back(model, s, a), kappa)
         assert same(np.asarray(op), ref)
         x = cmat(model.dim, 3)
         assert np.allclose(apply(op, x), ref @ x, atol=1e-13)
-        assert np.allclose(apply_adjoints([op], x)[0], adj(ref) @ x, atol=1e-13)
+        assert np.allclose(apply_adjoints(op, x)[0], adj(ref) @ x, atol=1e-13)
         creation = kron_reference(model, None, None, s, lambda a: phase_front(model, s, a),
                                   np.ones(model.cell_count))
         assert same(np.asarray(creation_matrix(model, s)), creation)
@@ -237,17 +239,17 @@ def test_stacked_adjoints_match_each_operator(style, n, N):
     ``apply_adjoints`` of each operator alone bit for bit, on five columns and
     on one, and the dense adjoints within rounding."""
     model = assemble_model(random_tuple(style, n, 4, seed=N), N=N)
-    ops = model.isometries + [model.L1]
+    ops = model.isometries
     rng = np.random.default_rng(N)
     x = rng.standard_normal((model.fock.dim, 5)) + 1j * rng.standard_normal((model.fock.dim, 5))
     stacked = apply_adjoints(ops, x)
     assert stacked.shape == (len(ops), model.fock.dim, 5)
     for got, op in zip(stacked, ops):
-        assert np.array_equal(got, apply_adjoints([op], x)[0])
+        assert np.array_equal(got, apply_adjoints(op, x)[0])
         assert np.allclose(got, adj(np.asarray(op)) @ x, atol=1e-13)
     column = apply_adjoints(ops, x[:, :1])
     for got, many, op in zip(column, stacked, ops):
-        assert np.array_equal(got, apply_adjoints([op], x[:, 0])[0])
+        assert np.array_equal(got, apply_adjoints(op, x[:, 0])[0])
         assert np.allclose(got, many[:, :1], atol=1e-13)
 
 
@@ -274,11 +276,11 @@ def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_t
     for s in range(m):
         op = creation_matrix(model, s)
         costs = np.where(np.arange(m) < s, model.merged_phases[s], 1)
-        [(slot, block, got)] = op.terms
+        [slot], [block], [got] = op.slots, op.blocks, op.costs
         assert slot == s and np.array_equal(block, np.eye(coeff))
         assert got.tobytes() == costs.astype(complex).tobytes()
         [read], [phase], _ = op.reads
-        assert op.reads is op.reads  # built once per operator
+        assert op.reads is op.reads  # built once per family
         assert phase.tobytes() == model.cell_phases(costs).conj().tobytes()
         src = np.flatnonzero(read >= 0)  # the cells below the truncation
         assert np.array_equal(src, np.flatnonzero(model.cells.sum(axis=1) < N))
@@ -299,7 +301,7 @@ def test_cell_and_creation_phases_are_unimodular_characters(m, N, seed, quarter_
     pairs = [(where[a], where[b], where[tuple(x + y for x, y in zip(a, b))])
              for a in cells for b in cells if sum(a) + sum(b) <= N]
     first, second, total = np.array(pairs).T
-    creations = [model.cell_phases(creation_matrix(model, s).terms[0][2]) for s in range(m)]
+    creations = [model.cell_phases(creation_matrix(model, s).costs[0]) for s in range(m)]
     for phase in [model.cell_phases(costs), *creations]:
         assert phase[0] == 1
         assert np.allclose(np.abs(phase), 1, rtol=0, atol=1e-14)
@@ -317,9 +319,9 @@ def random_block(model, rng, quarter_turns):
 
 
 def operator_zoo(model, rng, quarter_turns):
-    """A diagonal-plus-shift operator of random character costs and a creation
-    operator per slot, exact in floating point with ``quarter_turns``
-    (``random_block``)."""
+    """The terms of a diagonal-plus-shift operator of random character costs
+    and of a creation operator per slot, exact in floating point with
+    ``quarter_turns`` (``random_block``)."""
     m = model.m
 
     def block():
@@ -330,7 +332,7 @@ def operator_zoo(model, rng, quarter_turns):
         terms = two_block_terms(model, block(), block(), s,
                                 random_costs(model, rng, quarter_turns),
                                 random_costs(model, rng, quarter_turns))
-        ops += [FockOperator(model, terms), creation_matrix(model, s)]
+        ops += [terms, *creation_terms(model, [s])]
     return ops
 
 
@@ -343,7 +345,7 @@ def test_products_match_dense_products(m, N, coeff, quarter_turns):
     model, rng = random_model(m, N, coeff, 10 * m + N, quarter_turns)
     same = (lambda a, b: a == b) if quarter_turns else \
         (lambda a, b: np.isclose(a, b, rtol=1e-13, atol=1e-15))
-    ops = operator_zoo(model, rng, quarter_turns)
+    ops = FockFamily(model, operator_zoo(model, rng, quarter_turns))
     mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]  # index len(ops): the identity
     left, right = np.divmod(np.arange(len(mats) ** 2), len(mats))
     every = np.arange(len(left))
@@ -369,7 +371,7 @@ def test_group_norms_match_dense_masked_norms(m, N, coeff):
     displacement carry different characters here, so their cross terms are
     character sums over the cells."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 2, quarter_turns=False)
-    ops = operator_zoo(model, rng, quarter_turns=False)
+    ops = FockFamily(model, operator_zoo(model, rng, quarter_turns=False))
     mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]
     pairs, groups = 9, 4
     for _ in range(4):
@@ -409,12 +411,11 @@ def test_nearly_equal_characters_do_not_cancel(m, N, coeff, turn):
     norms of its products with the zoo equal the dense ones within 1e-14
     (their rounding) and 1e-12 relative, however small the turn."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 3, quarter_turns=False)
-    ops = operator_zoo(model, rng, quarter_turns=False)
-    (slot, shift, shift_costs), (_, diag, kappa_costs) = ops[0].terms
-    turned = FockOperator(model, two_block_terms(
-        model, diag, shift, slot, shift_costs / kappa_costs,
-        kappa_costs * np.exp(1j * turn * rng.uniform(-1, 1, m))))
-    ops.append(turned)
+    zoo = operator_zoo(model, rng, quarter_turns=False)
+    (slot, shift, shift_costs), (_, diag, kappa_costs) = zoo[0]
+    zoo.append(two_block_terms(model, diag, shift, slot, shift_costs / kappa_costs,
+                               kappa_costs * np.exp(1j * turn * rng.uniform(-1, 1, m))))
+    ops = FockFamily(model, zoo)
     mats = [np.asarray(w) for w in ops] + [np.eye(model.dim)]
     t, one = len(ops) - 1, len(ops)
     for b in range(len(ops)):
@@ -428,12 +429,11 @@ def test_nearly_equal_characters_do_not_cancel(m, N, coeff, turn):
 
 
 def general_operators(model, rng, quarter_turns, count=6):
-    """``count`` operators of 1 to m + 1 terms in random distinct slots, with
-    ``random_block`` blocks and unimodular costs."""
+    """The terms of ``count`` operators of 1 to m + 1 terms in random distinct
+    slots, with ``random_block`` blocks and unimodular costs."""
     slots = [rng.permutation(model.m + 1)[:rng.integers(1, model.m + 2)] for _ in range(count)]
-    return [FockOperator(model, [(s, random_block(model, rng, quarter_turns),
-                                  random_costs(model, rng, quarter_turns)) for s in row.tolist()])
-            for row in slots]
+    return [[(s, random_block(model, rng, quarter_turns), random_costs(model, rng, quarter_turns))
+             for s in row.tolist()] for row in slots]
 
 
 @pytest.mark.parametrize("quarter_turns", [True, False])
@@ -445,7 +445,8 @@ def test_isometry_defects_match_dense_products(m, N, coeff, quarter_turns):
     exact, and within 1e-15 of max(1, the dense norm) otherwise (a creation
     operator's dense product rounds its phases' squared moduli); no cell at N = 0."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 5, quarter_turns)
-    ops = general_operators(model, rng, quarter_turns) + creation_operators(model, range(m))
+    ops = FockFamily(model, general_operators(model, rng, quarter_turns)
+                     + creation_terms(model, range(m)))
     got = isometry_defects(ops)
     assert got.shape == (len(ops),)
     if N == 0:
@@ -456,7 +457,7 @@ def test_isometry_defects_match_dense_products(m, N, coeff, quarter_turns):
         ref = terms_norm(model, [(1.0, pair_product(dense, dense, adjoint=True))], 1, 1,
                          minus_identity=True)
         if quarter_turns:
-            assert norm == ref, (w.terms, norm, ref)
+            assert norm == ref, (w.slots, norm, ref)
         else:
             assert abs(norm - ref) <= 1e-15 * max(1.0, ref), (norm, ref)
 
@@ -467,14 +468,14 @@ def test_terms_norm_matches_dense_masked_norm(m, N, coeff):
     block-sparse forms that the verifier's tests use, against the same
     products applied by ``apply`` and ``apply_adjoints`` to the identity columns."""
     model, rng = random_model(m, N, coeff, 10 * m + N + 1, quarter_turns=False)
-    ops = operator_zoo(model, rng, quarter_turns=False)
+    ops = FockFamily(model, operator_zoo(model, rng, quarter_turns=False))
     a, b = ops[0], ops[-2]
     coefs, pairs = (1.0, -0.7 + 0.2j, 0.5), ((a, b, False), (b, a, False), (a, a, True))
     parts = [(c, pair_product(*pair)) for c, pair in zip(coefs, pairs)]
     blocks = [(c, sparse_product(*pair)) for c, pair in zip(coefs, pairs)]
     eye = np.eye(model.dim)
     applied = (apply(a, apply(b, eye)) + (-0.7 + 0.2j) * apply(b, apply(a, eye))
-               + 0.5 * apply_adjoints([a], apply(a, eye))[0])
+               + 0.5 * apply_adjoints(a, apply(a, eye))[0])
     for src, dst in product(range(N + 1), [None, *range(N + 1)]):
         cols = interior_projector(model, src)
         rows = np.ones(model.dim, dtype=bool) if dst is None else interior_projector(model, dst)
@@ -494,14 +495,15 @@ def test_an_operator_is_the_sum_of_its_terms(m, N, coeff):
     model, rng = random_model(m, N, coeff, 10 * m + N + 4, quarter_turns=False)
     terms = [(s, rng.standard_normal((coeff, coeff)) + 1j * rng.standard_normal((coeff, coeff)),
               random_costs(model, rng, False)) for s in rng.permutation(m + 1).tolist()]
-    op, parts = FockOperator(model, terms), [FockOperator(model, [term]) for term in terms]
+    family = FockFamily(model, [terms] + [[term] for term in terms])
+    op, *parts = family
     dense = sum(np.asarray(part) for part in parts)
     assert np.allclose(np.asarray(op), dense, rtol=0, atol=1e-14)
     x = rng.standard_normal((model.dim, 2)) + 1j * rng.standard_normal((model.dim, 2))
-    assert np.allclose(apply_adjoints([op] + parts, x)[0], adj(dense) @ x, rtol=0, atol=1e-13)
+    assert np.allclose(apply_adjoints(family, x)[0], adj(dense) @ x, rtol=0, atol=1e-13)
     margin = min(1, N)
-    norms = product_norms([op, parts[0]], [0, 0, 1], [0, 1, 2], [1.0, -0.5, 2.0], [0, 1, 2],
-                          [margin] * 3)
+    norms = product_norms(FockFamily(model, [terms, terms[:1]]), [0, 0, 1], [0, 1, 2],
+                          [1.0, -0.5, 2.0], [0, 1, 2], [margin] * 3)
     mats = [dense, np.asarray(parts[0]), np.eye(model.dim)]
     for g, (a, b, c) in enumerate(((0, 0, 1.0), (0, 1, -0.5), (1, 2, 2.0))):
         ref = terms_norm(model, [(c, pair_product(mats[a], mats[b]))], margin)
@@ -528,12 +530,12 @@ def test_creation_isometry_on_interior():
     e1 = unit_columns(inner)
     for s in range(2):
         L = creation_matrix(model, s)
-        assert np.linalg.norm(apply_adjoints([L], apply(L, e1))[0][inner] - e1[inner]) < 1e-14
+        assert np.linalg.norm(apply_adjoints(L, apply(L, e1))[0][inner] - e1[inner]) < 1e-14
     # ranges of distinct generators are orthogonal cellwise: the same source
     # cell lands in different target cells, so the cell-diagonal of L0* L1
     # vanishes (the full product is a shift, not zero: the generators commute)
     l0, l1 = creation_matrix(model, 0), creation_matrix(model, 1)
-    cross = apply_adjoints([l0], apply(l1, np.eye(model.dim)))[0]
+    cross = apply_adjoints(l0, apply(l1, np.eye(model.dim)))[0]
     d = model.coeff_dim
     for c in range(model.cell_count):
         assert np.linalg.norm(cross[c * d:(c + 1) * d, c * d:(c + 1) * d]) == 0.0
@@ -569,20 +571,20 @@ def test_interior_projector_margins():
 
 def test_transfer_shift_trivial_phases_is_plain_shift():
     model = trivial_model(2, 2, coeff=2)
-    shift = FockOperator(model, two_block_terms(model, None, np.eye(2), 0, back_costs(model, 0)))
+    shift = FockFamily(model, [two_block_terms(model, None, np.eye(2), 0, back_costs(model, 0))])
     assert np.array_equal(np.asarray(shift), np.asarray(creation_matrix(model, 0)))
     # the adjoint annihilates cells with alpha_0 = 0
     for c, alpha in enumerate(index_list(model)):
         if alpha[0] == 0:
             idx = c * 2
-            assert np.linalg.norm(apply_adjoints([shift], np.eye(model.dim)[:, idx:idx + 2])) == 0
+            assert np.linalg.norm(apply_adjoints(shift, np.eye(model.dim)[:, idx:idx + 2])) == 0
 
 
 def test_transfer_shift_phases_are_back_insertion():
     phases = np.array([[1, 1j], [-1j, 1]])
     model = FockModel(m=2, N=3, coeff_dim=1, merged_phases=phases)
-    shift = np.asarray(FockOperator(model, two_block_terms(model, None, np.eye(1), 0,
-                                                           back_costs(model, 0))))
+    shift = np.asarray(FockFamily(model, [two_block_terms(model, None, np.eye(1), 0,
+                                                          back_costs(model, 0))]))
     L0 = np.asarray(creation_matrix(model, 0))
     # same sparsity and magnitudes as front creation of the merged slot
     assert np.allclose(np.abs(shift), np.abs(L0))
@@ -592,23 +594,9 @@ def test_transfer_shift_phases_are_back_insertion():
     assert L0[dst, src] == pytest.approx(1.0)
 
 
-def assert_rejected_at_use(op, error):
-    """``op`` is built, and each first use of it raises ``error``:
-    ``apply_adjoints``, ``product_norms``, ``isometry_defects`` and ``np.asarray``."""
-    with pytest.raises(error):
-        apply_adjoints([op], np.zeros((op.fock.dim, 1)))
-    with pytest.raises(error):
-        product_norms([op], [0], [0], [1.0], [0], [0])
-    with pytest.raises(error):
-        isometry_defects([op])
-    with pytest.raises(error):
-        np.asarray(op)
-
-
 def test_fock_operator_dimension_check():
-    """A term is (slot in 0..m, finite d x d block, m costs), checked where the
-    operator is first used, not when it is built; an operand of the wrong
-    height is refused as well."""
+    """A term is (slot in 0..m, finite d x d block, m costs), checked when the
+    family is made; an operand of the wrong height is refused as well."""
     model = trivial_model(2, 1, coeff=3)
     ones, eye = np.ones(model.m), np.eye(3)
     nan = np.full((3, 3), np.nan)
@@ -618,16 +606,21 @@ def test_fock_operator_dimension_check():
                          ([(0.0, eye, ones)], DimensionMismatch),  # a slot that is no integer
                          ([(True, eye, ones)], DimensionMismatch),
                          ([(0, eye, [1.0, [1.0, 1.0]])], DimensionMismatch),  # a ragged cost row
+                         ([(0, eye, np.ones(model.m + 1)), (model.m, eye, np.ones(model.m + 1))],
+                          DimensionMismatch),  # m + 1 costs in every term
                          ([(0, [[1.0, 0.0], [0.0]], ones)], DimensionMismatch),  # a ragged block
                          ([(0, eye)], DimensionMismatch),  # not a triple
                          ([], DimensionMismatch),  # no term
                          ([(1, eye, ones), (2, eye, ones), (1, eye, ones)], DimensionMismatch),
                          ([(0, eye, ones), (model.m, nan, ones)], NonFinite)):  # a NaN block
-        assert_rejected_at_use(FockOperator(model, terms), error)
+        with pytest.raises(error):
+            FockFamily(model, [terms])
     with pytest.raises(DimensionMismatch):  # an operator with no term among others
-        apply_adjoints([creation_matrix(model, 0), FockOperator(model, [])], np.eye(model.dim))
+        FockFamily(model, creation_terms(model, [0]) + [[]])
+    with pytest.raises(DimensionMismatch):  # no operator
+        FockFamily(model, [])
     with pytest.raises(DimensionMismatch):
-        apply_adjoints([creation_matrix(model, 0)], np.eye(model.dim - 1))
+        apply_adjoints(creation_matrix(model, 0), np.eye(model.dim - 1))
 
 
 @pytest.mark.parametrize("costs", [np.ones(3), np.ones(1), np.ones(6),
@@ -639,37 +632,40 @@ def test_fock_operator_dimension_check():
 def test_costs_must_be_one_unimodular_number_per_slot(costs, which):
     """A character cost is one number of modulus 1 (within PHASE_TOL, the
     tolerance of a tuple's phase table) per slot; anything else is a
-    ``DimensionMismatch`` at the operator's first use, in the shift term and
-    in the cellwise term (slot m)."""
+    ``DimensionMismatch`` when the family is made, in the shift term and in
+    the cellwise term (slot m)."""
     model, good = trivial_model(2, 2, coeff=1), np.exp(1j * np.array([0.2, 1.3]))
     eye, m = np.eye(1), model.m
     bad = ([(0, eye, costs), (m, eye, good)] if which == "shift" else
            [(0, eye, good), (m, eye, costs)])
-    assert_rejected_at_use(FockOperator(model, bad), DimensionMismatch)
+    with pytest.raises(DimensionMismatch):
+        FockFamily(model, [bad])
     near = good * (1 + PHASE_TOL / 10)  # within the tolerance
-    op = FockOperator(model, [(0, eye, near), (m, eye, near)])
-    assert np.isfinite(product_norms([op], [0], [0], [1.0], [0], [0])).all()
-    assert np.isfinite(isometry_defects([op])).all()
-    assert np.asarray(op).shape == op.shape
+    op = FockFamily(model, [[(0, eye, near), (m, eye, near)]])
+    assert np.isfinite(product_norms(op, [0], [0], [1.0], [0], [0])).all()
+    assert np.isfinite(isometry_defects(op)).all()
+    assert np.asarray(op).shape == (model.dim, model.dim)
 
 
 @pytest.mark.parametrize("quarter_turns", [True, False])
 @pytest.mark.parametrize("m,N,coeff", SHAPES)
 def test_creation_family_equals_each_slot(m, N, coeff, quarter_turns):
-    """``creation_operators`` over every slot equals ``creation_matrix`` of each
-    slot and the operator the checked constructor makes of the front-insertion
+    """``creation_terms`` over every slot equals ``creation_matrix`` of each
+    slot and the family the checked constructor makes of the front-insertion
     costs, term for term."""
     model, _ = random_model(m, N, coeff, 10 * m + N, quarter_turns)
-    family = creation_operators(model, range(m))
-    assert len(family) == m
+    terms = creation_terms(model, range(m))
+    family = FockFamily(model, terms)
+    assert len(terms) == len(family) == m
     for s, op in enumerate(family):
         costs = np.where(np.arange(m) < s, model.merged_phases[s], 1)
+        [(slot, block, c)] = terms[s]
+        assert slot == s and np.array_equal(block, np.eye(coeff)) and np.array_equal(c, costs)
         for ref in (creation_matrix(model, s),
-                    FockOperator(model, two_block_terms(model, None, None, s, costs))):
-            assert len(op.terms) == len(ref.terms) == 1 and op.shape == ref.shape
-            for (slot, block, c), (ref_slot, ref_block, ref_c) in zip(op.terms, ref.terms):
-                assert slot == ref_slot == s
-                assert np.array_equal(block, ref_block) and np.array_equal(c, ref_c)
+                    FockFamily(model, [two_block_terms(model, None, None, s, costs)])):
+            assert len(ref) == 1 and ref.starts == op.starts == [0, 1]
+            for name in ("slots", "blocks", "costs"):
+                assert np.array_equal(getattr(op, name), getattr(ref, name)), name
         assert np.array_equal(np.asarray(op), np.asarray(creation_matrix(model, s)))
 
 
@@ -677,47 +673,126 @@ def test_creation_family_rejects_what_each_slot_rejects():
     model, _ = random_model(3, 2, 2, 7, False)
     for slots in ([0, 3], [-1], [3]):
         with pytest.raises(DimensionMismatch, match="out of range"):
-            creation_operators(model, slots)
+            creation_terms(model, slots)
     with pytest.raises(DimensionMismatch, match="out of range"):
         creation_matrix(model, 3)
     phases = np.ones((3, 3), dtype=complex)
     phases[2, 0], phases[0, 2] = 1.5, 1 / 1.5
     skewed = FockModel(m=3, N=2, coeff_dim=1, merged_phases=phases)
-    fine = creation_operators(skewed, [0, 1])  # slots 0 and 1 read no entry off the circle
+    fine = FockFamily(skewed, creation_terms(skewed, [0, 1]))  # slots 0 and 1 read no entry off the circle
     assert apply_adjoints(fine, np.eye(skewed.dim)).shape == (2, skewed.dim, skewed.dim)
-    for slots in ([0, 1, 2], [2]):  # slot 2 is built, and refused at its first use
-        *_, off = creation_operators(skewed, slots)
-        assert_rejected_at_use(off, DimensionMismatch)
+    for slots in ([0, 1, 2], [2]):  # slot 2's terms are made, and refused by the family
+        *_, off = creation_terms(skewed, slots)
         with pytest.raises(DimensionMismatch, match="unimodular"):
-            apply_adjoints(creation_operators(skewed, slots), np.eye(skewed.dim))
+            FockFamily(skewed, [off])
+        with pytest.raises(DimensionMismatch, match="unimodular"):
+            FockFamily(skewed, creation_terms(skewed, slots))
+    with pytest.raises(DimensionMismatch, match="unimodular"):
+        creation_matrix(skewed, 2)
 
 
 def fresh_family(model):
-    isometries, l1 = dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
-    return isometries + [l1]
+    return dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
+
+
+def assert_same_family(got, want):
+    """Two families whose arrays are equal bit for bit, and of one dtype and shape."""
+    assert got.starts == want.starts
+    for name in ("owner", "slots", "blocks", "costs"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        assert not x.flags.writeable, name
 
 
 @pytest.mark.parametrize("style,n,N", [("u-commuting", 3, 4), ("covariant", 4, 2),
                                        ("scaled-commuting", 5, 1), ("jointly-nilpotent", 6, 3)])
 def test_one_pass_reads_equal_each_operator_own(style, n, N):
-    """``apply_adjoints`` fills ``reads`` of the operators that lack it in one
-    pass, equal bit for bit to each operator's own and to the per-term
-    definition; an operator that has it keeps it, and building a model fills none."""
+    """A family's ``reads``, formed once for every term, equal bit for bit each
+    operator's own, formed from a family of it alone, and the per-term
+    definition; building a model forms none, and ``apply_adjoints`` keeps them."""
     model = assemble_model(random_tuple(style, n, 4, seed=n), N=N)
     fock = model.fock
-    assert not any("reads" in vars(op) for op in model.isometries + [model.L1])
-    batch, single = fresh_family(model), fresh_family(model)
-    kept = batch[1].reads
+    assert "reads" not in vars(model.isometries)
+    batch = fresh_family(model)
+    kept = batch.reads
     apply_adjoints(batch, np.zeros((fock.dim, 1)))
-    assert batch[1].reads is kept
+    assert batch.reads is kept
     every = np.arange(fock.cell_count)
-    for op, ref in zip(batch, single):
-        slots, blocks, costs = zip(*op.terms)
+    for k, terms in enumerate(term_lists(batch)):
+        slots, blocks, costs = zip(*terms)
         definition = (np.array([every if s == fock.m else fock.successors[s] for s in slots]),
                       fock.cell_phases(np.array(costs)).conj(), np.array(blocks).conj())
-        for got, own, want in zip(op.reads, ref.reads, definition):
-            assert got.dtype == own.dtype == want.dtype
-            assert got.tobytes() == own.tobytes() == want.tobytes()
+        own = FockFamily(fock, [terms]).reads
+        for got, mine, want in zip(batch.reads, own, definition):
+            got = got[batch.starts[k]:batch.starts[k + 1]]
+            assert got.dtype == mine.dtype == want.dtype
+            assert got.tobytes() == mine.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("style,n,N", [("u-commuting", 3, 4), ("covariant", 4, 2),
+                                       ("scaled-commuting", 5, 1), ("jointly-nilpotent", 6, 3)])
+def test_family_item_is_the_family_of_one(style, n, N, cached):
+    """``family[k]`` equals ``FockFamily(fock, [terms_k])`` bit for bit: its
+    arrays, its ``reads``, ``apply_adjoints`` and ``np.asarray``, whether the
+    parent formed its reads before the item was taken (then shared) or not."""
+    model = assemble_model(random_tuple(style, n, 4, seed=n), N=N)
+    fock, family = model.fock, fresh_family(model)
+    if cached:
+        family.reads
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((fock.dim, 3)) + 1j * rng.standard_normal((fock.dim, 3))
+    for k, terms in enumerate(term_lists(family)):
+        item, alone = family[k], FockFamily(fock, [terms])
+        assert ("reads" in vars(item)) == cached
+        assert_same_family(item, alone)
+        if cached:
+            assert all(np.shares_memory(a, b) for a, b in zip(item.reads, family.reads))
+        for got, want in zip(item.reads, alone.reads):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert apply_adjoints(item, x).tobytes() == apply_adjoints(alone, x).tobytes()
+        assert np.asarray(item).tobytes() == np.asarray(alone).tobytes()
+    assert family[-1].costs.tobytes() == family[len(family) - 1].costs.tobytes()
+
+
+def test_family_iterates_to_its_length_and_is_no_matrix():
+    """Iteration gives each operator once and stops at ``len``; an index past it
+    is an ``IndexError``; a family of two or more has no one dense matrix, so
+    ``np.asarray`` of it is a ``DimensionMismatch``, never the sum."""
+    model, _ = random_model(2, 3, 2, 3, False)
+    family = FockFamily(model, creation_terms(model, [0, 1, 0]))
+    parts = list(family)
+    assert len(family) == len(parts) == 3
+    assert [part.slots.tolist() for part in parts] == [[0], [1], [0]]
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            family[k]
+    for many in (family, FockFamily(model, creation_terms(model, [0, 1]))):
+        with pytest.raises(DimensionMismatch, match="not one matrix"):
+            np.asarray(many)
+    assert np.asarray(family[1]).shape == (model.dim, model.dim)
+
+
+@pytest.mark.parametrize("style,n", [("covariant", 4), ("u-commuting", 3),
+                                     ("jointly-nilpotent", 5)])
+def test_a_model_stacks_and_checks_its_family_once(style, n, monkeypatch):
+    """One ``assemble_model`` and ``full_report`` make exactly one family (the
+    dilated one, at construction) and ``full_report`` alone none: the
+    verifier reads the model's family, and its items are views of it."""
+    made = []
+    init = FockFamily.__init__
+    monkeypatch.setattr(FockFamily, "__init__",
+                        lambda self, fock, ops: made.append(len(ops)) or init(self, fock, ops))
+    model = assemble_model(random_tuple(style, n, 4, seed=2), N=3)
+    assert made == [n + 1]
+    report = full_report(model)
+    assert made == [n + 1] and report.passed
+    full_report(model)
+    assert made == [n + 1]
+    back = model_from_dict(model_to_dict(model))  # a load makes its own, once
+    assert made == [n + 1] * 2
+    assert full_report(back).residuals == report.residuals and made == [n + 1] * 2
+
 
 
 @pytest.mark.parametrize("style,n,N", [("u-commuting", 3, 4), ("covariant", 4, 2),
@@ -744,7 +819,7 @@ def test_dilated_terms_equal_the_two_block_reference(style, n, N):
                                  np.where(np.arange(m) < s, fock.merged_phases[s], 1))
                  for s in range(m)]
     want = [taus[0], *creations[1:], taus[1], creations[0]]
-    got = [op.terms for op in model.isometries + [model.L1]]
+    got = term_lists(model.isometries)
     assert [len(terms) for terms in got] == [len(terms) for terms in want]
     for terms, ref in zip(got, want):
         for (slot, block, costs), (ref_slot, ref_block, ref_costs) in zip(terms, ref):

@@ -8,7 +8,7 @@ import pytest
 
 from dilation_forge import builder
 from dilation_forge.builder import assemble_model, defect_frames, measure_transfer
-from dilation_forge.fock import (FockModel, FockOperator, apply_adjoints, creation_matrix,
+from dilation_forge.fock import (FockFamily, FockModel, apply_adjoints, creation_matrix,
                                  enumerate_indices, interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
@@ -18,7 +18,7 @@ from dilation_forge.verifier import (TOLERANCES, _covariance, _relabel_counts, f
                                      verify_intertwining, verify_isometric_representation,
                                      verify_moments, verify_pi)
 from fock_reference import (apply, cell_blocks, coordinate_labels, covariance, sparse_product,
-                            sparse_terms_norm, two_block_terms)
+                            sparse_terms_norm, term_lists, two_block_terms)
 from padding import padded_model
 
 
@@ -48,15 +48,15 @@ def reference_products(model):
     spec, fock = model.spec, model.fock
     inner = interior_projector(fock, 1)
     e1, e2 = unit_columns(inner), unit_columns(interior_projector(fock, min(2, fock.N)))
-    out = {}
-    for i, w in enumerate(model.isometries, start=1):
-        gram = apply_adjoints([w], apply(w, e1))[0]
+    out, ws = {}, list(model.isometries)[:spec.n]
+    for i, w in enumerate(ws, start=1):
+        gram = apply_adjoints(w, apply(w, e1))[0]
         out[f"isometry_v{i}"] = rel_residual(gram[inner] - e1[inner], e1)
-    for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
+    for (i, vi), (j, vj) in combinations(enumerate(ws, start=1), 2):
         ji = apply(vj, apply(vi, e2))
         out[f"commute_{i}_{j}"] = rel_residual(apply(vi, apply(vj, e2)) - spec.u(i, j) * ji, ji)
     l1 = apply(creation_matrix(fock, 0), e2)
-    v1, vn = model.isometries[0], model.isometries[-1]
+    v1, vn = ws[0], ws[-1]
     out["factor_tau12"] = rel_residual(apply(v1, apply(vn, e2)) - l1, l1)
     out["factor_tau21"] = rel_residual(apply(vn, apply(v1, e2)) - spec.u(spec.n, 1) * l1, l1)
     return out
@@ -72,11 +72,11 @@ def rebuilt_model(model, change):
     return replace(model, transfer=transfer)
 
 
-def with_isometries(model, isometries):
-    """A copy of the model whose dilated isometries are ``isometries``, without
-    the original's ``pi_adjoints`` if it had formed them."""
+def with_isometries(model, ops):
+    """A copy of the model whose dilated family is made of the term lists
+    ``ops``, without the original's ``pi_adjoints`` if it had formed them."""
     bent = copy(model)
-    bent.isometries = isometries
+    bent.isometries = FockFamily(model.fock, ops)
     vars(bent).pop("pi_adjoints", None)
     return bent
 
@@ -92,16 +92,16 @@ def assert_matches_reference(model):
 @pytest.mark.parametrize("style", STYLES)
 def test_report_applies_the_adjoints_to_pi_once(style, monkeypatch):
     """The intertwining and moment checks read the model's one
-    ``pi_adjoints``; its isometry rows are ``apply_adjoints`` of the
-    isometries alone, bit for bit."""
+    ``pi_adjoints``, whose rows are ``apply_adjoints`` of each operator of
+    the family alone, bit for bit."""
     model = assemble_model(style_tuple(style, 3, 3, seed=21), N=3)
     calls = []
     monkeypatch.setattr(builder, "apply_adjoints",
                         lambda ops, x: calls.append(len(ops)) or apply_adjoints(ops, x))
     assert full_report(model).to_dict() == full_report(model).to_dict()
     assert calls == [model.spec.n + 1]
-    n = model.spec.n
-    assert model.pi_adjoints[:n].tobytes() == apply_adjoints(model.isometries, model.Pi).tobytes()
+    for got, w in zip(model.pi_adjoints, model.isometries):
+        assert got.tobytes() == apply_adjoints(w, model.Pi)[0].tobytes()
 
 
 @pytest.mark.parametrize("N", [1, 2, 5])
@@ -147,11 +147,11 @@ def per_pair_isometric_representation(model):
     block-sparse products (``fock_reference``) on the model's interior cells."""
     spec, fock = model.spec, model.fock
     unit = max(1.0, np.sqrt(np.count_nonzero(interior_projector(fock, 1))))
-    margin, out = min(2, fock.N), {}
-    for i, w in enumerate(model.isometries, start=1):
+    margin, out, ws = min(2, fock.N), {}, list(model.isometries)[:spec.n]
+    for i, w in enumerate(ws, start=1):
         out[f"isometry_v{i}"] = sparse_terms_norm(
             fock, [(1.0, sparse_product(w, w, adjoint=True))], 1, 1, minus_identity=True) / unit
-    for (i, vi), (j, vj) in combinations(enumerate(model.isometries, start=1), 2):
+    for (i, vi), (j, vj) in combinations(enumerate(ws, start=1), 2):
         ji = sparse_product(vj, vi)
         ref = max(1.0, sparse_terms_norm(fock, [(1.0, ji)], margin))
         out[f"commute_{i}_{j}"] = sparse_terms_norm(
@@ -162,10 +162,10 @@ def per_pair_isometric_representation(model):
 def per_pair_factorization(model):
     """The transfer factorization residuals from block-sparse products on the
     model's source cells of margin min(2, N)."""
-    fock, margin = model.fock, min(2, model.N)
-    l1 = cell_blocks(model.L1)
+    fock, margin, n = model.fock, min(2, model.N), model.spec.n
+    l1 = cell_blocks(model.isometries[n])
     ref = max(1.0, sparse_terms_norm(fock, [(1.0, l1)], margin))
-    v1, vn = model.isometries[0], model.isometries[-1]
+    v1, vn = model.isometries[0], model.isometries[n - 1]
     flip = model.spec.u(model.spec.n, 1)
     return {"factor_tau12": sparse_terms_norm(
                 fock, [(1.0, sparse_product(v1, vn)), (-1.0, l1)], margin) / ref,
@@ -228,9 +228,9 @@ def per_operator_intertwining(model):
     inner = interior_projector(model.fock, 1)
     ts = [spec.op(i) for i in range(1, spec.n + 1)] + [model.merged.op(1)]
     out = []
-    for w, t in zip(model.isometries + [model.L1], ts):
+    for w, t in zip(model.isometries, ts):
         rhs = (pi @ adj(t))[inner]
-        out.append(rel_residual(apply_adjoints([w], pi)[0][inner] - rhs, rhs))
+        out.append(rel_residual(apply_adjoints(w, pi)[0][inner] - rhs, rhs))
     return out
 
 
@@ -259,10 +259,11 @@ def test_one_pass_keeps_each_pair_in_its_residual():
     model = assemble_model(random_tuple("jointly-nilpotent", 5, 2, seed=4), N=3)
     before = verify_isometric_representation(model)
     k = 3  # V_3 is the creation operator of merged slot k - 1 (0-based)
-    [(slot, block, costs)] = creation_matrix(model.fock, k - 1).terms
+    ops = term_lists(model.isometries)
+    [(slot, block, costs)] = ops[k - 1]
     turn = np.exp(0.7j * (np.arange(model.fock.m) != slot))
-    bent = FockOperator(model.fock, [(slot, 1.25 * block, costs * turn)])
-    bent_model = with_isometries(model, model.isometries[:k - 1] + [bent] + model.isometries[k:])
+    ops[k - 1] = [(slot, 1.25 * block, costs * turn)]
+    bent_model = with_isometries(model, ops)
     after = verify_isometric_representation(bent_model)
     assert list(after) == list(before)
     tol = TOLERANCES["linear"]
@@ -286,11 +287,11 @@ def test_commutation_is_gated_at_linear():
     like the isometries, not at the factorizations' "product"."""
     model = assemble_model(random_tuple("jointly-nilpotent", 5, 2, seed=4), N=3)
     k = 3  # V_3 is the creation operator of merged slot k - 1 (0-based)
-    [(slot, block, costs)] = creation_matrix(model.fock, k - 1).terms
+    ops = term_lists(model.isometries)
+    [(slot, block, costs)] = ops[k - 1]
     turn = np.exp(5e-10j * (np.arange(model.fock.m) != slot))
-    bent = FockOperator(model.fock, [(slot, block, costs * turn)])
-    report = full_report(with_isometries(
-        model, model.isometries[:k - 1] + [bent] + model.isometries[k:]))
+    ops[k - 1] = [(slot, block, costs * turn)]
+    report = full_report(with_isometries(model, ops))
     bent_pairs = [f"commute_{i}_{j}" for i, j in combinations(range(1, 6), 2) if k in (i, j)]
     for name in bent_pairs:
         assert TOLERANCES["linear"] < report.residuals[name] <= TOLERANCES["product"], name
@@ -305,12 +306,12 @@ def test_factorization_sees_a_bent_transfer_shift():
     dense products."""
     model = assemble_model(random_tuple("jointly-nilpotent", 5, 2, seed=4), N=3)
     before = verify_isometric_representation(model)
-    tau = model.isometries[-1]
-    (slot, shift, shift_costs), (_, diag, kappa_costs) = tau.terms
+    ops = term_lists(model.isometries)  # tau_n is operator n - 1, before L1
+    (slot, shift, shift_costs), (_, diag, kappa_costs) = ops[-2]
     turn = np.exp(0.7j * (np.arange(model.fock.m) == 1))
-    bent = FockOperator(model.fock, two_block_terms(
-        model.fock, diag, shift, slot, shift_costs / kappa_costs * turn, kappa_costs))
-    bent_model = with_isometries(model, model.isometries[:-1] + [bent])
+    ops[-2] = two_block_terms(model.fock, diag, shift, slot, shift_costs / kappa_costs * turn,
+                              kappa_costs)
+    bent_model = with_isometries(model, ops)
     after = verify_isometric_representation(bent_model)
     assert list(after) == list(before)
     assert max(before["factor_tau12"], before["factor_tau21"]) <= TOLERANCES["product"]
@@ -331,11 +332,11 @@ def test_slightly_turned_transfer_shift_matches_per_pair(n, N, turn):
     turns of 1e-10 as 0 and missed turns of 1e-7 by 1.7e-10)."""
     model = assemble_model(random_tuple("scaled-commuting" if N > 6 else "jointly-nilpotent",
                                         n, 2, seed=4), N=N)
-    (slot, shift, shift_costs), (_, diag, kappa_costs) = model.isometries[-1].terms
+    ops = term_lists(model.isometries)  # tau_n is operator n - 1, before L1
+    (slot, shift, shift_costs), (_, diag, kappa_costs) = ops[-2]
     costs = shift_costs / kappa_costs * np.exp(1j * turn * (np.arange(model.fock.m) == 1))
-    bent = FockOperator(model.fock, two_block_terms(model.fock, diag, shift, slot, costs,
-                                                    kappa_costs))
-    bent_model = with_isometries(model, model.isometries[:-1] + [bent])
+    ops[-2] = two_block_terms(model.fock, diag, shift, slot, costs, kappa_costs)
+    bent_model = with_isometries(model, ops)
     got = verify_isometric_representation(bent_model)
     ref = {**per_pair_isometric_representation(bent_model), **per_pair_factorization(bent_model)}
     assert list(got) == list(ref)
@@ -421,7 +422,7 @@ def two_memo_moments(model, maxdeg=3):
         slots = [k for k, v in enumerate(beta) if v > 0]
         for memo, s, adjoint in ((forward, slots[0], False), (backward, slots[-1], True)):
             lower = beta[:s] + (beta[s] - 1,) + beta[s + 1:]
-            memo[beta] = (apply_adjoints([ws[s]], memo[lower])[0] if adjoint
+            memo[beta] = (apply_adjoints(ws[s], memo[lower])[0] if adjoint
                           else apply(ws[s], memo[lower]))
     tadj = ordered_power_products(spec, FockModel(spec.n, K, 1, spec.phases))
     residual = gap = 0.0
@@ -528,7 +529,7 @@ def test_equivariance_identity_automorphisms():
     # with identity automorphisms the dilated isometries commute with rho(M)
     labels = coordinate_labels(model).ravel()
     rho = [np.diag((labels == p).astype(complex)) for p in range(2)]
-    for w in model.isometries:
+    for w in list(model.isometries)[:spec.n]:
         for r in rho:
             assert np.linalg.norm(np.asarray(w) @ r - r @ np.asarray(w)) < 1e-10
 
