@@ -26,11 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DilationForgeError, DimensionMismatch, IdentityResidualExceeded,
-                     InfeasibleFinitePadding, NotInClass, UnsupportedMultiplicity)
+from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
+                     NotInClass, UnsupportedMultiplicity)
 from .fock import FockFamily, FockModel, apply_adjoints, creation_terms, degree_layers
-from .linalg import (RANK_TOL, adj, eye, frob, frob_stack, isometry_from_frames, psd_checks,
-                     psd_sqrt, range_bases)
+from .linalg import (RANK_TOL, adj, check_count, eye, frob, frob_stack, isometry_from_frames,
+                     psd_checks, psd_sqrt, range_bases)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, cp_apply, merge_1n,
                      ordered_power_products, purity_radii)
 
@@ -331,25 +331,14 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _check_count(value, what: str, none: bool = False):
-    """``value`` as an int if it is an integer >= 0, Python or numpy but not a
-    bool (or None, with ``none``); a ``DilationForgeError`` naming ``what`` otherwise."""
-    if value is None and none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DilationForgeError(f"{what} must be an integer, got {value!r}")
-    if value < 0:
-        raise DilationForgeError(f"{what} must be >= 0, got {value}")
-    return int(value)
-
-
 def build_U(spec: TupleSpec, defects: dict, coupling: CouplingData, mult1,
             completion_seed: Optional[int] = None) -> tuple:
     """Lay out D and Udom padded by the aux1 multiplicities ``mult1`` and extend
     V0^{-1} to the unitary U: Udom -> D; returns ``(layout, U)``.  A
     ``completion_seed`` >= 0, the one free choice, rotates each component's
     completion by a seeded Haar unitary."""
-    completion_seed = _check_count(completion_seed, "completion seed", none=True)
+    if completion_seed is not None:
+        completion_seed = check_count(completion_seed, "completion seed")
     alg = coupling.algebra
     layout = coefficient_layout(spec, defects, mult1, alg)
     rn, r1, dD = layout.rn, layout.r1, layout.dim
@@ -541,10 +530,11 @@ def simplex_mass(dhat_root: np.ndarray, powers: np.ndarray) -> np.ndarray:
 def assemble_model(spec: TupleSpec, N: int = 4,
                    completion_seed: Optional[int] = None) -> DilationModel:
     """Run the whole construction and package the dilation model.  A degree
-    ``N`` or a ``completion_seed`` (or None) that is no integer >= 0 is an
-    input error, raised before any other work."""
-    N = _check_count(N, "truncation degree N")
-    completion_seed = _check_count(completion_seed, "completion seed", none=True)
+    ``N`` that is no integer >= 1, or a ``completion_seed`` (or None) that is
+    no integer >= 0, is an input error, raised before any other work."""
+    N = check_count(N, "truncation degree N", least=1)
+    if completion_seed is not None:
+        completion_seed = check_count(completion_seed, "completion seed")
     alg = effective_algebra(spec)
     defects, merged, eq_resid = build_defects(spec, alg)
     coupling = build_V0(spec, defects, alg)

@@ -42,7 +42,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .linalg import adj, as_matrix
+from .linalg import adj, as_matrix, check_count
 
 PHASE_TOL = 1e-12  # largest | |c| - 1 | of a character cost, as for a tuple's phase table
 MAX_CELLS = 2 ** 15  # largest cell count comb(m + N, m) of a truncated model
@@ -123,11 +123,13 @@ class FockModel:
     parent: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.m, self.N, self.coeff_dim = (check_count(getattr(self, name), f"Fock model {name}")
+                                          for name in ("m", "N", "coeff_dim"))
         self.merged_phases = as_matrix(self.merged_phases)
         if self.merged_phases.shape != (self.m, self.m):
             raise DimensionMismatch("merged phase table must be m x m")
         m, N = self.m, self.N
-        if N >= 0 and comb(m + N, m) > MAX_CELLS:
+        if comb(m + N, m) > MAX_CELLS:
             raise DimensionMismatch(f"truncation degree {N} over {m} generators gives "
                                     f"{comb(m + N, m)} cells, more than the budget of {MAX_CELLS}")
         self.cells, self.slot, self.parent = enumerate_indices(self.m, self.N)

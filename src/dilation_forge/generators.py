@@ -8,12 +8,14 @@ nilpotent styles; Szego positivity always holds for small enough scale.
 
 from __future__ import annotations
 
+import inspect
+from functools import reduce
+
 import numpy as np
 
 from .errors import GenerationFailed
 from .tuples import AlgebraStructure, TupleSpec, class_gate
 
-STYLES = ("jointly-nilpotent", "scaled-commuting", "u-commuting", "covariant")
 MARGIN = 1e-6  # minimum Szego eigenvalue and purity gap required of generated tuples
 PHASE_POOL = (1, -1, 1j, -1j)  # the commutation phases u_commuting draws from
 
@@ -57,54 +59,26 @@ def _commuting_polynomials(rng: np.random.Generator, n: int, dim: int,
     return ops
 
 
-def jointly_nilpotent(rng: np.random.Generator, n: int, dim: int) -> TupleSpec:
-    return _scale_into_class(_commuting_polynomials(rng, n, dim, nilpotent=True))
-
-
-def scaled_commuting(rng: np.random.Generator, n: int, dim: int) -> TupleSpec:
-    return _scale_into_class(_commuting_polynomials(rng, n, dim, nilpotent=False))
-
-
-def _weighted_shift(rng: np.random.Generator, dim: int) -> np.ndarray:
-    s = np.zeros((dim, dim), dtype=complex)
-    weights = 0.3 + 0.7 * rng.random(dim - 1)
-    for j in range(dim - 1):
-        s[j + 1, j] = weights[j]
-    return s
-
-
 def u_commuting(rng: np.random.Generator, n: int, dim: int) -> TupleSpec:
-    """Weighted shift / diagonal pairs realizing unimodular commutation phases.
-
-    n = 2: (S, D_q) with D_q S = q S D_q.  n = 3: a Kronecker pair of such
-    systems sharing a diagonal, giving nontrivial phases on two of the three
-    pairs (the third commutes).
-    """
-    q1 = complex(PHASE_POOL[rng.integers(len(PHASE_POOL))])
-    if n == 2:
-        s = _weighted_shift(rng, dim)
-        d = np.diag(np.asarray([q1 ** j for j in range(dim)], dtype=complex))
-        d = d * (0.4 + 0.5 * rng.random())
-        # D S = q S D, so t1 t2 = conj(q) t2 t1
-        phases = np.asarray([[1, np.conj(q1)], [q1, 1]])
-        return _scale_into_class([s, d], phases=phases)
-    if n == 3:
-        q2 = complex(PHASE_POOL[rng.integers(len(PHASE_POOL))])
-        da, db = max(2, dim // 2), 2
-        sa = _weighted_shift(rng, da)
-        sb = _weighted_shift(rng, db)
-        qa = np.diag(np.asarray([q1 ** j for j in range(da)], dtype=complex))
-        qb = np.diag(np.asarray([q2 ** j for j in range(db)], dtype=complex))
-        t1 = np.kron(sa, np.eye(db))
-        t2 = (0.4 + 0.5 * rng.random()) * np.kron(qa, qb)
-        t3 = np.kron(np.eye(da), sb)
-        phases = np.asarray([
-            [1, np.conj(q1), 1],
-            [q1, 1, q2],
-            [1, np.conj(q2), 1],
-        ])
-        return _scale_into_class([t1, t2, t3], phases=phases)
-    raise GenerationFailed("u-commuting style supports n in {2, 3}")
+    """Weighted shifts around a phase-diagonal hub: index 2 is c (x)_k diag(q_k^j),
+    every other index k a weighted shift S_k on its own tensor factor, with dim
+    rows for n = 2 and max(2, dim // 2) and 2 rows for n = 3.  As diag(q^j) S =
+    q S diag(q^j), t_k t_2 = conj(q_k) t_2 t_k, and the shifts commute."""
+    if n not in (2, 3):
+        raise GenerationFailed("u-commuting style supports n in {2, 3}")
+    qs = [complex(PHASE_POOL[rng.integers(len(PHASE_POOL))]) for _ in range(n - 1)]
+    sizes = [dim] if n == 2 else [max(2, dim // 2), 2]
+    shifts = [np.diag(0.3 + 0.7 * rng.random(size - 1), -1).astype(complex) for size in sizes]
+    diags = [np.diag(np.asarray([q ** j for j in range(size)], dtype=complex))
+             for q, size in zip(qs, sizes)]
+    hub = (0.4 + 0.5 * rng.random()) * reduce(np.kron, diags)
+    ops = [reduce(np.kron, [s if g == f else np.eye(size) for g, size in enumerate(sizes)])
+           for f, s in enumerate(shifts)]
+    ops.insert(1, hub)
+    others = [0, *range(2, n)]
+    phases = np.ones((n, n), dtype=complex)
+    phases[1, others], phases[others, 1] = qs, np.conj(qs)
+    return _scale_into_class(ops, phases=phases)
 
 
 def covariant(rng: np.random.Generator, n: int, dimH: int, k: int = 2,
@@ -121,8 +95,7 @@ def covariant(rng: np.random.Generator, n: int, dimH: int, k: int = 2,
                                f"multiple of it, got k={k!r}, dimH={dimH}")
     width = dimH // k
     if automorphisms is None:
-        cycle = [(j + 1) % k for j in range(k)]
-        pool = [list(range(k)), cycle]
+        pool = [list(range(k)), [(j + 1) % k for j in range(k)]]  # the identity and the cycle
         automorphisms = [pool[rng.integers(2)] for _ in range(n)]
     algebra = AlgebraStructure(k=k, block_of=np.repeat(np.arange(k), width),
                                automorphisms=automorphisms)
@@ -134,24 +107,33 @@ def covariant(rng: np.random.Generator, n: int, dimH: int, k: int = 2,
     return _scale_into_class(ops, algebra=algebra)
 
 
-def random_tuple(style: str, n: int, dimH: int, seed: int, **kwargs) -> TupleSpec:
-    """Dispatch by style name; deterministic in (style, n, dimH, seed)."""
+# style name -> builder(rng, n, dimH, **options); the keys, in order, are STYLES
+BUILDERS = {
+    "jointly-nilpotent": lambda rng, n, dim: _scale_into_class(
+        _commuting_polynomials(rng, n, dim, nilpotent=True)),
+    "scaled-commuting": lambda rng, n, dim: _scale_into_class(
+        _commuting_polynomials(rng, n, dim, nilpotent=False)),
+    "u-commuting": u_commuting,
+    "covariant": covariant,
+}
+STYLES = tuple(BUILDERS)
+
+
+def random_tuple(style: str, n: int, dimH: int, seed: int, **options) -> TupleSpec:
+    """Dispatch by style name; deterministic in (style, n, dimH, seed).  An
+    option the style's builder does not take is refused by name."""
     if n < 2 or dimH < 1:
         raise GenerationFailed(f"need n >= 2 and dimH >= 1, got n={n}, dimH={dimH} (the "
                                "dilatable class has n >= 2; a single contraction T dilates "
                                "as the pair (T, 0))")
     if seed < 0:
         raise GenerationFailed(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    if style == "jointly-nilpotent":
-        return jointly_nilpotent(rng, n, dimH)
-    if style == "scaled-commuting":
-        return scaled_commuting(rng, n, dimH)
-    if style == "u-commuting":
-        return u_commuting(rng, n, dimH)
-    if style == "covariant":
-        return covariant(rng, n, dimH, **kwargs)
-    raise GenerationFailed(f"unknown style {style!r}; choose from {STYLES}")
+    if style not in BUILDERS:
+        raise GenerationFailed(f"unknown style {style!r}; choose from {STYLES}")
+    build = BUILDERS[style]
+    if extra := set(options) - set(list(inspect.signature(build).parameters)[3:]):
+        raise GenerationFailed(f"style {style!r} takes no option {', '.join(sorted(extra))}")
+    return build(np.random.default_rng(seed), n, dimH, **options)
 
 
 def parrott_tuple() -> TupleSpec:

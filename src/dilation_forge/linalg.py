@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GramMismatch, MalformedSpec, NonFinite, NonSquare, NotPSD
+from .errors import (DilationForgeError, DimensionMismatch, GramMismatch, MalformedSpec, NonFinite,
+                     NonSquare, NotPSD)
 
 PSD_TOL = 1e-10   # PSD cutoff: min_eig >= -PSD_TOL * max(1, ||A||_2)
 RANK_TOL = 1e-10  # singular values below RANK_TOL * the largest one count as zero
@@ -33,6 +34,16 @@ def as_complex(values, what: str) -> np.ndarray:
         return np.array(arr, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         raise MalformedSpec(f"{what} must be an array of numbers") from None
+
+
+def check_count(value, what: str, least: int = 0) -> int:
+    """``value`` as an int if it is an integer >= ``least``, Python or numpy but
+    not a bool; a ``DilationForgeError`` naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DilationForgeError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise DilationForgeError(f"{what} must be >= {least}, got {value}")
+    return int(value)
 
 
 def as_matrix(a) -> np.ndarray:

@@ -83,11 +83,12 @@ class AlgebraStructure:
             raise MalformedSpec("algebra k must be a positive integer")
         self.block_of = _checked_labels(self.block_of, 1, "block_of entries")
         self.automorphisms = auto = _checked_labels(self.automorphisms, 2, "automorphism rows")
+        if auto.shape[1] != self.k:  # before anything whose size grows with k
+            raise MalformedSpec(f"automorphism rows have {auto.shape[1]} entries, not k = {self.k}")
         if np.any((self.block_of < 0) | (self.block_of >= self.k)):
             raise MalformedSpec("block_of entries must lie in 0..k-1")
-        for i, a in enumerate(auto.tolist()):
-            if sorted(a) != list(range(self.k)):
-                raise MalformedSpec(f"automorphism {i} is not a permutation of 0..k-1")
+        if len(bad := np.flatnonzero(np.any(np.sort(auto, axis=1) != np.arange(self.k), axis=1))):
+            raise MalformedSpec(f"automorphism {bad[0]} is not a permutation of 0..k-1")
         # auto[:, auto][i, j] is a_i o a_j
         if not np.array_equal(auto[:, auto], auto[:, auto].transpose(1, 0, 2)):
             raise MalformedSpec("automorphisms must pairwise commute")

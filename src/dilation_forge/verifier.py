@@ -177,11 +177,16 @@ def verify_factorization(model: DilationModel) -> dict:
     return {name: out[name] for name in PRODUCT_GATED}
 
 
+def moment_degree(model: DilationModel) -> int:
+    """The highest |beta| the moment oracle checks: below N, and at most MOMENT_MAXDEG."""
+    return min(MOMENT_MAXDEG, model.N - 1)
+
+
 def verify_moments(model: DilationModel) -> dict:
     """Brute-force oracle <Pi h, V^beta Pi g> = <h, T^beta g> over all basis pairs.
 
     V^beta = V_1^{beta_1} ... V_n^{beta_n}.  The betas are the rows of
-    ``enumerate_indices(n, MOMENT_MAXDEG)`` read with the slots reversed, so a
+    ``enumerate_indices(n, moment_degree(model))`` read with the slots reversed, so a
     row's first unit j is beta's last, s = n - 1 - j, and its parent link is
     beta - e_s.  One walk down that tree fills the (betas, dim, dimH) memo
     (V^beta)* Pi = V_s* (V^{beta - e_s})* Pi, the degree-1 rows from the
@@ -197,7 +202,7 @@ def verify_moments(model: DilationModel) -> dict:
     Both vanish when the tuple is nilpotent enough for the truncation to be exact.
     """
     spec, pi, ws, n = model.spec, model.Pi, model.isometries, model.spec.n
-    cells, slot, parent = enumerate_indices(n, min(MOMENT_MAXDEG, max(model.N - 1, 0)))
+    cells, slot, parent = enumerate_indices(n, moment_degree(model))
     group = cells.sum(axis=1) * n + n - 1 - slot  # (degree, beta's last slot), in degree order
     ops = adj(spec.blocks[:, 0])
     tadj = np.empty((len(cells), spec.dimH, spec.dimH), dtype=complex)
@@ -276,7 +281,7 @@ def full_report(model: DilationModel) -> VerificationReport:
     """Run every verifier, gate its residuals at ``TOLERANCES``, and carry the
     model's construction residuals."""
     report = VerificationReport(config={"tolerances": dict(TOLERANCES), "N": model.N,
-                                        "moment_maxdeg": MOMENT_MAXDEG},
+                                        "moment_maxdeg": moment_degree(model)},
                                 construction=dict(model.transfer.residuals))
     report.tail_bounds = [float(t) for t in model.tails]
 

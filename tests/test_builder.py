@@ -12,8 +12,8 @@ from dilation_forge import builder
 from dilation_forge import io as dfio
 from dilation_forge.builder import (UNITARY_GATE, CouplingData, assemble_model,
                                     build_defects, build_transfer, build_U, build_V0,
-                                    coefficient_layout, defect_frames, effective_algebra,
-                                    simplex_mass, solve_aux, truncation_tails)
+                                    coefficient_layout, defect_frames, dilated_isometries,
+                                    effective_algebra, simplex_mass, solve_aux, truncation_tails)
 from dilation_forge.errors import (DilationForgeError, DimensionMismatch, GenerationFailed,
                                    IdentityResidualExceeded, InfeasibleFinitePadding, NotInClass,
                                    UnsupportedMultiplicity)
@@ -295,11 +295,13 @@ def test_transfer_blocks_satisfy_colligation_relations():
 
 
 def test_tau_degree_zero_is_diagonal_part_alone():
-    spec = scalar_triple()
-    model = assemble_model(spec, N=0)
-    tau1 = model.isometries[0]
-    # single cell: no shifted output survives truncation
+    """On a degree-0 Fock model, one cell, tau1's shift term reads no cell, so
+    tau1 is its cellwise term alone, U1's A block*."""
+    model = assemble_model(scalar_triple(), N=1)
     d = model.layout.dim
+    fock = FockModel(model.merged.n, 0, d, model.merged.phases)
+    tau1 = dilated_isometries(model.spec, model.transfer, model.layout, fock)[0]
+    assert tau1.reads[0].tolist() == [[-1], [0]]
     assert np.allclose(tau1, adj(model.transfer.U1[:d, :d]))
 
 
@@ -531,26 +533,27 @@ def test_degree_beyond_the_cell_budget_fails_before_the_tails():
     ({"N": True}, "truncation degree N must be an integer, got True"),
     ({"N": "3"}, "truncation degree N must be an integer, got '3'"),
     ({"N": None}, "truncation degree N must be an integer, got None"),
-    ({"N": -1}, "truncation degree N must be >= 0, got -1"),
+    ({"N": -1}, "truncation degree N must be >= 1, got -1"),
     ({"completion_seed": 1.5}, "completion seed must be an integer, got 1.5"),
     ({"completion_seed": "3"}, "completion seed must be an integer, got '3'"),
     ({"completion_seed": True}, "completion seed must be an integer, got True"),
     ({"completion_seed": False}, "completion seed must be an integer, got False"),
-    ({"completion_seed": np.int64(-2)}, "completion seed must be >= 0, got -2")])
+    ({"completion_seed": np.int64(-2)}, "completion seed must be >= 0, got -2"),
+    ({"N": np.uint8(0)}, "truncation degree N must be >= 1, got 0")])
 def test_build_counts_that_are_no_integers_are_input_errors(kwargs, message, monkeypatch):
-    """A degree or a completion seed that is not an integer >= 0 (a bool is
-    not one) is a ``DilationForgeError`` raised before any other work, so an
-    out-of-class tuple gets it too; Python and numpy integers, and N = 0,
-    build, and a numpy degree is stored as an int, which a model file takes."""
+    """A degree that is not an integer >= 1 or a completion seed that is not an
+    integer >= 0 (a bool is not one) is a ``DilationForgeError`` raised before
+    any other work, so an out-of-class tuple gets it too; Python and numpy
+    integers build, and a numpy degree is stored as an int, which a model file takes."""
     monkeypatch.setattr(builder, "effective_algebra", lambda spec: pytest.fail("built"))
     for spec in (scalar_triple(), parrott_tuple()):
         with pytest.raises(DilationForgeError, match=f"^{re.escape(message)}$"):
             assemble_model(spec, **kwargs)
     monkeypatch.undo()
-    for N, seed in ((np.int64(2), np.int32(5)), (np.uint8(0), None), (1, 0)):
+    for N, seed in ((np.int64(2), np.int32(5)), (np.uint8(1), None), (1, 0)):
         model = assemble_model(scalar_triple(), N=N, completion_seed=seed)
         assert type(model.N) is int and model.N == N
-        assert model.N == 0 or full_report(model).passed
+        assert full_report(model).passed
         dump_json(model_to_dict(model), None)
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -469,9 +470,11 @@ def test_negative_seed_is_input_error(tmp_path, triple_file, capsys, command, se
 
 
 def test_model_file_of_degree_zero_is_input_error(tmp_path, capsys):
-    # the library still builds N = 0 (the diagonal part alone); its file is rejected on load
+    # neither the library nor the CLI builds N = 0, so a model file edited to it is rejected on load
     model_path = tmp_path / "model.json"
-    dump_json(model_to_dict(assemble_model(scalar_triple(), N=0)), str(model_path))
+    doc = model_to_dict(assemble_model(scalar_triple(), N=1))
+    doc["N"] = 0
+    dump_json(doc, str(model_path))
     assert main(["verify", "-m", str(model_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: $.N: truncation degree must be at least 1, got 0"]
@@ -880,6 +883,30 @@ def test_random_rejects_empty_sizes_with_one_error_line(tmp_path, capsys, argv):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [10 ** 9, 2 ** 62, 10 ** 30])
+def test_algebra_k_beyond_its_automorphism_rows_is_input_error(k, tmp_path, capsys):
+    """A tuple file whose ``algebra.k`` exceeds the width of its automorphism
+    rows is refused from that width, before anything whose size grows with k
+    (a list of k entries per row once overflowed, ran out of memory, or was
+    killed): ``MalformedSpec`` from the loader, exit 1 with one error line
+    from ``classify``, and a peak far below anything of size k."""
+    doc = tuple_to_dict(random_tuple("covariant", 2, 4, seed=0))
+    doc["algebra"]["k"] = k
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedSpec, match=f"rows have 2 entries, not k = {k}$"):
+            tuple_from_dict(json.loads(path.read_text()))
+        assert main(["classify", "-i", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Traceback" not in err[0]
 
 
 def test_random_covariant_writes_the_requested_dimH(tmp_path):

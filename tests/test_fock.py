@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from math import comb
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilation_forge.builder import assemble_model, dilated_isometries
-from dilation_forge.errors import DimensionMismatch, MalformedSpec, NonFinite
+from dilation_forge.errors import DilationForgeError, DimensionMismatch, MalformedSpec, NonFinite
 from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockFamily, FockModel, apply_adjoints,
                                  creation_matrix, creation_terms, enumerate_indices,
                                  interior_cells, interior_projector, isometry_defects,
@@ -202,6 +203,32 @@ def test_a_phase_that_is_not_a_number_is_named(phases, where):
     each is a ``MalformedSpec`` naming its entry."""
     with pytest.raises(MalformedSpec, match=rf"entry \({where[1:-1]}\) is "):
         FockModel(m=len(phases), N=1, coeff_dim=1, merged_phases=phases)
+
+
+@pytest.mark.parametrize("counts,message", [
+    ({"m": 2.0}, "Fock model m must be an integer, got 2.0"),
+    ({"N": 1.5}, "Fock model N must be an integer, got 1.5"),
+    ({"N": True}, "Fock model N must be an integer, got True"),
+    ({"N": -1}, "Fock model N must be >= 0, got -1"),
+    ({"coeff_dim": -1}, "Fock model coeff_dim must be >= 0, got -1"),
+    ({"coeff_dim": np.True_}, "Fock model coeff_dim must be an integer, got np.True_")])
+def test_fock_model_counts_are_integers(counts, message):
+    """m, N and coeff_dim are integers >= 0, Python or numpy but not bools,
+    checked before the cell count: each malformed one is a ``DilationForgeError``
+    naming it (N = 1.5 once raised a raw ``TypeError`` from ``comb``, and
+    coeff_dim = -1 built a model of negative dimension)."""
+    kwargs = {"m": 2, "N": 1, "coeff_dim": 1, "merged_phases": np.ones((2, 2))} | counts
+    with pytest.raises(DilationForgeError, match=f"^{re.escape(message)}$"):
+        FockModel(**kwargs)
+
+
+def test_fock_model_of_no_generator_is_a_dimension_mismatch():
+    """m = 0 stays a ``DimensionMismatch``, and numpy counts are stored as ints."""
+    with pytest.raises(DimensionMismatch):
+        FockModel(m=0, N=1, coeff_dim=1, merged_phases=np.ones((0, 0)))
+    model = FockModel(m=np.int64(2), N=np.uint8(1), coeff_dim=np.int32(0),
+                      merged_phases=np.ones((2, 2)))
+    assert [type(x) for x in (model.m, model.N, model.coeff_dim)] == [int] * 3 and model.dim == 0
 
 
 SHAPES = [(1, 0, 2), (2, 0, 1), (1, 1, 3), (3, 1, 2), (2, 3, 2), (3, 2, 3), (1, 4, 1)]

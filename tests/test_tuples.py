@@ -65,6 +65,10 @@ def test_malformed_specs():
         AlgebraStructure(k=2, block_of=[0, 1], automorphisms=[[0, 0]])
     with pytest.raises(MalformedSpec):
         AlgebraStructure(k=-1, block_of=[], automorphisms=[])
+    with pytest.raises(MalformedSpec, match="^automorphism 1 is not a permutation of 0..k-1$"):
+        AlgebraStructure(k=3, block_of=[0, 1, 2], automorphisms=[[2, 0, 1], [0, 2, 2], [1, 1, 1]])
+    with pytest.raises(MalformedSpec, match="^automorphism rows have 3 entries, not k = 2$"):
+        AlgebraStructure(k=2, block_of=[0, 1], automorphisms=[[0, 1, 2], [0, 1, 2]])
     # a string, a dict, a ragged matrix, a row that is not a list, no blocks at all
     for dim, blocks in ((1, [["x"]]), (1, [[{"a": 1}]]), (2, [[[[0.0], [0.0, 0.0]]]]), (1, [5]),
                         (1, None)):

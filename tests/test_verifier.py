@@ -474,11 +474,11 @@ def cycle_powers(k, n, seed):
 @pytest.mark.parametrize("n", [3, 4, 9])
 def test_one_pass_covariance_matches_per_component_loop(n, seed):
     """The closed form over the cell counts equals the per-cell reference, one
-    component at a time, within 1e-15 relative, for k = 2, 3, 4 and N = 0, 1,
+    component at a time, within 1e-15 relative, for k = 2, 3, 4 and N = 1, 2,
     3, 8: for the automorphism that each operator intertwines (exactly 0 here,
     as the whole equivariance group is) and for a wrong one, the cycle after
     it, which still commutes with the cell relabellings (O(1) residuals)."""
-    for k, N in product((2, 3, 4), (0, 1, 3, 8)):
+    for k, N in product((2, 3, 4), (1, 2, 3, 8)):
         spec = random_tuple("covariant", n, 2 * k, seed=seed, k=k,
                             automorphisms=cycle_powers(k, n, seed))
         model = assemble_model(spec, N=N)
@@ -584,8 +584,9 @@ def test_mutation_sensitivity():
 
 
 def test_report_serializes():
-    model = assemble_model(scalar_triple(), N=2)
-    doc = full_report(model).to_dict()
-    assert doc["passed"] is True
-    assert set(doc) >= {"residuals", "verdicts", "tail_bounds", "config"}
-    assert doc["config"] == {"tolerances": TOLERANCES, "N": 2, "moment_maxdeg": 3}
+    """The config records the moment degree checked: N - 1, up to MOMENT_MAXDEG = 3."""
+    for N, degree in ((1, 0), (2, 1), (4, 3), (6, 3)):
+        doc = full_report(assemble_model(scalar_triple(), N=N)).to_dict()
+        assert doc["passed"] is True
+        assert set(doc) >= {"residuals", "verdicts", "tail_bounds", "config"}
+        assert doc["config"] == {"tolerances": TOLERANCES, "N": N, "moment_maxdeg": degree}
