@@ -21,14 +21,13 @@ requirement that the dilation identities hold exactly on interior cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DimensionMismatch, IdentityResidualExceeded, InfeasibleFinitePadding,
                      NotInClass, UnsupportedMultiplicity)
-from .fock import FockFamily, FockModel, apply_adjoints, creation_terms, degree_layers
+from .fock import FockFamily, FockModel, creation_terms, degree_layers
 from .linalg import (RANK_TOL, adj, check_count, eye, frob, frob_stack, isometry_from_frames,
                      psd_checks, psd_sqrt, range_bases)
 from .tuples import (AlgebraStructure, TupleSpec, class_gate, cp_apply, merge_1n,
@@ -112,8 +111,8 @@ class TransferData:
 @dataclass
 class DilationModel:
     """The finite data that fix the dilation, ``transfer`` among them; the Fock model
-    (which checks the cell budget first), the tails, the power table, Pi and the dilated
-    family are derived on construction, for built and loaded models alike."""
+    (which checks the cell budget first), the tails, Pi (from the merged power table)
+    and the dilated family are derived on construction, for built and loaded models alike."""
 
     spec: TupleSpec
     merged: TupleSpec
@@ -123,7 +122,6 @@ class DilationModel:
     transfer: TransferData
     fock: FockModel = field(init=False)
     tails: np.ndarray = field(init=False)
-    powers: np.ndarray = field(init=False)  # ``ordered_power_products`` of the merged tuple
     Pi: np.ndarray = field(init=False)
     isometries: FockFamily = field(init=False)  # tau1, L_2, ..., L_{n-1}, taun, then L1
 
@@ -131,13 +129,8 @@ class DilationModel:
         self.fock = FockModel(self.merged.n, self.N, self.layout.dim, self.merged.phases)
         self.tails = truncation_tails(self.merged, self.defects["hat1n"].root, self.N)
         self.isometries = dilated_isometries(self.spec, self.transfer, self.layout, self.fock)
-        self.powers = ordered_power_products(self.merged, self.fock)
-        self.Pi = build_Pi(pad_rows(self.transfer.frames[0], self.layout), self.powers)
-
-    @cached_property
-    def pi_adjoints(self) -> np.ndarray:
-        """The family's adjoints times Pi, formed once, read by the intertwining and moment checks."""
-        return apply_adjoints(self.isometries, self.Pi)
+        self.Pi = build_Pi(pad_rows(self.transfer.frames[0], self.layout),
+                           ordered_power_products(self.merged, self.fock))
 
 
 def effective_algebra(spec: TupleSpec) -> AlgebraStructure:
@@ -519,12 +512,6 @@ def truncation_tails(merged: TupleSpec, dhat_root: np.ndarray, N: int) -> np.nda
     square = adj(dhat_root) @ dhat_root
     layers = degree_layers(lambda s, x: cp_apply(merged, s, x), merged.n, square, N)
     return 1.0 - np.real(np.diag(sum(layers)))
-
-
-def simplex_mass(dhat_root: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Per-basis-vector sum of ||Dhat T*^(alpha) h||^2 over the cells, one row
-    of the merged tuple's power table ``powers`` per cell."""
-    return np.sum(np.abs(dhat_root @ powers) ** 2, axis=1).sum(axis=0)
 
 
 def assemble_model(spec: TupleSpec, N: int = 4,

@@ -30,7 +30,8 @@ checked once, when it is made; never a dim x dim matrix, nor one block per
 cell.  Every reader takes a family: ``apply_adjoints`` applies its adjoints
 cell by cell from one table of the cells each term reads (``reads``),
 ``product_norms`` measures sums of products of its operators, and
-``isometry_defects`` each W*W - I, in closed form, without reading a cell.
+``isometry_defects`` each W*W - I, in closed form, without reading a cell,
+and ``stein_sums`` a chain of terms against Pi at N = infinity.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class FockFamily:
     arrays, a row per term in operator order: ``owner`` (its operator),
     ``slots``, ``blocks``, ``costs``; ``starts`` is each operator's first row,
     then the row count.  ``family[k]`` is operator k as a family of one, views
-    of these and of ``reads`` once formed; ``np.asarray`` of it is its matrix.
+    of these arrays; ``np.asarray`` of it is its matrix.
     """
 
     def __init__(self, fock: FockModel, ops: list):
@@ -209,8 +210,6 @@ class FockFamily:
         one = object.__new__(FockFamily)
         one.fock, one.owner, one.starts = self.fock, np.broadcast_to(0, (hi - lo,)), [0, hi - lo]
         one.slots, one.blocks, one.costs = self.slots[lo:hi], self.blocks[lo:hi], self.costs[lo:hi]
-        if "reads" in vars(self):
-            one.reads = tuple(x[lo:hi] for x in self.reads)
         return one
 
     @cached_property
@@ -356,6 +355,31 @@ def product_norms(family: FockFamily, left, right, coef, group, src) -> np.ndarr
         squares += np.bincount(g[j], (np.sum(prods[j].conj() * prods[k], axis=(1, 2))
                                       * dev).real, minlength=len(src))
     return np.sqrt(np.maximum(squares, 0.0))
+
+
+def stein_sums(mt: np.ndarray, x: np.ndarray, delta: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Per row X of the (rows, h, h) ``x``, with (m,) displacement delta and unimodular
+    costs c, sum_alpha chi_c(alpha) T^(alpha + delta) X T^(alpha)*, T^(alpha) the ordered
+    product of the (m, h, h) ``mt``, nested with the last slot innermost: X becomes
+    t_s^delta_s G, G - c_s t_s G t_s* = X; exact for any tuple, as t^(a + delta) =
+    t^delta t^a, once r(t_s) < 1.  A step, h^4 entries, is t_s^k (x) I times the one
+    inverse of I - c (t_s (x) conj t_s) per (slot, distinct cost); rows gather them."""
+    m, h = mt.shape[:2]
+    # c 16^s is exact and, as |c| = 1, one number per (slot, cost); first % m is the slot
+    keys = costs * 16.0 ** np.arange(m)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    t = mt[first % m]
+    phi = (t[:, :, None, :, None] * t.conj()[:, None, :, None, :]).reshape(-1, h * h, h * h)
+    steps = np.linalg.inv(np.eye(h * h) - costs.ravel()[first, None, None] * phi)
+    k = int(delta.max(initial=0)) + 1
+    if k > 1:
+        powers = np.stack([np.linalg.matrix_power(t, j) for j in range(k)], axis=1)
+        steps = (powers @ steps.reshape(-1, 1, h, h ** 3)).reshape(-1, h * h, h * h)
+    which = which.reshape(costs.shape) * k + delta  # each row's step at each slot
+    out = np.asarray(x, dtype=complex).reshape(-1, h * h, 1)
+    for s in range(m - 1, -1, -1):
+        out = steps[which[:, s]] @ out
+    return out.reshape(-1, h, h)
 
 
 def creation_terms(model: FockModel, slots) -> list:

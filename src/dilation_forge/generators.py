@@ -13,7 +13,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import GenerationFailed
+from .errors import DilationForgeError, GenerationFailed
+from .linalg import check_count
 from .tuples import AlgebraStructure, TupleSpec, class_gate
 
 MARGIN = 1e-6  # minimum Szego eigenvalue and purity gap required of generated tuples
@@ -120,15 +121,18 @@ STYLES = tuple(BUILDERS)
 
 
 def random_tuple(style: str, n: int, dimH: int, seed: int, **options) -> TupleSpec:
-    """Dispatch by style name; deterministic in (style, n, dimH, seed).  An
-    option the style's builder does not take is refused by name."""
+    """Dispatch by style name; deterministic in (style, n, dimH, seed).  An n,
+    dimH or seed that is no integer >= 0 (``check_count``), an unknown style and
+    an option the style's builder does not take are refused by name."""
+    try:
+        n, dimH, seed = (check_count(v, k) for k, v in zip(("n", "dimH", "seed"), (n, dimH, seed)))
+    except DilationForgeError as err:
+        raise GenerationFailed(str(err)) from None
     if n < 2 or dimH < 1:
         raise GenerationFailed(f"need n >= 2 and dimH >= 1, got n={n}, dimH={dimH} (the "
                                "dilatable class has n >= 2; a single contraction T dilates "
                                "as the pair (T, 0))")
-    if seed < 0:
-        raise GenerationFailed(f"seed must be >= 0, got {seed}")
-    if style not in BUILDERS:
+    if not isinstance(style, str) or style not in BUILDERS:
         raise GenerationFailed(f"unknown style {style!r}; choose from {STYLES}")
     build = BUILDERS[style]
     if extra := set(options) - set(list(inspect.signature(build).parameters)[3:]):

@@ -54,9 +54,9 @@ rho(p) W at (i, j) of a source cell alpha exactly when [g(alpha)(x_i) = p] xor
 N[p, q] = #{alpha : g(alpha)(q) = p} over its source cells, its squared
 residual is sum_q N[p, q] sum_ij |M_ij|^2 ([x_i = q][y_j != q] + [x_i != q]
 [y_j = q]), its squared reference sum_q N[p, q] sum_ij |M_ij|^2 [x_i = q].
-The intertwinings and the moments stay per cell: they read the family's
-adjoints applied to Pi (``DilationModel.pi_adjoints``), whose cells carry the
-powers T*^alpha.
+The moments read no cell either: Pi* V^beta Pi at N = infinity, nested Stein
+sums over V^beta's term chains (``moment_sums``), against T^beta with no
+allowance.  The intertwinings read Pi's cells, which carry the powers T*^alpha.
 """
 
 from __future__ import annotations
@@ -67,19 +67,20 @@ from math import comb
 
 import numpy as np
 
-from .builder import DilationModel, simplex_mass
-from .fock import (apply_adjoints, degree_layers, enumerate_indices, interior_projector,
-                   isometry_defects, product_norms)
+from .builder import DilationModel, pad_rows
+from .fock import (apply_adjoints, degree_blocks, degree_layers, enumerate_indices,
+                   interior_projector, isometry_defects, product_norms, stein_sums)
 from .linalg import adj, eye, frob, frob_stack
+from .tuples import purity_radii
 
 TOLERANCES = {
     "linear": 1e-10,   # single-operator intertwinings, isometries, commutation, equivariance
     "product": 1e-9,   # the two-factor transfer factorizations (PRODUCT_GATED)
     "pi": 1e-12,       # exact telescoping of the dilation map
-    "moment": 1e-10,   # brute-force moment oracle (plus computed allowance)
+    "moment": 1e-10,   # Pi* V^beta Pi = T^beta on the whole Fock space
 }
 PRODUCT_GATED = ("factor_tau12", "factor_tau21")  # every other product norm at "linear"
-MOMENT_MAXDEG = 3  # highest degree |beta| of the moment oracle
+MOMENT_MAXDEG = 3  # highest degree |beta| of the moment check
 
 
 @dataclass
@@ -108,26 +109,19 @@ class VerificationReport:
 
 
 def verify_pi(model: DilationModel) -> dict:
-    """Exact telescoping: ||Pi h||^2 + tail(h) = ||h||^2 per basis vector.
-
-    ``pi_isometry`` uses the assembled matrix Pi;
-    ``pi_tail_match`` recomputes the partial mass directly from defect products
-    (the merged defect root times the model's power table), independent of Pi.
-    """
+    """Exact telescoping: ||Pi h||^2 + tail(h) = ||h||^2 per basis vector, from
+    the assembled Pi and the tails recursion (``truncation_tails``)."""
     col_mass = np.sum(np.abs(model.Pi) ** 2, axis=0)
-    pi_isometry = float(np.max(np.abs(col_mass + model.tails - 1.0)))
-    direct = simplex_mass(model.defects["hat1n"].root, model.powers)
-    pi_tail_match = float(np.max(np.abs(direct + model.tails - 1.0)))
-    return {"pi_isometry": pi_isometry, "pi_tail_match": pi_tail_match}
+    return {"pi_isometry": float(np.max(np.abs(col_mass + model.tails - 1.0)))}
 
 
 def verify_intertwining(model: DilationModel) -> dict:
     """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells, for
-    V_1..V_n against T_1..T_n and L1 against the merged generator: the
-    model's ``pi_adjoints``, ``rel_residual`` by ``frob_stack``."""
+    V_1..V_n against T_1..T_n and L1 against the merged generator: one
+    ``apply_adjoints`` of the family to Pi, ``rel_residual`` by ``frob_stack``."""
     spec, pi = model.spec, model.Pi
     inner = interior_projector(model.fock, 1)
-    lhs = model.pi_adjoints[:, inner]
+    lhs = apply_adjoints(model.isometries, pi)[:, inner]
     ts = np.concatenate([spec.blocks[:, 0], model.merged.blocks[:1, 0]])
     rhs = (pi @ adj(ts))[:, inner]
     resid = frob_stack(lhs - rhs) / np.maximum(1.0, frob_stack(rhs))
@@ -178,54 +172,47 @@ def verify_factorization(model: DilationModel) -> dict:
 
 
 def moment_degree(model: DilationModel) -> int:
-    """The highest |beta| the moment oracle checks: below N, and at most MOMENT_MAXDEG."""
+    """The highest |beta| the moment check takes: below N, and at most MOMENT_MAXDEG."""
     return min(MOMENT_MAXDEG, model.N - 1)
 
 
-def verify_moments(model: DilationModel) -> dict:
-    """Brute-force oracle <Pi h, V^beta Pi g> = <h, T^beta g> over all basis pairs.
+def moment_sums(model: DilationModel) -> tuple[np.ndarray, np.ndarray]:
+    """(Pi* V^beta Pi, T^beta) at N = infinity for |beta| <= ``moment_degree``, reading
+    no cell.  The betas are ``enumerate_indices``' rows read backwards, so V^beta =
+    V^(beta - e_s) V_s, s beta's last slot: a sum of term chains (delta, costs c,
+    block M, k), and a term (slot, block, costs) of V_s adds its displacement,
+    multiplies c and M, and k by the chain's character at its displacement.  Pi's
+    cell alpha is xs T^(alpha)*, xs = [X; 0]: a chain adds k ``stein_sums``(xs* M xs)."""
+    spec, family, n, m = model.spec, model.isometries, model.spec.n, model.fock.m
+    degree = moment_degree(model)
+    betas, first, parent = enumerate_indices(n, degree)
+    xs = pad_rows(model.transfer.frames[0], model.layout)
+    powers = np.repeat(eye(spec.dimH)[None], len(betas), axis=0)  # T^beta
+    # the chains (beta row, k xs* M, delta, c), at first V^0 = I's
+    chains = [(np.zeros(1, int), adj(xs)[None], np.zeros((1, m + 1), int), np.ones((1, m + 1)))]
+    for rows in degree_blocks(n, degree):  # a degree at a time, down the beta tree
+        counts = np.diff(family.starts)  # the family's tables, which beta = 0 does not read
+        starts, width = np.array(family.starts), np.arange(counts.max())
+        costs = np.concatenate([family.costs, np.ones((len(family.costs), 1))], axis=1)  # chi(0)
+        s = n - 1 - first[rows]
+        powers[rows] = powers[parent[rows]] @ spec.blocks[s, 0]
+        owner, left, delta, chars = chains[-1]
+        # each chain j of each row i's parent, followed by term w of V_s
+        i, j, w = np.nonzero((parent[rows][:, None, None] == owner[:, None])
+                             & (width < counts[s][:, None, None]))
+        t = starts[s[i]] + w
+        left = left[j] @ family.blocks[t] * chars[j, family.slots[t], None, None]
+        step = np.eye(m + 1, dtype=int)[family.slots[t]]  # column m, the cellwise slot's, unused
+        chains.append((rows.start + i, left, delta[j] + step, chars[j] * costs[t]))
+    owner, left, delta, chars = (np.concatenate(x) for x in zip(*chains))
+    sums = stein_sums(model.merged.blocks[:, 0], left @ xs, delta[:, :m], chars[:, :m])
+    return np.add.reduceat(sums, np.searchsorted(owner, np.arange(len(betas)))), powers
 
-    V^beta = V_1^{beta_1} ... V_n^{beta_n}.  The betas are the rows of
-    ``enumerate_indices(n, moment_degree(model))`` read with the slots reversed, so a
-    row's first unit j is beta's last, s = n - 1 - j, and its parent link is
-    beta - e_s.  One walk down that tree fills the (betas, dim, dimH) memo
-    (V^beta)* Pi = V_s* (V^{beta - e_s})* Pi, the degree-1 rows from the
-    model's ``pi_adjoints``, each deeper (degree, s) group by one ``apply_adjoints``
-    on its parents side by side, and the table (T^beta)* = t_s* (T^{beta - e_s})*;
-    the memo gives both sides, (Pi* V^beta Pi)* = Pi* ((V^beta)* Pi) against
-    (T^beta)*, with no conjugate copy of the memo.  At finite truncation the
-    identity holds only up to the dropped mass, so the entry comes with a
-    computed ``moment_allowance``: the spectral defect of Pi*Pi plus the
-    largest operator-norm gap between V^beta* Pi and Pi T^beta*, from the
-    gaps' dimH x dimH Gram eigenvalues; the gaps overwrite the memo, and each
-    Gram is one real product of a gap's real and imaginary parts side by side.
-    Both vanish when the tuple is nilpotent enough for the truncation to be exact.
-    """
-    spec, pi, ws, n = model.spec, model.Pi, model.isometries, model.spec.n
-    cells, slot, parent = enumerate_indices(n, moment_degree(model))
-    group = cells.sum(axis=1) * n + n - 1 - slot  # (degree, beta's last slot), in degree order
-    ops = adj(spec.blocks[:, 0])
-    tadj = np.empty((len(cells), spec.dimH, spec.dimH), dtype=complex)
-    back = np.empty((len(cells),) + pi.shape, dtype=complex)
-    tadj[0], back[0] = eye(spec.dimH), pi
-    if len(cells) > 1:  # row 1 + j is beta = e_s, s = n - 1 - j
-        tadj[1:n + 1], back[1:n + 1] = ops[::-1], model.pi_adjoints[n - 1::-1]
-    for g in np.unique(group[n + 1:]):
-        rows, s = np.flatnonzero(group == g), g % n
-        tadj[rows] = ops[s] @ tadj[parent[rows]]
-        cols = back[parent[rows]].transpose(1, 0, 2).reshape(len(pi), -1)
-        back[rows] = apply_adjoints(ws[s], cols).reshape(len(pi), len(rows), -1).swapaxes(0, 1)
-    pi_adj = adj(pi)
-    residual = float(np.max(np.abs(pi_adj @ back - tadj)))
-    back[1:] -= pi @ tadj[1:]  # the gaps V^beta* Pi - Pi T^beta*, in place
-    flat = back[1:].view(float)  # real and imaginary parts of each column side by side
-    real = (flat.swapaxes(-1, -2) @ flat).reshape(-1, spec.dimH, 2, spec.dimH, 2)
-    gram = (real[:, :, 0, :, 0] + real[:, :, 1, :, 1]
-            + 1j * (real[:, :, 0, :, 1] - real[:, :, 1, :, 0]))  # each gap's G* G
-    gap = float(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)))
-    gram_defect = eye(spec.dimH) - pi_adj @ pi
-    lam = float(max(0.0, np.max(np.linalg.eigvalsh(0.5 * (gram_defect + adj(gram_defect))))))
-    return {"moment_match": residual, "moment_allowance": gap + lam}
+
+def verify_moments(model: DilationModel) -> dict:
+    """``moment_match``: the largest entry of Pi* V^beta Pi - T^beta of ``moment_sums``."""
+    got, want = moment_sums(model)
+    return {"moment_match": float(np.max(np.abs(got - want)))}
 
 
 def _relabel_counts(autos: np.ndarray, N: int) -> np.ndarray:
@@ -279,22 +266,19 @@ def verify_equivariance(model: DilationModel) -> dict:
 
 def full_report(model: DilationModel) -> VerificationReport:
     """Run every verifier, gate its residuals at ``TOLERANCES``, and carry the
-    model's construction residuals."""
-    report = VerificationReport(config={"tolerances": dict(TOLERANCES), "N": model.N,
-                                        "moment_maxdeg": moment_degree(model)},
-                                construction=dict(model.transfer.residuals))
+    model's construction residuals; the config's Stein margin is 1 - max_s
+    r(t_s)^2 over the merged slots, how far the moment solves are from singular."""
+    config = {"tolerances": dict(TOLERANCES), "N": model.N, "moment_maxdeg": moment_degree(model),
+              "stein_margin": 1.0 - max(purity_radii(model.merged, range(1, model.fock.m + 1)))}
+    report = VerificationReport(config=config, construction=dict(model.transfer.residuals))
     report.tail_bounds = [float(t) for t in model.tails]
 
     for entries, kind in ((verify_pi(model), "pi"), (verify_intertwining(model), "linear"),
                           (verify_isometric_representation(model), "linear"),  # but PRODUCT_GATED
-                          (verify_equivariance(model), "linear")):
+                          (verify_equivariance(model), "linear"),
+                          (verify_moments(model), "moment")):
         for name, value in entries.items():
             report.residuals[name] = value
             report.verdicts[name] = value <= TOLERANCES["product" if name in PRODUCT_GATED
                                                         else kind]
-
-    moments = verify_moments(model)
-    report.residuals.update(moments)
-    report.verdicts["moment_match"] = (
-        moments["moment_match"] <= TOLERANCES["moment"] + moments["moment_allowance"])
     return report

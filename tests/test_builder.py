@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from dilation_forge import builder
 from dilation_forge import io as dfio
-from dilation_forge.builder import (UNITARY_GATE, CouplingData, assemble_model,
-                                    build_defects, build_transfer, build_U, build_V0,
+from dilation_forge.builder import (UNITARY_GATE, CouplingData, assemble_model, build_defects,
+                                    build_Pi, build_transfer, build_U, build_V0,
                                     coefficient_layout, defect_frames, dilated_isometries,
-                                    effective_algebra, simplex_mass, solve_aux, truncation_tails)
+                                    effective_algebra, pad_rows, solve_aux, truncation_tails)
 from dilation_forge.errors import (DilationForgeError, DimensionMismatch, GenerationFailed,
                                    IdentityResidualExceeded, InfeasibleFinitePadding, NotInClass,
                                    UnsupportedMultiplicity)
@@ -322,29 +322,32 @@ def test_pi_zero_tuple_exactly_isometric():
 
 
 def test_tails_match_pi_mass_both_routes():
+    """The tails recursion against Pi's mass and against the mass of the merged
+    defect root times a power table formed here, cell by cell."""
     for seed in (0, 5):
         spec = random_tuple("scaled-commuting", 3, 4, seed=seed)
         model = assemble_model(spec, N=4)
         mass = np.sum(np.abs(model.Pi) ** 2, axis=0)
         assert np.max(np.abs(mass + model.tails - 1.0)) < 1e-12
-        direct = simplex_mass(model.defects["hat1n"].root, model.powers)
+        powers = ordered_power_products(model.merged, model.fock)
+        direct = np.sum(np.abs(model.defects["hat1n"].root @ powers) ** 2, axis=(0, 1))
         assert np.max(np.abs(direct + model.tails - 1.0)) < 1e-12
 
 
 def test_one_power_table_per_model(monkeypatch):
-    """The model forms the merged power table once, for Pi, and ``full_report``
-    reads that table: ``pi_tail_match`` takes the merged defect root times it,
-    not Pi, bit for bit the mass of a second table."""
+    """The model forms the merged power table once, for Pi, and keeps only Pi:
+    ``full_report`` forms no table, and Pi's cell alpha is bit for bit [X; 0]
+    times row alpha of a second table."""
     calls = []
     monkeypatch.setattr(builder, "ordered_power_products",
                         lambda *args: calls.append(1) or ordered_power_products(*args))
     model = assemble_model(random_tuple("scaled-commuting", 3, 4, seed=0), N=4)
-    report = full_report(model)
+    assert len(calls) == 1 and not hasattr(model, "powers")
+    assert full_report(model).passed
     assert len(calls) == 1
-    root = model.defects["hat1n"].root
-    direct = simplex_mass(root, ordered_power_products(model.merged, model.fock))
-    assert report.residuals["pi_tail_match"] == float(np.max(np.abs(direct + model.tails - 1.0)))
-    assert report.residuals["pi_tail_match"] < 1e-12
+    xs = pad_rows(model.transfer.frames[0], model.layout)
+    again = build_Pi(xs, ordered_power_products(model.merged, model.fock))
+    assert again.tobytes() == model.Pi.tobytes()
 
 
 def test_defect_frames_formed_once_per_build_and_per_load(monkeypatch):

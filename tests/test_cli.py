@@ -731,7 +731,8 @@ def test_classify_and_dilate_agree_just_outside_the_class(tmp_path, capsys):
 
 def test_verify_fails_a_model_with_one_U_entry_moved_by_1e_9(tmp_path, capsys):
     """A covariant n = 3 model whose U is off by 1e-9 in one entry fails the
-    fixed ``linear`` gate of the report, which no option can widen."""
+    fixed ``linear`` gate of the report, which no option can widen, and the
+    ``moment`` gate, which has no allowance (about 1.06e-10 here)."""
     doc = model_to_dict(assemble_model(random_tuple("covariant", 3, 4, seed=0), N=3))
     doc["U"]["re"][0] += 1e-9
     model_path = tmp_path / "model.json"
@@ -743,7 +744,8 @@ def test_verify_fails_a_model_with_one_U_entry_moved_by_1e_9(tmp_path, capsys):
     assert main(["verify", "-m", str(model_path), "--format", "json"]) == 2
     report = json.loads(capsys.readouterr().out)
     failed = sorted(name for name, ok in report["verdicts"].items() if not ok)
-    assert failed == ["commute_1_3", "dilation1_tau1", "isometry_v1", "isometry_v3"]
+    assert failed == ["commute_1_3", "dilation1_tau1", "isometry_v1", "isometry_v3",
+                      "moment_match"]
 
 
 def test_consecutive_calls_share_one_parser(tmp_path, triple_file, capsys, monkeypatch):

@@ -87,3 +87,29 @@ def test_styles_keep_their_order(capsys):
     with pytest.raises(SystemExit):
         main(["random", "--help"])
     assert "{" + ",".join(STYLES) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,message", [
+    (("jointly-nilpotent", 2, 2, 1.5), "seed must be an integer, got 1.5$"),
+    (("jointly-nilpotent", 2.5, 2, 1), "n must be an integer, got 2.5$"),
+    (("jointly-nilpotent", None, 2, 1), "n must be an integer, got None$"),
+    (("u-commuting", 2, True, 0), "dimH must be an integer, got True$"),
+    (("scaled-commuting", 3, 4.0, 0), "dimH must be an integer, got 4.0$"),
+    (("covariant", 3, 4, "0"), "seed must be an integer, got '0'$"),
+    (("jointly-nilpotent", 2, 2, -1), "seed must be >= 0, got -1$"),
+    (([], 2, 2, 1), r"unknown style \[\]; choose from"),
+    ((None, 2, 2, 1), "unknown style None; choose from"),
+])
+def test_arguments_that_are_no_integers_or_no_style_name_are_refused(args, message):
+    """n, dimH and seed follow ``linalg.check_count``'s rule (an integer, Python
+    or numpy, not a bool) and a style is one of the str names; anything else is
+    a ``GenerationFailed`` naming the argument, never a raw ``TypeError`` or a
+    bool read as 1."""
+    with pytest.raises(GenerationFailed, match=message):
+        random_tuple(*args)
+
+
+def test_numpy_integer_arguments_build_the_same_tuple():
+    for style in STYLES:
+        want = outcome(random_tuple, style, 3, 4, 5)
+        assert outcome(random_tuple, style, np.int64(3), np.uint8(4), np.int32(5)) == want

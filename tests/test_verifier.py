@@ -6,25 +6,24 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from dilation_forge import builder
+from dilation_forge import builder, verifier
 from dilation_forge.builder import assemble_model, defect_frames, measure_transfer
 from dilation_forge.fock import (FockFamily, FockModel, apply_adjoints, creation_matrix,
                                  enumerate_indices, interior_projector)
 from dilation_forge.generators import STYLES, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.linalg import adj, eye, rel_residual
-from dilation_forge.tuples import TupleSpec, ordered_power_products
+from dilation_forge.tuples import TupleSpec, ordered_power_products, purity_radii
 from dilation_forge.verifier import (TOLERANCES, _covariance, _relabel_counts, full_report,
-                                     verify_equivariance, verify_factorization,
-                                     verify_intertwining, verify_isometric_representation,
-                                     verify_moments, verify_pi)
+                                     moment_degree, moment_sums, verify_equivariance,
+                                     verify_factorization, verify_intertwining,
+                                     verify_isometric_representation, verify_moments, verify_pi)
 from fock_reference import (apply, cell_blocks, coordinate_labels, covariance, sparse_product,
                             sparse_terms_norm, term_lists, two_block_terms)
 from padding import padded_model
 
 
 def gated_worst(report):
-    return max((v for k, v in report.residuals.items()
-                if k in report.verdicts and k != "moment_match"), default=0.0)
+    return max((v for k, v in report.residuals.items() if k in report.verdicts), default=0.0)
 
 
 def style_tuple(style, n, dimH, seed):
@@ -73,11 +72,9 @@ def rebuilt_model(model, change):
 
 
 def with_isometries(model, ops):
-    """A copy of the model whose dilated family is made of the term lists
-    ``ops``, without the original's ``pi_adjoints`` if it had formed them."""
+    """A copy of the model whose dilated family is made of the term lists ``ops``."""
     bent = copy(model)
     bent.isometries = FockFamily(model.fock, ops)
-    vars(bent).pop("pi_adjoints", None)
     return bent
 
 
@@ -91,16 +88,20 @@ def assert_matches_reference(model):
 
 @pytest.mark.parametrize("style", STYLES)
 def test_report_applies_the_adjoints_to_pi_once(style, monkeypatch):
-    """The intertwining and moment checks read the model's one
-    ``pi_adjoints``, whose rows are ``apply_adjoints`` of each operator of
-    the family alone, bit for bit."""
+    """A report applies the family's adjoints to Pi once, in the intertwining
+    check, whose rows are ``apply_adjoints`` of each operator of the family
+    alone, bit for bit; the moment check applies none."""
     model = assemble_model(style_tuple(style, 3, 3, seed=21), N=3)
     calls = []
-    monkeypatch.setattr(builder, "apply_adjoints",
+    monkeypatch.setattr(verifier, "apply_adjoints",
                         lambda ops, x: calls.append(len(ops)) or apply_adjoints(ops, x))
     assert full_report(model).to_dict() == full_report(model).to_dict()
-    assert calls == [model.spec.n + 1]
-    for got, w in zip(model.pi_adjoints, model.isometries):
+    assert calls == [model.spec.n + 1] * 2
+    calls.clear()
+    verify_moments(model)
+    assert calls == []
+    rows = apply_adjoints(model.isometries, model.Pi)
+    for got, w in zip(rows, model.isometries):
         assert got.tobytes() == apply_adjoints(w, model.Pi)[0].tobytes()
 
 
@@ -349,8 +350,7 @@ def test_zero_tuple_all_pass_exactly():
     report = full_report(model)
     assert report.passed
     assert gated_worst(report) < 1e-14
-    pi = verify_pi(model)
-    assert pi["pi_isometry"] == 0.0 and pi["pi_tail_match"] == 0.0
+    assert verify_pi(model) == {"pi_isometry": 0.0}
 
 
 def test_scalar_triple_full_suite():
@@ -366,7 +366,7 @@ def test_pi_telescoping_exact_for_slow_tuples():
     model = assemble_model(spec, N=3)
     pi = verify_pi(model)
     assert max(model.tails) > 0.1
-    assert pi["pi_isometry"] < 1e-13 and pi["pi_tail_match"] < 1e-13
+    assert list(pi) == ["pi_isometry"] and pi["pi_isometry"] < 1e-13
 
 
 def test_deep_model_checks_in_bounded_memory():
@@ -407,9 +407,7 @@ def test_intertwinings_across_degrees():
 def test_moments_nilpotent_exact():
     spec = random_tuple("jointly-nilpotent", 3, 4, seed=14)
     model = assemble_model(spec, N=4)
-    mom = verify_moments(model)
-    assert mom["moment_match"] < 1e-10
-    assert mom["moment_allowance"] < 1e-10
+    assert verify_moments(model)["moment_match"] < 1e-14
 
 
 def two_memo_moments(model, maxdeg=3):
@@ -435,22 +433,133 @@ def two_memo_moments(model, maxdeg=3):
     return {"moment_match": residual, "moment_allowance": gap + lam}
 
 
+def cell_moments(model):
+    """Pi* V^beta Pi on the truncated model, cell by cell, for the betas of
+    ``moment_sums`` in its order (its rows read with the slots reversed):
+    V^beta Pi = V_s V^{beta - e_s} Pi, s the first slot of beta, each
+    operator applied by its terms (``apply``)."""
+    spec, pi, ws = model.spec, model.Pi, model.isometries
+    rows = enumerate_indices(spec.n, moment_degree(model))[0]
+    betas = [tuple(b) for b in rows[:, ::-1].tolist()]
+    forward = {betas[0]: pi}
+    for beta in betas[1:]:
+        s = next(k for k, v in enumerate(beta) if v > 0)
+        forward[beta] = apply(ws[s], forward[beta[:s] + (beta[s] - 1,) + beta[s + 1:]])
+    return np.array([adj(pi) @ forward[beta] for beta in betas])
+
+
 @pytest.mark.parametrize("N", [1, 2, 4])
 @pytest.mark.parametrize("style", STYLES)
 def test_one_memo_moments_match_two_memos(style, N):
+    """The moments at N = infinity (``moment_sums``) against the truncated,
+    per-cell ones of the two memos: the first equal T^beta to rounding, and
+    the second lie within the two memos' computed allowance of T^beta (the
+    spectral defect of Pi*Pi plus the gap of V^beta* Pi and Pi T^beta*), so
+    the two differ, beta by beta, by no more than that allowance."""
     for n in (2, 3) if style == "u-commuting" else (2, 3, 5):
         model = assemble_model(style_tuple(style, n, 3, seed=30 + n), N=N)
-        got, ref = verify_moments(model), two_memo_moments(model)
-        assert list(got) == list(ref)
-        for name, value in ref.items():
-            assert abs(got[name] - value) <= 1e-14, (name, got[name], value)
+        got, want = moment_sums(model)
+        ref = two_memo_moments(model)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.max(np.abs(cell_moments(model) - got)) <= ref["moment_allowance"] + 1e-14
+        assert verify_moments(model)["moment_match"] <= ref["moment_match"] + 1e-14
 
 
-def test_moments_allowance_covers_truncation():
+def test_moments_exact_at_N_infinity():
+    """A slow scalar triple, whose truncated moments at N = 4 miss T^beta by
+    far more than the gate, has exact moments at N = infinity."""
     spec = TupleSpec.from_operators([[[0.8]], [[0.7]], [[0.6]]])
     model = assemble_model(spec, N=4)
-    mom = verify_moments(model)
-    assert mom["moment_match"] <= 1e-10 + mom["moment_allowance"]
+    assert two_memo_moments(model)["moment_match"] > 1e-2
+    assert verify_moments(model)["moment_match"] <= 1e-14
+    assert full_report(model).verdicts["moment_match"]
+
+
+@pytest.mark.parametrize("n,dimH", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2), (5, 3)])
+def test_moments_equal_cell_moments_where_truncation_is_exact(n, dimH):
+    """On a jointly nilpotent tuple T^(alpha) = 0 for |alpha| >= dimH, so at N >=
+    dimH + 3 the truncation drops nothing from Pi* V^beta Pi, |beta| <= 3: the
+    sums at N = infinity equal the per-cell matrices, beta by beta."""
+    model = assemble_model(random_tuple("jointly-nilpotent", n, dimH, seed=n + dimH),
+                           N=dimH + 3)
+    got, want = moment_sums(model)
+    assert got.shape == (len(enumerate_indices(n, 3)[0]), dimH, dimH)
+    assert np.max(np.abs(got - cell_moments(model))) <= 1e-14
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_cell_moments_approach_infinite_degree_like_the_tails():
+    """u-commuting n = 3: the per-cell moments at N = 9, 20 and 40 approach the
+    sums at N = infinity like sum(tails), which falls from 0.28 to 7e-5 here:
+    their distance over sum(tails) is one constant to 1e-9."""
+    spec = random_tuple("u-commuting", 3, 4, seed=1)
+    ratios = []
+    for N in (9, 20, 40):
+        model = assemble_model(spec, N=N)
+        got, want = moment_sums(model)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        ratios.append(np.max(np.abs(cell_moments(model) - got)) / np.sum(model.tails))
+    assert np.ptp(ratios) <= 1e-9 * ratios[0] and 0.1 < ratios[0] < 1, ratios
+
+
+def test_a_phase_error_in_tau1_fails_the_moments():
+    """Slot 1's cost in tau1's shift term turned by 1e-8 moves ``moment_match``
+    by about 0.2 of the turn, past its gate; the untouched model is exact."""
+    model = assemble_model(random_tuple("scaled-commuting", 3, 3, seed=2), N=4)
+    assert verify_moments(model)["moment_match"] <= 1e-14
+    ops = term_lists(model.isometries)
+    slot, block, costs = ops[0][0]
+    ops[0][0] = (slot, block, costs * np.exp(1e-8j * (np.arange(len(costs)) == 1)))
+    report = full_report(with_isometries(model, ops))
+    assert report.residuals["moment_match"] > 1e-9
+    assert not report.verdicts["moment_match"]
+
+
+def test_diagonal_triple_at_the_purity_edge_is_exact():
+    """t_2 = diag(0.999, 0.5): a Stein margin of 1 - 0.999^2, and the truncated
+    moments at N = 4 miss T^beta by 0.993; at N = infinity they are exact."""
+    spec = TupleSpec.from_operators([np.diag([0.0, 0.4]), np.diag([0.999, 0.5]),
+                                     np.diag([0.0, 0.1])])
+    model = assemble_model(spec, N=4)
+    assert two_memo_moments(model)["moment_match"] > 0.99
+    report = full_report(model)
+    assert report.passed, report.failures()
+    assert report.residuals["moment_match"] <= 1e-12
+    assert report.config["stein_margin"] == pytest.approx(1 - 0.999 ** 2, rel=1e-12)
+
+
+def test_pi_isometry_fails_on_a_broken_tails_recursion(monkeypatch):
+    """A tail off by 1e-9 in one entry fails ``pi_isometry``: Pi's mass and the
+    tails recursion are compared directly, with no second route."""
+    spec = random_tuple("scaled-commuting", 3, 4, seed=0)
+    assert full_report(assemble_model(spec, N=4)).passed
+
+    def broken(*args):
+        tails = builder_tails(*args)
+        tails[1] += 1e-9
+        return tails
+
+    builder_tails = builder.truncation_tails
+    monkeypatch.setattr(builder, "truncation_tails", broken)
+    report = full_report(assemble_model(spec, N=4))
+    assert report.failures() == ["pi_isometry"]
+    assert report.residuals["pi_isometry"] == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_moments_read_no_cell():
+    """scaled-commuting n = 4: the moment check's allocations at N = 30 (5456
+    cells) peak within twice those at N = 5 (56 cells)."""
+    spec = random_tuple("scaled-commuting", 4, 3, seed=7)
+    peaks = []
+    for N in (5, 30):
+        model = assemble_model(spec, N=N)
+        tracemalloc.start()
+        try:
+            verify_moments(model)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_u_commuting_full_suite():
@@ -584,9 +693,14 @@ def test_mutation_sensitivity():
 
 
 def test_report_serializes():
-    """The config records the moment degree checked: N - 1, up to MOMENT_MAXDEG = 3."""
+    """The config records the moment degree checked: N - 1, up to MOMENT_MAXDEG = 3,
+    and the Stein margin 1 - max_s r(t_s)^2 over the merged slots."""
     for N, degree in ((1, 0), (2, 1), (4, 3), (6, 3)):
-        doc = full_report(assemble_model(scalar_triple(), N=N)).to_dict()
+        model = assemble_model(scalar_triple(), N=N)
+        doc = full_report(model).to_dict()
         assert doc["passed"] is True
         assert set(doc) >= {"residuals", "verdicts", "tail_bounds", "config"}
-        assert doc["config"] == {"tolerances": TOLERANCES, "N": N, "moment_maxdeg": degree}
+        margin = 1.0 - max(purity_radii(model.merged, [1, 2]))
+        assert doc["config"] == {"tolerances": TOLERANCES, "N": N, "moment_maxdeg": degree,
+                                 "stein_margin": margin}
+        assert 0 < margin < 1
