@@ -43,10 +43,12 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .linalg import adj, as_matrix, check_count
+from .linalg import adj, as_matrix, check_count, frob, frob_stack
 
 PHASE_TOL = 1e-12  # largest | |c| - 1 | of a character cost, as for a tuple's phase table
 MAX_CELLS = 2 ** 15  # largest cell count comb(m + N, m) of a truncated model
+STEIN_DENSE = 4  # largest h whose Stein sums take dense h^2 x h^2 inverses
+STEIN_TOL = 1e-18  # the share of a Stein sum that its doubling may leave out
 
 
 def enumerate_indices(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,25 +363,39 @@ def stein_sums(mt: np.ndarray, x: np.ndarray, delta: np.ndarray, costs: np.ndarr
     """Per row X of the (rows, h, h) ``x``, with (m,) displacement delta and unimodular
     costs c, sum_alpha chi_c(alpha) T^(alpha + delta) X T^(alpha)*, T^(alpha) the ordered
     product of the (m, h, h) ``mt``, nested with the last slot innermost: X becomes
-    t_s^delta_s G, G - c_s t_s G t_s* = X; exact for any tuple, as t^(a + delta) =
-    t^delta t^a, once r(t_s) < 1.  A step, h^4 entries, is t_s^k (x) I times the one
-    inverse of I - c (t_s (x) conj t_s) per (slot, distinct cost); rows gather them."""
+    t_s^delta_s G, G = sum_a c_s^a t_s^a X (t_s^a)*; exact for any tuple once r(t_s) < 1.
+    Up to h = STEIN_DENSE, G is one inverse of I - c (t_s (x) conj t_s) per (slot, cost);
+    above, G <- G + c^(2^k) t^(2^k) G (t^(2^k))* while ||t^(2^k)||^2 > STEIN_TOL, h^3 a row."""
     m, h = mt.shape[:2]
-    # c 16^s is exact and, as |c| = 1, one number per (slot, cost); first % m is the slot
-    keys = costs * 16.0 ** np.arange(m)
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    t = mt[first % m]
-    phi = (t[:, :, None, :, None] * t.conj()[:, None, :, None, :]).reshape(-1, h * h, h * h)
-    steps = np.linalg.inv(np.eye(h * h) - costs.ravel()[first, None, None] * phi)
-    k = int(delta.max(initial=0)) + 1
-    if k > 1:
-        powers = np.stack([np.linalg.matrix_power(t, j) for j in range(k)], axis=1)
-        steps = (powers @ steps.reshape(-1, 1, h, h ** 3)).reshape(-1, h * h, h * h)
-    which = which.reshape(costs.shape) * k + delta  # each row's step at each slot
-    out = np.asarray(x, dtype=complex).reshape(-1, h * h, 1)
+    k = int(delta.max(initial=0)) + 1  # the powers t_s^j, j < k
+    if h <= STEIN_DENSE:  # c 16^s is exact and, as |c| = 1, one number per (slot, cost)
+        _, first, which = np.unique(costs * 16.0 ** np.arange(m), return_index=True,
+                                    return_inverse=True)
+        t = mt[first % m]  # first % m is the slot
+        phi = (t[:, :, None, :, None] * t.conj()[:, None, :, None, :]).reshape(-1, h * h, h * h)
+        steps = np.linalg.inv(np.eye(h * h) - costs.ravel()[first, None, None] * phi)
+        if k > 1:
+            powers = np.stack([np.linalg.matrix_power(t, j) for j in range(k)], axis=1)
+            steps = (powers @ steps.reshape(-1, 1, h, h ** 3)).reshape(-1, h * h, h * h)
+        which = which.reshape(costs.shape) * k + delta  # each row's step per slot
+        out = np.asarray(x, dtype=complex).reshape(-1, h * h, 1)
+        for s in range(m - 1, -1, -1):
+            out = steps[which[:, s]] @ out
+        return out.reshape(-1, h, h)
+    squares = [np.asarray(mt, dtype=complex)]  # t_s^(2^k), at most 2^64 terms
+    while len(squares) < 64 and frob_stack(squares[-1]).max() ** 2 > STEIN_TOL:
+        squares.append(squares[-1] @ squares[-1])
+    powers = np.stack([np.linalg.matrix_power(mt, j) for j in range(k)], axis=1)
+    out = np.array(x, dtype=complex)
     for s in range(m - 1, -1, -1):
-        out = steps[which[:, s]] @ out
-    return out.reshape(-1, h, h)
+        c = costs[:, s, None, None]
+        for p in (p[s] for p in squares):
+            if frob(p) ** 2 <= STEIN_TOL:
+                break
+            out += c * (p @ out @ adj(p))
+            c = c * c
+        out = powers[s, delta[:, s]] @ out
+    return out
 
 
 def creation_terms(model: FockModel, slots) -> list:

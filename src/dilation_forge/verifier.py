@@ -190,10 +190,10 @@ def moment_sums(model: DilationModel) -> tuple[np.ndarray, np.ndarray]:
     powers = np.repeat(eye(spec.dimH)[None], len(betas), axis=0)  # T^beta
     # the chains (beta row, k xs* M, delta, c), at first V^0 = I's
     chains = [(np.zeros(1, int), adj(xs)[None], np.zeros((1, m + 1), int), np.ones((1, m + 1)))]
+    counts = np.diff(family.starts)
+    starts, width = np.array(family.starts), np.arange(counts.max())
+    costs = np.concatenate([family.costs, np.ones((len(family.costs), 1))], axis=1)  # chi(0)
     for rows in degree_blocks(n, degree):  # a degree at a time, down the beta tree
-        counts = np.diff(family.starts)  # the family's tables, which beta = 0 does not read
-        starts, width = np.array(family.starts), np.arange(counts.max())
-        costs = np.concatenate([family.costs, np.ones((len(family.costs), 1))], axis=1)  # chi(0)
         s = n - 1 - first[rows]
         powers[rows] = powers[parent[rows]] @ spec.blocks[s, 0]
         owner, left, delta, chars = chains[-1]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilation_forge import fock
 from dilation_forge.builder import assemble_model, dilated_isometries
 from dilation_forge.errors import DilationForgeError, DimensionMismatch, MalformedSpec, NonFinite
 from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockFamily, FockModel, apply_adjoints,
@@ -875,13 +876,15 @@ def box_stein_sums(mt, x, delta, costs, top):
     return out
 
 
-@pytest.mark.parametrize("m,h,top,seed", [(1, 3, 40, 0), (2, 3, 24, 1), (3, 2, 14, 2)])
+@pytest.mark.parametrize("m,h,top,seed", [(1, 3, 40, 0), (2, 3, 24, 1), (3, 2, 14, 2),
+                                         (1, 6, 40, 3), (2, 5, 24, 4)])
 def test_stein_sums_match_box_sums(m, h, top, seed):
-    """Nested Stein solves against the plain sum over a box of cells, for a
+    """Nested Stein sums against the plain sum over a box of cells, for a
     tuple that does not commute, rows of displacements 0 to 3 and costs drawn
     from three unimodular values, so that a slot meets several (cost,
     displacement) steps and rows share them; each ||t_s|| = 1/4, so the box
-    misses about 4^(-2 top) of the sum."""
+    misses about 4^(-2 top) of the sum.  h <= STEIN_DENSE takes the dense
+    inverses, h = 5 and 6 the doubling."""
     rng = np.random.default_rng(seed)
     mt = rng.standard_normal((m, h, h)) + 1j * rng.standard_normal((m, h, h))
     mt *= 0.25 / np.linalg.norm(mt, 2, axis=(1, 2))[:, None, None]
@@ -898,3 +901,33 @@ def test_stein_sums_match_box_sums(m, h, top, seed):
     assert np.max(np.abs(stein_sums(mt, x[:1], delta[:1], costs[:1]) - got[:1])) <= 1e-15
     back = stein_sums(mt, x[::-1], delta[::-1], costs[::-1])[::-1]
     assert np.max(np.abs(back - got)) <= 1e-15 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("radius,bound", [(0.5, 1e-14), (0.99, 1e-13), (0.9999, 1e-11)])
+def test_stein_doubling_matches_the_inverses(monkeypatch, radius, bound):
+    """The doubling and the dense inverses give the same sums, relative to
+    their size, for slots of spectral radius up to 1 - 1e-4 (sums up to 1e7
+    times X): both lose about eps / (1 - r^2)."""
+    rng = np.random.default_rng(5)
+    m, h, rows = 2, 3, 6
+    mt = rng.standard_normal((m, h, h)) + 1j * rng.standard_normal((m, h, h))
+    mt *= radius / np.abs(np.linalg.eigvals(mt)).max(axis=1)[:, None, None]
+    x = rng.standard_normal((rows, h, h)) + 1j * rng.standard_normal((rows, h, h))
+    delta = rng.integers(0, 4, (rows, m))
+    costs = np.exp(2j * np.pi * rng.choice([0.0, 0.25, 0.37], (rows, m)))
+    dense = stein_sums(mt, x, delta, costs)
+    monkeypatch.setattr(fock, "STEIN_DENSE", 0)
+    doubled = stein_sums(mt, x, delta, costs)
+    assert np.max(np.abs(doubled - dense)) <= bound * np.max(np.abs(dense))
+
+
+def test_stein_doubling_stops_on_a_nilpotent_slot(monkeypatch):
+    """Doubling ends where a slot's power vanishes: the shift S of C^8 sums
+    S^a S^a* over a < 8, the projections onto e_a, ..., e_7, exactly, and the
+    zero slot leaves X as it is."""
+    monkeypatch.setattr(fock, "STEIN_DENSE", 0)
+    shift = np.eye(8, k=-1)
+    x = np.eye(8)[None]
+    got = stein_sums(np.stack([np.zeros((8, 8)), shift]), x, np.zeros((1, 2), int),
+                     np.ones((1, 2)))
+    assert np.array_equal(got[0], np.diag(np.arange(1.0, 9.0)))

@@ -1,3 +1,4 @@
+import timeit
 import tracemalloc
 from copy import copy
 from dataclasses import replace
@@ -455,7 +456,8 @@ def test_one_memo_moments_match_two_memos(style, N):
     per-cell ones of the two memos: the first equal T^beta to rounding, and
     the second lie within the two memos' computed allowance of T^beta (the
     spectral defect of Pi*Pi plus the gap of V^beta* Pi and Pi T^beta*), so
-    the two differ, beta by beta, by no more than that allowance."""
+    the two differ, beta by beta, by no more than that allowance.  (The name
+    is that of the check it replaced, which held one memo to the two.)"""
     for n in (2, 3) if style == "u-commuting" else (2, 3, 5):
         model = assemble_model(style_tuple(style, n, 3, seed=30 + n), N=N)
         got, want = moment_sums(model)
@@ -560,6 +562,37 @@ def test_moments_read_no_cell():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("style", ["jointly-nilpotent", "scaled-commuting", "u-commuting"])
+def test_models_past_the_dense_stein_size_verify(style):
+    """dimH 8 and 16 take the Stein doubling: every check passes and the
+    moments hold at N = infinity to rounding."""
+    for dimH in (8, 16):
+        report = full_report(assemble_model(random_tuple(style, 3, dimH, seed=1), N=4))
+        assert report.passed, (dimH, report.failures())
+        assert report.residuals["moment_match"] <= 1e-13
+
+
+def test_moment_check_grows_like_dimH_squared():
+    """scaled-commuting n = 3, N = 4: from dimH 8 to 16 the moment check's
+    allocations grow about 4-fold (its arrays are h x h per chain; h^2 x h^2
+    steps would grow them 16-fold), and at dimH 16 they peak below the 7.5 MB
+    of the truncated per-cell memo it replaced; its time grows less than
+    16-fold (h^3 products; h^2 x h^2 inverses grew it 28-fold)."""
+    peaks, times = [], []
+    for dimH in (8, 16):
+        model = assemble_model(random_tuple("scaled-commuting", 3, dimH, seed=1), N=4)
+        verify_moments(model)
+        times.append(min(timeit.repeat(lambda: verify_moments(model), number=1, repeat=5)))
+        tracemalloc.start()
+        try:
+            verify_moments(model)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 6 * peaks[0] and peaks[1] < 7.5e6, peaks
+    assert times[1] <= 16 * times[0], times
 
 
 def test_u_commuting_full_suite():
