@@ -26,12 +26,13 @@ With an all-ones table both conventions are the plain shift.
 
 Every Fock operator of the construction is a list of terms (slot s, d x d
 block, m costs), and a ``FockFamily`` the terms of a list of them as arrays,
-checked once, when it is made; never a dim x dim matrix, nor one block per
-cell.  Every reader takes a family: ``apply_adjoints`` applies its adjoints
-cell by cell from one table of the cells each term reads (``reads``),
-``product_norms`` measures sums of products of its operators, and
-``isometry_defects`` each W*W - I, in closed form, without reading a cell,
-and ``stein_sums`` a chain of terms against Pi at N = infinity.
+checked once, when it is made, and nothing else; never a dim x dim matrix,
+nor one block per cell.  Every reader takes a family: ``apply_adjoints``
+applies its adjoints cell by cell from the table of the cells each term
+reads (``reads``, formed per call), ``product_norms`` measures sums of
+products of its operators, and ``isometry_defects`` each W*W - I, in closed
+form, without reading a cell, and ``stein_sums`` a chain of terms against Pi
+at N = infinity.
 """
 
 from __future__ import annotations
@@ -176,8 +177,9 @@ class FockFamily:
     ``DimensionMismatch`` (a non-finite block ``NonFinite``).  It keeps read-only
     arrays, a row per term in operator order: ``owner`` (its operator),
     ``slots``, ``blocks``, ``costs``; ``starts`` is each operator's first row,
-    then the row count.  ``family[k]`` is operator k as a family of one, views
-    of these arrays; ``np.asarray`` of it is its matrix.
+    then the row count, and nothing else.  ``family[k]`` is operator k as a
+    family of one, made by this constructor from its terms; ``np.asarray`` of
+    it is its matrix.
     """
 
     def __init__(self, fock: FockModel, ops: list):
@@ -208,53 +210,48 @@ class FockFamily:
 
     def __getitem__(self, k: int) -> FockFamily:
         k = range(len(self))[k]  # an IndexError past either end, which ends iteration
-        lo, hi = self.starts[k], self.starts[k + 1]
-        one = object.__new__(FockFamily)
-        one.fock, one.owner, one.starts = self.fock, np.broadcast_to(0, (hi - lo,)), [0, hi - lo]
-        one.slots, one.blocks, one.costs = self.slots[lo:hi], self.blocks[lo:hi], self.costs[lo:hi]
-        return one
-
-    @cached_property
-    def reads(self) -> tuple:
-        """Per term (row): the cell its adjoint reads into each cell (-1 past the
-        truncation), the conjugate phase there and the conjugate block, from the
-        successor table (each cell itself for slot m) and one ``cell_phases``."""
-        fock = self.fock
-        table = np.vstack([fock.successors, np.arange(fock.cell_count)])  # row m: each cell itself
-        return table[self.slots], fock.cell_phases(self.costs).conj(), self.blocks.conj()
+        rows = slice(self.starts[k], self.starts[k + 1])
+        return FockFamily(self.fock, [list(zip(self.slots[rows], self.blocks[rows], self.costs[rows]))])
 
     def __array__(self, dtype=None, copy=None):
-        """The dense dim x dim matrix of a family of one, from ``reads``, for tests and
-        comparisons; a larger family is a ``DimensionMismatch``, never the sum."""
+        """The dense dim x dim matrix of a family of one, from its ``reads``, for tests
+        and comparisons; a larger family is a ``DimensionMismatch``, never the sum."""
         if len(self) != 1:
             raise DimensionMismatch(f"a family of {len(self)} operators is not one matrix")
         cells, d = self.fock.cell_count, self.fock.coeff_dim
         out = np.zeros((cells, d, cells, d), dtype=complex)
-        for read, phase, block in zip(*self.reads):
+        for read, phase, block in zip(*reads(self)):
             src = np.flatnonzero(read >= 0)
             out[read[src], :, src, :] = phase[src, None, None].conj() * block.conj()
         return out.reshape(self.fock.dim, -1).astype(dtype or complex, copy=False)
 
 
+def reads(family: FockFamily) -> tuple:
+    """Per term (row) of ``family``: the cell its adjoint reads into each cell (-1
+    past the truncation), the conjugate phase there and the conjugate block, from
+    the successor table (each cell itself for slot m) and one ``cell_phases``."""
+    fock = family.fock
+    table = np.vstack([fock.successors, np.arange(fock.cell_count)])  # row m: each cell itself
+    return table[family.slots], fock.cell_phases(family.costs).conj(), family.blocks.conj()
+
+
 def apply_adjoints(family: FockFamily, x: np.ndarray) -> np.ndarray:
     """The adjoints of the operators of ``family`` times the dim x cols matrix
     ``x``, an (operators, dim, cols) array: the cells each term reads times its
-    block in one batched product, then its phases, so that an operator's result
-    is the same bit for bit alone or in its family."""
+    block in one batched product, then its phases, and each operator's terms
+    added in order, so that an operator's result is the same bit for bit alone
+    or in its family."""
     fock, x = family.fock, np.asarray(x)
     if x.shape[0] != fock.dim:
         raise DimensionMismatch(f"operand has {x.shape[0]} rows, expected {fock.dim}")
     cells, d, cols = fock.cell_count, fock.coeff_dim, x.size // fock.dim
     # each cell as cols x d, then the zero cell that a read of -1 picks
     rows = np.concatenate([x.reshape(cells, d, cols).transpose(0, 2, 1), np.zeros((1, cols, d))])
-    reads, phases, blocks = family.reads
-    prod = (rows[reads].reshape(len(blocks), -1, d) @ blocks).reshape(len(blocks), cells, cols, d)
+    read, phases, blocks = reads(family)
+    prod = (rows[read].reshape(len(blocks), -1, d) @ blocks).reshape(len(blocks), cells, cols, d)
     prod *= phases[:, :, None, None]  # each cell's (M* y)^T (cols x d), times its phase
-    out = np.empty((len(family), cells, d, cols), dtype=complex)
-    view, starts = out.transpose(0, 1, 3, 2), family.starts
-    for k, (t, end) in enumerate(zip(starts, starts[1:])):  # an operator's terms, summed in order
-        view[k] = sum(prod[t + 1:end], prod[t])
-    return out.reshape(len(family), -1, cols)
+    out = np.add.reduceat(prod, family.starts[:-1], axis=0)
+    return out.transpose(0, 1, 3, 2).reshape(len(family), -1, cols)
 
 
 def _deviation_sums(theta: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -321,7 +318,6 @@ def product_norms(family: FockFamily, left, right, coef, group, src) -> np.ndarr
     costs = np.ones((len(slot), m + 1), dtype=complex)  # with chi(e_m) = 1
     costs[:-1, :m] = family.costs
     blocks = np.concatenate([family.blocks, np.eye(d)[None]])
-    plain = np.all(blocks == np.eye(d), axis=(1, 2))  # identity blocks
     # every (left term, right term) of every pair; lt is the left term's row
     width = np.arange(counts.max())
     left, right = np.asarray(left), np.asarray(right)
@@ -335,9 +331,7 @@ def product_norms(family: FockFamily, left, right, coef, group, src) -> np.ndarr
     order = np.argsort(kind, kind="stable")  # products by (group, Delta)
     p, g, lt, rt, sr, free, kind = (x[order] for x in (p, g, lt, rt, sr, free, kind))
     chars = costs[lt] * costs[rt]
-    prods = blocks[np.where(plain[lt], rt, lt)]
-    both = np.flatnonzero(~plain[lt] & ~plain[rt])
-    prods[both] = blocks[lt[both]] @ blocks[rt[both]]
+    prods = blocks[lt] @ blocks[rt]  # the identity's products are exact
     prods *= (np.asarray(coef, dtype=complex)[p] * costs[lt, sr])[:, None, None]
     # the counts: per (group, Delta), ||S||^2 times its cells
     opens = np.flatnonzero(np.concatenate([[True], kind[1:] != kind[:-1]]))
@@ -367,16 +361,17 @@ def stein_sums(mt: np.ndarray, x: np.ndarray, delta: np.ndarray, costs: np.ndarr
     Up to h = STEIN_DENSE, G is one inverse of I - c (t_s (x) conj t_s) per (slot, cost);
     above, G <- G + c^(2^k) t^(2^k) G (t^(2^k))* while ||t^(2^k)||^2 > STEIN_TOL, h^3 a row."""
     m, h = mt.shape[:2]
-    k = int(delta.max(initial=0)) + 1  # the powers t_s^j, j < k
+    k = int(delta.max(initial=0)) + 1
+    powers = np.stack([np.linalg.matrix_power(mt, j) for j in range(k)], axis=1)  # t_s^j, j < k
     if h <= STEIN_DENSE:  # c 16^s is exact and, as |c| = 1, one number per (slot, cost)
         _, first, which = np.unique(costs * 16.0 ** np.arange(m), return_index=True,
                                     return_inverse=True)
-        t = mt[first % m]  # first % m is the slot
+        slot = first % m
+        t = mt[slot]
         phi = (t[:, :, None, :, None] * t.conj()[:, None, :, None, :]).reshape(-1, h * h, h * h)
         steps = np.linalg.inv(np.eye(h * h) - costs.ravel()[first, None, None] * phi)
-        if k > 1:
-            powers = np.stack([np.linalg.matrix_power(t, j) for j in range(k)], axis=1)
-            steps = (powers @ steps.reshape(-1, 1, h, h ** 3)).reshape(-1, h * h, h * h)
+        # then t_s^j times each step; t^0 = I is exact
+        steps = (powers[slot] @ steps.reshape(-1, 1, h, h ** 3)).reshape(-1, h * h, h * h)
         which = which.reshape(costs.shape) * k + delta  # each row's step per slot
         out = np.asarray(x, dtype=complex).reshape(-1, h * h, 1)
         for s in range(m - 1, -1, -1):
@@ -385,7 +380,6 @@ def stein_sums(mt: np.ndarray, x: np.ndarray, delta: np.ndarray, costs: np.ndarr
     squares = [np.asarray(mt, dtype=complex)]  # t_s^(2^k), at most 2^64 terms
     while len(squares) < 64 and frob_stack(squares[-1]).max() ** 2 > STEIN_TOL:
         squares.append(squares[-1] @ squares[-1])
-    powers = np.stack([np.linalg.matrix_power(mt, j) for j in range(k)], axis=1)
     out = np.array(x, dtype=complex)
     for s in range(m - 1, -1, -1):
         c = costs[:, s, None, None]

@@ -134,11 +134,13 @@ class TupleSpec:
 
     @classmethod
     def from_operators(cls, ops: Sequence, phases=None, algebra: AlgebraStructure | None = None) -> "TupleSpec":
-        """Build a d = 1 spec from plain matrices (scalars allowed for dimH = 1)."""
-        if not len(ops):
-            raise MalformedSpec("a tuple needs at least one operator")
-        blocks = [[np.atleast_2d(t)] for t in ops]
-        return cls(len(ops), len(blocks[0][0]), 1, blocks, phases=phases, algebra=algebra)
+        """Build a d = 1 spec from plain matrices (scalars allowed for dimH = 1): one
+        ``as_complex`` conversion, so any other input is a ``MalformedSpec``."""
+        ops = as_complex(ops, "operators")
+        ops = ops[:, None, None] if ops.ndim == 1 else ops  # scalars
+        if ops.ndim != 3 or not len(ops):
+            raise MalformedSpec("need one or more operators, all scalars or all matrices")
+        return cls(len(ops), ops.shape[-1], 1, ops[:, None], phases=phases, algebra=algebra)
 
     def op(self, i: int) -> np.ndarray:
         """The single operator t_i (1-based index), for d = 1."""

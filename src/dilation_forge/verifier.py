@@ -69,7 +69,7 @@ import numpy as np
 
 from .builder import DilationModel, pad_rows
 from .fock import (apply_adjoints, degree_blocks, degree_layers, enumerate_indices,
-                   interior_projector, isometry_defects, product_norms, stein_sums)
+                   isometry_defects, product_norms, stein_sums)
 from .linalg import adj, eye, frob, frob_stack
 from .tuples import purity_radii
 
@@ -118,9 +118,10 @@ def verify_pi(model: DilationModel) -> dict:
 def verify_intertwining(model: DilationModel) -> dict:
     """Coextension identities (I_i x Pi) T_i* = V_i* Pi on interior cells, for
     V_1..V_n against T_1..T_n and L1 against the merged generator: one
-    ``apply_adjoints`` of the family to Pi, ``rel_residual`` by ``frob_stack``."""
-    spec, pi = model.spec, model.Pi
-    inner = interior_projector(model.fock, 1)
+    ``apply_adjoints`` of the family to Pi, ``rel_residual`` by ``frob_stack``.
+    The interior cells, |alpha| <= N - 1, are the first comb(m + N - 1, m)."""
+    spec, pi, fock = model.spec, model.Pi, model.fock
+    inner = slice(comb(fock.m + fock.N - 1, fock.m) * fock.coeff_dim)
     lhs = apply_adjoints(model.isometries, pi)[:, inner]
     ts = np.concatenate([spec.blocks[:, 0], model.merged.blocks[:1, 0]])
     rhs = (pi @ adj(ts))[:, inner]

@@ -16,7 +16,7 @@ terms in the two-block form of a transfer operator come from
 
 import numpy as np
 
-from dilation_forge.fock import degree_blocks, interior_cells, interior_projector
+from dilation_forge.fock import degree_blocks, interior_cells, interior_projector, reads
 from dilation_forge.linalg import adj
 
 
@@ -47,7 +47,7 @@ def moves(op):
     block, the source cells and their destination cells, from the cells its
     adjoint reads."""
     out = []
-    for read, phase, block in zip(*op.reads):
+    for read, phase, block in zip(*reads(op)):
         src = np.flatnonzero(read >= 0)
         out.append((phase[src].conj(), block.conj(), src, read[src]))
     return out

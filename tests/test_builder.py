@@ -17,7 +17,7 @@ from dilation_forge.builder import (UNITARY_GATE, CouplingData, assemble_model, 
 from dilation_forge.errors import (DilationForgeError, DimensionMismatch, GenerationFailed,
                                    IdentityResidualExceeded, InfeasibleFinitePadding, NotInClass,
                                    UnsupportedMultiplicity)
-from dilation_forge.fock import FockModel, enumerate_indices
+from dilation_forge.fock import FockModel, enumerate_indices, reads
 from dilation_forge.generators import parrott_tuple, random_tuple, scalar_triple, zero_tuple
 from dilation_forge.io import dump_json, model_to_dict
 from dilation_forge.linalg import adj, isometry_from_frames, psd_sqrt, range_basis
@@ -301,7 +301,7 @@ def test_tau_degree_zero_is_diagonal_part_alone():
     d = model.layout.dim
     fock = FockModel(model.merged.n, 0, d, model.merged.phases)
     tau1 = dilated_isometries(model.spec, model.transfer, model.layout, fock)[0]
-    assert tau1.reads[0].tolist() == [[-1], [0]]
+    assert reads(tau1)[0].tolist() == [[-1], [0]]
     assert np.allclose(tau1, adj(model.transfer.U1[:d, :d]))
 
 

@@ -13,7 +13,7 @@ from dilation_forge.errors import DilationForgeError, DimensionMismatch, Malform
 from dilation_forge.fock import (MAX_CELLS, PHASE_TOL, FockFamily, FockModel, apply_adjoints,
                                  creation_matrix, creation_terms, enumerate_indices,
                                  interior_cells, interior_projector, isometry_defects,
-                                 _deviation_sums, product_norms, stein_sums)
+                                 _deviation_sums, product_norms, reads, stein_sums)
 from dilation_forge.generators import random_tuple
 from dilation_forge.io import model_from_dict, model_to_dict
 from dilation_forge.linalg import adj
@@ -98,6 +98,20 @@ def kron_reference(model, diag, shift, slot, phase_fn, kappa):
     if diag is not None:
         out = out + np.kron(np.eye(cells), diag)
     return out * np.repeat(kappa, d)[None, :]
+
+
+def dense_terms(model, terms):
+    """The dense matrix of one operator's terms, cell by cell from the cell
+    positions and each character factor by factor: a reference that does not
+    go through ``reads``."""
+    d, position = model.coeff_dim, index_of(model)
+    out = np.zeros((model.cell_count, d, model.cell_count, d), dtype=complex)
+    for slot, block, costs in terms:
+        for src, alpha in enumerate(index_list(model)):
+            dst = tuple(v + (k == slot) for k, v in enumerate(alpha))  # alpha itself for slot m
+            if dst in position:
+                out[position[dst], :, src, :] += character(costs, alpha) * block
+    return out.reshape(model.dim, model.dim)
 
 
 def unit_columns(mask):
@@ -265,16 +279,19 @@ def test_fock_operator_matches_kron_reference(m, N, coeff, quarter_turns):
 def test_stacked_adjoints_match_each_operator(style, n, N):
     """``apply_adjoints`` over (tau1, L_2, ..., L_{n-1}, taun, L1) equals
     ``apply_adjoints`` of each operator alone bit for bit, on five columns and
-    on one, and the dense adjoints within rounding."""
+    on one, and the adjoints of ``dense_terms`` within rounding, as ``np.asarray``
+    equals ``dense_terms``."""
     model = assemble_model(random_tuple(style, n, 4, seed=N), N=N)
     ops = model.isometries
     rng = np.random.default_rng(N)
     x = rng.standard_normal((model.fock.dim, 5)) + 1j * rng.standard_normal((model.fock.dim, 5))
     stacked = apply_adjoints(ops, x)
     assert stacked.shape == (len(ops), model.fock.dim, 5)
-    for got, op in zip(stacked, ops):
+    for got, op, terms in zip(stacked, ops, term_lists(ops)):
+        dense = dense_terms(model.fock, terms)
         assert np.array_equal(got, apply_adjoints(op, x)[0])
-        assert np.allclose(got, adj(np.asarray(op)) @ x, atol=1e-13)
+        assert np.allclose(got, adj(dense) @ x, atol=1e-13)
+        assert np.allclose(np.asarray(op), dense, rtol=0, atol=1e-15)
     column = apply_adjoints(ops, x[:, :1])
     for got, many, op in zip(column, stacked, ops):
         assert np.array_equal(got, apply_adjoints(op, x[:, 0])[0])
@@ -299,7 +316,7 @@ def test_cell_phases_match_per_cell_loops(m, N, coeff, quarter_turns):
 def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_turns):
     """Creation operator s is one identity block with the front-insertion
     costs u(s, t), t < s, and its phases on the cells it shifts are their
-    ``cell_phases``, read in one table built once."""
+    ``cell_phases``, as ``reads`` gives them."""
     model, _ = random_model(m, N, coeff, 10 * m + N, quarter_turns)
     for s in range(m):
         op = creation_matrix(model, s)
@@ -307,8 +324,7 @@ def test_creation_phases_are_the_cell_phases_of_each_slot(m, N, coeff, quarter_t
         [slot], [block], [got] = op.slots, op.blocks, op.costs
         assert slot == s and np.array_equal(block, np.eye(coeff))
         assert got.tobytes() == costs.astype(complex).tobytes()
-        [read], [phase], _ = op.reads
-        assert op.reads is op.reads  # built once per family
+        [read], [phase], _ = reads(op)
         assert phase.tobytes() == model.cell_phases(costs).conj().tobytes()
         src = np.flatnonzero(read >= 0)  # the cells below the truncation
         assert np.array_equal(src, np.flatnonzero(model.cells.sum(axis=1) < N))
@@ -526,6 +542,7 @@ def test_an_operator_is_the_sum_of_its_terms(m, N, coeff):
     family = FockFamily(model, [terms] + [[term] for term in terms])
     op, *parts = family
     dense = sum(np.asarray(part) for part in parts)
+    assert np.allclose(dense, dense_terms(model, terms), rtol=0, atol=1e-14)
     assert np.allclose(np.asarray(op), dense, rtol=0, atol=1e-14)
     x = rng.standard_normal((model.dim, 2)) + 1j * rng.standard_normal((model.dim, 2))
     assert np.allclose(apply_adjoints(family, x)[0], adj(dense) @ x, rtol=0, atol=1e-13)
@@ -719,10 +736,6 @@ def test_creation_family_rejects_what_each_slot_rejects():
         creation_matrix(skewed, 2)
 
 
-def fresh_family(model):
-    return dilated_isometries(model.spec, model.transfer, model.layout, model.fock)
-
-
 def assert_same_family(got, want):
     """Two families whose arrays are equal bit for bit, and of one dtype and shape."""
     assert got.starts == want.starts
@@ -735,53 +748,47 @@ def assert_same_family(got, want):
 @pytest.mark.parametrize("style,n,N", [("u-commuting", 3, 4), ("covariant", 4, 2),
                                        ("scaled-commuting", 5, 1), ("jointly-nilpotent", 6, 3)])
 def test_one_pass_reads_equal_each_operator_own(style, n, N):
-    """A family's ``reads``, formed once for every term, equal bit for bit each
-    operator's own, formed from a family of it alone, and the per-term
-    definition; building a model forms none, and ``apply_adjoints`` keeps them."""
+    """``reads`` of a family, in one pass over every term, equals bit for bit
+    each operator's own, from a family of it alone, and the per-term
+    definition."""
     model = assemble_model(random_tuple(style, n, 4, seed=n), N=N)
-    fock = model.fock
-    assert "reads" not in vars(model.isometries)
-    batch = fresh_family(model)
-    kept = batch.reads
-    apply_adjoints(batch, np.zeros((fock.dim, 1)))
-    assert batch.reads is kept
+    fock, batch = model.fock, model.isometries
     every = np.arange(fock.cell_count)
     for k, terms in enumerate(term_lists(batch)):
         slots, blocks, costs = zip(*terms)
         definition = (np.array([every if s == fock.m else fock.successors[s] for s in slots]),
                       fock.cell_phases(np.array(costs)).conj(), np.array(blocks).conj())
-        own = FockFamily(fock, [terms]).reads
-        for got, mine, want in zip(batch.reads, own, definition):
+        for got, mine, want in zip(reads(batch), reads(FockFamily(fock, [terms])), definition):
             got = got[batch.starts[k]:batch.starts[k + 1]]
             assert got.dtype == mine.dtype == want.dtype
             assert got.tobytes() == mine.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("from_end", [False, True])
 @pytest.mark.parametrize("style,n,N", [("u-commuting", 3, 4), ("covariant", 4, 2),
                                        ("scaled-commuting", 5, 1), ("jointly-nilpotent", 6, 3)])
-def test_family_item_is_the_family_of_one(style, n, N, cached):
-    """``family[k]`` equals ``FockFamily(fock, [terms_k])`` bit for bit: its
-    arrays, its ``reads``, ``apply_adjoints`` and ``np.asarray``, whether the
-    parent formed its reads before the item was taken or not; an item forms
-    its own reads, sharing none of the parent's."""
+def test_family_item_is_the_family_of_one(style, n, N, from_end):
+    """``family[k]``, and ``family[k - len(family)]`` from the end, equals
+    ``FockFamily(fock, [terms_k])`` bit for bit: its arrays, its ``reads``,
+    ``apply_adjoints`` and ``np.asarray``.  The constructor makes it, so its
+    arrays are copies that share no memory with the family's, and neither
+    keeps anything but its checked arrays."""
     model = assemble_model(random_tuple(style, n, 4, seed=n), N=N)
-    fock, family = model.fock, fresh_family(model)
-    if cached:
-        family.reads
+    fock, family = model.fock, model.isometries
     rng = np.random.default_rng(n)
     x = rng.standard_normal((fock.dim, 3)) + 1j * rng.standard_normal((fock.dim, 3))
     for k, terms in enumerate(term_lists(family)):
-        item, alone = family[k], FockFamily(fock, [terms])
-        assert "reads" not in vars(item)
+        item, alone = family[k - len(family) * from_end], FockFamily(fock, [terms])
         assert_same_family(item, alone)
-        if cached:
-            assert not any(np.shares_memory(a, b) for a, b in zip(item.reads, family.reads))
-        for got, want in zip(item.reads, alone.reads):
+        assert not any(np.shares_memory(getattr(item, name), getattr(family, name))
+                       for name in ("slots", "blocks", "costs"))
+        for got, want in zip(reads(item), reads(alone)):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert apply_adjoints(item, x).tobytes() == apply_adjoints(alone, x).tobytes()
         assert np.asarray(item).tobytes() == np.asarray(alone).tobytes()
-    assert family[-1].costs.tobytes() == family[len(family) - 1].costs.tobytes()
+        # a family keeps its checked arrays and nothing its readers form
+        assert set(vars(item)) == set(vars(family)) == {"fock", "owner", "slots", "blocks",
+                                                        "costs", "starts"}
 
 
 def test_family_iterates_to_its_length_and_is_no_matrix():
@@ -807,7 +814,7 @@ def test_family_iterates_to_its_length_and_is_no_matrix():
 def test_a_model_stacks_and_checks_its_family_once(style, n, monkeypatch):
     """One ``assemble_model`` and ``full_report`` make exactly one family (the
     dilated one, at construction) and ``full_report`` alone none: the
-    verifier reads the model's family, and its items are views of it."""
+    verifier reads the model's family and takes none of its items."""
     made = []
     init = FockFamily.__init__
     monkeypatch.setattr(FockFamily, "__init__",

@@ -93,6 +93,18 @@ def test_malformed_specs():
         TupleSpec(n=1, dimH=2, d=1, blocks=[[[[0.5, 0.0], ["x", 0.0]]]])
 
 
+def test_from_operators_input_is_malformed_not_raw():
+    """``from_operators`` converts its input once, so a ragged matrix, a ragged
+    list of operators and a non-list are a ``MalformedSpec``, never numpy's
+    raw ``ValueError`` or ``len``'s ``TypeError``; scalars and one-by-one
+    matrices give the same tuple."""
+    for ops in ([[[1, 2], [3]]], [np.eye(2), [[1, 2], [3]]], 5, None):
+        with pytest.raises(MalformedSpec):
+            TupleSpec.from_operators(ops)
+    scalars, matrices = (TupleSpec.from_operators(ops) for ops in ([0.5, 0.4], [[[0.5]], [[0.4]]]))
+    assert same_array(scalars.blocks, matrices.blocks) and scalars.blocks.shape == (2, 1, 1, 1)
+
+
 def same_array(got, want) -> bool:
     return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
